@@ -203,12 +203,14 @@ pub struct Cluster {
     /// flat-ring fast path (default: off — the fast path is on). Results
     /// are identical either way; the equivalence tests pin that down.
     pub reference_scheduler: bool,
-    /// A shared signature/chain verification cache installed on every
-    /// run's key stores. `None` (the default) gives each run a private
-    /// cache; a service shard installs one long-lived cache so identical
-    /// chains are verified once *across* runs, not just within one (see
-    /// [`crate::keys::VerifyCache`] for why sharing is sound and cannot
-    /// change report bytes).
+    /// A verification cache installed on every run's key stores in place
+    /// of the private per-run one `None` (the default) gives each run.
+    /// Sharing one across runs is sound and cannot change report bytes
+    /// (see [`crate::keys::VerifyCache`]), but its cohort layer pins
+    /// every broadcast payload it judges for the life of the cache, so
+    /// nothing long-lived installs one: this is the equivalence tests'
+    /// hook for a [`without_cohorts`](crate::keys::VerifyCache::without_cohorts)
+    /// reference run.
     pub verify_cache: Option<crate::keys::VerifyCache>,
     /// Record phase observability data (end-of-round marks, queue depths,
     /// verification timing, cache counters) into
@@ -426,8 +428,9 @@ impl Cluster {
         self
     }
 
-    /// Install a long-lived verification cache shared by every run on
-    /// this cluster (see [`Cluster::verify_cache`]).
+    /// Install a verification cache shared by every run on this cluster
+    /// (see [`Cluster::verify_cache`] — the reference-run hook; the cache
+    /// retains what it judged until it is dropped).
     pub fn with_verify_cache(mut self, cache: crate::keys::VerifyCache) -> Self {
         self.verify_cache = Some(cache);
         self

@@ -11,17 +11,24 @@
 //!   universe lands on the same worker thread, so shard state needs no
 //!   locks.
 //! * Each shard holds a bounded pool of **pre-warmed sessions** keyed by
-//!   `(n, scheme, seed)`: the key distribution report, its interned
-//!   [`PredicateTable`](crate::keys::PredicateTable), and a long-lived
-//!   [`VerifyCache`] are established on first use and reused by every
-//!   later request with the same key, with least-recently-used eviction
-//!   past [`ServiceConfig::max_sessions`] entries per shard.
+//!   `(n, scheme, seed)`: the key distribution report and its interned
+//!   [`PredicateTable`](crate::keys::PredicateTable) are established on
+//!   first use and reused by every later request with the same key, with
+//!   least-recently-used eviction past [`ServiceConfig::max_sessions`]
+//!   entries per shard. That is *all* a session retains: every request
+//!   runs with the private per-run [`VerifyCache`](crate::keys::VerifyCache)
+//!   of a direct [`Cluster::run`]. The cache's cohort layer pins each
+//!   broadcast payload buffer for the life of the cache and is keyed by
+//!   allocation address, so it can never hit across runs — a cache that
+//!   outlived its run would only retain a few kB per request, forever.
 //! * Execution still goes through [`Cluster::run_with_keys`] on the
 //!   request's own cluster configuration (engine, latency, schedule), so
 //!   a service response's report is **byte-identical** to the same
-//!   request executed via a direct [`Cluster::run`] — keydist and
-//!   verification-cache reuse are invisible in the bytes, which the
-//!   service integration tests assert.
+//!   request executed via a direct [`Cluster::run`] — keydist reuse is
+//!   invisible in the bytes, which the service integration tests assert.
+//! * Nothing in the service grows per request: the latency and
+//!   eviction-age percentiles are computed over the most recent
+//!   [`SAMPLE_WINDOW`] samples per shard, everything else is a counter.
 //! * [`FdService::shutdown`] is a graceful drain: queued requests finish,
 //!   workers join, and the final metrics snapshot is returned in the same
 //!   JSON shape `lafd bench` records (`wall_us`/`messages`/`bytes` cells)
@@ -31,7 +38,6 @@
 //! [`Cluster::run`]: crate::runner::Cluster::run
 //! [`Cluster::run_with_keys`]: crate::runner::Cluster::run_with_keys
 
-use crate::keys::VerifyCache;
 use crate::pool::{self, ShardWorkers};
 use crate::runner::KeyDistReport;
 use crate::spec::SpecBuilder;
@@ -79,8 +85,6 @@ struct PooledSession {
     keydist: Option<KeyDistReport>,
     keydist_messages: Option<usize>,
     key_allocs: usize,
-    /// Long-lived verification cache shared by every run in this slot.
-    cache: VerifyCache,
     /// LRU clock value of the most recent use.
     last_used: u64,
     /// Wall-clock instant of the most recent use (feeds the eviction-age
@@ -100,6 +104,37 @@ struct Cell {
     key_allocs: usize,
 }
 
+/// Samples each shard keeps per series for the percentile estimates.
+/// Below this many samples the percentiles are exact over the shard's
+/// whole history; past it they describe the most recent window.
+pub const SAMPLE_WINDOW: usize = 4096;
+
+/// Upper bounds (µs) of the eviction-age histogram buckets.
+const EVICTION_BUCKETS_US: [u64; 5] = [1_000, 10_000, 100_000, 1_000_000, 10_000_000];
+
+/// One sample series in constant memory: the most recent
+/// [`SAMPLE_WINDOW`] samples (for percentiles) plus the lifetime count
+/// and sum (for the Prometheus `_count`/`_sum` counters).
+#[derive(Debug, Default)]
+struct SampleWindow {
+    /// Insertion-ordered until full, then a ring overwriting the oldest.
+    recent: Vec<u64>,
+    count: usize,
+    sum: u128,
+}
+
+impl SampleWindow {
+    fn record(&mut self, value: u64) {
+        if self.recent.len() < SAMPLE_WINDOW {
+            self.recent.push(value);
+        } else {
+            self.recent[self.count % SAMPLE_WINDOW] = value;
+        }
+        self.count += 1;
+        self.sum += u128::from(value);
+    }
+}
+
 /// Per-shard counters, written only by the shard's worker thread.
 #[derive(Debug, Default)]
 struct ShardStats {
@@ -108,13 +143,15 @@ struct ShardStats {
     keydist_runs: usize,
     keydist_reused: usize,
     evictions: usize,
-    latencies_us: Vec<u64>,
+    latencies_us: SampleWindow,
     /// Session-pool occupancy after the most recent job on this shard.
     pool_sessions: usize,
     /// Peak session-pool occupancy.
     pool_peak: usize,
-    /// Age (µs since last use) of each evicted session, in eviction order.
-    eviction_ages_us: Vec<u64>,
+    /// Age (µs since last use) of each evicted session.
+    eviction_ages_us: SampleWindow,
+    /// Lifetime eviction counts per [`EVICTION_BUCKETS_US`] bound.
+    eviction_buckets: [usize; EVICTION_BUCKETS_US.len()],
     cells: BTreeMap<(String, usize, usize, String, String), Cell>,
 }
 
@@ -394,16 +431,13 @@ fn execute(
         keydist: None,
         keydist_messages: None,
         key_allocs: 0,
-        cache: VerifyCache::new(),
         last_used: 0,
         last_touch: Instant::now(),
     });
     slot.last_used = *clock;
     slot.last_touch = Instant::now();
-    // The request executes on its *own* cluster configuration — only the
-    // verification cache is swapped in from the pool, which cannot change
-    // report bytes (content-addressed; see `VerifyCache`).
-    let cluster = cluster.with_verify_cache(slot.cache.clone());
+    // The request executes on its *own* cluster configuration, per-run
+    // verification cache included — only the keydist comes from the pool.
     let needs_keys = spec.protocol.needs_keys();
     let keydist_reused = needs_keys && slot.keydist.is_some();
     if needs_keys && slot.keydist.is_none() {
@@ -438,14 +472,17 @@ fn execute(
     s.pool_peak = s.pool_peak.max(pool_size);
     if let Some(age) = evicted_age_us {
         s.evictions += 1;
-        s.eviction_ages_us.push(age);
+        s.eviction_ages_us.record(age);
+        for (bucket, le) in s.eviction_buckets.iter_mut().zip(EVICTION_BUCKETS_US) {
+            *bucket += usize::from(age <= le);
+        }
     }
     if keydist_reused {
         s.keydist_reused += 1;
     } else if needs_keys {
         s.keydist_runs += 1;
     }
-    s.latencies_us.push(wall_us);
+    s.latencies_us.record(wall_us);
     let cell = s
         .cells
         .entry((
@@ -502,10 +539,18 @@ struct MetricsSnapshot {
     keydist_runs: usize,
     keydist_reused: usize,
     evictions: usize,
-    /// Sorted request latencies.
+    /// Sorted request latencies: every shard's sample window.
     latencies: Vec<u64>,
-    /// Sorted eviction ages (µs since the slot's last use).
+    /// Lifetime request-latency sample count and sum.
+    latency_count: usize,
+    latency_sum: u128,
+    /// Sorted eviction ages (µs since the slot's last use): every
+    /// shard's sample window.
     eviction_ages: Vec<u64>,
+    /// Lifetime eviction-age sum and per-bucket counts (the count is
+    /// `evictions`).
+    eviction_age_sum: u128,
+    eviction_buckets: [usize; EVICTION_BUCKETS_US.len()],
     /// Per-shard session-pool occupancy after the most recent job.
     pool_sessions: Vec<usize>,
     /// Per-shard peak session-pool occupancy.
@@ -534,7 +579,11 @@ fn gather(
         keydist_reused: 0,
         evictions: 0,
         latencies: Vec::new(),
+        latency_count: 0,
+        latency_sum: 0,
         eviction_ages: Vec::new(),
+        eviction_age_sum: 0,
+        eviction_buckets: [0; EVICTION_BUCKETS_US.len()],
         pool_sessions: Vec::with_capacity(stats.len()),
         pool_peaks: Vec::with_capacity(stats.len()),
         queue_depths,
@@ -549,10 +598,16 @@ fn gather(
         snapshot.keydist_runs += s.keydist_runs;
         snapshot.keydist_reused += s.keydist_reused;
         snapshot.evictions += s.evictions;
-        snapshot.latencies.extend_from_slice(&s.latencies_us);
+        snapshot.latencies.extend_from_slice(&s.latencies_us.recent);
+        snapshot.latency_count += s.latencies_us.count;
+        snapshot.latency_sum += s.latencies_us.sum;
         snapshot
             .eviction_ages
-            .extend_from_slice(&s.eviction_ages_us);
+            .extend_from_slice(&s.eviction_ages_us.recent);
+        snapshot.eviction_age_sum += s.eviction_ages_us.sum;
+        for (total, bucket) in snapshot.eviction_buckets.iter_mut().zip(s.eviction_buckets) {
+            *total += bucket;
+        }
         snapshot.pool_sessions.push(s.pool_sessions);
         snapshot.pool_peaks.push(s.pool_peak);
         for (key, cell) in &s.cells {
@@ -592,7 +647,8 @@ impl MetricsSnapshot {
     /// ```
     ///
     /// `p50_us`/`p99_us`/`eviction_age_p50_us` are `null` with fewer than
-    /// two samples (see [`percentile_us`]); the gauge arrays carry one
+    /// two samples (see [`percentile_us`]) and read the most recent
+    /// [`SAMPLE_WINDOW`] samples of every shard; the gauge arrays carry one
     /// entry per shard. The `results` rows carry the exact field set of a
     /// `lafd bench` cell (`protocol`/`n`/`t`/`engine`/`scheme`/`wall_us`/
     /// `messages`/`bytes`/`comm_rounds`/`key_allocs`) with `wall_us`,
@@ -721,30 +777,25 @@ impl MetricsSnapshot {
                  lafd_request_latency_us{{quantile=\"0.99\"}} {p99}\n"
             ));
         }
-        let latency_sum: u128 = self.latencies.iter().map(|&v| u128::from(v)).sum();
         out.push_str(&format!(
-            "lafd_request_latency_us_sum {latency_sum}\n\
+            "lafd_request_latency_us_sum {}\n\
              lafd_request_latency_us_count {}\n",
-            self.latencies.len()
+            self.latency_sum, self.latency_count
         ));
         out.push_str(
             "# HELP lafd_eviction_age_us Age of evicted sessions since last use, microseconds.\n\
              # TYPE lafd_eviction_age_us histogram\n",
         );
-        const BUCKETS: [u64; 5] = [1_000, 10_000, 100_000, 1_000_000, 10_000_000];
-        for le in BUCKETS {
-            let below = self.eviction_ages.iter().filter(|&&age| age <= le).count();
+        for (le, below) in EVICTION_BUCKETS_US.iter().zip(self.eviction_buckets) {
             out.push_str(&format!(
                 "lafd_eviction_age_us_bucket{{le=\"{le}\"}} {below}\n"
             ));
         }
-        let age_sum: u128 = self.eviction_ages.iter().map(|&v| u128::from(v)).sum();
         out.push_str(&format!(
             "lafd_eviction_age_us_bucket{{le=\"+Inf\"}} {}\n\
-             lafd_eviction_age_us_sum {age_sum}\n\
+             lafd_eviction_age_us_sum {}\n\
              lafd_eviction_age_us_count {}\n",
-            self.eviction_ages.len(),
-            self.eviction_ages.len()
+            self.evictions, self.eviction_age_sum, self.evictions
         ));
         out.push_str(&format!("lafd_uptime_us {}\n", self.elapsed_us));
         out.push_str("# EOF\n");
@@ -899,6 +950,42 @@ mod tests {
         let many: Vec<u64> = (1..=100).collect();
         assert_eq!(percentile_us(&many, 50), Some(50));
         assert_eq!(percentile_us(&many, 99), Some(99));
+    }
+
+    /// One shard's snapshot after recording `samples` latencies.
+    fn snapshot_of(samples: impl Iterator<Item = u64>) -> MetricsSnapshot {
+        let mut stats = ShardStats::default();
+        for sample in samples {
+            stats.latencies_us.record(sample);
+        }
+        gather(&[Mutex::new(stats)], 0, 1, vec![0], vec![0])
+    }
+
+    #[test]
+    fn percentiles_are_exact_below_the_sample_window() {
+        // Descending, so insertion order differs from sorted order.
+        let snapshot = snapshot_of((0..1_000u64).rev());
+        let sorted: Vec<u64> = (0..1_000).collect();
+        assert_eq!(snapshot.latencies, sorted);
+        assert_eq!(percentile_us(&snapshot.latencies, 50), Some(499));
+        assert_eq!(percentile_us(&snapshot.latencies, 99), Some(989));
+        assert_eq!(snapshot.latency_count, 1_000);
+    }
+
+    #[test]
+    fn percentiles_read_only_the_most_recent_window() {
+        let total = 2 * SAMPLE_WINDOW as u64 + 1_000;
+        let snapshot = snapshot_of(0..total);
+        // Exactly the last SAMPLE_WINDOW samples survive; the lifetime
+        // count and sum still cover everything.
+        let oldest = total - SAMPLE_WINDOW as u64;
+        assert_eq!(snapshot.latencies, (oldest..total).collect::<Vec<_>>());
+        assert_eq!(
+            percentile_us(&snapshot.latencies, 50),
+            Some(oldest + (SAMPLE_WINDOW as u64 - 1) / 2)
+        );
+        assert_eq!(snapshot.latency_count, total as usize);
+        assert_eq!(snapshot.latency_sum, u128::from(total * (total - 1) / 2));
     }
 
     #[test]

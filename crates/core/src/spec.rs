@@ -588,12 +588,13 @@ impl Cluster {
         // received by many nodes are verified once (see
         // [`crate::keys::VerifyCache`] for why sharing across stores is
         // sound even under G3 disagreement). A cluster-installed cache
-        // ([`Cluster::with_verify_cache`]) extends the sharing across
-        // runs — the service-shard reuse path.
+        // ([`Cluster::with_verify_cache`]) replaces it — the equivalence
+        // tests' hook for a cohort-free reference; no production path
+        // installs one, because a cache must not outlive its run.
         let cache = self.verify_cache.clone().unwrap_or_default();
         // Observability arms the wall-clock accumulator on the run's cache
-        // handle and snapshots the counters so a shared (service) cache
-        // yields per-run deltas. Neither changes results or report bytes.
+        // handle and snapshots the counters so an installed cache yields
+        // per-run deltas. Neither changes results or report bytes.
         let cache = if self.obs { cache.with_timing() } else { cache };
         let obs_base = self.obs.then(|| (cache.hits(), cache.misses()));
         let mut report = match protocol {

@@ -307,7 +307,6 @@ impl Parser<'_> {
                                 format!("invalid \\u escape {code:04x} (surrogates unsupported)")
                             })?;
                             out.push(c);
-                            continue;
                         }
                         other => {
                             return Err(format!("invalid escape {other:?} at byte {}", self.pos))
@@ -319,13 +318,17 @@ impl Parser<'_> {
                     return Err(format!("raw control byte {b:#04x} in string"));
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so the
-                    // bytes are valid UTF-8).
-                    let rest =
-                        std::str::from_utf8(&self.bytes[self.pos..]).map_err(|e| e.to_string())?;
-                    let c = rest.chars().next().expect("non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Consume the whole run of plain bytes up to the next
+                    // quote, escape or control byte in one step. All three
+                    // delimiters are ASCII, so the run ends on a scalar
+                    // boundary of the (valid UTF-8) input.
+                    let run = &self.bytes[self.pos..];
+                    let len = run
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+                        .unwrap_or(run.len());
+                    out.push_str(std::str::from_utf8(&run[..len]).map_err(|e| e.to_string())?);
+                    self.pos += len;
                 }
             }
         }
@@ -1685,6 +1688,53 @@ mod tests {
         assert!(Value::parse("{\"a\": 1, \"a\": 2}").is_err());
         assert!(Value::parse("[1] trailing").is_err());
         assert!(Value::parse("{\"a\"}").is_err());
+    }
+
+    #[test]
+    fn string_runs_end_exactly_at_escapes_and_delimiters() {
+        let parsed = |doc: &str| Value::parse(doc).map(|v| v.as_str().map(str::to_string));
+        // Multi-byte scalars immediately before and after an escape.
+        assert_eq!(parsed("\"é\\n€\""), Ok(Some("é\n€".to_string())));
+        assert_eq!(parsed("\"𝄞\\\"𝄞\""), Ok(Some("𝄞\"𝄞".to_string())));
+        assert_eq!(parsed("\"\\\\日本\\\\\""), Ok(Some("\\日本\\".to_string())));
+        // A \u escape closing the string, and one between two runs.
+        assert_eq!(parsed("\"ab\\u00e9\""), Ok(Some("abé".to_string())));
+        assert_eq!(parsed("\"ü\\u0041ü\""), Ok(Some("üAü".to_string())));
+        // The writer's own \u escapes (control characters) decode back.
+        let control = Value::Str("a\u{1}b\u{1f}".to_string());
+        assert_eq!(Value::parse(&control.to_json()), Ok(control));
+        // Empty runs: adjacent escapes, the empty string.
+        assert_eq!(parsed("\"\\t\\t\""), Ok(Some("\t\t".to_string())));
+        assert_eq!(parsed("\"\""), Ok(Some(String::new())));
+    }
+
+    #[test]
+    fn string_run_errors_are_unchanged() {
+        // A raw control byte in the middle of a run.
+        assert_eq!(
+            Value::parse("\"abc\u{1}def\""),
+            Err("raw control byte 0x01 in string".to_string())
+        );
+        assert_eq!(
+            Value::parse("\"é\ndef\""),
+            Err("raw control byte 0x0a in string".to_string())
+        );
+        // A run that reaches the end of input without a closing quote.
+        assert_eq!(
+            Value::parse("\"abc é"),
+            Err("unterminated string".to_string())
+        );
+        assert_eq!(
+            Value::parse("\"abc\\"),
+            Err("invalid escape None at byte 5".to_string())
+        );
+        assert_eq!(
+            Value::parse("\"abc\\u00e"),
+            Err("truncated \\u escape".to_string())
+        );
+        assert!(Value::parse("\"abc\\ud800\"")
+            .unwrap_err()
+            .contains("surrogates unsupported"));
     }
 
     #[test]

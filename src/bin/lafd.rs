@@ -780,9 +780,72 @@ fn dispatch_line(
     service.submit_line(request)
 }
 
+/// Longest request line `lafd serve` accepts, on a socket or on stdin.
+const MAX_REQUEST_LINE: usize = 1 << 20;
+
+/// Send one newline-terminated frame in exactly one write. With the
+/// terminator in a write of its own, Nagle's algorithm holds it back
+/// until the peer's delayed ACK fires (~40 ms per frame).
+fn write_frame(out: &mut impl Write, mut frame: String) -> std::io::Result<()> {
+    frame.push('\n');
+    out.write_all(frame.as_bytes())?;
+    out.flush()
+}
+
+/// What [`read_request_line`] found.
+enum RequestLine {
+    /// `line` holds one request (newline-terminated, or cut off by end
+    /// of input).
+    Complete,
+    /// `line` passed [`MAX_REQUEST_LINE`] bytes without a newline.
+    TooLong,
+    /// End of input with nothing pending.
+    Eof,
+}
+
+/// Append the next request line to `line`, never holding more than
+/// [`MAX_REQUEST_LINE`] + 1 bytes. On an I/O error (a read timeout, on a
+/// socket) the bytes read so far stay in `line` and the call can simply
+/// be repeated.
+fn read_request_line(
+    reader: &mut impl BufRead,
+    line: &mut Vec<u8>,
+) -> std::io::Result<RequestLine> {
+    let room = (MAX_REQUEST_LINE + 1).saturating_sub(line.len());
+    let read = reader.take(room as u64).read_until(b'\n', line)?;
+    Ok(if line.ends_with(b"\n") {
+        RequestLine::Complete
+    } else if line.len() > MAX_REQUEST_LINE {
+        RequestLine::TooLong
+    } else if read == 0 {
+        RequestLine::Eof
+    } else {
+        RequestLine::Complete
+    })
+}
+
+/// The error frame answering a [`RequestLine::TooLong`] line.
+fn oversized_line_response() -> String {
+    wire::error_to_json(
+        None,
+        &format!("request line exceeds {MAX_REQUEST_LINE} bytes"),
+    )
+}
+
+/// The trimmed text of a request line, or the error frame answering one
+/// that is not UTF-8.
+fn request_text(line: &[u8]) -> Result<&str, String> {
+    std::str::from_utf8(line)
+        .map(str::trim)
+        .map_err(|e| wire::error_to_json(None, &format!("request line is not UTF-8: {e}")))
+}
+
 /// Serve one accepted connection: newline-delimited requests in, one
-/// response line per request out. The stream carries a read timeout so
-/// an idle connection notices the shutdown flag.
+/// response frame per request out (see [`write_frame`]). A request line
+/// past [`MAX_REQUEST_LINE`] is answered with one error frame and the
+/// connection closed, so a client that never sends a newline cannot grow
+/// the server. The stream carries a read timeout so an idle connection
+/// notices the shutdown flag.
 fn handle_connection<S: Read + Write>(
     stream: S,
     service: &FdService,
@@ -790,24 +853,23 @@ fn handle_connection<S: Read + Write>(
 ) {
     use std::sync::atomic::Ordering;
     let mut reader = BufReader::new(stream);
-    let mut line = String::new();
+    let mut line = Vec::new();
     loop {
-        match reader.read_line(&mut line) {
-            Ok(0) => break,
-            Ok(_) => {
-                let request = line.trim().to_string();
+        match read_request_line(&mut reader, &mut line) {
+            Ok(RequestLine::Eof) => break,
+            Ok(RequestLine::TooLong) => {
+                let _ = write_frame(reader.get_mut(), oversized_line_response());
+                break;
+            }
+            Ok(RequestLine::Complete) => {
+                let response = match request_text(&line) {
+                    Ok("") => None,
+                    Ok(request) => Some(dispatch_line(request, service, stop)),
+                    Err(error) => Some(error),
+                };
                 line.clear();
-                if request.is_empty() {
-                    continue;
-                }
-                let response = dispatch_line(&request, service, stop);
-                let out = reader.get_mut();
-                if out
-                    .write_all(response.as_bytes())
-                    .and_then(|()| out.write_all(b"\n"))
-                    .and_then(|()| out.flush())
-                    .is_err()
-                {
+                let Some(response) = response else { continue };
+                if write_frame(reader.get_mut(), response).is_err() {
                     break;
                 }
                 if stop.load(Ordering::SeqCst) {
@@ -873,6 +935,7 @@ fn serve_tcp(
             Ok((stream, _peer)) => {
                 stream
                     .set_nonblocking(false)
+                    .and_then(|()| stream.set_nodelay(true))
                     .and_then(|()| {
                         stream.set_read_timeout(Some(std::time::Duration::from_millis(200)))
                     })
@@ -932,6 +995,39 @@ fn serve_unix(
     Err("--unix is only available on Unix platforms".to_string())
 }
 
+/// A stdin batch: the well-formed request lines in input order, plus the
+/// error frame of every line refused at the framing level (too long, not
+/// UTF-8) with its position in the batch's output, ascending.
+type Batch = (Vec<String>, Vec<(usize, String)>);
+
+/// Read the whole `--stdin` batch, skipping blank lines. The bytes of a
+/// line past [`MAX_REQUEST_LINE`] are discarded as they are read.
+fn read_batch(input: &mut impl BufRead) -> std::io::Result<Batch> {
+    let (mut lines, mut rejected) = (Vec::new(), Vec::new());
+    let mut line = Vec::new();
+    loop {
+        match read_request_line(input, &mut line)? {
+            RequestLine::Eof => return Ok((lines, rejected)),
+            RequestLine::Complete => match request_text(&line) {
+                Ok("") => {}
+                Ok(request) => lines.push(request.to_string()),
+                Err(error) => rejected.push((lines.len() + rejected.len(), error)),
+            },
+            RequestLine::TooLong => {
+                rejected.push((lines.len() + rejected.len(), oversized_line_response()));
+                // Discard the rest of the line in bounded pieces.
+                while !line.ends_with(b"\n") {
+                    line.clear();
+                    if input.take(1 << 16).read_until(b'\n', &mut line)? == 0 {
+                        break;
+                    }
+                }
+            }
+        }
+        line.clear();
+    }
+}
+
 fn cmd_serve(args: &[String]) -> ExitCode {
     let opts = match parse_serve(args) {
         Ok(opts) => opts,
@@ -953,18 +1049,19 @@ fn cmd_serve(args: &[String]) -> ExitCode {
     } else {
         // Default (and `--stdin`) mode: read the whole batch from stdin,
         // answer on stdout in input order.
-        let stdin = std::io::stdin();
-        match stdin.lock().lines().collect::<Result<Vec<String>, _>>() {
-            Ok(lines) => {
-                let lines: Vec<String> =
-                    lines.into_iter().filter(|l| !l.trim().is_empty()).collect();
+        match read_batch(&mut std::io::stdin().lock()) {
+            Ok((lines, rejected)) => {
                 eprintln!(
                     "serve: {} requests on {} shards, {} clients",
-                    lines.len(),
+                    lines.len() + rejected.len(),
                     opts.shards,
                     opts.clients
                 );
-                for response in service.submit_batch(&lines, opts.clients) {
+                let mut responses = service.submit_batch(&lines, opts.clients);
+                for (at, error) in rejected {
+                    responses.insert(at, error);
+                }
+                for response in responses {
                     println!("{response}");
                 }
                 Ok(())
@@ -2500,18 +2597,20 @@ fn parse_sweep_matrix(args: &[String]) -> Result<SweepArgs, String> {
 /// `lafd serve` instance as a wire-format request and decodes the
 /// response report. One TCP connection per scenario keeps the executor
 /// trivially `Sync`; the service amortizes keydist across scenarios that
-/// share a session key, so the connection cost is the cheap part.
+/// share a session key, so the connection cost is the cheap part. The
+/// request leaves as one frame on a `TCP_NODELAY` socket, the same
+/// framing rule the server follows (see [`write_frame`]).
 struct RemoteExecutor {
     addr: String,
 }
 
 impl RemoteExecutor {
-    fn call(&self, request: &str) -> Result<wire::WireResponse, String> {
+    fn call(&self, request: String) -> Result<wire::WireResponse, String> {
         let mut stream = std::net::TcpStream::connect(&self.addr)
             .map_err(|e| format!("connecting to {}: {e}", self.addr))?;
         stream
-            .write_all(request.as_bytes())
-            .and_then(|()| stream.write_all(b"\n"))
+            .set_nodelay(true)
+            .and_then(|()| write_frame(&mut stream, request))
             .map_err(|e| format!("sending request to {}: {e}", self.addr))?;
         let mut reply = String::new();
         BufReader::new(&stream)
@@ -2546,7 +2645,7 @@ impl ScenarioExecutor for RemoteExecutor {
             .with_default_value(b"sweep-default".to_vec())
             .with_adversary(AdversarySpec::scripted(scenario.adversary));
         let request = wire::request_to_json(&builder, None)?;
-        let response = self.call(&request)?;
+        let response = self.call(request)?;
         let report = response.report?;
         Ok((response.keydist_messages, report))
     }

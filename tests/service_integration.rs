@@ -239,3 +239,42 @@ fn serve_stdin_batch_cli_round_trip() {
     assert!(svc.get("runs_per_sec").unwrap().as_int().unwrap() > 0);
     let _ = std::fs::remove_file(&metrics_path);
 }
+
+/// A stdin line the framing layer refuses (longer than the 1 MiB cap, or
+/// not UTF-8) is answered with an error response in its place; the lines
+/// around it run normally and the oversized bytes are never held.
+#[test]
+fn serve_stdin_answers_unframeable_lines_in_place() {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_lafd"))
+        .args(["serve", "--stdin", "--shards", "1"])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn lafd serve");
+    let request = |i: usize| wire::request_to_json(&builder_for(i, 5, 6), None).unwrap();
+    let mut input = format!("{}\n", request(0)).into_bytes();
+    input.extend(std::iter::repeat_n(b'x', (1 << 20) + 4096));
+    input.extend(format!("\n{}\n", request(1)).as_bytes());
+    input.extend(b"\xff\xfe\n");
+    input.extend(format!("{}\n", request(2)).as_bytes());
+    // Batch mode answers only after reading everything, so this write
+    // cannot block on the child's output.
+    child.stdin.take().unwrap().write_all(&input).unwrap();
+    let output = child.wait_with_output().expect("lafd serve exits");
+    assert!(output.status.success());
+    let stdout = String::from_utf8(output.stdout).unwrap();
+    let outcomes: Vec<Result<(), String>> = stdout
+        .lines()
+        .map(|line| wire::response_from_json(line).unwrap().report.map(|_| ()))
+        .collect();
+    assert_eq!(outcomes.len(), 5, "{stdout}");
+    assert_eq!(outcomes[0], Ok(()));
+    assert!(outcomes[1]
+        .as_ref()
+        .unwrap_err()
+        .contains("exceeds 1048576 bytes"));
+    assert_eq!(outcomes[2], Ok(()));
+    assert!(outcomes[3].as_ref().unwrap_err().contains("not UTF-8"));
+    assert_eq!(outcomes[4], Ok(()));
+}

@@ -196,3 +196,25 @@ fn unknown_fields_and_bad_versions_are_rejected() {
         .unwrap_err();
     assert!(!err.is_empty());
 }
+
+/// String decoding is linear in the input: a 1 MB value (plain runs,
+/// multi-byte scalars and escapes mixed) decodes in milliseconds. The
+/// per-character re-validation this replaced needed tens of seconds here.
+#[test]
+fn megabyte_string_value_decodes_in_linear_time() {
+    let unit = "plain run of ascii, then é€𝄞, then \"quoted\\path\"\tand a tab; ";
+    let message = unit.repeat((1 << 20) / unit.len() + 1);
+    assert!(message.len() >= 1 << 20);
+    let encoded = wire::error_to_json(Some("big"), &message);
+    let started = std::time::Instant::now();
+    let decoded = wire::response_from_json(&encoded).unwrap();
+    let took = started.elapsed();
+    assert_eq!(decoded.report.unwrap_err(), message);
+    // Unoptimised builds run the byte scan ~20x slower; still linear.
+    let budget_ms = if cfg!(debug_assertions) { 2_000 } else { 100 };
+    assert!(
+        took.as_millis() < budget_ms,
+        "decoding {} bytes took {took:?} (budget {budget_ms} ms)",
+        encoded.len()
+    );
+}
