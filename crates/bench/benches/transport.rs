@@ -1,12 +1,12 @@
-//! Figure F3: wall-clock for one full (keydist + FD) cycle on the three
-//! executors — simulator, thread cluster, TCP cluster.
+//! Figure F3: wall-clock for one chain-FD cycle on the two executors —
+//! the simulator and the in-process TCP mesh ([`NbCluster`]).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use fd_core::fd::{ChainFdNode, ChainFdParams};
 use fd_core::keys::{KeyStore, Keyring};
 use fd_core::localauth::{KeyDistNode, KEYDIST_ROUNDS};
 use fd_crypto::{SchnorrScheme, SignatureScheme};
-use fd_simnet::transport::{TcpCluster, ThreadCluster};
+use fd_simnet::transport::NbCluster;
 use fd_simnet::{Node, NodeId, SyncNetwork};
 use std::sync::Arc;
 
@@ -71,17 +71,9 @@ fn bench_transports(c: &mut Criterion) {
                 net.stats().messages_total
             });
         });
-        group.bench_with_input(BenchmarkId::new("threads", n), &n, |b, _| {
-            b.iter(|| {
-                ThreadCluster::new(rounds)
-                    .run(fd_nodes(n, t, &st))
-                    .stats
-                    .messages_total
-            });
-        });
         group.bench_with_input(BenchmarkId::new("tcp", n), &n, |b, _| {
             b.iter(|| {
-                TcpCluster::new(rounds)
+                NbCluster::new(rounds)
                     .run(fd_nodes(n, t, &st))
                     .stats
                     .messages_total

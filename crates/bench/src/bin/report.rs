@@ -478,52 +478,26 @@ fn f2() {
 }
 
 fn f3() {
-    use fd_core::fd::{ChainFdNode, ChainFdParams};
-    use fd_core::keys::{KeyStore, Keyring};
-    use fd_core::localauth::{KeyDistNode, KEYDIST_ROUNDS};
-    use fd_simnet::transport::{TcpCluster, ThreadCluster};
+    use fd_simnet::transport::NbCluster;
     use fd_simnet::SyncNetwork;
 
-    println!("## F3 — wall-clock per FD cycle across transports (single shot)\n");
-    println!("| n | simulator | threads | tcp |");
-    println!("|---|---|---|---|");
-    let scheme: Arc<dyn SignatureScheme> = Arc::new(SchnorrScheme::test_tiny());
+    println!("## F3 — wall-clock per FD cycle, simulator vs socket mesh (single shot)\n");
+    println!("| n | simulator | tcp mesh |");
+    println!("|---|---|---|");
     for n in [4usize, 8, 12] {
         let t = (n - 1) / 3;
-        let mk_kd = |scheme: &Arc<dyn SignatureScheme>| -> Vec<Box<dyn Node>> {
-            (0..n)
-                .map(|i| {
-                    let me = NodeId(i as u16);
-                    let ring = Keyring::generate(scheme.as_ref(), me, 7);
-                    Box::new(KeyDistNode::new(me, n, Arc::clone(scheme), ring, 7)) as Box<dyn Node>
-                })
-                .collect()
-        };
-        let stores: Vec<KeyStore> = {
-            let mut net = SyncNetwork::new(mk_kd(&scheme));
-            net.run_until_done(KEYDIST_ROUNDS);
-            net.into_nodes()
-                .into_iter()
-                .map(|b| {
-                    b.into_any()
-                        .downcast::<KeyDistNode>()
-                        .expect("KeyDistNode")
-                        .into_parts()
-                        .0
-                })
-                .collect()
-        };
+        let cluster = Cluster::new(n, t, Arc::new(SchnorrScheme::test_tiny()), 7);
+        let kd = cluster.run_key_distribution();
         let mk_fd = || -> Vec<Box<dyn Node>> {
-            (0..n)
-                .map(|i| {
-                    let me = NodeId(i as u16);
+            NodeId::all(n)
+                .map(|me| {
                     Box::new(ChainFdNode::new(
                         me,
                         ChainFdParams::new(n, t),
-                        Arc::clone(&scheme),
-                        stores[i].clone(),
-                        Keyring::generate(scheme.as_ref(), me, 7),
-                        (i == 0).then(|| b"v".to_vec()),
+                        Arc::clone(&cluster.scheme),
+                        kd.store(me).clone(),
+                        cluster.keyring(me),
+                        (me == NodeId(0)).then(|| b"v".to_vec()),
                     )) as Box<dyn Node>
                 })
                 .collect()
@@ -535,19 +509,14 @@ fn f3() {
             net.run_until_done(rounds);
             start.elapsed()
         };
-        let thr = {
-            let start = Instant::now();
-            let _ = ThreadCluster::new(rounds).run(mk_fd());
-            start.elapsed()
-        };
         let tcp = {
             let start = Instant::now();
-            let _ = TcpCluster::new(rounds).run(mk_fd());
+            let _ = NbCluster::new(rounds).run(mk_fd());
             start.elapsed()
         };
-        println!("| {n} | {sim:.2?} | {thr:.2?} | {tcp:.2?} |");
+        println!("| {n} | {sim:.2?} | {tcp:.2?} |");
     }
-    println!("\n(Criterion benches `transport.rs` give rigorous statistics; counts are identical on all three transports.)\n");
+    println!("\n(Criterion benches `transport.rs` give rigorous statistics; counts are identical on both executors.)\n");
 }
 
 fn t5() {

@@ -48,9 +48,6 @@
 //!   wire-v1 JSON), the per-worker lifecycle over the non-blocking
 //!   socket mesh, and the aggregation of per-worker summaries back into
 //!   a byte-identical [`runner::FdRunReport`].
-//! * `compat` — deprecated pre-`RunSpec` shims (the old per-protocol
-//!   `run_*` methods), with the migration table; gated behind the
-//!   off-by-default `compat` cargo feature.
 //! * [`metrics`] — the paper's closed-form message-complexity
 //!   expressions (`3n(n−1)` key distribution, `n−1` chain FD,
 //!   `(t+2)(n−1)` non-authenticated, the §6 amortization crossover)
@@ -100,8 +97,6 @@
 pub mod adversary;
 pub mod ba;
 pub mod chain;
-#[cfg(feature = "compat")]
-pub mod compat;
 pub mod deploy;
 pub mod epoch;
 pub mod fd;

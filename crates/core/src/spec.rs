@@ -21,9 +21,8 @@
 //!
 //! Every layer above the core — the sweep matrix, the scheduler search,
 //! the fd-bench experiments, the `lafd` CLI, and the examples — executes
-//! protocols through this entry point. The old per-protocol
-//! `Cluster::run_*` methods survive only as deprecated shims in
-//! `fd_core::compat`, behind the off-by-default `compat` cargo feature.
+//! protocols through this entry point; there are no per-protocol
+//! `Cluster::run_*` methods.
 //!
 //! ```
 //! use fd_core::spec::{Protocol, RunSpec, Session};

@@ -55,12 +55,6 @@ use std::sync::Arc;
 pub use crate::adversary::AdversaryKind;
 pub use crate::spec::Protocol;
 
-// Deprecated pre-`RunSpec` dispatch helpers, importable from their old
-// home for old callers built with `--features compat`.
-#[allow(deprecated)]
-#[cfg(feature = "compat")]
-pub use crate::compat::{run_keydist_for, run_protocol_with};
-
 /// Signature-scheme selector (sweeps measure message counts, which are
 /// crypto-independent, so the tiny test groups are the default).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]

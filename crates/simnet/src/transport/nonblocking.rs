@@ -1,9 +1,9 @@
 //! Non-blocking readiness-loop mesh — the deployment transport.
 //!
-//! Where [`super::tcp`] spends one reader thread per connection, this
-//! transport drives *all* of a node's connections from a **single-threaded
-//! readiness loop** over nonblocking `TcpStream`s (poll/mio style, no
-//! tokio): each sweep attempts partial reads and writes on every peer,
+//! This transport drives *all* of a node's connections from a
+//! **single-threaded readiness loop** over nonblocking `TcpStream`s
+//! (poll/mio style, no tokio): each sweep attempts partial reads and
+//! writes on every peer,
 //! parses complete frames out of per-peer read buffers, and flushes
 //! per-peer write queues as the kernel accepts bytes. `std` has no
 //! portable `poll(2)` wrapper, so an idle sweep parks for 200 µs instead
@@ -18,9 +18,8 @@
 //! [`crate::SyncNetwork::run_until_done`]. Combined with the simulator's
 //! delivery order (sender id, then send order — per-sender TCP FIFO plus a
 //! stable sort), a mesh run reproduces the sync engine's `NetStats` and
-//! outcomes byte for byte. Unlike [`super::tcp`], messages a node
-//! addresses to *itself* are delivered locally (the simulator delivers
-//! them too).
+//! outcomes byte for byte. Messages a node addresses to *itself* are
+//! delivered locally (the simulator delivers them too).
 //!
 //! **Delay shim.** An optional [`DelayShim`] reuses the event engine's
 //! [`LatencyModel`]: outgoing frames are held in the write queue until
@@ -321,7 +320,7 @@ impl NonblockingMesh {
         assert!(rounds_limit > 0, "at least one round required");
         NonblockingMesh {
             rounds_limit,
-            io_deadline: super::tcp::DEFAULT_IO_DEADLINE,
+            io_deadline: super::DEFAULT_IO_DEADLINE,
             shim: None,
             chaos: None,
         }
@@ -730,7 +729,7 @@ impl NbCluster {
         assert!(rounds_limit > 0, "at least one round required");
         NbCluster {
             rounds_limit,
-            io_deadline: super::tcp::DEFAULT_IO_DEADLINE,
+            io_deadline: super::DEFAULT_IO_DEADLINE,
             shim: None,
         }
     }
@@ -1015,6 +1014,29 @@ mod tests {
             e,
             TransportError::PeerLost { .. } | TransportError::Deadline { .. }
         )));
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one round")]
+    fn zero_rounds_rejected() {
+        let _ = NbCluster::new(0);
+    }
+
+    #[test]
+    fn nodes_returned_in_id_order() {
+        let report = NbCluster::new(6).run(Chatter::set(4, 1));
+        assert!(report.ok().is_ok(), "{:?}", report.errors);
+        let ids: Vec<NodeId> = report.nodes.iter().map(|node| node.id()).collect();
+        assert_eq!(ids, NodeId::all(4).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn respects_max_rounds() {
+        // `until` past the limit: never done, one self-send every round.
+        let report = NbCluster::new(4).run(Chatter::set(1, u32::MAX));
+        assert!(report.ok().is_ok(), "{:?}", report.errors);
+        assert_eq!(report.rounds, 4);
+        assert_eq!(report.stats.messages_total, 4);
     }
 
     #[test]

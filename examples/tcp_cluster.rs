@@ -1,6 +1,7 @@
 //! The same protocol automata on a real network: a full-mesh localhost TCP
-//! cluster runs key distribution and a failure-discovery round, with
-//! wall-clock timings.
+//! cluster (`NbCluster`, the in-process harness over the mesh `lafd
+//! cluster` deploys across processes) runs key distribution and a
+//! failure-discovery round, with wall-clock timings.
 //!
 //! ```sh
 //! cargo run --release --example tcp_cluster
@@ -11,7 +12,7 @@ use local_auth_fd::core::keys::{KeyStore, Keyring};
 use local_auth_fd::core::localauth::{KeyDistNode, KEYDIST_ROUNDS};
 use local_auth_fd::core::Outcome;
 use local_auth_fd::crypto::{SchnorrScheme, SignatureScheme};
-use local_auth_fd::simnet::transport::TcpCluster;
+use local_auth_fd::simnet::transport::NbCluster;
 use local_auth_fd::simnet::{Node, NodeId};
 use std::sync::Arc;
 use std::time::Instant;
@@ -33,7 +34,8 @@ fn main() {
         })
         .collect();
     let start = Instant::now();
-    let report = TcpCluster::new(KEYDIST_ROUNDS).run(keydist_nodes);
+    let report = NbCluster::new(KEYDIST_ROUNDS).run(keydist_nodes);
+    report.ok().expect("key distribution over TCP");
     let kd_elapsed = start.elapsed();
     println!(
         "key distribution over TCP: {} messages, {} bytes, {:?}",
@@ -70,7 +72,8 @@ fn main() {
         })
         .collect();
     let start = Instant::now();
-    let fd_report = TcpCluster::new(ChainFdParams::new(n, t).rounds()).run(fd_nodes);
+    let fd_report = NbCluster::new(ChainFdParams::new(n, t).rounds()).run(fd_nodes);
+    fd_report.ok().expect("chain FD over TCP");
     let fd_elapsed = start.elapsed();
     println!(
         "chain FD over TCP:         {} messages, {} bytes, {:?}",

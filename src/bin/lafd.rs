@@ -1,9 +1,8 @@
 //! `lafd` — command-line driver for the local-auth-fd reproduction.
 //!
 //! ```text
-//! lafd keydist  --n 8 [--t 2] [--seed 1] [--scheme tiny|s512|s1024|rsa512]
-//! lafd fd       --n 8 [--t 2] [--value "hello"] [--runs 3]
-//! lafd run      <protocol> [-n 256] [--t T] [--engine sync|event]
+//! lafd run      <protocol> [-n 256] [--t T] [--seed 1] [--value V]
+//!               [--scheme tiny|s512|s1024|rsa512] [--engine sync|event]
 //!               [--latency sync|fixed:D|jitter:E|psync:GST:E]
 //!               [--link-latency FROM:TO:MODEL[:ARG]]
 //!               [--adversary KIND[:NODES]] [--crash I]
@@ -18,12 +17,6 @@
 //! lafd search   <protocol> [--budget N] [--strategy random|greedy] [-n 8]
 //!               [--t T] [--seed S] [--latency jitter:2] [--adversary none]
 //!               [--threads N] [--json PATH] [--md PATH]
-//! lafd vector   --n 5 [--t 1]
-//! lafd ba       --n 7 [--t 2] [--crash 1]
-//! lafd degrade  --n 7 [--t 2] [--equivocate]   # graded/degradable agreement
-//! lafd king     --n 9 [--t 2] [--crash 1]      # Phase-King non-auth baseline
-//! lafd rotate   --n 8 [--t 2] [--runs 10]      # key-rotation epochs (3 epochs)
-//! lafd tcp      --n 6 [--t 1] [--io-deadline-secs 60]
 //! lafd registry [--listen 127.0.0.1:0] [--wait-limit-secs 120]
 //! lafd cluster  <protocol> [-n 7] [--t T] [--seed S] [--scheme tiny|...]
 //!               [--value V] [--adversary KIND[:NODES]] [--crash I]
@@ -41,7 +34,6 @@
 //!               # seeded fault campaigns over the supervised cluster;
 //!               # SPEC: seed=S;kill=N@PHASE[xK|xinf];connect=PCT;
 //!               # reset=PCT;accept-delay=PCT:MS;stall=PCT:MS
-//! lafd trace    --n 4 [--t 1]     # per-round message flow of one cycle
 //! lafd sweep    [--protocols all|chain,nonauth,ba,degrade,ds,king,small]
 //!               [--sizes 4,7,10] [--faults auto|0,1,2] [--adversaries none,silent,...]
 //!               [--schemes tiny,dsa-tiny,s512] [--seeds 1,2]
@@ -56,10 +48,12 @@
 //! ```
 //!
 //! Every subcommand that executes a protocol run goes through one request
-//! path: flags build a [`SpecBuilder`], the builder validates the shape,
-//! and execution happens via [`SpecBuilder::build`] — the same object the
-//! `lafd serve` wire format serializes, so a flag invocation and a
-//! service request are provably the same run.
+//! path: flags build a [`SpecBuilder`] ([`Shape`] holds the flags `run`
+//! and `cluster` share), the builder validates the shape, and execution
+//! happens via [`SpecBuilder::build`] — the same object the `lafd serve`
+//! wire format serializes, so a flag invocation and a service request are
+//! provably the same run. The multi-run, key-rotation and two-faced-sender
+//! demos live in `examples/`.
 
 use local_auth_fd::core::adversary::AdversarySpec;
 use local_auth_fd::core::metrics;
@@ -73,73 +67,19 @@ use local_auth_fd::core::sweep::{
     SchemeSpec, SearchAxis, SweepMatrix, SweepOutcome,
 };
 use local_auth_fd::core::wire;
-use local_auth_fd::crypto::{SchnorrScheme, SignatureScheme};
+use local_auth_fd::crypto::SchnorrScheme;
 use local_auth_fd::simnet::fault::LinkFault;
 use local_auth_fd::simnet::transport::chaos::{ChaosSpec, COLLATERAL_EXIT};
-use local_auth_fd::simnet::{Engine, LatencySpec, LinkLatencySpec, Node, NodeId};
+use local_auth_fd::simnet::{Engine, LatencySpec, LinkLatencySpec, NodeId};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::process::ExitCode;
 use std::sync::Arc;
 
-/// Flags of the classic subcommands that are not part of the run shape
-/// (the shape itself lives in the [`SpecBuilder`]).
-#[derive(Debug)]
-struct Extras {
-    value: String,
-    runs: usize,
-    crash: Option<usize>,
-    equivocate: bool,
-    io_deadline_secs: u64,
-}
-
-/// Parse the classic subcommands' shared flag set into the single request
-/// path: a [`SpecBuilder`] (shape) plus the presentation extras. The
-/// caller assigns the protocol (it is implied by the subcommand name).
-fn parse_common(args: &[String]) -> Result<(SpecBuilder, Extras), String> {
-    let mut builder = SpecBuilder::new(Protocol::ChainFd, 7).with_t(2);
-    let mut extras = Extras {
-        value: "attack at dawn".to_string(),
-        runs: 3,
-        crash: None,
-        equivocate: false,
-        io_deadline_secs: 60,
-    };
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut grab = || {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("flag {flag} needs a value"))
-        };
-        match flag.as_str() {
-            "--n" => builder.n = grab()?.parse().map_err(|e| format!("--n: {e}"))?,
-            "--t" => builder.t = Some(grab()?.parse().map_err(|e| format!("--t: {e}"))?),
-            "--seed" => builder.seed = grab()?.parse().map_err(|e| format!("--seed: {e}"))?,
-            "--scheme" => builder.scheme = grab()?,
-            "--value" => extras.value = grab()?,
-            "--runs" => extras.runs = grab()?.parse().map_err(|e| format!("--runs: {e}"))?,
-            "--crash" => {
-                extras.crash = Some(grab()?.parse().map_err(|e| format!("--crash: {e}"))?);
-            }
-            "--equivocate" => extras.equivocate = true,
-            "--io-deadline-secs" => {
-                extras.io_deadline_secs = grab()?
-                    .parse()
-                    .map_err(|e| format!("--io-deadline-secs: {e}"))?;
-            }
-            other => return Err(format!("unknown flag {other}")),
-        }
-    }
-    builder = builder.with_input(extras.value.clone().into_bytes());
-    Ok((builder, extras))
-}
-
 fn usage() {
     eprintln!(
-        "usage: lafd <keydist|fd|run|serve|search|bench|report|cluster|chaos|registry|vector|ba|degrade|king|rotate|tcp|trace|sweep> [--n N] \
-         [--t T] [--seed S] [--scheme tiny|s512|s1024|s2048|dsa512|dsa1024|rsa512|rsa1024] \
-         [--value V] [--runs K] [--crash I] [--equivocate]\n\
-         run: lafd run <chain|nonauth|small|ba|degrade|ds|king> [-n N] [--t T] \
+        "usage: lafd <run|serve|search|sweep|bench|report|cluster|chaos|registry> ...\n\
+         run: lafd run <chain|nonauth|small|ba|degrade|ds|king> [-n N] [--t T] [--seed S] \
+         [--scheme tiny|s512|s1024|s2048|dsa512|dsa1024|rsa512|rsa1024] [--value V] \
          [--engine sync|event] [--latency sync|fixed:D|jitter:E|psync:GST:E] \
          [--link-latency FROM:TO:MODEL[:ARG]] \
          [--adversary none|silent|crash|tamper|forge|wrongname|equivocate[:NODES]] \
@@ -181,126 +121,91 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     };
     match cmd.as_str() {
-        // These subcommands have their own flag sets and bypass the
-        // common parser.
-        "sweep" => return cmd_sweep(rest),
-        "run" => return cmd_run(rest),
-        "serve" => return cmd_serve(rest),
-        "search" => return cmd_search(rest),
-        "bench" => return cmd_bench(rest),
-        "report" => return cmd_report(rest),
-        "registry" => return cmd_registry(rest),
-        "cluster" => return cmd_cluster(rest),
-        "cluster-worker" => return cmd_cluster_worker(rest),
-        "chaos" => return cmd_chaos(rest),
-        _ => {}
-    }
-    let (mut builder, extras) = match parse_common(rest) {
-        Ok(parsed) => parsed,
-        Err(e) => {
-            eprintln!("error: {e}");
-            usage();
-            return ExitCode::FAILURE;
-        }
-    };
-    // The protocol is implied by the subcommand; every other command uses
-    // the chain-FD shape (keydist/vector/tcp/trace/rotate run chain-FD
-    // machinery or none at all).
-    builder.protocol = match cmd.as_str() {
-        "ba" => Protocol::FdToBa,
-        "degrade" => Protocol::Degradable,
-        "king" => Protocol::PhaseKing,
-        _ => Protocol::ChainFd,
-    };
-    // `--crash I` is sugar for a silent adversary at node I on the
-    // commands that script one.
-    if matches!(cmd.as_str(), "ba" | "king") {
-        if let Some(crash) = extras.crash {
-            if crash >= builder.n {
-                eprintln!(
-                    "error: --crash {crash} is out of range for n = {}",
-                    builder.n
-                );
-                return ExitCode::FAILURE;
-            }
-            builder = builder.with_adversary(AdversarySpec::scripted_at(
-                AdversaryKind::SilentRelay,
-                vec![NodeId(crash as u16)],
-            ));
-        }
-    }
-    if let Err(e) = builder.validate() {
-        eprintln!("error: {e}");
-        usage();
-        return ExitCode::FAILURE;
-    }
-
-    match cmd.as_str() {
-        "keydist" => cmd_keydist(&builder),
-        "fd" => cmd_fd(&builder, &extras),
-        "vector" => cmd_vector(&builder),
-        "ba" => cmd_ba(&builder, &extras),
-        "degrade" => cmd_degrade(&builder, &extras),
-        "king" => cmd_king(&builder, &extras),
-        "rotate" => cmd_rotate(&builder, &extras),
-        "tcp" => return cmd_tcp(&builder, &extras),
-        "trace" => cmd_trace(&builder, &extras),
+        "sweep" => cmd_sweep(rest),
+        "run" => cmd_run(rest),
+        "serve" => cmd_serve(rest),
+        "search" => cmd_search(rest),
+        "bench" => cmd_bench(rest),
+        "report" => cmd_report(rest),
+        "registry" => cmd_registry(rest),
+        "cluster" => cmd_cluster(rest),
+        "cluster-worker" => cmd_cluster_worker(rest),
+        "chaos" => cmd_chaos(rest),
         other => {
             eprintln!("error: unknown command {other}");
             usage();
-            return ExitCode::FAILURE;
+            ExitCode::FAILURE
         }
     }
-    ExitCode::SUCCESS
 }
 
-fn cmd_keydist(builder: &SpecBuilder) {
-    let cluster = builder.build_cluster().expect("validated by main");
-    let kd = cluster.run_key_distribution();
-    println!(
-        "key distribution: n = {}, {} messages (3n(n-1) = {}), {} bytes on the wire",
-        cluster.n,
-        kd.stats.messages_total,
-        metrics::keydist_messages(cluster.n),
-        kd.stats.bytes_total,
-    );
-    for (node, anoms) in &kd.anomalies {
-        if !anoms.is_empty() {
-            println!("  {node} anomalies: {anoms:?}");
+/// The run-shape flags `lafd run` and `lafd cluster` (and, through it,
+/// `lafd chaos`) share: `-n/--n`, `--t`, `--seed`, `--scheme`, `--value`,
+/// `--latency`, `--adversary`, and the `--crash I` sugar.
+struct Shape {
+    builder: SpecBuilder,
+    crash: Option<usize>,
+    adversary_given: bool,
+}
+
+impl Shape {
+    /// The CLI defaults for a run of the protocol named `proto`.
+    fn new(proto: &str) -> Result<Self, String> {
+        Ok(Shape {
+            builder: SpecBuilder::new(Protocol::parse(proto)?, 7)
+                .with_input(b"attack at dawn".to_vec())
+                .with_default_value(b"default".to_vec()),
+            crash: None,
+            adversary_given: false,
+        })
+    }
+
+    /// Consume `flag` (taking its value from `grab`) if it is a shape
+    /// flag; `Ok(false)` leaves it to the caller's own flag set.
+    fn flag(
+        &mut self,
+        flag: &str,
+        grab: &mut dyn FnMut() -> Result<String, String>,
+    ) -> Result<bool, String> {
+        let builder = &mut self.builder;
+        match flag {
+            "-n" | "--n" => builder.n = grab()?.parse().map_err(|e| format!("--n: {e}"))?,
+            "--t" => builder.t = Some(grab()?.parse().map_err(|e| format!("--t: {e}"))?),
+            "--seed" => builder.seed = grab()?.parse().map_err(|e| format!("--seed: {e}"))?,
+            "--scheme" => builder.scheme = grab()?,
+            "--value" => builder.input = grab()?.into_bytes(),
+            "--latency" => builder.latency = LatencySpec::parse(&grab()?)?.normalize(),
+            "--adversary" => {
+                builder.adversary = AdversarySpec::parse(&grab()?)?;
+                self.adversary_given = true;
+            }
+            "--crash" => {
+                self.crash = Some(grab()?.parse().map_err(|e| format!("--crash: {e}"))?);
+            }
+            _ => return Ok(false),
         }
+        Ok(true)
     }
-    println!(
-        "all stores complete: every node accepted {} predicates",
-        cluster.n
-    );
-}
 
-fn cmd_fd(builder: &SpecBuilder, extras: &Extras) {
-    let cluster = builder.build_cluster().expect("validated by main");
-    let mut session = Session::new(cluster.clone());
-    println!(
-        "key distribution: {} messages (once)",
-        session.keydist().stats.messages_total
-    );
-    for k in 0..extras.runs {
-        let value = format!("{} #{k}", extras.value).into_bytes();
-        let run = session.run(&RunSpec::new(Protocol::ChainFd, value.clone()));
-        println!(
-            "fd run {k}: {} messages, all decided = {}",
-            run.stats.messages_total,
-            run.all_decided(&value),
-        );
+    /// Resolve `--crash I` — sugar for a silent adversary at node I — once
+    /// the whole flag list (which may set `--n` later) has been parsed.
+    fn apply_crash(&mut self) -> Result<(), String> {
+        let Some(crash) = self.crash else {
+            return Ok(());
+        };
+        if self.adversary_given {
+            return Err("--crash and --adversary cannot be combined".to_string());
+        }
+        if crash >= self.builder.n {
+            return Err(format!(
+                "--crash {crash} is out of range for n = {}",
+                self.builder.n
+            ));
+        }
+        self.builder.adversary =
+            AdversarySpec::scripted_at(AdversaryKind::SilentRelay, vec![NodeId(crash as u16)]);
+        Ok(())
     }
-    println!(
-        "session total: {} messages across {} runs and {} key distribution",
-        session.messages_spent(),
-        session.runs(),
-        session.keydist_runs(),
-    );
-    println!(
-        "baseline per-run cost without authentication: {} messages",
-        metrics::non_auth_messages(cluster.n, cluster.t),
-    );
 }
 
 /// Parse `R:FROM:TO` plus `extra` trailing numeric components.
@@ -370,13 +275,8 @@ fn parse_run(args: &[String]) -> Result<RunInvocation, String> {
         };
         return Ok(RunInvocation::SpecFile(path.clone()));
     }
-    let mut builder = SpecBuilder::new(Protocol::parse(proto)?, 7)
-        .with_input(b"attack at dawn".to_vec())
-        .with_default_value(b"default".to_vec());
-    let mut crash: Option<usize> = None;
+    let mut shape = Shape::new(proto)?;
     let mut trace_outs = TraceOuts::default();
-    let mut adversary_given = false;
-    let mut latency_given = false;
     let mut engine_given = false;
     // Node ids referenced by fault specs, validated against n once the
     // whole flag list (which may set --n later) has been parsed.
@@ -390,35 +290,24 @@ fn parse_run(args: &[String]) -> Result<RunInvocation, String> {
                 .cloned()
                 .ok_or_else(|| format!("flag {flag} needs a value"))
         };
+        if shape.flag(flag, &mut grab)? {
+            continue;
+        }
         match flag.as_str() {
-            "-n" | "--n" => builder.n = grab()?.parse().map_err(|e| format!("--n: {e}"))?,
-            "--t" => builder.t = Some(grab()?.parse().map_err(|e| format!("--t: {e}"))?),
-            "--seed" => builder.seed = grab()?.parse().map_err(|e| format!("--seed: {e}"))?,
-            "--scheme" => builder.scheme = grab()?,
-            "--value" => builder.input = grab()?.into_bytes(),
             "--engine" => {
-                builder.engine = Engine::parse(&grab()?)?;
+                shape.builder.engine = Engine::parse(&grab()?)?;
                 engine_given = true;
-            }
-            "--latency" => {
-                builder = builder.with_latency(LatencySpec::parse(&grab()?)?);
-                latency_given = true;
             }
             "--link-latency" => {
                 let link = LinkLatencySpec::parse(&grab()?)?;
-                builder.link_latency.push(link);
+                shape.builder.link_latency.push(link);
             }
-            "--crash" => crash = Some(grab()?.parse().map_err(|e| format!("--crash: {e}"))?),
             "--trace" => trace_outs.chrome = Some(grab()?),
             "--trace-folded" => trace_outs.folded = Some(grab()?),
-            "--adversary" => {
-                builder.adversary = AdversarySpec::parse(&grab()?)?;
-                adversary_given = true;
-            }
             "--drop" => {
                 let (r, from, to, _) = parse_link_spec(&grab()?, 0)?;
                 fault_nodes.extend([from, to]);
-                builder.faults = builder.faults.with(r, from, to, LinkFault::Drop);
+                shape.builder.faults = shape.builder.faults.with(r, from, to, LinkFault::Drop);
             }
             "--corrupt" => {
                 let (r, from, to, ps) = parse_link_spec(&grab()?, 2)?;
@@ -429,7 +318,7 @@ fn parse_run(args: &[String]) -> Result<RunInvocation, String> {
                     mask: u8::try_from(ps[1])
                         .map_err(|_| format!("--corrupt: mask {} exceeds a byte", ps[1]))?,
                 };
-                builder.faults = builder.faults.with(r, from, to, fault);
+                shape.builder.faults = shape.builder.faults.with(r, from, to, fault);
             }
             "--delay" => {
                 let (r, from, to, ps) = parse_link_spec(&grab()?, 1)?;
@@ -444,12 +333,12 @@ fn parse_run(args: &[String]) -> Result<RunInvocation, String> {
                         )
                     })?;
                 let fault = LinkFault::Delay { rounds };
-                builder.faults = builder.faults.with(r, from, to, fault);
+                shape.builder.faults = shape.builder.faults.with(r, from, to, fault);
             }
             "--reorder" => {
                 let (r, from, to, _) = parse_link_spec(&grab()?, 0)?;
                 fault_nodes.extend([from, to]);
-                builder.faults = builder.faults.with(r, from, to, LinkFault::Reorder);
+                shape.builder.faults = shape.builder.faults.with(r, from, to, LinkFault::Reorder);
             }
             other => return Err(format!("unknown run flag {other}")),
         }
@@ -459,10 +348,8 @@ fn parse_run(args: &[String]) -> Result<RunInvocation, String> {
     // error, not a silent override. (SpecBuilder::validate would reject
     // the contradiction too; resolving it here keeps the flag UX — the
     // builder itself never auto-upgrades.)
-    if latency_given
-        && builder.latency != LatencySpec::Synchronous
-        && builder.engine == Engine::Sync
-    {
+    let builder = &mut shape.builder;
+    if builder.latency != LatencySpec::Synchronous && builder.engine == Engine::Sync {
         if engine_given {
             return Err(format!(
                 "--engine sync cannot express --latency {}; use --engine event",
@@ -486,22 +373,9 @@ fn parse_run(args: &[String]) -> Result<RunInvocation, String> {
             builder.n
         ));
     }
-    // `--crash I` is sugar for a silent adversary at node I.
-    if let Some(crash) = crash {
-        if adversary_given {
-            return Err("--crash and --adversary cannot be combined".to_string());
-        }
-        if crash >= builder.n {
-            return Err(format!(
-                "--crash {crash} is out of range for n = {}",
-                builder.n
-            ));
-        }
-        builder.adversary =
-            AdversarySpec::scripted_at(AdversaryKind::SilentRelay, vec![NodeId(crash as u16)]);
-    }
-    builder.validate()?;
-    Ok(RunInvocation::Flags(Box::new(builder), trace_outs))
+    shape.apply_crash()?;
+    shape.builder.validate()?;
+    Ok(RunInvocation::Flags(Box::new(shape.builder), trace_outs))
 }
 
 fn cmd_run(args: &[String]) -> ExitCode {
@@ -599,8 +473,15 @@ fn cmd_run(args: &[String]) -> ExitCode {
     );
     if builder.n <= 16 {
         for (i, o) in run.outcomes.iter().enumerate() {
+            // Degradable agreement reports a confidence grade per node.
+            let grade = run
+                .grades
+                .get(i)
+                .copied()
+                .flatten()
+                .map_or_else(String::new, |g| format!(" (grade {g:?})"));
             match o {
-                Some(o) => println!("  P{i}: {o}"),
+                Some(o) => println!("  P{i}: {o}{grade}"),
                 None => println!("  P{i}: (faulty)"),
             }
         }
@@ -1204,229 +1085,6 @@ fn cmd_search(args: &[String]) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-fn cmd_vector(builder: &SpecBuilder) {
-    let cluster = builder.build_cluster().expect("validated by main");
-    let kd = cluster.run_key_distribution();
-    let values: Vec<Vec<u8>> = (0..cluster.n)
-        .map(|i| format!("input-of-P{i}").into_bytes())
-        .collect();
-    let (report, per_instance) = cluster.run_vector(&kd, &values);
-    println!(
-        "interactive consistency: n = {}, {} messages (n(n-1) = {})",
-        cluster.n,
-        report.stats.messages_total,
-        cluster.n * (cluster.n - 1),
-    );
-    for (i, outcomes) in per_instance.iter().enumerate() {
-        let decided = outcomes.iter().filter(|o| o.decided().is_some()).count();
-        println!("  P{i}: decided {decided}/{} instances", cluster.n);
-    }
-}
-
-fn cmd_ba(builder: &SpecBuilder, extras: &Extras) {
-    // The crash adversary (if any) is already on the builder — main
-    // applies the --crash sugar before validation.
-    let (cluster, spec) = builder.build().expect("validated by main");
-    let run = cluster.run(&spec);
-    println!(
-        "FD->BA: {} messages{}",
-        run.stats.messages_total,
-        match extras.crash {
-            Some(c) => format!(" (node {c} crashed; fallback engaged)"),
-            None => " (failure-free: n-1, the FD cost)".to_string(),
-        }
-    );
-    for (i, o) in run.outcomes.iter().enumerate() {
-        match o {
-            Some(o) => println!("  P{i}: {o}"),
-            None => println!("  P{i}: (faulty)"),
-        }
-    }
-}
-
-fn cmd_degrade(builder: &SpecBuilder, extras: &Extras) {
-    use local_auth_fd::core::ba::DgMsg;
-    use local_auth_fd::core::chain::ChainMessage;
-    use local_auth_fd::simnet::codec::Encode;
-    use local_auth_fd::simnet::{Envelope, Outbox};
-    use std::any::Any;
-
-    let (cluster, spec) = builder.build().expect("validated by main");
-    let cluster = &cluster;
-    let value = builder.input.clone();
-    let run = if extras.equivocate {
-        struct TwoFaced {
-            ring: local_auth_fd::core::keys::Keyring,
-            scheme: Arc<dyn SignatureScheme>,
-            n: usize,
-            value: Vec<u8>,
-        }
-        impl Node for TwoFaced {
-            fn id(&self) -> NodeId {
-                self.ring.me
-            }
-            fn on_round(&mut self, round: u32, _inbox: &[Envelope], out: &mut Outbox) {
-                if round != 0 {
-                    return;
-                }
-                for i in 1..self.n {
-                    let v = if i <= self.n / 2 {
-                        self.value.clone()
-                    } else {
-                        b"SABOTAGE".to_vec()
-                    };
-                    let chain = ChainMessage::originate(
-                        self.scheme.as_ref(),
-                        &self.ring.sk,
-                        self.ring.me,
-                        v,
-                    )
-                    .expect("key well-formed");
-                    out.send(NodeId(i as u16), DgMsg { chain }.encode_to_vec());
-                }
-            }
-            fn as_any(&self) -> &dyn Any {
-                self
-            }
-            fn as_any_mut(&mut self) -> &mut dyn Any {
-                self
-            }
-            fn into_any(self: Box<Self>) -> Box<dyn Any> {
-                self
-            }
-        }
-        let ring = cluster.keyring(NodeId(0));
-        let scheme = Arc::clone(&cluster.scheme);
-        let n = cluster.n;
-        let v = value.clone();
-        let adversary = AdversarySpec::custom(move |id| {
-            (id == NodeId(0)).then(|| {
-                Box::new(TwoFaced {
-                    ring: ring.clone(),
-                    scheme: Arc::clone(&scheme),
-                    n,
-                    value: v.clone(),
-                }) as Box<dyn Node>
-            })
-        });
-        cluster.run(&spec.clone().with_adversary(adversary))
-    } else {
-        cluster.run(&spec)
-    };
-    let grades = run.grades.clone();
-    println!(
-        "degradable agreement: {} messages (n(n-1) = {}), 2 comm rounds{}",
-        run.stats.messages_total,
-        cluster.n * (cluster.n - 1),
-        if extras.equivocate {
-            " — sender equivocated"
-        } else {
-            ""
-        }
-    );
-    for (i, o) in run.outcomes.iter().enumerate() {
-        match o {
-            Some(o) => println!("  P{i}: {o} (grade {:?})", grades[i]),
-            None => println!("  P{i}: (faulty)"),
-        }
-    }
-}
-
-fn cmd_king(builder: &SpecBuilder, extras: &Extras) {
-    // The n > 4t admissibility bound (and the --crash sugar) were already
-    // checked by SpecBuilder::validate in main.
-    let (cluster, spec) = builder.build().expect("validated by main");
-    let run = cluster.run(&spec);
-    println!(
-        "phase king (non-authenticated, n > 4t): {} messages, {} comm rounds{}",
-        run.stats.messages_total,
-        metrics::phase_king_comm_rounds(cluster.t),
-        match extras.crash {
-            Some(c) => format!(" (node {c} silent)"),
-            None => String::new(),
-        }
-    );
-    for (i, o) in run.outcomes.iter().enumerate() {
-        match o {
-            Some(o) => println!("  P{i}: {o}"),
-            None => println!("  P{i}: (faulty)"),
-        }
-    }
-}
-
-fn cmd_rotate(builder: &SpecBuilder, extras: &Extras) {
-    use local_auth_fd::core::epoch::EpochManager;
-    let cluster = builder.build_cluster().expect("validated by main");
-    let (n, t) = (cluster.n, cluster.t);
-    let mut epochs = EpochManager::new(cluster);
-    for e in 0..3u32 {
-        let state = epochs.rotate();
-        println!(
-            "epoch {e}: key distribution {} messages",
-            state.keydist.stats.messages_total
-        );
-        for k in 0..extras.runs {
-            let value = format!("epoch {e} run {k}").into_bytes();
-            let run = epochs.run_round(value.clone());
-            assert!(run.all_decided(&value));
-        }
-        println!(
-            "  + {} chain-FD runs at {} messages each",
-            extras.runs,
-            n - 1
-        );
-    }
-    let spent = epochs.messages_spent();
-    let baseline = metrics::cumulative_non_auth(n, t, 3 * extras.runs);
-    println!(
-        "total {spent} messages vs non-auth baseline {baseline} — {}",
-        if spent < baseline {
-            "rotation amortizes (epoch outlives k*)"
-        } else {
-            "rotation too frequent (epoch below k*)"
-        }
-    );
-}
-
-fn cmd_tcp(builder: &SpecBuilder, extras: &Extras) -> ExitCode {
-    use local_auth_fd::core::keys::Keyring;
-    use local_auth_fd::core::localauth::{KeyDistNode, KEYDIST_ROUNDS};
-    use local_auth_fd::simnet::transport::TcpCluster;
-    let cluster = builder.build_cluster().expect("validated by main");
-    let n = cluster.n;
-    let nodes: Vec<Box<dyn Node>> = (0..n)
-        .map(|i| {
-            let me = NodeId(i as u16);
-            let ring = Keyring::generate(cluster.scheme.as_ref(), me, cluster.seed);
-            Box::new(KeyDistNode::new(
-                me,
-                n,
-                Arc::clone(&cluster.scheme),
-                ring,
-                cluster.seed,
-            )) as Box<dyn Node>
-        })
-        .collect();
-    let start = std::time::Instant::now();
-    let report = TcpCluster::new(KEYDIST_ROUNDS)
-        .with_io_deadline(std::time::Duration::from_secs(extras.io_deadline_secs))
-        .run(nodes);
-    if let Err(first) = report.ok() {
-        for error in &report.errors {
-            eprintln!("error: {error}");
-        }
-        eprintln!("error: tcp key distribution failed: {first}");
-        return ExitCode::FAILURE;
-    }
-    println!(
-        "key distribution over localhost TCP: {} messages, {} bytes, {:?}",
-        report.stats.messages_total,
-        report.stats.bytes_total,
-        start.elapsed(),
-    );
-    ExitCode::SUCCESS
-}
-
 // ---------------------------------------------------------------------
 // Deployment layer: `lafd registry`, `lafd cluster`, `lafd cluster-worker`
 // ---------------------------------------------------------------------
@@ -1504,9 +1162,7 @@ fn parse_cluster(args: &[String]) -> Result<(SpecBuilder, ClusterOpts), String> 
             "cluster needs a protocol (chain|nonauth|small|ba|degrade|ds|king)".to_string(),
         );
     };
-    let mut builder = SpecBuilder::new(Protocol::parse(proto)?, 7)
-        .with_input(b"attack at dawn".to_vec())
-        .with_default_value(b"default".to_vec());
+    let mut shape = Shape::new(proto)?;
     let mut opts = ClusterOpts {
         io_deadline_secs: 60,
         round_wall_us: 0,
@@ -1516,8 +1172,6 @@ fn parse_cluster(args: &[String]) -> Result<(SpecBuilder, ClusterOpts), String> 
         bind: "127.0.0.1".to_string(),
     };
     let mut round_wall_given = false;
-    let mut adversary_given = false;
-    let mut crash: Option<usize> = None;
     let mut it = rest.iter();
     while let Some(flag) = it.next() {
         let mut grab = || {
@@ -1525,18 +1179,10 @@ fn parse_cluster(args: &[String]) -> Result<(SpecBuilder, ClusterOpts), String> 
                 .cloned()
                 .ok_or_else(|| format!("flag {flag} needs a value"))
         };
+        if shape.flag(flag, &mut grab)? {
+            continue;
+        }
         match flag.as_str() {
-            "-n" | "--n" => builder.n = grab()?.parse().map_err(|e| format!("--n: {e}"))?,
-            "--t" => builder.t = Some(grab()?.parse().map_err(|e| format!("--t: {e}"))?),
-            "--seed" => builder.seed = grab()?.parse().map_err(|e| format!("--seed: {e}"))?,
-            "--scheme" => builder.scheme = grab()?,
-            "--value" => builder.input = grab()?.into_bytes(),
-            "--latency" => builder = builder.with_latency(LatencySpec::parse(&grab()?)?),
-            "--adversary" => {
-                builder.adversary = AdversarySpec::parse(&grab()?)?;
-                adversary_given = true;
-            }
-            "--crash" => crash = Some(grab()?.parse().map_err(|e| format!("--crash: {e}"))?),
             "--io-deadline-secs" => {
                 opts.io_deadline_secs = grab()?
                     .parse()
@@ -1559,19 +1205,8 @@ fn parse_cluster(args: &[String]) -> Result<(SpecBuilder, ClusterOpts), String> 
             other => return Err(format!("unknown cluster flag {other}")),
         }
     }
-    if let Some(crash) = crash {
-        if adversary_given {
-            return Err("--crash and --adversary cannot be combined".to_string());
-        }
-        if crash >= builder.n {
-            return Err(format!(
-                "--crash {crash} is out of range for n = {}",
-                builder.n
-            ));
-        }
-        builder.adversary =
-            AdversarySpec::scripted_at(AdversaryKind::SilentRelay, vec![NodeId(crash as u16)]);
-    }
+    shape.apply_crash()?;
+    let mut builder = shape.builder;
     // A latency model on the cluster is a wall-clock delay shim over the
     // socket mesh. It needs a nonzero round-wall to scale ticks against;
     // default 2ms per round when the user asked for latency but gave none.
@@ -2084,16 +1719,13 @@ fn chaos_expected(spec: &ChaosSpec, t: usize, max_restarts: u64) -> &'static str
     }
 }
 
-fn json_escape(text: &str) -> String {
-    text.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
 /// `lafd chaos`: sweep seeded fault campaigns over the supervised cluster
 /// and emit a robustness report. Each campaign is classified recovered /
 /// degraded / failed, checked against the outcome its spec predicts, and
 /// (where a report was produced) compared byte-for-byte against the
 /// matching in-process reference run. Exit 0 iff every campaign behaved.
 fn cmd_chaos(args: &[String]) -> ExitCode {
+    use wire::Value::{Arr, Bool, Int, Obj, Str};
     let mut campaigns: Vec<(String, String)> = Vec::new();
     let mut json_out: Option<String> = None;
     let mut cluster_args: Vec<String> = Vec::new();
@@ -2174,7 +1806,7 @@ fn cmd_chaos(args: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let mut rows: Vec<String> = Vec::new();
+    let mut rows: Vec<wire::Value> = Vec::new();
     let mut all_ok = true;
     for (name, spec_text) in &campaigns {
         let spec = match ChaosSpec::parse(spec_text) {
@@ -2235,20 +1867,37 @@ fn cmd_chaos(args: &[String]) -> ExitCode {
             "chaos campaign {name}: {outcome} (expected {expected}) generations={generations} retries={retries} dead=[{}] report-match={matches}",
             dead_list.join(", ")
         );
-        rows.push(format!(
-            "{{\"name\":\"{}\",\"spec\":\"{}\",\"expected\":\"{expected}\",\"outcome\":\"{outcome}\",\"generations\":{generations},\"retries\":{retries},\"dead\":[{}],\"report_match\":{matches},\"ok\":{ok}}}",
-            json_escape(name),
-            json_escape(spec_text),
-            dead_list.join(",")
-        ));
+        rows.push(Obj(vec![
+            ("name".to_string(), Str(name.clone())),
+            ("spec".to_string(), Str(spec_text.clone())),
+            ("expected".to_string(), Str(expected.to_string())),
+            ("outcome".to_string(), Str(outcome.to_string())),
+            ("generations".to_string(), Int(generations.into())),
+            ("retries".to_string(), Int(retries.into())),
+            (
+                "dead".to_string(),
+                Arr(dead.iter().map(|&node| Int(node as i128)).collect()),
+            ),
+            ("report_match".to_string(), Bool(matches)),
+            ("ok".to_string(), Bool(ok)),
+        ]));
     }
-    let doc = format!(
-        "{{\"schema\":\"lafd-chaos-report-v1\",\"protocol\":\"{}\",\"n\":{},\"t\":{t},\"max_restarts\":{},\"campaigns\":[{}],\"ok\":{all_ok}}}",
-        builder.protocol.name(),
-        builder.n,
-        opts.max_restarts,
-        rows.join(",")
-    );
+    let doc = Obj(vec![
+        (
+            "schema".to_string(),
+            Str("lafd-chaos-report-v1".to_string()),
+        ),
+        (
+            "protocol".to_string(),
+            Str(builder.protocol.name().to_string()),
+        ),
+        ("n".to_string(), Int(builder.n as i128)),
+        ("t".to_string(), Int(t as i128)),
+        ("max_restarts".to_string(), Int(opts.max_restarts.into())),
+        ("campaigns".to_string(), Arr(rows)),
+        ("ok".to_string(), Bool(all_ok)),
+    ])
+    .to_json();
     if let Some(path) = json_out {
         if let Err(e) = std::fs::write(&path, format!("{doc}\n")) {
             eprintln!("error: write {path}: {e}");
@@ -2362,69 +2011,6 @@ fn cmd_cluster_worker(args: &[String]) -> ExitCode {
             std::process::exit(failure.exit_code());
         }
     }
-}
-
-fn cmd_trace(builder: &SpecBuilder, extras: &Extras) {
-    use local_auth_fd::core::fd::{ChainFdNode, ChainFdParams};
-    use local_auth_fd::core::keys::Keyring;
-    use local_auth_fd::core::localauth::{KeyDistNode, KEYDIST_ROUNDS};
-    use local_auth_fd::simnet::SyncNetwork;
-
-    let cluster = builder.build_cluster().expect("validated by main");
-    let n = cluster.n;
-    println!("message flow, key distribution (n = {n}):");
-    let nodes: Vec<Box<dyn Node>> = (0..n)
-        .map(|i| {
-            let me = NodeId(i as u16);
-            let ring = Keyring::generate(cluster.scheme.as_ref(), me, cluster.seed);
-            Box::new(KeyDistNode::new(
-                me,
-                n,
-                Arc::clone(&cluster.scheme),
-                ring,
-                cluster.seed,
-            )) as Box<dyn Node>
-        })
-        .collect();
-    let mut net = SyncNetwork::new(nodes);
-    net.enable_trace(10_000);
-    net.run_until_done(KEYDIST_ROUNDS);
-    print_trace(net.trace().expect("tracing enabled"));
-    let stores: Vec<_> = net
-        .into_nodes()
-        .into_iter()
-        .map(|b| {
-            b.into_any()
-                .downcast::<KeyDistNode>()
-                .expect("KeyDistNode")
-                .into_parts()
-                .0
-        })
-        .collect();
-
-    println!(
-        "\nmessage flow, one chain FD run (value = {:?}):",
-        extras.value
-    );
-    let params = ChainFdParams::new(n, cluster.t);
-    let rounds = params.rounds();
-    let fd_nodes: Vec<Box<dyn Node>> = (0..n)
-        .map(|i| {
-            let me = NodeId(i as u16);
-            Box::new(ChainFdNode::new(
-                me,
-                params.clone(),
-                Arc::clone(&cluster.scheme),
-                stores[i].clone(),
-                Keyring::generate(cluster.scheme.as_ref(), me, cluster.seed),
-                (i == 0).then(|| extras.value.clone().into_bytes()),
-            )) as Box<dyn Node>
-        })
-        .collect();
-    let mut net = SyncNetwork::new(fd_nodes);
-    net.enable_trace(10_000);
-    net.run_until_done(rounds);
-    print_trace(net.trace().expect("tracing enabled"));
 }
 
 /// Parse a comma-separated list with an element parser.
@@ -3153,22 +2739,4 @@ fn cmd_report(args: &[String]) -> ExitCode {
         eprintln!("report: HTML written to {path}");
     }
     ExitCode::SUCCESS
-}
-
-fn print_trace(trace: &local_auth_fd::simnet::Trace) {
-    let mut round = u32::MAX;
-    for ev in trace.events() {
-        if ev.round != round {
-            round = ev.round;
-            println!("  round {round}:");
-        }
-        let kind = match ev.tag {
-            Some(0x01) => "announce",
-            Some(0x02) => "challenge",
-            Some(0x03) => "response",
-            Some(0x10) => "chain",
-            _ => "msg",
-        };
-        println!("    {} -> {}  {:<9} ({} B)", ev.from, ev.to, kind, ev.len);
-    }
 }

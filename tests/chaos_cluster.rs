@@ -163,3 +163,35 @@ fn more_dead_workers_than_t_fail_loudly_with_a_nonzero_exit() {
         "the failure must be loud on stderr, got: {stderr}"
     );
 }
+
+/// `lafd chaos` emits its report through the wire JSON encoder, so a
+/// campaign name with a control character still yields a parseable
+/// `lafd-chaos-report-v1` document as the last stdout line.
+#[test]
+fn the_chaos_report_is_valid_json_even_for_awkward_campaign_names() {
+    use local_auth_fd::core::wire::Value;
+
+    let name = "noisy\tname";
+    let out = Command::new(env!("CARGO_BIN_EXE_lafd"))
+        .args(["chaos", "chain", "-n", "4", "--t", "1", "--campaign"])
+        .arg(format!("{name}=seed=7;connect=10"))
+        .output()
+        .expect("spawn lafd chaos");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "lafd chaos failed: {stderr}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let last = stdout.lines().last().expect("a report line");
+    let doc = Value::parse(last).unwrap_or_else(|e| panic!("report is not JSON ({e}): {last}"));
+    assert_eq!(
+        doc.get("schema").and_then(Value::as_str),
+        Some("lafd-chaos-report-v1")
+    );
+    assert_eq!(doc.get("ok").and_then(Value::as_bool), Some(true));
+    let campaigns = doc.get("campaigns").and_then(Value::as_arr).expect("rows");
+    assert_eq!(campaigns.len(), 1);
+    assert_eq!(campaigns[0].get("name").and_then(Value::as_str), Some(name));
+    assert_eq!(
+        campaigns[0].get("outcome").and_then(Value::as_str),
+        Some("recovered")
+    );
+}

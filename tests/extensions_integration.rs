@@ -210,11 +210,11 @@ fn laggard_in_keydist_is_tolerated_or_flagged() {
 }
 
 #[test]
-fn degradable_message_count_on_thread_transport() {
+fn degradable_message_count_on_socket_transport() {
     // The new protocols are ordinary automata: they run unchanged on the
-    // real thread transport with identical counts.
+    // real socket transport with identical counts.
     use local_auth_fd::core::ba::{DegradableNode, DegradableParams};
-    use local_auth_fd::simnet::transport::ThreadCluster;
+    use local_auth_fd::simnet::transport::NbCluster;
 
     let (n, t) = (5usize, 1usize);
     let c = cluster(n, t, 57);
@@ -233,7 +233,8 @@ fn degradable_message_count_on_thread_transport() {
             )) as Box<dyn Node>
         })
         .collect();
-    let result = ThreadCluster::new(params.rounds()).run(nodes);
+    let result = NbCluster::new(params.rounds()).run(nodes);
+    assert!(result.ok().is_ok(), "{:?}", result.errors);
     assert_eq!(result.stats.messages_total, metrics::degradable_messages(n));
     for boxed in result.nodes {
         let node = boxed

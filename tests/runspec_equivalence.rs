@@ -2,18 +2,22 @@
 //! `(protocol × adversary × engine)` cell, the unified
 //! `Cluster::run(&RunSpec)` path must produce a byte-identical
 //! [`FdRunReport`](local_auth_fd::core::runner::FdRunReport) (compared as
-//! deterministic JSON) to the pre-redesign call path
-//! (`run_keydist_for` + `run_protocol_with` + a hand-built substitution
-//! closure) — and a [`Session`] must amortize exactly one key
-//! distribution across any number of runs (paper Fig. 1 economics).
+//! deterministic JSON) to the hand-threaded call path
+//! (`Cluster::keydist_for` + `Cluster::run_with_keys` + hand-built
+//! automata behind `AdversarySpec::custom`) — and a [`Session`] must
+//! amortize exactly one key distribution across any number of runs
+//! (paper Fig. 1 economics).
 
-use local_auth_fd::core::adversary::{AdversaryKind, AdversarySpec};
+use local_auth_fd::core::adversary::{
+    AdversaryKind, AdversarySpec, ChainFdAdversary, ChainMisbehavior, CrashNode, SilentNode,
+};
+use local_auth_fd::core::fd::{ChainFdNode, ChainFdParams};
 use local_auth_fd::core::metrics;
-use local_auth_fd::core::runner::Cluster;
+use local_auth_fd::core::runner::{Cluster, KeyDistReport};
 use local_auth_fd::core::schedsearch::{run_search, run_search_parallel, SearchConfig, Strategy};
 use local_auth_fd::core::spec::{Protocol, RunSpec, Session};
 use local_auth_fd::crypto::SchnorrScheme;
-use local_auth_fd::simnet::Engine;
+use local_auth_fd::simnet::{Engine, NodeId};
 use std::sync::Arc;
 
 const N: usize = 9;
@@ -25,125 +29,100 @@ fn cluster(engine: Engine, seed: u64) -> Cluster {
     Cluster::new(N, T, Arc::new(SchnorrScheme::test_tiny()), seed).with_engine(engine)
 }
 
-/// The legacy half of the suite needs the deprecated shims, which only
-/// exist behind `--features compat`; the redesign-only tests below run
-/// unconditionally.
-#[cfg(feature = "compat")]
-mod legacy {
-    #![allow(deprecated)]
-
-    use super::{cluster, DEFAULT, VALUE};
-    use local_auth_fd::core::adversary::{
-        AdversaryKind, AdversarySpec, ChainFdAdversary, ChainMisbehavior, CrashNode, SilentNode,
-    };
-    use local_auth_fd::core::fd::{ChainFdNode, ChainFdParams};
-    use local_auth_fd::core::runner::{Cluster, KeyDistReport};
-    use local_auth_fd::core::spec::{Protocol, RunSpec};
-    use local_auth_fd::core::sweep::{run_keydist_for, run_protocol_with};
-    use local_auth_fd::simnet::{Engine, Node, NodeId};
-    use std::sync::Arc;
-
-    /// The PR 3 substitution closures, reconstructed verbatim (same automata,
-    /// same planted constants, same relay `P_1`) so the old call path is
-    /// exercised exactly as the sweep engine used to drive it.
-    fn legacy_substitution<'a>(
-        kind: AdversaryKind,
-        cluster: &'a Cluster,
-        keydist: &'a Option<KeyDistReport>,
-    ) -> Box<dyn FnMut(NodeId) -> Option<Box<dyn Node>> + 'a> {
-        let relay = NodeId(1);
-        match kind {
-            AdversaryKind::None => Box::new(|_| None),
-            AdversaryKind::SilentRelay => Box::new(move |id: NodeId| {
-                (id == relay).then(|| Box::new(SilentNode { me: relay }) as Box<dyn Node>)
-            }),
-            AdversaryKind::CrashRelay => Box::new(move |id: NodeId| {
-                (id == relay).then(|| {
-                    let honest = Box::new(ChainFdNode::new(
-                        relay,
-                        ChainFdParams::new(cluster.n, cluster.t),
-                        Arc::clone(&cluster.scheme),
-                        keydist.as_ref().expect("keys").store(relay).clone(),
-                        cluster.keyring(relay),
-                        None,
-                    )) as Box<dyn Node>;
-                    Box::new(CrashNode::new(honest, 1, 0)) as Box<dyn Node>
-                })
-            }),
-            AdversaryKind::TamperBody
-            | AdversaryKind::ForgeOrigin
-            | AdversaryKind::WrongAssignee => Box::new(move |id: NodeId| {
-                (id == relay).then(|| {
-                    let misbehavior = match kind {
-                        AdversaryKind::TamperBody => ChainMisbehavior::TamperBody {
-                            new_body: b"sweep-tampered".to_vec(),
-                        },
-                        AdversaryKind::ForgeOrigin => ChainMisbehavior::ForgeOrigin {
-                            value: b"sweep-forged".to_vec(),
-                        },
-                        _ => ChainMisbehavior::WrongAssigneeName {
-                            claim: NodeId((cluster.n - 1) as u16),
-                        },
-                    };
-                    Box::new(ChainFdAdversary::new(
-                        relay,
-                        ChainFdParams::new(cluster.n, cluster.t),
-                        Arc::clone(&cluster.scheme),
-                        cluster.keyring(relay),
-                        misbehavior,
-                        None,
-                    )) as Box<dyn Node>
-                })
-            }),
-            AdversaryKind::Equivocate => {
-                unreachable!("Equivocate postdates the legacy path; not compared")
-            }
-        }
+/// The automata the scripted kinds stand for, constructed from public
+/// constructors only (same planted constants, same relay `P_1`) and
+/// injected through [`AdversarySpec::custom`], so the comparison below
+/// pins what each `AdversaryKind` name means independently of
+/// `AdversarySpec::scripted`.
+fn hand_built_adversary(
+    kind: AdversaryKind,
+    cluster: &Cluster,
+    keydist: Option<&KeyDistReport>,
+) -> AdversarySpec {
+    if kind == AdversaryKind::None {
+        return AdversarySpec::Honest;
     }
-
-    #[test]
-    fn every_cell_matches_the_legacy_call_path_byte_for_byte() {
-        let mut cells = 0usize;
-        for engine in [Engine::Sync, Engine::Event] {
-            for protocol in Protocol::ALL {
-                for kind in AdversaryKind::ALL {
-                    if !kind.applies_to(protocol) || kind == AdversaryKind::Equivocate {
-                        continue;
-                    }
-                    let c = cluster(engine, 42);
-
-                    // Old path: hand-threaded keydist + dispatch + closure.
-                    let keydist = run_keydist_for(&c, protocol);
-                    let mut substitute = legacy_substitution(kind, &c, &keydist);
-                    let old = run_protocol_with(
-                        &c,
-                        protocol,
-                        keydist.as_ref(),
-                        VALUE.to_vec(),
-                        DEFAULT.to_vec(),
-                        &mut *substitute,
-                    );
-                    drop(substitute);
-
-                    // New path: one spec, one entry point.
-                    let spec = RunSpec::new(protocol, VALUE.to_vec())
-                        .with_default_value(DEFAULT.to_vec())
-                        .with_adversary(AdversarySpec::scripted(kind));
-                    let new = c.run(&spec);
-
-                    assert_eq!(
-                        old.to_json(),
-                        new.to_json(),
-                        "{engine:?}/{protocol}/{kind}: paths diverged"
-                    );
-                    cells += 1;
-                }
-            }
+    let relay = NodeId(1);
+    let last = NodeId((cluster.n - 1) as u16);
+    let params = ChainFdParams::new(cluster.n, cluster.t);
+    let scheme = Arc::clone(&cluster.scheme);
+    let ring = cluster.keyring(relay);
+    let store = keydist.map(|kd| kd.store(relay).clone());
+    AdversarySpec::custom(move |id| {
+        if id != relay {
+            return None;
         }
-        // 7 protocols × honest + silent, plus 4 chain-only kinds, × 2 engines.
-        assert_eq!(cells, (7 * 2 + 4) * 2, "cell coverage changed unexpectedly");
-    }
+        let misbehavior = match kind {
+            AdversaryKind::SilentRelay => return Some(Box::new(SilentNode { me: relay })),
+            AdversaryKind::CrashRelay => {
+                let honest = Box::new(ChainFdNode::new(
+                    relay,
+                    params.clone(),
+                    Arc::clone(&scheme),
+                    store.clone().expect("keys"),
+                    ring.clone(),
+                    None,
+                ));
+                return Some(Box::new(CrashNode::new(honest, 1, 0)));
+            }
+            AdversaryKind::TamperBody => ChainMisbehavior::TamperBody {
+                new_body: b"sweep-tampered".to_vec(),
+            },
+            AdversaryKind::ForgeOrigin => ChainMisbehavior::ForgeOrigin {
+                value: b"sweep-forged".to_vec(),
+            },
+            AdversaryKind::WrongAssignee => ChainMisbehavior::WrongAssigneeName { claim: last },
+            AdversaryKind::None | AdversaryKind::Equivocate => {
+                unreachable!("honest is handled above; Equivocate has its own contract test")
+            }
+        };
+        Some(Box::new(ChainFdAdversary::new(
+            relay,
+            params.clone(),
+            Arc::clone(&scheme),
+            ring.clone(),
+            misbehavior,
+            None,
+        )))
+    })
 }
+
+#[test]
+fn every_cell_matches_the_legacy_call_path_byte_for_byte() {
+    let mut cells = 0usize;
+    for engine in [Engine::Sync, Engine::Event] {
+        for protocol in Protocol::ALL {
+            for kind in AdversaryKind::ALL {
+                if !kind.applies_to(protocol) || kind == AdversaryKind::Equivocate {
+                    continue;
+                }
+                let c = cluster(engine, 42);
+                let spec =
+                    RunSpec::new(protocol, VALUE.to_vec()).with_default_value(DEFAULT.to_vec());
+
+                // Hand-threaded path: explicit keydist, hand-built
+                // automata, the amortizing entry point.
+                let keydist = c.keydist_for(protocol);
+                let adversary = hand_built_adversary(kind, &c, keydist.as_ref());
+                let old =
+                    c.run_with_keys(&spec.clone().with_adversary(adversary), keydist.as_ref());
+
+                // Declarative path: one spec, one entry point.
+                let new = c.run(&spec.with_adversary(AdversarySpec::scripted(kind)));
+
+                assert_eq!(
+                    old.to_json(),
+                    new.to_json(),
+                    "{engine:?}/{protocol}/{kind}: paths diverged"
+                );
+                cells += 1;
+            }
+        }
+    }
+    // 7 protocols × honest + silent, plus 4 chain-only kinds, × 2 engines.
+    assert_eq!(cells, (7 * 2 + 4) * 2, "cell coverage changed unexpectedly");
+}
+
 #[test]
 fn session_reuses_the_one_shot_keydist_exactly() {
     // A Session's cached keydist is the same keydist Cluster::run would
@@ -211,8 +190,8 @@ fn search_reports_are_thread_count_invariant() {
 
 #[test]
 fn equivocate_kind_is_loud_on_both_engines() {
-    // The one post-redesign adversary kind has no legacy twin; its
-    // contract is the paper's: discovered, never silently split.
+    // The one kind without a hand-built twin above; its contract is the
+    // paper's: discovered, never silently split.
     for engine in [Engine::Sync, Engine::Event] {
         let c = cluster(engine, 11);
         let run = c.run(

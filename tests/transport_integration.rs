@@ -1,6 +1,6 @@
 //! Transport-agnosticism: the same protocol automata produce the same
-//! message counts and outcomes on the deterministic simulator, the
-//! lock-step thread cluster, and the localhost TCP cluster.
+//! message counts and outcomes on the deterministic simulator and on the
+//! localhost TCP mesh (`NbCluster`, one readiness loop per node).
 
 use local_auth_fd::core::fd::{ChainFdNode, ChainFdParams};
 use local_auth_fd::core::keys::{KeyStore, Keyring};
@@ -8,7 +8,7 @@ use local_auth_fd::core::localauth::{KeyDistNode, KEYDIST_ROUNDS};
 use local_auth_fd::core::metrics;
 use local_auth_fd::core::Outcome;
 use local_auth_fd::crypto::{SchnorrScheme, SignatureScheme};
-use local_auth_fd::simnet::transport::{TcpCluster, ThreadCluster};
+use local_auth_fd::simnet::transport::NbCluster;
 use local_auth_fd::simnet::{Node, NodeId, SyncNetwork};
 use std::sync::Arc;
 
@@ -81,20 +81,17 @@ fn keydist_same_counts_on_all_transports() {
     sim.run_until_done(KEYDIST_ROUNDS);
     let sim_msgs = sim.stats().messages_total;
 
-    let threads = ThreadCluster::new(KEYDIST_ROUNDS).run(keydist_nodes(n, seed));
-    let tcp = TcpCluster::new(KEYDIST_ROUNDS).run(keydist_nodes(n, seed));
+    let tcp = NbCluster::new(KEYDIST_ROUNDS).run(keydist_nodes(n, seed));
+    assert!(tcp.ok().is_ok(), "{:?}", tcp.errors);
 
     assert_eq!(sim_msgs, metrics::keydist_messages(n));
-    assert_eq!(threads.stats.messages_total, sim_msgs);
     assert_eq!(tcp.stats.messages_total, sim_msgs);
 
     // Stores agree across transports.
     let s_sim = extract_stores(sim.into_nodes());
-    let s_thr = extract_stores(threads.nodes);
     let s_tcp = extract_stores(tcp.nodes);
     for i in 0..n {
         for peer in NodeId::all(n) {
-            assert_eq!(s_sim[i].accepted(peer), s_thr[i].accepted(peer));
             assert_eq!(s_sim[i].accepted(peer), s_tcp[i].accepted(peer));
         }
     }
@@ -114,13 +111,11 @@ fn chain_fd_same_outcomes_on_all_transports() {
     let sim_msgs = sim_fd.stats().messages_total;
     let sim_out = extract_outcomes(sim_fd.into_nodes());
 
-    let thr = ThreadCluster::new(rounds).run(chain_fd_nodes(n, t, seed, &stores, b"v"));
-    let tcp = TcpCluster::new(rounds).run(chain_fd_nodes(n, t, seed, &stores, b"v"));
+    let tcp = NbCluster::new(rounds).run(chain_fd_nodes(n, t, seed, &stores, b"v"));
+    assert!(tcp.ok().is_ok(), "{:?}", tcp.errors);
 
     assert_eq!(sim_msgs, n - 1);
-    assert_eq!(thr.stats.messages_total, sim_msgs);
     assert_eq!(tcp.stats.messages_total, sim_msgs);
-    assert_eq!(extract_outcomes(thr.nodes), sim_out);
     assert_eq!(extract_outcomes(tcp.nodes), sim_out);
     for o in sim_out {
         assert_eq!(o, Outcome::Decided(b"v".to_vec()));
@@ -130,7 +125,8 @@ fn chain_fd_same_outcomes_on_all_transports() {
 #[test]
 fn tcp_cluster_scales_to_a_dozen_nodes() {
     let (n, seed) = (12usize, 79u64);
-    let tcp = TcpCluster::new(KEYDIST_ROUNDS).run(keydist_nodes(n, seed));
+    let tcp = NbCluster::new(KEYDIST_ROUNDS).run(keydist_nodes(n, seed));
+    assert!(tcp.ok().is_ok(), "{:?}", tcp.errors);
     assert_eq!(tcp.stats.messages_total, metrics::keydist_messages(n));
     let stores = extract_stores(tcp.nodes);
     for s in &stores {
