@@ -19,6 +19,10 @@
 //!   barrier, and tear down with a summary. Any transport or registry
 //!   failure is returned as an error — the CLI maps it to a nonzero exit
 //!   code, so a lost or hung peer is always loud.
+//! * [`Generation`] — the supervisor's side of one generation of worker
+//!   processes: spawn them with stdout on a shared exit socket, learn of
+//!   their exits from it (EOF once all have exited), classify each exit
+//!   ([`ExitKind`]), and stop stragglers once the generation is lost.
 //! * [`assemble_report`] — fold the `n` deposited summaries back into
 //!   the standard [`FdRunReport`]. Because the mesh reproduces the sync
 //!   engine's delivery order and early-termination rule exactly, the
@@ -48,10 +52,13 @@ use fd_simnet::transport::chaos::{
 use fd_simnet::transport::{DelayShim, MeshPeers, MeshRun, NonblockingMesh, TransportError};
 use fd_simnet::{LatencySpec, NetStats, Node, NodeId};
 use std::collections::{BTreeMap, HashMap, HashSet};
-use std::io::{Read, Write};
+use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::os::fd::OwnedFd;
+use std::os::unix::net::UnixStream;
+use std::process::{Child, Command, ExitStatus, Stdio};
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Upper bound on a single registry frame (a roster or summary set for
 /// any plausible `n` is far below this).
@@ -61,13 +68,16 @@ const MAX_FRAME: usize = 16 * 1024 * 1024;
 // Framing
 // ---------------------------------------------------------------------
 
-/// Write one length-prefixed frame (4-byte big-endian length + body).
+/// Write one length-prefixed frame (4-byte big-endian length + body) in
+/// a single write, so a frame never waits out a delayed ACK between its
+/// header and its body.
 pub fn send_frame(stream: &mut TcpStream, body: &[u8]) -> std::io::Result<()> {
     let len = u32::try_from(body.len())
         .map_err(|_| std::io::Error::new(std::io::ErrorKind::InvalidInput, "frame too large"))?;
-    stream.write_all(&len.to_be_bytes())?;
-    stream.write_all(body)?;
-    stream.flush()
+    let mut frame = Vec::with_capacity(4 + body.len());
+    frame.extend_from_slice(&len.to_be_bytes());
+    frame.extend_from_slice(body);
+    stream.write_all(&frame)
 }
 
 /// Read one length-prefixed frame.
@@ -102,6 +112,7 @@ pub fn registry_call(
     stream
         .set_read_timeout(Some(timeout))
         .and_then(|()| stream.set_write_timeout(Some(timeout)))
+        .and_then(|()| stream.set_nodelay(true))
         .map_err(|e| format!("registry socket setup: {e}"))?;
     send_frame(&mut stream, registry_request_to_json(request).as_bytes())
         .map_err(|e| format!("send to registry: {e}"))?;
@@ -287,6 +298,7 @@ fn handle_connection(mut stream: TcpStream, state: &RegistryState, wait_limit: D
     // A worker that never completes its request frame must not pin the
     // handler thread forever.
     let _ = stream.set_read_timeout(Some(wait_limit));
+    let _ = stream.set_nodelay(true);
     let reply = match recv_frame(&mut stream)
         .map_err(|e| format!("receive request: {e}"))
         .and_then(|body| String::from_utf8(body).map_err(|e| format!("request not utf-8: {e}")))
@@ -994,6 +1006,234 @@ fn registry_failure(error: TransportError) -> WorkerFailure {
 }
 
 // ---------------------------------------------------------------------
+// Supervision
+// ---------------------------------------------------------------------
+
+/// How long the supervisor waits on a live generation before sweeping
+/// its workers with `try_wait`: a partial failure (some workers exited,
+/// others not) is noticed within one sweep, which starts the grace or
+/// drain window.
+const SWEEP: Duration = Duration::from_millis(20);
+
+/// Nap between reap sweeps once every worker has closed the exit socket
+/// (a process closes its descriptors just before it becomes waitable).
+const REAP_NAP: Duration = Duration::from_millis(1);
+
+/// How one worker process left its generation.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ExitKind {
+    /// Exited 0.
+    Ok,
+    /// Crash-style exit (chaos kill, signal, unknown code): charged to the
+    /// slot's restart budget.
+    Crash,
+    /// [`COLLATERAL_EXIT`]: a failure a restart can heal (lost peer,
+    /// expired deadline or retry budget, broken registry exchange) — the
+    /// generation restarts without blaming the slot.
+    Collateral,
+    /// Exit 1 or a panic (101): a genuine bug; restarting would only mask
+    /// it.
+    Bug,
+    /// Stopped by the supervisor after the generation was already lost;
+    /// not classified.
+    Excluded,
+}
+
+impl ExitKind {
+    /// Classify an exit status by the code scheme of
+    /// [`WorkerFailure::exit_code`].
+    fn of(status: ExitStatus) -> ExitKind {
+        match status.code() {
+            Some(0) => ExitKind::Ok,
+            Some(code) if code == i32::from(COLLATERAL_EXIT) => ExitKind::Collateral,
+            Some(1 | 101) => ExitKind::Bug,
+            _ => ExitKind::Crash,
+        }
+    }
+}
+
+/// One worker's exit as the supervisor classified it.
+#[derive(Debug, Clone)]
+pub struct GenExit {
+    /// The worker's slot.
+    pub node: usize,
+    /// The classification.
+    pub kind: ExitKind,
+    /// A human-readable line for stderr.
+    pub desc: String,
+}
+
+/// A child process that is killed and reaped when dropped — on every
+/// exit path, panics included — so nothing the supervisor starts can
+/// outlive it.
+#[derive(Debug)]
+pub struct KillOnDrop(pub Child);
+
+impl Drop for KillOnDrop {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
+/// One generation of worker processes under supervision.
+///
+/// Every worker's stdout is a duplicate of one end of a Unix socket pair;
+/// the supervisor keeps only the other end and blocks reading it. The
+/// socket is the exit signal: a process's descriptors close when it
+/// exits, so EOF means every worker has exited and the generation is
+/// reaped at once instead of on the next sweep. Bytes a worker does
+/// write to stdout are forwarded. Dropping a generation kills and reaps
+/// every worker not yet reaped.
+#[derive(Debug)]
+pub struct Generation {
+    workers: Vec<(usize, KillOnDrop)>,
+    exits: UnixStream,
+}
+
+impl Generation {
+    /// Spawn one process per `(node, command)` with its stdout on the
+    /// generation's exit socket (replacing the command's own stdout
+    /// setting). A failed spawn kills and reaps the workers already
+    /// started.
+    pub fn spawn(workers: impl IntoIterator<Item = (usize, Command)>) -> Result<Self, String> {
+        let (exits, worker_end) =
+            UnixStream::pair().map_err(|e| format!("worker exit socket: {e}"))?;
+        let mut generation = Generation {
+            workers: Vec::new(),
+            exits,
+        };
+        for (node, mut cmd) in workers {
+            let stdout = worker_end
+                .try_clone()
+                .map_err(|e| format!("exit socket for worker {node}: {e}"))?;
+            let child = cmd
+                .stdout(Stdio::from(OwnedFd::from(stdout)))
+                .spawn()
+                .map_err(|e| format!("spawn worker {node}: {e}"))?;
+            generation.workers.push((node, KillOnDrop(child)));
+        }
+        Ok(generation)
+    }
+
+    /// Wait for every worker and classify its exit, forwarding worker
+    /// stdout bytes to `out`. Errors if the whole-run guard
+    /// (`4 × io_deadline + 30 s`) expires. Once a failure is seen the
+    /// remaining workers get a bounded window to flush their own exits —
+    /// short (`min(io_deadline, 5 s)`) when a culprit is already known, a
+    /// full I/O deadline plus 5 s when only collateral failures arrived
+    /// (the culprit may still be timing out) — and stragglers past the
+    /// window are stopped and marked [`ExitKind::Excluded`].
+    pub fn wait(
+        mut self,
+        io_deadline: Duration,
+        out: &mut impl Write,
+    ) -> Result<Vec<GenExit>, String> {
+        let guard_after = io_deadline
+            .saturating_mul(4)
+            .saturating_add(Duration::from_secs(30));
+        // A deadline beyond `Instant`'s range is no deadline.
+        let guard = Instant::now().checked_add(guard_after);
+        let grace = io_deadline.min(Duration::from_secs(5));
+        let drain = io_deadline.saturating_add(Duration::from_secs(5));
+        let mut exits: Vec<GenExit> = Vec::new();
+        let mut first_failure: Option<Instant> = None;
+        let mut culprit_seen = false;
+        let mut all_closed = false;
+        let mut buf = [0u8; 4096];
+        loop {
+            for (node, mut child) in std::mem::take(&mut self.workers) {
+                let (kind, desc) = match child.0.try_wait() {
+                    Ok(None) => {
+                        self.workers.push((node, child));
+                        continue;
+                    }
+                    Ok(Some(status)) => (
+                        ExitKind::of(status),
+                        format!("worker {node} exited with {status}"),
+                    ),
+                    Err(e) => (ExitKind::Crash, format!("worker {node}: wait failed: {e}")),
+                };
+                if kind != ExitKind::Ok && first_failure.is_none() {
+                    first_failure = Some(Instant::now());
+                }
+                culprit_seen |= matches!(kind, ExitKind::Crash | ExitKind::Bug);
+                exits.push(GenExit { node, kind, desc });
+            }
+            if self.workers.is_empty() {
+                return Ok(exits);
+            }
+            let now = Instant::now();
+            if guard.is_some_and(|guard| now > guard) {
+                let stuck: Vec<String> = self.workers.iter().map(|(n, _)| n.to_string()).collect();
+                // Dropping `self` kills and reaps the stuck workers.
+                return Err(format!(
+                    "cluster run exceeded the {}s guard with workers [{}] still running",
+                    guard_after.as_secs(),
+                    stuck.join(", ")
+                ));
+            }
+            let lost_at = first_failure
+                .and_then(|first| first.checked_add(if culprit_seen { grace } else { drain }));
+            if lost_at.is_some_and(|lost_at| now > lost_at) {
+                for (node, child) in self.workers.drain(..) {
+                    drop(child);
+                    exits.push(GenExit {
+                        node,
+                        kind: ExitKind::Excluded,
+                        desc: format!("worker {node} stopped by the supervisor (generation lost)"),
+                    });
+                }
+                return Ok(exits);
+            }
+            if all_closed {
+                std::thread::sleep(REAP_NAP);
+            } else {
+                let wake = [guard, lost_at]
+                    .into_iter()
+                    .flatten()
+                    .fold(now + SWEEP, Instant::min);
+                // A zero read timeout is an error, not a poll.
+                let timeout = wake.saturating_duration_since(now).max(REAP_NAP);
+                all_closed = self.read_exits(timeout, &mut buf, out)?;
+            }
+        }
+    }
+
+    /// Block on the exit socket for at most `timeout`, forwarding any
+    /// worker stdout bytes to `out`. Returns whether every worker has
+    /// closed its end (EOF).
+    fn read_exits(
+        &mut self,
+        timeout: Duration,
+        buf: &mut [u8],
+        out: &mut impl Write,
+    ) -> Result<bool, String> {
+        self.exits
+            .set_read_timeout(Some(timeout))
+            .map_err(|e| format!("worker exit socket: {e}"))?;
+        match self.exits.read(buf) {
+            Ok(0) => Ok(true),
+            Ok(len) => {
+                out.write_all(&buf[..len])
+                    .and_then(|()| out.flush())
+                    .map_err(|e| format!("forward worker stdout: {e}"))?;
+                Ok(false)
+            }
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    ErrorKind::WouldBlock | ErrorKind::TimedOut | ErrorKind::Interrupted
+                ) =>
+            {
+                Ok(false)
+            }
+            Err(e) => Err(format!("worker exit socket: {e}")),
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
 // Report assembly
 // ---------------------------------------------------------------------
 
@@ -1320,5 +1560,91 @@ mod tests {
             panic!("expected summaries, got {reply:?}");
         };
         assert_eq!(workers, vec![summary]);
+    }
+
+    /// A generation of `sh -c SCRIPT` children, node `i` running
+    /// `scripts[i]`.
+    fn sh_generation(scripts: &[&str]) -> Generation {
+        Generation::spawn(scripts.iter().enumerate().map(|(node, script)| {
+            let mut cmd = Command::new("sh");
+            cmd.args(["-c", script]);
+            (node, cmd)
+        }))
+        .expect("spawn sh children")
+    }
+
+    fn kinds(mut exits: Vec<GenExit>) -> Vec<ExitKind> {
+        exits.sort_by_key(|exit| exit.node);
+        exits.into_iter().map(|exit| exit.kind).collect()
+    }
+
+    #[test]
+    fn a_generation_is_reaped_when_its_workers_exit_not_on_the_next_sweep() {
+        let mut walls: Vec<Duration> = (0..5)
+            .map(|_| {
+                let generation = sh_generation(&["exit 0"; 8]);
+                let started = Instant::now();
+                let exits = generation
+                    .wait(Duration::from_secs(10), &mut Vec::new())
+                    .expect("clean generation");
+                let took = started.elapsed();
+                assert_eq!(kinds(exits), [ExitKind::Ok; 8]);
+                took
+            })
+            .collect();
+        walls.sort();
+        // A sweep-only supervisor finds freshly spawned children still
+        // running and sleeps one whole 20 ms sweep before it looks again.
+        assert!(
+            walls[2] < Duration::from_millis(10),
+            "median reap of 8 exiting children took {:?} ({walls:?})",
+            walls[2]
+        );
+    }
+
+    #[test]
+    fn exits_classify_by_code_and_signal() {
+        let generation = sh_generation(&[
+            "exit 0",
+            "exit 45",
+            "exit 46",
+            "exit 1",
+            "exit 101",
+            "kill -9 $$",
+        ]);
+        let exits = generation
+            .wait(Duration::from_secs(10), &mut Vec::new())
+            .expect("every child exits");
+        use ExitKind::{Bug, Collateral, Crash, Ok};
+        assert_eq!(kinds(exits), [Ok, Collateral, Crash, Bug, Bug, Crash]);
+    }
+
+    #[test]
+    fn a_straggler_beside_a_culprit_is_excluded_after_the_grace_window() {
+        let generation = sh_generation(&["exit 46", "exec sleep 30"]);
+        let started = Instant::now();
+        let exits = generation
+            .wait(Duration::from_secs(1), &mut Vec::new())
+            .expect("the window ends the generation, not the guard");
+        let took = started.elapsed();
+        assert_eq!(kinds(exits), [ExitKind::Crash, ExitKind::Excluded]);
+        // grace = min(io_deadline, 5 s) = 1 s after the crash was seen.
+        assert!(
+            took >= Duration::from_secs(1) && took < Duration::from_secs(3),
+            "straggler stopped after {took:?}"
+        );
+    }
+
+    #[test]
+    fn worker_stdout_bytes_are_forwarded() {
+        let generation = sh_generation(&["echo from-0", "echo from-1"]);
+        let mut out = Vec::new();
+        let exits = generation
+            .wait(Duration::from_secs(10), &mut out)
+            .expect("clean generation");
+        assert_eq!(kinds(exits), [ExitKind::Ok; 2]);
+        let mut lines: Vec<&str> = std::str::from_utf8(&out).expect("utf-8").lines().collect();
+        lines.sort_unstable();
+        assert_eq!(lines, ["from-0", "from-1"]);
     }
 }

@@ -209,7 +209,7 @@ impl MeshPeers {
                             after: io_deadline,
                         });
                     }
-                    std::thread::sleep(Duration::from_millis(1));
+                    std::thread::sleep(IDLE_NAP);
                 }
                 Err(e) => return Err(TransportError::io(me, "accept peer", &e)),
             }

@@ -69,7 +69,7 @@ use local_auth_fd::core::sweep::{
 use local_auth_fd::core::wire;
 use local_auth_fd::crypto::SchnorrScheme;
 use local_auth_fd::simnet::fault::LinkFault;
-use local_auth_fd::simnet::transport::chaos::{ChaosSpec, COLLATERAL_EXIT};
+use local_auth_fd::simnet::transport::chaos::ChaosSpec;
 use local_auth_fd::simnet::{Engine, LatencySpec, LinkLatencySpec, NodeId};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::process::ExitCode;
@@ -1089,6 +1089,26 @@ fn cmd_search(args: &[String]) -> ExitCode {
 // Deployment layer: `lafd registry`, `lafd cluster`, `lafd cluster-worker`
 // ---------------------------------------------------------------------
 
+/// Largest `--io-deadline-secs` / `--wait-limit-secs` accepted (one
+/// day): every deadline derived from it, up to the supervisor's
+/// `4 × io_deadline + 30 s` guard, stays far inside `Instant`'s range.
+const MAX_DEADLINE_SECS: u64 = 86_400;
+
+/// Parse a deadline flag in whole seconds. Zero is refused (no socket
+/// accepts a zero timeout, so every worker would burn its retries first)
+/// and so is anything past [`MAX_DEADLINE_SECS`] (the deadline sums
+/// would overflow) — before anything is spawned.
+fn parse_deadline_secs(flag: &str, raw: &str) -> Result<u64, String> {
+    let secs: u64 = raw.parse().map_err(|e| format!("{flag}: {e}"))?;
+    if (1..=MAX_DEADLINE_SECS).contains(&secs) {
+        Ok(secs)
+    } else {
+        Err(format!(
+            "{flag} {secs}: must be between 1 and {MAX_DEADLINE_SECS} seconds"
+        ))
+    }
+}
+
 fn cmd_registry(args: &[String]) -> ExitCode {
     use local_auth_fd::core::deploy::Registry;
     let mut listen = "127.0.0.1:0".to_string();
@@ -1104,9 +1124,7 @@ fn cmd_registry(args: &[String]) -> ExitCode {
             match flag.as_str() {
                 "--listen" => listen = grab()?,
                 "--wait-limit-secs" => {
-                    wait_limit_secs = grab()?
-                        .parse()
-                        .map_err(|e| format!("--wait-limit-secs: {e}"))?;
+                    wait_limit_secs = parse_deadline_secs(flag, &grab()?)?;
                 }
                 other => return Err(format!("unknown registry flag {other}")),
             }
@@ -1184,9 +1202,7 @@ fn parse_cluster(args: &[String]) -> Result<(SpecBuilder, ClusterOpts), String> 
         }
         match flag.as_str() {
             "--io-deadline-secs" => {
-                opts.io_deadline_secs = grab()?
-                    .parse()
-                    .map_err(|e| format!("--io-deadline-secs: {e}"))?;
+                opts.io_deadline_secs = parse_deadline_secs(flag, &grab()?)?;
             }
             "--round-wall-us" => {
                 opts.round_wall_us = grab()?
@@ -1242,122 +1258,6 @@ struct Supervised {
     resilience: Resilience,
 }
 
-/// How one worker process left its generation.
-enum ExitKind {
-    /// Exited 0.
-    Ok,
-    /// Crash-style exit (chaos kill, signal, unknown code): charged to the
-    /// slot's restart budget.
-    Crash,
-    /// [`COLLATERAL_EXIT`]: a failure a restart can heal (lost peer,
-    /// expired deadline or retry budget, broken registry exchange) — the
-    /// generation restarts without blaming the slot.
-    Collateral,
-    /// Exit 1 or a panic: a genuine bug; restarting would only mask it.
-    Bug,
-    /// Stopped by the supervisor after the generation was already lost;
-    /// not classified.
-    Excluded,
-}
-
-struct GenExit {
-    node: usize,
-    kind: ExitKind,
-    desc: String,
-}
-
-/// Wait for a generation of workers. Returns every worker's exit
-/// classification, or an error if the whole-run guard expired. Once a
-/// failure is seen the remaining workers get a bounded window to flush
-/// their own exits — short when a culprit is already known, a full I/O
-/// deadline when only collateral failures arrived (the culprit may still
-/// be timing out) — and stragglers past the window are stopped and
-/// excluded from classification.
-fn wait_generation(
-    mut pending: Vec<(usize, std::process::Child)>,
-    opts: &ClusterOpts,
-) -> Result<Vec<GenExit>, String> {
-    use std::time::{Duration, Instant};
-
-    let guard_secs = opts.io_deadline_secs.saturating_mul(4).saturating_add(30);
-    let guard = Instant::now() + Duration::from_secs(guard_secs);
-    let grace = Duration::from_secs(opts.io_deadline_secs.min(5));
-    let drain = Duration::from_secs(opts.io_deadline_secs.saturating_add(5));
-    let mut exits: Vec<GenExit> = Vec::new();
-    let mut first_failure: Option<Instant> = None;
-    let mut culprit_seen = false;
-    loop {
-        let mut still = Vec::new();
-        for (node, mut child) in pending {
-            match child.try_wait() {
-                Ok(Some(status)) => {
-                    let kind = match status.code() {
-                        Some(0) => ExitKind::Ok,
-                        Some(code) if code == i32::from(COLLATERAL_EXIT) => ExitKind::Collateral,
-                        Some(1) | Some(101) => ExitKind::Bug,
-                        _ => ExitKind::Crash,
-                    };
-                    if !matches!(kind, ExitKind::Ok) && first_failure.is_none() {
-                        first_failure = Some(Instant::now());
-                    }
-                    if matches!(kind, ExitKind::Crash | ExitKind::Bug) {
-                        culprit_seen = true;
-                    }
-                    exits.push(GenExit {
-                        node,
-                        kind,
-                        desc: format!("worker {node} exited with {status}"),
-                    });
-                }
-                Ok(None) => still.push((node, child)),
-                Err(e) => {
-                    culprit_seen = true;
-                    if first_failure.is_none() {
-                        first_failure = Some(Instant::now());
-                    }
-                    exits.push(GenExit {
-                        node,
-                        kind: ExitKind::Crash,
-                        desc: format!("worker {node}: wait failed: {e}"),
-                    });
-                }
-            }
-        }
-        pending = still;
-        if pending.is_empty() {
-            return Ok(exits);
-        }
-        let now = Instant::now();
-        if now > guard {
-            let stuck: Vec<String> = pending.iter().map(|(node, _)| node.to_string()).collect();
-            for (_, child) in pending.iter_mut() {
-                let _ = child.kill();
-                let _ = child.wait();
-            }
-            return Err(format!(
-                "cluster run exceeded the {guard_secs}s guard with workers [{}] still running",
-                stuck.join(", ")
-            ));
-        }
-        if let Some(first) = first_failure {
-            let window = if culprit_seen { grace } else { drain };
-            if now.duration_since(first) > window {
-                for (node, mut child) in pending {
-                    let _ = child.kill();
-                    let _ = child.wait();
-                    exits.push(GenExit {
-                        node,
-                        kind: ExitKind::Excluded,
-                        desc: format!("worker {node} stopped by the supervisor (generation lost)"),
-                    });
-                }
-                return Ok(exits);
-            }
-        }
-        std::thread::sleep(Duration::from_millis(20));
-    }
-}
-
 /// Run a cluster under supervision: launch worker generations, restart
 /// crashed slots up to `--max-restarts` (each generation re-registers
 /// under an incremented incarnation the registry fences stale sessions
@@ -1367,9 +1267,9 @@ fn wait_generation(
 /// slots, a genuine worker bug, or an exhausted restart/flake budget
 /// aborts loudly.
 fn run_supervised(builder: &SpecBuilder, opts: &ClusterOpts) -> Result<Supervised, String> {
-    use local_auth_fd::core::deploy;
+    use local_auth_fd::core::deploy::{self, ExitKind};
     use std::collections::HashMap;
-    use std::process::{Child, Command, Stdio};
+    use std::process::{Command, Stdio};
     use std::time::Duration;
 
     let exe = std::env::current_exe()
@@ -1395,48 +1295,36 @@ fn run_supervised(builder: &SpecBuilder, opts: &ClusterOpts) -> Result<Supervise
     // The registry is a child process too (unless `--registry` points at
     // an external one), so `lafd cluster` exercises the exact discovery
     // path a hand-rolled deployment would use. It lives across worker
-    // generations; incarnation fencing keeps its state consistent.
-    let mut registry_child: Option<Child> = None;
+    // generations; incarnation fencing keeps its state consistent. The
+    // guard kills and reaps it on every way out of this function, a panic
+    // included.
+    let mut registry_child: Option<deploy::KillOnDrop> = None;
     let addr = match &opts.registry {
         Some(addr) => addr.clone(),
         None => {
-            let mut child = Command::new(&exe)
-                .args([
-                    "registry",
-                    "--listen",
-                    "127.0.0.1:0",
-                    "--wait-limit-secs",
-                    &opts.io_deadline_secs.to_string(),
-                ])
-                .stdout(Stdio::piped())
-                .stderr(Stdio::inherit())
-                .spawn()
-                .map_err(|e| format!("spawn registry: {e}"))?;
+            let child = registry_child.insert(deploy::KillOnDrop(
+                Command::new(&exe)
+                    .args([
+                        "registry",
+                        "--listen",
+                        "127.0.0.1:0",
+                        "--wait-limit-secs",
+                        &opts.io_deadline_secs.to_string(),
+                    ])
+                    .stdout(Stdio::piped())
+                    .stderr(Stdio::inherit())
+                    .spawn()
+                    .map_err(|e| format!("spawn registry: {e}"))?,
+            ));
             let mut line = String::new();
-            let announced = {
-                let stdout = child.stdout.take().expect("stdout was piped");
-                let mut reader = BufReader::new(stdout);
-                match reader.read_line(&mut line) {
-                    Ok(_) => match line.trim().rsplit(' ').next() {
-                        Some(addr) if line.starts_with("registry listening on ") => {
-                            Some(addr.to_string())
-                        }
-                        _ => None,
-                    },
-                    Err(_) => None,
-                }
-            };
-            match announced {
-                Some(addr) => {
-                    registry_child = Some(child);
-                    addr
-                }
+            let stdout = child.0.stdout.take().expect("stdout was piped");
+            let _ = BufReader::new(stdout).read_line(&mut line);
+            match line.trim().strip_prefix("registry listening on ") {
+                Some(addr) => addr.to_string(),
                 None => {
-                    let _ = child.kill();
-                    let _ = child.wait();
                     return Err(format!(
                         "registry did not announce an address (got {line:?})"
-                    ));
+                    ))
                 }
             }
         }
@@ -1453,6 +1341,7 @@ fn run_supervised(builder: &SpecBuilder, opts: &ClusterOpts) -> Result<Supervise
         .saturating_mul(opts.max_restarts.saturating_add(1))
         .saturating_add(4);
     let mut generation: u64 = 0;
+    let io_deadline = Duration::from_secs(opts.io_deadline_secs);
 
     let outcome = loop {
         if generation >= max_generations {
@@ -1475,9 +1364,7 @@ fn run_supervised(builder: &SpecBuilder, opts: &ClusterOpts) -> Result<Supervise
         }
         let request = wire::request_to_json(&effective, None)?;
         let chaos_arg = chaos.as_ref().map(ChaosSpec::to_spec_string);
-        let mut pending: Vec<(usize, Child)> = Vec::new();
-        let mut spawn_error: Option<String> = None;
-        for node in 0..builder.n {
+        let workers = (0..builder.n).map(|node| {
             let mut cmd = Command::new(&exe);
             cmd.args([
                 "cluster-worker",
@@ -1501,32 +1388,19 @@ fn run_supervised(builder: &SpecBuilder, opts: &ClusterOpts) -> Result<Supervise
             if let Some(spec) = &chaos_arg {
                 cmd.args(["--chaos", spec]);
             }
-            match cmd
-                .stdout(Stdio::inherit())
-                .stderr(Stdio::inherit())
-                .spawn()
-            {
-                Ok(child) => pending.push((node, child)),
-                Err(e) => {
-                    spawn_error = Some(format!("spawn worker {node}: {e}"));
-                    break;
-                }
-            }
-        }
-        if let Some(e) = spawn_error {
-            for (_, child) in pending.iter_mut() {
-                let _ = child.kill();
-                let _ = child.wait();
-            }
-            break Err(e);
-        }
+            (node, cmd)
+        });
+        let workers = match deploy::Generation::spawn(workers) {
+            Ok(workers) => workers,
+            Err(e) => break Err(e),
+        };
         println!(
             "cluster {}: registry at {addr}, {} worker processes launched (generation {generation})",
             builder.protocol.name(),
             builder.n
         );
 
-        let exits = match wait_generation(pending, opts) {
+        let exits = match workers.wait(io_deadline, &mut std::io::stdout()) {
             Ok(exits) => exits,
             Err(e) => break Err(e),
         };
@@ -1534,7 +1408,7 @@ fn run_supervised(builder: &SpecBuilder, opts: &ClusterOpts) -> Result<Supervise
         let mut bug: Option<String> = None;
         let mut clean = true;
         for exit in &exits {
-            if !matches!(exit.kind, ExitKind::Ok) {
+            if exit.kind != ExitKind::Ok {
                 clean = false;
                 eprintln!("error: {} (generation {generation})", exit.desc);
             }
@@ -1552,7 +1426,7 @@ fn run_supervised(builder: &SpecBuilder, opts: &ClusterOpts) -> Result<Supervise
                 &wire::RegistryRequest::Collect {
                     run: run_id.clone(),
                 },
-                Duration::from_secs(opts.io_deadline_secs),
+                io_deadline,
             );
             break match collected {
                 Ok(wire::RegistryReply::Summaries { workers }) => Ok(workers),
@@ -1627,10 +1501,7 @@ fn run_supervised(builder: &SpecBuilder, opts: &ClusterOpts) -> Result<Supervise
         generation += 1;
     };
 
-    if let Some(child) = registry_child.as_mut() {
-        let _ = child.kill();
-        let _ = child.wait();
-    }
+    drop(registry_child);
     let summaries = outcome?;
     let retries: u64 = summaries.iter().map(|worker| worker.retries).sum();
     let (report, totals) = deploy::assemble_report(builder.protocol, builder.n, &summaries)?;
@@ -1939,9 +1810,7 @@ fn cmd_cluster_worker(args: &[String]) -> ExitCode {
                 "--node" => node = Some(grab()?.parse().map_err(|e| format!("--node: {e}"))?),
                 "--request" => request = Some(grab()?),
                 "--io-deadline-secs" => {
-                    io_deadline_secs = grab()?
-                        .parse()
-                        .map_err(|e| format!("--io-deadline-secs: {e}"))?;
+                    io_deadline_secs = parse_deadline_secs(flag, &grab()?)?;
                 }
                 "--round-wall-us" => {
                     round_wall_us = grab()?

@@ -128,6 +128,31 @@ fn crash_adversary_flows_through_the_cluster_path() {
 }
 
 #[test]
+fn out_of_range_io_deadlines_are_refused_before_anything_spawns() {
+    for secs in ["0", "18446744073709551615"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_lafd"))
+            .args(["cluster", "chain", "-n", "4", "--io-deadline-secs", secs])
+            .output()
+            .expect("spawn lafd cluster");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(
+            out.status.code(),
+            Some(1),
+            "--io-deadline-secs {secs}: {stderr}"
+        );
+        assert!(
+            stderr.contains("error: --io-deadline-secs"),
+            "the error must name the flag, got: {stderr}"
+        );
+        assert!(
+            !stdout.contains("worker processes launched"),
+            "nothing may be spawned for --io-deadline-secs {secs}, stdout: {stdout}"
+        );
+    }
+}
+
+#[test]
 fn a_killed_worker_fails_loudly_with_a_nonzero_exit() {
     let (_, stderr, ok) = run_cluster(
         &[
