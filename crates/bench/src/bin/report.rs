@@ -1,13 +1,13 @@
-//! Regenerate every experiment table and figure of `EXPERIMENTS.md` as
-//! markdown on stdout.
+//! Print every experiment table and figure as markdown on stdout.
 //!
 //! ```sh
 //! cargo run -p fd-bench --bin report            # everything
 //! cargo run -p fd-bench --bin report -- t1 f1   # selected experiments
 //! ```
 //!
-//! Timing-based figures (F2, F3) are covered by the Criterion benches; this
-//! binary prints their deterministic companions (operation counts).
+//! Timing-based figures (F2, F3) are single-shot here; repeatable timings
+//! are the `crypto.*`/`bigint.modpow_*` and `deploy.inproc_cluster_n8_ms`
+//! rows of `lafd-benchmark run --trace 1`.
 
 use fd_bench::{
     f1_amortization, f4_rotation, t10_wire_cost, t11_sweep, t12_large_n, t13_sched_search,
@@ -473,7 +473,8 @@ fn f2() {
         );
     }
     println!(
-        "\n(Criterion benches `crypto.rs` give rigorous statistics; this is the quick view.)\n"
+        "\n(Single shot; `lafd-benchmark run --trace 1` reports the `crypto.*` and \
+         `bigint.modpow_*` rows over repeats.)\n"
     );
 }
 
@@ -516,7 +517,10 @@ fn f3() {
         };
         println!("| {n} | {sim:.2?} | {tcp:.2?} |");
     }
-    println!("\n(Criterion benches `transport.rs` give rigorous statistics; counts are identical on both executors.)\n");
+    println!(
+        "\n(Single shot; `lafd-benchmark run --trace 1` reports `deploy.inproc_cluster_n8_ms` \
+         over repeats. Counts are identical on both executors.)\n"
+    );
 }
 
 fn t5() {

@@ -3,8 +3,10 @@
 //! The experiment harness reproducing every quantitative claim of
 //! [Borcherding 1995](https://doi.org/10.1109/ICDCS.1995.500023): each
 //! experiment maps to a function here that produces its rows, the
-//! `report` binary (`src/bin/report.rs`) renders them as markdown, and
-//! the Criterion benches (`benches/`) cover the timing-based figures.
+//! `report` binary (`src/bin/report.rs`) renders them as markdown.
+//! Repeatable timings of the layers behind the timing-based figures are
+//! the `crypto.*`/`bigint.modpow_*` and `deploy.inproc_cluster_n8_ms`
+//! rows of `lafd-benchmark run --trace 1`.
 //!
 //! Experiments, keyed to the paper's sections:
 //!

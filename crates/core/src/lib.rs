@@ -66,9 +66,6 @@
 //!   deterministic virtual-tick timestamps on the event engine and
 //!   wall-clock on the sync engine; exports Chrome trace-event JSON and
 //!   folded stacks.
-//! * [`report`] — bench-trajectory rendering: parses committed
-//!   `BENCH_*.json` baselines and renders markdown/HTML trend tables
-//!   with per-cell deltas (the `lafd report` backend).
 //!
 //! ## Quickstart
 //!
@@ -105,7 +102,6 @@ pub mod localauth;
 pub mod metrics;
 pub mod obs;
 pub mod props;
-pub mod report;
 pub mod runner;
 pub mod schedsearch;
 pub mod service;

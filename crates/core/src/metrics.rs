@@ -46,11 +46,6 @@ pub fn phase_king_messages(n: usize, t: usize) -> usize {
     nm1 + (t + 1) * (n * nm1 + nm1)
 }
 
-/// Phase-King communication rounds: `1 + 2·(t+1)`.
-pub fn phase_king_comm_rounds(t: usize) -> u32 {
-    1 + 2 * (t as u32 + 1)
-}
-
 /// Degradable (crusader/graded) agreement failure-free cost:
 /// `(n−1) + (n−1)²  =  n·(n−1)` — direct broadcast plus everyone's echo.
 pub fn degradable_messages(n: usize) -> usize {
@@ -124,7 +119,6 @@ mod tests {
     fn baseline_formulas() {
         // n = 5, t = 1: 4 + 2·(25 + 5 − 5 − 1)·… spelled out: 4 + 2·(5·4 + 4)
         assert_eq!(phase_king_messages(5, 1), 4 + 2 * (20 + 4));
-        assert_eq!(phase_king_comm_rounds(1), 5);
         assert_eq!(degradable_messages(5), 20);
         assert_eq!(dolev_strong_messages(5), 20);
         assert_eq!(DEGRADABLE_COMM_ROUNDS, 2);

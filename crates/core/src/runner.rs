@@ -505,8 +505,8 @@ impl Cluster {
     }
 
     /// A trusted-dealer key distribution report: shared global stores,
-    /// zero messages spent, the predicate table attached. The baseline
-    /// setup of the large-`n` benchmarks.
+    /// zero messages spent, the predicate table attached. The setup of
+    /// the large-`n` counter tests and benchmark layer rows.
     pub fn dealer_keydist(&self) -> KeyDistReport {
         let table = self.predicate_table();
         let stores = (0..self.n)

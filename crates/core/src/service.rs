@@ -30,10 +30,10 @@
 //!   eviction-age percentiles are computed over the most recent
 //!   [`SAMPLE_WINDOW`] samples per shard, everything else is a counter.
 //! * [`FdService::shutdown`] is a graceful drain: queued requests finish,
-//!   workers join, and the final metrics snapshot is returned in the same
-//!   JSON shape `lafd bench` records (`wall_us`/`messages`/`bytes` cells)
-//!   plus service-level throughput: runs/sec, keydist reuse ratio, and
-//!   p50/p99 request latency.
+//!   workers join, and the final metrics snapshot is returned as one
+//!   `lafd-serve-v1` JSON document: per-cell `wall_us`/`messages`/`bytes`
+//!   rows plus service-level throughput: runs/sec, keydist reuse ratio,
+//!   and p50/p99 request latency.
 //!
 //! [`Cluster::run`]: crate::runner::Cluster::run
 //! [`Cluster::run_with_keys`]: crate::runner::Cluster::run_with_keys
@@ -92,8 +92,8 @@ struct PooledSession {
     last_touch: Instant,
 }
 
-/// One aggregated `protocol × n × t × engine × scheme` metrics cell —
-/// the service analogue of a `lafd bench` results row.
+/// One aggregated `protocol × n × t × engine × scheme` metrics cell: one
+/// `results` row of the `lafd-serve-v1` document.
 #[derive(Debug, Default, Clone)]
 struct Cell {
     runs: usize,
@@ -338,7 +338,7 @@ impl FdService {
     }
 
     /// A live metrics snapshot: service-level throughput plus the
-    /// bench-shaped per-cell rows, rendered as `lafd-serve-v1` JSON.
+    /// per-cell rows, rendered as one line of `lafd-serve-v1` JSON.
     pub fn metrics_json(&self) -> String {
         self.snapshot(self.started.elapsed().as_micros()).to_json()
     }
@@ -525,11 +525,6 @@ fn percentile_us(sorted: &[u64], pct: usize) -> Option<u64> {
     Some(sorted[(sorted.len() - 1) * pct / 100])
 }
 
-/// `Option` percentile rendered for JSON.
-fn json_opt(value: Option<u64>) -> String {
-    value.map_or_else(|| "null".to_string(), |v| v.to_string())
-}
-
 /// A consistent point-in-time aggregation of every counter and gauge,
 /// independent of the rendering format.
 struct MetricsSnapshot {
@@ -625,13 +620,9 @@ fn gather(
     snapshot
 }
 
-fn usize_array(values: &[usize]) -> String {
-    let parts: Vec<String> = values.iter().map(usize::to_string).collect();
-    format!("[{}]", parts.join(", "))
-}
-
 impl MetricsSnapshot {
-    /// Render the `lafd-serve-v1` metrics document:
+    /// Render the `lafd-serve-v1` metrics document (one line; shown
+    /// wrapped):
     ///
     /// ```json
     /// {"schema": "lafd-serve-v1",
@@ -643,66 +634,71 @@ impl MetricsSnapshot {
     ///              "queue_depth": [0, 0], "queue_peak": [3, 1],
     ///              "pool_sessions": [2, 1], "pool_peak": [2, 2],
     ///              "eviction_age_p50_us": null},
-    ///  "results": [ ...bench-shaped cells, plus "runs"... ]}
+    ///  "results": [ ...one row per cell... ]}
     /// ```
     ///
     /// `p50_us`/`p99_us`/`eviction_age_p50_us` are `null` with fewer than
     /// two samples (see [`percentile_us`]) and read the most recent
     /// [`SAMPLE_WINDOW`] samples of every shard; the gauge arrays carry one
-    /// entry per shard. The `results` rows carry the exact field set of a
-    /// `lafd bench` cell (`protocol`/`n`/`t`/`engine`/`scheme`/`wall_us`/
-    /// `messages`/`bytes`/`comm_rounds`/`key_allocs`) with `wall_us`,
-    /// `messages`, and `bytes` accumulated across the cell's runs and a
-    /// trailing `runs` count, so the bench regression tooling can parse
-    /// them unchanged.
+    /// entry per shard. Each `results` row names its cell
+    /// (`protocol`/`n`/`t`/`engine`/`scheme`) and carries `wall_us`,
+    /// `messages`, and `bytes` accumulated across the cell's runs, the
+    /// cell's `comm_rounds` and `key_allocs`, and a trailing `runs` count.
     fn to_json(&self) -> String {
+        use wire::Value::{Arr, Int, Null, Obj, Str};
+        let int = |v: usize| Int(v as i128);
+        let opt = |v: Option<u64>| v.map_or(Null, |v| Int(v.into()));
+        let arr = |vs: &[usize]| Arr(vs.iter().map(|&v| int(v)).collect());
+        let obj = |fields: Vec<(&str, wire::Value)>| {
+            Obj(fields.into_iter().map(|(k, v)| (k.into(), v)).collect())
+        };
         let keyed = self.keydist_runs + self.keydist_reused;
         let reuse_pct = (self.keydist_reused * 100).checked_div(keyed).unwrap_or(0);
         let runs_per_sec = (self.runs as u128) * 1_000_000 / self.elapsed_us.max(1);
-        let mut out = format!(
-            "{{\n  \"schema\": \"lafd-serve-v1\",\n  \"service\": {{\"shards\": {}, \
-             \"runs\": {}, \"errors\": {}, \"keydist_runs\": {}, \
-             \"keydist_reused\": {}, \"keydist_reuse_pct\": {reuse_pct}, \
-             \"evictions\": {}, \"wall_us\": {}, \
-             \"runs_per_sec\": {runs_per_sec}, \"p50_us\": {}, \"p99_us\": {}, \
-             \"queue_depth\": {}, \"queue_peak\": {}, \"pool_sessions\": {}, \
-             \"pool_peak\": {}, \"eviction_age_p50_us\": {}}},\n  \"results\": [\n",
-            self.shards,
-            self.runs,
-            self.errors,
-            self.keydist_runs,
-            self.keydist_reused,
-            self.evictions,
-            self.elapsed_us,
-            json_opt(percentile_us(&self.latencies, 50)),
-            json_opt(percentile_us(&self.latencies, 99)),
-            usize_array(&self.queue_depths),
-            usize_array(&self.queue_peaks),
-            usize_array(&self.pool_sessions),
-            usize_array(&self.pool_peaks),
-            json_opt(percentile_us(&self.eviction_ages, 50)),
-        );
-        let rows: Vec<String> = self
+        let eviction_p50 = percentile_us(&self.eviction_ages, 50);
+        let service = obj(vec![
+            ("shards", int(self.shards)),
+            ("runs", int(self.runs)),
+            ("errors", int(self.errors)),
+            ("keydist_runs", int(self.keydist_runs)),
+            ("keydist_reused", int(self.keydist_reused)),
+            ("keydist_reuse_pct", int(reuse_pct)),
+            ("evictions", int(self.evictions)),
+            ("wall_us", Int(self.elapsed_us as i128)),
+            ("runs_per_sec", Int(runs_per_sec as i128)),
+            ("p50_us", opt(percentile_us(&self.latencies, 50))),
+            ("p99_us", opt(percentile_us(&self.latencies, 99))),
+            ("queue_depth", arr(&self.queue_depths)),
+            ("queue_peak", arr(&self.queue_peaks)),
+            ("pool_sessions", arr(&self.pool_sessions)),
+            ("pool_peak", arr(&self.pool_peaks)),
+            ("eviction_age_p50_us", opt(eviction_p50)),
+        ]);
+        let results = self
             .cells
             .iter()
             .map(|((protocol, n, t, engine, scheme), cell)| {
-                format!(
-                    "    {{\"protocol\": \"{protocol}\", \"n\": {n}, \"t\": {t}, \
-                     \"engine\": \"{engine}\", \"scheme\": \"{scheme}\", \"wall_us\": {}, \
-                     \"messages\": {}, \"bytes\": {}, \"comm_rounds\": {}, \"key_allocs\": {}, \
-                     \"runs\": {}}}",
-                    cell.wall_us,
-                    cell.messages,
-                    cell.bytes,
-                    cell.comm_rounds,
-                    cell.key_allocs,
-                    cell.runs
-                )
+                obj(vec![
+                    ("protocol", Str(protocol.clone())),
+                    ("n", int(*n)),
+                    ("t", int(*t)),
+                    ("engine", Str(engine.clone())),
+                    ("scheme", Str(scheme.clone())),
+                    ("wall_us", Int(cell.wall_us as i128)),
+                    ("messages", int(cell.messages)),
+                    ("bytes", int(cell.bytes)),
+                    ("comm_rounds", int(cell.comm_rounds)),
+                    ("key_allocs", int(cell.key_allocs)),
+                    ("runs", int(cell.runs)),
+                ])
             })
             .collect();
-        out.push_str(&rows.join(",\n"));
-        out.push_str("\n  ]\n}\n");
-        out
+        obj(vec![
+            ("schema", Str("lafd-serve-v1".into())),
+            ("service", service),
+            ("results", Arr(results)),
+        ])
+        .to_json()
     }
 
     /// Render Prometheus text exposition: HELP/TYPE-annotated counters,
@@ -998,6 +994,8 @@ mod tests {
         wire::response_from_json(&service.submit_line(&line)).unwrap();
         let raw = service.shutdown();
         let metrics = Value::parse(&raw).unwrap();
+        // One line, exactly as the socket's `{"op": "metrics"}` reply.
+        assert_eq!(metrics.to_json(), raw);
         let svc = metrics.get("service").unwrap();
         assert!(svc.get("p50_us").unwrap().is_null(), "one sample -> null");
         assert!(svc.get("p99_us").unwrap().is_null(), "one sample -> null");

@@ -20,7 +20,7 @@
 //!   [`Session::messages_spent`].
 //!
 //! Every layer above the core — the sweep matrix, the scheduler search,
-//! the fd-bench experiments, the `lafd` CLI, and the examples — executes
+//! the fd-bench experiment tables, the `lafd` CLI, and the examples — executes
 //! protocols through this entry point; there are no per-protocol
 //! `Cluster::run_*` methods.
 //!

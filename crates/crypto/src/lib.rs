@@ -34,7 +34,8 @@
 //! name-embedding rule checked by Theorem 4.
 //!
 //! Everything is deterministic given a seed, which is what makes the
-//! experiment tables in `EXPERIMENTS.md` reproducible bit-for-bit.
+//! experiment tables (`cargo run -p fd-bench --bin report`, printed to
+//! stdout) reproducible bit-for-bit.
 //!
 //! ## Example
 //!

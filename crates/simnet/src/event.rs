@@ -35,7 +35,7 @@
 
 use crate::fault::{FaultPlan, LinkFault};
 use crate::node::OutOp;
-use crate::{Envelope, NetStats, Node, NodeId, Outbox, Payload, Trace};
+use crate::{Envelope, NetStats, Node, NodeId, Outbox, Payload};
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::sync::Arc;
@@ -645,7 +645,6 @@ pub struct EventNetwork {
     seq: u64,
     round: u32,
     stats: NetStats,
-    trace: Option<Trace>,
     faults: FaultPlan,
     latency: Box<dyn LatencyModel>,
     rushing: Vec<NodeId>,
@@ -702,7 +701,6 @@ impl EventNetwork {
             seq: 0,
             round: 0,
             stats: NetStats::new(n),
-            trace: None,
             faults: FaultPlan::new(),
             latency: Box::new(Synchronous),
             rushing: Vec::new(),
@@ -781,11 +779,6 @@ impl EventNetwork {
         self.delay_log.as_deref()
     }
 
-    /// Enable message tracing with the given capacity.
-    pub fn enable_trace(&mut self, cap: usize) {
-        self.trace = Some(Trace::with_capacity(cap));
-    }
-
     /// Install a link-fault plan (timing and N1 violations for tests).
     pub fn set_fault_plan(&mut self, plan: FaultPlan) {
         self.faults = plan;
@@ -835,11 +828,6 @@ impl EventNetwork {
     /// Statistics so far.
     pub fn stats(&self) -> &NetStats {
         &self.stats
-    }
-
-    /// The trace, if tracing was enabled.
-    pub fn trace(&self) -> Option<&Trace> {
-        self.trace.as_ref()
     }
 
     /// Borrow a node.
@@ -1037,12 +1025,11 @@ impl EventNetwork {
     ) {
         let n = self.nodes.len();
         // Per-message machinery that the compressed path cannot feed:
-        // faults (per-link lookups), tracing, delay logging/overrides
+        // faults (per-link lookups), delay logging/overrides
         // (send-index keyed), rushing previews, and the reference
         // scheduler itself.
         let fast_eligible = !self.reference_scheduler
             && self.faults.is_empty()
-            && self.trace.is_none()
             && self.delay_log.is_none()
             && self.delay_overrides.is_empty()
             && self.rushing.is_empty();
@@ -1127,9 +1114,6 @@ impl EventNetwork {
             payload,
         };
         self.stats.record_send(from, round, env.wire_len());
-        if let Some(trace) = self.trace.as_mut() {
-            trace.record(&env);
-        }
         let mut delay = self
             .delay_overrides
             .get(&self.sent)
@@ -1808,13 +1792,8 @@ mod tests {
     #[test]
     fn fast_path_disengages_per_observable_feature() {
         // Per-message-observable features force the expanded path; the
-        // witness is one trace record / log entry per *logical* message,
-        // which a compressed broadcast could not produce.
-        let mut net = EventNetwork::new(echo_nodes(3));
-        net.enable_trace(16);
-        net.run_until_done(6);
-        assert_eq!(net.trace().unwrap().events().len(), 6);
-
+        // witness is one log entry per *logical* message, which a
+        // compressed broadcast could not produce.
         let mut net = EventNetwork::new(echo_nodes(3));
         net.enable_delay_log();
         net.run_until_done(6);

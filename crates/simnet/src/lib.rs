@@ -70,7 +70,6 @@ mod network;
 mod node;
 mod payload;
 mod stats;
-mod trace;
 pub mod transport;
 
 pub use envelope::Envelope;
@@ -82,4 +81,3 @@ pub use network::SyncNetwork;
 pub use node::{Node, Outbox};
 pub use payload::Payload;
 pub use stats::NetStats;
-pub use trace::{Trace, TraceEvent};

@@ -1,7 +1,7 @@
 //! The deterministic round-synchronous simulator.
 
 use crate::fault::{FaultPlan, LinkFault};
-use crate::{Envelope, NetStats, Node, NodeId, Outbox, Trace};
+use crate::{Envelope, NetStats, Node, NodeId, Outbox};
 
 /// Round-synchronous network simulator (paper §2 model).
 ///
@@ -19,7 +19,6 @@ pub struct SyncNetwork {
     delayed: Vec<(u32, Envelope)>,
     round: u32,
     stats: NetStats,
-    trace: Option<Trace>,
     faults: FaultPlan,
     /// Nodes with rushing power (see [`SyncNetwork::set_rushing`]).
     rushing: Vec<NodeId>,
@@ -56,18 +55,12 @@ impl SyncNetwork {
             delayed: Vec::new(),
             round: 0,
             stats: NetStats::new(n),
-            trace: None,
             faults: FaultPlan::new(),
             rushing: Vec::new(),
             round_marks: None,
             marks_epoch: None,
             max_queue_depth: 0,
         }
-    }
-
-    /// Enable message tracing with the given capacity.
-    pub fn enable_trace(&mut self, cap: usize) {
-        self.trace = Some(Trace::with_capacity(cap));
     }
 
     /// Enable end-of-round timestamping. The sync engine has no virtual
@@ -132,11 +125,6 @@ impl SyncNetwork {
     /// Statistics so far.
     pub fn stats(&self) -> &NetStats {
         &self.stats
-    }
-
-    /// The trace, if tracing was enabled.
-    pub fn trace(&self) -> Option<&Trace> {
-        self.trace.as_ref()
     }
 
     /// Borrow a node.
@@ -248,9 +236,6 @@ impl SyncNetwork {
                     payload,
                 };
                 self.stats.record_send(from, round, env.wire_len());
-                if let Some(trace) = self.trace.as_mut() {
-                    trace.record(&env);
-                }
                 self.in_flight.push(env);
             }
         }
@@ -536,16 +521,6 @@ mod tests {
             seen: Vec::new(),
         })];
         let _ = SyncNetwork::new(nodes);
-    }
-
-    #[test]
-    fn trace_records_messages() {
-        let mut net = echo_net(3);
-        net.enable_trace(100);
-        net.run_until_done(5);
-        let trace = net.trace().unwrap();
-        assert_eq!(trace.events().len(), 6);
-        assert_eq!(trace.dropped(), 0);
     }
 
     #[test]

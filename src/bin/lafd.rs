@@ -40,11 +40,6 @@
 //!               [--engines sync,event] [--latencies sync,jitter:1,psync:2:1]
 //!               [--link-latency FROM:TO:MODEL[:ARG]] [--search N[:STRATEGY]]
 //!               [--remote ADDR] [--threads N] [--json PATH] [--md PATH]
-//! lafd bench    [--quick] [--out BENCH_5.json] [--sizes 256,1024,2048,4096]
-//!               [--t 1] [--seed 1] [--protocols chain,ds] [--engines sync,event]
-//!               [--label PR7] [--cluster-sizes 4,8]   # multi-process cells
-//! lafd report   [FILES...] [--md PATH] [--html PATH] [--fresh]
-//!               # bench trajectory over committed BENCH_*.json baselines
 //! ```
 //!
 //! Every subcommand that executes a protocol run goes through one request
@@ -57,27 +52,24 @@
 
 use local_auth_fd::core::adversary::AdversarySpec;
 use local_auth_fd::core::metrics;
-use local_auth_fd::core::report::{parse_bench_doc, BenchCell, BenchDoc, TrendReport};
-use local_auth_fd::core::runner::{Cluster, FdRunReport};
+use local_auth_fd::core::runner::FdRunReport;
 use local_auth_fd::core::schedsearch::{run_search_parallel, SearchConfig, Strategy};
 use local_auth_fd::core::service::{FdService, MetricsFormat, ServiceConfig};
-use local_auth_fd::core::spec::{Protocol, RunSpec, Session, SpecBuilder};
+use local_auth_fd::core::spec::{Protocol, Session, SpecBuilder};
 use local_auth_fd::core::sweep::{
     classify, run_sweep_with, AdversaryKind, FaultRule, LocalExecutor, Scenario, ScenarioExecutor,
     SchemeSpec, SearchAxis, SweepMatrix, SweepOutcome,
 };
 use local_auth_fd::core::wire;
-use local_auth_fd::crypto::SchnorrScheme;
 use local_auth_fd::simnet::fault::LinkFault;
 use local_auth_fd::simnet::transport::chaos::ChaosSpec;
 use local_auth_fd::simnet::{Engine, LatencySpec, LinkLatencySpec, NodeId};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::process::ExitCode;
-use std::sync::Arc;
 
 fn usage() {
     eprintln!(
-        "usage: lafd <run|serve|search|sweep|bench|report|cluster|chaos|registry> ...\n\
+        "usage: lafd <run|serve|search|sweep|cluster|chaos|registry> ...\n\
          run: lafd run <chain|nonauth|small|ba|degrade|ds|king> [-n N] [--t T] [--seed S] \
          [--scheme tiny|s512|s1024|s2048|dsa512|dsa1024|rsa512|rsa1024] [--value V] \
          [--engine sync|event] [--latency sync|fixed:D|jitter:E|psync:GST:E] \
@@ -95,10 +87,6 @@ fn usage() {
          [--adversaries LIST] [--schemes LIST] [--seeds LIST] [--engines LIST] \
          [--latencies LIST] [--link-latency SPEC] [--search N[:STRATEGY]] \
          [--remote HOST:PORT] [--threads N] [--json PATH] [--md PATH]\n\
-         bench: lafd bench [--quick] [--out PATH] [--sizes LIST] [--t T] [--seed S] \
-         [--protocols chain,ds] [--engines sync,event] [--label NAME] [--cluster-sizes LIST]\n\
-         report: lafd report [FILES...] [--md PATH] [--html PATH] [--fresh] \
-         (defaults to BENCH_*.json in the current directory)\n\
          cluster: lafd cluster <chain|nonauth|small|ba|degrade|ds|king> [-n N] [--t T] \
          [--seed S] [--scheme NAME] [--value V] [--adversary KIND[:NODES]] [--crash I] \
          [--latency SPEC] [--io-deadline-secs S] [--round-wall-us U] [--chaos SPEC] \
@@ -125,8 +113,6 @@ fn main() -> ExitCode {
         "run" => cmd_run(rest),
         "serve" => cmd_serve(rest),
         "search" => cmd_search(rest),
-        "bench" => cmd_bench(rest),
-        "report" => cmd_report(rest),
         "registry" => cmd_registry(rest),
         "cluster" => cmd_cluster(rest),
         "cluster-worker" => cmd_cluster_worker(rest),
@@ -634,22 +620,15 @@ fn dispatch_line(
     if let Ok(value) = wire::Value::parse(request) {
         if let Some(op) = value.get("op").and_then(wire::Value::as_str) {
             return match op {
-                // JSON metrics are compacted onto one line to fit the
+                // JSON metrics are one line, which fits the
                 // newline-delimited reply framing; Prometheus text is
                 // inherently multi-line and ends with a `# EOF` line so
                 // line-framed clients know where the document stops.
-                "metrics" => {
-                    let format = value
-                        .get("format")
-                        .and_then(wire::Value::as_str)
-                        .map_or(Ok(MetricsFormat::Json), MetricsFormat::parse);
-                    match format {
-                        Ok(MetricsFormat::Json) => wire::Value::parse(&service.metrics_json())
-                            .map_or_else(|e| wire::error_to_json(None, &e), |v| v.to_json()),
-                        Ok(MetricsFormat::Prometheus) => service.metrics_prometheus(),
-                        Err(e) => wire::error_to_json(None, &e),
-                    }
-                }
+                "metrics" => value
+                    .get("format")
+                    .and_then(wire::Value::as_str)
+                    .map_or(Ok(MetricsFormat::Json), MetricsFormat::parse)
+                    .map_or_else(|e| wire::error_to_json(None, &e), |f| service.metrics_in(f)),
                 "shutdown" => {
                     stop.store(true, std::sync::atomic::Ordering::SeqCst);
                     "{\"ok\": true, \"draining\": true}".to_string()
@@ -950,8 +929,8 @@ fn cmd_serve(args: &[String]) -> ExitCode {
             Err(e) => Err(format!("reading stdin: {e}")),
         }
     };
-    // Drain every in-flight run, then report service-lifetime metrics in
-    // the bench-compatible shape (or Prometheus text exposition).
+    // Drain every in-flight run, then report service-lifetime metrics as
+    // `lafd-serve-v1` JSON (or Prometheus text exposition).
     let metrics = service.shutdown_with(opts.metrics_format);
     let wrote = match &opts.metrics {
         Some(path) => std::fs::write(path, &metrics)
@@ -2173,439 +2152,4 @@ fn cmd_sweep(args: &[String]) -> ExitCode {
         );
         ExitCode::FAILURE
     }
-}
-
-/// Configuration of one `lafd bench` invocation.
-struct BenchOpts {
-    sizes: Vec<usize>,
-    t: usize,
-    seed: u64,
-    protocols: Vec<Protocol>,
-    engines: Vec<Engine>,
-    quick: bool,
-    out: String,
-    label: Option<String>,
-    /// `--cluster-sizes LIST`: also measure chain FD end-to-end through
-    /// `lafd cluster` (one OS process per node over the registry and the
-    /// non-blocking socket mesh) at these sizes, recorded as
-    /// `engine: "cluster"` cells.
-    cluster_sizes: Vec<usize>,
-}
-
-fn parse_bench(args: &[String]) -> Result<BenchOpts, String> {
-    let mut opts = BenchOpts {
-        sizes: vec![256, 1024, 2048, 4096],
-        t: 1,
-        seed: 1,
-        protocols: vec![Protocol::ChainFd, Protocol::DolevStrong],
-        engines: vec![Engine::Sync, Engine::Event],
-        quick: false,
-        out: "BENCH_5.json".to_string(),
-        label: None,
-        cluster_sizes: Vec::new(),
-    };
-    let mut sizes_given = false;
-    let mut out_given = false;
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut grab = || {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("flag {flag} needs a value"))
-        };
-        match flag.as_str() {
-            "--quick" => opts.quick = true,
-            "--out" => {
-                opts.out = grab()?;
-                out_given = true;
-            }
-            "--t" => opts.t = grab()?.parse().map_err(|e| format!("--t: {e}"))?,
-            "--seed" => opts.seed = grab()?.parse().map_err(|e| format!("--seed: {e}"))?,
-            "--sizes" => {
-                opts.sizes = parse_list(&grab()?, "sizes", |s| {
-                    let n: usize = s.parse().map_err(|e| format!("--sizes: {e}"))?;
-                    if n > u16::MAX as usize {
-                        return Err(format!("--sizes: {n} exceeds the node-id range"));
-                    }
-                    Ok(n)
-                })?;
-                sizes_given = true;
-            }
-            "--protocols" => {
-                opts.protocols = parse_list(&grab()?, "protocols", Protocol::parse)?;
-            }
-            "--engines" => opts.engines = parse_list(&grab()?, "engines", Engine::parse)?,
-            "--label" => opts.label = Some(grab()?),
-            "--cluster-sizes" => {
-                opts.cluster_sizes = parse_list(&grab()?, "cluster-sizes", |s| {
-                    let n: usize = s.parse().map_err(|e| format!("--cluster-sizes: {e}"))?;
-                    if n > 64 {
-                        return Err(format!(
-                            "--cluster-sizes: {n} processes is unreasonable for one host"
-                        ));
-                    }
-                    Ok(n)
-                })?;
-            }
-            other => return Err(format!("unknown bench flag {other}")),
-        }
-    }
-    if opts.quick && !sizes_given {
-        opts.sizes = vec![64, 256];
-    }
-    // A quick run must not silently replace the committed full-matrix
-    // baseline; it gets its own default output file.
-    if opts.quick && !out_given {
-        opts.out = "bench-quick.json".to_string();
-    }
-    for &n in opts.sizes.iter().chain(&opts.cluster_sizes) {
-        if opts.t + 2 > n {
-            return Err(format!("bench size {n} needs t + 2 <= n (t = {})", opts.t));
-        }
-        for &p in &opts.protocols {
-            if !p.admissible(n, opts.t) {
-                return Err(format!(
-                    "protocol {p} inadmissible at n = {n}, t = {}",
-                    opts.t
-                ));
-            }
-        }
-    }
-    Ok(opts)
-}
-
-/// The `lafd bench` matrix: `{protocol} × {n} × {engine}` protocol runs on
-/// trusted-dealer stores (the setup phase is excluded so the numbers
-/// isolate the message/verification hot path), with wall time, message and
-/// byte counts, and the distinct key-store allocation count recorded as
-/// machine-readable JSON (the committed `BENCH_5.json` baseline).
-fn cmd_bench(args: &[String]) -> ExitCode {
-    let opts = match parse_bench(args) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("error: {e}");
-            usage();
-            return ExitCode::FAILURE;
-        }
-    };
-    // Process warm-up (allocator, page cache, lazy statics) so the first
-    // measured cell is not systematically inflated.
-    {
-        let warm = Cluster::new(64, 1, Arc::new(SchnorrScheme::test_tiny()), opts.seed);
-        let kd = warm.dealer_keydist();
-        let mut session = Session::with_keydist(warm, kd);
-        let _ = session.run(&RunSpec::new(Protocol::ChainFd, b"warm-up".to_vec()));
-    }
-    let mut results = Vec::new();
-    for &protocol in &opts.protocols {
-        for &n in &opts.sizes {
-            for &engine in &opts.engines {
-                let cluster =
-                    Cluster::new(n, opts.t, Arc::new(SchnorrScheme::test_tiny()), opts.seed)
-                        .with_engine(engine);
-                // Dealer stores: one shared predicate table, zero setup
-                // messages — the run isolates the protocol hot path.
-                let kd = cluster.dealer_keydist();
-                let key_allocs = kd
-                    .predicates
-                    .as_ref()
-                    .map_or(0, |table| table.distinct_allocations());
-                let mut session = Session::with_keydist(cluster, kd);
-                let spec = RunSpec::new(protocol, b"bench-value".to_vec())
-                    .with_default_value(b"bench-default".to_vec());
-                let start = std::time::Instant::now();
-                let run = session.run(&spec);
-                let wall = start.elapsed();
-                if !run.all_decided(b"bench-value") {
-                    eprintln!(
-                        "error: bench cell {protocol}/n={n}/{engine} did not decide the value"
-                    );
-                    return ExitCode::FAILURE;
-                }
-                let expected = protocol.expected_messages(n, opts.t);
-                if run.stats.messages_total != expected {
-                    eprintln!(
-                        "error: bench cell {protocol}/n={n}/{engine} sent {} messages, formula says {expected}",
-                        run.stats.messages_total
-                    );
-                    return ExitCode::FAILURE;
-                }
-                eprintln!(
-                    "bench: {protocol:>12} n={n:<5} {engine:<5} {:>10.2?}  {} msgs, {} bytes, {key_allocs} key allocs",
-                    wall, run.stats.messages_total, run.stats.bytes_total
-                );
-                results.push(format!(
-                    "    {{\"protocol\": \"{}\", \"n\": {}, \"t\": {}, \"engine\": \"{}\", \
-                     \"scheme\": \"tiny\", \"wall_us\": {}, \"messages\": {}, \"bytes\": {}, \
-                     \"comm_rounds\": {}, \"key_allocs\": {}}}",
-                    protocol.name(),
-                    n,
-                    opts.t,
-                    engine.name(),
-                    wall.as_micros(),
-                    run.stats.messages_total,
-                    run.stats.bytes_total,
-                    run.stats.per_round.iter().filter(|&&x| x > 0).count(),
-                    key_allocs,
-                ));
-            }
-        }
-    }
-    // The live-socket column: chain FD through `lafd cluster`, i.e. one
-    // OS process per node over the discovery registry and the
-    // non-blocking mesh. Wall time is deliberately end-to-end (process
-    // spawn, registry barrier, socket keydist, protocol, aggregation) —
-    // that is the number a deployment pays; the message/byte/round
-    // counters come from the aggregated report and stay byte-identical
-    // to the in-process engines.
-    for &n in &opts.cluster_sizes {
-        let exe = std::env::current_exe().expect("current_exe");
-        let start = std::time::Instant::now();
-        let out = std::process::Command::new(&exe)
-            .args([
-                "cluster",
-                "chain",
-                "-n",
-                &n.to_string(),
-                "--seed",
-                &opts.seed.to_string(),
-                "--t",
-                &opts.t.to_string(),
-                "--value",
-                "bench-value",
-            ])
-            .output();
-        let wall = start.elapsed();
-        let out = match out {
-            Ok(out) if out.status.success() => out,
-            Ok(out) => {
-                eprintln!(
-                    "error: bench cell chain_fd/n={n}/cluster failed: {}",
-                    String::from_utf8_lossy(&out.stderr)
-                );
-                return ExitCode::FAILURE;
-            }
-            Err(e) => {
-                eprintln!("error: bench cell chain_fd/n={n}/cluster: spawn: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let stdout = String::from_utf8_lossy(&out.stdout);
-        let report = match wire::report_from_json(stdout.lines().last().unwrap_or_default()) {
-            Ok(report) => report,
-            Err(e) => {
-                eprintln!("error: bench cell chain_fd/n={n}/cluster: bad report: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        if !report.all_decided(b"bench-value") {
-            eprintln!("error: bench cell chain_fd/n={n}/cluster did not decide the value");
-            return ExitCode::FAILURE;
-        }
-        let expected = Protocol::ChainFd.expected_messages(n, opts.t);
-        if report.stats.messages_total != expected {
-            eprintln!(
-                "error: bench cell chain_fd/n={n}/cluster sent {} messages, formula says {expected}",
-                report.stats.messages_total
-            );
-            return ExitCode::FAILURE;
-        }
-        eprintln!(
-            "bench: {:>12} n={n:<5} {:<5} {:>10.2?}  {} msgs, {} bytes (end-to-end, {} processes)",
-            "chain_fd",
-            "cluster",
-            wall,
-            report.stats.messages_total,
-            report.stats.bytes_total,
-            n + 1,
-        );
-        results.push(format!(
-            "    {{\"protocol\": \"chain_fd\", \"n\": {}, \"t\": {}, \"engine\": \"cluster\", \
-             \"scheme\": \"tiny\", \"wall_us\": {}, \"messages\": {}, \"bytes\": {}, \
-             \"comm_rounds\": {}, \"key_allocs\": {}}}",
-            n,
-            opts.t,
-            wall.as_micros(),
-            report.stats.messages_total,
-            report.stats.bytes_total,
-            report.stats.per_round.iter().filter(|&&x| x > 0).count(),
-            n,
-        ));
-    }
-    let label = opts
-        .label
-        .as_ref()
-        .map(|l| format!("  \"label\": \"{l}\",\n"))
-        .unwrap_or_default();
-    let json = format!(
-        "{{\n  \"schema\": \"lafd-bench-v1\",\n{label}  \"git_rev\": \"{}\",\n  \
-         \"quick\": {},\n  \"seed\": {},\n  \"results\": [\n{}\n  ]\n}}\n",
-        git_short_rev(),
-        opts.quick,
-        opts.seed,
-        results.join(",\n")
-    );
-    if let Err(e) = std::fs::write(&opts.out, &json) {
-        eprintln!("error: writing {}: {e}", opts.out);
-        return ExitCode::FAILURE;
-    }
-    eprintln!("bench: {} cells written to {}", results.len(), opts.out);
-    ExitCode::SUCCESS
-}
-
-/// The short git revision of the working tree, or `"unknown"` when git is
-/// unavailable (e.g. running from an unpacked tarball).
-fn git_short_rev() -> String {
-    std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
-        .output()
-        .ok()
-        .filter(|out| out.status.success())
-        .and_then(|out| String::from_utf8(out.stdout).ok())
-        .map(|rev| rev.trim().to_string())
-        .filter(|rev| !rev.is_empty())
-        .unwrap_or_else(|| "unknown".to_string())
-}
-
-/// Parsed `lafd report` flags: explicit baseline files (default: scan the
-/// current directory for `BENCH_*.json`), output paths, and whether to
-/// append a fresh in-process measurement column.
-struct ReportOpts {
-    files: Vec<String>,
-    md_path: Option<String>,
-    html_path: Option<String>,
-    fresh: bool,
-}
-
-fn parse_report(args: &[String]) -> Result<ReportOpts, String> {
-    let mut opts = ReportOpts {
-        files: Vec::new(),
-        md_path: None,
-        html_path: None,
-        fresh: false,
-    };
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut grab = || {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("flag {arg} needs a value"))
-        };
-        match arg.as_str() {
-            "--md" => opts.md_path = Some(grab()?),
-            "--html" => opts.html_path = Some(grab()?),
-            "--fresh" => opts.fresh = true,
-            flag if flag.starts_with("--") => return Err(format!("unknown report flag {flag}")),
-            file => opts.files.push(file.to_string()),
-        }
-    }
-    if opts.files.is_empty() {
-        let dir = std::fs::read_dir(".").map_err(|e| format!("scanning current dir: {e}"))?;
-        for entry in dir.flatten() {
-            let name = entry.file_name().to_string_lossy().to_string();
-            if name.starts_with("BENCH_") && name.ends_with(".json") {
-                opts.files.push(name);
-            }
-        }
-        opts.files.sort();
-        if opts.files.is_empty() && !opts.fresh {
-            return Err(
-                "no BENCH_*.json baselines in the current directory (pass files or --fresh)"
-                    .to_string(),
-            );
-        }
-    }
-    Ok(opts)
-}
-
-/// Measure a fresh quick-bench column in process: one clean run per
-/// `{chain,ds} × {64,256} × {sync,event}` cell on dealer stores, the same
-/// hot path `lafd bench --quick` isolates.
-fn fresh_bench_cells() -> Vec<BenchCell> {
-    let mut cells = Vec::new();
-    for protocol in [Protocol::ChainFd, Protocol::DolevStrong] {
-        for n in [64usize, 256] {
-            for engine in [Engine::Sync, Engine::Event] {
-                let cluster =
-                    Cluster::new(n, 1, Arc::new(SchnorrScheme::test_tiny()), 1).with_engine(engine);
-                let kd = cluster.dealer_keydist();
-                let mut session = Session::with_keydist(cluster, kd);
-                let start = std::time::Instant::now();
-                let run = session.run(&RunSpec::new(protocol, b"bench-value".to_vec()));
-                cells.push(BenchCell {
-                    protocol: protocol.name().to_string(),
-                    n: n as u64,
-                    engine: engine.name().to_string(),
-                    wall_us: u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX),
-                    messages: run.stats.messages_total as u64,
-                    bytes: run.stats.bytes_total as u64,
-                });
-            }
-        }
-    }
-    cells
-}
-
-/// `lafd report`: render the bench trajectory over committed
-/// `BENCH_*.json` baselines (markdown to stdout; `--md`/`--html` files on
-/// request), optionally appending a fresh in-process column.
-fn cmd_report(args: &[String]) -> ExitCode {
-    let opts = match parse_report(args) {
-        Ok(opts) => opts,
-        Err(e) => {
-            eprintln!("error: {e}");
-            usage();
-            return ExitCode::FAILURE;
-        }
-    };
-    let mut docs = Vec::new();
-    for path in &opts.files {
-        let raw = match std::fs::read_to_string(path) {
-            Ok(raw) => raw,
-            Err(e) => {
-                eprintln!("error: reading {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let stem = std::path::Path::new(path)
-            .file_stem()
-            .map_or_else(|| path.clone(), |s| s.to_string_lossy().to_string());
-        match parse_bench_doc(&stem, &raw) {
-            Ok(doc) => docs.push(doc),
-            Err(e) => {
-                eprintln!("error: {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    if opts.fresh {
-        eprintln!("report: measuring a fresh quick-bench column");
-        docs.push(BenchDoc::from_cells(
-            "fresh".to_string(),
-            Some(git_short_rev()),
-            fresh_bench_cells(),
-        ));
-    }
-    let report = TrendReport::new(docs);
-    eprintln!(
-        "report: {} baseline column(s), {} cell delta(s)",
-        report.docs().len(),
-        report.delta_count()
-    );
-    print!("{}", report.to_markdown());
-    if let Some(path) = &opts.md_path {
-        if let Err(e) = std::fs::write(path, report.to_markdown()) {
-            eprintln!("error: writing {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        eprintln!("report: markdown written to {path}");
-    }
-    if let Some(path) = &opts.html_path {
-        if let Err(e) = std::fs::write(path, report.to_html()) {
-            eprintln!("error: writing {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        eprintln!("report: HTML written to {path}");
-    }
-    ExitCode::SUCCESS
 }

@@ -47,8 +47,9 @@
 //! assert_eq!(session.keydist_runs(), 1);
 //! ```
 //!
-//! See `examples/` for runnable scenarios and `EXPERIMENTS.md` for the
-//! reproduction of every quantitative claim in the paper.
+//! See `examples/` for runnable scenarios; the tables reproducing every
+//! quantitative claim in the paper print to stdout via
+//! `cargo run -p fd-bench --bin report`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

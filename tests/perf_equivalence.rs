@@ -10,8 +10,12 @@
 //! * Sweep reports stay byte-deterministic across repeats and thread
 //!   counts on both engines.
 //! * The large-`n` key-store memory profile is `O(n)` distinct key
-//!   allocations (the ROADMAP item this PR closes), asserted by counting
-//!   shared-table reference counts at n = 2048.
+//!   allocations, asserted by counting shared-table reference counts at
+//!   n = 2048.
+//! * The exact counters of one protocol run on dealer stores — messages,
+//!   bytes, communication rounds, distinct key allocations — for chain FD
+//!   and Dolev–Strong on both engines at n = 256, plus Dolev–Strong at
+//!   n = 8192 as an ignored large-`n` stress test.
 
 use local_auth_fd::core::adversary::{AdversaryKind, AdversarySpec};
 use local_auth_fd::core::keys::KeyStore;
@@ -248,4 +252,62 @@ fn n2048_key_stores_are_built_from_linear_distinct_allocations() {
         .and_then(|kd| kd.predicates.clone())
         .expect("table survives the session");
     assert_eq!(table.distinct_allocations(), n, "runs allocate no keys");
+}
+
+/// The counters of one run on dealer stores (zero setup messages, one
+/// shared predicate table), at seed 1 and t = 1 with tiny Schnorr keys:
+/// `(messages, bytes, communication rounds, distinct key allocations)`.
+/// Every node must decide the sent value, in a run whose message count
+/// matches the closed form.
+fn dealer_run_counters(protocol: Protocol, n: usize, engine: Engine) -> [usize; 4] {
+    let t = 1;
+    let c = Cluster::new(n, t, Arc::new(SchnorrScheme::test_tiny()), 1).with_engine(engine);
+    let kd = c.dealer_keydist();
+    let key_allocs = kd
+        .predicates
+        .as_ref()
+        .expect("dealer keydist shares")
+        .distinct_allocations();
+    let mut session = Session::with_keydist(c, kd);
+    let spec = RunSpec::new(protocol, b"bench-value".to_vec())
+        .with_default_value(b"bench-default".to_vec());
+    let run = session.run(&spec);
+    assert!(run.all_decided(b"bench-value"), "{protocol} n={n} {engine}");
+    assert_eq!(
+        run.stats.messages_total,
+        protocol.expected_messages(n, t),
+        "{protocol} n={n} {engine}: closed form"
+    );
+    let comm_rounds = run.stats.per_round.iter().filter(|&&m| m > 0).count();
+    [
+        run.stats.messages_total,
+        run.stats.bytes_total,
+        comm_rounds,
+        key_allocs,
+    ]
+}
+
+#[test]
+fn dealer_run_counters_are_exact_at_n256() {
+    for engine in [Engine::Sync, Engine::Event] {
+        assert_eq!(
+            dealer_run_counters(Protocol::ChainFd, 256, engine),
+            [255, 17_322, 2, 256],
+            "chain FD on {engine}"
+        );
+        assert_eq!(
+            dealer_run_counters(Protocol::DolevStrong, 256, engine),
+            [65_280, 4_434_450, 2, 256],
+            "Dolev–Strong on {engine}"
+        );
+    }
+}
+
+#[test]
+#[ignore = "large-n stress; run with --release -- --ignored"]
+fn dealer_run_counters_are_exact_for_ds_at_n8192() {
+    assert_eq!(
+        dealer_run_counters(Protocol::DolevStrong, 8192, Engine::Event),
+        [67_100_672, 4_562_698_258, 2, 8192]
+    );
 }

@@ -99,7 +99,7 @@ fn two_hundred_mixed_runs_on_two_shards_pay_exactly_two_keydists() {
     assert_eq!(svc.get("evictions").unwrap().as_int(), Some(0));
     assert!(svc.get("p50_us").unwrap().as_int().unwrap() > 0);
     assert!(svc.get("p99_us").unwrap().as_int().unwrap() > 0);
-    // The per-cell rows stay bench-shaped and account for every run.
+    // The per-cell rows account for every run.
     let rows = metrics.get("results").unwrap().as_arr().unwrap();
     let total: i128 = rows
         .iter()

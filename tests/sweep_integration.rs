@@ -149,3 +149,16 @@ fn cli_sweep_rejects_unknown_flags() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("unknown sweep flag"), "stderr: {stderr}");
 }
+
+/// The measuring subcommands are gone (the repo benchmark and the
+/// counter tests in `perf_equivalence.rs` replace them): each exits 1
+/// with `unknown command` on stderr.
+#[test]
+fn cli_rejects_retired_measuring_subcommands() {
+    for args in [&["bench", "--quick"][..], &["report"][..]] {
+        let out = lafd().args(args).output().expect("run lafd");
+        assert_eq!(out.status.code(), Some(1), "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("unknown command"), "{args:?}: {stderr}");
+    }
+}
