@@ -233,6 +233,12 @@ impl AdversarySpec {
         }
     }
 
+    /// The kind's name without the corrupt set (`none`, `silent`, …, or
+    /// `custom`) — the adversary column of sweep and search reports.
+    pub fn kind_name(&self) -> &'static str {
+        self.kind().map_or("custom", AdversaryKind::name)
+    }
+
     /// The declared corrupt set (empty for honest and custom specs — a
     /// custom closure decides per node at execution time).
     pub fn corrupt_set(&self) -> Vec<NodeId> {

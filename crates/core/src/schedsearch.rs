@@ -5,8 +5,10 @@
 //! adversary, but a sweep ([`crate::sweep`]) only samples fixed latency
 //! models: every row draws its delivery schedule from a seeded
 //! distribution and nobody *searches* for the schedule that breaks
-//! agreement. This module adds that search. Within the admissible envelope
-//! of a [`LatencySpec`] (see [`LatencySpec::tick_bounds`]) it explores
+//! agreement. This module adds that search. It attacks one run, described
+//! like a sweep row by a [`SpecBuilder`] ([`SearchConfig::spec`]). Within
+//! the admissible envelope of the run's [`LatencySpec`] (see
+//! [`LatencySpec::tick_bounds`]) it explores
 //! per-message delivery-time assignments, maximizing a lexicographic
 //! scoring objective:
 //!
@@ -31,7 +33,8 @@
 //! [`EventNetwork::set_delay_overrides`] on a fresh network re-executes
 //! the schedule byte-for-byte — [`run_search`] verifies this for the best
 //! certificate it returns ([`SearchReport::replay_ok`]), and [`replay`]
-//! lets tests and the CLI re-check any certificate independently.
+//! lets tests re-check any certificate independently. The best one is
+//! published as the `best` object of [`SearchReport::to_json`].
 //!
 //! Schedule-search runs are classified like *timing-faulted* rows: the
 //! scheduler violates the paper's N1 timing by construction, so FD→BA
@@ -54,8 +57,9 @@
 //! ```
 
 use crate::pool;
-use crate::runner::{Cluster, FdRunReport, KeyDistReport, Schedule};
-use crate::sweep::{classify, AdversaryKind, Protocol, Scenario, SchemeSpec, SweepOutcome};
+use crate::runner::{FdRunReport, KeyDistReport, Schedule};
+use crate::spec::SpecBuilder;
+use crate::sweep::{classify, scenario, Protocol, SweepOutcome};
 use fd_simnet::{Engine, LatencySpec};
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
@@ -168,26 +172,15 @@ impl fmt::Display for Score {
     }
 }
 
-/// A fully specified search: one scenario shape plus a strategy and a
+/// A fully specified search: the run under attack plus a strategy and a
 /// budget of protocol executions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct SearchConfig {
-    /// Protocol under attack.
-    pub protocol: Protocol,
-    /// System size.
-    pub n: usize,
-    /// Fault budget (shapes the protocol, not the scheduler).
-    pub t: usize,
-    /// Signature scheme.
-    pub scheme: SchemeSpec,
-    /// Seed for key material, the base latency model, *and* the search's
-    /// own randomness — one seed makes the whole search replayable.
-    pub seed: u64,
-    /// The latency envelope the scheduler must stay within.
-    pub latency: LatencySpec,
-    /// Optional byzantine node injected alongside the adversarial
-    /// scheduler (default: none — the scheduler is the only adversary).
-    pub adversary: AdversaryKind,
+    /// The run under attack, on the event engine. Its latency is the
+    /// envelope the scheduler must stay within, and its seed feeds key
+    /// material, the base latency model, *and* the search's own
+    /// randomness — one seed makes the whole search replayable.
+    pub spec: SpecBuilder,
     /// Search strategy.
     pub strategy: Strategy,
     /// Number of episodes the search may spend (≥ 1; episode 0 is always
@@ -198,34 +191,17 @@ pub struct SearchConfig {
 }
 
 impl SearchConfig {
-    /// A search with the defaults used by `lafd search`: jitter with two
-    /// extra rounds of freedom, the tiny scheme, no byzantine node, random
-    /// restarts, budget 100.
+    /// A search with the defaults used by `lafd search`: the sweep's run
+    /// ([`crate::sweep::scenario`]) on the event engine, jitter with two
+    /// extra rounds of freedom, the tiny scheme, no byzantine node (the
+    /// scheduler is the only adversary), random restarts, budget 100.
     pub fn new(protocol: Protocol, n: usize, t: usize, seed: u64) -> Self {
         SearchConfig {
-            protocol,
-            n,
-            t,
-            scheme: SchemeSpec::Tiny,
-            seed,
-            latency: LatencySpec::Jitter { extra: 2 },
-            adversary: AdversaryKind::None,
+            spec: scenario(protocol, n, t, seed)
+                .with_engine(Engine::Event)
+                .with_latency(LatencySpec::Jitter { extra: 2 }),
             strategy: Strategy::Random,
             budget: 100,
-        }
-    }
-
-    /// The sweep scenario this search attacks (always on the event engine).
-    pub fn scenario(&self) -> Scenario {
-        Scenario {
-            protocol: self.protocol,
-            n: self.n,
-            t: self.t,
-            adversary: self.adversary,
-            scheme: self.scheme,
-            seed: self.seed,
-            engine: Engine::Event,
-            latency: self.latency,
         }
     }
 
@@ -233,19 +209,10 @@ impl SearchConfig {
         if self.budget == 0 {
             return Err("search budget must be at least 1".to_string());
         }
-        if !self.protocol.admissible(self.n, self.t) {
-            return Err(format!(
-                "protocol {} is not admissible at n={}, t={}",
-                self.protocol, self.n, self.t
-            ));
+        if self.spec.engine != Engine::Event {
+            return Err("the schedule search needs the event engine".to_string());
         }
-        if !self.adversary.applies_to(self.protocol) {
-            return Err(format!(
-                "adversary {} cannot speak protocol {}",
-                self.adversary, self.protocol
-            ));
-        }
-        Ok(())
+        self.spec.validate()
     }
 }
 
@@ -266,7 +233,7 @@ pub struct Perturbation {
 /// Re-executing the certificate on a fresh [`fd_simnet::EventNetwork`]
 /// (via the per-message delay-override hook) reproduces the generating
 /// run exactly — message counts, wire bytes, and per-node outcomes.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct ScheduleCert {
     /// The scenario shape the schedule attacks.
     pub config: SearchConfig,
@@ -280,7 +247,7 @@ pub struct ScheduleCert {
 impl ScheduleCert {
     /// The certificate as an override map for
     /// [`fd_simnet::EventNetwork::set_delay_overrides`] /
-    /// [`Cluster::with_schedule`].
+    /// [`crate::runner::Cluster::with_schedule`].
     pub fn schedule(&self) -> Schedule {
         Arc::new(
             self.perturbations
@@ -294,7 +261,7 @@ impl ScheduleCert {
     /// admissible envelope for the round it was sent in.
     pub fn validate(&self) -> Result<(), String> {
         for p in &self.perturbations {
-            let (lo, hi) = self.config.latency.tick_bounds(p.round);
+            let (lo, hi) = self.config.spec.latency.tick_bounds(p.round);
             if !(lo..=hi).contains(&p.ticks) {
                 return Err(format!(
                     "perturbation {} (round {}): {} ticks outside [{lo}, {hi}]",
@@ -326,7 +293,7 @@ pub struct EpisodeRow {
 
 /// The full result of one search: every episode, the best certificate,
 /// and the replay verification of that certificate.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct SearchReport {
     /// The search that produced this report.
     pub config: SearchConfig,
@@ -373,13 +340,21 @@ impl SearchReport {
     /// Serialize as deterministic JSON (stable field order, no floats, no
     /// timestamps): rerunning the same config yields identical bytes.
     pub fn to_json(&self) -> String {
-        let c = &self.config;
+        let (c, spec) = (&self.config, &self.config.spec);
         let mut s = String::from("{\n  \"config\": {");
         s.push_str(&format!(
             "\"protocol\": \"{}\", \"n\": {}, \"t\": {}, \"scheme\": \"{}\", \
              \"seed\": {}, \"latency\": \"{}\", \"adversary\": \"{}\", \
              \"strategy\": \"{}\", \"budget\": {}",
-            c.protocol, c.n, c.t, c.scheme, c.seed, c.latency, c.adversary, c.strategy, c.budget
+            spec.protocol,
+            spec.n,
+            spec.resolved_t(),
+            spec.scheme,
+            spec.seed,
+            spec.latency,
+            spec.adversary.kind_name(),
+            c.strategy,
+            c.budget
         ));
         s.push_str("},\n  \"episodes\": [\n");
         for (i, e) in self.episodes.iter().enumerate() {
@@ -428,12 +403,20 @@ impl SearchReport {
     /// Render as markdown (deterministic): the config, a findings table,
     /// and the best certificate summary.
     pub fn to_markdown(&self) -> String {
-        let c = &self.config;
+        let (c, spec) = (&self.config, &self.config.spec);
         let mut s = String::from("# lafd search report\n\n");
         s.push_str(&format!(
             "Protocol **{}**, n = {}, t = {}, scheme {}, seed {}, latency `{}`, \
              adversary {}, strategy **{}**, budget {}.\n\n",
-            c.protocol, c.n, c.t, c.scheme, c.seed, c.latency, c.adversary, c.strategy, c.budget
+            spec.protocol,
+            spec.n,
+            spec.resolved_t(),
+            spec.scheme,
+            spec.seed,
+            spec.latency,
+            spec.adversary.kind_name(),
+            c.strategy,
+            c.budget
         ));
         let findings = self.findings();
         if findings.is_empty() {
@@ -500,7 +483,7 @@ pub struct ReplayResult {
 
 /// SplitMix-style avalanche combining two words — the search's only
 /// source of randomness, so every episode is a pure function of
-/// `(config.seed, episode, proposal)`.
+/// `(config.spec.seed, episode, proposal)`.
 fn mix(a: u64, b: u64) -> u64 {
     let mut z = a ^ b.rotate_left(32) ^ 0x5343_4845_4453; // "SCHEDS" salt
     z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -538,24 +521,26 @@ pub fn score_run(run: &FdRunReport, expected_messages: usize) -> (Score, SweepOu
     (score, outcome)
 }
 
-/// Execute the config's scenario under the given schedule (or the base
+/// Execute the config's run under the given schedule (or the base
 /// latency model when `None`), reusing a precomputed key distribution.
-/// One episode = one [`RunSpec`](crate::spec::RunSpec) against the
-/// config's event cluster — specs are plain data, which is what lets
+/// One episode = one build of the config's [`SpecBuilder`] with the
+/// episode's schedule — builders are plain data, which is what lets
 /// random restarts fan out across threads.
 fn execute(
     config: &SearchConfig,
     keydist: &Option<KeyDistReport>,
     schedule: Option<Schedule>,
 ) -> ReplayResult {
-    let cluster = Cluster::new(config.n, config.t, config.scheme.build(), config.seed)
-        .with_engine(Engine::Event)
-        .with_latency(config.latency)
-        .with_delay_log();
-    let mut spec = config.scenario().spec();
-    spec.schedule = schedule;
-    let run = cluster.run_with_keys(&spec, keydist.as_ref());
-    let expected = config.protocol.expected_messages(config.n, config.t);
+    let spec = &config.spec;
+    let (cluster, run_spec) = spec
+        .clone()
+        .with_schedule(schedule)
+        .build()
+        .expect("search configs are validated before execution");
+    let run = cluster
+        .with_delay_log()
+        .run_with_keys(&run_spec, keydist.as_ref());
+    let expected = spec.protocol.expected_messages(spec.n, spec.resolved_t());
     let (score, outcome) = score_run(&run, expected);
     ReplayResult {
         score,
@@ -591,7 +576,7 @@ fn execute_admissible(
             .iter()
             .enumerate()
             .filter_map(|(i, &(round, ticks))| {
-                let (lo, hi) = config.latency.tick_bounds(round);
+                let (lo, hi) = config.spec.latency.tick_bounds(round);
                 if (lo..=hi).contains(&ticks) {
                     None
                 } else {
@@ -611,18 +596,19 @@ fn execute_admissible(
 
 /// The key distribution every episode of a search reuses: keys are
 /// established in the quiet synchronous setup phase, outside the
-/// scheduler's reach (see [`Cluster::keydist_for`]).
+/// scheduler's reach (see [`crate::runner::Cluster::keydist_for`]).
 fn setup_keys(config: &SearchConfig) -> Option<KeyDistReport> {
-    let cluster = Cluster::new(config.n, config.t, config.scheme.build(), config.seed)
-        .with_engine(Engine::Event)
-        .with_latency(config.latency);
-    cluster.keydist_for(config.protocol)
+    config
+        .spec
+        .build_cluster()
+        .expect("search configs are validated before execution")
+        .keydist_for(config.spec.protocol)
 }
 
 /// Turn a recorded delay log into a certificate.
 fn cert_from_log(config: &SearchConfig, episode: usize, log: &[(u32, u64)]) -> ScheduleCert {
     ScheduleCert {
-        config: *config,
+        config: config.clone(),
         episode,
         perturbations: log
             .iter()
@@ -643,8 +629,8 @@ fn cert_from_log(config: &SearchConfig, episode: usize, log: &[(u32, u64)]) -> S
 ///
 /// # Errors
 ///
-/// Returns an error for a zero budget, an inadmissible `(protocol, n, t)`
-/// shape, or an adversary that cannot speak the protocol.
+/// Returns an error for a zero budget, a run off the event engine, or a
+/// run [`SpecBuilder::validate`] rejects.
 pub fn run_search(config: &SearchConfig) -> Result<SearchReport, String> {
     run_search_parallel(config, 1)
 }
@@ -653,7 +639,7 @@ pub fn run_search(config: &SearchConfig) -> Result<SearchReport, String> {
 /// workers (the sweep's thread-pool primitive, `fd_core`'s internal pool).
 ///
 /// Every [`Strategy::Random`] episode is a pure function of
-/// `(config.seed, episode)` applied to the episode-0 baseline, so
+/// `(config.spec.seed, episode)` applied to the episode-0 baseline, so
 /// restarts are embarrassingly parallel; results are merged in episode
 /// (seed) order, which keeps the report byte-identical for any thread
 /// count. [`Strategy::Greedy`] is inherently sequential (each episode
@@ -661,8 +647,8 @@ pub fn run_search(config: &SearchConfig) -> Result<SearchReport, String> {
 ///
 /// # Errors
 ///
-/// Returns an error for a zero budget, an inadmissible `(protocol, n, t)`
-/// shape, or an adversary that cannot speak the protocol.
+/// Returns an error for a zero budget, a run off the event engine, or a
+/// run [`SpecBuilder::validate`] rejects.
 pub fn run_search_parallel(config: &SearchConfig, threads: usize) -> Result<SearchReport, String> {
     config.validate()?;
     let keydist = setup_keys(config);
@@ -697,13 +683,13 @@ pub fn run_search_parallel(config: &SearchConfig, threads: usize) -> Result<Sear
             let reference = baseline.delay_log;
             let results = pool::parallel_indexed(config.budget.saturating_sub(1), threads, |i| {
                 let episode = i + 1;
-                let eseed = mix(config.seed, episode as u64);
+                let eseed = mix(config.spec.seed, episode as u64);
                 let overrides: HashMap<u64, u64> = reference
                     .iter()
                     .enumerate()
                     .map(|(k, &(round, _))| {
                         let rand = mix(eseed, k as u64);
-                        (k as u64, draw_delay(config.latency, round, rand))
+                        (k as u64, draw_delay(config.spec.latency, round, rand))
                     })
                     .collect();
                 execute_admissible(config, &keydist, Some(overrides))
@@ -732,14 +718,14 @@ pub fn run_search_parallel(config: &SearchConfig, threads: usize) -> Result<Sear
             // perturbations accumulate in the override map.
             let mut overrides: HashMap<u64, u64> = HashMap::new();
             for episode in 1..config.budget {
-                let eseed = mix(config.seed, episode as u64);
+                let eseed = mix(config.spec.seed, episode as u64);
                 let current = &best.1;
                 if current.delay_log.is_empty() {
                     break; // nothing to perturb (the run sent no messages)
                 }
                 let index = (mix(eseed, 0) % current.delay_log.len() as u64) as usize;
                 let round = current.delay_log[index].0;
-                let ticks = draw_delay(config.latency, round, mix(eseed, 1));
+                let ticks = draw_delay(config.spec.latency, round, mix(eseed, 1));
                 let mut proposal = overrides.clone();
                 proposal.insert(index as u64, ticks);
                 let result = execute_admissible(config, &keydist, Some(proposal.clone()));
@@ -771,7 +757,7 @@ pub fn run_search_parallel(config: &SearchConfig, threads: usize) -> Result<Sear
     let replay_ok = replayed == best.1;
 
     Ok(SearchReport {
-        config: *config,
+        config: config.clone(),
         episodes,
         best: cert,
         best_score: best.1.score,
@@ -793,6 +779,7 @@ pub fn replay(cert: &ScheduleCert) -> ReplayResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::adversary::{AdversaryKind, AdversarySpec};
 
     fn config(protocol: Protocol, strategy: Strategy, seed: u64) -> SearchConfig {
         SearchConfig {
@@ -833,8 +820,11 @@ mod tests {
             let cfg = config(Protocol::ChainFd, strategy, 7);
             let a = run_search(&cfg).unwrap();
             let b = run_search(&cfg).unwrap();
-            assert_eq!(a, b, "{strategy}: report not deterministic");
-            assert_eq!(a.to_json(), b.to_json());
+            assert_eq!(
+                a.to_json(),
+                b.to_json(),
+                "{strategy}: report not deterministic"
+            );
             assert!(a.replay_ok, "{strategy}: best cert did not replay");
             assert!(!a.silent_found(), "{strategy}: silent disagreement");
             assert_eq!(a.episodes.len(), cfg.budget);
@@ -862,10 +852,11 @@ mod tests {
 
     #[test]
     fn degenerate_sync_latency_has_no_schedule_freedom() {
+        let base = SearchConfig::new(Protocol::ChainFd, 5, 1, 2);
         let cfg = SearchConfig {
-            latency: LatencySpec::Synchronous,
+            spec: base.spec.with_latency(LatencySpec::Synchronous),
             budget: 4,
-            ..SearchConfig::new(Protocol::ChainFd, 5, 1, 2)
+            ..base
         };
         let report = run_search(&cfg).unwrap();
         // Every schedule the search can draw equals the baseline.
@@ -884,10 +875,20 @@ mod tests {
             ..SearchConfig::new(Protocol::PhaseKing, 5, 2, 1)
         })
         .is_err());
-        assert!(run_search(&SearchConfig {
-            adversary: AdversaryKind::TamperBody,
-            ..SearchConfig::new(Protocol::DolevStrong, 5, 1, 1)
-        })
-        .is_err());
+        let base = SearchConfig::new(Protocol::DolevStrong, 5, 1, 1);
+        let tamper = AdversarySpec::scripted(AdversaryKind::TamperBody);
+        for spec in [
+            base.spec.clone().with_adversary(tamper),
+            base.spec
+                .clone()
+                .with_engine(Engine::Sync)
+                .with_latency(LatencySpec::Synchronous),
+        ] {
+            assert!(run_search(&SearchConfig {
+                spec,
+                ..base.clone()
+            })
+            .is_err());
+        }
     }
 }

@@ -59,29 +59,48 @@ use fd_simnet::{Engine, LatencySpec, LinkLatencySpec, Node, NodeId};
 use std::fmt;
 use std::sync::Arc;
 
-/// Look up a signature scheme by its stable CLI/wire name.
+type NewScheme = fn() -> Arc<dyn SignatureScheme>;
+
+/// The scheme table: canonical name, accepted aliases, constructor.
 ///
-/// This is the single scheme table shared by the `lafd` CLI, the wire
-/// format, and the service shards (shard keys compare these names, so one
-/// table keeps "same scheme" meaning the same thing everywhere).
+/// This is the single table shared by the `lafd` CLI, the sweep, the
+/// schedule search, the wire format, and the service shards (shard and
+/// session keys compare canonical names, so one table keeps "same scheme"
+/// meaning the same thing everywhere).
+const SCHEMES: [(&str, &[&str], NewScheme); 9] = [
+    ("tiny", &["schnorr-tiny"], || {
+        Arc::new(SchnorrScheme::test_tiny())
+    }),
+    ("dsa-tiny", &["dsa"], || Arc::new(DsaScheme::test_tiny())),
+    ("s512", &[], || Arc::new(SchnorrScheme::s512())),
+    ("s1024", &[], || Arc::new(SchnorrScheme::s1024())),
+    ("s2048", &[], || Arc::new(SchnorrScheme::s2048())),
+    ("dsa512", &[], || Arc::new(DsaScheme::s512())),
+    ("dsa1024", &[], || Arc::new(DsaScheme::s1024())),
+    ("rsa512", &[], || Arc::new(RsaScheme::new(512))),
+    ("rsa1024", &[], || Arc::new(RsaScheme::new(1024))),
+];
+
+/// The canonical name and constructor of a name in [`SCHEMES`].
+fn scheme_entry(name: &str) -> Result<(&'static str, NewScheme), String> {
+    SCHEMES
+        .iter()
+        .find(|(canonical, aliases, _)| *canonical == name || aliases.contains(&name))
+        .map(|&(canonical, _, build)| (canonical, build))
+        .ok_or_else(|| {
+            let names: Vec<&str> = SCHEMES.iter().map(|entry| entry.0).collect();
+            format!("unknown scheme {name} ({})", names.join("|"))
+        })
+}
+
+/// The canonical name of a scheme name or alias (`"dsa"` → `"dsa-tiny"`).
+pub fn canonical_scheme(name: &str) -> Result<&'static str, String> {
+    scheme_entry(name).map(|(canonical, _)| canonical)
+}
+
+/// Look up a signature scheme by any name of the scheme table.
 pub fn scheme_by_name(name: &str) -> Result<Arc<dyn SignatureScheme>, String> {
-    Ok(match name {
-        "tiny" => Arc::new(SchnorrScheme::test_tiny()),
-        "dsa-tiny" | "dsa" => Arc::new(DsaScheme::test_tiny()),
-        "s512" => Arc::new(SchnorrScheme::s512()),
-        "s1024" => Arc::new(SchnorrScheme::s1024()),
-        "s2048" => Arc::new(SchnorrScheme::s2048()),
-        "dsa512" => Arc::new(DsaScheme::s512()),
-        "dsa1024" => Arc::new(DsaScheme::s1024()),
-        "rsa512" => Arc::new(RsaScheme::new(512)),
-        "rsa1024" => Arc::new(RsaScheme::new(1024)),
-        other => {
-            return Err(format!(
-                "unknown scheme {other} \
-                 (tiny|dsa-tiny|s512|s1024|s2048|dsa512|dsa1024|rsa512|rsa1024)"
-            ))
-        }
-    })
+    scheme_entry(name).map(|(_, build)| build())
 }
 
 /// The protocols a [`RunSpec`] can name.
@@ -245,10 +264,11 @@ impl RunSpec {
     }
 }
 
-/// The single request-construction path shared by the `lafd` CLI
-/// subcommands, the wire format, and the service: every flag set, JSON
-/// request, and remote scenario builds a `(Cluster, RunSpec)` pair through
-/// this builder, so validation rules live in exactly one place.
+/// The single description of a run, shared by the `lafd` CLI subcommands,
+/// the sweep's scenarios, the schedule search, the wire format, and the
+/// service: every flag set, matrix row, search, and JSON request builds a
+/// `(Cluster, RunSpec)` pair through this builder, so validation rules
+/// live in exactly one place.
 ///
 /// Unlike [`Cluster::new`] (which panics on a bad shape), [`build`]
 /// returns `Err` with a CLI-quality message — the service turns these
@@ -333,12 +353,14 @@ impl SpecBuilder {
         self
     }
 
-    /// Set the signature scheme by name (validated in [`build`]).
+    /// Set the signature scheme by name, stored under its canonical name
+    /// so aliases share service shards and sessions. An unknown name is
+    /// kept as given and rejected by [`build`].
     ///
     /// [`build`]: SpecBuilder::build
     #[must_use]
-    pub fn with_scheme(mut self, scheme: impl Into<String>) -> Self {
-        self.scheme = scheme.into();
+    pub fn with_scheme(mut self, scheme: &str) -> Self {
+        self.scheme = canonical_scheme(scheme).unwrap_or(scheme).to_string();
         self
     }
 
@@ -403,6 +425,22 @@ impl SpecBuilder {
     pub fn resolved_t(&self) -> usize {
         self.t
             .unwrap_or_else(|| ((self.n.saturating_sub(1)) / 3).min(self.n.saturating_sub(2)))
+    }
+
+    /// Whether the run breaks the network model N1 itself: link faults, a
+    /// non-synchronous latency, or per-link overrides (see
+    /// [`crate::sweep::classify`]).
+    pub fn network_faulted(&self) -> bool {
+        !self.faults.is_empty()
+            || self.latency != LatencySpec::Synchronous
+            || !self.link_latency.is_empty()
+    }
+
+    /// Whether the paper's failure-free contract applies — the closed-form
+    /// message count and a unanimous decision on the sender's input: an
+    /// honest adversary on an intact network.
+    pub fn failure_free(&self) -> bool {
+        self.adversary.is_honest() && !self.network_faulted()
     }
 
     /// Check every constraint [`build`] enforces without constructing

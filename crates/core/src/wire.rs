@@ -2,7 +2,8 @@
 //!
 //! `lafd serve` (see [`crate::service`]) accepts newline-delimited JSON
 //! requests and answers with JSON responses; `lafd run --spec file.json`
-//! reads the same request format. This module is the single
+//! reads the same request format, and `lafd sweep --remote` sends each
+//! sweep row (itself a [`SpecBuilder`]) as one. This module is the single
 //! encoder/decoder for that surface: a request is a serialized
 //! [`SpecBuilder`], a response embeds a wire-format
 //! [`FdRunReport`], and both carry an explicit
@@ -38,7 +39,9 @@
 //! (`t` to `⌊(n−1)/3⌋` clamped, `seed` to 1, `scheme` to `tiny`, engine
 //! and latency to synchronous, the adversary to honest). Byte values
 //! (`input`, `default_value`) are hex-encoded. Unknown fields are
-//! errors.
+//! errors. A scheme alias decodes to its canonical name (`"dsa"` →
+//! `"dsa-tiny"`, via [`SpecBuilder::with_scheme`]), so aliases share
+//! service shards and sessions.
 //!
 //! [`Cluster::run`]: crate::runner::Cluster::run
 //! [`FdRunReport::to_json`]: crate::runner::FdRunReport::to_json
@@ -47,9 +50,7 @@ use crate::adversary::{AdversaryKind, AdversarySpec};
 use crate::ba::Grade;
 use crate::outcome::{DiscoveryReason, Outcome};
 use crate::runner::{FdRunReport, Schedule};
-use crate::schedsearch::{Perturbation, ScheduleCert, SearchConfig, Strategy};
 use crate::spec::{Protocol, SpecBuilder};
-use crate::sweep::SchemeSpec;
 use fd_simnet::{Engine, LatencySpec, LinkLatencySpec, NetStats, NodeId};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -1025,112 +1026,6 @@ pub fn response_from_json(json: &str) -> Result<WireResponse, String> {
 }
 
 // ---------------------------------------------------------------------
-// Schedule certificates
-// ---------------------------------------------------------------------
-
-/// Encode a schedule certificate (a replayable worst-case schedule — see
-/// [`crate::schedsearch`]).
-pub fn cert_to_json(cert: &ScheduleCert) -> String {
-    let c = &cert.config;
-    let mut s = format!(
-        "{{\"schema_version\": {SCHEMA_VERSION}, \"config\": {{\"protocol\": \"{}\", \
-         \"n\": {}, \"t\": {}, \"scheme\": \"{}\", \"seed\": {}, \"latency\": \"{}\", \
-         \"adversary\": \"{}\", \"strategy\": \"{}\", \"budget\": {}}}, \"episode\": {}, \
-         \"perturbations\": [",
-        c.protocol.name(),
-        c.n,
-        c.t,
-        c.scheme.name(),
-        c.seed,
-        c.latency.name(),
-        c.adversary.name(),
-        c.strategy.name(),
-        c.budget,
-        cert.episode,
-    );
-    for (i, p) in cert.perturbations.iter().enumerate() {
-        if i > 0 {
-            s.push_str(", ");
-        }
-        s.push_str(&format!("[{}, {}, {}]", p.index, p.round, p.ticks));
-    }
-    s.push_str("]}");
-    s
-}
-
-/// Decode a schedule certificate. The decoded certificate is validated
-/// against its latency envelope ([`ScheduleCert::validate`]).
-pub fn cert_from_json(json: &str) -> Result<ScheduleCert, String> {
-    let value = Value::parse(json)?;
-    deny_unknown(
-        &value,
-        &["schema_version", "config", "episode", "perturbations"],
-        "certificate",
-    )?;
-    check_schema_version(&value, "certificate")?;
-    let config_value = require(&value, "config", "certificate")?;
-    deny_unknown(
-        config_value,
-        &[
-            "protocol",
-            "n",
-            "t",
-            "scheme",
-            "seed",
-            "latency",
-            "adversary",
-            "strategy",
-            "budget",
-        ],
-        "certificate config",
-    )?;
-    let what = "certificate config";
-    let config = SearchConfig {
-        protocol: Protocol::parse(str_field(config_value, "protocol", what)?)?,
-        n: usize_field(config_value, "n", what)?,
-        t: usize_field(config_value, "t", what)?,
-        scheme: SchemeSpec::parse(str_field(config_value, "scheme", what)?)?,
-        seed: u64::try_from(int_field(config_value, "seed", what)?)
-            .map_err(|_| format!("{what}: seed out of range"))?,
-        latency: LatencySpec::parse(str_field(config_value, "latency", what)?)?,
-        adversary: AdversaryKind::parse(str_field(config_value, "adversary", what)?)?,
-        strategy: Strategy::parse(str_field(config_value, "strategy", what)?)?,
-        budget: usize_field(config_value, "budget", what)?,
-    };
-    let episode = usize_field(&value, "episode", "certificate")?;
-    let perturbations = require(&value, "perturbations", "certificate")?
-        .as_arr()
-        .ok_or_else(|| "certificate: perturbations must be an array".to_string())?
-        .iter()
-        .map(|entry| {
-            let triple = entry.as_arr().filter(|p| p.len() == 3).ok_or_else(|| {
-                "certificate: perturbations are [index, round, ticks]".to_string()
-            })?;
-            let int = |i: usize, what: &str| {
-                triple[i]
-                    .as_int()
-                    .ok_or_else(|| format!("certificate: perturbation {what} must be an integer"))
-            };
-            Ok(Perturbation {
-                index: u64::try_from(int(0, "index")?)
-                    .map_err(|_| "certificate: perturbation index out of range".to_string())?,
-                round: u32::try_from(int(1, "round")?)
-                    .map_err(|_| "certificate: perturbation round out of range".to_string())?,
-                ticks: u64::try_from(int(2, "ticks")?)
-                    .map_err(|_| "certificate: perturbation ticks out of range".to_string())?,
-            })
-        })
-        .collect::<Result<Vec<Perturbation>, String>>()?;
-    let cert = ScheduleCert {
-        config,
-        episode,
-        perturbations,
-    };
-    cert.validate()?;
-    Ok(cert)
-}
-
-// ---------------------------------------------------------------------
 // Registry dialect (deployment layer)
 // ---------------------------------------------------------------------
 
@@ -1837,29 +1732,6 @@ mod tests {
 
         let err = response_from_json(&error_to_json(None, "boom")).unwrap();
         assert_eq!(err.report.unwrap_err(), "boom");
-    }
-
-    #[test]
-    fn certificates_round_trip_and_validate() {
-        let config = SearchConfig {
-            latency: LatencySpec::Jitter { extra: 2 },
-            ..SearchConfig::new(Protocol::ChainFd, 5, 1, 7)
-        };
-        let cert = ScheduleCert {
-            config,
-            episode: 3,
-            perturbations: vec![Perturbation {
-                index: 0,
-                round: 0,
-                ticks: 2048,
-            }],
-        };
-        let json = cert_to_json(&cert);
-        let decoded = cert_from_json(&json).unwrap();
-        assert_eq!(cert_to_json(&decoded), json);
-        // Out-of-envelope perturbations fail validation on decode.
-        let bad = json.replace("[0, 0, 2048]", "[0, 0, 9999]");
-        assert!(cert_from_json(&bad).is_err());
     }
 
     fn sample_summary() -> WorkerSummary {

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! lafd run      <protocol> [-n 256] [--t T] [--seed 1] [--value V]
-//!               [--scheme tiny|s512|s1024|rsa512] [--engine sync|event]
+//!               [--scheme NAME] [--engine sync|event]
 //!               [--latency sync|fixed:D|jitter:E|psync:GST:E]
 //!               [--link-latency FROM:TO:MODEL[:ARG]]
 //!               [--adversary KIND[:NODES]] [--crash I]
@@ -15,10 +15,10 @@
 //!               [--unix PATH] [--clients C] [--metrics PATH]
 //!               [--metrics-format json|prometheus]
 //! lafd search   <protocol> [--budget N] [--strategy random|greedy] [-n 8]
-//!               [--t T] [--seed S] [--latency jitter:2] [--adversary none]
-//!               [--threads N] [--json PATH] [--md PATH]
+//!               [--t T] [--seed S] [--scheme tiny] [--latency jitter:2]
+//!               [--adversary none] [--threads N] [--json PATH] [--md PATH]
 //! lafd registry [--listen 127.0.0.1:0] [--wait-limit-secs 120]
-//! lafd cluster  <protocol> [-n 7] [--t T] [--seed S] [--scheme tiny|...]
+//! lafd cluster  <protocol> [-n 7] [--t T] [--seed S] [--scheme NAME]
 //!               [--value V] [--adversary KIND[:NODES]] [--crash I]
 //!               [--latency sync|fixed:D|jitter:E|psync:GST:E]
 //!               [--io-deadline-secs 60] [--round-wall-us 0]
@@ -36,18 +36,22 @@
 //!               # reset=PCT;accept-delay=PCT:MS;stall=PCT:MS
 //! lafd sweep    [--protocols all|chain,nonauth,ba,degrade,ds,king,small]
 //!               [--sizes 4,7,10] [--faults auto|0,1,2] [--adversaries none,silent,...]
-//!               [--schemes tiny,dsa-tiny,s512] [--seeds 1,2]
+//!               [--schemes tiny,dsa-tiny,...] [--seeds 1,2]
 //!               [--engines sync,event] [--latencies sync,jitter:1,psync:2:1]
 //!               [--link-latency FROM:TO:MODEL[:ARG]] [--search N[:STRATEGY]]
 //!               [--remote ADDR] [--threads N] [--json PATH] [--md PATH]
 //! ```
 //!
+//! `NAME` is any name of the scheme table (`fd_core::spec::scheme_by_name`),
+//! made canonical where the flag is parsed.
+//!
 //! Every subcommand that executes a protocol run goes through one request
 //! path: flags build a [`SpecBuilder`] ([`Shape`] holds the flags `run`
-//! and `cluster` share), the builder validates the shape, and execution
-//! happens via [`SpecBuilder::build`] — the same object the `lafd serve`
-//! wire format serializes, so a flag invocation and a service request are
-//! provably the same run. The multi-run, key-rotation and two-faced-sender
+//! and `cluster` share; a search and every sweep row carry one too), the
+//! builder validates the shape, and execution happens via
+//! [`SpecBuilder::build`] — the same object the `lafd serve` wire format
+//! serializes, so a flag invocation and a service request are provably
+//! the same run. The multi-run, key-rotation and two-faced-sender
 //! demos live in `examples/`.
 
 use local_auth_fd::core::adversary::AdversarySpec;
@@ -55,10 +59,10 @@ use local_auth_fd::core::metrics;
 use local_auth_fd::core::runner::FdRunReport;
 use local_auth_fd::core::schedsearch::{run_search_parallel, SearchConfig, Strategy};
 use local_auth_fd::core::service::{FdService, MetricsFormat, ServiceConfig};
-use local_auth_fd::core::spec::{Protocol, Session, SpecBuilder};
+use local_auth_fd::core::spec::{canonical_scheme, Protocol, Session, SpecBuilder};
 use local_auth_fd::core::sweep::{
-    classify, run_sweep_with, AdversaryKind, FaultRule, LocalExecutor, Scenario, ScenarioExecutor,
-    SchemeSpec, SearchAxis, SweepMatrix, SweepOutcome,
+    classify, run_sweep_with, scenario, AdversaryKind, FaultRule, LocalExecutor, ScenarioExecutor,
+    SearchAxis, SweepMatrix, SweepOutcome,
 };
 use local_auth_fd::core::wire;
 use local_auth_fd::simnet::fault::LinkFault;
@@ -81,7 +85,7 @@ fn usage() {
          serve: lafd serve [--shards N] [--max-sessions K] [--stdin] [--listen HOST:PORT] \
          [--unix PATH] [--clients C] [--metrics PATH] [--metrics-format json|prometheus]\n\
          search: lafd search <protocol> [--budget N] [--strategy random|greedy] [-n N] \
-         [--t T] [--seed S] [--latency jitter:2] [--adversary none|silent|...] \
+         [--t T] [--seed S] [--scheme NAME] [--latency jitter:2] [--adversary none|silent|...] \
          [--threads N] [--json PATH] [--md PATH]\n\
          sweep flags: [--protocols all|LIST] [--sizes LIST] [--faults auto|LIST] \
          [--adversaries LIST] [--schemes LIST] [--seeds LIST] [--engines LIST] \
@@ -158,7 +162,7 @@ impl Shape {
             "-n" | "--n" => builder.n = grab()?.parse().map_err(|e| format!("--n: {e}"))?,
             "--t" => builder.t = Some(grab()?.parse().map_err(|e| format!("--t: {e}"))?),
             "--seed" => builder.seed = grab()?.parse().map_err(|e| format!("--seed: {e}"))?,
-            "--scheme" => builder.scheme = grab()?,
+            "--scheme" => builder.scheme = canonical_scheme(&grab()?)?.to_string(),
             "--value" => builder.input = grab()?.into_bytes(),
             "--latency" => builder.latency = LatencySpec::parse(&grab()?)?.normalize(),
             "--adversary" => {
@@ -442,14 +446,11 @@ fn cmd_run(args: &[String]) -> ExitCode {
     };
     let elapsed = start.elapsed();
 
-    let network_faulted = !builder.faults.is_empty()
-        || builder.latency != LatencySpec::Synchronous
-        || !builder.link_latency.is_empty();
-    let outcome = classify(&run, network_faulted);
-    let clean = builder.adversary.is_honest() && !network_faulted;
-    let formula = clean
-        .then(|| builder.protocol.expected_messages(builder.n, t))
-        .map_or_else(|| "—".to_string(), |m| m.to_string());
+    let outcome = classify(&run, builder.network_faulted());
+    let expected = builder
+        .failure_free()
+        .then(|| builder.protocol.expected_messages(builder.n, t));
+    let formula = expected.map_or_else(|| "—".to_string(), |m| m.to_string());
     println!(
         "{}: {} messages (formula {formula}), {} bytes, {} comm rounds, {elapsed:.2?}",
         builder.protocol,
@@ -488,8 +489,7 @@ fn cmd_run(args: &[String]) -> ExitCode {
     // A clean run (no faults, no crash, synchronous latency) is held to
     // the paper's failure-free contract: closed-form message count and a
     // unanimous decision on the sender's value.
-    if clean {
-        let expected = builder.protocol.expected_messages(builder.n, t);
+    if let Some(expected) = expected {
         if run.stats.messages_total != expected {
             eprintln!(
                 "error: clean run sent {} messages, formula says {expected}",
@@ -532,9 +532,7 @@ fn cmd_run_spec_file(path: &str) -> ExitCode {
     let (cluster, spec) = builder.build().expect("validated above");
     let run = cluster.run(&spec);
     println!("{}", run.to_json());
-    let network_faulted =
-        builder.latency != LatencySpec::Synchronous || !builder.link_latency.is_empty();
-    if classify(&run, network_faulted) == SweepOutcome::SilentDisagreement {
+    if classify(&run, builder.network_faulted()) == SweepOutcome::SilentDisagreement {
         eprintln!("error: silent disagreement — the state the paper forbids");
         return ExitCode::FAILURE;
     }
@@ -957,7 +955,9 @@ fn parse_search(args: &[String]) -> Result<SearchArgs, String> {
         return Err("search needs a protocol (chain|nonauth|small|ba|degrade|ds|king)".to_string());
     };
     let mut config = SearchConfig::new(Protocol::parse(proto)?, 8, 2, 1);
-    let mut t_given: Option<usize> = None;
+    let spec = &mut config.spec;
+    // `t` follows `--n` unless `--t` is given.
+    spec.t = None;
     let mut threads = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
     let mut json_path = None;
     let mut md_path = None;
@@ -969,12 +969,15 @@ fn parse_search(args: &[String]) -> Result<SearchArgs, String> {
                 .ok_or_else(|| format!("flag {flag} needs a value"))
         };
         match flag.as_str() {
-            "-n" | "--n" => config.n = grab()?.parse().map_err(|e| format!("--n: {e}"))?,
-            "--t" => t_given = Some(grab()?.parse().map_err(|e| format!("--t: {e}"))?),
-            "--seed" => config.seed = grab()?.parse().map_err(|e| format!("--seed: {e}"))?,
-            "--scheme" => config.scheme = SchemeSpec::parse(&grab()?)?,
-            "--latency" => config.latency = LatencySpec::parse(&grab()?)?,
-            "--adversary" => config.adversary = AdversaryKind::parse(&grab()?)?,
+            "-n" | "--n" => spec.n = grab()?.parse().map_err(|e| format!("--n: {e}"))?,
+            "--t" => spec.t = Some(grab()?.parse().map_err(|e| format!("--t: {e}"))?),
+            "--seed" => spec.seed = grab()?.parse().map_err(|e| format!("--seed: {e}"))?,
+            "--scheme" => spec.scheme = canonical_scheme(&grab()?)?.to_string(),
+            // Kept as given: the report names the latency the user asked for.
+            "--latency" => spec.latency = LatencySpec::parse(&grab()?)?,
+            "--adversary" => {
+                spec.adversary = AdversarySpec::scripted(AdversaryKind::parse(&grab()?)?);
+            }
             "--strategy" => config.strategy = Strategy::parse(&grab()?)?,
             "--budget" => {
                 config.budget = grab()?.parse().map_err(|e| format!("--budget: {e}"))?;
@@ -995,15 +998,8 @@ fn parse_search(args: &[String]) -> Result<SearchArgs, String> {
             other => return Err(format!("unknown search flag {other}")),
         }
     }
-    if config.n > u16::MAX as usize {
-        return Err(format!(
-            "--n {} exceeds the node-id range (max {})",
-            config.n,
-            u16::MAX
-        ));
-    }
-    config.t = t_given
-        .unwrap_or_else(|| ((config.n.saturating_sub(1)) / 3).min(config.n.saturating_sub(2)));
+    // The attacked run's input derives from its final seed.
+    spec.input = scenario(spec.protocol, spec.n, spec.resolved_t(), spec.seed).input;
     Ok((config, threads, json_path, md_path))
 }
 
@@ -1016,12 +1012,13 @@ fn cmd_search(args: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
+    let spec = &config.spec;
     eprintln!(
         "search: {} n = {} t = {} latency = {} strategy = {} budget = {} threads = {}",
-        config.protocol,
-        config.n,
-        config.t,
-        config.latency,
+        spec.protocol,
+        spec.n,
+        spec.resolved_t(),
+        spec.latency,
         config.strategy,
         config.budget,
         threads
@@ -1937,7 +1934,7 @@ fn parse_sweep_matrix(args: &[String]) -> Result<SweepArgs, String> {
             "--adversaries" => {
                 matrix.adversaries = parse_list(&grab()?, "adversaries", AdversaryKind::parse)?;
             }
-            "--schemes" => matrix.schemes = parse_list(&grab()?, "schemes", SchemeSpec::parse)?,
+            "--schemes" => matrix.schemes = parse_list(&grab()?, "schemes", canonical_scheme)?,
             "--seeds" => {
                 matrix.seeds = parse_list(&grab()?, "seeds", |s| {
                     s.parse::<u64>().map_err(|e| format!("--seeds: {e}"))
@@ -2027,11 +2024,12 @@ fn parse_sweep_matrix(args: &[String]) -> Result<SweepArgs, String> {
     })
 }
 
-/// A [`ScenarioExecutor`] that ships each sweep scenario to a running
-/// `lafd serve` instance as a wire-format request and decodes the
-/// response report. One TCP connection per scenario keeps the executor
-/// trivially `Sync`; the service amortizes keydist across scenarios that
-/// share a session key, so the connection cost is the cheap part. The
+/// A [`ScenarioExecutor`] that ships each sweep scenario — a
+/// [`SpecBuilder`] — to a running `lafd serve` instance as a wire-format
+/// request and decodes the response report. One TCP connection per
+/// scenario keeps the executor trivially `Sync`; the service amortizes
+/// keydist across scenarios that share a session key, so the connection
+/// cost is the cheap part. The
 /// request leaves as one frame on a `TCP_NODELAY` socket, the same
 /// framing rule the server follows (see [`write_frame`]).
 struct RemoteExecutor {
@@ -2058,30 +2056,9 @@ impl RemoteExecutor {
 }
 
 impl ScenarioExecutor for RemoteExecutor {
-    fn execute(
-        &self,
-        scenario: &Scenario,
-        engine: Engine,
-        link_latency: &[LinkLatencySpec],
-    ) -> Result<(Option<usize>, FdRunReport), String> {
-        let builder = SpecBuilder::new(scenario.protocol, scenario.n)
-            .with_t(scenario.t)
-            .with_seed(scenario.seed)
-            .with_scheme(scenario.scheme.name())
-            .with_engine(engine)
-            .with_latency(scenario.latency)
-            .with_link_latency(if engine == Engine::Event {
-                link_latency.to_vec()
-            } else {
-                Vec::new()
-            })
-            .with_input(scenario.value())
-            .with_default_value(b"sweep-default".to_vec())
-            .with_adversary(AdversarySpec::scripted(scenario.adversary));
-        let request = wire::request_to_json(&builder, None)?;
-        let response = self.call(request)?;
-        let report = response.report?;
-        Ok((response.keydist_messages, report))
+    fn execute(&self, scenario: &SpecBuilder) -> Result<(Option<usize>, FdRunReport), String> {
+        let response = self.call(wire::request_to_json(scenario, None)?)?;
+        Ok((response.keydist_messages, response.report?))
     }
 }
 

@@ -93,11 +93,15 @@ fn search_induced_fallback_splits_classify_as_loud_not_silent() {
 /// and a silent relay together still never produce silent disagreement.
 #[test]
 fn search_with_byzantine_relay_stays_loud() {
+    use local_auth_fd::core::adversary::AdversarySpec;
     use local_auth_fd::core::sweep::AdversaryKind;
+    let base = SearchConfig::new(Protocol::ChainFd, 6, 1, 5);
     let config = SearchConfig {
-        adversary: AdversaryKind::SilentRelay,
+        spec: base
+            .spec
+            .with_adversary(AdversarySpec::scripted(AdversaryKind::SilentRelay)),
         budget: 8,
-        ..SearchConfig::new(Protocol::ChainFd, 6, 1, 5)
+        ..base
     };
     let report = run_search(&config).expect("valid config");
     assert!(!report.silent_found());
@@ -108,10 +112,11 @@ fn search_with_byzantine_relay_stays_loud() {
 /// episode equals the clean baseline.
 #[test]
 fn sync_latency_gives_the_scheduler_no_power() {
+    let base = SearchConfig::new(Protocol::DolevStrong, 5, 1, 9);
     let config = SearchConfig {
-        latency: LatencySpec::Synchronous,
+        spec: base.spec.with_latency(LatencySpec::Synchronous),
         budget: 4,
-        ..SearchConfig::new(Protocol::DolevStrong, 5, 1, 9)
+        ..base
     };
     let report = run_search(&config).expect("valid config");
     assert!(report.episodes.iter().all(|e| e.score.is_clean()));
@@ -146,10 +151,11 @@ fn psync_certs_stay_admissible() {
     for strategy in Strategy::ALL {
         for seed in [1u64, 2, 3] {
             let config = SearchConfig {
-                latency: LatencySpec::PartialSynchrony { gst: 2, extra: 2 },
+                spec: SearchConfig::new(Protocol::ChainFd, 6, 1, seed)
+                    .spec
+                    .with_latency(LatencySpec::PartialSynchrony { gst: 2, extra: 2 }),
                 strategy,
                 budget: 10,
-                ..SearchConfig::new(Protocol::ChainFd, 6, 1, seed)
             };
             let report = run_search(&config).expect("valid config");
             report

@@ -278,3 +278,34 @@ fn serve_stdin_answers_unframeable_lines_in_place() {
     assert!(outcomes[3].as_ref().unwrap_err().contains("not UTF-8"));
     assert_eq!(outcomes[4], Ok(()));
 }
+
+/// Scheme aliases name the same keys: a `"dsa"` request after a
+/// `"dsa-tiny"` one with the same `n` and seed lands in the same session
+/// and reuses its key distribution.
+#[test]
+fn scheme_aliases_share_one_session() {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_lafd"))
+        .args(["serve", "--stdin", "--shards", "1", "--clients", "1"])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn lafd serve");
+    for scheme in ["dsa-tiny", "dsa"] {
+        let stdin = child.stdin.as_mut().unwrap();
+        writeln!(
+            stdin,
+            "{{\"schema_version\": 1, \"protocol\": \"chain_fd\", \"n\": 5, \"seed\": 3, \
+             \"scheme\": \"{scheme}\", \"input\": \"76\"}}"
+        )
+        .unwrap();
+    }
+    let output = child.wait_with_output().expect("lafd serve exits");
+    assert!(output.status.success());
+    let stdout = String::from_utf8(output.stdout).unwrap();
+    let reused: Vec<bool> = stdout
+        .lines()
+        .map(|line| wire::response_from_json(line).unwrap().keydist_reused)
+        .collect();
+    assert_eq!(reused, [false, true], "{stdout}");
+}

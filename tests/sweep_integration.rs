@@ -3,8 +3,11 @@
 //! default matrix, and the `lafd sweep` CLI surface.
 
 use local_auth_fd::core::sweep::{
-    run_sweep, AdversaryKind, FaultRule, Protocol, SchemeSpec, SweepMatrix, SweepOutcome,
+    run_sweep, AdversaryKind, FaultRule, LocalExecutor, Protocol, ScenarioExecutor, SweepMatrix,
+    SweepOutcome,
 };
+use local_auth_fd::core::wire;
+use local_auth_fd::simnet::{Engine, LinkLatencySpec};
 use std::process::Command;
 
 /// Same seed + same matrix ⇒ byte-identical JSON report, no matter how
@@ -16,7 +19,7 @@ fn sweep_report_is_reproducible_byte_for_byte() {
         sizes: vec![5, 9],
         fault_rule: FaultRule::Classic,
         adversaries: vec![AdversaryKind::None, AdversaryKind::SilentRelay],
-        schemes: vec![SchemeSpec::Tiny],
+        schemes: vec!["tiny"],
         seeds: vec![7, 8],
         ..SweepMatrix::quick()
     };
@@ -37,7 +40,7 @@ fn default_matrix_matches_closed_forms() {
     let report = run_sweep(&matrix, 4);
     assert!(report.all_ok(), "failures: {:?}", report.failures());
     for row in &report.rows {
-        if row.scenario.adversary == AdversaryKind::None {
+        if row.scenario.adversary.is_honest() {
             assert_eq!(
                 row.expected_messages,
                 Some(row.messages),
@@ -58,7 +61,7 @@ fn schemes_change_bytes_not_messages() {
         sizes: vec![5],
         fault_rule: FaultRule::Classic,
         adversaries: vec![AdversaryKind::None],
-        schemes: vec![SchemeSpec::Tiny, SchemeSpec::DsaTiny],
+        schemes: vec!["tiny", "dsa-tiny"],
         seeds: vec![1],
         ..SweepMatrix::quick()
     };
@@ -66,6 +69,34 @@ fn schemes_change_bytes_not_messages() {
     assert_eq!(report.rows.len(), 2);
     assert_eq!(report.rows[0].messages, report.rows[1].messages);
     assert!(report.all_ok());
+}
+
+/// The remote sweep path over every row of the shipped matrices: a row
+/// encoded as a wire request, decoded, built, and run reports the same
+/// bytes as the local executor. `lafd sweep --remote` relies on exactly
+/// this.
+#[test]
+fn every_matrix_row_survives_the_wire() {
+    let links = SweepMatrix {
+        engines: vec![Engine::Sync, Engine::Event],
+        sizes: vec![4, 7],
+        link_latency: vec![LinkLatencySpec::parse("0:1:fixed:3").unwrap()],
+        ..SweepMatrix::default_matrix()
+    };
+    for matrix in [
+        SweepMatrix::default_matrix(),
+        SweepMatrix::cross_validation(),
+        SweepMatrix::latency_matrix(),
+        links,
+    ] {
+        for row in matrix.scenarios() {
+            let request = wire::request_to_json(&row, None).unwrap();
+            let (decoded, _) = wire::request_from_json(&request).unwrap();
+            let (cluster, spec) = decoded.build().unwrap();
+            let (_, local) = LocalExecutor.execute(&row).unwrap();
+            assert_eq!(cluster.run(&spec).to_json(), local.to_json(), "{request}");
+        }
+    }
 }
 
 fn lafd() -> Command {
@@ -160,5 +191,42 @@ fn cli_rejects_retired_measuring_subcommands() {
         assert_eq!(out.status.code(), Some(1), "{args:?}");
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(stderr.contains("unknown command"), "{args:?}: {stderr}");
+    }
+}
+
+/// Every name of the scheme table works on every subcommand, aliases
+/// included, and reports carry the canonical name.
+#[test]
+fn cli_accepts_every_scheme_table_name() {
+    let out = lafd()
+        .args([
+            "sweep",
+            "--schemes",
+            "schnorr-tiny,dsa",
+            "--protocols",
+            "chain",
+            "--sizes",
+            "4",
+            "--seeds",
+            "1",
+        ])
+        .output()
+        .expect("run lafd");
+    assert!(out.status.success());
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("| tiny |"), "stdout: {stdout}");
+    assert!(stdout.contains("| dsa-tiny |"), "stdout: {stdout}");
+    for args in [
+        &["run", "chain", "-n", "4", "--scheme", "schnorr-tiny"][..],
+        &[
+            "search", "chain", "-n", "4", "--scheme", "s1024", "--budget", "2",
+        ][..],
+    ] {
+        let out = lafd().args(args).output().expect("run lafd");
+        assert!(
+            out.status.success(),
+            "{args:?}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
     }
 }
