@@ -15,7 +15,8 @@
 //!   little-endian, always normalized).
 //! * [`Int`] — thin signed wrapper used by the extended Euclidean algorithm.
 //! * [`MontCtx`] — Montgomery multiplication context for fast `modpow`
-//!   with odd moduli (the common case for prime fields and RSA moduli).
+//!   with odd moduli (the common case for prime fields and RSA moduli),
+//!   plus [`FixedBase`] tables for a base that is raised again and again.
 //! * [`prime`] — Miller–Rabin primality testing and prime generation.
 //! * [`SplitMix64`] — a tiny deterministic PRNG so the crate stays
 //!   dependency-free while still supporting seeded, reproducible key and
@@ -50,6 +51,6 @@ mod ubig;
 pub use gcd::{egcd, gcd, modinv};
 pub use int::{Int, Sign};
 pub use modular::{modadd, modmul, modpow, modsub};
-pub use montgomery::MontCtx;
+pub use montgomery::{FixedBase, MontCtx};
 pub use rng::{RandomUbig, SplitMix64};
 pub use ubig::{ParseUbigError, Ubig};

@@ -1,5 +1,7 @@
 //! Property-based tests for the bigint substrate: ring axioms, division
-//! invariants, encoding round-trips, and modular-arithmetic laws.
+//! invariants, encoding round-trips, and modular-arithmetic laws. The
+//! Montgomery ladders (one-bit and 4-bit windows, fixed-base tables and
+//! their fallback) are checked against a division-based reference.
 
 use fd_bigint::{egcd, gcd, modinv, modmul, modpow, Int, MontCtx, Ubig};
 use proptest::prelude::*;
@@ -137,5 +139,141 @@ proptest! {
             std::cmp::Ordering::Less => prop_assert!(a.checked_sub(&b).is_none()),
             _ => prop_assert!(a.checked_sub(&b).is_some()),
         }
+    }
+}
+
+/// Square-and-multiply with division-based reduction: the reference the
+/// Montgomery ladders are checked against.
+fn reference_modpow(base: &Ubig, exp: &Ubig, m: &Ubig) -> Ubig {
+    let base = base % m;
+    let mut acc = &Ubig::one() % m;
+    for i in (0..exp.bits()).rev() {
+        acc = &(&acc * &acc) % m;
+        if exp.bit(i) {
+            acc = &(&acc * &base) % m;
+        }
+    }
+    acc
+}
+
+/// An integer of exactly `bits` bits (zero for 0) drawn from `bytes`.
+fn with_bits(bytes: &[u8], bits: usize) -> Ubig {
+    if bits == 0 {
+        return Ubig::zero();
+    }
+    let mut v = &Ubig::from_be_bytes(bytes) % &Ubig::pow2(bits);
+    v.set_bit(bits - 1);
+    v
+}
+
+fn random_bytes(len: usize) -> impl Strategy<Value = Vec<u8>> {
+    prop::collection::vec(any::<u8>(), len)
+}
+
+/// Odd moduli of 1..=`max_limbs` limbs whose top limb has any length.
+fn odd_modulus(max_limbs: usize) -> impl Strategy<Value = Ubig> {
+    (1..=max_limbs, 0usize..62, random_bytes(8 * max_limbs)).prop_map(|(limbs, gap, bytes)| {
+        let mut m = with_bits(&bytes, 64 * limbs - gap);
+        m.set_bit(0);
+        m
+    })
+}
+
+/// Exponents of 0..=2 100 bits, half of them at lengths the ladders treat
+/// specially: the one-bit/4-bit switch at 32/33 bits, multiples of four,
+/// and limb edges 64k ± 1.
+fn exponent() -> impl Strategy<Value = Ubig> {
+    const EDGES: [usize; 21] = [
+        0, 1, 4, 31, 32, 33, 36, 63, 64, 65, 127, 128, 129, 160, 1023, 1024, 1025, 2047, 2048,
+        2049, 2100,
+    ];
+    (any::<u64>(), random_bytes(263)).prop_map(|(pick, bytes)| {
+        let bits = if pick % 2 == 0 {
+            EDGES[(pick / 2 % EDGES.len() as u64) as usize]
+        } else {
+            (pick / 2 % 2101) as usize
+        };
+        with_bits(&bytes, bits)
+    })
+}
+
+/// Base 0, 1, `m`, `m + x`, or `x` itself (up to 33 limbs, often `>= m`).
+fn base_for(kind: u8, x: Ubig, m: &Ubig) -> Ubig {
+    match kind % 5 {
+        0 => Ubig::zero(),
+        1 => Ubig::one(),
+        2 => m.clone(),
+        3 => m + &x,
+        _ => x,
+    }
+}
+
+fn any_ubig() -> impl Strategy<Value = Ubig> {
+    prop::collection::vec(any::<u8>(), 0..264).prop_map(|bytes| Ubig::from_be_bytes(&bytes))
+}
+
+/// Exponent length relative to a table covering `max` bits: shorter or
+/// equal, exactly `max`, or longer (the fallback to `modpow`).
+fn bits_around(max: usize, pick: u8, r: usize) -> usize {
+    match pick % 4 {
+        0 => r % (max + 1),
+        1 => max,
+        2 => max + 1,
+        _ => max + 1 + r % 256,
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn modpow_matches_reference(
+        m in odd_modulus(32),
+        kind in any::<u8>(),
+        x in any_ubig(),
+        e in exponent(),
+    ) {
+        let ctx = MontCtx::new(&m).unwrap();
+        let base = base_for(kind, x, &m);
+        prop_assert_eq!(ctx.modpow(&base, &e), reference_modpow(&base, &e, &m));
+    }
+
+    #[test]
+    fn pow_fixed_matches_modpow(
+        m in odd_modulus(16),
+        kind in any::<u8>(),
+        x in any_ubig(),
+        table_bits in 0usize..=200,
+        pick in any::<u8>(),
+        r in any::<usize>(),
+        bytes in random_bytes(64),
+    ) {
+        let ctx = MontCtx::new(&m).unwrap();
+        let base = base_for(kind, x, &m);
+        let fb = ctx.fixed_base(&base, table_bits);
+        let e = with_bits(&bytes, bits_around(fb.max_bits(), pick, r));
+        prop_assert_eq!(ctx.pow_fixed(&fb, &e), ctx.modpow(&base, &e));
+    }
+
+    #[test]
+    fn pow_fixed_mul_matches_product_of_modpows(
+        m in odd_modulus(16),
+        kinds in (any::<u8>(), any::<u8>()),
+        xs in (any_ubig(), any_ubig()),
+        table_bits in 0usize..=200,
+        pick in any::<u8>(),
+        r in any::<usize>(),
+        bytes in random_bytes(64),
+        b in exponent(),
+    ) {
+        let ctx = MontCtx::new(&m).unwrap();
+        let base = base_for(kinds.0, xs.0, &m);
+        let y = base_for(kinds.1, xs.1, &m);
+        let fb = ctx.fixed_base(&base, table_bits);
+        let a = with_bits(&bytes, bits_around(fb.max_bits(), pick, r));
+        prop_assert_eq!(
+            ctx.pow_fixed_mul(&fb, &a, &y, &b),
+            ctx.mul(&ctx.modpow(&base, &a), &ctx.modpow(&y, &b))
+        );
     }
 }

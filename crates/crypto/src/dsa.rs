@@ -112,7 +112,7 @@ impl SignatureScheme for DsaScheme {
         let one = Ubig::one();
         // x uniform in [1, q)
         let x = &rng.random_below(&(self.group.q() - &one)) + &one;
-        let y = self.group.pow(self.group.g(), &x);
+        let y = self.group.pow_g(&x);
         let sk = x
             .to_be_bytes_fixed(self.group.scalar_len())
             .expect("x < q fits scalar width");
@@ -132,7 +132,7 @@ impl SignatureScheme for DsaScheme {
         // r = 0 or s = 0 outcomes, as FIPS 186 prescribes.
         for ctr in 0..64u32 {
             let k = self.nonce(&sk.0, msg, ctr);
-            let r = &self.group.pow(self.group.g(), &k) % q;
+            let r = &self.group.pow_g(&k) % q;
             if r.is_zero() {
                 continue;
             }
@@ -176,10 +176,7 @@ impl SignatureScheme for DsaScheme {
         let u1 = modmul(&self.digest_scalar(msg), &w, q);
         let u2 = modmul(&r, &w, q);
         // v = (g^u1 · y^u2 mod p) mod q
-        let v = &self.group.mul(
-            &self.group.pow(self.group.g(), &u1),
-            &self.group.pow(&y, &u2),
-        ) % q;
+        let v = &self.group.pow_g_mul(&u1, &y, &u2) % q;
         v == r
     }
 

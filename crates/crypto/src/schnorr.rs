@@ -8,7 +8,7 @@ use crate::group::SchnorrGroup;
 use crate::scheme::{PublicKey, SecretKey, Signature, SignatureScheme};
 use crate::sha256::sha256_parts;
 use crate::{ChaChaDrbg, CryptoError};
-use fd_bigint::{modadd, modmul, modsub, RandomUbig, Ubig};
+use fd_bigint::{modmul, modsub, RandomUbig, Ubig};
 
 /// Schnorr signature scheme: `sk = x`, `pk = g^x mod p`,
 /// signature `(e, s)` with `e = H(r ‖ m)`, `s = k − x·e (mod q)`.
@@ -100,7 +100,7 @@ impl SignatureScheme for SchnorrScheme {
         let one = Ubig::one();
         // x uniform in [1, q)
         let x = &rng.random_below(&(self.group.q() - &one)) + &one;
-        let y = self.group.pow(self.group.g(), &x);
+        let y = self.group.pow_g(&x);
         let sk = x
             .to_be_bytes_fixed(self.group.scalar_len())
             .expect("x < q fits scalar width");
@@ -118,7 +118,7 @@ impl SignatureScheme for SchnorrScheme {
         // Deterministic nonce: k = H("nonce" ‖ sk ‖ m) mod q (RFC 6979 in
         // spirit; the secret key binds the nonce to the signer).
         let k = self.hash_to_scalar(&[b"nonce", &sk.0, msg]);
-        let r = self.group.pow(self.group.g(), &k);
+        let r = self.group.pow_g(&k);
         let r_bytes = r
             .to_be_bytes_fixed(self.group.element_len())
             .expect("r < p");
@@ -148,9 +148,7 @@ impl SignatureScheme for SchnorrScheme {
             _ => return false,
         };
         // r' = g^s * y^e mod p
-        let r = self
-            .group
-            .mul(&self.group.pow(self.group.g(), &s), &self.group.pow(&y, &e));
+        let r = self.group.pow_g_mul(&s, &y, &e);
         let r_bytes = match r.to_be_bytes_fixed(self.group.element_len()) {
             Some(b) => b,
             None => return false,
@@ -165,12 +163,6 @@ impl SignatureScheme for SchnorrScheme {
     fn signature_len(&self) -> usize {
         2 * self.group.scalar_len()
     }
-}
-
-/// Scalar addition helper exposed for tests (`s = k − x·e` algebra).
-#[allow(dead_code)]
-fn scalar_add(group: &SchnorrGroup, a: &Ubig, b: &Ubig) -> Ubig {
-    modadd(a, b, group.q())
 }
 
 #[cfg(test)]
