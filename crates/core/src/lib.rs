@@ -51,7 +51,7 @@
 //! * [`metrics`] — the paper's closed-form message-complexity
 //!   expressions (`3n(n−1)` key distribution, `n−1` chain FD,
 //!   `(t+2)(n−1)` non-authenticated, the §6 amortization crossover)
-//!   that every run and experiment table is checked against.
+//!   that sweep rows and the count tests are checked against.
 //! * [`sweep`] — declarative scenario matrices (`{engine × latency ×
 //!   protocol × n × t × adversary × scheme × seed}`) fanned out across a
 //!   thread pool, with formula checks, outcome classification, and

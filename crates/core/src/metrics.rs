@@ -1,8 +1,8 @@
 //! Closed-form message-complexity expressions from the paper.
 //!
-//! Every experiment table checks measured counts against these formulas —
-//! the reproduction's equivalent of the paper's analytical claims (§3.1,
-//! §5, §6).
+//! The sweep, `lafd run` and the count tests check measured counts against
+//! these formulas — the reproduction's equivalent of the paper's
+//! analytical claims (§3.1, §5, §6).
 
 /// Key distribution cost (paper §3.1/§6): `3·n·(n−1)` messages.
 pub fn keydist_messages(n: usize) -> usize {
@@ -94,14 +94,6 @@ pub fn amortization_crossover(n: usize, t: usize) -> Option<usize> {
     Some(setup / per_run_saving + 1)
 }
 
-/// Expected messages per small-range run when the value equals the default
-/// with probability `p_default` (experiment T5), in units of 1e-3 messages
-/// to stay in integer arithmetic.
-pub fn small_range_expected_millimessages(n: usize, t: usize, p_default_permille: u32) -> u64 {
-    let non_default = small_range_messages(n, t, false) as u64;
-    (1000 - p_default_permille as u64) * non_default
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -176,12 +168,5 @@ mod tests {
                 "n={n} t={t}: k={k} analytic≈{analytic}"
             );
         }
-    }
-
-    #[test]
-    fn expected_millimessages_monotone_in_default_probability() {
-        let lo = small_range_expected_millimessages(8, 2, 900);
-        let hi = small_range_expected_millimessages(8, 2, 100);
-        assert!(lo < hi);
     }
 }

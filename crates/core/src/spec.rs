@@ -20,7 +20,7 @@
 //!   [`Session::messages_spent`].
 //!
 //! Every layer above the core — the sweep matrix, the scheduler search,
-//! the fd-bench experiment tables, the `lafd` CLI, and the examples — executes
+//! the `lafd` CLI, the examples, and the tests — executes
 //! protocols through this entry point; there are no per-protocol
 //! `Cluster::run_*` methods.
 //!

@@ -33,9 +33,8 @@
 //! chain signatures stack [`SignatureScheme::sign`] layers with the
 //! name-embedding rule checked by Theorem 4.
 //!
-//! Everything is deterministic given a seed, which is what makes the
-//! experiment tables (`cargo run -p fd-bench --bin report`, printed to
-//! stdout) reproducible bit-for-bit.
+//! Everything is deterministic given a seed, which is what makes run
+//! reports, sweeps and searches reproducible bit-for-bit.
 //!
 //! ## Example
 //!

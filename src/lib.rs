@@ -47,9 +47,9 @@
 //! assert_eq!(session.keydist_runs(), 1);
 //! ```
 //!
-//! See `examples/` for runnable scenarios; the tables reproducing every
-//! quantitative claim in the paper print to stdout via
-//! `cargo run -p fd-bench --bin report`.
+//! See `examples/` for runnable scenarios. The paper's quantitative claims
+//! are integration tests; the README maps each section to its test
+//! (`tests/paper_claims.rs` holds the ones with no other home).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

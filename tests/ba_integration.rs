@@ -128,41 +128,15 @@ fn dolev_strong_silent_sender_default() {
     let (n, t) = (5usize, 1usize);
     let c = cluster(n, t, 5);
     let kd = c.run_key_distribution();
-    let mut sub = |id: NodeId| {
-        (id == NodeId(0)).then(|| Box::new(SilentNode { me: NodeId(0) }) as Box<dyn Node>)
-    };
-    // run_dolev_strong has no substitution variant; build via chain FD's
-    // pattern: use the runner's generic FD-to-BA substitution instead.
-    let _ = &mut sub;
-    // Simplest: run with the DS node set assembled manually.
-    use local_auth_fd::core::ba::{DolevStrongNode, DolevStrongParams};
-    use local_auth_fd::simnet::SyncNetwork;
-    let params = DolevStrongParams::new(n, t, b"d".to_vec());
-    let nodes: Vec<Box<dyn Node>> = (0..n)
-        .map(|i| {
-            let me = NodeId(i as u16);
-            if i == 0 {
-                Box::new(SilentNode { me }) as Box<dyn Node>
-            } else {
-                Box::new(DolevStrongNode::new(
-                    me,
-                    params.clone(),
-                    scheme(),
-                    kd.store(me).clone(),
-                    Keyring::generate(scheme().as_ref(), me, c.seed),
-                    None,
-                )) as Box<dyn Node>
-            }
-        })
-        .collect();
-    let mut net = SyncNetwork::new(nodes);
-    net.run_until_done(params.rounds());
-    for boxed in net.into_nodes().into_iter().skip(1) {
-        let node = boxed
-            .into_any()
-            .downcast::<DolevStrongNode>()
-            .expect("DolevStrongNode");
-        assert_eq!(node.outcome().decided(), Some(&b"d"[..]));
+    let spec = RunSpec::new(Protocol::DolevStrong, b"v".to_vec())
+        .with_default_value(b"d".to_vec())
+        .with_adversary(AdversarySpec::custom(|id| {
+            (id == NodeId(0)).then(|| Box::new(SilentNode { me: NodeId(0) }) as Box<dyn Node>)
+        }));
+    let outs = c.run_with_keys(&spec, Some(&kd)).correct_outcomes();
+    assert_eq!(outs.len(), n - 1);
+    for o in &outs {
+        assert_eq!(o.decided(), Some(&b"d"[..]));
     }
 }
 

@@ -1,9 +1,10 @@
 //! N1-violation coverage across the full protocol lineup: seeded random
-//! `Duplicate` and `Corrupt` link faults against every FD/BA protocol, on
-//! both engines. The contract under a broken network assumption is the
-//! paper's safety property: a fault may be *discovered*, it may be
-//! absorbed (hit an unused link), but it must never produce silent
-//! disagreement — and any nodes that do decide must agree on the value.
+//! `Drop`, `Duplicate` and `Corrupt` link faults against every FD/BA
+//! protocol, on both engines. The contract under a broken network
+//! assumption is the paper's safety property: a fault may be
+//! *discovered*, it may be absorbed (hit an unused link), but it must
+//! never produce silent disagreement — and any nodes that do decide must
+//! agree on the value.
 
 use local_auth_fd::core::runner::Cluster;
 use local_auth_fd::core::spec::RunSpec;
@@ -75,6 +76,11 @@ fn assert_never_silent(kind: LinkFault) {
 }
 
 #[test]
+fn drop_faults_never_cause_silent_disagreement() {
+    assert_never_silent(LinkFault::Drop);
+}
+
+#[test]
 fn duplicate_faults_never_cause_silent_disagreement() {
     assert_never_silent(LinkFault::Duplicate);
 }
@@ -85,12 +91,13 @@ fn corrupt_faults_never_cause_silent_disagreement() {
 }
 
 /// A fault on the link the chain actually uses must *bite*: the chain is
-/// the single source of truth in chain FD, so a duplicated or corrupted
-/// first hop is always discovered, on both engines.
+/// the single source of truth in chain FD, so a dropped, duplicated or
+/// corrupted first hop is always discovered, on both engines.
 #[test]
 fn faults_on_the_used_link_are_discovered() {
     for engine in [Engine::Sync, Engine::Event] {
         for kind in [
+            LinkFault::Drop,
             LinkFault::Duplicate,
             LinkFault::Corrupt {
                 offset: 20,

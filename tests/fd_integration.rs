@@ -124,8 +124,10 @@ fn small_range_expected_cost_depends_on_workload() {
         total += run.stats.messages_total;
     }
     assert_eq!(total, 2 * metrics::small_range_messages(n, t, false));
-    // Compare against 10 chain-FD runs.
-    assert!(total < 10 * metrics::chain_fd_messages(n) * (t + 2));
+    // Compare against 10 witness-relay runs and 10 chain-FD runs: at an
+    // 80 % default share the small-range protocol beats both (§5).
+    assert!(total < 10 * metrics::non_auth_messages(n, t));
+    assert!(total < 10 * metrics::chain_fd_messages(n));
 }
 
 #[test]
@@ -172,9 +174,11 @@ fn different_seeds_give_different_keys_same_counts() {
     );
 }
 
-/// Scaling smoke test at n = 128 (the report sweeps stop at 64). Run with
-/// `cargo test --release -- --ignored` — debug builds take a while at this
-/// size because key distribution performs 3·128·127 signed exchanges.
+/// Scaling smoke test at n = 128, with real key distribution (the other
+/// counter tests go larger on dealer stores). CI runs it with
+/// `cargo test --release --test fd_integration -- --ignored`; debug builds
+/// take a while at this size because key distribution performs 3·128·127
+/// signed exchanges.
 #[test]
 #[ignore = "large-n stress; run with --release -- --ignored"]
 fn keydist_and_fd_at_n_128() {
