@@ -64,8 +64,31 @@ pub const VERSION: &str = env!("CARGO_PKG_VERSION");
 
 #[cfg(test)]
 mod tests {
+    use crate::core::runner::Cluster;
+    use crate::core::spec::{Protocol, RunSpec, Session};
+    use std::sync::Arc;
+
     #[test]
     fn version_is_set() {
         assert!(!super::VERSION.is_empty());
+    }
+
+    /// §5: over a 100-run workload where 99 runs carry the default value,
+    /// the small-range protocol sends fewer messages than chain FD.
+    #[test]
+    fn t5_small_range_wins_at_high_default_share() {
+        let scheme = Arc::new(crate::crypto::SchnorrScheme::test_tiny());
+        let mut session = Session::new(Cluster::new(6, 1, scheme, 5));
+        let (mut small_range, mut chain_fd) = (0usize, 0usize);
+        for k in 0..100usize {
+            let v = if k < 99 { vec![0] } else { vec![1] };
+            let spec = RunSpec::new(Protocol::SmallRange, v.clone()).with_default_value(vec![0]);
+            small_range += session.run(&spec).stats.messages_total;
+            chain_fd += session
+                .run(&RunSpec::new(Protocol::ChainFd, v))
+                .stats
+                .messages_total;
+        }
+        assert!(small_range < chain_fd, "{small_range} >= {chain_fd}");
     }
 }
