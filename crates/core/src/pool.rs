@@ -125,11 +125,11 @@ impl<J: Send + 'static> ShardWorkers<J> {
     ///
     /// Panics if a worker thread panicked (handlers are expected to catch
     /// their own unwinds and answer with an error instead).
-    pub(crate) fn join(self) {
+    pub(crate) fn join(&mut self) {
         for slot in &self.senders {
             *slot.lock().expect("shard sender poisoned") = None;
         }
-        for handle in self.handles {
+        for handle in self.handles.drain(..) {
             handle.join().expect("shard worker panicked");
         }
     }
@@ -143,7 +143,7 @@ mod tests {
     fn shard_workers_route_sticky_and_drain_cleanly() {
         let results: std::sync::Arc<Mutex<Vec<(usize, usize)>>> =
             std::sync::Arc::new(Mutex::new(Vec::new()));
-        let workers = ShardWorkers::spawn(3, |shard| {
+        let mut workers = ShardWorkers::spawn(3, |shard| {
             let results = std::sync::Arc::clone(&results);
             move |job: usize| results.lock().unwrap().push((shard, job))
         });

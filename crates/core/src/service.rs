@@ -34,6 +34,9 @@
 //!   `lafd-serve-v1` JSON document: per-cell `wall_us`/`messages`/`bytes`
 //!   rows plus service-level throughput: runs/sec, keydist reuse ratio,
 //!   and p50/p99 request latency.
+//! * The front end, [`FdService::serve`] on a TCP or Unix [`Listener`]
+//!   and [`FdService::serve_batch`] on stdin, reads newline-delimited
+//!   frames of at most [`MAX_REQUEST_LINE`] bytes.
 //!
 //! [`Cluster::run`]: crate::runner::Cluster::run
 //! [`Cluster::run_with_keys`]: crate::runner::Cluster::run_with_keys
@@ -43,10 +46,15 @@ use crate::runner::KeyDistReport;
 use crate::spec::SpecBuilder;
 use crate::wire;
 use std::collections::{BTreeMap, HashMap};
+use std::io::{self, BufRead, BufReader, ErrorKind, Read, Write};
+use std::net::{Ipv4Addr, Ipv6Addr, TcpListener, TcpStream};
+use std::os::unix::fs::FileTypeExt;
+use std::os::unix::net::{UnixListener, UnixStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::path::Path;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Configuration of an [`FdService`].
 #[derive(Debug, Clone, Copy)]
@@ -184,6 +192,8 @@ pub struct FdService {
     /// Errors rejected before reaching a shard (parse/validation).
     front_errors: AtomicUsize,
     started: Instant,
+    /// Set by a `{"op": "shutdown"}` request; ends [`FdService::serve`].
+    stop: AtomicBool,
 }
 
 /// Rendering of a service metrics snapshot.
@@ -257,6 +267,7 @@ impl FdService {
             queue_peaks,
             front_errors: AtomicUsize::new(0),
             started: Instant::now(),
+            stop: AtomicBool::new(false),
         }
     }
 
@@ -326,39 +337,17 @@ impl FdService {
             &self.stats,
             self.front_errors.load(Ordering::Relaxed),
             elapsed_us,
-            self.queue_depths
-                .iter()
-                .map(|d| d.load(Ordering::Relaxed))
-                .collect(),
-            self.queue_peaks
-                .iter()
-                .map(|p| p.load(Ordering::Relaxed))
-                .collect(),
+            &self.queue_depths,
+            &self.queue_peaks,
         )
     }
 
-    /// A live metrics snapshot: service-level throughput plus the
-    /// per-cell rows, rendered as one line of `lafd-serve-v1` JSON.
-    pub fn metrics_json(&self) -> String {
-        self.snapshot(self.started.elapsed().as_micros()).to_json()
-    }
-
-    /// A live metrics snapshot in Prometheus text exposition: run/error
-    /// counters, per-shard queue-depth and session-pool-occupancy gauges,
-    /// request-latency quantiles, and the eviction-age histogram. The
-    /// rendering ends with a `# EOF` line so line-framed wire clients can
-    /// find the document boundary.
-    pub fn metrics_prometheus(&self) -> String {
+    /// A live metrics snapshot: one line of `lafd-serve-v1` JSON, or
+    /// Prometheus text exposition ending with a `# EOF` line so
+    /// line-framed wire clients can find the document boundary.
+    pub fn metrics(&self, format: MetricsFormat) -> String {
         self.snapshot(self.started.elapsed().as_micros())
-            .to_prometheus()
-    }
-
-    /// A live metrics snapshot in the requested format.
-    pub fn metrics_in(&self, format: MetricsFormat) -> String {
-        match format {
-            MetricsFormat::Json => self.metrics_json(),
-            MetricsFormat::Prometheus => self.metrics_prometheus(),
-        }
+            .render(format)
     }
 
     /// Graceful drain: stop accepting requests, finish everything queued,
@@ -369,27 +358,285 @@ impl FdService {
 
     /// [`FdService::shutdown`] with the final snapshot rendered in the
     /// requested format (`lafd serve --metrics-format`).
-    pub fn shutdown_with(self, format: MetricsFormat) -> String {
+    pub fn shutdown_with(mut self, format: MetricsFormat) -> String {
         let elapsed = self.started.elapsed().as_micros();
         self.workers.join();
-        let snapshot = gather(
-            &self.stats,
-            self.front_errors.load(Ordering::Relaxed),
-            elapsed,
-            self.queue_depths
-                .iter()
-                .map(|d| d.load(Ordering::Relaxed))
-                .collect(),
-            self.queue_peaks
-                .iter()
-                .map(|p| p.load(Ordering::Relaxed))
-                .collect(),
-        );
-        match format {
-            MetricsFormat::Json => snapshot.to_json(),
-            MetricsFormat::Prometheus => snapshot.to_prometheus(),
+        self.snapshot(elapsed).render(format)
+    }
+
+    /// Answer one request line from a socket client. The control verbs
+    /// `{"op": "metrics"}` (optionally with `"format": "prometheus"`) and
+    /// `{"op": "shutdown"}`, which makes [`FdService::serve`] return, are
+    /// handled here; every other line goes to [`FdService::submit_line`].
+    pub fn answer(&self, line: &str) -> String {
+        if let Ok(value) = wire::Value::parse(line) {
+            if let Some(op) = value.get("op").and_then(wire::Value::as_str) {
+                return match op {
+                    // JSON metrics are one line, which fits the
+                    // newline-delimited reply framing; Prometheus text is
+                    // multi-line and ends with `# EOF`.
+                    "metrics" => value
+                        .get("format")
+                        .and_then(wire::Value::as_str)
+                        .map_or(Ok(MetricsFormat::Json), MetricsFormat::parse)
+                        .map_or_else(|e| wire::error_to_json(None, &e), |f| self.metrics(f)),
+                    "shutdown" => {
+                        self.stop.store(true, Ordering::SeqCst);
+                        "{\"ok\": true, \"draining\": true}".to_string()
+                    }
+                    other => wire::error_to_json(None, &format!("unknown op {other}")),
+                };
+            }
+        }
+        self.submit_line(line)
+    }
+
+    /// Serve `listener` until a client sends `{"op": "shutdown"}`, one
+    /// thread per connection, and return once every connection has
+    /// closed. Accept blocks; the connection that answers the shutdown
+    /// wakes it with [`Listener::wake`].
+    pub fn serve<L: Listener>(&self, listener: &L) {
+        std::thread::scope(|scope| {
+            while !self.stop.load(Ordering::SeqCst) {
+                match listener.accept_conn() {
+                    // Past a shutdown the connection is the wake-up (or a
+                    // late client): drop it.
+                    Ok(stream) if !self.stop.load(Ordering::SeqCst) => {
+                        scope.spawn(move || self.serve_connection(stream, listener));
+                    }
+                    Ok(_) => {}
+                    Err(e) => {
+                        eprintln!("serve: accept: {e}");
+                        // Do not spin on a lasting error (EMFILE).
+                        std::thread::sleep(Duration::from_millis(10));
+                    }
+                }
+            }
+        });
+    }
+
+    /// Serve one connection: one response frame per request line. A line
+    /// past [`MAX_REQUEST_LINE`] is answered with one error frame and the
+    /// connection closed, so a client that never sends a newline cannot
+    /// grow the server. The read timeout [`Listener::accept_conn`] sets
+    /// lets an idle connection notice a shutdown.
+    fn serve_connection<L: Listener>(&self, stream: L::Stream, listener: &L) {
+        let mut reader = BufReader::new(stream);
+        let mut line = Vec::new();
+        loop {
+            match read_request_line(&mut reader, &mut line) {
+                Ok(RequestLine::Eof) => break,
+                Ok(RequestLine::TooLong) => {
+                    let _ = write_frame(reader.get_mut(), oversized_line_response());
+                    break;
+                }
+                Ok(RequestLine::Complete) => {
+                    let response = match request_text(&line) {
+                        Ok("") => None,
+                        Ok(request) => Some(self.answer(request)),
+                        Err(error) => Some(error),
+                    };
+                    line.clear();
+                    let Some(response) = response else { continue };
+                    if write_frame(reader.get_mut(), response).is_err() {
+                        break;
+                    }
+                    if self.stop.load(Ordering::SeqCst) {
+                        let _ = listener.wake();
+                        break;
+                    }
+                }
+                // A timed-out read leaves any partial line in the buffer:
+                // keep it and read on, unless the service is stopping.
+                Err(e)
+                    if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut)
+                        && !self.stop.load(Ordering::SeqCst) => {}
+                Err(_) => break,
+            }
         }
     }
+
+    /// Answer a whole batch (`lafd serve --stdin`): read `input` to its
+    /// end, skipping blank lines, submit the requests from `clients`
+    /// concurrent threads, and return one response per line in input
+    /// order. A line the framing refuses (past [`MAX_REQUEST_LINE`], or
+    /// not UTF-8) is answered in its place with an error response, and
+    /// the bytes of an over-long line are discarded as they are read.
+    pub fn serve_batch(&self, input: &mut impl BufRead, clients: usize) -> io::Result<Vec<String>> {
+        // `rejected` holds each refused line's position in the output.
+        let (mut lines, mut rejected) = (Vec::new(), Vec::new());
+        let mut line = Vec::new();
+        loop {
+            match read_request_line(input, &mut line)? {
+                RequestLine::Eof => break,
+                RequestLine::Complete => match request_text(&line) {
+                    Ok("") => {}
+                    Ok(request) => lines.push(request.to_string()),
+                    Err(error) => rejected.push((lines.len() + rejected.len(), error)),
+                },
+                RequestLine::TooLong => {
+                    rejected.push((lines.len() + rejected.len(), oversized_line_response()));
+                    while !line.ends_with(b"\n") {
+                        line.clear();
+                        if input.take(1 << 16).read_until(b'\n', &mut line)? == 0 {
+                            break;
+                        }
+                    }
+                }
+            }
+            line.clear();
+        }
+        let mut responses = self.submit_batch(&lines, clients);
+        for (at, error) in rejected {
+            responses.insert(at, error);
+        }
+        Ok(responses)
+    }
+}
+
+/// Longest request line the service reads, on a socket or in a batch.
+pub const MAX_REQUEST_LINE: usize = 1 << 20;
+
+/// Send one newline-terminated frame in exactly one write. With the
+/// terminator in a write of its own, Nagle's algorithm holds it back
+/// until the peer's delayed ACK fires (~40 ms per frame).
+pub(crate) fn write_frame(out: &mut impl Write, mut frame: String) -> io::Result<()> {
+    frame.push('\n');
+    out.write_all(frame.as_bytes())?;
+    out.flush()
+}
+
+/// What [`read_request_line`] found.
+enum RequestLine {
+    /// `line` holds one request (newline-terminated, or cut off by end
+    /// of input).
+    Complete,
+    /// `line` passed [`MAX_REQUEST_LINE`] bytes without a newline.
+    TooLong,
+    /// End of input with nothing pending.
+    Eof,
+}
+
+/// Append the next request line to `line`, never holding more than
+/// [`MAX_REQUEST_LINE`] + 1 bytes. On an I/O error (a read timeout, on a
+/// socket) the bytes read so far stay in `line` and the call can simply
+/// be repeated.
+fn read_request_line(reader: &mut impl BufRead, line: &mut Vec<u8>) -> io::Result<RequestLine> {
+    let room = (MAX_REQUEST_LINE + 1).saturating_sub(line.len());
+    let read = reader.take(room as u64).read_until(b'\n', line)?;
+    Ok(if line.ends_with(b"\n") {
+        RequestLine::Complete
+    } else if line.len() > MAX_REQUEST_LINE {
+        RequestLine::TooLong
+    } else if read == 0 {
+        RequestLine::Eof
+    } else {
+        RequestLine::Complete
+    })
+}
+
+/// The error frame answering a [`RequestLine::TooLong`] line.
+fn oversized_line_response() -> String {
+    wire::error_to_json(
+        None,
+        &format!("request line exceeds {MAX_REQUEST_LINE} bytes"),
+    )
+}
+
+/// The trimmed text of a request line, or the error frame answering one
+/// that is not UTF-8.
+fn request_text(line: &[u8]) -> Result<&str, String> {
+    std::str::from_utf8(line)
+        .map(str::trim)
+        .map_err(|e| wire::error_to_json(None, &format!("request line is not UTF-8: {e}")))
+}
+
+/// How long a connection's read blocks before [`FdService::serve`]
+/// rechecks its stop flag, so an idle client cannot hold up a shutdown.
+const READ_TIMEOUT: Duration = Duration::from_millis(200);
+
+/// A bound socket [`FdService::serve`] accepts connections on: a
+/// [`TcpListener`] or a [`UnixListener`].
+pub trait Listener: Sync {
+    /// An accepted connection.
+    type Stream: Read + Write + Send;
+
+    /// Block until the next connection arrives and ready it for serving:
+    /// a read timeout, and `TCP_NODELAY` on TCP.
+    fn accept_conn(&self) -> io::Result<Self::Stream>;
+
+    /// Connect to this listener once, so that a blocked
+    /// [`Listener::accept_conn`] returns.
+    fn wake(&self) -> io::Result<()>;
+}
+
+impl Listener for TcpListener {
+    type Stream = TcpStream;
+
+    fn accept_conn(&self) -> io::Result<TcpStream> {
+        let (stream, _) = self.accept()?;
+        stream.set_nodelay(true)?;
+        stream.set_read_timeout(Some(READ_TIMEOUT))?;
+        Ok(stream)
+    }
+
+    fn wake(&self) -> io::Result<()> {
+        // A listener bound to 0.0.0.0 or [::] is reachable on loopback.
+        let mut addr = self.local_addr()?;
+        if addr.ip().is_unspecified() {
+            addr.set_ip(if addr.is_ipv4() {
+                Ipv4Addr::LOCALHOST.into()
+            } else {
+                Ipv6Addr::LOCALHOST.into()
+            });
+        }
+        TcpStream::connect(addr).map(drop)
+    }
+}
+
+impl Listener for UnixListener {
+    type Stream = UnixStream;
+
+    fn accept_conn(&self) -> io::Result<UnixStream> {
+        let (stream, _) = self.accept()?;
+        stream.set_read_timeout(Some(READ_TIMEOUT))?;
+        Ok(stream)
+    }
+
+    fn wake(&self) -> io::Result<()> {
+        let addr = self.local_addr()?;
+        let path = addr
+            .as_pathname()
+            .ok_or_else(|| io::Error::new(ErrorKind::AddrNotAvailable, "unnamed Unix socket"))?;
+        UnixStream::connect(path).map(drop)
+    }
+}
+
+/// Bind a Unix listener at `path`. An existing file there is replaced
+/// only when it is a stale socket, one that refuses connections. Any
+/// other file is refused with [`ErrorKind::AlreadyExists`] and a socket a
+/// server still listens on with [`ErrorKind::AddrInUse`]; neither is
+/// touched.
+pub fn bind_unix(path: impl AsRef<Path>) -> io::Result<UnixListener> {
+    let path = path.as_ref();
+    match std::fs::symlink_metadata(path) {
+        Err(e) if e.kind() == ErrorKind::NotFound => {}
+        Err(e) => return Err(e),
+        Ok(meta) if !meta.file_type().is_socket() => {
+            return Err(io::Error::new(
+                ErrorKind::AlreadyExists,
+                "the path exists and is not a socket",
+            ))
+        }
+        Ok(_) if UnixStream::connect(path).is_ok() => {
+            return Err(io::Error::new(
+                ErrorKind::AddrInUse,
+                "a server is listening on the socket",
+            ))
+        }
+        Ok(_) => std::fs::remove_file(path)?,
+    }
+    UnixListener::bind(path)
 }
 
 /// Execute one validated request on its shard (runs on the shard's worker
@@ -563,9 +810,10 @@ fn gather(
     stats: &[Mutex<ShardStats>],
     front_errors: usize,
     elapsed_us: u128,
-    queue_depths: Vec<usize>,
-    queue_peaks: Vec<usize>,
+    queue_depths: &[AtomicUsize],
+    queue_peaks: &[AtomicUsize],
 ) -> MetricsSnapshot {
+    let load = |gauges: &[AtomicUsize]| gauges.iter().map(|g| g.load(Ordering::Relaxed)).collect();
     let mut snapshot = MetricsSnapshot {
         shards: stats.len(),
         runs: 0,
@@ -581,8 +829,8 @@ fn gather(
         eviction_buckets: [0; EVICTION_BUCKETS_US.len()],
         pool_sessions: Vec::with_capacity(stats.len()),
         pool_peaks: Vec::with_capacity(stats.len()),
-        queue_depths,
-        queue_peaks,
+        queue_depths: load(queue_depths),
+        queue_peaks: load(queue_peaks),
         elapsed_us,
         cells: BTreeMap::new(),
     };
@@ -621,6 +869,13 @@ fn gather(
 }
 
 impl MetricsSnapshot {
+    fn render(&self, format: MetricsFormat) -> String {
+        match format {
+            MetricsFormat::Json => self.to_json(),
+            MetricsFormat::Prometheus => self.to_prometheus(),
+        }
+    }
+
     /// Render the `lafd-serve-v1` metrics document (one line; shown
     /// wrapped):
     ///
@@ -954,7 +1209,8 @@ mod tests {
         for sample in samples {
             stats.latencies_us.record(sample);
         }
-        gather(&[Mutex::new(stats)], 0, 1, vec![0], vec![0])
+        let gauge = [AtomicUsize::new(0)];
+        gather(&[Mutex::new(stats)], 0, 1, &gauge, &gauge)
     }
 
     #[test]
@@ -1022,7 +1278,7 @@ mod tests {
             .unwrap();
             wire::response_from_json(&service.submit_line(&line)).unwrap();
         }
-        let text = service.metrics_prometheus();
+        let text = service.metrics(MetricsFormat::Prometheus);
         assert!(text.contains("# TYPE lafd_runs_total counter"));
         assert!(text.contains("lafd_runs_total 3"));
         assert!(text.contains("lafd_shard_queue_depth{shard=\"0\"} 0"));
@@ -1035,8 +1291,7 @@ mod tests {
             text.ends_with("# EOF\n"),
             "line-framed clients need a terminator"
         );
-        // metrics_in dispatches on format.
-        assert!(service.metrics_in(MetricsFormat::Json).starts_with('{'));
+        assert!(service.metrics(MetricsFormat::Json).starts_with('{'));
         assert_eq!(MetricsFormat::parse("prom"), Ok(MetricsFormat::Prometheus));
         assert_eq!(MetricsFormat::parse("json"), Ok(MetricsFormat::Json));
         assert!(MetricsFormat::parse("xml").is_err());

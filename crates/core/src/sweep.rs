@@ -44,10 +44,14 @@ use crate::metrics;
 use crate::pool;
 use crate::runner::FdRunReport;
 use crate::schedsearch::{self, Score, SearchConfig, Strategy};
+use crate::service;
 use crate::spec::{Session, SpecBuilder};
+use crate::wire;
 use fd_simnet::{Engine, LatencySpec, LinkLatencySpec};
 use std::collections::BTreeSet;
 use std::fmt;
+use std::io::{BufRead, BufReader};
+use std::net::TcpStream;
 
 // The sweep's protocol and adversary axes migrated into the unified
 // execution API ([`crate::spec`] / [`crate::adversary`]); re-exported
@@ -561,10 +565,10 @@ fn push_json_str(s: &mut String, key: &str, value: &str) {
 /// cross-validation, outcome classification — is independent of *where* a
 /// run happens. This seam carries exactly the part that moves: produce
 /// the keydist message count and the [`FdRunReport`] for one
-/// [`SpecBuilder`]. [`LocalExecutor`] runs in-process; `lafd sweep
-/// --remote` ships the same builder over the `lafd serve` wire protocol,
-/// and the report bytes are identical either way (the service integration
-/// tests assert this).
+/// [`SpecBuilder`]. [`LocalExecutor`] runs in-process; [`RemoteExecutor`]
+/// (`lafd sweep --remote`) ships the same builder over the `lafd serve`
+/// wire protocol, and the report bytes are identical either way (the
+/// service integration tests assert this).
 ///
 /// The scheduler-search axis always runs locally — it is a tight
 /// schedule-mutation loop around one scenario, not a batch of independent
@@ -586,6 +590,38 @@ impl ScenarioExecutor for LocalExecutor {
         let mut session = Session::new(cluster);
         let run = session.run(&spec);
         Ok((session.keydist_messages(), run))
+    }
+}
+
+/// The executor of `lafd sweep --remote`: one wire-v1 request per
+/// scenario to a `lafd serve` at `addr`, on a fresh `TCP_NODELAY`
+/// connection (which keeps it `Sync`), framed by `service::write_frame`
+/// like the server's replies.
+#[derive(Debug, Clone)]
+pub struct RemoteExecutor {
+    /// `HOST:PORT` of the service.
+    pub addr: String,
+}
+
+impl ScenarioExecutor for RemoteExecutor {
+    fn execute(&self, scenario: &SpecBuilder) -> Result<(Option<usize>, FdRunReport), String> {
+        let addr = &self.addr;
+        let request = wire::request_to_json(scenario, None)?;
+        let mut stream =
+            TcpStream::connect(addr).map_err(|e| format!("connecting to {addr}: {e}"))?;
+        stream
+            .set_nodelay(true)
+            .and_then(|()| service::write_frame(&mut stream, request))
+            .map_err(|e| format!("sending request to {addr}: {e}"))?;
+        let mut reply = String::new();
+        BufReader::new(&stream)
+            .read_line(&mut reply)
+            .map_err(|e| format!("reading response from {addr}: {e}"))?;
+        if reply.trim().is_empty() {
+            return Err(format!("service at {addr} closed without replying"));
+        }
+        let response = wire::response_from_json(reply.trim())?;
+        Ok((response.keydist_messages, response.report?))
     }
 }
 

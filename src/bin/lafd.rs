@@ -11,9 +11,10 @@
 //! lafd run      --spec FILE.json   # wire-v1 request (the `lafd serve` format)
 //! lafd run      <protocol> --trace out.json [--trace-folded out.folded]
 //!               # Chrome trace-event + folded-stack phase traces
-//! lafd serve    [--shards 2] [--max-sessions 8] [--stdin] [--listen ADDR]
-//!               [--unix PATH] [--clients C] [--metrics PATH]
-//!               [--metrics-format json|prometheus]
+//! lafd serve    [--shards 2] [--max-sessions 8]
+//!               [--stdin [--clients C] | --listen ADDR | --unix PATH]
+//!               [--metrics PATH] [--metrics-format json|prometheus]
+//!               # --unix replaces only a stale socket at PATH
 //! lafd search   <protocol> [--budget N] [--strategy random|greedy] [-n 8]
 //!               [--t T] [--seed S] [--scheme tiny] [--latency jitter:2]
 //!               [--adversary none] [--threads N] [--json PATH] [--md PATH]
@@ -51,24 +52,27 @@
 //! builder validates the shape, and execution happens via
 //! [`SpecBuilder::build`] — the same object the `lafd serve` wire format
 //! serializes, so a flag invocation and a service request are provably
-//! the same run. The multi-run, key-rotation and two-faced-sender
-//! demos live in `examples/`.
+//! the same run. `lafd serve` only parses its flags and binds: the
+//! connection loop, framing, control verbs and stdin batch are
+//! `fd_core::service::FdService`, and `lafd sweep --remote` is
+//! `fd_core::sweep::RemoteExecutor`. The multi-run, key-rotation and
+//! two-faced-sender demos live in `examples/`.
 
 use local_auth_fd::core::adversary::AdversarySpec;
 use local_auth_fd::core::metrics;
 use local_auth_fd::core::runner::FdRunReport;
 use local_auth_fd::core::schedsearch::{run_search_parallel, SearchConfig, Strategy};
-use local_auth_fd::core::service::{FdService, MetricsFormat, ServiceConfig};
+use local_auth_fd::core::service::{self, FdService, MetricsFormat, ServiceConfig};
 use local_auth_fd::core::spec::{canonical_scheme, Protocol, Session, SpecBuilder};
 use local_auth_fd::core::sweep::{
-    classify, run_sweep_with, scenario, AdversaryKind, FaultRule, LocalExecutor, ScenarioExecutor,
+    classify, run_sweep_with, scenario, AdversaryKind, FaultRule, LocalExecutor, RemoteExecutor,
     SearchAxis, SweepMatrix, SweepOutcome,
 };
 use local_auth_fd::core::wire;
 use local_auth_fd::simnet::fault::LinkFault;
 use local_auth_fd::simnet::transport::chaos::ChaosSpec;
 use local_auth_fd::simnet::{Engine, LatencySpec, LinkLatencySpec, NodeId};
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufRead, BufReader, Write};
 use std::process::ExitCode;
 
 fn usage() {
@@ -82,8 +86,9 @@ fn usage() {
          [--drop R:FROM:TO] [--corrupt R:FROM:TO:OFF:MASK] [--delay R:FROM:TO:BY] \
          [--reorder R:FROM:TO] [--crash I] [--trace OUT.json] [--trace-folded OUT.folded] \
          — or: lafd run --spec FILE.json\n\
-         serve: lafd serve [--shards N] [--max-sessions K] [--stdin] [--listen HOST:PORT] \
-         [--unix PATH] [--clients C] [--metrics PATH] [--metrics-format json|prometheus]\n\
+         serve: lafd serve [--shards N] [--max-sessions K] \
+         [--stdin [--clients C] | --listen HOST:PORT | --unix PATH] [--metrics PATH] \
+         [--metrics-format json|prometheus]\n\
          search: lafd search <protocol> [--budget N] [--strategy random|greedy] [-n N] \
          [--t T] [--seed S] [--scheme NAME] [--latency jitter:2] [--adversary none|silent|...] \
          [--threads N] [--json PATH] [--md PATH]\n\
@@ -506,7 +511,7 @@ fn cmd_run(args: &[String]) -> ExitCode {
 }
 
 /// `lafd run --spec FILE.json`: execute one wire-v1 request (the exact
-/// format `lafd serve` accepts) and print the report JSON to stdout.
+/// format `lafd serve` reads) and print the report JSON to stdout.
 fn cmd_run_spec_file(path: &str) -> ExitCode {
     let raw = match std::fs::read_to_string(path) {
         Ok(raw) => raw,
@@ -543,7 +548,8 @@ fn cmd_run_spec_file(path: &str) -> ExitCode {
 struct ServeOpts {
     shards: usize,
     max_sessions: usize,
-    clients: usize,
+    /// Concurrent batch clients; the default is one per CPU.
+    clients: Option<usize>,
     stdin: bool,
     listen: Option<String>,
     unix: Option<String>,
@@ -555,7 +561,7 @@ fn parse_serve(args: &[String]) -> Result<ServeOpts, String> {
     let mut opts = ServeOpts {
         shards: 2,
         max_sessions: 8,
-        clients: std::thread::available_parallelism().map_or(1, std::num::NonZero::get),
+        clients: None,
         stdin: false,
         listen: None,
         unix: None,
@@ -585,10 +591,11 @@ fn parse_serve(args: &[String]) -> Result<ServeOpts, String> {
                 }
             }
             "--clients" => {
-                opts.clients = grab()?.parse().map_err(|e| format!("--clients: {e}"))?;
-                if opts.clients == 0 {
+                let clients = grab()?.parse().map_err(|e| format!("--clients: {e}"))?;
+                if clients == 0 {
                     return Err("--clients must be at least 1".to_string());
                 }
+                opts.clients = Some(clients);
             }
             "--stdin" => opts.stdin = true,
             "--listen" => opts.listen = Some(grab()?),
@@ -604,286 +611,11 @@ fn parse_serve(args: &[String]) -> Result<ServeOpts, String> {
     if opts.stdin && (opts.listen.is_some() || opts.unix.is_some()) {
         return Err("--stdin does not compose with --listen/--unix".to_string());
     }
+    // Only the stdin batch runs concurrent clients of its own.
+    if opts.clients.is_some() && (opts.listen.is_some() || opts.unix.is_some()) {
+        return Err("--clients only applies to the stdin batch, not --listen/--unix".to_string());
+    }
     Ok(opts)
-}
-
-/// Answer one request line: control verbs (`{"op": "metrics"}`,
-/// `{"op": "shutdown"}`) are handled here; everything else is a wire-v1
-/// `RunSpec` request routed into the service.
-fn dispatch_line(
-    request: &str,
-    service: &FdService,
-    stop: &std::sync::atomic::AtomicBool,
-) -> String {
-    if let Ok(value) = wire::Value::parse(request) {
-        if let Some(op) = value.get("op").and_then(wire::Value::as_str) {
-            return match op {
-                // JSON metrics are one line, which fits the
-                // newline-delimited reply framing; Prometheus text is
-                // inherently multi-line and ends with a `# EOF` line so
-                // line-framed clients know where the document stops.
-                "metrics" => value
-                    .get("format")
-                    .and_then(wire::Value::as_str)
-                    .map_or(Ok(MetricsFormat::Json), MetricsFormat::parse)
-                    .map_or_else(|e| wire::error_to_json(None, &e), |f| service.metrics_in(f)),
-                "shutdown" => {
-                    stop.store(true, std::sync::atomic::Ordering::SeqCst);
-                    "{\"ok\": true, \"draining\": true}".to_string()
-                }
-                other => wire::error_to_json(None, &format!("unknown op {other}")),
-            };
-        }
-    }
-    service.submit_line(request)
-}
-
-/// Longest request line `lafd serve` accepts, on a socket or on stdin.
-const MAX_REQUEST_LINE: usize = 1 << 20;
-
-/// Send one newline-terminated frame in exactly one write. With the
-/// terminator in a write of its own, Nagle's algorithm holds it back
-/// until the peer's delayed ACK fires (~40 ms per frame).
-fn write_frame(out: &mut impl Write, mut frame: String) -> std::io::Result<()> {
-    frame.push('\n');
-    out.write_all(frame.as_bytes())?;
-    out.flush()
-}
-
-/// What [`read_request_line`] found.
-enum RequestLine {
-    /// `line` holds one request (newline-terminated, or cut off by end
-    /// of input).
-    Complete,
-    /// `line` passed [`MAX_REQUEST_LINE`] bytes without a newline.
-    TooLong,
-    /// End of input with nothing pending.
-    Eof,
-}
-
-/// Append the next request line to `line`, never holding more than
-/// [`MAX_REQUEST_LINE`] + 1 bytes. On an I/O error (a read timeout, on a
-/// socket) the bytes read so far stay in `line` and the call can simply
-/// be repeated.
-fn read_request_line(
-    reader: &mut impl BufRead,
-    line: &mut Vec<u8>,
-) -> std::io::Result<RequestLine> {
-    let room = (MAX_REQUEST_LINE + 1).saturating_sub(line.len());
-    let read = reader.take(room as u64).read_until(b'\n', line)?;
-    Ok(if line.ends_with(b"\n") {
-        RequestLine::Complete
-    } else if line.len() > MAX_REQUEST_LINE {
-        RequestLine::TooLong
-    } else if read == 0 {
-        RequestLine::Eof
-    } else {
-        RequestLine::Complete
-    })
-}
-
-/// The error frame answering a [`RequestLine::TooLong`] line.
-fn oversized_line_response() -> String {
-    wire::error_to_json(
-        None,
-        &format!("request line exceeds {MAX_REQUEST_LINE} bytes"),
-    )
-}
-
-/// The trimmed text of a request line, or the error frame answering one
-/// that is not UTF-8.
-fn request_text(line: &[u8]) -> Result<&str, String> {
-    std::str::from_utf8(line)
-        .map(str::trim)
-        .map_err(|e| wire::error_to_json(None, &format!("request line is not UTF-8: {e}")))
-}
-
-/// Serve one accepted connection: newline-delimited requests in, one
-/// response frame per request out (see [`write_frame`]). A request line
-/// past [`MAX_REQUEST_LINE`] is answered with one error frame and the
-/// connection closed, so a client that never sends a newline cannot grow
-/// the server. The stream carries a read timeout so an idle connection
-/// notices the shutdown flag.
-fn handle_connection<S: Read + Write>(
-    stream: S,
-    service: &FdService,
-    stop: &std::sync::atomic::AtomicBool,
-) {
-    use std::sync::atomic::Ordering;
-    let mut reader = BufReader::new(stream);
-    let mut line = Vec::new();
-    loop {
-        match read_request_line(&mut reader, &mut line) {
-            Ok(RequestLine::Eof) => break,
-            Ok(RequestLine::TooLong) => {
-                let _ = write_frame(reader.get_mut(), oversized_line_response());
-                break;
-            }
-            Ok(RequestLine::Complete) => {
-                let response = match request_text(&line) {
-                    Ok("") => None,
-                    Ok(request) => Some(dispatch_line(request, service, stop)),
-                    Err(error) => Some(error),
-                };
-                line.clear();
-                let Some(response) = response else { continue };
-                if write_frame(reader.get_mut(), response).is_err() {
-                    break;
-                }
-                if stop.load(Ordering::SeqCst) {
-                    break;
-                }
-            }
-            // A timed-out read leaves any partial line in the buffer;
-            // keep it and poll the shutdown flag.
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                if stop.load(Ordering::SeqCst) {
-                    break;
-                }
-            }
-            Err(_) => break,
-        }
-    }
-}
-
-/// Accept loop shared by the TCP and Unix listeners: poll a non-blocking
-/// accept, hand each connection to a scoped thread, exit when a client
-/// sends `{"op": "shutdown"}`.
-fn accept_loop<S, A>(mut accept: A, service: &FdService, stop: &std::sync::atomic::AtomicBool)
-where
-    S: Read + Write + Send,
-    A: FnMut() -> Result<Option<S>, String>,
-{
-    use std::sync::atomic::Ordering;
-    std::thread::scope(|scope| loop {
-        if stop.load(Ordering::SeqCst) {
-            break;
-        }
-        match accept() {
-            Ok(Some(stream)) => {
-                scope.spawn(move || handle_connection(stream, service, stop));
-            }
-            Ok(None) => std::thread::sleep(std::time::Duration::from_millis(25)),
-            Err(e) => {
-                eprintln!("serve: accept: {e}");
-                std::thread::sleep(std::time::Duration::from_millis(25));
-            }
-        }
-    });
-}
-
-fn serve_tcp(
-    service: &FdService,
-    addr: &str,
-    stop: &std::sync::atomic::AtomicBool,
-) -> Result<(), String> {
-    let listener = std::net::TcpListener::bind(addr).map_err(|e| format!("binding {addr}: {e}"))?;
-    listener
-        .set_nonblocking(true)
-        .map_err(|e| format!("nonblocking {addr}: {e}"))?;
-    match listener.local_addr() {
-        Ok(local) => eprintln!("serve: listening on {local}"),
-        Err(_) => eprintln!("serve: listening on {addr}"),
-    }
-    accept_loop(
-        || match listener.accept() {
-            Ok((stream, _peer)) => {
-                stream
-                    .set_nonblocking(false)
-                    .and_then(|()| stream.set_nodelay(true))
-                    .and_then(|()| {
-                        stream.set_read_timeout(Some(std::time::Duration::from_millis(200)))
-                    })
-                    .map_err(|e| format!("configuring connection: {e}"))?;
-                Ok(Some(stream))
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => Ok(None),
-            Err(e) => Err(format!("{e}")),
-        },
-        service,
-        stop,
-    );
-    Ok(())
-}
-
-#[cfg(unix)]
-fn serve_unix(
-    service: &FdService,
-    path: &str,
-    stop: &std::sync::atomic::AtomicBool,
-) -> Result<(), String> {
-    // A stale socket file from a crashed server would make bind fail.
-    let _ = std::fs::remove_file(path);
-    let listener =
-        std::os::unix::net::UnixListener::bind(path).map_err(|e| format!("binding {path}: {e}"))?;
-    listener
-        .set_nonblocking(true)
-        .map_err(|e| format!("nonblocking {path}: {e}"))?;
-    eprintln!("serve: listening on {path}");
-    accept_loop(
-        || match listener.accept() {
-            Ok((stream, _peer)) => {
-                stream
-                    .set_nonblocking(false)
-                    .and_then(|()| {
-                        stream.set_read_timeout(Some(std::time::Duration::from_millis(200)))
-                    })
-                    .map_err(|e| format!("configuring connection: {e}"))?;
-                Ok(Some(stream))
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => Ok(None),
-            Err(e) => Err(format!("{e}")),
-        },
-        service,
-        stop,
-    );
-    let _ = std::fs::remove_file(path);
-    Ok(())
-}
-
-#[cfg(not(unix))]
-fn serve_unix(
-    _service: &FdService,
-    _path: &str,
-    _stop: &std::sync::atomic::AtomicBool,
-) -> Result<(), String> {
-    Err("--unix is only available on Unix platforms".to_string())
-}
-
-/// A stdin batch: the well-formed request lines in input order, plus the
-/// error frame of every line refused at the framing level (too long, not
-/// UTF-8) with its position in the batch's output, ascending.
-type Batch = (Vec<String>, Vec<(usize, String)>);
-
-/// Read the whole `--stdin` batch, skipping blank lines. The bytes of a
-/// line past [`MAX_REQUEST_LINE`] are discarded as they are read.
-fn read_batch(input: &mut impl BufRead) -> std::io::Result<Batch> {
-    let (mut lines, mut rejected) = (Vec::new(), Vec::new());
-    let mut line = Vec::new();
-    loop {
-        match read_request_line(input, &mut line)? {
-            RequestLine::Eof => return Ok((lines, rejected)),
-            RequestLine::Complete => match request_text(&line) {
-                Ok("") => {}
-                Ok(request) => lines.push(request.to_string()),
-                Err(error) => rejected.push((lines.len() + rejected.len(), error)),
-            },
-            RequestLine::TooLong => {
-                rejected.push((lines.len() + rejected.len(), oversized_line_response()));
-                // Discard the rest of the line in bounded pieces.
-                while !line.ends_with(b"\n") {
-                    line.clear();
-                    if input.take(1 << 16).read_until(b'\n', &mut line)? == 0 {
-                        break;
-                    }
-                }
-            }
-        }
-        line.clear();
-    }
 }
 
 fn cmd_serve(args: &[String]) -> ExitCode {
@@ -899,26 +631,37 @@ fn cmd_serve(args: &[String]) -> ExitCode {
         shards: opts.shards,
         max_sessions: opts.max_sessions,
     });
-    let stop = std::sync::atomic::AtomicBool::new(false);
     let served = if let Some(addr) = &opts.listen {
-        serve_tcp(&service, addr, &stop)
+        std::net::TcpListener::bind(addr)
+            .map_err(|e| format!("binding {addr}: {e}"))
+            .map(|listener| {
+                let local = listener
+                    .local_addr()
+                    .map_or(addr.clone(), |a| a.to_string());
+                eprintln!("serve: listening on {local}");
+                service.serve(&listener);
+            })
     } else if let Some(path) = &opts.unix {
-        serve_unix(&service, path, &stop)
+        service::bind_unix(path)
+            .map_err(|e| format!("binding {path}: {e}"))
+            .map(|listener| {
+                eprintln!("serve: listening on {path}");
+                service.serve(&listener);
+                let _ = std::fs::remove_file(path);
+            })
     } else {
         // Default (and `--stdin`) mode: read the whole batch from stdin,
         // answer on stdout in input order.
-        match read_batch(&mut std::io::stdin().lock()) {
-            Ok((lines, rejected)) => {
+        let clients = opts.clients.unwrap_or_else(|| {
+            std::thread::available_parallelism().map_or(1, std::num::NonZero::get)
+        });
+        match service.serve_batch(&mut std::io::stdin().lock(), clients) {
+            Ok(responses) => {
                 eprintln!(
-                    "serve: {} requests on {} shards, {} clients",
-                    lines.len() + rejected.len(),
+                    "serve: {} requests on {} shards, {clients} clients",
+                    responses.len(),
                     opts.shards,
-                    opts.clients
                 );
-                let mut responses = service.submit_batch(&lines, opts.clients);
-                for (at, error) in rejected {
-                    responses.insert(at, error);
-                }
                 for response in responses {
                     println!("{response}");
                 }
@@ -2022,44 +1765,6 @@ fn parse_sweep_matrix(args: &[String]) -> Result<SweepArgs, String> {
         md_path,
         remote,
     })
-}
-
-/// A [`ScenarioExecutor`] that ships each sweep scenario — a
-/// [`SpecBuilder`] — to a running `lafd serve` instance as a wire-format
-/// request and decodes the response report. One TCP connection per
-/// scenario keeps the executor trivially `Sync`; the service amortizes
-/// keydist across scenarios that share a session key, so the connection
-/// cost is the cheap part. The
-/// request leaves as one frame on a `TCP_NODELAY` socket, the same
-/// framing rule the server follows (see [`write_frame`]).
-struct RemoteExecutor {
-    addr: String,
-}
-
-impl RemoteExecutor {
-    fn call(&self, request: String) -> Result<wire::WireResponse, String> {
-        let mut stream = std::net::TcpStream::connect(&self.addr)
-            .map_err(|e| format!("connecting to {}: {e}", self.addr))?;
-        stream
-            .set_nodelay(true)
-            .and_then(|()| write_frame(&mut stream, request))
-            .map_err(|e| format!("sending request to {}: {e}", self.addr))?;
-        let mut reply = String::new();
-        BufReader::new(&stream)
-            .read_line(&mut reply)
-            .map_err(|e| format!("reading response from {}: {e}", self.addr))?;
-        if reply.trim().is_empty() {
-            return Err(format!("service at {} closed without replying", self.addr));
-        }
-        wire::response_from_json(reply.trim())
-    }
-}
-
-impl ScenarioExecutor for RemoteExecutor {
-    fn execute(&self, scenario: &SpecBuilder) -> Result<(Option<usize>, FdRunReport), String> {
-        let response = self.call(wire::request_to_json(scenario, None)?)?;
-        Ok((response.keydist_messages, response.report?))
-    }
 }
 
 fn cmd_sweep(args: &[String]) -> ExitCode {

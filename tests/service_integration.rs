@@ -7,7 +7,7 @@
 //! direct `Cluster::run`, concurrent clients never duplicate keydist
 //! work, and shutdown drains cleanly with consistent final metrics.
 
-use local_auth_fd::core::service::{FdService, ServiceConfig};
+use local_auth_fd::core::service::{FdService, MetricsFormat, ServiceConfig};
 use local_auth_fd::core::spec::{Protocol, SpecBuilder};
 use local_auth_fd::core::wire::{self, Value};
 use std::io::Write;
@@ -141,7 +141,7 @@ fn racing_clients_never_duplicate_the_keydist() {
             });
         }
         // Live metrics snapshot while clients are in flight must parse.
-        let live = Value::parse(&service.metrics_json()).unwrap();
+        let live = Value::parse(&service.metrics(MetricsFormat::Json)).unwrap();
         assert!(live
             .get("service")
             .unwrap()
