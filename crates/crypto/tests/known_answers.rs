@@ -5,7 +5,7 @@
 //! parameters, keys and signatures across changes to `fd-bigint` and the
 //! group code. A changed digest means keys or signatures moved.
 
-use fd_crypto::{DsaScheme, SchnorrGroup, SchnorrScheme, Sha256, SignatureScheme};
+use fd_crypto::{DsaScheme, RsaScheme, SchnorrGroup, SchnorrScheme, Sha256, SignatureScheme};
 
 fn hex(digest: [u8; 32]) -> String {
     digest.iter().map(|b| format!("{b:02x}")).collect()
@@ -79,4 +79,14 @@ fn keys_and_signatures_are_pinned() {
     for (scheme, want) in cases {
         assert_eq!(scheme_digest(scheme.as_ref()), want, "{}", scheme.name());
     }
+}
+
+/// RSA keygen shares `fd_bigint::prime` with group generation, so its keys
+/// pin the Miller–Rabin candidate stream.
+#[test]
+fn rsa_keys_and_signatures_are_pinned() {
+    assert_eq!(
+        scheme_digest(&RsaScheme::new(512)),
+        "c769d1422d3a83cb266b540e0c2465abf227700c25209c228b1d00872a1a1e2e"
+    );
 }
