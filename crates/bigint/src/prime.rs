@@ -1,10 +1,11 @@
 //! Primality testing and prime generation.
 //!
-//! Used by `fd-crypto` to generate Schnorr groups (DSA-style `p = c·q + 1`)
-//! and RSA moduli at runtime from fixed seeds, so the repository needs no
-//! hard-coded group constants while staying fully deterministic.
+//! `fd-crypto` uses it for RSA key generation and for
+//! `SchnorrGroup::generate`, the recipe that reproduces the preset Schnorr
+//! groups (DSA-style `p = c·q + 1`) from their fixed seeds. Every candidate
+//! stream is drawn from the caller's RNG, so both are fully deterministic.
 
-use crate::{modpow, RandomUbig, Ubig};
+use crate::{MontCtx, RandomUbig, Ubig};
 
 /// Small primes for cheap trial division before Miller–Rabin.
 const SMALL_PRIMES: [u64; 60] = [
@@ -44,15 +45,16 @@ pub fn is_probable_prime<R: RandomUbig>(n: &Ubig, rounds: usize, rng: &mut R) ->
     let d = &n_minus_1 >> s;
     let two = Ubig::from(2u64);
     let n_minus_2 = n - &two;
+    let ctx = MontCtx::new(n).expect("n is odd and > 1");
 
     'witness: for _ in 0..rounds {
         let a = rng.random_range(&two, &n_minus_2);
-        let mut x = modpow(&a, &d, n);
+        let mut x = ctx.modpow(&a, &d);
         if x.is_one() || x == n_minus_1 {
             continue 'witness;
         }
         for _ in 0..s - 1 {
-            x = modpow(&x, &two, n);
+            x = ctx.mul(&x, &x);
             if x == n_minus_1 {
                 continue 'witness;
             }
