@@ -1,9 +1,13 @@
 //! Schnorr group parameters (DSA-style prime-order subgroups).
 //!
-//! Groups are generated at first use from fixed seeds and cached, so the
-//! repository carries no magic constants yet every run sees identical
-//! parameters. Presets range from `test_tiny` (fast unit tests) to
-//! `s2048` (realistic key sizes for the timing benchmarks, experiment F2).
+//! As with the published DSS domain parameters, the presets are constants:
+//! hex `p`, `q` and `g` parsed once per process on first use. They range
+//! from `test_tiny` (fast unit tests) to `s2048` (realistic key sizes for
+//! the timing benchmarks, experiment F2). Each preset is what
+//! [`SchnorrGroup::generate`] yields for the seed named in its doc, so no
+//! constant is magic; `presets_reproduce_from_generate` in
+//! `tests/known_answers.rs` checks that field for field, and no process
+//! runs the prime search to obtain a preset.
 //!
 //! Every exponent of `g` in the signature schemes is a scalar below `q`,
 //! so each group keeps a [`FixedBase`] table of `g^(d·16^i)` sized by
@@ -15,6 +19,52 @@
 
 use fd_bigint::{modpow, prime, FixedBase, MontCtx, SplitMix64, Ubig};
 use std::sync::OnceLock;
+
+// Preset parameters, big-endian hex, as `generate` yields them.
+
+const TINY_P: &str = "84f20a2a600d6e6e76289dcb";
+const TINY_Q: &str = "b2d8de5f4cf7";
+const TINY_G: &str = "229c8a2901d7bf0702703926";
+
+const S512_P: &str = "\
+    811f216693463b9351b5c0aa605aa8ba0da84743317c208b8b52e338ed4771d1\
+    e13a6089bb24cab3b4c5e06c6847b15ae912937ae00a94bdd75c00127a4ffd45";
+const S512_Q: &str = "dbc1d524e2e104a44426fdba9af8f062eaae60d1";
+const S512_G: &str = "\
+    b03acc8ed88961ab72d53649348c005ab3cc1e09da8e4d9ddf9a9cd7a928a66b\
+    0b6a76ba8ab03757151f5148565c6647978ff5955e1532c541cd938d308d09";
+
+const S1024_P: &str = "\
+    8efc59a567049fd2eaf775625eb03e94ccc343182f00843459a5cdc574df90eb\
+    b7f02652948500bd8767a292d92dfdfee4c7238ce518027bfe77b12445854951\
+    732c444335d93f97953253324930bec5a6374b636c687b23413bd95af81dc0b3\
+    54c92710b8fd74bc561d755093d1592d0ec379efc211572f0969c655b375277d";
+const S1024_Q: &str = "b468e01f79d8b474001bec9035319c5a681e39b5";
+const S1024_G: &str = "\
+    1e774e49072405c8258a67f0f1404c035917f09f1d786c6b43e9e8cd58a4093d\
+    ea0a244489345754d478032339154a7d943177df15df72509e58f33b2a3e2e82\
+    23130978fb9831d7634439c4592f6233b717801bc344f2fe3eca55a9c0d7336d\
+    bb98c4876d6a051397b8ca2dd6a01415d08d54b97c9f674804588c8107cfcd8";
+
+const S2048_P: &str = "\
+    85e7923dfa563986bbcb144e16c570ae879970d49080257537260538556b5926\
+    b7e77c7073716c6471f7f4755b0a07862098d858e71ff0ea30a665bc0939efb6\
+    ce669f6b982c698fd641aaf187e5f5bba3dc03091833f015e32a654160694238\
+    f5eb7ec516b1d121212f90ed09549dd98290339ea50d84eff97694d59c98b1e1\
+    bc2d9da0f40f258d8de96c845f73cf198060875c21ce275ec58610fc82ed9479\
+    501d25066be07152168e847866078f578801ec42e150f5238cca120e1ce12c19\
+    af71c735d4ecd939fe9eb4fd155b14b6d4c48822ec37104e0e31e1dda9ef8e2f\
+    82b75460cd2f1e5b08229b0c3a436db2a2045887d9b166d7e9769dbe9449e593";
+const S2048_Q: &str = "8e0415ea7fa5b14deb8fa0b7f67b74cd4eed0f310213535e9a1c432fb1a3dce7";
+const S2048_G: &str = "\
+    6739435bb978c96c10df4470b5204308d1068448e33a0dd02732a4d4c8628cc4\
+    7d41d14544b0d651ae6d276c7783aa47a30615473a6553c202f56a2dd474740b\
+    b85fe65418efa07a3b545232fa10d95144aa093fa0cebabd49a3d9a7c276ae57\
+    594d9483c94e602d4b80969e502d5bda8da4a733fdf12c51ef443f0690063788\
+    4c9981f893ea8e34284684fab70d0e9ce8302a9f104cf6d93ca3fea7429d0071\
+    86c8cefbcd7f02d5d03e2273d6ff0fd88bc3dd1e72e103eb3bf968cd05d47b38\
+    d33d40ce07b37d431104f65b2346bb8b4df1c09738750f29a1e9f7840b0855f3\
+    aa1fb8f6005b4824dc605e58906ffc71693422f128bb09ebe9854a5e12e767dc";
 
 /// A multiplicative group `Z_p^*` with a generator `g` of prime order `q`.
 ///
@@ -35,6 +85,9 @@ pub struct SchnorrGroup {
 impl SchnorrGroup {
     /// Generate a fresh group with the given sizes from a deterministic seed.
     ///
+    /// This is the recipe the preset constants come from; the presets
+    /// themselves never call it.
+    ///
     /// # Panics
     ///
     /// Panics if `p_bits <= q_bits + 1`.
@@ -52,6 +105,12 @@ impl SchnorrGroup {
             }
             h = &h + &one;
         };
+        SchnorrGroup::from_parts(p, q, g, label)
+    }
+
+    /// A group from known parameters; the Montgomery context for `p` is
+    /// built here and the table for `g` on first use.
+    fn from_parts(p: Ubig, q: Ubig, g: Ubig, label: &'static str) -> Self {
         let mont_p = MontCtx::new(&p).expect("p is an odd prime");
         SchnorrGroup {
             p,
@@ -63,32 +122,42 @@ impl SchnorrGroup {
         }
     }
 
+    /// A preset from its hex constants.
+    fn preset(p: &str, q: &str, g: &str, label: &'static str) -> Self {
+        let hex = |s| Ubig::from_hex(s).expect("preset constants are hex");
+        SchnorrGroup::from_parts(hex(p), hex(q), hex(g), label)
+    }
+
     /// Tiny parameters (96-bit `p`, 48-bit `q`) for fast unit tests.
     /// **Not secure** — the protocol logic, not the cryptography, is under
-    /// test at this size.
+    /// test at this size. [`SchnorrGroup::generate`]'s output for seed
+    /// `0x7e57_0001`.
     pub fn test_tiny() -> &'static SchnorrGroup {
         static G: OnceLock<SchnorrGroup> = OnceLock::new();
-        G.get_or_init(|| SchnorrGroup::generate(96, 48, 0x7e57_0001, "tiny-96/48"))
+        G.get_or_init(|| SchnorrGroup::preset(TINY_P, TINY_Q, TINY_G, "tiny-96/48"))
     }
 
     /// 512-bit `p`, 160-bit `q` — the historical DSA baseline; default for
-    /// simulation benchmarks.
+    /// simulation benchmarks. [`SchnorrGroup::generate`]'s output for seed
+    /// `0x5ee4_0512`.
     pub fn s512() -> &'static SchnorrGroup {
         static G: OnceLock<SchnorrGroup> = OnceLock::new();
-        G.get_or_init(|| SchnorrGroup::generate(512, 160, 0x5ee4_0512, "s512/160"))
+        G.get_or_init(|| SchnorrGroup::preset(S512_P, S512_Q, S512_G, "s512/160"))
     }
 
-    /// 1024-bit `p`, 160-bit `q`.
+    /// 1024-bit `p`, 160-bit `q`. [`SchnorrGroup::generate`]'s output for
+    /// seed `0x5ee4_1024`.
     pub fn s1024() -> &'static SchnorrGroup {
         static G: OnceLock<SchnorrGroup> = OnceLock::new();
-        G.get_or_init(|| SchnorrGroup::generate(1024, 160, 0x5ee4_1024, "s1024/160"))
+        G.get_or_init(|| SchnorrGroup::preset(S1024_P, S1024_Q, S1024_G, "s1024/160"))
     }
 
     /// 2048-bit `p`, 256-bit `q` — modern-ish sizes for the crypto-cost
-    /// benchmark (experiment F2).
+    /// benchmark (experiment F2). [`SchnorrGroup::generate`]'s output for
+    /// seed `0x5ee4_2048`.
     pub fn s2048() -> &'static SchnorrGroup {
         static G: OnceLock<SchnorrGroup> = OnceLock::new();
-        G.get_or_init(|| SchnorrGroup::generate(2048, 256, 0x5ee4_2048, "s2048/256"))
+        G.get_or_init(|| SchnorrGroup::preset(S2048_P, S2048_Q, S2048_G, "s2048/256"))
     }
 
     /// The modulus `p`.

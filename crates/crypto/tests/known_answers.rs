@@ -1,32 +1,88 @@
-//! Known-answer digests for the DSA-family schemes.
+//! Known-answer digests for the preset groups and the signature schemes,
+//! and the checks that tie the preset constants to their recipe.
 //!
 //! Report bytes carry no signature bytes, and every in-process comparison
 //! links the same arithmetic, so these digests are what pins group
 //! parameters, keys and signatures across changes to `fd-bigint` and the
 //! group code. A changed digest means keys or signatures moved.
 
+use fd_bigint::{modpow, prime::is_probable_prime, SplitMix64, Ubig};
 use fd_crypto::{DsaScheme, RsaScheme, SchnorrGroup, SchnorrScheme, Sha256, SignatureScheme};
+
+/// Each preset group with the `generate` arguments it is pinned to:
+/// `(group, p_bits, q_bits, seed)`.
+fn presets() -> [(&'static SchnorrGroup, usize, usize, u64); 4] {
+    [
+        (SchnorrGroup::test_tiny(), 96, 48, 0x7e57_0001),
+        (SchnorrGroup::s512(), 512, 160, 0x5ee4_0512),
+        (SchnorrGroup::s1024(), 1024, 160, 0x5ee4_1024),
+        (SchnorrGroup::s2048(), 2048, 256, 0x5ee4_2048),
+    ]
+}
 
 fn hex(digest: [u8; 32]) -> String {
     digest.iter().map(|b| format!("{b:02x}")).collect()
 }
 
-#[test]
-fn group_parameters_are_pinned() {
+/// SHA-256 over `p ‖ q ‖ g` of each group in turn.
+fn parameters_digest(groups: &[&SchnorrGroup]) -> String {
     let mut h = Sha256::new();
-    for group in [
-        SchnorrGroup::test_tiny(),
-        SchnorrGroup::s512(),
-        SchnorrGroup::s1024(),
-    ] {
+    for group in groups {
         h.update(&group.p().to_be_bytes())
             .update(&group.q().to_be_bytes())
             .update(&group.g().to_be_bytes());
     }
+    hex(h.finalize())
+}
+
+#[test]
+fn group_parameters_are_pinned() {
     assert_eq!(
-        hex(h.finalize()),
+        parameters_digest(&[
+            SchnorrGroup::test_tiny(),
+            SchnorrGroup::s512(),
+            SchnorrGroup::s1024(),
+        ]),
         "343d75e9fff358a49cd004d95b0e1757d15d5a732b1d8bd93a92e9414b576f94"
     );
+}
+
+#[test]
+fn s2048_parameters_are_pinned() {
+    assert_eq!(
+        parameters_digest(&[SchnorrGroup::s2048()]),
+        "8d53bcbe6a4581a72d4ff0c729952f2285135d7255a02b51a16bf0bbba8f4d0c"
+    );
+}
+
+#[test]
+fn preset_groups_are_well_formed() {
+    let mut rng = SplitMix64::new(1);
+    for (group, p_bits, q_bits, _) in presets() {
+        let (p, q, g) = (group.p(), group.q(), group.g());
+        let label = group.label();
+        assert!(label.ends_with(&format!("{p_bits}/{q_bits}")), "{label}");
+        assert_eq!(p.bits(), p_bits, "{label}");
+        assert_eq!(q.bits(), q_bits, "{label}");
+        assert!((&(p - &Ubig::one()) % q).is_zero(), "{label}: q ∤ p − 1");
+        assert!(!g.is_zero() && !g.is_one(), "{label}");
+        assert!(modpow(g, q, p).is_one(), "{label}: g^q ≠ 1");
+        assert!(is_probable_prime(p, 4, &mut rng), "{label}: p");
+        assert!(is_probable_prime(q, 4, &mut rng), "{label}: q");
+    }
+}
+
+/// The presets are constants; this is the recipe they come from.
+#[test]
+#[ignore = "runs the prime search for every preset: seconds in debug"]
+fn presets_reproduce_from_generate() {
+    for (group, p_bits, q_bits, seed) in presets() {
+        let label = group.label();
+        let fresh = SchnorrGroup::generate(p_bits, q_bits, seed, label);
+        assert_eq!(fresh.p(), group.p(), "{label}");
+        assert_eq!(fresh.q(), group.q(), "{label}");
+        assert_eq!(fresh.g(), group.g(), "{label}");
+    }
 }
 
 /// SHA-256 over `sk ‖ pk ‖ sign("m") ‖ sign("challenge 0 1 42")` for seeds
