@@ -278,10 +278,11 @@ impl AdversarySpec {
     ///
     /// # Panics
     ///
-    /// The returned closure panics if [`AdversaryKind::CrashRelay`] is
-    /// asked to wrap a node without a key store (`keydist` is `None`) —
-    /// the crash wrapper runs the honest chain automaton, which needs its
-    /// keys.
+    /// The returned closure panics if a keyed kind (every kind but
+    /// [`AdversaryKind::SilentRelay`]) is asked to substitute a node
+    /// without a key distribution (`keydist` is `None`): the chain
+    /// adversaries sign with the keyring key distribution made, and the
+    /// crash wrapper also runs the honest chain automaton on its store.
     pub fn substitution<'a>(
         &'a self,
         cluster: &'a Cluster,
@@ -345,12 +346,13 @@ fn build_scripted(
         AdversaryKind::None => unreachable!("scripted_at maps None onto Honest"),
         AdversaryKind::SilentRelay => Box::new(SilentNode { me }),
         AdversaryKind::CrashRelay => {
+            let keydist = keydist.expect("crash wrapper needs keys");
             let honest = Box::new(ChainFdNode::new(
                 me,
                 params(),
                 Arc::clone(&cluster.scheme),
-                keydist.expect("crash wrapper needs keys").store(me).clone(),
-                cluster.keyring(me),
+                keydist.store(me).clone(),
+                keydist.ring(me).clone(),
                 None,
             )) as Box<dyn Node>;
             Box::new(CrashNode::new(honest, 1, 0))
@@ -377,7 +379,10 @@ fn build_scripted(
                 me,
                 params(),
                 Arc::clone(&cluster.scheme),
-                cluster.keyring(me),
+                keydist
+                    .expect("chain adversary needs keys")
+                    .ring(me)
+                    .clone(),
                 misbehavior,
                 None,
             ))

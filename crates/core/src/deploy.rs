@@ -844,10 +844,8 @@ fn run_worker_inner(
     let mut kd_stats = NetStats::new(n);
     let mut keydist: Option<KeyDistReport> = None;
     if spec.protocol.needs_keys() {
-        let rings: Vec<keys::Keyring> = (0..n).map(|i| cluster.keyring(NodeId(i as u16))).collect();
-        let table = Arc::new(keys::PredicateTable::from_keys(
-            rings.iter().map(|r| Arc::new(r.pk.clone())).collect(),
-        ));
+        let rings = cluster.keyrings();
+        let table = Arc::new(keys::PredicateTable::from_rings(&rings));
         let node = KeyDistNode::new(
             me,
             n,
@@ -888,6 +886,7 @@ fn run_worker_inner(
             stats: kd_stats.clone(),
             anomalies: vec![(me, kd_anomalies.clone())],
             predicates: Some(table),
+            rings,
         });
     }
 

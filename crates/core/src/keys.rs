@@ -11,14 +11,16 @@
 //! ## Allocation discipline
 //!
 //! Stores are *logically* private per node but *physically* share key
-//! material: every accepted entry is an `Arc<PublicKey>`, so cloning a
-//! store (which every protocol run does, once per node) bumps reference
-//! counts instead of deep-copying `n` keys. A [`PredicateTable`] holds the
-//! cluster's true predicates once; key distribution interns announced
-//! predicates against it, so the honest case allocates `O(n)` distinct
-//! keys across all `n` stores instead of `O(n²)` (a misbehaving announcer
-//! still gets a private allocation — sharing never changes which bytes a
-//! store holds).
+//! material at two levels. Every accepted entry is an `Arc<PublicKey>`,
+//! and a store's table of entries is itself shared copy-on-write: cloning
+//! a store (which every protocol run does, once per node) is one
+//! reference-count increment, and [`KeyStore::accept`] on a shared store
+//! copies the table first, so no clone ever sees another's acceptances.
+//! A [`PredicateTable`] holds the cluster's true predicates once; key
+//! distribution interns announced predicates against it, so the honest
+//! case allocates `O(n)` distinct keys across all `n` stores instead of
+//! `O(n²)` (a misbehaving announcer still gets a private allocation —
+//! sharing never changes which bytes a store holds).
 //!
 //! ## Verification caching
 //!
@@ -98,6 +100,12 @@ impl PredicateTable {
             .map(|i| Arc::new(Keyring::generate(scheme, NodeId(i as u16), cluster_seed).pk))
             .collect();
         PredicateTable::from_keys(keys)
+    }
+
+    /// Build the table from the public halves of already generated
+    /// keyrings, indexed by node.
+    pub fn from_rings(rings: &[Keyring]) -> Self {
+        PredicateTable::from_keys(rings.iter().map(|r| Arc::new(r.pk.clone())).collect())
     }
 
     /// Build the table from already generated predicates.
@@ -531,13 +539,14 @@ impl VerifyCache {
 ///
 /// This is the *output* of the key distribution protocol (paper Fig. 1) and
 /// the *input* to every authenticated protocol. Each node holds its own
-/// store; stores are never shared — but the *allocations* behind their
-/// entries are (`Arc<PublicKey>`), so cloning a store is `O(n)` pointer
-/// bumps, not `O(n)` key copies.
+/// store, logically private — but the entries are `Arc<PublicKey>` handles
+/// and the table holding them is shared copy-on-write, so cloning a store
+/// is one reference-count increment, and [`KeyStore::accept`] copies the
+/// table only when another clone still shares it.
 #[derive(Debug, Clone)]
 pub struct KeyStore {
     me: NodeId,
-    accepted: Vec<Option<Arc<PublicKey>>>,
+    accepted: Arc<Vec<Option<Arc<PublicKey>>>>,
     accepted_count: usize,
     cache: Option<VerifyCache>,
 }
@@ -547,7 +556,7 @@ impl KeyStore {
     pub fn new(n: usize, me: NodeId) -> Self {
         KeyStore {
             me,
-            accepted: vec![None; n],
+            accepted: Arc::new(vec![None; n]),
             accepted_count: 0,
             cache: None,
         }
@@ -563,7 +572,7 @@ impl KeyStore {
         KeyStore {
             me,
             accepted_count: accepted.len(),
-            accepted,
+            accepted: Arc::new(accepted),
             cache: None,
         }
     }
@@ -576,7 +585,7 @@ impl KeyStore {
         KeyStore {
             me,
             accepted_count: accepted.len(),
-            accepted,
+            accepted: Arc::new(accepted),
             cache: None,
         }
     }
@@ -611,12 +620,15 @@ impl KeyStore {
 
     /// Record that `node`'s test predicate has been accepted. Accepts both
     /// owned keys and shared `Arc` handles (`impl Into<Arc<PublicKey>>`).
+    /// On a store whose table another clone still shares, the table is
+    /// copied first (`O(n)` handle bumps), so the acceptance stays private
+    /// to this store.
     ///
     /// # Panics
     ///
     /// Panics if `node` is out of range.
     pub fn accept(&mut self, node: NodeId, pk: impl Into<Arc<PublicKey>>) {
-        let slot = &mut self.accepted[node.index()];
+        let slot = &mut Arc::make_mut(&mut self.accepted)[node.index()];
         if slot.is_none() {
             self.accepted_count += 1;
         }
@@ -768,10 +780,38 @@ mod tests {
         for node in NodeId::all(4) {
             assert_eq!(table.ref_count(node), Some(5));
         }
-        // Cloning a store bumps counts, never reallocates.
-        let _clone = stores[0].clone();
-        assert_eq!(table.ref_count(NodeId(0)), Some(6));
+        // Cloning a store shares its table: no key handle moves, however
+        // many clones exist.
+        let clones: Vec<KeyStore> = (0..1_000).map(|_| stores[0].clone()).collect();
+        for node in NodeId::all(4) {
+            assert_eq!(table.ref_count(node), Some(5));
+        }
+        drop(clones);
         assert_eq!(table.distinct_allocations(), 4);
+    }
+
+    #[test]
+    fn accept_on_a_clone_stays_private() {
+        // G3 still opens between clones: a clone that accepts a different
+        // key for node 1 (and a key for node 3) leaves the original as it
+        // was.
+        let scheme = SchnorrScheme::test_tiny();
+        let table = PredicateTable::generate(&scheme, 4, 13);
+        let mut original = KeyStore::new(4, NodeId(0));
+        for node in NodeId::all(3) {
+            original.accept(node, Arc::clone(table.entry(node).unwrap()));
+        }
+        let mut clone = original.clone();
+        let (_, other) = scheme.keypair_from_seed(4242);
+        clone.accept(NodeId(1), other.clone());
+        clone.accept(NodeId(3), Arc::clone(table.entry(NodeId(3)).unwrap()));
+        assert_eq!(clone.accepted(NodeId(1)), Some(&other));
+        assert_eq!(clone.accepted_count(), 4);
+
+        let held = original.accepted_shared(NodeId(1)).unwrap();
+        assert!(Arc::ptr_eq(held, table.entry(NodeId(1)).unwrap()));
+        assert_eq!(original.accepted(NodeId(3)), None);
+        assert_eq!(original.accepted_count(), 3);
     }
 
     #[test]

@@ -393,8 +393,9 @@ fn assemble_trace(
                 });
                 prev = mark;
             }
-            // The run phase also covers node construction (keyrings,
-            // stores) and outcome extraction around the round loop.
+            // The run phase also covers node construction (one handle
+            // copy of each node's keyring and store) and outcome
+            // extraction around the round loop.
             spans.push(Span {
                 name: "assemble".to_string(),
                 start: run_base + prev,

@@ -234,6 +234,9 @@ pub struct KeyDistReport {
     /// see [`PredicateTable::distinct_allocations`]). `None` for
     /// hand-assembled reports.
     pub predicates: Option<Arc<PredicateTable>>,
+    /// Every node's keyring, indexed by node — the ones key distribution
+    /// generated, kept so no run generates a key again.
+    pub rings: Vec<Keyring>,
 }
 
 impl KeyDistReport {
@@ -246,6 +249,15 @@ impl KeyDistReport {
         self.stores[id.index()]
             .as_ref()
             .expect("store of an honest node")
+    }
+
+    /// The keyring of node `id`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is out of range.
+    pub fn ring(&self, id: NodeId) -> &Keyring {
+        &self.rings[id.index()]
     }
 }
 
@@ -484,21 +496,11 @@ impl Cluster {
         Keyring::generate(self.scheme.as_ref(), id, self.seed)
     }
 
-    /// The cluster's shared predicate table: the true test predicate of
-    /// every node, allocated once (see [`PredicateTable`]).
-    pub fn predicate_table(&self) -> Arc<PredicateTable> {
-        Arc::new(PredicateTable::generate(
-            self.scheme.as_ref(),
-            self.n,
-            self.seed,
-        ))
-    }
-
     /// Trusted-dealer stores (global authentication baseline): every node
     /// holds everyone's true predicate, zero messages spent. All `n`
     /// stores share one predicate table — `O(n)` distinct allocations.
     pub fn global_stores(&self) -> Vec<KeyStore> {
-        let table = self.predicate_table();
+        let table = PredicateTable::from_rings(&self.keyrings());
         (0..self.n)
             .map(|i| KeyStore::global_shared(NodeId(i as u16), table.keys()))
             .collect()
@@ -508,7 +510,8 @@ impl Cluster {
     /// zero messages spent, the predicate table attached. The setup of
     /// the large-`n` counter tests and benchmark layer rows.
     pub fn dealer_keydist(&self) -> KeyDistReport {
-        let table = self.predicate_table();
+        let rings = self.keyrings();
+        let table = Arc::new(PredicateTable::from_rings(&rings));
         let stores = (0..self.n)
             .map(|i| Some(KeyStore::global_shared(NodeId(i as u16), table.keys())))
             .collect();
@@ -517,7 +520,15 @@ impl Cluster {
             stats: NetStats::new(self.n),
             anomalies: Vec::new(),
             predicates: Some(table),
+            rings,
         }
+    }
+
+    /// Every node's keyring, indexed by node.
+    pub(crate) fn keyrings(&self) -> Vec<Keyring> {
+        (0..self.n)
+            .map(|i| self.keyring(NodeId(i as u16)))
+            .collect()
     }
 
     /// Run the key distribution protocol with all nodes honest.
@@ -534,12 +545,8 @@ impl Cluster {
     pub fn run_key_distribution_with(&self, substitute: Substitution<'_>) -> KeyDistReport {
         // One pass of key generation feeds both the honest keyrings and
         // the shared table the stores intern against.
-        let rings: Vec<Keyring> = (0..self.n)
-            .map(|i| self.keyring(NodeId(i as u16)))
-            .collect();
-        let table = Arc::new(PredicateTable::from_keys(
-            rings.iter().map(|r| Arc::new(r.pk.clone())).collect(),
-        ));
+        let rings = self.keyrings();
+        let table = Arc::new(PredicateTable::from_rings(&rings));
         let mut honest = vec![false; self.n];
         let nodes: Vec<Box<dyn Node>> = (0..self.n)
             .map(|i| {
@@ -584,6 +591,7 @@ impl Cluster {
             stats,
             anomalies,
             predicates: Some(table),
+            rings,
         }
     }
 
@@ -618,7 +626,7 @@ impl Cluster {
                     params.clone(),
                     Arc::clone(&self.scheme),
                     keydist.store(me).clone(),
-                    self.keyring(me),
+                    keydist.ring(me).clone(),
                     values[i].clone(),
                 )) as Box<dyn Node>
             })
@@ -730,12 +738,7 @@ mod tests {
         // authentication run on locally distributed keys; conversely our
         // implementation runs identically on dealer-provided stores.
         let c = cluster(5, 1);
-        let kd = KeyDistReport {
-            stores: c.global_stores().into_iter().map(Some).collect(),
-            stats: NetStats::new(5),
-            anomalies: Vec::new(),
-            predicates: None,
-        };
+        let kd = c.dealer_keydist();
         let mut session = Session::with_keydist(c, kd);
         let run = session.run(&spec(Protocol::ChainFd, b"x"));
         assert!(run.all_decided(b"x"));

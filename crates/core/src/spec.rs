@@ -646,7 +646,7 @@ impl Cluster {
                             params.clone(),
                             Arc::clone(&self.scheme),
                             keys.store(me).clone().with_cache(cache.clone()),
-                            self.keyring(me),
+                            keys.ring(me).clone(),
                             (me == params.sender).then(|| value.clone()),
                         ))
                     }),
@@ -680,7 +680,7 @@ impl Cluster {
                             params.clone(),
                             Arc::clone(&self.scheme),
                             keys.store(me).clone().with_cache(cache.clone()),
-                            self.keyring(me),
+                            keys.ring(me).clone(),
                             (me == params.sender).then(|| value.clone()),
                         ))
                     }),
@@ -699,7 +699,7 @@ impl Cluster {
                             params.clone(),
                             Arc::clone(&self.scheme),
                             keys.store(me).clone().with_cache(cache.clone()),
-                            self.keyring(me),
+                            keys.ring(me).clone(),
                             (me == params.sender).then(|| value.clone()),
                         ))
                     }),
@@ -732,7 +732,7 @@ impl Cluster {
                         params.clone(),
                         Arc::clone(&self.scheme),
                         keys.store(me).clone().with_cache(cache.clone()),
-                        self.keyring(me),
+                        keys.ring(me).clone(),
                         (me == params.sender).then(|| value.clone()),
                     ))
                 });
@@ -778,7 +778,7 @@ impl Cluster {
                         params.clone(),
                         Arc::clone(&self.scheme),
                         keys.store(me).clone().with_cache(cache.clone()),
-                        self.keyring(me),
+                        keys.ring(me).clone(),
                         (me == params.sender).then(|| value.clone()),
                     ))
                 });

@@ -16,14 +16,21 @@
 //!   bytes, communication rounds, distinct key allocations — for chain FD
 //!   and Dolev–Strong on both engines at n = 256, plus Dolev–Strong at
 //!   n = 8192 as an ignored large-`n` stress test.
+//! * Runs generate no keys: key distribution (real or dealer) makes the
+//!   `n` keyrings, and every later run borrows them, at n = 64 on every
+//!   keyed protocol and both engines, and at n = 4096 as an ignored
+//!   large-`n` guard.
 
 use local_auth_fd::core::adversary::{AdversaryKind, AdversarySpec};
 use local_auth_fd::core::keys::KeyStore;
 use local_auth_fd::core::runner::{Cluster, KeyDistReport};
 use local_auth_fd::core::spec::{Protocol, RunSpec, Session};
 use local_auth_fd::core::sweep::{run_sweep, SweepMatrix};
-use local_auth_fd::crypto::{PublicKey, SchnorrScheme};
+use local_auth_fd::crypto::{
+    CryptoError, PublicKey, SchnorrScheme, SecretKey, Signature, SignatureScheme,
+};
 use local_auth_fd::simnet::{Engine, NodeId};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 fn cluster(n: usize, t: usize, engine: Engine) -> Cluster {
@@ -55,6 +62,7 @@ fn unshared(kd: &KeyDistReport, n: usize) -> KeyDistReport {
         stats: kd.stats.clone(),
         anomalies: kd.anomalies.clone(),
         predicates: None,
+        rings: kd.rings.clone(),
     }
 }
 
@@ -242,8 +250,8 @@ fn n2048_key_stores_are_built_from_linear_distinct_allocations() {
     for node in NodeId::all(n) {
         assert_eq!(table.ref_count(node), Some(n + 1), "{node}");
     }
-    // A protocol run clones every store once more (n more handles per
-    // key), still without allocating any new key material.
+    // A protocol run clones every store once more (one table handle per
+    // store), still without allocating any new key material.
     let mut session = Session::with_keydist(c, kd);
     let run = session.run(&RunSpec::new(Protocol::ChainFd, b"large-n".to_vec()));
     assert!(run.all_decided(b"large-n"));
@@ -310,4 +318,100 @@ fn dealer_run_counters_are_exact_for_ds_at_n8192() {
         dealer_run_counters(Protocol::DolevStrong, 8192, Engine::Event),
         [67_100_672, 4_562_698_258, 2, 8192]
     );
+}
+
+/// Tiny Schnorr that counts its key generations.
+#[derive(Debug)]
+struct CountingScheme {
+    inner: SchnorrScheme,
+    keygens: Arc<AtomicUsize>,
+}
+
+impl SignatureScheme for CountingScheme {
+    fn name(&self) -> String {
+        self.inner.name()
+    }
+
+    fn keypair_from_seed(&self, seed: u64) -> (SecretKey, PublicKey) {
+        self.keygens.fetch_add(1, Ordering::Relaxed);
+        self.inner.keypair_from_seed(seed)
+    }
+
+    fn sign(&self, sk: &SecretKey, msg: &[u8]) -> Result<Signature, CryptoError> {
+        self.inner.sign(sk, msg)
+    }
+
+    fn verify(&self, pk: &PublicKey, msg: &[u8], sig: &Signature) -> bool {
+        self.inner.verify(pk, msg, sig)
+    }
+
+    fn public_key_len(&self) -> usize {
+        self.inner.public_key_len()
+    }
+
+    fn signature_len(&self) -> usize {
+        self.inner.signature_len()
+    }
+}
+
+/// A cluster on a [`CountingScheme`], and its key generation counter.
+fn counting_cluster(n: usize, t: usize) -> (Cluster, Arc<AtomicUsize>) {
+    let keygens = Arc::new(AtomicUsize::new(0));
+    let scheme = CountingScheme {
+        inner: SchnorrScheme::test_tiny(),
+        keygens: Arc::clone(&keygens),
+    };
+    (Cluster::new(n, t, Arc::new(scheme), 5), keygens)
+}
+
+#[test]
+fn warm_runs_generate_no_keys() {
+    let n = 64;
+    let (c, keygens) = counting_cluster(n, 2);
+    let mut session = Session::new(c);
+    session.keydist();
+    assert_eq!(keygens.load(Ordering::Relaxed), n, "keydist makes n rings");
+    let keyed = [
+        Protocol::ChainFd,
+        Protocol::SmallRange,
+        Protocol::DolevStrong,
+        Protocol::Degradable,
+        Protocol::FdToBa,
+    ];
+    let event = session.cluster().clone().with_engine(Engine::Event);
+    for protocol in keyed {
+        let spec = RunSpec::new(protocol, vec![1]).with_default_value(vec![0]);
+        assert!(session.run(&spec).all_decided(&[1]), "{protocol} sync");
+        let run = event.run_with_keys(&spec, session.keydist_report());
+        assert!(run.all_decided(&[1]), "{protocol} event");
+    }
+    assert_eq!(keygens.load(Ordering::Relaxed), n, "runs borrow the rings");
+
+    let (c, keygens) = counting_cluster(n, 2);
+    let kd = c.dealer_keydist();
+    let run = c.run_with_keys(&RunSpec::new(Protocol::ChainFd, vec![1]), Some(&kd));
+    assert!(run.all_decided(&[1]));
+    assert_eq!(
+        keygens.load(Ordering::Relaxed),
+        n,
+        "dealer keydist + one run"
+    );
+}
+
+#[test]
+#[ignore = "large-n guard; run with --release -- --ignored"]
+fn chain4096_dealer_run_generates_no_keys() {
+    let n = 4096;
+    let (c, keygens) = counting_cluster(n, 1);
+    let kd = c.dealer_keydist();
+    let run = c.run_with_keys(
+        &RunSpec::new(Protocol::ChainFd, b"large-n".to_vec()),
+        Some(&kd),
+    );
+    assert!(run.all_decided(b"large-n"));
+    assert_eq!(keygens.load(Ordering::Relaxed), n);
+    let table = kd.predicates.as_ref().expect("dealer keydist shares");
+    for node in NodeId::all(n) {
+        assert_eq!(table.ref_count(node), Some(n + 1), "{node}");
+    }
 }
