@@ -13,7 +13,7 @@
 //! * [`registry_call`] — the one-shot framed client used by workers and
 //!   the orchestrator (one request, one reply, one connection).
 //! * [`run_worker`] — the whole life of one worker process: build the
-//!   [`Cluster`] from a wire request, register, mesh up
+//!   [`Cluster`](crate::runner::Cluster) from a wire request, register, mesh up
 //!   ([`MeshPeers`]/[`NonblockingMesh`]), run the key distribution and
 //!   then the protocol as two mesh phases separated by a registry
 //!   barrier, and tear down with a summary. Any transport or registry
@@ -23,34 +23,40 @@
 //!   processes: spawn them with stdout on a shared exit socket, learn of
 //!   their exits from it (EOF once all have exited), classify each exit
 //!   ([`ExitKind`]), and stop stragglers once the generation is lost.
+//! * [`supervise`] — the generation loop behind `lafd cluster`: spawn
+//!   the registry and each generation, and let [`Policy`] decide after
+//!   each one to restart, degrade to the crash adversary ([`degraded`])
+//!   or abort. [`run_campaigns`] runs `lafd chaos`'s fault campaigns
+//!   through it into a [`ChaosReport`].
 //! * [`assemble_report`] — fold the `n` deposited summaries back into
 //!   the standard [`FdRunReport`]. Because the mesh reproduces the sync
 //!   engine's delivery order and early-termination rule exactly, the
 //!   assembled report's counters are **byte-identical** to
-//!   [`Cluster::run`] for the same spec and seed (the cluster
+//!   [`Cluster::run`](crate::runner::Cluster::run) for the same spec and seed (the cluster
 //!   cross-validation tests compare `to_json()` output directly).
 //!
-//! Phase discipline mirrors [`Cluster::run`]: key distribution always
+//! Phase discipline mirrors [`Cluster::run`](crate::runner::Cluster::run): key distribution always
 //! runs synchronously (paper §3), then the protocol phase runs with the
 //! spec's adversary substitution. A non-synchronous latency spec becomes
 //! a wall-clock [`DelayShim`] on the protocol-phase links — virtual-tick
 //! delays scaled to real time — which stretches socket timing without
 //! changing the round structure, so counters stay comparable.
 
+use crate::flags::{FlagError, Flags};
+use crate::keys;
 use crate::localauth::{KeyDistNode, KEYDIST_ROUNDS};
-use crate::runner::{Cluster, FdRunReport, KeyDistReport};
-use crate::spec::{Protocol, RunSpec, SpecBuilder};
+use crate::runner::{FdRunReport, KeyDistReport};
+use crate::spec::{Protocol, SpecBuilder};
 use crate::wire::{
     registry_reply_from_json, registry_reply_to_json, registry_request_from_json,
     registry_request_to_json, RegistryReply, RegistryRequest, WorkerSummary,
 };
-use crate::{ba, fd, keys};
 use fd_simnet::transport::chaos::{
     transient, with_retry, ChaosInjector, ChaosPhase, ChaosSpec, RetryCtx, RetryPolicy,
     CHAOS_KILL_EXIT, COLLATERAL_EXIT,
 };
 use fd_simnet::transport::{DelayShim, MeshPeers, MeshRun, NonblockingMesh, TransportError};
-use fd_simnet::{LatencySpec, NetStats, Node, NodeId};
+use fd_simnet::{LatencySpec, NetStats, NodeId};
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -59,6 +65,17 @@ use std::os::unix::net::UnixStream;
 use std::process::{Child, Command, ExitStatus, Stdio};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
+
+mod campaign;
+mod supervise;
+
+pub use campaign::{
+    chaos_expected, default_campaigns, run_campaigns, Campaign, CampaignRow, ChaosOutcome,
+    ChaosReport,
+};
+pub use supervise::{
+    degraded, supervise, Aborted, ClusterConfig, Policy, Resilience, Step, Supervised,
+};
 
 /// Upper bound on a single registry frame (a roster or summary set for
 /// any plausible `n` is far below this).
@@ -275,23 +292,6 @@ impl Registry {
             std::thread::spawn(move || handle_connection(stream, &state, wait_limit));
         }
     }
-
-    /// Serve exactly `count` connections, then return (test harness).
-    pub fn serve_connections(&self, count: usize) -> std::io::Result<()> {
-        let mut handles = Vec::with_capacity(count);
-        for _ in 0..count {
-            let (stream, _) = self.listener.accept()?;
-            let state = Arc::clone(&self.state);
-            let wait_limit = self.wait_limit;
-            handles.push(std::thread::spawn(move || {
-                handle_connection(stream, &state, wait_limit)
-            }));
-        }
-        for handle in handles {
-            let _ = handle.join();
-        }
-        Ok(())
-    }
 }
 
 fn handle_connection(mut stream: TcpStream, state: &RegistryState, wait_limit: Duration) {
@@ -460,175 +460,11 @@ fn answer(request: RegistryRequest, state: &RegistryState, wait_limit: Duration)
 }
 
 // ---------------------------------------------------------------------
-// Per-slot protocol node construction and extraction
-// ---------------------------------------------------------------------
-
-/// The protocol-phase round budget of a spec — the same
-/// `params.rounds()` [`Cluster::run`] drives with.
-pub fn protocol_rounds(cluster: &Cluster, spec: &RunSpec) -> u32 {
-    let (n, t) = (cluster.n, cluster.t);
-    match spec.protocol {
-        Protocol::ChainFd => fd::ChainFdParams::new(n, t).rounds(),
-        Protocol::NonAuthFd => fd::NonAuthParams::new(n, t).rounds(),
-        Protocol::SmallRange => {
-            fd::SmallRangeParams::new(n, t, spec.default_value.clone()).rounds()
-        }
-        Protocol::DolevStrong => {
-            ba::DolevStrongParams::new(n, t, spec.default_value.clone()).rounds()
-        }
-        Protocol::PhaseKing => ba::PhaseKingParams::new(n, t, spec.default_value.clone()).rounds(),
-        Protocol::Degradable => {
-            ba::DegradableParams::new(n, t, spec.default_value.clone()).rounds()
-        }
-        Protocol::FdToBa => ba::FdToBaParams::new(n, t, spec.default_value.clone()).rounds(),
-    }
-}
-
-/// Build the honest automaton for one slot — the single-slot mirror of
-/// the per-protocol dispatch in [`Cluster::run`]. `store` is the slot's
-/// key store from the key-distribution phase (`None` for the key-free
-/// protocols).
-///
-/// # Panics
-///
-/// Panics if the protocol needs keys and `store` is `None`.
-pub fn honest_protocol_node(
-    cluster: &Cluster,
-    spec: &RunSpec,
-    me: NodeId,
-    store: Option<&keys::KeyStore>,
-) -> Box<dyn Node> {
-    let (n, t) = (cluster.n, cluster.t);
-    let cache = keys::VerifyCache::default();
-    let keyed = || {
-        store
-            .expect("protocol needs a key store")
-            .clone()
-            .with_cache(cache.clone())
-    };
-    let input = |sender: NodeId| (me == sender).then(|| spec.input.clone());
-    match spec.protocol {
-        Protocol::ChainFd => {
-            let params = fd::ChainFdParams::new(n, t);
-            let value = input(params.sender);
-            Box::new(fd::ChainFdNode::new(
-                me,
-                params,
-                Arc::clone(&cluster.scheme),
-                keyed(),
-                cluster.keyring(me),
-                value,
-            ))
-        }
-        Protocol::NonAuthFd => {
-            let params = fd::NonAuthParams::new(n, t);
-            let value = input(params.sender);
-            Box::new(fd::NonAuthFdNode::new(me, params, value))
-        }
-        Protocol::SmallRange => {
-            let params = fd::SmallRangeParams::new(n, t, spec.default_value.clone());
-            let value = input(params.sender);
-            Box::new(fd::SmallRangeFdNode::new(
-                me,
-                params,
-                Arc::clone(&cluster.scheme),
-                keyed(),
-                cluster.keyring(me),
-                value,
-            ))
-        }
-        Protocol::DolevStrong => {
-            let params = ba::DolevStrongParams::new(n, t, spec.default_value.clone());
-            let value = input(params.sender);
-            Box::new(ba::DolevStrongNode::new(
-                me,
-                params,
-                Arc::clone(&cluster.scheme),
-                keyed(),
-                cluster.keyring(me),
-                value,
-            ))
-        }
-        Protocol::PhaseKing => {
-            let params = ba::PhaseKingParams::new(n, t, spec.default_value.clone());
-            let value = input(params.sender);
-            Box::new(ba::PhaseKingNode::new(me, params, value))
-        }
-        Protocol::Degradable => {
-            let params = ba::DegradableParams::new(n, t, spec.default_value.clone());
-            let value = input(params.sender);
-            Box::new(ba::DegradableNode::new(
-                me,
-                params,
-                Arc::clone(&cluster.scheme),
-                keyed(),
-                cluster.keyring(me),
-                value,
-            ))
-        }
-        Protocol::FdToBa => {
-            let params = ba::FdToBaParams::new(n, t, spec.default_value.clone());
-            let value = input(params.sender);
-            Box::new(ba::FdToBaNode::new(
-                me,
-                params,
-                Arc::clone(&cluster.scheme),
-                keyed(),
-                cluster.keyring(me),
-                value,
-            ))
-        }
-    }
-}
-
-/// Extract one slot's `(outcome, used_fallback, grade)` after a run —
-/// the single-slot mirror of the outcome extraction in [`Cluster::run`].
-/// A node that is not the protocol's honest automaton (an adversary
-/// substitute) yields `(None, false, None)`, exactly as substituted
-/// slots do in-process.
-pub fn extract_slot(
-    protocol: Protocol,
-    node: Box<dyn Node>,
-) -> (Option<crate::outcome::Outcome>, bool, Option<ba::Grade>) {
-    let any = node.into_any();
-    match protocol {
-        Protocol::ChainFd => match any.downcast::<fd::ChainFdNode>() {
-            Ok(n) => (Some(n.outcome().clone()), false, None),
-            Err(_) => (None, false, None),
-        },
-        Protocol::NonAuthFd => match any.downcast::<fd::NonAuthFdNode>() {
-            Ok(n) => (Some(n.outcome().clone()), false, None),
-            Err(_) => (None, false, None),
-        },
-        Protocol::SmallRange => match any.downcast::<fd::SmallRangeFdNode>() {
-            Ok(n) => (Some(n.outcome().clone()), false, None),
-            Err(_) => (None, false, None),
-        },
-        Protocol::DolevStrong => match any.downcast::<ba::DolevStrongNode>() {
-            Ok(n) => (Some(n.outcome().clone()), false, None),
-            Err(_) => (None, false, None),
-        },
-        Protocol::PhaseKing => match any.downcast::<ba::PhaseKingNode>() {
-            Ok(n) => (Some(n.outcome().clone()), false, None),
-            Err(_) => (None, false, None),
-        },
-        Protocol::Degradable => match any.downcast::<ba::DegradableNode>() {
-            Ok(n) => (Some(n.outcome().clone()), false, n.grade()),
-            Err(_) => (None, false, None),
-        },
-        Protocol::FdToBa => match any.downcast::<ba::FdToBaNode>() {
-            Ok(n) => (Some(n.outcome().clone()), n.used_fallback(), None),
-            Err(_) => (None, false, None),
-        },
-    }
-}
-
-// ---------------------------------------------------------------------
 // Worker lifecycle
 // ---------------------------------------------------------------------
 
 /// Everything a worker process needs besides the run description.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WorkerConfig {
     /// Registry address (`host:port`).
     pub registry: String,
@@ -655,19 +491,104 @@ pub struct WorkerConfig {
     pub chaos: Option<ChaosSpec>,
 }
 
+/// Largest `--io-deadline-secs` / `--wait-limit-secs` accepted (one
+/// day): every deadline derived from it, up to the supervisor's
+/// `4 × io_deadline + 30 s` guard, stays far inside `Instant`'s range.
+pub const MAX_DEADLINE_SECS: u64 = 86_400;
+
+/// Parse a deadline flag in whole seconds. Zero is refused (no socket
+/// accepts a zero timeout, so every worker would burn its retries first)
+/// and so is anything past [`MAX_DEADLINE_SECS`] (the deadline sums
+/// would overflow) — before anything is spawned.
+pub fn parse_deadline_secs(flag: &str, raw: &str) -> Result<u64, String> {
+    let secs: u64 = raw.parse().map_err(|e| format!("{flag}: {e}"))?;
+    if (1..=MAX_DEADLINE_SECS).contains(&secs) {
+        Ok(secs)
+    } else {
+        Err(format!(
+            "{flag} {secs}: must be between 1 and {MAX_DEADLINE_SECS} seconds"
+        ))
+    }
+}
+
 impl WorkerConfig {
-    /// A localhost worker with default resilience knobs.
+    /// A localhost worker with the [`ClusterConfig`] defaults.
     pub fn localhost(registry: String, run: String, node: usize, io_deadline: Duration) -> Self {
-        WorkerConfig {
-            registry,
-            run,
-            node,
+        let cluster = ClusterConfig {
             io_deadline,
-            round_wall: Duration::ZERO,
-            incarnation: 0,
-            bind: "127.0.0.1".to_string(),
-            retry: RetryPolicy::default(),
-            chaos: None,
+            ..ClusterConfig::default()
+        };
+        cluster.worker(registry, run, node, 0)
+    }
+
+    /// The `cluster-worker` command line (after the subcommand) of this
+    /// worker running the wire-v1 `request`. The deadline is written in
+    /// whole seconds and the round wall in whole microseconds; the retry
+    /// policy is not written (workers run the default).
+    pub fn to_args(&self, request: &str) -> Vec<String> {
+        let mut args: Vec<String> = [
+            "--registry",
+            &self.registry,
+            "--run",
+            &self.run,
+            "--node",
+            &self.node.to_string(),
+            "--incarnation",
+            &self.incarnation.to_string(),
+            "--bind",
+            &self.bind,
+            "--io-deadline-secs",
+            &self.io_deadline.as_secs().to_string(),
+            "--round-wall-us",
+            &self.round_wall.as_micros().to_string(),
+            "--request",
+            request,
+        ]
+        .map(str::to_string)
+        .to_vec();
+        if let Some(chaos) = &self.chaos {
+            args.extend(["--chaos".to_string(), chaos.to_spec_string()]);
+        }
+        args
+    }
+
+    /// Parse a [`WorkerConfig::to_args`] command line back into the
+    /// configuration and the request JSON. `--registry`, `--run`,
+    /// `--node` and `--request` are required; the rest default as in
+    /// [`ClusterConfig::default`].
+    pub fn from_args(args: &[String]) -> Result<(WorkerConfig, String), FlagError> {
+        let mut cfg = ClusterConfig::default();
+        let (mut registry, mut run, mut node, mut request) = (None, None, None, None);
+        let mut incarnation = 0;
+        let mut flags = Flags::new(args);
+        while let Some(flag) = flags.next_flag() {
+            let bad = |message: String| FlagError::BadValue(flag.to_string(), message);
+            match flag {
+                "--registry" => registry = Some(flags.value()?),
+                "--run" => run = Some(flags.value()?),
+                "--node" => node = Some(flags.parse("--node")?),
+                "--request" => request = Some(flags.value()?),
+                "--io-deadline-secs" => {
+                    let secs = parse_deadline_secs(flag, &flags.value()?).map_err(bad)?;
+                    cfg.io_deadline = Duration::from_secs(secs);
+                }
+                "--round-wall-us" => {
+                    cfg.round_wall = Duration::from_micros(flags.parse("--round-wall-us")?);
+                }
+                "--incarnation" => incarnation = flags.parse("--incarnation")?,
+                "--bind" => cfg.bind = flags.value()?,
+                "--chaos" => cfg.chaos = Some(ChaosSpec::parse(&flags.value()?).map_err(bad)?),
+                other => return Err(FlagError::Unknown("cluster-worker", other.to_string())),
+            }
+        }
+        match (registry, run, node, request) {
+            (Some(registry), Some(run), Some(node), Some(request)) => {
+                Ok((cfg.worker(registry, run, node, incarnation), request))
+            }
+            _ => Err(FlagError::Missing(
+                "cluster-worker",
+                "--registry, --run, --node, and --request",
+            )),
         }
     }
 }
@@ -795,21 +716,17 @@ fn run_worker_inner(
 
     // Registration doubles as the barrier that opens the run: the reply
     // arrives once all n workers have announced themselves.
-    let reply = registry_call_with(
-        &cfg.registry,
-        &RegistryRequest::Register {
-            run: cfg.run.clone(),
-            node: cfg.node,
-            n,
-            addr: my_addr.to_string(),
-            incarnation: cfg.incarnation,
-        },
-        cfg.io_deadline,
-        me,
-        retry,
-        chaos,
-    )
-    .map_err(registry_failure)?;
+    let registry = |request: RegistryRequest| {
+        registry_call_with(&cfg.registry, &request, cfg.io_deadline, me, retry, chaos)
+            .map_err(registry_failure)
+    };
+    let reply = registry(RegistryRequest::Register {
+        run: cfg.run.clone(),
+        node: cfg.node,
+        n,
+        addr: my_addr.to_string(),
+        incarnation: cfg.incarnation,
+    })?;
     let RegistryReply::Roster { peers } = reply else {
         return Err(WorkerFailure::Registry(format!(
             "unexpected registry reply to register: {reply:?}"
@@ -839,7 +756,6 @@ fn run_worker_inner(
     // Phase 1 — key distribution, always synchronous (paper §3), all
     // nodes honest (the adversary only enters the protocol phase, as in
     // `Cluster::run`).
-    let mut store = None;
     let mut kd_anomalies = Vec::new();
     let mut kd_stats = NetStats::new(n);
     let mut keydist: Option<KeyDistReport> = None;
@@ -879,8 +795,7 @@ fn run_worker_inner(
         // process. Adversary substitution only ever reads the corrupt
         // slot's own store, so this is sufficient.
         let mut stores: Vec<Option<keys::KeyStore>> = (0..n).map(|_| None).collect();
-        stores[cfg.node] = Some(own_store.clone());
-        store = Some(own_store);
+        stores[cfg.node] = Some(own_store);
         keydist = Some(KeyDistReport {
             stores,
             stats: kd_stats.clone(),
@@ -892,30 +807,28 @@ fn run_worker_inner(
 
     // The inter-phase barrier: nobody re-meshes for the protocol phase
     // until everyone has finished tearing down the keydist mesh.
-    registry_call_with(
-        &cfg.registry,
-        &RegistryRequest::Barrier {
-            run: cfg.run.clone(),
-            node: cfg.node,
-            n,
-            phase: "keydist-done".to_string(),
-            incarnation: cfg.incarnation,
-        },
-        cfg.io_deadline,
-        me,
-        retry,
-        chaos,
-    )
-    .map_err(registry_failure)?;
+    registry(RegistryRequest::Barrier {
+        run: cfg.run.clone(),
+        node: cfg.node,
+        n,
+        phase: "keydist-done".to_string(),
+        incarnation: cfg.incarnation,
+    })?;
 
     // Phase 2 — the protocol, with the spec's adversary substitution for
     // this slot and an optional wall-clock delay shim on the links.
-    let rounds = protocol_rounds(&cluster, &spec);
-    let node = {
-        let mut substitute = spec.adversary.substitution(&cluster, keydist.as_ref());
-        match substitute(me) {
-            Some(adversary) => adversary,
-            None => honest_protocol_node(&cluster, &spec, me, store.as_ref()),
+    let rounds = cluster.protocol_rounds(spec.protocol, &spec.default_value);
+    let node = match spec.adversary.substitution(&cluster, keydist.as_ref())(me) {
+        Some(adversary) => adversary,
+        None => {
+            let keys = keydist.as_ref().map(|kd| {
+                let store = kd
+                    .store(me)
+                    .clone()
+                    .with_cache(keys::VerifyCache::default());
+                (store, kd.ring(me).clone())
+            });
+            cluster.honest_node(spec.protocol, me, keys, &spec.input, &spec.default_value)
         }
     };
     let peers = MeshPeers::establish_with(me, &listener, &addrs, cfg.io_deadline, retry, chaos)
@@ -942,7 +855,7 @@ fn run_worker_inner(
             error,
         },
     })?;
-    let (outcome, used_fallback, grade) = extract_slot(spec.protocol, run.node);
+    let (outcome, used_fallback, grade) = crate::spec::extract_slot(spec.protocol, run.node);
 
     let summary = WorkerSummary {
         node: cfg.node,
@@ -969,20 +882,12 @@ fn run_worker_inner(
             });
         }
     }
-    let reply = registry_call_with(
-        &cfg.registry,
-        &RegistryRequest::Teardown {
-            run: cfg.run.clone(),
-            node: cfg.node,
-            summary,
-            incarnation: cfg.incarnation,
-        },
-        cfg.io_deadline,
-        me,
-        retry,
-        chaos,
-    )
-    .map_err(registry_failure)?;
+    let reply = registry(RegistryRequest::Teardown {
+        run: cfg.run.clone(),
+        node: cfg.node,
+        summary,
+        incarnation: cfg.incarnation,
+    })?;
     match reply {
         RegistryReply::Ack => Ok(()),
         other => Err(WorkerFailure::Registry(format!(
@@ -1559,6 +1464,82 @@ mod tests {
             panic!("expected summaries, got {reply:?}");
         };
         assert_eq!(workers, vec![summary]);
+    }
+
+    fn argv(args: &[&str]) -> Vec<String> {
+        args.iter().map(|arg| arg.to_string()).collect()
+    }
+
+    #[test]
+    fn the_worker_argv_round_trips() {
+        let cluster = ClusterConfig {
+            io_deadline: Duration::from_secs(7),
+            round_wall: Duration::from_micros(2_500),
+            chaos: Some(ChaosSpec::parse("seed=5;kill=1@round:1xinf;connect=10").expect("spec")),
+            bind: "0.0.0.0".to_string(),
+            ..ClusterConfig::default()
+        };
+        let cfg = cluster.worker("127.0.0.1:4700".to_string(), "run-a".to_string(), 2, 3);
+        let builder = SpecBuilder::new(Protocol::ChainFd, 4).with_input(b"say \"hi\"".to_vec());
+        let request = crate::wire::request_to_json(&builder, Some("id \"q\"")).expect("request");
+        assert!(
+            request.contains("\\\""),
+            "the request carries escaped quotes: {request}"
+        );
+        let args = cfg.to_args(&request);
+        assert!(args.ends_with(&argv(&["--chaos", "seed=5;kill=1@round:1xinf;connect=10"])));
+        assert_eq!(WorkerConfig::from_args(&args), Ok((cfg, request)));
+    }
+
+    #[test]
+    fn worker_flags_left_out_take_the_cluster_defaults() {
+        let args = argv(&[
+            "--registry",
+            "r:1",
+            "--run",
+            "x",
+            "--node",
+            "1",
+            "--request",
+            "{}",
+        ]);
+        let local = WorkerConfig::localhost("r:1".into(), "x".into(), 1, Duration::from_secs(60));
+        assert_eq!(
+            WorkerConfig::from_args(&args),
+            Ok((local, "{}".to_string()))
+        );
+    }
+
+    #[test]
+    fn bad_worker_argv_yields_typed_errors() {
+        let parse = |args: &[&str]| WorkerConfig::from_args(&argv(args)).expect_err("refused");
+        let missing = parse(&["--registry", "r:1", "--run", "x", "--node", "1"]);
+        assert_eq!(
+            missing.to_string(),
+            "cluster-worker needs --registry, --run, --node, and --request"
+        );
+        assert!(matches!(missing, FlagError::Missing("cluster-worker", _)));
+        assert_eq!(
+            parse(&["--frob", "1"]),
+            FlagError::Unknown("cluster-worker", "--frob".to_string())
+        );
+        assert_eq!(parse(&["--run"]), FlagError::NoValue("--run".to_string()));
+        let FlagError::BadValue(flag, message) = parse(&["--node", "two"]) else {
+            panic!("a non-numeric --node is a bad value");
+        };
+        assert_eq!(
+            (flag.as_str(), message.as_str()),
+            ("--node", "--node: invalid digit found in string")
+        );
+        for secs in ["0", "86401"] {
+            assert_eq!(
+                parse(&["--io-deadline-secs", secs]),
+                FlagError::BadValue(
+                    "--io-deadline-secs".to_string(),
+                    format!("--io-deadline-secs {secs}: must be between 1 and 86400 seconds")
+                )
+            );
+        }
     }
 
     /// A generation of `sh -c SCRIPT` children, node `i` running

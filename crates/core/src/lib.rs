@@ -46,8 +46,9 @@
 //! * [`deploy`] — the deployment layer behind `lafd cluster`: a
 //!   discovery registry (register/lookup/barrier/teardown over framed
 //!   wire-v1 JSON), the per-worker lifecycle over the non-blocking
-//!   socket mesh, and the aggregation of per-worker summaries back into
-//!   a byte-identical [`runner::FdRunReport`].
+//!   socket mesh, the aggregation of per-worker summaries back into
+//!   a byte-identical [`runner::FdRunReport`], and the supervisor and
+//!   chaos campaigns behind `lafd cluster` / `lafd chaos`.
 //! * [`metrics`] — the paper's closed-form message-complexity
 //!   expressions (`3n(n−1)` key distribution, `n−1` chain FD,
 //!   `(t+2)(n−1)` non-authenticated, the §6 amortization crossover)
@@ -97,6 +98,7 @@ pub mod chain;
 pub mod deploy;
 pub mod epoch;
 pub mod fd;
+pub mod flags;
 pub mod keys;
 pub mod localauth;
 pub mod metrics;

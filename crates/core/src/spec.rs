@@ -45,11 +45,12 @@
 use crate::adversary::AdversarySpec;
 use crate::ba::{
     DegradableNode, DegradableParams, DolevStrongNode, DolevStrongParams, FdToBaNode, FdToBaParams,
-    PhaseKingNode, PhaseKingParams,
+    Grade, PhaseKingNode, PhaseKingParams,
 };
 use crate::fd::{
     ChainFdNode, ChainFdParams, NonAuthFdNode, NonAuthParams, SmallRangeFdNode, SmallRangeParams,
 };
+use crate::keys::{KeyStore, Keyring};
 use crate::metrics;
 use crate::outcome::Outcome;
 use crate::runner::{Cluster, FdRunReport, KeyDistReport, Schedule, Substitution};
@@ -634,186 +635,41 @@ impl Cluster {
         // per-run deltas. Neither changes results or report bytes.
         let cache = if self.obs { cache.with_timing() } else { cache };
         let obs_base = self.obs.then(|| (cache.hits(), cache.misses()));
-        let mut report = match protocol {
-            Protocol::ChainFd => {
-                let params = ChainFdParams::new(self.n, self.t);
-                let rounds = params.rounds();
-                let keys = keys();
-                self.finish_fd::<ChainFdNode>(
-                    self.assemble(substitute, |me| {
-                        Box::new(ChainFdNode::new(
-                            me,
-                            params.clone(),
-                            Arc::clone(&self.scheme),
-                            keys.store(me).clone().with_cache(cache.clone()),
-                            keys.ring(me).clone(),
-                            (me == params.sender).then(|| value.clone()),
-                        ))
-                    }),
-                    rounds,
-                    |n| n.outcome().clone(),
-                )
+        let rounds = self.protocol_rounds(protocol, &default_value);
+        let nodes = self.assemble(substitute, |me| {
+            let slot_keys = protocol.needs_keys().then(|| {
+                let kd = keys();
+                let store = kd.store(me).clone().with_cache(cache.clone());
+                (store, kd.ring(me).clone())
+            });
+            self.honest_node(protocol, me, slot_keys, &value, &default_value)
+        });
+        let drive = self.drive(nodes, rounds);
+        let phases = crate::obs::PhaseBreakdown::from_drive(
+            self.engine,
+            drive.round_marks,
+            drive.max_queue_depth,
+            drive.sched,
+        );
+        let mut outcomes = Vec::with_capacity(self.n);
+        let (mut used_fallback, mut grades) = (Vec::new(), Vec::new());
+        for node in drive.nodes {
+            let (outcome, fallback, grade) = extract_slot(protocol, node);
+            outcomes.push(outcome);
+            if protocol == Protocol::FdToBa {
+                used_fallback.push(fallback);
             }
-            Protocol::NonAuthFd => {
-                let params = NonAuthParams::new(self.n, self.t);
-                let rounds = params.rounds();
-                self.finish_fd::<NonAuthFdNode>(
-                    self.assemble(substitute, |me| {
-                        Box::new(NonAuthFdNode::new(
-                            me,
-                            params.clone(),
-                            (me == params.sender).then(|| value.clone()),
-                        ))
-                    }),
-                    rounds,
-                    |n| n.outcome().clone(),
-                )
+            if protocol == Protocol::Degradable {
+                grades.push(grade);
             }
-            Protocol::SmallRange => {
-                let params = SmallRangeParams::new(self.n, self.t, default_value);
-                let rounds = params.rounds();
-                let keys = keys();
-                self.finish_fd::<SmallRangeFdNode>(
-                    self.assemble(substitute, |me| {
-                        Box::new(SmallRangeFdNode::new(
-                            me,
-                            params.clone(),
-                            Arc::clone(&self.scheme),
-                            keys.store(me).clone().with_cache(cache.clone()),
-                            keys.ring(me).clone(),
-                            (me == params.sender).then(|| value.clone()),
-                        ))
-                    }),
-                    rounds,
-                    |n| n.outcome().clone(),
-                )
-            }
-            Protocol::DolevStrong => {
-                let params = DolevStrongParams::new(self.n, self.t, default_value);
-                let rounds = params.rounds();
-                let keys = keys();
-                self.finish_fd::<DolevStrongNode>(
-                    self.assemble(substitute, |me| {
-                        Box::new(DolevStrongNode::new(
-                            me,
-                            params.clone(),
-                            Arc::clone(&self.scheme),
-                            keys.store(me).clone().with_cache(cache.clone()),
-                            keys.ring(me).clone(),
-                            (me == params.sender).then(|| value.clone()),
-                        ))
-                    }),
-                    rounds,
-                    |n| n.outcome().clone(),
-                )
-            }
-            Protocol::PhaseKing => {
-                let params = PhaseKingParams::new(self.n, self.t, default_value);
-                let rounds = params.rounds();
-                self.finish_fd::<PhaseKingNode>(
-                    self.assemble(substitute, |me| {
-                        Box::new(PhaseKingNode::new(
-                            me,
-                            params.clone(),
-                            (me == params.sender).then(|| value.clone()),
-                        ))
-                    }),
-                    rounds,
-                    |n| n.outcome().clone(),
-                )
-            }
-            Protocol::Degradable => {
-                let params = DegradableParams::new(self.n, self.t, default_value);
-                let rounds = params.rounds();
-                let keys = keys();
-                let nodes = self.assemble(substitute, |me| {
-                    Box::new(DegradableNode::new(
-                        me,
-                        params.clone(),
-                        Arc::clone(&self.scheme),
-                        keys.store(me).clone().with_cache(cache.clone()),
-                        keys.ring(me).clone(),
-                        (me == params.sender).then(|| value.clone()),
-                    ))
-                });
-                let report = self.drive(nodes, rounds);
-                let phases = crate::obs::PhaseBreakdown::from_drive(
-                    self.engine,
-                    report.round_marks,
-                    report.max_queue_depth,
-                    report.sched,
-                );
-                let stats = report.stats;
-                let delay_log = report.delay_log;
-                let mut outcomes = Vec::with_capacity(self.n);
-                let mut grades = Vec::with_capacity(self.n);
-                for boxed in report.nodes {
-                    match boxed.into_any().downcast::<DegradableNode>() {
-                        Ok(node) => {
-                            outcomes.push(Some(node.outcome().clone()));
-                            grades.push(node.grade());
-                        }
-                        Err(_) => {
-                            outcomes.push(None);
-                            grades.push(None);
-                        }
-                    }
-                }
-                FdRunReport {
-                    outcomes,
-                    stats,
-                    used_fallback: Vec::new(),
-                    grades,
-                    delay_log,
-                    phases,
-                }
-            }
-            Protocol::FdToBa => {
-                let params = FdToBaParams::new(self.n, self.t, default_value);
-                let rounds = params.rounds();
-                let keys = keys();
-                let nodes = self.assemble(substitute, |me| {
-                    Box::new(FdToBaNode::new(
-                        me,
-                        params.clone(),
-                        Arc::clone(&self.scheme),
-                        keys.store(me).clone().with_cache(cache.clone()),
-                        keys.ring(me).clone(),
-                        (me == params.sender).then(|| value.clone()),
-                    ))
-                });
-                let report = self.drive(nodes, rounds);
-                let phases = crate::obs::PhaseBreakdown::from_drive(
-                    self.engine,
-                    report.round_marks,
-                    report.max_queue_depth,
-                    report.sched,
-                );
-                let stats = report.stats;
-                let delay_log = report.delay_log;
-                let mut outcomes = Vec::with_capacity(self.n);
-                let mut used_fallback = Vec::with_capacity(self.n);
-                for boxed in report.nodes {
-                    match boxed.into_any().downcast::<FdToBaNode>() {
-                        Ok(node) => {
-                            outcomes.push(Some(node.outcome().clone()));
-                            used_fallback.push(node.used_fallback());
-                        }
-                        Err(_) => {
-                            outcomes.push(None);
-                            used_fallback.push(false);
-                        }
-                    }
-                }
-                FdRunReport {
-                    outcomes,
-                    stats,
-                    used_fallback,
-                    grades: Vec::new(),
-                    delay_log,
-                    phases,
-                }
-            }
+        }
+        let mut report = FdRunReport {
+            outcomes,
+            stats: drive.stats,
+            used_fallback,
+            grades,
+            delay_log: drive.delay_log,
+            phases,
         };
         if let Some((hits0, misses0)) = obs_base {
             if let Some(phases) = report.phases.as_mut() {
@@ -847,42 +703,130 @@ impl Cluster {
             .collect()
     }
 
-    /// Drive a node set to completion and extract per-node outcomes of the
-    /// expected honest type `T` (substituted nodes yield `None`).
-    fn finish_fd<T: 'static>(
-        &self,
-        nodes: Vec<Box<dyn Node>>,
-        rounds: u32,
-        extract: impl Fn(&T) -> Outcome,
-    ) -> FdRunReport {
-        let report = self.drive(nodes, rounds);
-        let phases = crate::obs::PhaseBreakdown::from_drive(
-            self.engine,
-            report.round_marks,
-            report.max_queue_depth,
-            report.sched,
-        );
-        let stats = report.stats;
-        let delay_log = report.delay_log;
-        let outcomes = report
-            .nodes
-            .into_iter()
-            .map(|boxed| {
-                boxed
-                    .into_any()
-                    .downcast::<T>()
-                    .ok()
-                    .map(|node| extract(&node))
-            })
-            .collect();
-        FdRunReport {
-            outcomes,
-            stats,
-            used_fallback: Vec::new(),
-            grades: Vec::new(),
-            delay_log,
-            phases,
+    /// The protocol-phase round budget of `protocol`.
+    pub(crate) fn protocol_rounds(&self, protocol: Protocol, default_value: &[u8]) -> u32 {
+        let (n, t, default) = (self.n, self.t, default_value.to_vec());
+        match protocol {
+            Protocol::ChainFd => ChainFdParams::new(n, t).rounds(),
+            Protocol::NonAuthFd => NonAuthParams::new(n, t).rounds(),
+            Protocol::SmallRange => SmallRangeParams::new(n, t, default).rounds(),
+            Protocol::DolevStrong => DolevStrongParams::new(n, t, default).rounds(),
+            Protocol::PhaseKing => PhaseKingParams::new(n, t, default).rounds(),
+            Protocol::Degradable => DegradableParams::new(n, t, default).rounds(),
+            Protocol::FdToBa => FdToBaParams::new(n, t, default).rounds(),
         }
+    }
+
+    /// Slot `me`'s honest automaton for `protocol`: the one per-protocol
+    /// constructor behind [`Cluster::run`] and every cluster worker.
+    /// `keys` is the slot's key store (carrying the run's verification
+    /// cache) and keyring, given exactly when [`Protocol::needs_keys`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the protocol needs keys and `keys` is `None`.
+    pub(crate) fn honest_node(
+        &self,
+        protocol: Protocol,
+        me: NodeId,
+        keys: Option<(KeyStore, Keyring)>,
+        value: &[u8],
+        default_value: &[u8],
+    ) -> Box<dyn Node> {
+        let (n, t, default) = (self.n, self.t, default_value.to_vec());
+        let scheme = Arc::clone(&self.scheme);
+        let keyed = || keys.expect("protocol needs a key store");
+        let input = |sender: NodeId| (me == sender).then(|| value.to_vec());
+        match protocol {
+            Protocol::ChainFd => {
+                let params = ChainFdParams::new(n, t);
+                let ((store, ring), value) = (keyed(), input(params.sender));
+                Box::new(ChainFdNode::new(me, params, scheme, store, ring, value))
+            }
+            Protocol::NonAuthFd => {
+                let params = NonAuthParams::new(n, t);
+                let value = input(params.sender);
+                Box::new(NonAuthFdNode::new(me, params, value))
+            }
+            Protocol::SmallRange => {
+                let params = SmallRangeParams::new(n, t, default);
+                let ((store, ring), value) = (keyed(), input(params.sender));
+                Box::new(SmallRangeFdNode::new(
+                    me, params, scheme, store, ring, value,
+                ))
+            }
+            Protocol::DolevStrong => {
+                let params = DolevStrongParams::new(n, t, default);
+                let ((store, ring), value) = (keyed(), input(params.sender));
+                Box::new(DolevStrongNode::new(me, params, scheme, store, ring, value))
+            }
+            Protocol::PhaseKing => {
+                let params = PhaseKingParams::new(n, t, default);
+                let value = input(params.sender);
+                Box::new(PhaseKingNode::new(me, params, value))
+            }
+            Protocol::Degradable => {
+                let params = DegradableParams::new(n, t, default);
+                let ((store, ring), value) = (keyed(), input(params.sender));
+                Box::new(DegradableNode::new(me, params, scheme, store, ring, value))
+            }
+            Protocol::FdToBa => {
+                let params = FdToBaParams::new(n, t, default);
+                let ((store, ring), value) = (keyed(), input(params.sender));
+                Box::new(FdToBaNode::new(me, params, scheme, store, ring, value))
+            }
+        }
+    }
+}
+
+/// One slot's `(outcome, used_fallback, grade)` after a run: a node that
+/// is not the protocol's honest automaton (an adversary substitute)
+/// yields `(None, false, None)`.
+pub(crate) fn extract_slot(
+    protocol: Protocol,
+    node: Box<dyn Node>,
+) -> (Option<Outcome>, bool, Option<Grade>) {
+    let any = node.into_any();
+    let plain = |outcome: Option<&Outcome>| (outcome.cloned(), false, None);
+    match protocol {
+        Protocol::ChainFd => plain(
+            any.downcast::<ChainFdNode>()
+                .ok()
+                .as_deref()
+                .map(ChainFdNode::outcome),
+        ),
+        Protocol::NonAuthFd => plain(
+            any.downcast::<NonAuthFdNode>()
+                .ok()
+                .as_deref()
+                .map(NonAuthFdNode::outcome),
+        ),
+        Protocol::SmallRange => plain(
+            any.downcast::<SmallRangeFdNode>()
+                .ok()
+                .as_deref()
+                .map(SmallRangeFdNode::outcome),
+        ),
+        Protocol::DolevStrong => plain(
+            any.downcast::<DolevStrongNode>()
+                .ok()
+                .as_deref()
+                .map(DolevStrongNode::outcome),
+        ),
+        Protocol::PhaseKing => plain(
+            any.downcast::<PhaseKingNode>()
+                .ok()
+                .as_deref()
+                .map(PhaseKingNode::outcome),
+        ),
+        Protocol::Degradable => match any.downcast::<DegradableNode>() {
+            Ok(n) => (Some(n.outcome().clone()), false, n.grade()),
+            Err(_) => (None, false, None),
+        },
+        Protocol::FdToBa => match any.downcast::<FdToBaNode>() {
+            Ok(n) => (Some(n.outcome().clone()), n.used_fallback(), None),
+            Err(_) => (None, false, None),
+        },
     }
 }
 

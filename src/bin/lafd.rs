@@ -1,50 +1,6 @@
 //! `lafd` — command-line driver for the local-auth-fd reproduction.
 //!
-//! ```text
-//! lafd run      <protocol> [-n 256] [--t T] [--seed 1] [--value V]
-//!               [--scheme NAME] [--engine sync|event]
-//!               [--latency sync|fixed:D|jitter:E|psync:GST:E]
-//!               [--link-latency FROM:TO:MODEL[:ARG]]
-//!               [--adversary KIND[:NODES]] [--crash I]
-//!               [--drop R:FROM:TO] [--corrupt R:FROM:TO:OFF:MASK]
-//!               [--delay R:FROM:TO:BY] [--reorder R:FROM:TO]
-//! lafd run      --spec FILE.json   # wire-v1 request (the `lafd serve` format)
-//! lafd run      <protocol> --trace out.json [--trace-folded out.folded]
-//!               # Chrome trace-event + folded-stack phase traces
-//! lafd serve    [--shards 2] [--max-sessions 8]
-//!               [--stdin [--clients C] | --listen ADDR | --unix PATH]
-//!               [--metrics PATH] [--metrics-format json|prometheus]
-//!               # --unix replaces only a stale socket at PATH
-//! lafd search   <protocol> [--budget N] [--strategy random|greedy] [-n 8]
-//!               [--t T] [--seed S] [--scheme tiny] [--latency jitter:2]
-//!               [--adversary none] [--threads N] [--json PATH] [--md PATH]
-//! lafd registry [--listen 127.0.0.1:0] [--wait-limit-secs 120]
-//! lafd cluster  <protocol> [-n 7] [--t T] [--seed S] [--scheme NAME]
-//!               [--value V] [--adversary KIND[:NODES]] [--crash I]
-//!               [--latency sync|fixed:D|jitter:E|psync:GST:E]
-//!               [--io-deadline-secs 60] [--round-wall-us 0]
-//!               [--chaos SPEC] [--max-restarts 1] [--registry ADDR]
-//!               [--bind HOST]
-//!               # one OS process per node over a discovery registry and
-//!               # a non-blocking socket mesh; last stdout line is the
-//!               # standard report JSON (byte-identical to `lafd run`);
-//!               # exit 0 = clean/recovered, 2 = degraded to the crash
-//!               # adversary, 1 = failed
-//! lafd chaos    <protocol> [-n 4] [--t T] [--seed S] [--max-restarts 1]
-//!               [--campaign NAME=SPEC]... [--json PATH]
-//!               # seeded fault campaigns over the supervised cluster;
-//!               # SPEC: seed=S;kill=N@PHASE[xK|xinf];connect=PCT;
-//!               # reset=PCT;accept-delay=PCT:MS;stall=PCT:MS
-//! lafd sweep    [--protocols all|chain,nonauth,ba,degrade,ds,king,small]
-//!               [--sizes 4,7,10] [--faults auto|0,1,2] [--adversaries none,silent,...]
-//!               [--schemes tiny,dsa-tiny,...] [--seeds 1,2]
-//!               [--engines sync,event] [--latencies sync,jitter:1,psync:2:1]
-//!               [--link-latency FROM:TO:MODEL[:ARG]] [--search N[:STRATEGY]]
-//!               [--remote ADDR] [--threads N] [--json PATH] [--md PATH]
-//! ```
-//!
-//! `NAME` is any name of the scheme table (`fd_core::spec::scheme_by_name`),
-//! made canonical where the flag is parsed.
+//! [`USAGE`] (printed by a bare `lafd`) lists every subcommand and flag.
 //!
 //! Every subcommand that executes a protocol run goes through one request
 //! path: flags build a [`SpecBuilder`] ([`Shape`] holds the flags `run`
@@ -52,15 +8,17 @@
 //! builder validates the shape, and execution happens via
 //! [`SpecBuilder::build`] — the same object the `lafd serve` wire format
 //! serializes, so a flag invocation and a service request are provably
-//! the same run. `lafd serve` only parses its flags and binds: the
-//! connection loop, framing, control verbs and stdin batch are
-//! `fd_core::service::FdService`, and `lafd sweep --remote` is
-//! `fd_core::sweep::RemoteExecutor`. The multi-run, key-rotation and
+//! the same run. The binary only parses flags, calls the library and
+//! prints: `lafd serve` is `fd_core::service::FdService`, `lafd sweep
+//! --remote` is `fd_core::sweep::RemoteExecutor`, and `lafd cluster` /
+//! `lafd chaos` / `lafd cluster-worker` are `fd_core::deploy::{supervise,
+//! run_campaigns, run_worker}`. The multi-run, key-rotation and
 //! two-faced-sender demos live in `examples/`.
 
 use local_auth_fd::core::adversary::AdversarySpec;
+use local_auth_fd::core::deploy::{self, parse_deadline_secs, ClusterConfig, WorkerConfig};
+use local_auth_fd::core::flags::Flags;
 use local_auth_fd::core::metrics;
-use local_auth_fd::core::runner::FdRunReport;
 use local_auth_fd::core::schedsearch::{run_search_parallel, SearchConfig, Strategy};
 use local_auth_fd::core::service::{self, FdService, MetricsFormat, ServiceConfig};
 use local_auth_fd::core::spec::{canonical_scheme, Protocol, Session, SpecBuilder};
@@ -72,66 +30,89 @@ use local_auth_fd::core::wire;
 use local_auth_fd::simnet::fault::LinkFault;
 use local_auth_fd::simnet::transport::chaos::ChaosSpec;
 use local_auth_fd::simnet::{Engine, LatencySpec, LinkLatencySpec, NodeId};
-use std::io::{BufRead, BufReader, Write};
+use std::io::Write;
 use std::process::ExitCode;
+use std::time::Duration;
 
-fn usage() {
-    eprintln!(
-        "usage: lafd <run|serve|search|sweep|cluster|chaos|registry> ...\n\
-         run: lafd run <chain|nonauth|small|ba|degrade|ds|king> [-n N] [--t T] [--seed S] \
-         [--scheme tiny|s512|s1024|s2048|dsa512|dsa1024|rsa512|rsa1024] [--value V] \
-         [--engine sync|event] [--latency sync|fixed:D|jitter:E|psync:GST:E] \
-         [--link-latency FROM:TO:MODEL[:ARG]] \
-         [--adversary none|silent|crash|tamper|forge|wrongname|equivocate[:NODES]] \
-         [--drop R:FROM:TO] [--corrupt R:FROM:TO:OFF:MASK] [--delay R:FROM:TO:BY] \
-         [--reorder R:FROM:TO] [--crash I] [--trace OUT.json] [--trace-folded OUT.folded] \
-         — or: lafd run --spec FILE.json\n\
-         serve: lafd serve [--shards N] [--max-sessions K] \
-         [--stdin [--clients C] | --listen HOST:PORT | --unix PATH] [--metrics PATH] \
-         [--metrics-format json|prometheus]\n\
-         search: lafd search <protocol> [--budget N] [--strategy random|greedy] [-n N] \
-         [--t T] [--seed S] [--scheme NAME] [--latency jitter:2] [--adversary none|silent|...] \
-         [--threads N] [--json PATH] [--md PATH]\n\
-         sweep flags: [--protocols all|LIST] [--sizes LIST] [--faults auto|LIST] \
-         [--adversaries LIST] [--schemes LIST] [--seeds LIST] [--engines LIST] \
-         [--latencies LIST] [--link-latency SPEC] [--search N[:STRATEGY]] \
-         [--remote HOST:PORT] [--threads N] [--json PATH] [--md PATH]\n\
-         cluster: lafd cluster <chain|nonauth|small|ba|degrade|ds|king> [-n N] [--t T] \
-         [--seed S] [--scheme NAME] [--value V] [--adversary KIND[:NODES]] [--crash I] \
-         [--latency SPEC] [--io-deadline-secs S] [--round-wall-us U] [--chaos SPEC] \
-         [--max-restarts K] [--registry ADDR] [--bind HOST] \
-         — spawns a registry plus one worker process per node, restarts crashed \
-         workers with incarnation fencing, degrades to the crash adversary past \
-         the budget (exit 2)\n\
-         chaos: lafd chaos <protocol> [-n N] [--t T] [--seed S] [--max-restarts K] \
-         [--campaign NAME=SPEC]... [--json PATH] — seeded fault campaigns; SPEC \
-         clauses: seed=S;kill=N@keydist|round:K|teardown[xTIMES|xinf];connect=PCT;\
-         reset=PCT;accept-delay=PCT:MS;stall=PCT:MS\n\
-         registry: lafd registry [--listen HOST:PORT] [--wait-limit-secs S]"
-    );
-}
+/// Every subcommand and its flags, with defaults. `NAME` is any name of
+/// the scheme table (`fd_core::spec::scheme_by_name`), made canonical
+/// where the flag is parsed.
+const USAGE: &str = "\
+usage: lafd <run|serve|search|sweep|cluster|chaos|registry> ...
+lafd run      <chain|nonauth|small|ba|degrade|ds|king> [-n 7] [--t T] [--seed S]
+              [--value V] [--scheme NAME] [--engine sync|event]
+              [--latency sync|fixed:D|jitter:E|psync:GST:E]
+              [--link-latency FROM:TO:MODEL[:ARG]]
+              [--adversary none|silent|crash|tamper|forge|wrongname|equivocate[:NODES]]
+              [--crash I] [--drop R:FROM:TO] [--corrupt R:FROM:TO:OFF:MASK]
+              [--delay R:FROM:TO:BY] [--reorder R:FROM:TO]
+              [--trace OUT.json] [--trace-folded OUT.folded]
+lafd run      --spec FILE.json   # one wire-v1 request (the `lafd serve` format)
+lafd serve    [--shards 2] [--max-sessions 8]
+              [--stdin [--clients C] | --listen HOST:PORT | --unix PATH]
+              [--metrics PATH] [--metrics-format json|prometheus]
+              # --unix replaces only a stale socket at PATH
+lafd search   <protocol> [--budget N] [--strategy random|greedy] [-n 8] [--t T]
+              [--seed S] [--scheme NAME] [--latency jitter:2] [--adversary KIND]
+              [--threads N] [--json PATH] [--md PATH]
+lafd sweep    [--protocols all|chain,nonauth,ba,degrade,ds,king,small]
+              [--sizes 4,7,10] [--faults auto|0,1,2] [--adversaries none,silent,...]
+              [--schemes tiny,dsa-tiny,...] [--seeds 1,2] [--engines sync,event]
+              [--latencies sync,jitter:1,psync:2:1] [--link-latency FROM:TO:MODEL[:ARG]]
+              [--search N[:STRATEGY]] [--remote ADDR] [--threads N]
+              [--json PATH] [--md PATH]
+lafd cluster  <protocol> [-n 7] [--t T] [--seed S] [--scheme NAME] [--value V]
+              [--adversary KIND[:NODES]] [--crash I] [--latency SPEC]
+              [--io-deadline-secs 60] [--round-wall-us 0] [--chaos SPEC]
+              [--max-restarts 1] [--registry ADDR] [--bind HOST]
+              # a registry plus one worker process per node; restarts crashed
+              # workers with incarnation fencing; last stdout line is the report
+              # JSON of `lafd run`; exit 0 clean/recovered, 2 degraded to the
+              # crash adversary, 1 failed
+lafd chaos    <protocol> [cluster flags] [--campaign NAME=SPEC]... [--json PATH]
+              # seeded fault campaigns; SPEC: seed=S;kill=N@keydist|round:K|teardown
+              # [xTIMES|xinf];connect=PCT;reset=PCT;accept-delay=PCT:MS;stall=PCT:MS
+lafd registry [--listen 127.0.0.1:0] [--wait-limit-secs 120]";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some((cmd, rest)) = args.split_first() else {
-        usage();
+        eprintln!("{USAGE}");
         return ExitCode::FAILURE;
     };
     match cmd.as_str() {
-        "sweep" => cmd_sweep(rest),
-        "run" => cmd_run(rest),
-        "serve" => cmd_serve(rest),
-        "search" => cmd_search(rest),
-        "registry" => cmd_registry(rest),
-        "cluster" => cmd_cluster(rest),
+        "sweep" => parse_sweep_matrix(rest).map_or_else(refuse, cmd_sweep),
+        "run" => parse_run(rest).map_or_else(refuse, cmd_run),
+        "serve" => parse_serve(rest).map_or_else(refuse, cmd_serve),
+        "search" => parse_search(rest).map_or_else(refuse, cmd_search),
+        "registry" => parse_registry(rest).map_or_else(refuse, cmd_registry),
+        "cluster" => parse_cluster(rest).map_or_else(refuse, cmd_cluster),
         "cluster-worker" => cmd_cluster_worker(rest),
-        "chaos" => cmd_chaos(rest),
-        other => {
-            eprintln!("error: unknown command {other}");
-            usage();
-            ExitCode::FAILURE
-        }
+        "chaos" => parse_chaos(rest).map_or_else(refuse, cmd_chaos),
+        other => refuse(format!("unknown command {other}")),
     }
+}
+
+/// A command line that cannot run: the error, the usage, exit 1.
+fn refuse(error: String) -> ExitCode {
+    eprintln!("error: {error}");
+    eprintln!("{USAGE}");
+    ExitCode::FAILURE
+}
+
+/// Write `contents` to `path` when one was given and note it on stderr as
+/// `{what} written to {path}`; false (after an error line) if the write
+/// failed.
+fn save(path: Option<&String>, contents: String, what: &str) -> bool {
+    let Some(path) = path else {
+        return true;
+    };
+    let written = std::fs::write(path, contents);
+    match &written {
+        Ok(()) => eprintln!("{what} written to {path}"),
+        Err(e) => eprintln!("error: writing {path}: {e}"),
+    }
+    written.is_ok()
 }
 
 /// The run-shape flags `lafd run` and `lafd cluster` (and, through it,
@@ -155,28 +136,22 @@ impl Shape {
         })
     }
 
-    /// Consume `flag` (taking its value from `grab`) if it is a shape
+    /// Consume `flag` (taking its value from `flags`) if it is a shape
     /// flag; `Ok(false)` leaves it to the caller's own flag set.
-    fn flag(
-        &mut self,
-        flag: &str,
-        grab: &mut dyn FnMut() -> Result<String, String>,
-    ) -> Result<bool, String> {
+    fn flag(&mut self, flag: &str, flags: &mut Flags) -> Result<bool, String> {
         let builder = &mut self.builder;
         match flag {
-            "-n" | "--n" => builder.n = grab()?.parse().map_err(|e| format!("--n: {e}"))?,
-            "--t" => builder.t = Some(grab()?.parse().map_err(|e| format!("--t: {e}"))?),
-            "--seed" => builder.seed = grab()?.parse().map_err(|e| format!("--seed: {e}"))?,
-            "--scheme" => builder.scheme = canonical_scheme(&grab()?)?.to_string(),
-            "--value" => builder.input = grab()?.into_bytes(),
-            "--latency" => builder.latency = LatencySpec::parse(&grab()?)?.normalize(),
+            "-n" | "--n" => builder.n = flags.parse("--n")?,
+            "--t" => builder.t = Some(flags.parse("--t")?),
+            "--seed" => builder.seed = flags.parse("--seed")?,
+            "--scheme" => builder.scheme = canonical_scheme(&flags.value()?)?.to_string(),
+            "--value" => builder.input = flags.value()?.into_bytes(),
+            "--latency" => builder.latency = LatencySpec::parse(&flags.value()?)?.normalize(),
             "--adversary" => {
-                builder.adversary = AdversarySpec::parse(&grab()?)?;
+                builder.adversary = AdversarySpec::parse(&flags.value()?)?;
                 self.adversary_given = true;
             }
-            "--crash" => {
-                self.crash = Some(grab()?.parse().map_err(|e| format!("--crash: {e}"))?);
-            }
+            "--crash" => self.crash = Some(flags.parse("--crash")?),
             _ => return Ok(false),
         }
         Ok(true)
@@ -197,8 +172,7 @@ impl Shape {
                 self.builder.n
             ));
         }
-        self.builder.adversary =
-            AdversarySpec::scripted_at(AdversaryKind::SilentRelay, vec![NodeId(crash as u16)]);
+        self.builder = deploy::degraded(&self.builder, &[crash]);
         Ok(())
     }
 }
@@ -278,34 +252,29 @@ fn parse_run(args: &[String]) -> Result<RunInvocation, String> {
     // (SpecBuilder::validate covers link-latency and adversary ranges; the
     // link-fault plan is CLI-only and checked here.)
     let mut fault_nodes: Vec<NodeId> = Vec::new();
-    let mut it = rest.iter();
-    while let Some(flag) = it.next() {
-        let mut grab = || {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("flag {flag} needs a value"))
-        };
-        if shape.flag(flag, &mut grab)? {
+    let mut flags = Flags::new(rest);
+    while let Some(flag) = flags.next_flag() {
+        if shape.flag(flag, &mut flags)? {
             continue;
         }
-        match flag.as_str() {
+        match flag {
             "--engine" => {
-                shape.builder.engine = Engine::parse(&grab()?)?;
+                shape.builder.engine = Engine::parse(&flags.value()?)?;
                 engine_given = true;
             }
             "--link-latency" => {
-                let link = LinkLatencySpec::parse(&grab()?)?;
+                let link = LinkLatencySpec::parse(&flags.value()?)?;
                 shape.builder.link_latency.push(link);
             }
-            "--trace" => trace_outs.chrome = Some(grab()?),
-            "--trace-folded" => trace_outs.folded = Some(grab()?),
+            "--trace" => trace_outs.chrome = Some(flags.value()?),
+            "--trace-folded" => trace_outs.folded = Some(flags.value()?),
             "--drop" => {
-                let (r, from, to, _) = parse_link_spec(&grab()?, 0)?;
+                let (r, from, to, _) = parse_link_spec(&flags.value()?, 0)?;
                 fault_nodes.extend([from, to]);
                 shape.builder.faults = shape.builder.faults.with(r, from, to, LinkFault::Drop);
             }
             "--corrupt" => {
-                let (r, from, to, ps) = parse_link_spec(&grab()?, 2)?;
+                let (r, from, to, ps) = parse_link_spec(&flags.value()?, 2)?;
                 fault_nodes.extend([from, to]);
                 let fault = LinkFault::Corrupt {
                     offset: usize::try_from(ps[0])
@@ -316,7 +285,7 @@ fn parse_run(args: &[String]) -> Result<RunInvocation, String> {
                 shape.builder.faults = shape.builder.faults.with(r, from, to, fault);
             }
             "--delay" => {
-                let (r, from, to, ps) = parse_link_spec(&grab()?, 1)?;
+                let (r, from, to, ps) = parse_link_spec(&flags.value()?, 1)?;
                 fault_nodes.extend([from, to]);
                 let rounds = u32::try_from(ps[0])
                     .ok()
@@ -331,7 +300,7 @@ fn parse_run(args: &[String]) -> Result<RunInvocation, String> {
                 shape.builder.faults = shape.builder.faults.with(r, from, to, fault);
             }
             "--reorder" => {
-                let (r, from, to, _) = parse_link_spec(&grab()?, 0)?;
+                let (r, from, to, _) = parse_link_spec(&flags.value()?, 0)?;
                 fault_nodes.extend([from, to]);
                 shape.builder.faults = shape.builder.faults.with(r, from, to, LinkFault::Reorder);
             }
@@ -373,15 +342,10 @@ fn parse_run(args: &[String]) -> Result<RunInvocation, String> {
     Ok(RunInvocation::Flags(Box::new(shape.builder), trace_outs))
 }
 
-fn cmd_run(args: &[String]) -> ExitCode {
-    let (builder, trace_outs) = match parse_run(args) {
-        Ok(RunInvocation::Flags(builder, outs)) => (*builder, outs),
-        Ok(RunInvocation::SpecFile(path)) => return cmd_run_spec_file(&path),
-        Err(e) => {
-            eprintln!("error: {e}");
-            usage();
-            return ExitCode::FAILURE;
-        }
+fn cmd_run(invocation: RunInvocation) -> ExitCode {
+    let (builder, trace_outs) = match invocation {
+        RunInvocation::Flags(builder, outs) => (*builder, outs),
+        RunInvocation::SpecFile(path) => return cmd_run_spec_file(&path),
     };
     let t = builder.resolved_t();
     let (cluster, spec) = builder.build().expect("validated by parse_run");
@@ -421,17 +385,12 @@ fn cmd_run(args: &[String]) -> ExitCode {
                 p.max_queue_depth,
             );
         }
-        for (path, rendered, what) in [
-            (&trace_outs.chrome, trace.to_chrome_json(), "Chrome trace"),
-            (&trace_outs.folded, trace.to_folded(), "folded stacks"),
-        ] {
-            if let Some(path) = path {
-                if let Err(e) = std::fs::write(path, rendered) {
-                    eprintln!("error: writing {path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-                eprintln!("run: {what} written to {path}");
-            }
+        let chrome = trace_outs.chrome.as_ref();
+        let folded = trace_outs.folded.as_ref();
+        if !save(chrome, trace.to_chrome_json(), "run: Chrome trace")
+            || !save(folded, trace.to_folded(), "run: folded stacks")
+        {
+            return ExitCode::FAILURE;
         }
         run
     } else {
@@ -513,24 +472,21 @@ fn cmd_run(args: &[String]) -> ExitCode {
 /// `lafd run --spec FILE.json`: execute one wire-v1 request (the exact
 /// format `lafd serve` reads) and print the report JSON to stdout.
 fn cmd_run_spec_file(path: &str) -> ExitCode {
-    let raw = match std::fs::read_to_string(path) {
-        Ok(raw) => raw,
-        Err(e) => {
-            eprintln!("error: reading {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let (builder, id) = match wire::request_from_json(raw.trim()) {
+    let parsed = std::fs::read_to_string(path)
+        .map_err(|e| format!("reading {path}: {e}"))
+        .and_then(|raw| {
+            let in_file = |e: String| format!("{path}: {e}");
+            let (builder, id) = wire::request_from_json(raw.trim()).map_err(in_file)?;
+            builder.validate().map_err(in_file)?;
+            Ok((builder, id))
+        });
+    let (builder, id) = match parsed {
         Ok(parsed) => parsed,
         Err(e) => {
-            eprintln!("error: {path}: {e}");
+            eprintln!("error: {e}");
             return ExitCode::FAILURE;
         }
     };
-    if let Err(e) = builder.validate() {
-        eprintln!("error: {path}: {e}");
-        return ExitCode::FAILURE;
-    }
     if let Some(id) = id {
         eprintln!("run --spec: request id {id}");
     }
@@ -568,40 +524,33 @@ fn parse_serve(args: &[String]) -> Result<ServeOpts, String> {
         metrics: None,
         metrics_format: MetricsFormat::Json,
     };
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut grab = || {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("flag {flag} needs a value"))
-        };
-        match flag.as_str() {
+    let mut flags = Flags::new(args);
+    while let Some(flag) = flags.next_flag() {
+        match flag {
             "--shards" => {
-                opts.shards = grab()?.parse().map_err(|e| format!("--shards: {e}"))?;
+                opts.shards = flags.parse("--shards")?;
                 if opts.shards == 0 || opts.shards > 256 {
                     return Err("--shards must be in 1..=256".to_string());
                 }
             }
             "--max-sessions" => {
-                opts.max_sessions = grab()?
-                    .parse()
-                    .map_err(|e| format!("--max-sessions: {e}"))?;
+                opts.max_sessions = flags.parse("--max-sessions")?;
                 if opts.max_sessions == 0 {
                     return Err("--max-sessions must be at least 1".to_string());
                 }
             }
             "--clients" => {
-                let clients = grab()?.parse().map_err(|e| format!("--clients: {e}"))?;
+                let clients = flags.parse("--clients")?;
                 if clients == 0 {
                     return Err("--clients must be at least 1".to_string());
                 }
                 opts.clients = Some(clients);
             }
             "--stdin" => opts.stdin = true,
-            "--listen" => opts.listen = Some(grab()?),
-            "--unix" => opts.unix = Some(grab()?),
-            "--metrics" => opts.metrics = Some(grab()?),
-            "--metrics-format" => opts.metrics_format = MetricsFormat::parse(&grab()?)?,
+            "--listen" => opts.listen = Some(flags.value()?),
+            "--unix" => opts.unix = Some(flags.value()?),
+            "--metrics" => opts.metrics = Some(flags.value()?),
+            "--metrics-format" => opts.metrics_format = MetricsFormat::parse(&flags.value()?)?,
             other => return Err(format!("unknown serve flag {other}")),
         }
     }
@@ -618,15 +567,7 @@ fn parse_serve(args: &[String]) -> Result<ServeOpts, String> {
     Ok(opts)
 }
 
-fn cmd_serve(args: &[String]) -> ExitCode {
-    let opts = match parse_serve(args) {
-        Ok(opts) => opts,
-        Err(e) => {
-            eprintln!("error: {e}");
-            usage();
-            return ExitCode::FAILURE;
-        }
-    };
+fn cmd_serve(opts: ServeOpts) -> ExitCode {
     let service = FdService::start(ServiceConfig {
         shards: opts.shards,
         max_sessions: opts.max_sessions,
@@ -704,40 +645,33 @@ fn parse_search(args: &[String]) -> Result<SearchArgs, String> {
     let mut threads = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
     let mut json_path = None;
     let mut md_path = None;
-    let mut it = rest.iter();
-    while let Some(flag) = it.next() {
-        let mut grab = || {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("flag {flag} needs a value"))
-        };
-        match flag.as_str() {
-            "-n" | "--n" => spec.n = grab()?.parse().map_err(|e| format!("--n: {e}"))?,
-            "--t" => spec.t = Some(grab()?.parse().map_err(|e| format!("--t: {e}"))?),
-            "--seed" => spec.seed = grab()?.parse().map_err(|e| format!("--seed: {e}"))?,
-            "--scheme" => spec.scheme = canonical_scheme(&grab()?)?.to_string(),
+    let mut flags = Flags::new(rest);
+    while let Some(flag) = flags.next_flag() {
+        match flag {
+            "-n" | "--n" => spec.n = flags.parse("--n")?,
+            "--t" => spec.t = Some(flags.parse("--t")?),
+            "--seed" => spec.seed = flags.parse("--seed")?,
+            "--scheme" => spec.scheme = canonical_scheme(&flags.value()?)?.to_string(),
             // Kept as given: the report names the latency the user asked for.
-            "--latency" => spec.latency = LatencySpec::parse(&grab()?)?,
+            "--latency" => spec.latency = LatencySpec::parse(&flags.value()?)?,
             "--adversary" => {
-                spec.adversary = AdversarySpec::scripted(AdversaryKind::parse(&grab()?)?);
+                spec.adversary = AdversarySpec::scripted(AdversaryKind::parse(&flags.value()?)?);
             }
-            "--strategy" => config.strategy = Strategy::parse(&grab()?)?,
+            "--strategy" => config.strategy = Strategy::parse(&flags.value()?)?,
             "--budget" => {
-                config.budget = grab()?.parse().map_err(|e| format!("--budget: {e}"))?;
+                config.budget = flags.parse("--budget")?;
                 if config.budget == 0 || config.budget > 100_000 {
                     return Err("--budget must be in 1..=100000".to_string());
                 }
             }
             "--threads" => {
-                threads = grab()?
-                    .parse::<usize>()
-                    .map_err(|e| format!("--threads: {e}"))?;
+                threads = flags.parse("--threads")?;
                 if threads == 0 {
                     return Err("--threads must be at least 1".to_string());
                 }
             }
-            "--json" => json_path = Some(grab()?),
-            "--md" => md_path = Some(grab()?),
+            "--json" => json_path = Some(flags.value()?),
+            "--md" => md_path = Some(flags.value()?),
             other => return Err(format!("unknown search flag {other}")),
         }
     }
@@ -746,15 +680,7 @@ fn parse_search(args: &[String]) -> Result<SearchArgs, String> {
     Ok((config, threads, json_path, md_path))
 }
 
-fn cmd_search(args: &[String]) -> ExitCode {
-    let (config, threads, json_path, md_path) = match parse_search(args) {
-        Ok(parsed) => parsed,
-        Err(e) => {
-            eprintln!("error: {e}");
-            usage();
-            return ExitCode::FAILURE;
-        }
-    };
+fn cmd_search((config, threads, json_path, md_path): SearchArgs) -> ExitCode {
     let spec = &config.spec;
     eprintln!(
         "search: {} n = {} t = {} latency = {} strategy = {} budget = {} threads = {}",
@@ -778,19 +704,14 @@ fn cmd_search(args: &[String]) -> ExitCode {
 
     print!("{}", report.to_markdown());
 
-    if let Some(path) = json_path {
-        if let Err(e) = std::fs::write(&path, report.to_json()) {
-            eprintln!("error: writing {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        eprintln!("search: JSON report written to {path}");
-    }
-    if let Some(path) = md_path {
-        if let Err(e) = std::fs::write(&path, report.to_markdown()) {
-            eprintln!("error: writing {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        eprintln!("search: markdown report written to {path}");
+    if !save(json_path.as_ref(), report.to_json(), "search: JSON report")
+        || !save(
+            md_path.as_ref(),
+            report.to_markdown(),
+            "search: markdown report",
+        )
+    {
+        return ExitCode::FAILURE;
     }
 
     if report.silent_found() {
@@ -805,58 +726,34 @@ fn cmd_search(args: &[String]) -> ExitCode {
 }
 
 // ---------------------------------------------------------------------
-// Deployment layer: `lafd registry`, `lafd cluster`, `lafd cluster-worker`
+// Deployment layer: `lafd registry`, `lafd cluster`, `lafd chaos`,
+// `lafd cluster-worker` (all logic in `fd_core::deploy`)
 // ---------------------------------------------------------------------
 
-/// Largest `--io-deadline-secs` / `--wait-limit-secs` accepted (one
-/// day): every deadline derived from it, up to the supervisor's
-/// `4 × io_deadline + 30 s` guard, stays far inside `Instant`'s range.
-const MAX_DEADLINE_SECS: u64 = 86_400;
-
-/// Parse a deadline flag in whole seconds. Zero is refused (no socket
-/// accepts a zero timeout, so every worker would burn its retries first)
-/// and so is anything past [`MAX_DEADLINE_SECS`] (the deadline sums
-/// would overflow) — before anything is spawned.
-fn parse_deadline_secs(flag: &str, raw: &str) -> Result<u64, String> {
-    let secs: u64 = raw.parse().map_err(|e| format!("{flag}: {e}"))?;
-    if (1..=MAX_DEADLINE_SECS).contains(&secs) {
-        Ok(secs)
-    } else {
-        Err(format!(
-            "{flag} {secs}: must be between 1 and {MAX_DEADLINE_SECS} seconds"
-        ))
+/// `lafd registry` flags: the listen address and the optional
+/// `--wait-limit-secs` (the registry's own default otherwise).
+fn parse_registry(args: &[String]) -> Result<(String, Option<u64>), String> {
+    let mut listen = "127.0.0.1:0".to_string();
+    let mut wait_limit_secs = None;
+    let mut flags = Flags::new(args);
+    while let Some(flag) = flags.next_flag() {
+        match flag {
+            "--listen" => listen = flags.value()?,
+            "--wait-limit-secs" => {
+                wait_limit_secs = Some(parse_deadline_secs(flag, &flags.value()?)?);
+            }
+            other => return Err(format!("unknown registry flag {other}")),
+        }
     }
+    Ok((listen, wait_limit_secs))
 }
 
-fn cmd_registry(args: &[String]) -> ExitCode {
-    use local_auth_fd::core::deploy::Registry;
-    let mut listen = "127.0.0.1:0".to_string();
-    let mut wait_limit_secs: u64 = 120;
-    let mut it = args.iter();
-    let parsed = (|| -> Result<(), String> {
-        while let Some(flag) = it.next() {
-            let mut grab = || {
-                it.next()
-                    .cloned()
-                    .ok_or_else(|| format!("flag {flag} needs a value"))
-            };
-            match flag.as_str() {
-                "--listen" => listen = grab()?,
-                "--wait-limit-secs" => {
-                    wait_limit_secs = parse_deadline_secs(flag, &grab()?)?;
-                }
-                other => return Err(format!("unknown registry flag {other}")),
-            }
-        }
-        Ok(())
-    })();
-    if let Err(e) = parsed {
-        eprintln!("error: {e}");
-        usage();
-        return ExitCode::FAILURE;
-    }
-    let registry = match Registry::bind(&listen) {
-        Ok(r) => r.with_wait_limit(std::time::Duration::from_secs(wait_limit_secs)),
+fn cmd_registry((listen, wait_limit_secs): (String, Option<u64>)) -> ExitCode {
+    let registry = match deploy::Registry::bind(&listen) {
+        Ok(r) => match wait_limit_secs {
+            Some(secs) => r.with_wait_limit(Duration::from_secs(secs)),
+            None => r,
+        },
         Err(e) => {
             eprintln!("error: registry bind {listen}: {e}");
             return ExitCode::FAILURE;
@@ -875,68 +772,33 @@ fn cmd_registry(args: &[String]) -> ExitCode {
     }
 }
 
-/// Flags of `lafd cluster` beyond the run shape.
-#[derive(Debug, Clone)]
-struct ClusterOpts {
-    io_deadline_secs: u64,
-    round_wall_us: u64,
-    /// Crashes each worker slot may accrue before it is declared dead
-    /// (`--max-restarts`, default 1).
-    max_restarts: u64,
-    /// Deterministic fault campaign injected into every worker
-    /// (`--chaos SPEC`).
-    chaos: Option<ChaosSpec>,
-    /// External registry address (`--registry ADDR`); `None` spawns a
-    /// private localhost registry child.
-    registry: Option<String>,
-    /// Interface workers bind and advertise (`--bind HOST`).
-    bind: String,
-}
-
-fn parse_cluster(args: &[String]) -> Result<(SpecBuilder, ClusterOpts), String> {
+fn parse_cluster(args: &[String]) -> Result<(SpecBuilder, ClusterConfig), String> {
     let Some((proto, rest)) = args.split_first() else {
         return Err(
             "cluster needs a protocol (chain|nonauth|small|ba|degrade|ds|king)".to_string(),
         );
     };
     let mut shape = Shape::new(proto)?;
-    let mut opts = ClusterOpts {
-        io_deadline_secs: 60,
-        round_wall_us: 0,
-        max_restarts: 1,
-        chaos: None,
-        registry: None,
-        bind: "127.0.0.1".to_string(),
-    };
+    let mut cfg = ClusterConfig::default();
     let mut round_wall_given = false;
-    let mut it = rest.iter();
-    while let Some(flag) = it.next() {
-        let mut grab = || {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("flag {flag} needs a value"))
-        };
-        if shape.flag(flag, &mut grab)? {
+    let mut flags = Flags::new(rest);
+    while let Some(flag) = flags.next_flag() {
+        if shape.flag(flag, &mut flags)? {
             continue;
         }
-        match flag.as_str() {
+        match flag {
             "--io-deadline-secs" => {
-                opts.io_deadline_secs = parse_deadline_secs(flag, &grab()?)?;
+                let secs = parse_deadline_secs(flag, &flags.value()?)?;
+                cfg.io_deadline = Duration::from_secs(secs);
             }
             "--round-wall-us" => {
-                opts.round_wall_us = grab()?
-                    .parse()
-                    .map_err(|e| format!("--round-wall-us: {e}"))?;
+                cfg.round_wall = Duration::from_micros(flags.parse("--round-wall-us")?);
                 round_wall_given = true;
             }
-            "--max-restarts" => {
-                opts.max_restarts = grab()?
-                    .parse()
-                    .map_err(|e| format!("--max-restarts: {e}"))?;
-            }
-            "--chaos" => opts.chaos = Some(ChaosSpec::parse(&grab()?)?),
-            "--registry" => opts.registry = Some(grab()?),
-            "--bind" => opts.bind = grab()?,
+            "--max-restarts" => cfg.max_restarts = flags.parse("--max-restarts")?,
+            "--chaos" => cfg.chaos = Some(ChaosSpec::parse(&flags.value()?)?),
+            "--registry" => cfg.registry = Some(flags.value()?),
+            "--bind" => cfg.bind = flags.value()?,
             other => return Err(format!("unknown cluster flag {other}")),
         }
     }
@@ -950,302 +812,23 @@ fn parse_cluster(args: &[String]) -> Result<(SpecBuilder, ClusterOpts), String> 
     if builder.latency != LatencySpec::Synchronous {
         builder.engine = Engine::Event;
         if !round_wall_given {
-            opts.round_wall_us = 2_000;
+            cfg.round_wall = Duration::from_micros(2_000);
         }
     }
     builder.validate()?;
-    Ok((builder, opts))
+    Ok((builder, cfg))
 }
 
-/// Resilience counters of one supervised cluster run.
-struct Resilience {
-    /// Worker generations launched (1 = the first try succeeded).
-    generations: u64,
-    /// Transport/registry retries summed over the final generation's
-    /// worker summaries.
-    retries: u64,
-    /// Slots declared dead past their restart budget (sorted).
-    dead: Vec<usize>,
-    /// Whether the run finished under crash-adversary degradation.
-    degraded: bool,
+/// This binary, which the supervisor re-executes as registry and workers.
+fn lafd_exe() -> Result<std::path::PathBuf, String> {
+    std::env::current_exe().map_err(|e| format!("cannot locate the lafd binary to re-exec: {e}"))
 }
 
-/// A supervised cluster run that produced a report.
-struct Supervised {
-    report: FdRunReport,
-    totals: local_auth_fd::core::deploy::ClusterTotals,
-    resilience: Resilience,
-}
-
-/// Run a cluster under supervision: launch worker generations, restart
-/// crashed slots up to `--max-restarts` (each generation re-registers
-/// under an incremented incarnation the registry fences stale sessions
-/// by), and degrade to crash-adversary semantics when a slot dies past
-/// its budget — exactly the in-process `silent:I` scripted adversary, so
-/// the degraded report stays byte-comparable. A failure beyond `t` dead
-/// slots, a genuine worker bug, or an exhausted restart/flake budget
-/// aborts loudly.
-fn run_supervised(builder: &SpecBuilder, opts: &ClusterOpts) -> Result<Supervised, String> {
-    use local_auth_fd::core::deploy::{self, ExitKind};
-    use std::collections::HashMap;
-    use std::process::{Command, Stdio};
-    use std::time::Duration;
-
-    let exe = std::env::current_exe()
-        .map_err(|e| format!("cannot locate the lafd binary to re-exec: {e}"))?;
-    // With an external registry several clusters may share one namespace;
-    // the pid suffix keeps this invocation's run id unique there.
-    let run_id = match &opts.registry {
-        Some(_) => format!(
-            "cluster-{}-n{}-seed{}-p{}",
-            builder.protocol.name(),
-            builder.n,
-            builder.seed,
-            std::process::id()
-        ),
-        None => format!(
-            "cluster-{}-n{}-seed{}",
-            builder.protocol.name(),
-            builder.n,
-            builder.seed
-        ),
-    };
-
-    // The registry is a child process too (unless `--registry` points at
-    // an external one), so `lafd cluster` exercises the exact discovery
-    // path a hand-rolled deployment would use. It lives across worker
-    // generations; incarnation fencing keeps its state consistent. The
-    // guard kills and reaps it on every way out of this function, a panic
-    // included.
-    let mut registry_child: Option<deploy::KillOnDrop> = None;
-    let addr = match &opts.registry {
-        Some(addr) => addr.clone(),
-        None => {
-            let child = registry_child.insert(deploy::KillOnDrop(
-                Command::new(&exe)
-                    .args([
-                        "registry",
-                        "--listen",
-                        "127.0.0.1:0",
-                        "--wait-limit-secs",
-                        &opts.io_deadline_secs.to_string(),
-                    ])
-                    .stdout(Stdio::piped())
-                    .stderr(Stdio::inherit())
-                    .spawn()
-                    .map_err(|e| format!("spawn registry: {e}"))?,
-            ));
-            let mut line = String::new();
-            let stdout = child.0.stdout.take().expect("stdout was piped");
-            let _ = BufReader::new(stdout).read_line(&mut line);
-            match line.trim().strip_prefix("registry listening on ") {
-                Some(addr) => addr.to_string(),
-                None => {
-                    return Err(format!(
-                        "registry did not announce an address (got {line:?})"
-                    ))
-                }
-            }
-        }
-    };
-
-    let t = builder.resolved_t();
-    let mut crash_count: HashMap<usize, u64> = HashMap::new();
-    let mut dead: Vec<usize> = Vec::new();
-    let mut degraded = false;
-    let mut flake_budget: u32 = 3;
-    // Backstop against pathological chaos specs: every slot may burn its
-    // full restart budget, plus the degraded generation and the flakes.
-    let max_generations = (builder.n as u64)
-        .saturating_mul(opts.max_restarts.saturating_add(1))
-        .saturating_add(4);
-    let mut generation: u64 = 0;
-    let io_deadline = Duration::from_secs(opts.io_deadline_secs);
-
-    let outcome = loop {
-        if generation >= max_generations {
-            break Err(format!(
-                "restart budget exhausted after {generation} generations"
-            ));
-        }
-        // The generation's effective shape: once slots are declared dead
-        // the run degrades to the scripted crash adversary at exactly
-        // those slots (parity with `--crash`), and their kill rules are
-        // stripped so the stand-in automata survive.
-        let mut effective = builder.clone();
-        let mut chaos = opts.chaos.clone();
-        if degraded {
-            effective = effective.with_adversary(AdversarySpec::scripted_at(
-                AdversaryKind::SilentRelay,
-                dead.iter().map(|&node| NodeId(node as u16)).collect(),
-            ));
-            chaos = chaos.map(|spec| spec.without_kills_for(&dead));
-        }
-        let request = wire::request_to_json(&effective, None)?;
-        let chaos_arg = chaos.as_ref().map(ChaosSpec::to_spec_string);
-        let workers = (0..builder.n).map(|node| {
-            let mut cmd = Command::new(&exe);
-            cmd.args([
-                "cluster-worker",
-                "--registry",
-                &addr,
-                "--run",
-                &run_id,
-                "--node",
-                &node.to_string(),
-                "--incarnation",
-                &generation.to_string(),
-                "--bind",
-                &opts.bind,
-                "--io-deadline-secs",
-                &opts.io_deadline_secs.to_string(),
-                "--round-wall-us",
-                &opts.round_wall_us.to_string(),
-                "--request",
-                &request,
-            ]);
-            if let Some(spec) = &chaos_arg {
-                cmd.args(["--chaos", spec]);
-            }
-            (node, cmd)
-        });
-        let workers = match deploy::Generation::spawn(workers) {
-            Ok(workers) => workers,
-            Err(e) => break Err(e),
-        };
-        println!(
-            "cluster {}: registry at {addr}, {} worker processes launched (generation {generation})",
-            builder.protocol.name(),
-            builder.n
-        );
-
-        let exits = match workers.wait(io_deadline, &mut std::io::stdout()) {
-            Ok(exits) => exits,
-            Err(e) => break Err(e),
-        };
-        let mut culprits: Vec<usize> = Vec::new();
-        let mut bug: Option<String> = None;
-        let mut clean = true;
-        for exit in &exits {
-            if exit.kind != ExitKind::Ok {
-                clean = false;
-                eprintln!("error: {} (generation {generation})", exit.desc);
-            }
-            match exit.kind {
-                ExitKind::Crash => culprits.push(exit.node),
-                ExitKind::Bug => bug = Some(exit.desc.clone()),
-                _ => {}
-            }
-        }
-        if clean {
-            // Collect the final generation's summaries while the registry
-            // is still up (each new generation cleared every older one).
-            let collected = deploy::registry_call(
-                &addr,
-                &wire::RegistryRequest::Collect {
-                    run: run_id.clone(),
-                },
-                io_deadline,
-            );
-            break match collected {
-                Ok(wire::RegistryReply::Summaries { workers }) => Ok(workers),
-                Ok(other) => Err(format!("registry returned {other:?} instead of summaries")),
-                Err(e) => Err(format!("collect summaries: {e}")),
-            };
-        }
-        if let Some(desc) = bug {
-            break Err(format!("{desc} — a genuine failure, not a crash"));
-        }
-        if culprits.is_empty() {
-            // Collateral-only generation: nobody to blame; restart on a
-            // small flake budget so transient stalls cannot loop forever.
-            if flake_budget == 0 {
-                break Err(
-                    "collateral failures exhausted the flake budget; the cluster cannot make progress"
-                        .to_string(),
-                );
-            }
-            flake_budget -= 1;
-            eprintln!(
-                "cluster: generation {generation} lost to collateral failures; restarting ({flake_budget} flakes left)"
-            );
-        } else {
-            let mut fatal: Option<String> = None;
-            for &node in &culprits {
-                if dead.contains(&node) {
-                    fatal = Some(format!("worker {node} crashed again after degradation"));
-                }
-                *crash_count.entry(node).or_insert(0) += 1;
-            }
-            if let Some(e) = fatal {
-                break Err(e);
-            }
-            let mut newly_dead: Vec<usize> = crash_count
-                .iter()
-                .filter(|&(node, &count)| count > opts.max_restarts && !dead.contains(node))
-                .map(|(&node, _)| node)
-                .collect();
-            newly_dead.sort_unstable();
-            if newly_dead.is_empty() {
-                let list: Vec<String> = culprits.iter().map(|n| n.to_string()).collect();
-                eprintln!(
-                    "cluster: restarting after crash of worker(s) [{}] (generation {} next)",
-                    list.join(", "),
-                    generation + 1
-                );
-            } else {
-                dead.extend(newly_dead);
-                dead.sort_unstable();
-                let list: Vec<String> = dead.iter().map(|n| n.to_string()).collect();
-                if dead.len() > t {
-                    break Err(format!(
-                        "workers [{}] are dead past their restart budget — {} crash failures exceed t = {t}",
-                        list.join(", "),
-                        dead.len()
-                    ));
-                }
-                if !builder.adversary.is_honest() {
-                    break Err(format!(
-                        "workers [{}] are dead past their restart budget and the run already scripts an adversary; cannot degrade",
-                        list.join(", ")
-                    ));
-                }
-                degraded = true;
-                eprintln!(
-                    "cluster: degrading to crash-adversary semantics — nodes [{}] presumed crashed (silent-relay, parity with --crash)",
-                    list.join(", ")
-                );
-            }
-        }
-        generation += 1;
-    };
-
-    drop(registry_child);
-    let summaries = outcome?;
-    let retries: u64 = summaries.iter().map(|worker| worker.retries).sum();
-    let (report, totals) = deploy::assemble_report(builder.protocol, builder.n, &summaries)?;
-    Ok(Supervised {
-        report,
-        totals,
-        resilience: Resilience {
-            generations: generation + 1,
-            retries,
-            dead,
-            degraded,
-        },
-    })
-}
-
-fn cmd_cluster(args: &[String]) -> ExitCode {
-    let (builder, opts) = match parse_cluster(args) {
-        Ok(parsed) => parsed,
-        Err(e) => {
-            eprintln!("error: {e}");
-            usage();
-            return ExitCode::FAILURE;
-        }
-    };
-    let supervised = match run_supervised(&builder, &opts) {
+fn cmd_cluster((builder, cfg): (SpecBuilder, ClusterConfig)) -> ExitCode {
+    let supervised = lafd_exe().and_then(|exe| {
+        deploy::supervise(&exe, &builder, &cfg, &mut std::io::stdout()).map_err(|e| e.error)
+    });
+    let supervised = match supervised {
         Ok(supervised) => supervised,
         Err(e) => {
             eprintln!("error: lafd cluster aborted: {e}");
@@ -1266,13 +849,9 @@ fn cmd_cluster(args: &[String]) -> ExitCode {
         report.stats.bytes_total,
         report.stats.rounds
     );
-    let dead: Vec<String> = res.dead.iter().map(|n| n.to_string()).collect();
     println!(
-        "resilience: generations={} retries={} dead=[{}] degraded={}",
-        res.generations,
-        res.retries,
-        dead.join(", "),
-        res.degraded
+        "resilience: generations={} retries={} dead={:?} degraded={}",
+        res.generations, res.retries, res.dead, res.degraded
     );
     // The machine-readable result is the last stdout line, so scripts (and
     // the cross-validation tests) can compare it byte-for-byte with the
@@ -1288,206 +867,58 @@ fn cmd_cluster(args: &[String]) -> ExitCode {
     }
 }
 
-/// The outcome a chaos spec should produce under a given fault budget:
-/// slots whose kill rules outlive the restart budget stay down, so up to
-/// `t` of them degrade the run and more than `t` must fail it.
-fn chaos_expected(spec: &ChaosSpec, t: usize, max_restarts: u64) -> &'static str {
-    let mut persistent: Vec<usize> = spec
-        .kills
-        .iter()
-        .filter(|kill| kill.times > max_restarts)
-        .map(|kill| kill.node)
-        .collect();
-    persistent.sort_unstable();
-    persistent.dedup();
-    if persistent.len() > t {
-        "failed"
-    } else if !persistent.is_empty() {
-        "degraded"
-    } else {
-        "recovered"
+type ChaosArgs = (
+    SpecBuilder,
+    ClusterConfig,
+    Vec<deploy::Campaign>,
+    Option<String>,
+);
+
+/// `lafd chaos` flags: the campaigns, the `--json` path, and the
+/// `lafd cluster` flags the rest of the line holds.
+fn parse_chaos(args: &[String]) -> Result<ChaosArgs, String> {
+    let mut campaigns = Vec::new();
+    let mut json_out = None;
+    let mut cluster_args: Vec<String> = Vec::new();
+    let mut flags = Flags::new(args);
+    while let Some(flag) = flags.next_flag() {
+        match flag {
+            "--campaign" => {
+                let value = flags.value()?;
+                let (name, spec) = value
+                    .split_once('=')
+                    .ok_or_else(|| format!("--campaign {value:?}: expected NAME=SPEC"))?;
+                campaigns.push(deploy::Campaign::parse(name, spec)?);
+            }
+            "--json" => json_out = Some(flags.value()?),
+            other => cluster_args.push(other.to_string()),
+        }
     }
+    let (builder, cfg) = parse_cluster(&cluster_args)?;
+    if cfg.chaos.is_some() {
+        return Err("lafd chaos takes --campaign NAME=SPEC, not --chaos".to_string());
+    }
+    if campaigns.is_empty() {
+        campaigns = deploy::default_campaigns(builder.seed, builder.resolved_t());
+    }
+    Ok((builder, cfg, campaigns, json_out))
 }
 
-/// `lafd chaos`: sweep seeded fault campaigns over the supervised cluster
-/// and emit a robustness report. Each campaign is classified recovered /
-/// degraded / failed, checked against the outcome its spec predicts, and
-/// (where a report was produced) compared byte-for-byte against the
-/// matching in-process reference run. Exit 0 iff every campaign behaved.
-fn cmd_chaos(args: &[String]) -> ExitCode {
-    use wire::Value::{Arr, Bool, Int, Obj, Str};
-    let mut campaigns: Vec<(String, String)> = Vec::new();
-    let mut json_out: Option<String> = None;
-    let mut cluster_args: Vec<String> = Vec::new();
-    let mut it = args.iter();
-    let parsed = (|| -> Result<(), String> {
-        while let Some(flag) = it.next() {
-            let mut grab = || {
-                it.next()
-                    .cloned()
-                    .ok_or_else(|| format!("flag {flag} needs a value"))
-            };
-            match flag.as_str() {
-                "--campaign" => {
-                    let value = grab()?;
-                    let (name, spec) = value
-                        .split_once('=')
-                        .ok_or_else(|| format!("--campaign {value:?}: expected NAME=SPEC"))?;
-                    campaigns.push((name.to_string(), spec.to_string()));
-                }
-                "--json" => json_out = Some(grab()?),
-                other => cluster_args.push(other.to_string()),
-            }
-        }
-        Ok(())
-    })();
-    if let Err(e) = parsed {
-        eprintln!("error: {e}");
-        usage();
-        return ExitCode::FAILURE;
-    }
-    let (builder, opts) = match parse_cluster(&cluster_args) {
-        Ok(parsed) => parsed,
-        Err(e) => {
-            eprintln!("error: {e}");
-            usage();
-            return ExitCode::FAILURE;
-        }
-    };
-    if opts.chaos.is_some() {
-        eprintln!("error: lafd chaos takes --campaign NAME=SPEC, not --chaos");
-        return ExitCode::FAILURE;
-    }
-    let t = builder.resolved_t();
-    let seed = builder.seed;
-    if campaigns.is_empty() {
-        // The default matrix: pure network noise (must recover in place),
-        // a transient kill (must recover via restart), a slot that never
-        // comes back (must degrade if the budget allows), and more dead
-        // slots than t (must fail loudly).
-        campaigns.push((
-            "noise".to_string(),
-            format!("seed={seed};connect=25;reset=15;accept-delay=30:2;stall=30:2"),
-        ));
-        if t >= 1 {
-            campaigns.push((
-                "kill-one-transient".to_string(),
-                format!("seed={seed};kill=1@round:1;connect=10"),
-            ));
-            campaigns.push((
-                "kill-one-dead".to_string(),
-                format!("seed={seed};kill=1@round:1xinf"),
-            ));
-            let beyond: Vec<String> = (0..=t)
-                .map(|node| format!("kill={node}@round:1xinf"))
-                .collect();
-            campaigns.push((
-                "kill-beyond-t".to_string(),
-                format!("seed={seed};{}", beyond.join(";")),
-            ));
-        }
-    }
-    // The fault-free reference every recovered campaign must reproduce
-    // byte-for-byte.
-    let reference = match builder.clone().build() {
-        Ok((cluster, spec)) => cluster.run(&spec).to_json(),
+/// `lafd chaos`: run seeded fault campaigns over the supervised cluster
+/// (`fd_core::deploy::run_campaigns`) and print the robustness report.
+/// Exit 0 iff every campaign behaved.
+fn cmd_chaos((builder, cfg, campaigns, json_out): ChaosArgs) -> ExitCode {
+    let report = lafd_exe().and_then(|exe| {
+        deploy::run_campaigns(&exe, &builder, &cfg, &campaigns, &mut std::io::stdout())
+    });
+    let report = match report {
+        Ok(report) => report,
         Err(e) => {
             eprintln!("error: {e}");
             return ExitCode::FAILURE;
         }
     };
-    let mut rows: Vec<wire::Value> = Vec::new();
-    let mut all_ok = true;
-    for (name, spec_text) in &campaigns {
-        let spec = match ChaosSpec::parse(spec_text) {
-            Ok(spec) => spec,
-            Err(e) => {
-                eprintln!("error: campaign {name}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let expected = chaos_expected(&spec, t, opts.max_restarts);
-        let mut campaign_opts = opts.clone();
-        campaign_opts.chaos = Some(spec);
-        println!("chaos campaign {name}: spec {spec_text}");
-        let result = run_supervised(&builder, &campaign_opts);
-        let (outcome, generations, retries, dead, matches) = match &result {
-            Ok(supervised) => {
-                let res = &supervised.resilience;
-                let outcome = if res.degraded {
-                    "degraded"
-                } else {
-                    "recovered"
-                };
-                // A degraded run must match the in-process run scripted
-                // with the same crash set — the degradation contract.
-                let expected_report = if res.degraded {
-                    let degraded_builder =
-                        builder.clone().with_adversary(AdversarySpec::scripted_at(
-                            AdversaryKind::SilentRelay,
-                            res.dead.iter().map(|&node| NodeId(node as u16)).collect(),
-                        ));
-                    match degraded_builder.build() {
-                        Ok((cluster, spec)) => cluster.run(&spec).to_json(),
-                        Err(e) => {
-                            eprintln!("error: campaign {name}: degraded reference: {e}");
-                            return ExitCode::FAILURE;
-                        }
-                    }
-                } else {
-                    reference.clone()
-                };
-                (
-                    outcome,
-                    res.generations,
-                    res.retries,
-                    res.dead.clone(),
-                    supervised.report.to_json() == expected_report,
-                )
-            }
-            Err(e) => {
-                eprintln!("error: campaign {name}: {e}");
-                ("failed", 0, 0, Vec::new(), true)
-            }
-        };
-        let ok = outcome == expected && matches;
-        all_ok &= ok;
-        let dead_list: Vec<String> = dead.iter().map(|n| n.to_string()).collect();
-        println!(
-            "chaos campaign {name}: {outcome} (expected {expected}) generations={generations} retries={retries} dead=[{}] report-match={matches}",
-            dead_list.join(", ")
-        );
-        rows.push(Obj(vec![
-            ("name".to_string(), Str(name.clone())),
-            ("spec".to_string(), Str(spec_text.clone())),
-            ("expected".to_string(), Str(expected.to_string())),
-            ("outcome".to_string(), Str(outcome.to_string())),
-            ("generations".to_string(), Int(generations.into())),
-            ("retries".to_string(), Int(retries.into())),
-            (
-                "dead".to_string(),
-                Arr(dead.iter().map(|&node| Int(node as i128)).collect()),
-            ),
-            ("report_match".to_string(), Bool(matches)),
-            ("ok".to_string(), Bool(ok)),
-        ]));
-    }
-    let doc = Obj(vec![
-        (
-            "schema".to_string(),
-            Str("lafd-chaos-report-v1".to_string()),
-        ),
-        (
-            "protocol".to_string(),
-            Str(builder.protocol.name().to_string()),
-        ),
-        ("n".to_string(), Int(builder.n as i128)),
-        ("t".to_string(), Int(t as i128)),
-        ("max_restarts".to_string(), Int(opts.max_restarts.into())),
-        ("campaigns".to_string(), Arr(rows)),
-        ("ok".to_string(), Bool(all_ok)),
-    ])
-    .to_json();
+    let doc = report.to_json();
     if let Some(path) = json_out {
         if let Err(e) = std::fs::write(&path, format!("{doc}\n")) {
             eprintln!("error: write {path}: {e}");
@@ -1496,7 +927,7 @@ fn cmd_chaos(args: &[String]) -> ExitCode {
     }
     // Machine-readable robustness matrix as the last stdout line.
     println!("{doc}");
-    if all_ok {
+    if report.ok() {
         ExitCode::SUCCESS
     } else {
         eprintln!("error: at least one chaos campaign diverged from its expected outcome");
@@ -1505,88 +936,20 @@ fn cmd_chaos(args: &[String]) -> ExitCode {
 }
 
 fn cmd_cluster_worker(args: &[String]) -> ExitCode {
-    use local_auth_fd::core::deploy;
-    let mut registry: Option<String> = None;
-    let mut run: Option<String> = None;
-    let mut node: Option<usize> = None;
-    let mut request: Option<String> = None;
-    let mut io_deadline_secs: u64 = 60;
-    let mut round_wall_us: u64 = 0;
-    let mut incarnation: u64 = 0;
-    let mut bind = "127.0.0.1".to_string();
-    let mut chaos: Option<ChaosSpec> = None;
-    let mut it = args.iter();
-    let parsed = (|| -> Result<(), String> {
-        while let Some(flag) = it.next() {
-            let mut grab = || {
-                it.next()
-                    .cloned()
-                    .ok_or_else(|| format!("flag {flag} needs a value"))
-            };
-            match flag.as_str() {
-                "--registry" => registry = Some(grab()?),
-                "--run" => run = Some(grab()?),
-                "--node" => node = Some(grab()?.parse().map_err(|e| format!("--node: {e}"))?),
-                "--request" => request = Some(grab()?),
-                "--io-deadline-secs" => {
-                    io_deadline_secs = parse_deadline_secs(flag, &grab()?)?;
-                }
-                "--round-wall-us" => {
-                    round_wall_us = grab()?
-                        .parse()
-                        .map_err(|e| format!("--round-wall-us: {e}"))?;
-                }
-                "--incarnation" => {
-                    incarnation = grab()?.parse().map_err(|e| format!("--incarnation: {e}"))?;
-                }
-                "--bind" => bind = grab()?,
-                "--chaos" => chaos = Some(ChaosSpec::parse(&grab()?)?),
-                other => return Err(format!("unknown cluster-worker flag {other}")),
-            }
-        }
-        Ok(())
-    })();
-    let (registry, run, node, request) = match (parsed, registry, run, node, request) {
-        (Ok(()), Some(registry), Some(run), Some(node), Some(request)) => {
-            (registry, run, node, request)
-        }
-        (Err(e), ..) => {
+    let (cfg, request) = match WorkerConfig::from_args(args) {
+        Ok(parsed) => parsed,
+        Err(e) => {
             eprintln!("error: {e}");
             return ExitCode::FAILURE;
         }
-        _ => {
-            eprintln!("error: cluster-worker needs --registry, --run, --node, and --request");
-            return ExitCode::FAILURE;
-        }
     };
-    // Test hook: the CI cluster-smoke job and the integration tests kill
-    // one worker before it registers, to prove a vanished process surfaces
-    // as a loud orchestrator failure rather than a hang.
-    if std::env::var("LAFD_CLUSTER_KILL_NODE")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .is_some_and(|victim| victim == node)
-    {
-        eprintln!("worker {node}: exiting early (LAFD_CLUSTER_KILL_NODE test hook)");
-        std::process::exit(43);
-    }
+    let node = cfg.node;
     let builder = match wire::request_from_json(&request) {
         Ok((builder, _id)) => builder,
         Err(e) => {
             eprintln!("error: cluster worker {node}: bad --request: {e}");
             return ExitCode::FAILURE;
         }
-    };
-    let cfg = deploy::WorkerConfig {
-        registry,
-        run,
-        node,
-        io_deadline: std::time::Duration::from_secs(io_deadline_secs),
-        round_wall: std::time::Duration::from_micros(round_wall_us),
-        incarnation,
-        bind,
-        retry: Default::default(),
-        chaos,
     };
     match deploy::run_worker(&cfg, &builder) {
         Ok(()) => ExitCode::SUCCESS,
@@ -1636,16 +999,11 @@ fn parse_sweep_matrix(args: &[String]) -> Result<SweepArgs, String> {
     let mut md_path = None;
     let mut remote = None;
 
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut grab = || {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("flag {flag} needs a value"))
-        };
-        match flag.as_str() {
+    let mut flags = Flags::new(args);
+    while let Some(flag) = flags.next_flag() {
+        match flag {
             "--protocols" => {
-                let raw = grab()?;
+                let raw = flags.value()?;
                 matrix.protocols = if raw == "all" {
                     Protocol::ALL.to_vec()
                 } else {
@@ -1653,7 +1011,7 @@ fn parse_sweep_matrix(args: &[String]) -> Result<SweepArgs, String> {
                 };
             }
             "--sizes" => {
-                matrix.sizes = parse_list(&grab()?, "sizes", |s| {
+                matrix.sizes = parse_list(&flags.value()?, "sizes", |s| {
                     let n: usize = s.parse().map_err(|e| format!("--sizes: {e}"))?;
                     if n < 2 {
                         return Err(format!("--sizes: need n >= 2 (got {n})"));
@@ -1665,7 +1023,7 @@ fn parse_sweep_matrix(args: &[String]) -> Result<SweepArgs, String> {
                 })?;
             }
             "--faults" => {
-                let raw = grab()?;
+                let raw = flags.value()?;
                 matrix.fault_rule = if raw == "auto" {
                     FaultRule::Classic
                 } else {
@@ -1675,23 +1033,28 @@ fn parse_sweep_matrix(args: &[String]) -> Result<SweepArgs, String> {
                 };
             }
             "--adversaries" => {
-                matrix.adversaries = parse_list(&grab()?, "adversaries", AdversaryKind::parse)?;
+                matrix.adversaries =
+                    parse_list(&flags.value()?, "adversaries", AdversaryKind::parse)?;
             }
-            "--schemes" => matrix.schemes = parse_list(&grab()?, "schemes", canonical_scheme)?,
+            "--schemes" => {
+                matrix.schemes = parse_list(&flags.value()?, "schemes", canonical_scheme)?
+            }
             "--seeds" => {
-                matrix.seeds = parse_list(&grab()?, "seeds", |s| {
+                matrix.seeds = parse_list(&flags.value()?, "seeds", |s| {
                     s.parse::<u64>().map_err(|e| format!("--seeds: {e}"))
                 })?;
             }
-            "--engines" => matrix.engines = parse_list(&grab()?, "engines", Engine::parse)?,
+            "--engines" => matrix.engines = parse_list(&flags.value()?, "engines", Engine::parse)?,
             "--latencies" => {
-                matrix.latencies = parse_list(&grab()?, "latencies", LatencySpec::parse)?;
+                matrix.latencies = parse_list(&flags.value()?, "latencies", LatencySpec::parse)?;
             }
             "--link-latency" => {
-                matrix.link_latency.push(LinkLatencySpec::parse(&grab()?)?);
+                matrix
+                    .link_latency
+                    .push(LinkLatencySpec::parse(&flags.value()?)?);
             }
             "--search" => {
-                let raw = grab()?;
+                let raw = flags.value()?;
                 let (budget_raw, strategy) = match raw.split_once(':') {
                     Some((b, s)) => (b.to_string(), Strategy::parse(s)?),
                     None => (raw.clone(), Strategy::Random),
@@ -1705,16 +1068,14 @@ fn parse_sweep_matrix(args: &[String]) -> Result<SweepArgs, String> {
                 matrix.search = Some(SearchAxis { budget, strategy });
             }
             "--threads" => {
-                threads = grab()?
-                    .parse::<usize>()
-                    .map_err(|e| format!("--threads: {e}"))?;
+                threads = flags.parse("--threads")?;
                 if threads == 0 {
                     return Err("--threads must be at least 1".to_string());
                 }
             }
-            "--json" => json_path = Some(grab()?),
-            "--md" => md_path = Some(grab()?),
-            "--remote" => remote = Some(grab()?),
+            "--json" => json_path = Some(flags.value()?),
+            "--md" => md_path = Some(flags.value()?),
+            "--remote" => remote = Some(flags.value()?),
             other => return Err(format!("unknown sweep flag {other}")),
         }
     }
@@ -1767,15 +1128,7 @@ fn parse_sweep_matrix(args: &[String]) -> Result<SweepArgs, String> {
     })
 }
 
-fn cmd_sweep(args: &[String]) -> ExitCode {
-    let sweep = match parse_sweep_matrix(args) {
-        Ok(parsed) => parsed,
-        Err(e) => {
-            eprintln!("error: {e}");
-            usage();
-            return ExitCode::FAILURE;
-        }
-    };
+fn cmd_sweep(sweep: SweepArgs) -> ExitCode {
     let SweepArgs {
         matrix,
         threads,
@@ -1809,19 +1162,14 @@ fn cmd_sweep(args: &[String]) -> ExitCode {
     print!("{}", report.to_markdown());
     eprintln!("sweep: finished in {elapsed:?}");
 
-    if let Some(path) = json_path {
-        if let Err(e) = std::fs::write(&path, report.to_json()) {
-            eprintln!("error: writing {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        eprintln!("sweep: JSON report written to {path}");
-    }
-    if let Some(path) = md_path {
-        if let Err(e) = std::fs::write(&path, report.to_markdown()) {
-            eprintln!("error: writing {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        eprintln!("sweep: markdown report written to {path}");
+    if !save(json_path.as_ref(), report.to_json(), "sweep: JSON report")
+        || !save(
+            md_path.as_ref(),
+            report.to_markdown(),
+            "sweep: markdown report",
+        )
+    {
+        return ExitCode::FAILURE;
     }
 
     if report.all_ok() {

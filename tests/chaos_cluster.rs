@@ -9,13 +9,18 @@
 //! 3. a worker dead past its budget (but within `t`) degrades the run to
 //!    crash-adversary semantics — exit code 2, report byte-identical to
 //!    the in-process `silent:I` scripted run;
-//! 4. more dead workers than `t` fail loudly with a nonzero exit.
+//! 4. more dead workers than `t` fail loudly with a nonzero exit;
+//! 5. `lafd chaos` reports the same campaigns on an external registry as
+//!    on a private one.
 
 use local_auth_fd::core::adversary::AdversarySpec;
+use local_auth_fd::core::deploy::Registry;
 use local_auth_fd::core::spec::{Protocol, SpecBuilder};
 use local_auth_fd::core::sweep::AdversaryKind;
+use local_auth_fd::core::wire::Value;
 use local_auth_fd::simnet::NodeId;
 use std::process::Command;
+use std::time::Duration;
 
 const SEED: u64 = 23;
 
@@ -164,13 +169,63 @@ fn more_dead_workers_than_t_fail_loudly_with_a_nonzero_exit() {
     );
 }
 
+/// The default `lafd chaos chain -n 4 --t 1` matrix with `extra` flags:
+/// each campaign's `(name, outcome, generations, dead)`.
+fn chaos_rows(extra: &[&str]) -> Vec<(String, String, i128, Vec<i128>)> {
+    let out = Command::new(env!("CARGO_BIN_EXE_lafd"))
+        .args(["chaos", "chain", "-n", "4", "--t", "1", "--seed", "23"])
+        .args(["--io-deadline-secs", "10"])
+        .args(extra)
+        .output()
+        .expect("spawn lafd chaos");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "lafd chaos {extra:?}: {stderr}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let doc = Value::parse(stdout.lines().last().unwrap_or_default()).expect("a JSON report");
+    let rows = doc.get("campaigns").and_then(Value::as_arr).expect("rows");
+    rows.iter()
+        .map(|row| {
+            let field = |key: &str| row.get(key).expect("campaign field");
+            let dead = field("dead").as_arr().expect("dead slots");
+            (
+                field("name").as_str().expect("name").to_string(),
+                field("outcome").as_str().expect("outcome").to_string(),
+                field("generations").as_int().expect("generations"),
+                dead.iter().filter_map(Value::as_int).collect(),
+            )
+        })
+        .collect()
+}
+
+/// Every campaign of one `lafd chaos` runs under its own run id, so on a
+/// shared external registry no campaign meets an earlier one's roster or
+/// generation; and a failed campaign still reports what it ran.
+#[test]
+fn chaos_campaigns_on_an_external_registry_match_a_private_registry() {
+    let registry = Registry::bind("127.0.0.1:0")
+        .expect("bind registry")
+        .with_wait_limit(Duration::from_secs(10));
+    let addr = registry.local_addr().to_string();
+    std::thread::spawn(move || registry.serve());
+    let private = chaos_rows(&[]);
+    let external = chaos_rows(&["--registry", &addr]);
+    assert_eq!(external, private);
+    let beyond_t = private.last().expect("kill-beyond-t row");
+    assert_eq!(
+        (&beyond_t.0[..], &beyond_t.1[..], beyond_t.3.len()),
+        ("kill-beyond-t", "failed", 2)
+    );
+    assert!(
+        beyond_t.2 >= 1,
+        "a failed campaign ran generations: {beyond_t:?}"
+    );
+}
+
 /// `lafd chaos` emits its report through the wire JSON encoder, so a
 /// campaign name with a control character still yields a parseable
 /// `lafd-chaos-report-v1` document as the last stdout line.
 #[test]
 fn the_chaos_report_is_valid_json_even_for_awkward_campaign_names() {
-    use local_auth_fd::core::wire::Value;
-
     let name = "noisy\tname";
     let out = Command::new(env!("CARGO_BIN_EXE_lafd"))
         .args(["chaos", "chain", "-n", "4", "--t", "1", "--campaign"])

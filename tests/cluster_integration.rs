@@ -2,11 +2,14 @@
 //! process per node over the discovery registry and the non-blocking
 //! socket mesh, and its report (the last stdout line) must be
 //! **byte-identical** to the same `RunSpec` executed in-process by the
-//! reference engine. A vanished worker must surface as a loud error and a
-//! nonzero exit, never a silent hang.
+//! reference engine. A vanished worker must fail the supervised run
+//! loudly, never hang it.
 
+use local_auth_fd::core::deploy::{self, ClusterConfig};
 use local_auth_fd::core::spec::{Protocol, SpecBuilder};
-use std::process::Command;
+use std::io::Write;
+use std::process::{Command, Stdio};
+use std::time::{Duration, Instant};
 
 const SEED: u64 = 23;
 
@@ -21,13 +24,12 @@ fn cluster_builder(protocol: Protocol, n: usize) -> SpecBuilder {
 }
 
 /// Run `lafd cluster` and return (last stdout line, full stderr, success).
-fn run_cluster(args: &[&str], kill_node: Option<usize>) -> (String, String, bool) {
-    let mut cmd = Command::new(env!("CARGO_BIN_EXE_lafd"));
-    cmd.arg("cluster").args(args);
-    if let Some(victim) = kill_node {
-        cmd.env("LAFD_CLUSTER_KILL_NODE", victim.to_string());
-    }
-    let out = cmd.output().expect("spawn lafd cluster");
+fn run_cluster(args: &[&str]) -> (String, String, bool) {
+    let out = Command::new(env!("CARGO_BIN_EXE_lafd"))
+        .arg("cluster")
+        .args(args)
+        .output()
+        .expect("spawn lafd cluster");
     let stdout = String::from_utf8_lossy(&out.stdout).to_string();
     let stderr = String::from_utf8_lossy(&out.stderr).to_string();
     let last = stdout.lines().last().unwrap_or_default().to_string();
@@ -37,18 +39,15 @@ fn run_cluster(args: &[&str], kill_node: Option<usize>) -> (String, String, bool
 fn assert_cluster_matches_sync_engine(protocol: Protocol, proto_flag: &str, n: usize) {
     let (cluster, spec) = cluster_builder(protocol, n).build().expect("valid spec");
     let expected = cluster.run(&spec).to_json();
-    let (last, stderr, ok) = run_cluster(
-        &[
-            proto_flag,
-            "-n",
-            &n.to_string(),
-            "--seed",
-            &SEED.to_string(),
-            "--io-deadline-secs",
-            "30",
-        ],
-        None,
-    );
+    let (last, stderr, ok) = run_cluster(&[
+        proto_flag,
+        "-n",
+        &n.to_string(),
+        "--seed",
+        &SEED.to_string(),
+        "--io-deadline-secs",
+        "30",
+    ]);
     assert!(ok, "lafd cluster {proto_flag} -n {n} failed: {stderr}");
     assert_eq!(
         last, expected,
@@ -79,22 +78,19 @@ fn latency_shim_stretches_wall_time_without_changing_the_report() {
         .build()
         .expect("valid spec");
     let expected = cluster.run(&spec).to_json();
-    let (last, stderr, ok) = run_cluster(
-        &[
-            "chain",
-            "-n",
-            "4",
-            "--seed",
-            &SEED.to_string(),
-            "--latency",
-            "jitter:2",
-            "--round-wall-us",
-            "1000",
-            "--io-deadline-secs",
-            "30",
-        ],
-        None,
-    );
+    let (last, stderr, ok) = run_cluster(&[
+        "chain",
+        "-n",
+        "4",
+        "--seed",
+        &SEED.to_string(),
+        "--latency",
+        "jitter:2",
+        "--round-wall-us",
+        "1000",
+        "--io-deadline-secs",
+        "30",
+    ]);
     assert!(ok, "shimmed cluster run failed: {stderr}");
     assert_eq!(last, expected, "the delay shim must not alter the report");
 }
@@ -109,20 +105,17 @@ fn crash_adversary_flows_through_the_cluster_path() {
     );
     let (cluster, spec) = builder.build().expect("valid spec");
     let expected = cluster.run(&spec).to_json();
-    let (last, stderr, ok) = run_cluster(
-        &[
-            "ba",
-            "-n",
-            "4",
-            "--seed",
-            &SEED.to_string(),
-            "--crash",
-            "1",
-            "--io-deadline-secs",
-            "30",
-        ],
-        None,
-    );
+    let (last, stderr, ok) = run_cluster(&[
+        "ba",
+        "-n",
+        "4",
+        "--seed",
+        &SEED.to_string(),
+        "--crash",
+        "1",
+        "--io-deadline-secs",
+        "30",
+    ]);
     assert!(ok, "cluster run with --crash failed: {stderr}");
     assert_eq!(last, expected);
 }
@@ -152,27 +145,65 @@ fn out_of_range_io_deadlines_are_refused_before_anything_spawns() {
     }
 }
 
+/// A stand-in for the `lafd` binary: started as worker `--node 2` it
+/// exits 43 before registering; otherwise it runs `lafd`.
+fn lafd_with_node_2_dying() -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("lafd-node-2-dies-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create the wrapper's directory");
+    let path = dir.join("lafd");
+    let script = format!(
+        "#!/bin/sh\nprev=\nfor arg in \"$@\"; do\n  \
+         if [ \"$prev\" = --node ] && [ \"$arg\" = 2 ]; then exit 43; fi\n  \
+         prev=$arg\ndone\nexec '{}' \"$@\"\n",
+        env!("CARGO_BIN_EXE_lafd")
+    );
+    // A child shell writes the script, so no writable descriptor of this
+    // process can leak into a sibling test's fork and fail the exec with
+    // "text file busy".
+    let mut sh = Command::new("sh")
+        .args(["-c", "cat > \"$0\" && chmod 755 \"$0\""])
+        .arg(&path)
+        .stdin(Stdio::piped())
+        .spawn()
+        .expect("spawn sh");
+    let mut stdin = sh.stdin.take().expect("piped stdin");
+    stdin
+        .write_all(script.as_bytes())
+        .expect("write the wrapper");
+    drop(stdin);
+    assert!(sh.wait().expect("sh exits").success(), "writing {path:?}");
+    path
+}
+
 #[test]
 fn a_killed_worker_fails_loudly_with_a_nonzero_exit() {
-    let (_, stderr, ok) = run_cluster(
-        &[
-            "chain",
-            "-n",
-            "4",
-            "--seed",
-            &SEED.to_string(),
-            "--io-deadline-secs",
-            "10",
-        ],
-        Some(2),
+    let cfg = ClusterConfig {
+        io_deadline: Duration::from_secs(10),
+        ..ClusterConfig::default()
+    };
+    let exe = lafd_with_node_2_dying();
+    let started = Instant::now();
+    let supervised = deploy::supervise(
+        &exe,
+        &cluster_builder(Protocol::ChainFd, 4),
+        &cfg,
+        &mut std::io::sink(),
     );
-    assert!(!ok, "a vanished worker must produce a nonzero exit code");
+    let _ = std::fs::remove_dir_all(exe.parent().expect("the wrapper's directory"));
+    let aborted = supervised.expect_err("a vanished worker must fail the run");
     assert!(
-        stderr.contains("worker 2"),
-        "the error must name the vanished worker, got: {stderr}"
+        started.elapsed() < Duration::from_secs(60),
+        "the failure took {:?}",
+        started.elapsed()
     );
-    assert!(
-        stderr.contains("aborted"),
-        "the orchestrator must announce the abort, got: {stderr}"
+    assert_eq!(
+        aborted.error, "worker 2 crashed again after degradation",
+        "the error must name the vanished worker"
+    );
+    // Crash, crash past the budget (degrade, t = 1), crash again.
+    let res = &aborted.resilience;
+    assert_eq!(
+        (res.generations, &res.dead[..], res.degraded),
+        (3, &[2][..], true)
     );
 }
