@@ -16,7 +16,7 @@
 //! * [`Int`] — thin signed wrapper used by the extended Euclidean algorithm.
 //! * [`MontCtx`] — Montgomery multiplication context for fast `modpow`
 //!   with odd moduli (the common case for prime fields and RSA moduli),
-//!   plus [`FixedBase`] tables for a base that is raised again and again.
+//!   plus [`FixedBase`] comb tables for a base that is raised again and again.
 //! * [`prime`] — Miller–Rabin primality testing and prime generation.
 //! * [`SplitMix64`] — a tiny deterministic PRNG so the crate stays
 //!   dependency-free while still supporting seeded, reproducible key and

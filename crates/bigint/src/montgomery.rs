@@ -1,4 +1,18 @@
 //! Montgomery multiplication context for fast modular exponentiation.
+//!
+//! Two ways to raise a base, both in Montgomery form:
+//!
+//! * [`MontCtx::modpow`], a fixed-window ladder for a base seen once:
+//!   about one squaring per exponent bit.
+//! * [`FixedBase`], a Lim–Lee comb (CRYPTO '94) for a base raised again
+//!   and again. Its `v · (2^h − 1)` entries (`h` teeth, `v` blocks) trade
+//!   memory for squarings: an exponent of `b` bits costs about `b/(h·v)`
+//!   squarings and `b/h` multiplications. With `L`-limb elements a comb
+//!   takes `v · (2^h − 1) · 8L` bytes; at a 1024-bit modulus that is
+//!   3 968 B for `h = 5, v = 1` (a public key's table) and 65 280 B for
+//!   `h = 8, v = 2` (a group generator's). [`MontCtx::pow_fixed_mul`]
+//!   walks two combs under one run of squarings, which is what a Schnorr
+//!   or DSA verification `g^a · y^b` needs.
 
 use crate::ll;
 use crate::Ubig;
@@ -20,8 +34,8 @@ use core::mem::swap;
 /// left-to-right fixed-window ladder whose width follows the exponent's
 /// length: 4-bit windows above 32 bits (the 14-multiply table then pays
 /// for itself), one bit at or below. A base used again and again, such as
-/// a group generator, gets a [`FixedBase`] table instead, which needs no
-/// squarings at all.
+/// a group generator or a public key, gets a [`FixedBase`] comb instead,
+/// which needs a fraction of the squarings.
 ///
 /// ```
 /// use fd_bigint::{MontCtx, Ubig};
@@ -44,22 +58,31 @@ pub struct MontCtx {
     l: usize,
 }
 
-/// Precomputed powers `base^(d·16^i)` for a fixed base, from
-/// [`MontCtx::fixed_base`].
+/// A Lim–Lee comb for a fixed base, from [`MontCtx::fixed_base`].
 ///
-/// With the table, `base^e` is one multiplication per non-zero 4-bit digit
-/// of `e` ([`MontCtx::pow_fixed`]); window `i` of the exponent selects row
-/// `i`. The table covers exponents of up to [`FixedBase::max_bits`] bits;
-/// longer exponents fall back to [`MontCtx::modpow`], so a result never
-/// depends on how the table was sized. It costs `⌈max_bits/4⌉ · 15 · L`
-/// limbs (digit 0 needs no entry).
+/// An exponent of up to [`FixedBase::max_bits`] bits is read as a matrix
+/// of `teeth` rows; each row is cut into `blocks` blocks of `span` bits.
+/// Block `j` has its own `2^teeth − 1` entries: entry `i` is the product
+/// of `base^(2^(t·blocks·span + j·span))` over the set bits `t` of `i`, so
+/// one column of one block selects one entry. `base^e` is then at most
+/// `span − 1` squarings and `blocks · span` multiplications
+/// ([`MontCtx::pow_fixed`]), and two combs share their squarings
+/// ([`MontCtx::pow_fixed_mul`]). Longer exponents, or a context with
+/// another modulus, take the ladder over the base, so a result never
+/// depends on the table. It holds `blocks · (2^teeth − 1)` elements of
+/// `L` limbs.
 #[derive(Clone)]
 pub struct FixedBase {
-    /// Row `i` holds `base^(d·16^i)·R mod m` for `d = 1..=15`, `L` limbs each.
+    /// Block `j`'s entry `i` sits at `(j·(2^teeth − 1) + i − 1)·L` (a
+    /// column value of 0 needs no entry), in Montgomery form.
     table: Vec<u64>,
-    /// Exponent bits the table covers: four per row.
-    max_bits: usize,
-    /// The base itself, for exponents longer than the table.
+    /// Rows of the exponent matrix.
+    teeth: usize,
+    /// Blocks per row, each with its own entries.
+    blocks: usize,
+    /// Bits per block: the squarings one exponentiation needs, plus one.
+    span: usize,
+    /// The base itself, for the ladder fallback.
     base: Ubig,
     /// Modulus limbs of the context that built the table.
     m: Vec<u64>,
@@ -68,7 +91,27 @@ pub struct FixedBase {
 impl FixedBase {
     /// Longest exponent, in bits, served from the table.
     pub fn max_bits(&self) -> usize {
-        self.max_bits
+        self.teeth * self.blocks * self.span
+    }
+
+    /// Size of the table proper, in bytes: `blocks · (2^teeth − 1) · 8L`.
+    pub fn table_bytes(&self) -> usize {
+        self.table.len() * 8
+    }
+
+    /// The entry column `k` of block `j` of `e` selects, or `None` for an
+    /// all-zero column.
+    fn entry(&self, e: &[u64], j: usize, k: usize) -> Option<&[u64]> {
+        let row = self.blocks * self.span;
+        let idx = (0..self.teeth).fold(0, |idx, t| {
+            let bit = t * row + j * self.span + k;
+            let set = e
+                .get(bit / 64)
+                .is_some_and(|limb| limb >> (bit % 64) & 1 == 1);
+            idx | usize::from(set) << t
+        });
+        let l = self.m.len();
+        (idx != 0).then(|| &self.table[(j * ((1 << self.teeth) - 1) + idx - 1) * l..][..l])
     }
 }
 
@@ -76,7 +119,9 @@ impl fmt::Debug for FixedBase {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("FixedBase")
             .field("base", &self.base)
-            .field("max_bits", &self.max_bits)
+            .field("teeth", &self.teeth)
+            .field("blocks", &self.blocks)
+            .field("max_bits", &self.max_bits())
             .finish_non_exhaustive()
     }
 }
@@ -277,71 +322,123 @@ impl MontCtx {
         acc
     }
 
-    /// Table of `base^(d·16^i)` for exponents of up to `max_bits` bits
-    /// (`⌈max_bits/4⌉` rows of 15 entries), for [`MontCtx::pow_fixed`] and
-    /// [`MontCtx::pow_fixed_mul`].
-    pub fn fixed_base(&self, base: &Ubig, max_bits: usize) -> FixedBase {
+    /// A comb of `teeth` rows cut into `blocks` blocks (`blocks ·
+    /// (2^teeth − 1)` entries; `1 <= teeth <= 8`, `blocks >= 1`) for
+    /// exponents of up to `max_bits` bits, for [`MontCtx::pow_fixed`] and
+    /// [`MontCtx::pow_fixed_mul`]. Building it costs about `max_bits`
+    /// squarings and `blocks · (2^teeth − teeth − 1)` multiplications.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `teeth` is outside `1..=8` or `blocks` is zero.
+    pub fn fixed_base(
+        &self,
+        base: &Ubig,
+        max_bits: usize,
+        teeth: usize,
+        blocks: usize,
+    ) -> FixedBase {
+        assert!((1..=8).contains(&teeth), "a comb has 1 to 8 teeth");
+        assert!(blocks > 0, "a comb has at least one block");
         let l = self.l;
-        let rows = max_bits.div_ceil(4);
-        let mut table = vec![0u64; rows * 15 * l];
+        let span = max_bits.div_ceil(teeth * blocks);
+        let per_block = ((1 << teeth) - 1) * l;
+        let mut table = vec![0u64; blocks * per_block];
         let mut t = self.scratch();
-        // base^(16^i) for the row being filled.
+        // base^(2^(tooth·blocks·span + j·span)) for tooth `tooth` of block
+        // `j`; taken in that order, each is `span` squarings after the last.
         let mut unit = self.scratch();
         self.to_mont(base, &mut unit, &mut t);
-        for row in table.chunks_exact_mut(15 * l) {
-            row[..l].copy_from_slice(&unit);
-            for d in 1..15 {
-                let (done, rest) = row.split_at_mut(d * l);
-                self.mont_mul_to(&done[(d - 1) * l..], &unit, &mut t);
-                rest[..l].copy_from_slice(&t);
+        for tooth in 0..teeth {
+            for (j, block) in table.chunks_exact_mut(per_block).enumerate() {
+                if tooth + j > 0 {
+                    for _ in 0..span {
+                        self.mont_mul_to(&unit, &unit, &mut t);
+                        swap(&mut unit, &mut t);
+                    }
+                }
+                // Entries 2^tooth..2^(tooth+1) are entries 0..2^tooth times
+                // the new tooth.
+                let top = 1 << tooth;
+                block[(top - 1) * l..][..l].copy_from_slice(&unit);
+                for i in 1..top {
+                    let (done, rest) = block.split_at_mut((top + i - 1) * l);
+                    self.mont_mul_to(&done[(i - 1) * l..], &unit, &mut t);
+                    rest[..l].copy_from_slice(&t);
+                }
             }
-            // Next row's unit: base^(15·16^i) · base^(16^i) = base^(16^(i+1)).
-            self.mont_mul_to(&row[14 * l..], &unit, &mut t);
-            swap(&mut unit, &mut t);
         }
         FixedBase {
             table,
-            max_bits: 4 * rows,
+            teeth,
+            blocks,
+            span,
             base: base.clone(),
             m: self.m.clone(),
         }
     }
 
-    /// `base^e mod m` for the table's base: one multiplication per non-zero
-    /// 4-bit digit of `e`, so at most `⌈bits/4⌉`, and no squarings.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `fb` was built by a context with a different modulus.
+    /// `base^e mod m` for the table's base: at most `span − 1` squarings
+    /// and `blocks · span` multiplications.
     pub fn pow_fixed(&self, fb: &FixedBase, e: &Ubig) -> Ubig {
-        // y^0 = 1, whatever y is.
-        self.pow_fixed_mul(fb, e, &Ubig::zero(), &Ubig::zero())
+        let mut t = self.scratch();
+        let acc = self.pow_combs([(fb, e)], &mut t);
+        self.from_mont(&acc, &mut t)
     }
 
-    /// `base^a · y^b mod m` for the table's base: the windowed ladder for
-    /// `y^b`, the table folded in for `base^a`, and a single conversion out
+    /// `x^a · y^b mod m` for the bases `x` of `fx` and `y` of `fy`: both
+    /// combs walked under one run of squarings, and a single conversion out
     /// of Montgomery form.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `fb` was built by a context with a different modulus.
-    pub fn pow_fixed_mul(&self, fb: &FixedBase, a: &Ubig, y: &Ubig, b: &Ubig) -> Ubig {
-        assert!(fb.m == self.m, "fixed-base table built for another modulus");
-        let l = self.l;
+    pub fn pow_fixed_mul(&self, fx: &FixedBase, a: &Ubig, fy: &FixedBase, b: &Ubig) -> Ubig {
         let mut t = self.scratch();
-        let mut acc = self.pow_mont(y, b, &mut t);
-        if a.bits() <= fb.max_bits {
-            for i in 0..a.bits().div_ceil(4) {
-                let d = digit(a, 4, i);
-                if d != 0 {
-                    self.mul_into(&mut acc, &fb.table[(15 * i + d - 1) * l..], &mut t);
+        let acc = self.pow_combs([(fx, a), (fy, b)], &mut t);
+        self.from_mont(&acc, &mut t)
+    }
+
+    /// `∏ base^e` over `terms`, in Montgomery form. The combs that cover
+    /// their exponent share one run of squarings, as long as the longest
+    /// span among them; a term whose table was built for another modulus
+    /// or is too short for its exponent takes the windowed ladder over its
+    /// base.
+    fn pow_combs<const N: usize>(
+        &self,
+        terms: [(&FixedBase, &Ubig); N],
+        t: &mut Vec<u64>,
+    ) -> Vec<u64> {
+        let combed = terms.map(|(fb, e)| fb.m == self.m && e.bits() <= fb.max_bits());
+        let span = (0..N)
+            .filter(|&i| combed[i])
+            .map(|i| terms[i].0.span)
+            .max()
+            .unwrap_or(0);
+        let mut acc = self.one.clone();
+        // The accumulator still holds one: squaring is a no-op and the
+        // first entry is copied, not multiplied in.
+        let mut is_one = true;
+        for k in (0..span).rev() {
+            if !is_one {
+                self.mont_mul_to(&acc, &acc, t);
+                swap(&mut acc, t);
+            }
+            for (&(fb, e), _) in terms.iter().zip(combed).filter(|&(_, c)| c) {
+                if k >= fb.span {
+                    continue;
+                }
+                for entry in (0..fb.blocks).filter_map(|j| fb.entry(e.limbs(), j, k)) {
+                    if is_one {
+                        acc.copy_from_slice(entry);
+                        is_one = false;
+                    } else {
+                        self.mul_into(&mut acc, entry, t);
+                    }
                 }
             }
-        } else {
-            let base_a = self.pow_mont(&fb.base, a, &mut t);
-            self.mul_into(&mut acc, &base_a, &mut t);
         }
-        self.from_mont(&acc, &mut t)
+        for (&(fb, e), _) in terms.iter().zip(combed).filter(|&(_, c)| !c) {
+            let power = self.pow_mont(&fb.base, e, t);
+            self.mul_into(&mut acc, &power, t);
+        }
+        acc
     }
 }
 
@@ -426,11 +523,29 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "another modulus")]
-    fn fixed_base_rejects_foreign_context() {
+    fn a_foreign_table_falls_back_to_the_ladder() {
         let a = MontCtx::new(&Ubig::from(97u64)).unwrap();
         let b = MontCtx::new(&Ubig::from(101u64)).unwrap();
-        let fb = a.fixed_base(&Ubig::from(5u64), 8);
-        let _ = b.pow_fixed(&fb, &Ubig::from(3u64));
+        let fb = a.fixed_base(&Ubig::from(5u64), 8, 4, 1);
+        let (e, y) = (Ubig::from(3u64), Ubig::from(7u64));
+        let fy = a.fixed_base(&y, 8, 2, 2);
+        assert_eq!(b.pow_fixed(&fb, &e), b.modpow(&Ubig::from(5u64), &e));
+        assert_eq!(
+            b.pow_fixed_mul(&fb, &e, &fy, &e),
+            b.mul(&Ubig::from(125u64), &b.modpow(&y, &e))
+        );
+    }
+
+    #[test]
+    fn comb_tables_hold_blocks_times_two_to_the_teeth_minus_one_entries() {
+        let ctx = MontCtx::new(&(&Ubig::pow2(1023) + &Ubig::one())).unwrap();
+        let base = Ubig::from(3u64);
+        for (teeth, blocks, entries) in [(1, 1, 1), (5, 1, 31), (8, 2, 510), (3, 7, 49)] {
+            let fb = ctx.fixed_base(&base, 160, teeth, blocks);
+            assert_eq!(fb.table_bytes(), entries * 128);
+            assert!(fb.max_bits() >= 160);
+            let e = &Ubig::pow2(159) + &Ubig::from(12345u64);
+            assert_eq!(ctx.pow_fixed(&fb, &e), ctx.modpow(&base, &e));
+        }
     }
 }

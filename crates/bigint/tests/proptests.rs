@@ -1,7 +1,7 @@
 //! Property-based tests for the bigint substrate: ring axioms, division
 //! invariants, encoding round-trips, and modular-arithmetic laws. The
-//! Montgomery ladders (one-bit and 4-bit windows, fixed-base tables and
-//! their fallback) are checked against a division-based reference.
+//! Montgomery ladders (one-bit and 4-bit windows, comb tables and their
+//! fallback) are checked against a division-based reference.
 
 use fd_bigint::{egcd, gcd, modinv, modmul, modpow, Int, MontCtx, Ubig};
 use proptest::prelude::*;
@@ -212,14 +212,18 @@ fn any_ubig() -> impl Strategy<Value = Ubig> {
     prop::collection::vec(any::<u8>(), 0..264).prop_map(|bytes| Ubig::from_be_bytes(&bytes))
 }
 
-/// Exponent length relative to a table covering `max` bits: shorter or
-/// equal, exactly `max`, or longer (the fallback to `modpow`).
-fn bits_around(max: usize, pick: u8, r: usize) -> usize {
-    match pick % 4 {
-        0 => r % (max + 1),
-        1 => max,
-        2 => max + 1,
-        _ => max + 1 + r % 256,
+/// An exponent for a table covering `max` bits: 0, 1, all `max` bits set
+/// (the largest the table serves, as `q − 1` is for a group's table), a
+/// random one the table covers, or one longer than the table (the
+/// fallback to `modpow`).
+fn comb_exponent(bytes: &[u8], max: usize, pick: u8, r: usize) -> Ubig {
+    match pick % 6 {
+        0 => Ubig::zero(),
+        1 => Ubig::one(),
+        2 => &Ubig::pow2(max) - &Ubig::one(),
+        3 => with_bits(bytes, r % (max + 1)),
+        4 => with_bits(bytes, max + 1),
+        _ => with_bits(bytes, max + 1 + r % 256),
     }
 }
 
@@ -244,14 +248,16 @@ proptest! {
         kind in any::<u8>(),
         x in any_ubig(),
         table_bits in 0usize..=200,
+        teeth in 1usize..=8,
+        blocks in 1usize..=4,
         pick in any::<u8>(),
         r in any::<usize>(),
         bytes in random_bytes(64),
     ) {
         let ctx = MontCtx::new(&m).unwrap();
         let base = base_for(kind, x, &m);
-        let fb = ctx.fixed_base(&base, table_bits);
-        let e = with_bits(&bytes, bits_around(fb.max_bits(), pick, r));
+        let fb = ctx.fixed_base(&base, table_bits, teeth, blocks);
+        let e = comb_exponent(&bytes, fb.max_bits(), pick, r);
         prop_assert_eq!(ctx.pow_fixed(&fb, &e), ctx.modpow(&base, &e));
     }
 
@@ -260,20 +266,26 @@ proptest! {
         m in odd_modulus(16),
         kinds in (any::<u8>(), any::<u8>()),
         xs in (any_ubig(), any_ubig()),
-        table_bits in 0usize..=200,
-        pick in any::<u8>(),
-        r in any::<usize>(),
+        table_bits in (0usize..=200, 0usize..=200),
+        teeth in (1usize..=8, 1usize..=8),
+        blocks in (1usize..=4, 1usize..=4),
+        picks in (any::<u8>(), any::<u8>()),
+        rs in (any::<usize>(), any::<usize>()),
         bytes in random_bytes(64),
-        b in exponent(),
     ) {
         let ctx = MontCtx::new(&m).unwrap();
         let base = base_for(kinds.0, xs.0, &m);
         let y = base_for(kinds.1, xs.1, &m);
-        let fb = ctx.fixed_base(&base, table_bits);
-        let a = with_bits(&bytes, bits_around(fb.max_bits(), pick, r));
-        prop_assert_eq!(
-            ctx.pow_fixed_mul(&fb, &a, &y, &b),
-            ctx.mul(&ctx.modpow(&base, &a), &ctx.modpow(&y, &b))
-        );
+        let fx = ctx.fixed_base(&base, table_bits.0, teeth.0, blocks.0);
+        let fy = ctx.fixed_base(&y, table_bits.1, teeth.1, blocks.1);
+        let a = comb_exponent(&bytes, fx.max_bits(), picks.0, rs.0);
+        let b = comb_exponent(&bytes[32..], fy.max_bits(), picks.1, rs.1);
+        let expected = ctx.mul(&ctx.modpow(&base, &a), &ctx.modpow(&y, &b));
+        prop_assert_eq!(ctx.pow_fixed_mul(&fx, &a, &fy, &b), expected.clone());
+        // Either table from a context with another modulus takes the
+        // ladder: same answer, no panic.
+        let other = MontCtx::new(&(&m + &Ubig::from(2u64))).unwrap();
+        let foreign = other.fixed_base(&y, table_bits.1, teeth.1, blocks.1);
+        prop_assert_eq!(ctx.pow_fixed_mul(&fx, &a, &foreign, &b), expected);
     }
 }

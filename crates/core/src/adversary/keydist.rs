@@ -111,7 +111,13 @@ impl Node for EquivocatingKeyDist {
                         continue;
                     }
                     let pk = &self.key_for(peer).1;
-                    out.send(peer, KdMsg::Announce { pk: pk.0.clone() }.encode_to_vec());
+                    out.send(
+                        peer,
+                        KdMsg::Announce {
+                            pk: pk.as_bytes().to_vec(),
+                        }
+                        .encode_to_vec(),
+                    );
                 }
             }
             2 => {
@@ -200,7 +206,7 @@ impl Node for SharedKeyKeyDist {
         match round {
             0 => {
                 let msg = KdMsg::Announce {
-                    pk: self.shared_pk.0.clone(),
+                    pk: self.shared_pk.as_bytes().to_vec(),
                 }
                 .encode_to_vec();
                 out.broadcast(self.n, self.me, msg);
@@ -268,7 +274,7 @@ impl Node for KeyThiefKeyDist {
         match round {
             0 => {
                 let msg = KdMsg::Announce {
-                    pk: self.victim_pk.0.clone(),
+                    pk: self.victim_pk.as_bytes().to_vec(),
                 }
                 .encode_to_vec();
                 out.broadcast(self.n, self.me, msg);
@@ -354,7 +360,7 @@ impl Node for WrongNameKeyDist {
         match round {
             0 => {
                 let msg = KdMsg::Announce {
-                    pk: self.pk.0.clone(),
+                    pk: self.pk.as_bytes().to_vec(),
                 }
                 .encode_to_vec();
                 out.broadcast(self.n, self.me, msg);

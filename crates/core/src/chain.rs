@@ -286,7 +286,7 @@ impl ChainMessage {
                 // distinct from "accepted nothing".
                 Some(pk) => {
                     parts.push(b"+");
-                    parts.push(&pk.0);
+                    parts.push(pk.as_bytes());
                 }
                 None => parts.push(b"-"),
             }

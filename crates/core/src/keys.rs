@@ -143,13 +143,13 @@ impl PredicateTable {
     /// table is an allocation optimization, never a semantic one.
     pub fn intern(&self, node: NodeId, bytes: Vec<u8>) -> Arc<PublicKey> {
         if let Some(canonical) = self.keys.get(node.index()) {
-            if canonical.0 == bytes {
+            if canonical.as_bytes() == bytes {
                 self.interned.fetch_add(1, Ordering::Relaxed);
                 return Arc::clone(canonical);
             }
         }
         self.fresh.fetch_add(1, Ordering::Relaxed);
-        Arc::new(PublicKey(bytes))
+        Arc::new(PublicKey::new(bytes))
     }
 
     /// How many intern calls reused a shared allocation.
@@ -365,7 +365,7 @@ fn view_matches(store: &KeyStore, view: &SignerView) -> bool {
     view.iter()
         .all(|(s, slot)| match (store.accepted_shared(*s), slot) {
             (None, None) => true,
-            (Some(a), Some(b)) => Arc::ptr_eq(a, b) || a.0 == b.0,
+            (Some(a), Some(b)) => Arc::ptr_eq(a, b) || a == b,
             _ => false,
         })
 }
@@ -401,7 +401,7 @@ impl VerifyCache {
     ) -> bool {
         let key = cache_key(
             b"fd-verify-sig-v1",
-            &[scheme.name().as_bytes(), &pk.0, msg, &sig.0],
+            &[scheme.name().as_bytes(), pk.as_bytes(), msg, &sig.0],
         );
         if let Some(&cached) = lock(&self.sigs).get(&key) {
             self.hits.fetch_add(1, Ordering::Relaxed);
@@ -818,16 +818,16 @@ mod tests {
     fn intern_shares_only_matching_bytes() {
         let scheme = SchnorrScheme::test_tiny();
         let table = PredicateTable::generate(&scheme, 3, 5);
-        let canonical = table.entry(NodeId(1)).unwrap().0.clone();
+        let canonical = table.entry(NodeId(1)).unwrap().as_bytes().to_vec();
         let shared = table.intern(NodeId(1), canonical.clone());
         assert!(Arc::ptr_eq(&shared, table.entry(NodeId(1)).unwrap()));
         // Equivocated bytes get a private allocation holding exactly them.
         let private = table.intern(NodeId(1), b"equivocated".to_vec());
-        assert_eq!(private.0, b"equivocated");
+        assert_eq!(private.as_bytes(), b"equivocated");
         assert!(!Arc::ptr_eq(&private, table.entry(NodeId(1)).unwrap()));
         // Out-of-range announcers never panic.
         let stray = table.intern(NodeId(9), b"stray".to_vec());
-        assert_eq!(stray.0, b"stray");
+        assert_eq!(stray.as_bytes(), b"stray");
         assert_eq!(table.interned_count(), 1);
         assert_eq!(table.fresh_count(), 2);
         assert_eq!(table.distinct_allocations(), 5);

@@ -208,7 +208,7 @@ impl KeyDistNode {
     /// bytes are stored verbatim either way — behaviour is unchanged.
     #[must_use]
     pub fn with_intern_table(mut self, table: Arc<PredicateTable>) -> Self {
-        let own = table.intern(self.me, self.keyring.pk.0.clone());
+        let own = table.intern(self.me, self.keyring.pk.as_bytes().to_vec());
         self.store.accept(self.me, own);
         self.table = Some(table);
         self
@@ -218,7 +218,7 @@ impl KeyDistNode {
     fn intern(&self, node: NodeId, bytes: Vec<u8>) -> Arc<PublicKey> {
         match &self.table {
             Some(table) => table.intern(node, bytes),
-            None => Arc::new(PublicKey(bytes)),
+            None => Arc::new(PublicKey::new(bytes)),
         }
     }
 
@@ -258,7 +258,7 @@ impl Node for KeyDistNode {
             // Round 0: announce own test predicate to everyone.
             0 => {
                 let msg = KdMsg::Announce {
-                    pk: self.keyring.pk.0.clone(),
+                    pk: self.keyring.pk.as_bytes().to_vec(),
                 }
                 .encode_to_vec();
                 out.broadcast(self.n, self.me, msg);

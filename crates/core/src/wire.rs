@@ -59,6 +59,12 @@ use std::sync::Arc;
 /// decoder rejects every other version.
 pub const SCHEMA_VERSION: i128 = 1;
 
+/// Deepest nesting of arrays and objects [`Value::parse`] accepts. Wire-v1
+/// documents nest a few levels; the bound keeps a hostile line such as
+/// 20 000 `[` from overflowing the parser's stack (and the recursive drop
+/// of a `Value`), and turns it into an error that names the limit.
+pub const MAX_DEPTH: usize = 64;
+
 // ---------------------------------------------------------------------
 // JSON value type, parser, writer
 // ---------------------------------------------------------------------
@@ -83,12 +89,13 @@ pub enum Value {
 }
 
 impl Value {
-    /// Parse a JSON document. Rejects floats, duplicate object keys, and
-    /// trailing garbage.
+    /// Parse a JSON document. Rejects floats, duplicate object keys,
+    /// nesting deeper than [`MAX_DEPTH`], and trailing garbage.
     pub fn parse(input: &str) -> Result<Value, String> {
         let mut p = Parser {
             bytes: input.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let value = p.value()?;
@@ -205,6 +212,8 @@ fn write_json_string(s: &mut String, v: &str) {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -238,8 +247,7 @@ impl Parser<'_> {
             Some(b't') => self.keyword("true", Value::Bool(true)),
             Some(b'f') => self.keyword("false", Value::Bool(false)),
             Some(b'"') => Ok(Value::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[' | b'{') => self.nested(),
             Some(b'-') | Some(b'0'..=b'9') => self.number(),
             Some(other) => Err(format!(
                 "unexpected byte {:?} at {}",
@@ -344,6 +352,24 @@ impl Parser<'_> {
         let code = u16::from_str_radix(text, 16).map_err(|e| format!("\\u escape: {e}"))?;
         self.pos = end - 1; // caller advances past the last digit
         Ok(code)
+    }
+
+    /// An array or object, one level deeper than the caller.
+    fn nested(&mut self) -> Result<Value, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let value = if self.peek() == Some(b'[') {
+            self.array()
+        } else {
+            self.object()
+        };
+        self.depth -= 1;
+        value
     }
 
     fn array(&mut self) -> Result<Value, String> {
@@ -1573,6 +1599,24 @@ mod tests {
             let value = Value::parse(doc).unwrap();
             let emitted = value.to_json();
             assert_eq!(Value::parse(&emitted).unwrap(), value);
+        }
+    }
+
+    #[test]
+    fn json_parser_bounds_nesting_with_an_error_naming_the_limit() {
+        let arrays = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        let objects = |depth: usize| format!("{}1{}", "{\"a\": ".repeat(depth), "}".repeat(depth));
+        for doc in [arrays(MAX_DEPTH), objects(MAX_DEPTH)] {
+            assert!(Value::parse(&doc).is_ok());
+        }
+        for doc in [
+            arrays(MAX_DEPTH + 1),
+            objects(MAX_DEPTH + 1),
+            "[".repeat(200_000),
+            "{\"a\": [".repeat(100_000),
+        ] {
+            let error = Value::parse(&doc).unwrap_err();
+            assert!(error.contains("nesting deeper than 64 levels"), "{error}");
         }
     }
 

@@ -19,7 +19,8 @@ use fd_bigint::{modadd, modinv, modmul, RandomUbig, Ubig};
 
 /// DSA signature scheme: `sk = x`, `pk = y = g^x mod p`, signature
 /// `(r, s)` verified by recomputing `r` from `(g^{H(m)·s⁻¹} · y^{r·s⁻¹} mod
-/// p) mod q`.
+/// p) mod q`, with both powers read from comb tables as in
+/// [`crate::SchnorrScheme`].
 ///
 /// ```
 /// use fd_crypto::{DsaScheme, SignatureScheme};
@@ -119,7 +120,7 @@ impl SignatureScheme for DsaScheme {
         let pk = y
             .to_be_bytes_fixed(self.group.element_len())
             .expect("y < p fits element width");
-        (SecretKey(sk), PublicKey(pk))
+        (SecretKey(sk), PublicKey::new(pk))
     }
 
     fn sign(&self, sk: &SecretKey, msg: &[u8]) -> Result<Signature, CryptoError> {
@@ -151,11 +152,7 @@ impl SignatureScheme for DsaScheme {
 
     fn verify(&self, pk: &PublicKey, msg: &[u8], sig: &Signature) -> bool {
         let scalar_len = self.group.scalar_len();
-        if sig.0.len() != 2 * scalar_len || pk.0.len() != self.group.element_len() {
-            return false;
-        }
-        let y = Ubig::from_be_bytes(&pk.0);
-        if y.is_zero() || y >= *self.group.p() {
+        if sig.0.len() != 2 * scalar_len {
             return false;
         }
         let (r, s) = match (
@@ -173,10 +170,13 @@ impl SignatureScheme for DsaScheme {
             Some(w) => w,
             None => return false,
         };
+        let Some(y) = self.group.key_table(pk) else {
+            return false;
+        };
         let u1 = modmul(&self.digest_scalar(msg), &w, q);
         let u2 = modmul(&r, &w, q);
         // v = (g^u1 · y^u2 mod p) mod q
-        let v = &self.group.pow_g_mul(&u1, &y, &u2) % q;
+        let v = &self.group.pow_g_mul(&u1, y, &u2) % q;
         v == r
     }
 
@@ -240,9 +240,9 @@ mod tests {
         let s = scheme();
         let (sk, pk) = s.keypair_from_seed(1);
         let sig = s.sign(&sk, b"m").unwrap();
-        assert!(!s.verify(&PublicKey(vec![]), b"m", &sig));
+        assert!(!s.verify(&PublicKey::new(vec![]), b"m", &sig));
         assert!(!s.verify(&pk, b"m", &Signature(vec![1, 2, 3])));
-        assert!(!s.verify(&PublicKey(vec![0; s.public_key_len()]), b"m", &sig));
+        assert!(!s.verify(&PublicKey::new(vec![0; s.public_key_len()]), b"m", &sig));
         // All-zero (r, s) is structurally well-sized but invalid.
         assert!(!s.verify(&pk, b"m", &Signature(vec![0; s.signature_len()])));
         assert!(s.sign(&SecretKey(vec![9; 99]), b"m").is_err());
@@ -290,7 +290,7 @@ mod tests {
         let s = scheme();
         let (sk, pk) = s.keypair_from_seed(3);
         let sig = s.sign(&sk, b"z").unwrap();
-        assert_eq!(pk.0.len(), s.public_key_len());
+        assert_eq!(pk.as_bytes().len(), s.public_key_len());
         assert_eq!(sig.0.len(), s.signature_len());
     }
 

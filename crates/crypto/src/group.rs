@@ -9,16 +9,39 @@
 //! `tests/known_answers.rs` checks that field for field, and no process
 //! runs the prime search to obtain a preset.
 //!
-//! Every exponent of `g` in the signature schemes is a scalar below `q`,
-//! so each group keeps a [`FixedBase`] table of `g^(d·16^i)` sized by
-//! `q.bits()`. The table is built on the first [`SchnorrGroup::pow_g`] or
-//! [`SchnorrGroup::pow_g_mul`] call, never for a group that only has its
-//! parameters read. Its size is `⌈q.bits()/4⌉ · 15` elements of `p`:
-//! 2.8 KiB for `test_tiny`, 37.5 KiB for `s512`, 75 KiB for `s1024` and
-//! 240 KiB for `s2048`.
+//! Every exponent in the signature schemes is a scalar below `q`, so the
+//! two bases they raise — the generator `g` and a signer's public key `y`
+//! — get Lim–Lee comb tables ([`FixedBase`]) sized by `q.bits()`:
+//!
+//! * `g`'s table has 510 entries (8 teeth, 2 blocks). The group builds it
+//!   on the first [`SchnorrGroup::pow_g`] or [`SchnorrGroup::pow_g_mul`]
+//!   call, never for a group that only has its parameters read. For a
+//!   160-bit `q`, `g^k` then costs at most 9 squarings and 20
+//!   multiplications.
+//! * Each key's table has 31 entries (5 teeth, 1 block), from
+//!   [`SchnorrGroup::prepare`]. The verifiers keep it in the key's own
+//!   cache (see [`PublicKey`]), so it is built once per key handle. For a
+//!   160-bit `q`, verification's `g^s · y^e` walks both tables under one
+//!   run of squarings: at most 31 squarings and 52 multiplications, where
+//!   a windowed ladder for `y` alone needs about 215.
+//!
+//! A table holds its entry count times one element of `p`:
+//!
+//! | preset | `g` (510 entries) | per key (31 entries) |
+//! |---|---|---|
+//! | `test_tiny` | 8 160 B | 496 B |
+//! | `s512` | 32 640 B | 1 984 B |
+//! | `s1024` | 65 280 B | 3 968 B |
+//! | `s2048` | 130 560 B | 7 936 B |
 
+use crate::PublicKey;
 use fd_bigint::{modpow, prime, FixedBase, MontCtx, SplitMix64, Ubig};
 use std::sync::OnceLock;
+
+/// Comb shape of the generator's table: 8 teeth, 2 blocks, 510 entries.
+const G_COMB: (usize, usize) = (8, 2);
+/// Comb shape of a public key's table: 5 teeth, 1 block, 31 entries.
+const KEY_COMB: (usize, usize) = (5, 1);
 
 // Preset parameters, big-endian hex, as `generate` yields them.
 
@@ -196,19 +219,45 @@ impl SchnorrGroup {
     }
 
     fn g_table(&self) -> &FixedBase {
-        self.g_table
-            .get_or_init(|| self.mont_p.fixed_base(&self.g, self.q.bits()))
+        self.g_table.get_or_init(|| {
+            self.mont_p
+                .fixed_base(&self.g, self.q.bits(), G_COMB.0, G_COMB.1)
+        })
     }
 
-    /// `g^e mod p` from the fixed-base table for `g`.
+    /// `g^e mod p` from the comb table for `g`.
     pub fn pow_g(&self, e: &Ubig) -> Ubig {
         self.mont_p.pow_fixed(self.g_table(), e)
     }
 
-    /// `g^a · y^b mod p` in one pass: the table for `g`, a windowed ladder
-    /// for `y`, and one conversion out of Montgomery form.
-    pub fn pow_g_mul(&self, a: &Ubig, y: &Ubig, b: &Ubig) -> Ubig {
+    /// The 31-entry comb table for a group element `y`, sized for scalar
+    /// exponents, for [`SchnorrGroup::pow_g_mul`]. Building it costs about
+    /// 150 multiplications at a 160-bit `q`, no more than the ladder it
+    /// replaces, so it pays from a key's second verification on.
+    pub fn prepare(&self, y: &Ubig) -> FixedBase {
+        self.mont_p
+            .fixed_base(y, self.q.bits(), KEY_COMB.0, KEY_COMB.1)
+    }
+
+    /// `g^a · y^b mod p` over a prepared `y`: both comb tables walked under
+    /// one run of squarings, and one conversion out of Montgomery form. A
+    /// table prepared by another group takes the ladder for `y^b`.
+    pub fn pow_g_mul(&self, a: &Ubig, y: &FixedBase, b: &Ubig) -> Ubig {
         self.mont_p.pow_fixed_mul(self.g_table(), a, y, b)
+    }
+
+    /// The prepared table of the element `pk` encodes, from the key's
+    /// cache or built into it. `None`, and no table, unless `pk` is
+    /// exactly [`SchnorrGroup::element_len`] bytes encoding `0 < y < p`.
+    pub(crate) fn key_table<'k>(&self, pk: &'k PublicKey) -> Option<&'k FixedBase> {
+        if pk.as_bytes().len() != self.element_len() {
+            return None;
+        }
+        let y = Ubig::from_be_bytes(pk.as_bytes());
+        if y.is_zero() || y >= self.p {
+            return None;
+        }
+        Some(pk.table(|| self.prepare(&y)))
     }
 }
 
@@ -259,9 +308,35 @@ mod tests {
         let y = g.pow(g.g(), &Ubig::from(777u64));
         assert_eq!(g.pow_g(&a), g.pow(g.g(), &a));
         assert_eq!(
-            g.pow_g_mul(&a, &y, &b),
+            g.pow_g_mul(&a, &g.prepare(&y), &b),
             &(&g.pow(g.g(), &a) * &g.pow(&y, &b)) % g.p()
         );
+    }
+
+    #[test]
+    fn a_key_table_is_at_most_4_kib_at_s1024() {
+        let g = SchnorrGroup::s1024();
+        let y = g.pow_g(&Ubig::from(777u64));
+        assert_eq!(g.prepare(&y).table_bytes(), 31 * 128);
+        assert_eq!(g.g_table().table_bytes(), 510 * 128);
+    }
+
+    #[test]
+    fn malformed_keys_get_no_table() {
+        let g = SchnorrGroup::test_tiny();
+        let len = g.element_len();
+        let p_bytes = g.p().to_be_bytes_fixed(len).unwrap();
+        for bytes in [
+            vec![],
+            vec![0; len],
+            p_bytes,
+            vec![0xff; len],
+            vec![1; len + 1],
+        ] {
+            let pk = PublicKey::new(bytes);
+            assert!(g.key_table(&pk).is_none());
+            assert!(pk.cached_table().is_none());
+        }
     }
 
     #[test]

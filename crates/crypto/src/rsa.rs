@@ -111,7 +111,7 @@ impl SignatureScheme for RsaScheme {
             let n_bytes = n.to_be_bytes_fixed(len).expect("n has bits width");
             let mut sk = n_bytes.clone();
             sk.extend_from_slice(&d.to_be_bytes_fixed(len).expect("d < n"));
-            return (SecretKey(sk), PublicKey(n_bytes));
+            return (SecretKey(sk), PublicKey::new(n_bytes));
         }
     }
 
@@ -124,10 +124,10 @@ impl SignatureScheme for RsaScheme {
 
     fn verify(&self, pk: &PublicKey, msg: &[u8], sig: &Signature) -> bool {
         let len = self.n_len();
-        if pk.0.len() != len || sig.0.len() != len {
+        if pk.as_bytes().len() != len || sig.0.len() != len {
             return false;
         }
-        let n = Ubig::from_be_bytes(&pk.0);
+        let n = Ubig::from_be_bytes(pk.as_bytes());
         if n.is_zero() {
             return false;
         }
@@ -197,7 +197,7 @@ mod tests {
         let (sk, pk) = s.keypair_from_seed(1);
         let sig = s.sign(&sk, b"m").unwrap();
         assert!(s.sign(&SecretKey(vec![1, 2]), b"m").is_err());
-        assert!(!s.verify(&PublicKey(vec![0; 7]), b"m", &sig));
+        assert!(!s.verify(&PublicKey::new(vec![0; 7]), b"m", &sig));
         assert!(!s.verify(&pk, b"m", &Signature(vec![0; 7])));
         // signature >= n rejected
         assert!(!s.verify(&pk, b"m", &Signature(vec![0xff; s.signature_len()])));
@@ -225,7 +225,7 @@ mod tests {
         let s = scheme();
         let (sk, pk) = s.keypair_from_seed(7);
         let (n, d) = s.decode_sk(&sk).unwrap();
-        assert_eq!(Ubig::from_be_bytes(&pk.0), n);
+        assert_eq!(Ubig::from_be_bytes(pk.as_bytes()), n);
         let m = Ubig::from(0xabcdef123456u64);
         let c = modpow(&m, &d, &n);
         assert_eq!(modpow(&c, &Ubig::from(E), &n), m);

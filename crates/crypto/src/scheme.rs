@@ -9,6 +9,9 @@
 
 use crate::CryptoError;
 use core::fmt;
+use core::hash::{Hash, Hasher};
+use fd_bigint::FixedBase;
+use std::sync::{Arc, OnceLock};
 
 /// A secret signing key, encoded by its scheme.
 ///
@@ -21,9 +24,22 @@ pub struct SecretKey(pub Vec<u8>);
 /// A public verification key — the paper's *test predicate* `T_i`.
 ///
 /// This is exactly the object the key distribution protocol (paper Fig. 1)
-/// disseminates, so it is an ordinary wire-encodable byte string.
-#[derive(Clone, PartialEq, Eq, Hash)]
-pub struct PublicKey(pub Vec<u8>);
+/// disseminates, so it is an ordinary wire-encodable byte string, and the
+/// bytes are its whole identity: `Eq`, `Hash`, `Debug` and every encoding
+/// read them alone.
+///
+/// Beside the bytes a key carries a cache: the Schnorr and DSA verifiers
+/// fill it on first use with a comb table for the key as a group element
+/// (3 968 B at `s1024`), so every later verification through the same
+/// handle — or a clone of it — walks the table instead of a ladder. The
+/// cache is never part of the key's identity, the bytes are immutable so
+/// it cannot go stale, and the table remembers the modulus it was built
+/// for, so a key checked under another group takes the ladder.
+#[derive(Clone)]
+pub struct PublicKey {
+    bytes: Vec<u8>,
+    table: OnceLock<Arc<FixedBase>>,
+}
 
 /// A signature `{m}_S` detached from its message.
 #[derive(Clone, PartialEq, Eq, Hash)]
@@ -38,7 +54,7 @@ impl fmt::Debug for SecretKey {
 
 impl fmt::Debug for PublicKey {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "PublicKey({})", short_hex(&self.0))
+        write!(f, "PublicKey({})", short_hex(&self.bytes))
     }
 }
 
@@ -58,9 +74,42 @@ fn short_hex(b: &[u8]) -> String {
 }
 
 impl PublicKey {
+    /// A key from its encoded bytes, with an empty cache.
+    pub fn new(bytes: Vec<u8>) -> Self {
+        PublicKey {
+            bytes,
+            table: OnceLock::new(),
+        }
+    }
+
     /// Borrow the encoded bytes.
     pub fn as_bytes(&self) -> &[u8] {
-        &self.0
+        &self.bytes
+    }
+
+    /// The key's comb table: the cached one, or `build`'s, cached first.
+    pub(crate) fn table(&self, build: impl FnOnce() -> FixedBase) -> &FixedBase {
+        self.table.get_or_init(|| Arc::new(build()))
+    }
+
+    /// The cached comb table, if a verifier built one.
+    #[cfg(test)]
+    pub(crate) fn cached_table(&self) -> Option<&FixedBase> {
+        self.table.get().map(|t| &**t)
+    }
+}
+
+impl PartialEq for PublicKey {
+    fn eq(&self, other: &Self) -> bool {
+        self.bytes == other.bytes
+    }
+}
+
+impl Eq for PublicKey {}
+
+impl Hash for PublicKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.bytes.hash(state);
     }
 }
 
@@ -120,7 +169,7 @@ mod tests {
 
     #[test]
     fn public_key_debug_shows_prefix() {
-        let pk = PublicKey(vec![0xab; 20]);
+        let pk = PublicKey::new(vec![0xab; 20]);
         let s = format!("{pk:?}");
         assert!(s.contains("abab"));
         assert!(s.contains("20B"));

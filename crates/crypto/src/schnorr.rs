@@ -15,7 +15,9 @@ use fd_bigint::{modmul, modsub, RandomUbig, Ubig};
 ///
 /// Verification recomputes `r' = g^s · y^e mod p` and checks
 /// `H(r' ‖ m) = e` — the public key `y` is precisely the paper's test
-/// predicate `T_i`.
+/// predicate `T_i`. Both powers come from comb tables: the group's for
+/// `g`, and one for `y` that the key handle caches on its first
+/// verification (see [`SchnorrGroup::prepare`]).
 ///
 /// ```
 /// use fd_crypto::{SchnorrScheme, SignatureScheme};
@@ -107,7 +109,7 @@ impl SignatureScheme for SchnorrScheme {
         let pk = y
             .to_be_bytes_fixed(self.group.element_len())
             .expect("y < p fits element width");
-        (SecretKey(sk), PublicKey(pk))
+        (SecretKey(sk), PublicKey::new(pk))
     }
 
     fn sign(&self, sk: &SecretKey, msg: &[u8]) -> Result<Signature, CryptoError> {
@@ -133,11 +135,7 @@ impl SignatureScheme for SchnorrScheme {
 
     fn verify(&self, pk: &PublicKey, msg: &[u8], sig: &Signature) -> bool {
         let scalar_len = self.group.scalar_len();
-        if sig.0.len() != 2 * scalar_len || pk.0.len() != self.group.element_len() {
-            return false;
-        }
-        let y = Ubig::from_be_bytes(&pk.0);
-        if y.is_zero() || y >= *self.group.p() {
+        if sig.0.len() != 2 * scalar_len {
             return false;
         }
         let (e, s) = match (
@@ -147,8 +145,11 @@ impl SignatureScheme for SchnorrScheme {
             (Some(e), Some(s)) => (e, s),
             _ => return false,
         };
+        let Some(y) = self.group.key_table(pk) else {
+            return false;
+        };
         // r' = g^s * y^e mod p
-        let r = self.group.pow_g_mul(&s, &y, &e);
+        let r = self.group.pow_g_mul(&s, y, &e);
         let r_bytes = match r.to_be_bytes_fixed(self.group.element_len()) {
             Some(b) => b,
             None => return false,
@@ -216,9 +217,9 @@ mod tests {
         let s = scheme();
         let (sk, pk) = s.keypair_from_seed(1);
         let sig = s.sign(&sk, b"m").unwrap();
-        assert!(!s.verify(&PublicKey(vec![]), b"m", &sig));
+        assert!(!s.verify(&PublicKey::new(vec![]), b"m", &sig));
         assert!(!s.verify(&pk, b"m", &Signature(vec![1, 2, 3])));
-        assert!(!s.verify(&PublicKey(vec![0; s.public_key_len()]), b"m", &sig));
+        assert!(!s.verify(&PublicKey::new(vec![0; s.public_key_len()]), b"m", &sig));
         assert!(s.sign(&SecretKey(vec![9; 99]), b"m").is_err());
     }
 
@@ -244,7 +245,7 @@ mod tests {
         let s = scheme();
         let (sk, pk) = s.keypair_from_seed(3);
         let sig = s.sign(&sk, b"z").unwrap();
-        assert_eq!(pk.0.len(), s.public_key_len());
+        assert_eq!(pk.as_bytes().len(), s.public_key_len());
         assert_eq!(sig.0.len(), s.signature_len());
     }
 

@@ -27,7 +27,7 @@ impl ToyScheme {
     /// Forge a signature from the *public* key alone — the S1 violation,
     /// packaged for adversaries in tests.
     pub fn forge(&self, pk: &PublicKey, msg: &[u8]) -> Signature {
-        Signature(sha256_parts(&[b"toy", &pk.0, msg]).to_vec())
+        Signature(sha256_parts(&[b"toy", pk.as_bytes(), msg]).to_vec())
     }
 }
 
@@ -38,7 +38,10 @@ impl SignatureScheme for ToyScheme {
 
     fn keypair_from_seed(&self, seed: u64) -> (SecretKey, PublicKey) {
         let material = sha256_parts(&[b"toy-keygen", &seed.to_be_bytes()]);
-        (SecretKey(material.to_vec()), PublicKey(material.to_vec()))
+        (
+            SecretKey(material.to_vec()),
+            PublicKey::new(material.to_vec()),
+        )
     }
 
     fn sign(&self, sk: &SecretKey, msg: &[u8]) -> Result<Signature, CryptoError> {
@@ -49,7 +52,7 @@ impl SignatureScheme for ToyScheme {
     }
 
     fn verify(&self, pk: &PublicKey, msg: &[u8], sig: &Signature) -> bool {
-        pk.0.len() == 32 && sig.0[..] == sha256_parts(&[b"toy", &pk.0, msg])[..]
+        pk.as_bytes().len() == 32 && sig.0[..] == sha256_parts(&[b"toy", pk.as_bytes(), msg])[..]
     }
 
     fn public_key_len(&self) -> usize {
@@ -87,6 +90,6 @@ mod tests {
     fn malformed_key_errors() {
         let s = ToyScheme::new();
         assert!(s.sign(&SecretKey(vec![1]), b"m").is_err());
-        assert!(!s.verify(&PublicKey(vec![1]), b"m", &Signature(vec![0; 32])));
+        assert!(!s.verify(&PublicKey::new(vec![1]), b"m", &Signature(vec![0; 32])));
     }
 }

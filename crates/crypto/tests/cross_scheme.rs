@@ -61,7 +61,7 @@ fn every_scheme_reports_consistent_lengths() {
     for s in schemes() {
         let (sk, pk) = s.keypair_from_seed(3);
         let sig = s.sign(&sk, b"len").unwrap();
-        assert_eq!(pk.0.len(), s.public_key_len(), "{}", s.name());
+        assert_eq!(pk.as_bytes().len(), s.public_key_len(), "{}", s.name());
         assert_eq!(sig.0.len(), s.signature_len(), "{}", s.name());
     }
 }

@@ -91,7 +91,7 @@ fn scheme_digest(scheme: &dyn SignatureScheme) -> String {
     let mut h = Sha256::new();
     for seed in 1..=3u64 {
         let (sk, pk) = scheme.keypair_from_seed(seed);
-        h.update(&sk.0).update(&pk.0);
+        h.update(&sk.0).update(pk.as_bytes());
         for msg in [&b"m"[..], b"challenge 0 1 42"] {
             let sig = scheme.sign(&sk, msg).unwrap();
             assert!(

@@ -49,7 +49,11 @@ fn main() {
         }
         let store = keydist.store(NodeId(i as u16));
         let pk = store.accepted(faulty).expect("accepted (challenge passed)");
-        println!("  P{i}: predicate {:02x}{:02x}…", pk.0[0], pk.0[1]);
+        println!(
+            "  P{i}: predicate {:02x}{:02x}…",
+            pk.as_bytes()[0],
+            pk.as_bytes()[1]
+        );
     }
     println!("  (two camps — G3 does NOT hold under local authentication)\n");
 

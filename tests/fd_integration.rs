@@ -151,7 +151,7 @@ fn broken_signature_scheme_breaks_the_guarantees() {
     let sender_pk = store.accepted(NodeId(0)).unwrap().clone();
     let mut forged = ChainMessage::originate(
         &toy,
-        &local_auth_fd::crypto::SecretKey(sender_pk.0.clone()), // pk == sk!
+        &local_auth_fd::crypto::SecretKey(sender_pk.as_bytes().to_vec()), // pk == sk!
         NodeId(0),
         b"forged".to_vec(),
     )

@@ -1,11 +1,15 @@
 //! Integration tests for the key distribution protocol (paper Fig. 1,
 //! Theorem 2) across crates: crypto schemes × simulator × adversaries.
+//! The key thief and the equivocator also run at `s512`, where honest
+//! keys are verified through shared handles with comb tables, and must
+//! leave the same stores and anomalies as at `tiny`.
 
 use local_auth_fd::core::adversary::{
     EquivocatingKeyDist, KeyThiefKeyDist, SharedKeyKeyDist, SilentNode, WrongNameKeyDist,
 };
+use local_auth_fd::core::localauth::KdAnomaly;
 use local_auth_fd::core::metrics;
-use local_auth_fd::core::runner::Cluster;
+use local_auth_fd::core::runner::{Cluster, KeyDistReport};
 use local_auth_fd::core::spec::{Protocol, RunSpec};
 use local_auth_fd::crypto::{RsaScheme, SchnorrScheme, SignatureScheme};
 use local_auth_fd::simnet::{Node, NodeId};
@@ -64,12 +68,27 @@ fn silent_node_simply_not_accepted() {
     }
 }
 
-#[test]
-fn key_thief_cannot_claim_a_correct_nodes_key() {
-    // The central guarantee of Fig. 1: "no faulty node can claim a public
-    // key of a correct node for itself".
+/// Per-node anomalies, for comparing one scenario across schemes.
+type Anomalies = Vec<(NodeId, Vec<KdAnomaly>)>;
+
+/// Every honest store holds the table's own handle for each honest peer,
+/// so each honest key is verified through one shared handle (and builds
+/// one comb table) however many stores accept it.
+fn assert_honest_keys_shared(kd: &KeyDistReport, faulty: NodeId) {
+    let table = kd.predicates.as_ref().expect("an intern table");
+    for store in kd.stores.iter().flatten() {
+        for peer in NodeId::all(kd.stores.len()).filter(|&p| p != faulty) {
+            let held = store.accepted_shared(peer).expect("honest peer accepted");
+            assert!(Arc::ptr_eq(held, table.entry(peer).unwrap()), "{peer:?}");
+        }
+    }
+}
+
+/// The central guarantee of Fig. 1: "no faulty node can claim a public
+/// key of a correct node for itself".
+fn key_thief_cannot_claim(scheme: Arc<dyn SignatureScheme>) -> Anomalies {
     let n = 5;
-    let c = schnorr_cluster(n, 1, 17);
+    let c = Cluster::new(n, 1, scheme, 17);
     let victim_pk = c.keyring(NodeId(0)).pk;
     let kd = c.run_key_distribution_with(&mut |id| {
         (id == NodeId(3)).then(|| {
@@ -82,6 +101,21 @@ fn key_thief_cannot_claim_a_correct_nodes_key() {
         // …while the victim is, with its true key.
         assert_eq!(store.accepted(NodeId(0)), Some(&c.keyring(NodeId(0)).pk));
     }
+    assert_honest_keys_shared(&kd, NodeId(3));
+    kd.anomalies
+}
+
+#[test]
+fn key_thief_cannot_claim_a_correct_nodes_key() {
+    key_thief_cannot_claim(Arc::new(SchnorrScheme::test_tiny()));
+}
+
+#[test]
+fn key_thief_cannot_claim_a_correct_nodes_key_at_s512() {
+    assert_eq!(
+        key_thief_cannot_claim(Arc::new(SchnorrScheme::s512())),
+        key_thief_cannot_claim(Arc::new(SchnorrScheme::test_tiny())),
+    );
 }
 
 #[test]
@@ -99,13 +133,11 @@ fn wrong_name_signer_rejected() {
     }
 }
 
-#[test]
-fn equivocating_key_distribution_splits_stores_g3_gap() {
-    // The paper §3.2: local authentication does NOT give G3 — a faulty
-    // node can make different correct nodes accept different predicates.
+/// The paper §3.2: local authentication does NOT give G3 — a faulty node
+/// can make different correct nodes accept different predicates.
+fn equivocator_splits_stores(scheme: Arc<dyn SignatureScheme>) -> Anomalies {
     let n = 6;
-    let c = schnorr_cluster(n, 1, 23);
-    let scheme: Arc<dyn SignatureScheme> = Arc::new(SchnorrScheme::test_tiny());
+    let c = Cluster::new(n, 1, Arc::clone(&scheme), 23);
     let equivocator = EquivocatingKeyDist::new(NodeId(2), n, Arc::clone(&scheme), 555, NodeId(4));
     let (pk_a, pk_b) = {
         let (a, b) = equivocator.announced();
@@ -149,6 +181,21 @@ fn equivocating_key_distribution_splits_stores_g3_gap() {
             assert_eq!(store.accepted(NodeId(peer as u16)), Some(&expected));
         }
     }
+    assert_honest_keys_shared(&kd, NodeId(2));
+    kd.anomalies
+}
+
+#[test]
+fn equivocating_key_distribution_splits_stores_g3_gap() {
+    equivocator_splits_stores(Arc::new(SchnorrScheme::test_tiny()));
+}
+
+#[test]
+fn equivocating_key_distribution_splits_stores_g3_gap_at_s512() {
+    assert_eq!(
+        equivocator_splits_stores(Arc::new(SchnorrScheme::s512())),
+        equivocator_splits_stores(Arc::new(SchnorrScheme::test_tiny())),
+    );
 }
 
 #[test]
@@ -170,8 +217,8 @@ fn shared_key_clique_accepted_consistently() {
         let pk2 = store.accepted(NodeId(2)).expect("clique member accepted");
         assert_eq!(pk1, pk2, "both announced the same shared key");
         match &seen {
-            None => seen = Some(pk1.0.clone()),
-            Some(prev) => assert_eq!(prev, &pk1.0, "consistent across stores"),
+            None => seen = Some(pk1.as_bytes().to_vec()),
+            Some(prev) => assert_eq!(prev.as_slice(), pk1.as_bytes(), "consistent across stores"),
         }
     }
 }

@@ -50,7 +50,7 @@ fn unshared(kd: &KeyDistReport, n: usize) -> KeyDistReport {
                 for i in 0..n {
                     let node = NodeId(i as u16);
                     if let Some(pk) = store.accepted(node) {
-                        fresh.accept(node, PublicKey(pk.0.clone()));
+                        fresh.accept(node, PublicKey::new(pk.as_bytes().to_vec()));
                     }
                 }
                 fresh
