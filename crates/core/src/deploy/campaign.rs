@@ -6,7 +6,7 @@
 
 use super::supervise::{degraded, supervise, ClusterConfig, Resilience};
 use crate::spec::SpecBuilder;
-use crate::wire::Value::{Arr, Bool, Int, Obj, Str};
+use crate::wire::Value;
 use fd_simnet::transport::chaos::ChaosSpec;
 use std::io::Write;
 use std::path::Path;
@@ -150,35 +150,28 @@ impl ChaosReport {
 
     /// The `lafd-chaos-report-v1` document, one line.
     pub fn to_json(&self) -> String {
-        let key = |k: &str| k.to_string();
         let rows = self.rows.iter().map(|row| {
             let res = &row.resilience;
-            Obj(vec![
-                (key("name"), Str(row.name.clone())),
-                (key("spec"), Str(row.spec.clone())),
-                (key("expected"), Str(row.expected.name().to_string())),
-                (key("outcome"), Str(row.outcome.name().to_string())),
-                (key("generations"), Int(res.generations.into())),
-                (key("retries"), Int(res.retries.into())),
-                (
-                    key("dead"),
-                    Arr(res.dead.iter().map(|&node| Int(node as i128)).collect()),
-                ),
-                (key("report_match"), Bool(row.report_match)),
-                (key("ok"), Bool(row.ok())),
+            Value::obj(vec![
+                ("name", row.name.as_str().into()),
+                ("spec", row.spec.as_str().into()),
+                ("expected", row.expected.name().into()),
+                ("outcome", row.outcome.name().into()),
+                ("generations", res.generations.into()),
+                ("retries", res.retries.into()),
+                ("dead", res.dead.as_slice().into()),
+                ("report_match", row.report_match.into()),
+                ("ok", row.ok().into()),
             ])
         });
-        Obj(vec![
-            (key("schema"), Str("lafd-chaos-report-v1".to_string())),
-            (
-                key("protocol"),
-                Str(self.builder.protocol.name().to_string()),
-            ),
-            (key("n"), Int(self.builder.n as i128)),
-            (key("t"), Int(self.builder.resolved_t() as i128)),
-            (key("max_restarts"), Int(self.max_restarts.into())),
-            (key("campaigns"), Arr(rows.collect())),
-            (key("ok"), Bool(self.ok())),
+        Value::obj(vec![
+            ("schema", "lafd-chaos-report-v1".into()),
+            ("protocol", self.builder.protocol.name().into()),
+            ("n", self.builder.n.into()),
+            ("t", self.builder.resolved_t().into()),
+            ("max_restarts", self.max_restarts.into()),
+            ("campaigns", Value::Arr(rows.collect())),
+            ("ok", self.ok().into()),
         ])
         .to_json()
     }

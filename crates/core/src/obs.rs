@@ -29,6 +29,7 @@
 
 use crate::runner::{Cluster, FdRunReport, KeyDistReport};
 use crate::spec::RunSpec;
+use crate::wire::Value;
 use fd_simnet::event::TICKS_PER_ROUND;
 use fd_simnet::Engine;
 use std::time::Instant;
@@ -222,67 +223,60 @@ impl RunTrace {
     }
 
     /// Render as Chrome trace-event JSON (the `traceEvents` array format
-    /// Perfetto and `chrome://tracing` load directly). Deterministic
-    /// field order; on the virtual-tick clock the bytes are a pure
-    /// function of the run spec and seed.
+    /// Perfetto and `chrome://tracing` load directly) in the
+    /// [document layout](crate::wire#document-layout), one event per line.
+    /// Deterministic field order; on the virtual-tick clock the bytes are a
+    /// pure function of the run spec and seed.
     pub fn to_chrome_json(&self) -> String {
-        let mut s = String::from("{\"traceEvents\": [");
-        let mut first = true;
-        let mut push_event = |s: &mut String, body: String| {
-            if !first {
-                s.push_str(",\n");
-            } else {
-                s.push('\n');
-                first = false;
-            }
-            s.push_str(&body);
-        };
-        for (tid, span) in self
-            .spans
-            .iter()
-            .map(|sp| (0, sp))
-            .chain(self.attributed.iter().map(|sp| (1, sp)))
-        {
-            push_event(
-                &mut s,
-                format!(
-                    "{{\"name\": \"{}\", \"cat\": \"phase\", \"ph\": \"X\", \"pid\": 1, \
-                     \"tid\": {}, \"ts\": {}, \"dur\": {}}}",
-                    span.name, tid, span.start, span.dur
-                ),
-            );
-        }
         let end = self
             .spans
             .iter()
             .map(|sp| sp.start + sp.dur)
             .max()
             .unwrap_or(0);
-        for counter in &self.counters {
-            push_event(
-                &mut s,
-                format!(
-                    "{{\"name\": \"{}\", \"cat\": \"counter\", \"ph\": \"C\", \"pid\": 1, \
-                     \"tid\": 0, \"ts\": {}, \"args\": {{\"value\": {}}}}}",
-                    counter.name, end, counter.value
-                ),
-            );
-        }
-        s.push_str("\n], \"displayTimeUnit\": \"ms\", \"otherData\": {");
-        s.push_str(&format!(
-            "\"clock\": \"{}\", \"protocol\": \"{}\", \"n\": {}, \"engine\": \"{}\", \
-             \"seed\": {}",
-            self.clock.name(),
-            self.protocol,
-            self.n,
-            self.engine,
-            self.seed
-        ));
+        let phases = self
+            .spans
+            .iter()
+            .map(|sp| (0u32, sp))
+            .chain(self.attributed.iter().map(|sp| (1, sp)))
+            .map(|(tid, span)| {
+                Value::obj(vec![
+                    ("name", span.name.as_str().into()),
+                    ("cat", "phase".into()),
+                    ("ph", "X".into()),
+                    ("pid", 1u32.into()),
+                    ("tid", tid.into()),
+                    ("ts", span.start.into()),
+                    ("dur", span.dur.into()),
+                ])
+            });
+        let counters = self.counters.iter().map(|counter| {
+            Value::obj(vec![
+                ("name", counter.name.into()),
+                ("cat", "counter".into()),
+                ("ph", "C".into()),
+                ("pid", 1u32.into()),
+                ("tid", 0u32.into()),
+                ("ts", end.into()),
+                ("args", Value::obj(vec![("value", counter.value.into())])),
+            ])
+        });
+        let mut other = vec![
+            ("clock", self.clock.name().into()),
+            ("protocol", self.protocol.as_str().into()),
+            ("n", self.n.into()),
+            ("engine", self.engine.into()),
+            ("seed", self.seed.into()),
+        ];
         if let Some(wall) = self.wall_us {
-            s.push_str(&format!(", \"wall_us\": {wall}"));
+            other.push(("wall_us", wall.into()));
         }
-        s.push_str("}}");
-        s
+        Value::obj(vec![
+            ("traceEvents", Value::Arr(phases.chain(counters).collect())),
+            ("displayTimeUnit", "ms".into()),
+            ("otherData", Value::obj(other)),
+        ])
+        .to_document()
     }
 
     /// Render as inferno-compatible folded stacks (`frame;frame weight`

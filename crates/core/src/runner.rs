@@ -309,57 +309,7 @@ impl FdRunReport {
     /// timestamps): two byte-identical runs produce byte-identical JSON.
     /// This is the comparison surface of the API-equivalence tests.
     pub fn to_json(&self) -> String {
-        fn hex(bytes: &[u8]) -> String {
-            bytes.iter().map(|b| format!("{b:02x}")).collect()
-        }
-        let mut s = String::from("{\"outcomes\": [");
-        for (i, outcome) in self.outcomes.iter().enumerate() {
-            if i > 0 {
-                s.push_str(", ");
-            }
-            match outcome {
-                None => s.push_str("\"faulty\""),
-                Some(Outcome::Pending) => s.push_str("\"pending\""),
-                Some(Outcome::Decided(v)) => s.push_str(&format!("\"decided:{}\"", hex(v))),
-                Some(Outcome::Discovered(r)) => s.push_str(&format!("\"discovered:{r}\"")),
-            }
-        }
-        s.push_str(&format!(
-            "], \"messages\": {}, \"bytes\": {}, \"rounds\": {}, \"per_round\": {:?}, \
-             \"used_fallback\": {:?}, \"grades\": [",
-            self.stats.messages_total,
-            self.stats.bytes_total,
-            self.stats.rounds,
-            self.stats.per_round,
-            self.used_fallback
-        ));
-        for (i, grade) in self.grades.iter().enumerate() {
-            if i > 0 {
-                s.push_str(", ");
-            }
-            match grade {
-                None => s.push_str("null"),
-                Some(Grade::Zero) => s.push('0'),
-                Some(Grade::One) => s.push('1'),
-                Some(Grade::Two) => s.push('2'),
-            }
-        }
-        s.push(']');
-        match &self.delay_log {
-            None => s.push_str(", \"delay_log\": null"),
-            Some(log) => {
-                s.push_str(", \"delay_log\": [");
-                for (i, (round, ticks)) in log.iter().enumerate() {
-                    if i > 0 {
-                        s.push_str(", ");
-                    }
-                    s.push_str(&format!("[{round}, {ticks}]"));
-                }
-                s.push(']');
-            }
-        }
-        s.push('}');
-        s
+        crate::wire::report_to_value(self).to_json()
     }
 }
 

@@ -60,6 +60,7 @@ use crate::pool;
 use crate::runner::{FdRunReport, KeyDistReport, Schedule};
 use crate::spec::SpecBuilder;
 use crate::sweep::{classify, scenario, Protocol, SweepOutcome};
+use crate::wire::Value;
 use fd_simnet::{Engine, LatencySpec};
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
@@ -341,63 +342,55 @@ impl SearchReport {
     /// timestamps): rerunning the same config yields identical bytes.
     pub fn to_json(&self) -> String {
         let (c, spec) = (&self.config, &self.config.spec);
-        let mut s = String::from("{\n  \"config\": {");
-        s.push_str(&format!(
-            "\"protocol\": \"{}\", \"n\": {}, \"t\": {}, \"scheme\": \"{}\", \
-             \"seed\": {}, \"latency\": \"{}\", \"adversary\": \"{}\", \
-             \"strategy\": \"{}\", \"budget\": {}",
-            spec.protocol,
-            spec.n,
-            spec.resolved_t(),
-            spec.scheme,
-            spec.seed,
-            spec.latency,
-            spec.adversary.kind_name(),
-            c.strategy,
-            c.budget
-        ));
-        s.push_str("},\n  \"episodes\": [\n");
-        for (i, e) in self.episodes.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"episode\": {}, \"score\": \"{}\", \"messages\": {}, \
-                 \"bytes\": {}, \"outcome\": \"{}\", \"accepted\": {}}}{}\n",
-                e.episode,
-                e.score,
-                e.messages,
-                e.bytes,
-                e.outcome,
-                e.accepted,
-                if i + 1 < self.episodes.len() { "," } else { "" }
-            ));
-        }
-        s.push_str("  ],\n  \"best\": {");
-        s.push_str(&format!(
-            "\"episode\": {}, \"score\": \"{}\", \"messages\": {}, \"bytes\": {}, \
-             \"outcome\": \"{}\", \"perturbations\": [",
-            self.best.episode,
-            self.best_score,
-            self.best_messages,
-            self.best_bytes,
-            self.best_outcome
-        ));
-        for (i, p) in self.best.perturbations.iter().enumerate() {
-            if i > 0 {
-                s.push_str(", ");
-            }
-            s.push_str(&format!(
-                "{{\"index\": {}, \"round\": {}, \"ticks\": {}}}",
-                p.index, p.round, p.ticks
-            ));
-        }
-        s.push_str("]},\n");
-        s.push_str(&format!(
-            "  \"summary\": {{\"episodes\": {}, \"findings\": {}, \"silent_found\": {}, \"replay_ok\": {}}}\n}}\n",
-            self.episodes.len(),
-            self.findings().len(),
-            self.silent_found(),
-            self.replay_ok
-        ));
-        s
+        let config = Value::obj(vec![
+            ("protocol", spec.protocol.name().into()),
+            ("n", spec.n.into()),
+            ("t", spec.resolved_t().into()),
+            ("scheme", spec.scheme.as_str().into()),
+            ("seed", spec.seed.into()),
+            ("latency", spec.latency.name().into()),
+            ("adversary", spec.adversary.kind_name().into()),
+            ("strategy", c.strategy.name().into()),
+            ("budget", c.budget.into()),
+        ]);
+        let episodes = self.episodes.iter().map(|e| {
+            Value::obj(vec![
+                ("episode", e.episode.into()),
+                ("score", e.score.label().into()),
+                ("messages", e.messages.into()),
+                ("bytes", e.bytes.into()),
+                ("outcome", e.outcome.name().into()),
+                ("accepted", e.accepted.into()),
+            ])
+        });
+        let perturbations = self.best.perturbations.iter().map(|p| {
+            Value::obj(vec![
+                ("index", p.index.into()),
+                ("round", p.round.into()),
+                ("ticks", p.ticks.into()),
+            ])
+        });
+        let best = Value::obj(vec![
+            ("episode", self.best.episode.into()),
+            ("score", self.best_score.label().into()),
+            ("messages", self.best_messages.into()),
+            ("bytes", self.best_bytes.into()),
+            ("outcome", self.best_outcome.name().into()),
+            ("perturbations", Value::Arr(perturbations.collect())),
+        ]);
+        let summary = Value::obj(vec![
+            ("episodes", self.episodes.len().into()),
+            ("findings", self.findings().len().into()),
+            ("silent_found", self.silent_found().into()),
+            ("replay_ok", self.replay_ok.into()),
+        ]);
+        Value::obj(vec![
+            ("config", config),
+            ("episodes", Value::Arr(episodes.collect())),
+            ("best", best),
+            ("summary", summary),
+        ])
+        .to_document()
     }
 
     /// Render as markdown (deterministic): the config, a findings table,

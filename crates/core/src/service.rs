@@ -44,7 +44,7 @@
 use crate::pool::{self, ShardWorkers};
 use crate::runner::KeyDistReport;
 use crate::spec::SpecBuilder;
-use crate::wire;
+use crate::wire::{self, Value};
 use std::collections::{BTreeMap, HashMap};
 use std::io::{self, BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::{Ipv4Addr, Ipv6Addr, TcpListener, TcpStream};
@@ -290,7 +290,13 @@ impl FdService {
     /// Malformed or invalid requests are answered (never dropped) with a
     /// wire error response.
     pub fn submit_line(&self, line: &str) -> String {
-        let (builder, id) = match wire::request_from_json(line.trim()) {
+        self.submit_parsed(Value::parse(line.trim()))
+    }
+
+    /// [`FdService::submit_line`] on a line already parsed (or refused by
+    /// the parser), so no line is parsed twice.
+    fn submit_parsed(&self, line: Result<Value, String>) -> String {
+        let (builder, id) = match line.and_then(|value| wire::request_from_value(&value)) {
             Ok(parsed) => parsed,
             Err(e) => {
                 self.front_errors.fetch_add(1, Ordering::Relaxed);
@@ -369,26 +375,27 @@ impl FdService {
     /// `{"op": "shutdown"}`, which makes [`FdService::serve`] return, are
     /// handled here; every other line goes to [`FdService::submit_line`].
     pub fn answer(&self, line: &str) -> String {
-        if let Ok(value) = wire::Value::parse(line) {
-            if let Some(op) = value.get("op").and_then(wire::Value::as_str) {
+        let line = Value::parse(line.trim());
+        if let Ok(value) = &line {
+            if let Some(op) = value.get("op").and_then(Value::as_str) {
                 return match op {
                     // JSON metrics are one line, which fits the
                     // newline-delimited reply framing; Prometheus text is
                     // multi-line and ends with `# EOF`.
                     "metrics" => value
                         .get("format")
-                        .and_then(wire::Value::as_str)
+                        .and_then(Value::as_str)
                         .map_or(Ok(MetricsFormat::Json), MetricsFormat::parse)
                         .map_or_else(|e| wire::error_to_json(None, &e), |f| self.metrics(f)),
                     "shutdown" => {
                         self.stop.store(true, Ordering::SeqCst);
-                        "{\"ok\": true, \"draining\": true}".to_string()
+                        Value::obj(vec![("ok", true.into()), ("draining", true.into())]).to_json()
                     }
                     other => wire::error_to_json(None, &format!("unknown op {other}")),
                 };
             }
         }
-        self.submit_line(line)
+        self.submit_parsed(line)
     }
 
     /// Serve `listener` until a client sends `{"op": "shutdown"}`, one
@@ -900,58 +907,51 @@ impl MetricsSnapshot {
     /// `messages`, and `bytes` accumulated across the cell's runs, the
     /// cell's `comm_rounds` and `key_allocs`, and a trailing `runs` count.
     fn to_json(&self) -> String {
-        use wire::Value::{Arr, Int, Null, Obj, Str};
-        let int = |v: usize| Int(v as i128);
-        let opt = |v: Option<u64>| v.map_or(Null, |v| Int(v.into()));
-        let arr = |vs: &[usize]| Arr(vs.iter().map(|&v| int(v)).collect());
-        let obj = |fields: Vec<(&str, wire::Value)>| {
-            Obj(fields.into_iter().map(|(k, v)| (k.into(), v)).collect())
-        };
         let keyed = self.keydist_runs + self.keydist_reused;
         let reuse_pct = (self.keydist_reused * 100).checked_div(keyed).unwrap_or(0);
         let runs_per_sec = (self.runs as u128) * 1_000_000 / self.elapsed_us.max(1);
         let eviction_p50 = percentile_us(&self.eviction_ages, 50);
-        let service = obj(vec![
-            ("shards", int(self.shards)),
-            ("runs", int(self.runs)),
-            ("errors", int(self.errors)),
-            ("keydist_runs", int(self.keydist_runs)),
-            ("keydist_reused", int(self.keydist_reused)),
-            ("keydist_reuse_pct", int(reuse_pct)),
-            ("evictions", int(self.evictions)),
-            ("wall_us", Int(self.elapsed_us as i128)),
-            ("runs_per_sec", Int(runs_per_sec as i128)),
-            ("p50_us", opt(percentile_us(&self.latencies, 50))),
-            ("p99_us", opt(percentile_us(&self.latencies, 99))),
-            ("queue_depth", arr(&self.queue_depths)),
-            ("queue_peak", arr(&self.queue_peaks)),
-            ("pool_sessions", arr(&self.pool_sessions)),
-            ("pool_peak", arr(&self.pool_peaks)),
-            ("eviction_age_p50_us", opt(eviction_p50)),
+        let service = Value::obj(vec![
+            ("shards", self.shards.into()),
+            ("runs", self.runs.into()),
+            ("errors", self.errors.into()),
+            ("keydist_runs", self.keydist_runs.into()),
+            ("keydist_reused", self.keydist_reused.into()),
+            ("keydist_reuse_pct", reuse_pct.into()),
+            ("evictions", self.evictions.into()),
+            ("wall_us", self.elapsed_us.into()),
+            ("runs_per_sec", runs_per_sec.into()),
+            ("p50_us", percentile_us(&self.latencies, 50).into()),
+            ("p99_us", percentile_us(&self.latencies, 99).into()),
+            ("queue_depth", self.queue_depths.as_slice().into()),
+            ("queue_peak", self.queue_peaks.as_slice().into()),
+            ("pool_sessions", self.pool_sessions.as_slice().into()),
+            ("pool_peak", self.pool_peaks.as_slice().into()),
+            ("eviction_age_p50_us", eviction_p50.into()),
         ]);
         let results = self
             .cells
             .iter()
             .map(|((protocol, n, t, engine, scheme), cell)| {
-                obj(vec![
-                    ("protocol", Str(protocol.clone())),
-                    ("n", int(*n)),
-                    ("t", int(*t)),
-                    ("engine", Str(engine.clone())),
-                    ("scheme", Str(scheme.clone())),
-                    ("wall_us", Int(cell.wall_us as i128)),
-                    ("messages", int(cell.messages)),
-                    ("bytes", int(cell.bytes)),
-                    ("comm_rounds", int(cell.comm_rounds)),
-                    ("key_allocs", int(cell.key_allocs)),
-                    ("runs", int(cell.runs)),
+                Value::obj(vec![
+                    ("protocol", protocol.as_str().into()),
+                    ("n", (*n).into()),
+                    ("t", (*t).into()),
+                    ("engine", engine.as_str().into()),
+                    ("scheme", scheme.as_str().into()),
+                    ("wall_us", cell.wall_us.into()),
+                    ("messages", cell.messages.into()),
+                    ("bytes", cell.bytes.into()),
+                    ("comm_rounds", cell.comm_rounds.into()),
+                    ("key_allocs", cell.key_allocs.into()),
+                    ("runs", cell.runs.into()),
                 ])
             })
             .collect();
-        obj(vec![
-            ("schema", Str("lafd-serve-v1".into())),
+        Value::obj(vec![
+            ("schema", "lafd-serve-v1".into()),
             ("service", service),
-            ("results", Arr(results)),
+            ("results", Value::Arr(results)),
         ])
         .to_json()
     }

@@ -46,7 +46,7 @@ use crate::runner::FdRunReport;
 use crate::schedsearch::{self, Score, SearchConfig, Strategy};
 use crate::service;
 use crate::spec::{Session, SpecBuilder};
-use crate::wire;
+use crate::wire::{self, Value};
 use fd_simnet::{Engine, LatencySpec, LinkLatencySpec};
 use std::collections::BTreeSet;
 use std::fmt;
@@ -419,67 +419,51 @@ impl SweepReport {
     /// Serialize as deterministic JSON (stable field order, no floats, no
     /// timestamps): rerunning the same matrix yields identical bytes.
     pub fn to_json(&self) -> String {
-        let mut s = String::from("{\n  \"link_latency\": [");
-        for (i, link) in self.link_latency.iter().enumerate() {
-            if i > 0 {
-                s.push_str(", ");
-            }
-            s.push('"');
-            s.push_str(&link.name());
-            s.push('"');
-        }
-        s.push_str("],\n  \"rows\": [\n");
-        for (i, row) in self.rows.iter().enumerate() {
+        let rows = self.rows.iter().map(|row| {
             let sc = &row.scenario;
-            s.push_str("    {");
-            push_json_str(&mut s, "protocol", sc.protocol.name());
-            s.push_str(&format!(", \"n\": {}, \"t\": {}, ", sc.n, sc.resolved_t()));
-            push_json_str(&mut s, "adversary", sc.adversary.kind_name());
-            s.push_str(", ");
-            push_json_str(&mut s, "scheme", &sc.scheme);
-            s.push_str(&format!(", \"seed\": {}, ", sc.seed));
-            push_json_str(&mut s, "engine", sc.engine.name());
-            s.push_str(", ");
-            push_json_str(&mut s, "latency", &sc.latency.name());
-            match row.keydist_messages {
-                Some(m) => s.push_str(&format!(", \"keydist_messages\": {m}")),
-                None => s.push_str(", \"keydist_messages\": null"),
-            }
-            s.push_str(&format!(
-                ", \"messages\": {}, \"bytes\": {}, \"comm_rounds\": {}",
-                row.messages, row.bytes, row.comm_rounds
-            ));
-            match row.expected_messages {
-                Some(m) => s.push_str(&format!(", \"expected_messages\": {m}")),
-                None => s.push_str(", \"expected_messages\": null"),
-            }
-            s.push_str(", ");
-            push_json_str(&mut s, "outcome", row.outcome.name());
-            s.push_str(&format!(", \"cross_ok\": {}", row.cross_ok));
-            match &row.search {
-                Some(sr) => s.push_str(&format!(
-                    ", \"search\": {{\"strategy\": \"{}\", \"episodes\": {}, \
-                     \"best\": \"{}\", \"replay_ok\": {}}}",
-                    sr.strategy, sr.episodes, sr.best, sr.replay_ok
-                )),
-                None => s.push_str(", \"search\": null"),
-            }
-            s.push_str(&format!(", \"ok\": {}}}", row.ok()));
-            if i + 1 < self.rows.len() {
-                s.push(',');
-            }
-            s.push('\n');
-        }
-        s.push_str("  ],\n");
-        s.push_str(&format!(
-            "  \"summary\": {{\"scenarios\": {}, \"ok\": {}, \"failed\": {}, \"messages_total\": {}}}\n",
-            self.rows.len(),
-            self.rows.iter().filter(|r| r.ok()).count(),
-            self.failures().len(),
-            self.messages_total()
-        ));
-        s.push_str("}\n");
-        s
+            let search = row.search.as_ref().map(|sr| {
+                Value::obj(vec![
+                    ("strategy", sr.strategy.name().into()),
+                    ("episodes", sr.episodes.into()),
+                    ("best", sr.best.label().into()),
+                    ("replay_ok", sr.replay_ok.into()),
+                ])
+            });
+            Value::obj(vec![
+                ("protocol", sc.protocol.name().into()),
+                ("n", sc.n.into()),
+                ("t", sc.resolved_t().into()),
+                ("adversary", sc.adversary.kind_name().into()),
+                ("scheme", sc.scheme.as_str().into()),
+                ("seed", sc.seed.into()),
+                ("engine", sc.engine.name().into()),
+                ("latency", sc.latency.name().into()),
+                ("keydist_messages", row.keydist_messages.into()),
+                ("messages", row.messages.into()),
+                ("bytes", row.bytes.into()),
+                ("comm_rounds", row.comm_rounds.into()),
+                ("expected_messages", row.expected_messages.into()),
+                ("outcome", row.outcome.name().into()),
+                ("cross_ok", row.cross_ok.into()),
+                ("search", search.into()),
+                ("ok", row.ok().into()),
+            ])
+        });
+        let links = self.link_latency.iter().map(|l| l.name().into());
+        Value::obj(vec![
+            ("link_latency", Value::Arr(links.collect())),
+            ("rows", Value::Arr(rows.collect())),
+            (
+                "summary",
+                Value::obj(vec![
+                    ("scenarios", self.rows.len().into()),
+                    ("ok", self.rows.iter().filter(|r| r.ok()).count().into()),
+                    ("failed", self.failures().len().into()),
+                    ("messages_total", self.messages_total().into()),
+                ]),
+            ),
+        ])
+        .to_document()
     }
 
     /// Render as a markdown table plus a summary line (deterministic).
@@ -542,21 +526,6 @@ impl SweepReport {
         ));
         s
     }
-}
-
-fn push_json_str(s: &mut String, key: &str, value: &str) {
-    s.push('"');
-    s.push_str(key);
-    s.push_str("\": \"");
-    for c in value.chars() {
-        match c {
-            '"' => s.push_str("\\\""),
-            '\\' => s.push_str("\\\\"),
-            c if (c as u32) < 0x20 => s.push_str(&format!("\\u{:04x}", c as u32)),
-            c => s.push(c),
-        }
-    }
-    s.push('"');
 }
 
 /// Where a sweep's scenario runs actually execute.

@@ -1,4 +1,5 @@
-//! Wire schema v1: the versioned JSON encoding of the execution API.
+//! Wire schema v1: the versioned JSON encoding of the execution API, and
+//! the one JSON writer of the workspace.
 //!
 //! `lafd serve` (see [`crate::service`]) accepts newline-delimited JSON
 //! requests and answers with JSON responses; `lafd run --spec file.json`
@@ -8,6 +9,31 @@
 //! [`SpecBuilder`], a response embeds a wire-format
 //! [`FdRunReport`], and both carry an explicit
 //! `"schema_version": 1`.
+//!
+//! Every other JSON document `lafd` emits — sweep and search reports,
+//! Chrome traces, chaos reports, service metrics — is also a [`Value`]
+//! written by [`Value::to_json`] (one line) or [`Value::to_document`]
+//! (the document layout). The string escaper, the hex encoder and the
+//! outcome encoding live here and nowhere else.
+//!
+//! ## Document layout
+//!
+//! [`Value::to_document`] writes a top-level object with each field on
+//! its own line, indented two spaces. A top-level field holding a
+//! non-empty array of objects puts one element per line, indented four
+//! spaces. Everything else is compact (`", "` and `": "` separators),
+//! and the document ends with a newline:
+//!
+//! ```json
+//! {
+//!   "link_latency": [],
+//!   "rows": [
+//!     {"protocol": "chain_fd", "n": 4},
+//!     {"protocol": "chain_fd", "n": 7}
+//!   ],
+//!   "summary": {"scenarios": 2}
+//! }
+//! ```
 //!
 //! Design constraints, in order:
 //!
@@ -53,6 +79,7 @@ use crate::runner::{FdRunReport, Schedule};
 use crate::spec::{Protocol, SpecBuilder};
 use fd_simnet::{Engine, LatencySpec, LinkLatencySpec, NetStats, NodeId};
 use std::collections::HashMap;
+use std::fmt::Write as _;
 use std::sync::Arc;
 
 /// The wire schema this module speaks. Bump on incompatible change; a
@@ -106,7 +133,17 @@ impl Value {
         Ok(value)
     }
 
-    /// Serialize back to JSON (stable field order, no whitespace
+    /// An object from `&str` keys, in the given order.
+    pub fn obj(fields: Vec<(&str, Value)>) -> Value {
+        Value::Obj(
+            fields
+                .into_iter()
+                .map(|(key, value)| (key.to_string(), value))
+                .collect(),
+        )
+    }
+
+    /// Serialize as one line of JSON (stable field order, no whitespace
     /// variation beyond `", "` / `": "` separators).
     pub fn to_json(&self) -> String {
         let mut s = String::new();
@@ -114,11 +151,49 @@ impl Value {
         s
     }
 
+    /// Serialize in the document layout of the module docs: one line per
+    /// top-level field, one line per object of a top-level array of
+    /// objects, and a trailing newline.
+    pub fn to_document(&self) -> String {
+        let mut s = String::new();
+        match self {
+            Value::Obj(fields) if !fields.is_empty() => {
+                s.push('{');
+                for (i, (key, value)) in fields.iter().enumerate() {
+                    s.push_str(if i > 0 { ",\n  " } else { "\n  " });
+                    write_json_string(&mut s, key);
+                    s.push_str(": ");
+                    match value {
+                        Value::Arr(items)
+                            if !items.is_empty()
+                                && items.iter().all(|item| matches!(item, Value::Obj(_))) =>
+                        {
+                            s.push('[');
+                            for (j, item) in items.iter().enumerate() {
+                                s.push_str(if j > 0 { ",\n    " } else { "\n    " });
+                                item.write(&mut s);
+                            }
+                            s.push_str("\n  ]");
+                        }
+                        other => other.write(&mut s),
+                    }
+                }
+                s.push_str("\n}");
+            }
+            other => other.write(&mut s),
+        }
+        s.push('\n');
+        s
+    }
+
     fn write(&self, s: &mut String) {
         match self {
             Value::Null => s.push_str("null"),
             Value::Bool(b) => s.push_str(if *b { "true" } else { "false" }),
-            Value::Int(i) => s.push_str(&i.to_string()),
+            // `fmt::Write` for `String` cannot fail.
+            Value::Int(i) => {
+                let _ = write!(s, "{i}");
+            }
             Value::Str(v) => write_json_string(s, v),
             Value::Arr(items) => {
                 s.push('[');
@@ -191,21 +266,66 @@ impl Value {
     }
 }
 
+macro_rules! value_from {
+    ($($ty:ty => |$v:ident| $value:expr),* $(,)?) => {$(
+        impl From<$ty> for Value {
+            fn from($v: $ty) -> Value {
+                $value
+            }
+        }
+    )*};
+}
+
+value_from! {
+    bool => |b| Value::Bool(b),
+    &str => |s| Value::Str(s.to_string()),
+    String => |s| Value::Str(s),
+    i128 => |i| Value::Int(i),
+    u16 => |i| Value::Int(i.into()),
+    u32 => |i| Value::Int(i.into()),
+    u64 => |i| Value::Int(i.into()),
+    usize => |i| Value::Int(i as i128),
+    u128 => |i| Value::Int(i as i128),
+}
+
+/// `None` is `null`.
+impl<T: Into<Value>> From<Option<T>> for Value {
+    fn from(v: Option<T>) -> Value {
+        v.map_or(Value::Null, Into::into)
+    }
+}
+
+impl<T: Clone + Into<Value>> From<&[T]> for Value {
+    fn from(items: &[T]) -> Value {
+        Value::Arr(items.iter().cloned().map(Into::into).collect())
+    }
+}
+
+/// The one JSON string escaper: runs that need no escape are copied with
+/// one `push_str`.
 fn write_json_string(s: &mut String, v: &str) {
     s.push('"');
-    for c in v.chars() {
-        match c {
-            '"' => s.push_str("\\\""),
-            '\\' => s.push_str("\\\\"),
-            '\n' => s.push_str("\\n"),
-            '\r' => s.push_str("\\r"),
-            '\t' => s.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                s.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => s.push(c),
+    let mut run = 0;
+    for (i, b) in v.bytes().enumerate() {
+        let escape = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0..=0x1f => "",
+            _ => continue,
+        };
+        // Every escaped byte is ASCII, so `i` is a char boundary.
+        s.push_str(&v[run..i]);
+        if escape.is_empty() {
+            let _ = write!(s, "\\u{b:04x}");
+        } else {
+            s.push_str(escape);
         }
+        run = i + 1;
     }
+    s.push_str(&v[run..]);
     s.push('"');
 }
 
@@ -456,9 +576,71 @@ fn int_field(obj: &Value, key: &str, what: &str) -> Result<i128, String> {
         .ok_or_else(|| format!("{what}: field {key:?} must be an integer"))
 }
 
-fn usize_field(obj: &Value, key: &str, what: &str) -> Result<usize, String> {
-    usize::try_from(int_field(obj, key, what)?)
+/// An integer field that fits `T`.
+fn uint_field<T: TryFrom<i128>>(obj: &Value, key: &str, what: &str) -> Result<T, String> {
+    T::try_from(int_field(obj, key, what)?)
         .map_err(|_| format!("{what}: field {key:?} out of range"))
+}
+
+/// An integer array entry that fits `T`.
+fn uint<T: TryFrom<i128>>(value: &Value) -> Option<T> {
+    value.as_int().and_then(|i| T::try_from(i).ok())
+}
+
+/// A two-element array entry `[a, b]`.
+fn pair(value: &Value) -> Option<(&Value, &Value)> {
+    match value.as_arr()? {
+        [a, b] => Some((a, b)),
+        _ => None,
+    }
+}
+
+fn bool_field(obj: &Value, key: &str, what: &str) -> Result<bool, String> {
+    require(obj, key, what)?
+        .as_bool()
+        .ok_or_else(|| format!("{what}: field {key:?} must be a boolean"))
+}
+
+/// The entries of array `value` (field `key`), each decoded by `entry`.
+fn list<T>(
+    value: &Value,
+    key: &str,
+    what: &str,
+    entry: impl Fn(&Value) -> Result<T, String>,
+) -> Result<Vec<T>, String> {
+    value
+        .as_arr()
+        .ok_or_else(|| format!("{what}: field {key:?} must be an array"))?
+        .iter()
+        .map(entry)
+        .collect()
+}
+
+/// [`list`] of a required field.
+fn list_field<T>(
+    obj: &Value,
+    key: &str,
+    what: &str,
+    entry: impl Fn(&Value) -> Result<T, String>,
+) -> Result<Vec<T>, String> {
+    list(require(obj, key, what)?, key, what, entry)
+}
+
+fn counts_field(obj: &Value, key: &str, what: &str) -> Result<Vec<usize>, String> {
+    list_field(obj, key, what, |v| {
+        uint(v).ok_or_else(|| format!("{what}: {key} entries must be counts"))
+    })
+}
+
+/// The optional request id a request or response carries.
+fn id_field(obj: &Value, what: &str) -> Result<Option<String>, String> {
+    match obj.get("id") {
+        None | Some(Value::Null) => Ok(None),
+        Some(v) => v
+            .as_str()
+            .map(|id| Some(id.to_string()))
+            .ok_or_else(|| format!("{what}: id must be a string")),
+    }
 }
 
 fn str_field<'v>(obj: &'v Value, key: &str, what: &str) -> Result<&'v str, String> {
@@ -484,7 +666,19 @@ fn check_schema_version(obj: &Value, what: &str) -> Result<(), String> {
 /// Lowercase hex encoding of a byte value (the request encoding of
 /// `input` / `default_value`, and the report encoding of decided values).
 pub fn hex_encode(bytes: &[u8]) -> String {
-    bytes.iter().map(|b| format!("{b:02x}")).collect()
+    let mut s = String::new();
+    push_hex(&mut s, bytes);
+    s
+}
+
+/// The one hex encoder: two digits per byte, appended to `s`.
+fn push_hex(s: &mut String, bytes: &[u8]) {
+    const DIGITS: &[u8; 16] = b"0123456789abcdef";
+    s.reserve(2 * bytes.len());
+    for &b in bytes {
+        s.push(char::from(DIGITS[usize::from(b >> 4)]));
+        s.push(char::from(DIGITS[usize::from(b & 0xf)]));
+    }
 }
 
 /// Inverse of [`hex_encode`].
@@ -516,16 +710,11 @@ pub fn adversary_to_value(spec: &AdversarySpec) -> Result<Value, String> {
             return Err("custom adversary closures have no wire encoding".to_string())
         }
     };
-    Ok(Value::Obj(vec![
-        ("kind".to_string(), Value::Str(kind.name().to_string())),
+    Ok(Value::obj(vec![
+        ("kind", kind.name().into()),
         (
-            "corrupt".to_string(),
-            Value::Arr(
-                corrupt
-                    .iter()
-                    .map(|id| Value::Int(i128::from(id.0)))
-                    .collect(),
-            ),
+            "corrupt",
+            Value::Arr(corrupt.iter().map(|id| id.0.into()).collect()),
         ),
     ]))
 }
@@ -536,17 +725,11 @@ pub fn adversary_from_value(value: &Value) -> Result<AdversarySpec, String> {
     let kind = AdversaryKind::parse(str_field(value, "kind", "adversary")?)?;
     let corrupt = match value.get("corrupt") {
         None => Vec::new(),
-        Some(list) => list
-            .as_arr()
-            .ok_or_else(|| "adversary: corrupt must be an array".to_string())?
-            .iter()
-            .map(|v| {
-                v.as_int()
-                    .and_then(|i| u16::try_from(i).ok())
-                    .map(NodeId)
-                    .ok_or_else(|| "adversary: corrupt entries must be node ids".to_string())
-            })
-            .collect::<Result<Vec<NodeId>, String>>()?,
+        Some(nodes) => list(nodes, "corrupt", "adversary", |v| {
+            uint(v)
+                .map(NodeId)
+                .ok_or_else(|| "adversary: corrupt entries must be node ids".to_string())
+        })?,
     };
     if kind == AdversaryKind::None {
         if !corrupt.is_empty() {
@@ -564,7 +747,7 @@ pub fn adversary_from_value(value: &Value) -> Result<AdversarySpec, String> {
 // Requests (serialized SpecBuilder)
 // ---------------------------------------------------------------------
 
-const REQUEST_FIELDS: [&str; 13] = [
+const REQUEST_FIELDS: [&str; 14] = [
     "schema_version",
     "id",
     "protocol",
@@ -578,7 +761,7 @@ const REQUEST_FIELDS: [&str; 13] = [
     "input",
     "default_value",
     "adversary",
-    // "schedule" is appended below; arrays in Rust want a fixed length.
+    "schedule",
 ];
 
 /// Encode a [`SpecBuilder`] (plus an optional request id) as a wire-v1
@@ -591,68 +774,50 @@ pub fn request_to_json(builder: &SpecBuilder, id: Option<&str>) -> Result<String
     if !builder.faults.is_empty() {
         return Err("link-fault plans have no wire encoding in schema v1".to_string());
     }
-    let mut fields: Vec<(String, Value)> =
-        vec![("schema_version".to_string(), Value::Int(SCHEMA_VERSION))];
+    let mut fields: Vec<(&str, Value)> = vec![("schema_version", SCHEMA_VERSION.into())];
     if let Some(id) = id {
-        fields.push(("id".to_string(), Value::Str(id.to_string())));
+        fields.push(("id", id.into()));
     }
-    fields.push((
-        "protocol".to_string(),
-        Value::Str(builder.protocol.name().to_string()),
-    ));
-    fields.push(("n".to_string(), Value::Int(builder.n as i128)));
+    fields.push(("protocol", builder.protocol.name().into()));
+    fields.push(("n", builder.n.into()));
     if let Some(t) = builder.t {
-        fields.push(("t".to_string(), Value::Int(t as i128)));
+        fields.push(("t", t.into()));
     }
-    fields.push(("seed".to_string(), Value::Int(i128::from(builder.seed))));
-    fields.push(("scheme".to_string(), Value::Str(builder.scheme.clone())));
-    fields.push((
-        "engine".to_string(),
-        Value::Str(builder.engine.name().to_string()),
-    ));
-    fields.push(("latency".to_string(), Value::Str(builder.latency.name())));
+    fields.push(("seed", builder.seed.into()));
+    fields.push(("scheme", builder.scheme.as_str().into()));
+    fields.push(("engine", builder.engine.name().into()));
+    fields.push(("latency", builder.latency.name().into()));
     if !builder.link_latency.is_empty() {
         fields.push((
-            "link_latency".to_string(),
+            "link_latency",
             Value::Arr(
                 builder
                     .link_latency
                     .iter()
-                    .map(|l| Value::Str(l.name()))
+                    .map(|l| l.name().into())
                     .collect(),
             ),
         ));
     }
-    fields.push(("input".to_string(), Value::Str(hex_encode(&builder.input))));
-    fields.push((
-        "default_value".to_string(),
-        Value::Str(hex_encode(&builder.default_value)),
-    ));
+    fields.push(("input", hex_encode(&builder.input).into()));
+    fields.push(("default_value", hex_encode(&builder.default_value).into()));
     if !builder.adversary.is_honest() {
-        fields.push((
-            "adversary".to_string(),
-            adversary_to_value(&builder.adversary)?,
-        ));
+        fields.push(("adversary", adversary_to_value(&builder.adversary)?));
     }
     if let Some(schedule) = &builder.schedule {
         let mut entries: Vec<(u64, u64)> = schedule.iter().map(|(&k, &v)| (k, v)).collect();
         entries.sort_unstable();
         fields.push((
-            "schedule".to_string(),
+            "schedule",
             Value::Arr(
                 entries
                     .into_iter()
-                    .map(|(index, ticks)| {
-                        Value::Arr(vec![
-                            Value::Int(i128::from(index)),
-                            Value::Int(i128::from(ticks)),
-                        ])
-                    })
+                    .map(|(index, ticks)| Value::Arr(vec![index.into(), ticks.into()]))
                     .collect(),
             ),
         ));
     }
-    Ok(Value::Obj(fields).to_json())
+    Ok(Value::obj(fields).to_json())
 }
 
 /// Decode a wire-v1 request line into a [`SpecBuilder`] plus its
@@ -660,87 +825,60 @@ pub fn request_to_json(builder: &SpecBuilder, id: Option<&str>) -> Result<String
 /// are errors; the builder is *not* yet validated (call
 /// [`SpecBuilder::build`] for that).
 pub fn request_from_json(json: &str) -> Result<(SpecBuilder, Option<String>), String> {
-    let value = Value::parse(json)?;
-    let mut allowed: Vec<&str> = REQUEST_FIELDS.to_vec();
-    allowed.push("schedule");
-    deny_unknown(&value, &allowed, "request")?;
-    check_schema_version(&value, "request")?;
-    let id = match value.get("id") {
-        None | Some(Value::Null) => None,
-        Some(v) => Some(
-            v.as_str()
-                .ok_or_else(|| "request: id must be a string".to_string())?
-                .to_string(),
-        ),
-    };
-    let protocol = Protocol::parse(str_field(&value, "protocol", "request")?)?;
-    let n = usize_field(&value, "n", "request")?;
-    let mut builder = SpecBuilder::new(protocol, n);
+    request_from_value(&Value::parse(json)?)
+}
+
+/// [`request_from_json`] on an already parsed line.
+pub(crate) fn request_from_value(value: &Value) -> Result<(SpecBuilder, Option<String>), String> {
+    deny_unknown(value, &REQUEST_FIELDS, "request")?;
+    check_schema_version(value, "request")?;
+    let id = id_field(value, "request")?;
+    let protocol = Protocol::parse(str_field(value, "protocol", "request")?)?;
+    let mut builder = SpecBuilder::new(protocol, uint_field(value, "n", "request")?);
     if value.get("t").is_some() {
-        builder = builder.with_t(usize_field(&value, "t", "request")?);
+        builder = builder.with_t(uint_field(value, "t", "request")?);
     }
     if value.get("seed").is_some() {
-        let seed = int_field(&value, "seed", "request")?;
-        builder = builder
-            .with_seed(u64::try_from(seed).map_err(|_| "request: seed out of range".to_string())?);
+        builder = builder.with_seed(uint_field(value, "seed", "request")?);
     }
     if value.get("scheme").is_some() {
-        builder = builder.with_scheme(str_field(&value, "scheme", "request")?);
+        builder = builder.with_scheme(str_field(value, "scheme", "request")?);
     }
     if value.get("engine").is_some() {
-        builder = builder.with_engine(Engine::parse(str_field(&value, "engine", "request")?)?);
+        builder = builder.with_engine(Engine::parse(str_field(value, "engine", "request")?)?);
     }
     if value.get("latency").is_some() {
-        builder = builder.with_latency(LatencySpec::parse(str_field(
-            &value, "latency", "request",
-        )?)?);
+        builder =
+            builder.with_latency(LatencySpec::parse(str_field(value, "latency", "request")?)?);
     }
     if let Some(links) = value.get("link_latency") {
-        let links = links
-            .as_arr()
-            .ok_or_else(|| "request: link_latency must be an array".to_string())?
-            .iter()
-            .map(|v| {
-                v.as_str()
-                    .ok_or_else(|| "request: link_latency entries must be strings".to_string())
-                    .and_then(LinkLatencySpec::parse)
-            })
-            .collect::<Result<Vec<LinkLatencySpec>, String>>()?;
-        builder = builder.with_link_latency(links);
+        builder = builder.with_link_latency(list(links, "link_latency", "request", |v| {
+            v.as_str()
+                .ok_or_else(|| "request: link_latency entries must be strings".to_string())
+                .and_then(LinkLatencySpec::parse)
+        })?);
     }
-    builder = builder.with_input(hex_decode(str_field(&value, "input", "request")?)?);
+    builder = builder.with_input(hex_decode(str_field(value, "input", "request")?)?);
     if value.get("default_value").is_some() {
         builder =
-            builder.with_default_value(hex_decode(str_field(&value, "default_value", "request")?)?);
+            builder.with_default_value(hex_decode(str_field(value, "default_value", "request")?)?);
     }
     if let Some(adv) = value.get("adversary") {
         builder = builder.with_adversary(adversary_from_value(adv)?);
     }
-    if let Some(schedule) = value.get("schedule") {
-        if *schedule != Value::Null {
-            let entries = schedule
-                .as_arr()
-                .ok_or_else(|| "request: schedule must be an array".to_string())?;
-            let mut map: HashMap<u64, u64> = HashMap::with_capacity(entries.len());
-            for entry in entries {
-                let pair = entry
-                    .as_arr()
-                    .filter(|p| p.len() == 2)
-                    .ok_or_else(|| "request: schedule entries are [index, ticks]".to_string())?;
-                let index = pair[0]
-                    .as_int()
-                    .and_then(|i| u64::try_from(i).ok())
-                    .ok_or_else(|| "request: schedule index out of range".to_string())?;
-                let ticks = pair[1]
-                    .as_int()
-                    .and_then(|i| u64::try_from(i).ok())
-                    .ok_or_else(|| "request: schedule ticks out of range".to_string())?;
-                if map.insert(index, ticks).is_some() {
-                    return Err(format!("request: duplicate schedule index {index}"));
-                }
+    if let Some(schedule) = value.get("schedule").filter(|s| !s.is_null()) {
+        let entries = list(schedule, "schedule", "request", |v| {
+            pair(v)
+                .and_then(|(index, ticks)| Some((uint(index)?, uint(ticks)?)))
+                .ok_or_else(|| "request: schedule entries are [index, ticks]".to_string())
+        })?;
+        let mut map: HashMap<u64, u64> = HashMap::with_capacity(entries.len());
+        for (index, ticks) in entries {
+            if map.insert(index, ticks).is_some() {
+                return Err(format!("request: duplicate schedule index {index}"));
             }
-            builder = builder.with_schedule(Some(Arc::new(map) as Schedule));
         }
+        builder = builder.with_schedule(Some(Arc::new(map) as Schedule));
     }
     Ok((builder, id))
 }
@@ -749,10 +887,66 @@ pub fn request_from_json(json: &str) -> Result<(SpecBuilder, Option<String>), St
 // Run reports
 // ---------------------------------------------------------------------
 
-/// Encode a report exactly as [`FdRunReport::to_json`] does — one
-/// encoding for the in-process comparison surface and the wire.
-pub fn report_to_json(report: &FdRunReport) -> String {
-    report.to_json()
+/// The report as a [`Value`]: [`FdRunReport::to_json`] writes it, so the
+/// in-process comparison surface and the wire share one encoding.
+pub(crate) fn report_to_value(report: &FdRunReport) -> Value {
+    let delay_log = report.delay_log.as_ref().map(|log| {
+        Value::Arr(
+            log.iter()
+                .map(|&(round, ticks)| Value::Arr(vec![round.into(), ticks.into()]))
+                .collect(),
+        )
+    });
+    Value::obj(vec![
+        (
+            "outcomes",
+            Value::Arr(report.outcomes.iter().map(outcome_to_value).collect()),
+        ),
+        ("messages", report.stats.messages_total.into()),
+        ("bytes", report.stats.bytes_total.into()),
+        ("rounds", report.stats.rounds.into()),
+        ("per_round", report.stats.per_round.as_slice().into()),
+        ("used_fallback", report.used_fallback.as_slice().into()),
+        (
+            "grades",
+            Value::Arr(report.grades.iter().map(|&g| grade_to_value(g)).collect()),
+        ),
+        ("delay_log", delay_log.into()),
+    ])
+}
+
+/// The one outcome encoding: `faulty` for a substituted node, `pending`,
+/// `decided:<hex>`, or `discovered:<reason>`.
+fn outcome_to_value(outcome: &Option<Outcome>) -> Value {
+    Value::Str(match outcome {
+        None => "faulty".to_string(),
+        Some(Outcome::Pending) => "pending".to_string(),
+        Some(Outcome::Decided(v)) => {
+            let mut s = String::from("decided:");
+            push_hex(&mut s, v);
+            s
+        }
+        Some(Outcome::Discovered(r)) => format!("discovered:{r}"),
+    })
+}
+
+fn grade_to_value(grade: Option<Grade>) -> Value {
+    match grade {
+        None => Value::Null,
+        Some(Grade::Zero) => Value::Int(0),
+        Some(Grade::One) => Value::Int(1),
+        Some(Grade::Two) => Value::Int(2),
+    }
+}
+
+fn grade_from_value(value: &Value, what: &str) -> Result<Option<Grade>, String> {
+    match value {
+        Value::Null => Ok(None),
+        Value::Int(0) => Ok(Some(Grade::Zero)),
+        Value::Int(1) => Ok(Some(Grade::One)),
+        Value::Int(2) => Ok(Some(Grade::Two)),
+        other => Err(format!("{what}: invalid grade {other:?}")),
+    }
 }
 
 fn outcome_from_wire(text: &str) -> Result<Option<Outcome>, String> {
@@ -801,12 +995,15 @@ pub fn discovery_from_wire(text: &str) -> Result<DiscoveryReason, String> {
 ///
 /// The wire format does not carry `sent_by` / `dropped_invalid` (they
 /// decode to their empty defaults), so this is a right inverse of
-/// [`report_to_json`]: encoding the decoded report reproduces the input
-/// bytes.
+/// [`FdRunReport::to_json`]: encoding the decoded report reproduces the
+/// input bytes.
 pub fn report_from_json(json: &str) -> Result<FdRunReport, String> {
-    let value = Value::parse(json)?;
+    report_from_value(&Value::parse(json)?)
+}
+
+fn report_from_value(value: &Value) -> Result<FdRunReport, String> {
     deny_unknown(
-        &value,
+        value,
         &[
             "outcomes",
             "messages",
@@ -819,78 +1016,31 @@ pub fn report_from_json(json: &str) -> Result<FdRunReport, String> {
         ],
         "report",
     )?;
-    let outcomes = require(&value, "outcomes", "report")?
-        .as_arr()
-        .ok_or_else(|| "report: outcomes must be an array".to_string())?
-        .iter()
-        .map(|v| {
-            v.as_str()
-                .ok_or_else(|| "report: outcomes entries must be strings".to_string())
-                .and_then(outcome_from_wire)
-        })
-        .collect::<Result<Vec<Option<Outcome>>, String>>()?;
-    let per_round = require(&value, "per_round", "report")?
-        .as_arr()
-        .ok_or_else(|| "report: per_round must be an array".to_string())?
-        .iter()
-        .map(|v| {
-            v.as_int()
-                .and_then(|i| usize::try_from(i).ok())
-                .ok_or_else(|| "report: per_round entries must be counts".to_string())
-        })
-        .collect::<Result<Vec<usize>, String>>()?;
-    let used_fallback = require(&value, "used_fallback", "report")?
-        .as_arr()
-        .ok_or_else(|| "report: used_fallback must be an array".to_string())?
-        .iter()
-        .map(|v| {
-            v.as_bool()
-                .ok_or_else(|| "report: used_fallback entries must be booleans".to_string())
-        })
-        .collect::<Result<Vec<bool>, String>>()?;
-    let grades = require(&value, "grades", "report")?
-        .as_arr()
-        .ok_or_else(|| "report: grades must be an array".to_string())?
-        .iter()
-        .map(|v| match v {
-            Value::Null => Ok(None),
-            Value::Int(0) => Ok(Some(Grade::Zero)),
-            Value::Int(1) => Ok(Some(Grade::One)),
-            Value::Int(2) => Ok(Some(Grade::Two)),
-            other => Err(format!("report: invalid grade {other:?}")),
-        })
-        .collect::<Result<Vec<Option<Grade>>, String>>()?;
-    let delay_log = match require(&value, "delay_log", "report")? {
+    let outcomes = list_field(value, "outcomes", "report", |v| {
+        v.as_str()
+            .ok_or_else(|| "report: outcomes entries must be strings".to_string())
+            .and_then(outcome_from_wire)
+    })?;
+    let used_fallback = list_field(value, "used_fallback", "report", |v| {
+        v.as_bool()
+            .ok_or_else(|| "report: used_fallback entries must be booleans".to_string())
+    })?;
+    let grades = list_field(value, "grades", "report", |v| grade_from_value(v, "report"))?;
+    let delay_log = match require(value, "delay_log", "report")? {
         Value::Null => None,
-        Value::Arr(entries) => Some(
-            entries
-                .iter()
-                .map(|entry| {
-                    let pair = entry.as_arr().filter(|p| p.len() == 2).ok_or_else(|| {
-                        "report: delay_log entries are [round, ticks]".to_string()
-                    })?;
-                    let round = pair[0]
-                        .as_int()
-                        .and_then(|i| u32::try_from(i).ok())
-                        .ok_or_else(|| "report: delay_log round out of range".to_string())?;
-                    let ticks = pair[1]
-                        .as_int()
-                        .and_then(|i| u64::try_from(i).ok())
-                        .ok_or_else(|| "report: delay_log ticks out of range".to_string())?;
-                    Ok((round, ticks))
-                })
-                .collect::<Result<Vec<(u32, u64)>, String>>()?,
-        ),
-        _ => return Err("report: delay_log must be null or an array".to_string()),
+        log => Some(list(log, "delay_log", "report", |v| {
+            pair(v)
+                .and_then(|(round, ticks)| Some((uint(round)?, uint(ticks)?)))
+                .ok_or_else(|| "report: delay_log entries are [round, ticks]".to_string())
+        })?),
     };
     // `sent_by` / `dropped_invalid` are not on the wire; they decode to
     // their empty defaults (see the module docs on lossy projection).
     let stats = NetStats {
-        messages_total: usize_field(&value, "messages", "report")?,
-        bytes_total: usize_field(&value, "bytes", "report")?,
-        rounds: u32::try_from(int_field(&value, "rounds", "report")?)
-            .map_err(|_| "report: rounds out of range".to_string())?,
-        per_round,
+        messages_total: uint_field(value, "messages", "report")?,
+        bytes_total: uint_field(value, "bytes", "report")?,
+        rounds: uint_field(value, "rounds", "report")?,
+        per_round: counts_field(value, "per_round", "report")?,
         ..NetStats::default()
     };
     Ok(FdRunReport {
@@ -932,8 +1082,19 @@ pub struct WireResponse {
     pub report_json: String,
 }
 
+/// The fields every response opens with: the schema version, the request
+/// id (`null` when the request carried none) and `ok`.
+fn envelope(id: Option<&str>, ok: bool) -> Vec<(&'static str, Value)> {
+    vec![
+        ("schema_version", SCHEMA_VERSION.into()),
+        ("id", id.into()),
+        ("ok", ok.into()),
+    ]
+}
+
 /// Encode a success response. `report_json` must be the output of
-/// [`report_to_json`] for the executed run.
+/// [`FdRunReport::to_json`] for the executed run; it is appended as it
+/// stands, not parsed again.
 pub fn response_to_json(
     id: Option<&str>,
     shard: usize,
@@ -942,51 +1103,36 @@ pub fn response_to_json(
     wall_us: u64,
     report_json: &str,
 ) -> String {
-    let mut s = format!("{{\"schema_version\": {SCHEMA_VERSION}, ");
-    match id {
-        Some(id) => {
-            s.push_str("\"id\": ");
-            write_json_string(&mut s, id);
-            s.push_str(", ");
-        }
-        None => s.push_str("\"id\": null, "),
-    }
-    s.push_str("\"ok\": true, ");
-    s.push_str(&format!(
-        "\"shard\": {shard}, \"keydist_reused\": {keydist_reused}, "
-    ));
-    match keydist_messages {
-        Some(m) => s.push_str(&format!("\"keydist_messages\": {m}, ")),
-        None => s.push_str("\"keydist_messages\": null, "),
-    }
-    s.push_str(&format!(
-        "\"wall_us\": {wall_us}, \"report\": {report_json}}}"
-    ));
+    let mut fields = envelope(id, true);
+    fields.push(("shard", shard.into()));
+    fields.push(("keydist_reused", keydist_reused.into()));
+    fields.push(("keydist_messages", keydist_messages.into()));
+    fields.push(("wall_us", wall_us.into()));
+    let mut s = String::with_capacity(report_json.len() + 160);
+    Value::obj(fields).write(&mut s);
+    // Reopen the object and close it again around the encoded report.
+    s.pop();
+    s.push_str(", \"report\": ");
+    s.push_str(report_json);
+    s.push('}');
     s
 }
 
 /// Encode an error response.
 pub fn error_to_json(id: Option<&str>, error: &str) -> String {
-    let mut s = format!("{{\"schema_version\": {SCHEMA_VERSION}, ");
-    match id {
-        Some(id) => {
-            s.push_str("\"id\": ");
-            write_json_string(&mut s, id);
-            s.push_str(", ");
-        }
-        None => s.push_str("\"id\": null, "),
-    }
-    s.push_str("\"ok\": false, \"error\": ");
-    write_json_string(&mut s, error);
-    s.push('}');
-    s
+    let mut fields = envelope(id, false);
+    fields.push(("error", error.into()));
+    Value::obj(fields).to_json()
 }
 
 /// Decode a response line (success or error).
 pub fn response_from_json(json: &str) -> Result<WireResponse, String> {
-    let value = Value::parse(json)?;
+    response_from_value(&Value::parse(json)?)
+}
+
+fn response_from_value(value: &Value) -> Result<WireResponse, String> {
     deny_unknown(
-        &value,
+        value,
         &[
             "schema_version",
             "id",
@@ -1000,54 +1146,35 @@ pub fn response_from_json(json: &str) -> Result<WireResponse, String> {
         ],
         "response",
     )?;
-    check_schema_version(&value, "response")?;
-    let id = match value.get("id") {
-        None | Some(Value::Null) => None,
-        Some(v) => Some(
-            v.as_str()
-                .ok_or_else(|| "response: id must be a string".to_string())?
-                .to_string(),
-        ),
-    };
-    let ok = require(&value, "ok", "response")?
-        .as_bool()
-        .ok_or_else(|| "response: ok must be a boolean".to_string())?;
-    if !ok {
-        let error = str_field(&value, "error", "response")?.to_string();
+    check_schema_version(value, "response")?;
+    let id = id_field(value, "response")?;
+    if !bool_field(value, "ok", "response")? {
         return Ok(WireResponse {
             id,
             shard: 0,
             keydist_reused: false,
             keydist_messages: None,
             wall_us: 0,
-            report: Err(error),
+            report: Err(str_field(value, "error", "response")?.to_string()),
             report_json: String::new(),
         });
     }
-    let shard = usize_field(&value, "shard", "response")?;
-    let keydist_reused = require(&value, "keydist_reused", "response")?
-        .as_bool()
-        .ok_or_else(|| "response: keydist_reused must be a boolean".to_string())?;
-    let keydist_messages = match require(&value, "keydist_messages", "response")? {
+    let keydist_messages = match require(value, "keydist_messages", "response")? {
         Value::Null => None,
-        Value::Int(i) => Some(
-            usize::try_from(*i)
-                .map_err(|_| "response: keydist_messages out of range".to_string())?,
+        v => Some(
+            uint(v)
+                .ok_or_else(|| "response: keydist_messages must be null or a count".to_string())?,
         ),
-        _ => return Err("response: keydist_messages must be null or an integer".to_string()),
     };
-    let wall_us = u64::try_from(int_field(&value, "wall_us", "response")?)
-        .map_err(|_| "response: wall_us out of range".to_string())?;
-    let report_json = require(&value, "report", "response")?.to_json();
-    let report = report_from_json(&report_json)?;
+    let report = require(value, "report", "response")?;
     Ok(WireResponse {
         id,
-        shard,
-        keydist_reused,
+        shard: uint_field(value, "shard", "response")?,
+        keydist_reused: bool_field(value, "keydist_reused", "response")?,
         keydist_messages,
-        wall_us,
-        report: Ok(report),
-        report_json,
+        wall_us: uint_field(value, "wall_us", "response")?,
+        report: Ok(report_from_value(report)?),
+        report_json: report.to_json(),
     })
 }
 
@@ -1193,57 +1320,6 @@ pub enum RegistryReply {
     },
 }
 
-/// Encode an outcome exactly as [`FdRunReport::to_json`] does.
-fn outcome_to_wire(outcome: &Option<Outcome>) -> String {
-    match outcome {
-        None => "faulty".to_string(),
-        Some(Outcome::Pending) => "pending".to_string(),
-        Some(Outcome::Decided(v)) => format!("decided:{}", hex_encode(v)),
-        Some(Outcome::Discovered(r)) => format!("discovered:{r}"),
-    }
-}
-
-fn grade_to_value(grade: Option<Grade>) -> Value {
-    match grade {
-        None => Value::Null,
-        Some(Grade::Zero) => Value::Int(0),
-        Some(Grade::One) => Value::Int(1),
-        Some(Grade::Two) => Value::Int(2),
-    }
-}
-
-fn grade_from_value(value: &Value, what: &str) -> Result<Option<Grade>, String> {
-    match value {
-        Value::Null => Ok(None),
-        Value::Int(0) => Ok(Some(Grade::Zero)),
-        Value::Int(1) => Ok(Some(Grade::One)),
-        Value::Int(2) => Ok(Some(Grade::Two)),
-        other => Err(format!("{what}: invalid grade {other:?}")),
-    }
-}
-
-fn counts_to_value(counts: &[usize]) -> Value {
-    Value::Arr(counts.iter().map(|&c| Value::Int(c as i128)).collect())
-}
-
-fn counts_field(obj: &Value, key: &str, what: &str) -> Result<Vec<usize>, String> {
-    require(obj, key, what)?
-        .as_arr()
-        .ok_or_else(|| format!("{what}: field {key:?} must be an array"))?
-        .iter()
-        .map(|v| {
-            v.as_int()
-                .and_then(|i| usize::try_from(i).ok())
-                .ok_or_else(|| format!("{what}: {key} entries must be counts"))
-        })
-        .collect()
-}
-
-fn u32_field(obj: &Value, key: &str, what: &str) -> Result<u32, String> {
-    u32::try_from(int_field(obj, key, what)?)
-        .map_err(|_| format!("{what}: field {key:?} out of range"))
-}
-
 /// A `u64` field that old (pre-resilience) wire-v1 peers omit: absent
 /// decodes as 0, so summaries and requests from older builds stay valid.
 fn opt_u64_field(obj: &Value, key: &str, what: &str) -> Result<u64, String> {
@@ -1257,47 +1333,23 @@ fn opt_u64_field(obj: &Value, key: &str, what: &str) -> Result<u64, String> {
 }
 
 fn summary_to_value(summary: &WorkerSummary) -> Value {
-    Value::Obj(vec![
-        ("node".to_string(), Value::Int(summary.node as i128)),
-        (
-            "outcome".to_string(),
-            Value::Str(outcome_to_wire(&summary.outcome)),
-        ),
-        (
-            "used_fallback".to_string(),
-            Value::Bool(summary.used_fallback),
-        ),
-        ("grade".to_string(), grade_to_value(summary.grade)),
-        ("rounds".to_string(), Value::Int(i128::from(summary.rounds))),
-        ("messages".to_string(), Value::Int(summary.messages as i128)),
-        ("bytes".to_string(), Value::Int(summary.bytes as i128)),
-        ("per_round".to_string(), counts_to_value(&summary.per_round)),
-        ("dropped".to_string(), Value::Int(summary.dropped as i128)),
-        (
-            "kd_rounds".to_string(),
-            Value::Int(i128::from(summary.kd_rounds)),
-        ),
-        (
-            "kd_messages".to_string(),
-            Value::Int(summary.kd_messages as i128),
-        ),
-        ("kd_bytes".to_string(), Value::Int(summary.kd_bytes as i128)),
-        (
-            "kd_per_round".to_string(),
-            counts_to_value(&summary.kd_per_round),
-        ),
-        (
-            "kd_anomalies".to_string(),
-            Value::Int(summary.kd_anomalies as i128),
-        ),
-        (
-            "incarnation".to_string(),
-            Value::Int(i128::from(summary.incarnation)),
-        ),
-        (
-            "retries".to_string(),
-            Value::Int(i128::from(summary.retries)),
-        ),
+    Value::obj(vec![
+        ("node", summary.node.into()),
+        ("outcome", outcome_to_value(&summary.outcome)),
+        ("used_fallback", summary.used_fallback.into()),
+        ("grade", grade_to_value(summary.grade)),
+        ("rounds", summary.rounds.into()),
+        ("messages", summary.messages.into()),
+        ("bytes", summary.bytes.into()),
+        ("per_round", summary.per_round.as_slice().into()),
+        ("dropped", summary.dropped.into()),
+        ("kd_rounds", summary.kd_rounds.into()),
+        ("kd_messages", summary.kd_messages.into()),
+        ("kd_bytes", summary.kd_bytes.into()),
+        ("kd_per_round", summary.kd_per_round.as_slice().into()),
+        ("kd_anomalies", summary.kd_anomalies.into()),
+        ("incarnation", summary.incarnation.into()),
+        ("retries", summary.retries.into()),
     ])
 }
 
@@ -1326,22 +1378,20 @@ fn summary_from_value(value: &Value) -> Result<WorkerSummary, String> {
         what,
     )?;
     Ok(WorkerSummary {
-        node: usize_field(value, "node", what)?,
+        node: uint_field(value, "node", what)?,
         outcome: outcome_from_wire(str_field(value, "outcome", what)?)?,
-        used_fallback: require(value, "used_fallback", what)?
-            .as_bool()
-            .ok_or_else(|| format!("{what}: used_fallback must be a boolean"))?,
+        used_fallback: bool_field(value, "used_fallback", what)?,
         grade: grade_from_value(require(value, "grade", what)?, what)?,
-        rounds: u32_field(value, "rounds", what)?,
-        messages: usize_field(value, "messages", what)?,
-        bytes: usize_field(value, "bytes", what)?,
+        rounds: uint_field(value, "rounds", what)?,
+        messages: uint_field(value, "messages", what)?,
+        bytes: uint_field(value, "bytes", what)?,
         per_round: counts_field(value, "per_round", what)?,
-        dropped: usize_field(value, "dropped", what)?,
-        kd_rounds: u32_field(value, "kd_rounds", what)?,
-        kd_messages: usize_field(value, "kd_messages", what)?,
-        kd_bytes: usize_field(value, "kd_bytes", what)?,
+        dropped: uint_field(value, "dropped", what)?,
+        kd_rounds: uint_field(value, "kd_rounds", what)?,
+        kd_messages: uint_field(value, "kd_messages", what)?,
+        kd_bytes: uint_field(value, "kd_bytes", what)?,
         kd_per_round: counts_field(value, "kd_per_round", what)?,
-        kd_anomalies: usize_field(value, "kd_anomalies", what)?,
+        kd_anomalies: uint_field(value, "kd_anomalies", what)?,
         incarnation: opt_u64_field(value, "incarnation", what)?,
         retries: opt_u64_field(value, "retries", what)?,
     })
@@ -1349,8 +1399,7 @@ fn summary_from_value(value: &Value) -> Result<WorkerSummary, String> {
 
 /// Encode a registry request as one wire-v1 JSON document.
 pub fn registry_request_to_json(request: &RegistryRequest) -> String {
-    let mut fields: Vec<(String, Value)> =
-        vec![("schema_version".to_string(), Value::Int(SCHEMA_VERSION))];
+    let mut fields: Vec<(&str, Value)> = vec![("schema_version", SCHEMA_VERSION.into())];
     match request {
         RegistryRequest::Register {
             run,
@@ -1358,60 +1407,50 @@ pub fn registry_request_to_json(request: &RegistryRequest) -> String {
             n,
             addr,
             incarnation,
-        } => {
-            fields.push(("op".to_string(), Value::Str("register".to_string())));
-            fields.push(("run".to_string(), Value::Str(run.clone())));
-            fields.push(("node".to_string(), Value::Int(*node as i128)));
-            fields.push(("n".to_string(), Value::Int(*n as i128)));
-            fields.push(("addr".to_string(), Value::Str(addr.clone())));
-            fields.push((
-                "incarnation".to_string(),
-                Value::Int(i128::from(*incarnation)),
-            ));
-        }
-        RegistryRequest::Lookup { run, node } => {
-            fields.push(("op".to_string(), Value::Str("lookup".to_string())));
-            fields.push(("run".to_string(), Value::Str(run.clone())));
-            fields.push(("node".to_string(), Value::Int(*node as i128)));
-        }
+        } => fields.extend([
+            ("op", "register".into()),
+            ("run", run.as_str().into()),
+            ("node", (*node).into()),
+            ("n", (*n).into()),
+            ("addr", addr.as_str().into()),
+            ("incarnation", (*incarnation).into()),
+        ]),
+        RegistryRequest::Lookup { run, node } => fields.extend([
+            ("op", "lookup".into()),
+            ("run", run.as_str().into()),
+            ("node", (*node).into()),
+        ]),
         RegistryRequest::Barrier {
             run,
             node,
             n,
             phase,
             incarnation,
-        } => {
-            fields.push(("op".to_string(), Value::Str("barrier".to_string())));
-            fields.push(("run".to_string(), Value::Str(run.clone())));
-            fields.push(("node".to_string(), Value::Int(*node as i128)));
-            fields.push(("n".to_string(), Value::Int(*n as i128)));
-            fields.push(("phase".to_string(), Value::Str(phase.clone())));
-            fields.push((
-                "incarnation".to_string(),
-                Value::Int(i128::from(*incarnation)),
-            ));
-        }
+        } => fields.extend([
+            ("op", "barrier".into()),
+            ("run", run.as_str().into()),
+            ("node", (*node).into()),
+            ("n", (*n).into()),
+            ("phase", phase.as_str().into()),
+            ("incarnation", (*incarnation).into()),
+        ]),
         RegistryRequest::Teardown {
             run,
             node,
             summary,
             incarnation,
-        } => {
-            fields.push(("op".to_string(), Value::Str("teardown".to_string())));
-            fields.push(("run".to_string(), Value::Str(run.clone())));
-            fields.push(("node".to_string(), Value::Int(*node as i128)));
-            fields.push(("summary".to_string(), summary_to_value(summary)));
-            fields.push((
-                "incarnation".to_string(),
-                Value::Int(i128::from(*incarnation)),
-            ));
-        }
+        } => fields.extend([
+            ("op", "teardown".into()),
+            ("run", run.as_str().into()),
+            ("node", (*node).into()),
+            ("summary", summary_to_value(summary)),
+            ("incarnation", (*incarnation).into()),
+        ]),
         RegistryRequest::Collect { run } => {
-            fields.push(("op".to_string(), Value::Str("collect".to_string())));
-            fields.push(("run".to_string(), Value::Str(run.clone())));
+            fields.extend([("op", "collect".into()), ("run", run.as_str().into())])
         }
     }
-    Value::Obj(fields).to_json()
+    Value::obj(fields).to_json()
 }
 
 /// Decode a registry request; unknown fields and foreign schema versions
@@ -1439,25 +1478,25 @@ pub fn registry_request_from_json(json: &str) -> Result<RegistryRequest, String>
     match str_field(&value, "op", what)? {
         "register" => Ok(RegistryRequest::Register {
             run,
-            node: usize_field(&value, "node", what)?,
-            n: usize_field(&value, "n", what)?,
+            node: uint_field(&value, "node", what)?,
+            n: uint_field(&value, "n", what)?,
             addr: str_field(&value, "addr", what)?.to_string(),
             incarnation: opt_u64_field(&value, "incarnation", what)?,
         }),
         "lookup" => Ok(RegistryRequest::Lookup {
             run,
-            node: usize_field(&value, "node", what)?,
+            node: uint_field(&value, "node", what)?,
         }),
         "barrier" => Ok(RegistryRequest::Barrier {
             run,
-            node: usize_field(&value, "node", what)?,
-            n: usize_field(&value, "n", what)?,
+            node: uint_field(&value, "node", what)?,
+            n: uint_field(&value, "n", what)?,
             phase: str_field(&value, "phase", what)?.to_string(),
             incarnation: opt_u64_field(&value, "incarnation", what)?,
         }),
         "teardown" => Ok(RegistryRequest::Teardown {
             run,
-            node: usize_field(&value, "node", what)?,
+            node: uint_field(&value, "node", what)?,
             summary: summary_from_value(require(&value, "summary", what)?)?,
             incarnation: opt_u64_field(&value, "incarnation", what)?,
         }),
@@ -1468,48 +1507,37 @@ pub fn registry_request_from_json(json: &str) -> Result<RegistryRequest, String>
 
 /// Encode a registry reply as one wire-v1 JSON document.
 pub fn registry_reply_to_json(reply: &RegistryReply) -> String {
-    let mut fields: Vec<(String, Value)> =
-        vec![("schema_version".to_string(), Value::Int(SCHEMA_VERSION))];
+    let mut fields: Vec<(&str, Value)> = vec![("schema_version", SCHEMA_VERSION.into())];
     match reply {
         RegistryReply::Roster { peers } => {
-            fields.push(("reply".to_string(), Value::Str("roster".to_string())));
-            fields.push((
-                "peers".to_string(),
-                Value::Arr(
-                    peers
-                        .iter()
-                        .map(|(node, addr)| {
-                            Value::Arr(vec![Value::Int(*node as i128), Value::Str(addr.clone())])
-                        })
-                        .collect(),
-                ),
-            ));
+            let peers = peers
+                .iter()
+                .map(|(node, addr)| Value::Arr(vec![(*node).into(), addr.as_str().into()]))
+                .collect();
+            fields.extend([("reply", "roster".into()), ("peers", Value::Arr(peers))]);
         }
-        RegistryReply::Addr { node, addr } => {
-            fields.push(("reply".to_string(), Value::Str("addr".to_string())));
-            fields.push(("node".to_string(), Value::Int(*node as i128)));
-            fields.push(("addr".to_string(), Value::Str(addr.clone())));
-        }
-        RegistryReply::Released { phase } => {
-            fields.push(("reply".to_string(), Value::Str("released".to_string())));
-            fields.push(("phase".to_string(), Value::Str(phase.clone())));
-        }
-        RegistryReply::Ack => {
-            fields.push(("reply".to_string(), Value::Str("ack".to_string())));
-        }
-        RegistryReply::Summaries { workers } => {
-            fields.push(("reply".to_string(), Value::Str("summaries".to_string())));
-            fields.push((
-                "workers".to_string(),
+        RegistryReply::Addr { node, addr } => fields.extend([
+            ("reply", "addr".into()),
+            ("node", (*node).into()),
+            ("addr", addr.as_str().into()),
+        ]),
+        RegistryReply::Released { phase } => fields.extend([
+            ("reply", "released".into()),
+            ("phase", phase.as_str().into()),
+        ]),
+        RegistryReply::Ack => fields.push(("reply", "ack".into())),
+        RegistryReply::Summaries { workers } => fields.extend([
+            ("reply", "summaries".into()),
+            (
+                "workers",
                 Value::Arr(workers.iter().map(summary_to_value).collect()),
-            ));
-        }
+            ),
+        ]),
         RegistryReply::Error { error } => {
-            fields.push(("reply".to_string(), Value::Str("error".to_string())));
-            fields.push(("error".to_string(), Value::Str(error.clone())));
+            fields.extend([("reply", "error".into()), ("error", error.as_str().into())])
         }
     }
-    Value::Obj(fields).to_json()
+    Value::obj(fields).to_json()
 }
 
 /// Decode a registry reply; unknown fields and foreign schema versions
@@ -1533,46 +1561,24 @@ pub fn registry_reply_from_json(json: &str) -> Result<RegistryReply, String> {
     )?;
     check_schema_version(&value, what)?;
     match str_field(&value, "reply", what)? {
-        "roster" => {
-            let peers = require(&value, "peers", what)?
-                .as_arr()
-                .ok_or_else(|| format!("{what}: peers must be an array"))?
-                .iter()
-                .map(|entry| {
-                    let pair = entry
-                        .as_arr()
-                        .filter(|p| p.len() == 2)
-                        .ok_or_else(|| format!("{what}: peers entries are [node, addr]"))?;
-                    let node = pair[0]
-                        .as_int()
-                        .and_then(|i| usize::try_from(i).ok())
-                        .ok_or_else(|| format!("{what}: peer node out of range"))?;
-                    let addr = pair[1]
-                        .as_str()
-                        .ok_or_else(|| format!("{what}: peer addr must be a string"))?
-                        .to_string();
-                    Ok((node, addr))
-                })
-                .collect::<Result<Vec<(usize, String)>, String>>()?;
-            Ok(RegistryReply::Roster { peers })
-        }
+        "roster" => Ok(RegistryReply::Roster {
+            peers: list_field(&value, "peers", what, |v| {
+                pair(v)
+                    .and_then(|(node, addr)| Some((uint(node)?, addr.as_str()?.to_string())))
+                    .ok_or_else(|| format!("{what}: peers entries are [node, addr]"))
+            })?,
+        }),
         "addr" => Ok(RegistryReply::Addr {
-            node: usize_field(&value, "node", what)?,
+            node: uint_field(&value, "node", what)?,
             addr: str_field(&value, "addr", what)?.to_string(),
         }),
         "released" => Ok(RegistryReply::Released {
             phase: str_field(&value, "phase", what)?.to_string(),
         }),
         "ack" => Ok(RegistryReply::Ack),
-        "summaries" => {
-            let workers = require(&value, "workers", what)?
-                .as_arr()
-                .ok_or_else(|| format!("{what}: workers must be an array"))?
-                .iter()
-                .map(summary_from_value)
-                .collect::<Result<Vec<WorkerSummary>, String>>()?;
-            Ok(RegistryReply::Summaries { workers })
-        }
+        "summaries" => Ok(RegistryReply::Summaries {
+            workers: list_field(&value, "workers", what, summary_from_value)?,
+        }),
         "error" => Ok(RegistryReply::Error {
             error: str_field(&value, "error", what)?.to_string(),
         }),
@@ -1727,9 +1733,9 @@ mod tests {
         for protocol in [Protocol::ChainFd, Protocol::FdToBa, Protocol::Degradable] {
             let spec = RunSpec::new(protocol, b"wire".to_vec());
             let report = cluster.run(&spec);
-            let json = report_to_json(&report);
+            let json = report.to_json();
             let decoded = report_from_json(&json).unwrap();
-            assert_eq!(report_to_json(&decoded), json, "{protocol}");
+            assert_eq!(decoded.to_json(), json, "{protocol}");
         }
     }
 

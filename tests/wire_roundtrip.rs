@@ -119,9 +119,9 @@ proptest! {
         prop_assume!(builder.validate().is_ok());
         let (cluster, spec) = builder.build().unwrap();
         let report = cluster.run(&spec);
-        let encoded = wire::report_to_json(&report);
+        let encoded = report.to_json();
         let decoded = wire::report_from_json(&encoded).unwrap();
-        prop_assert_eq!(wire::report_to_json(&decoded), encoded);
+        prop_assert_eq!(decoded.to_json(), encoded);
         prop_assert_eq!(decoded.outcomes.len(), report.outcomes.len());
         prop_assert_eq!(decoded.used_fallback, report.used_fallback);
         prop_assert_eq!(decoded.stats.messages_total, report.stats.messages_total);
@@ -142,7 +142,7 @@ proptest! {
             .with_seed(seed)
             .build()
             .unwrap();
-        let report_json = wire::report_to_json(&cluster.run(&spec));
+        let report_json = cluster.run(&spec).to_json();
         let encoded = wire::response_to_json(
             Some("resp"),
             shard,
