@@ -22,7 +22,8 @@
 //! * [`Generation`] — the supervisor's side of one generation of worker
 //!   processes: spawn them with stdout on a shared exit socket, learn of
 //!   their exits from it (EOF once all have exited), classify each exit
-//!   ([`ExitKind`]), and stop stragglers once the generation is lost.
+//!   ([`ExitKind`]), and end the generation at its first failed worker
+//!   by stopping every worker still running.
 //! * [`supervise`] — the generation loop behind `lafd cluster`: spawn
 //!   the registry and each generation, and let [`Policy`] decide after
 //!   each one to restart, degrade to the crash adversary ([`degraded`])
@@ -914,9 +915,9 @@ fn registry_failure(error: TransportError) -> WorkerFailure {
 // ---------------------------------------------------------------------
 
 /// How long the supervisor waits on a live generation before sweeping
-/// its workers with `try_wait`: a partial failure (some workers exited,
-/// others not) is noticed within one sweep, which starts the grace or
-/// drain window.
+/// its workers with `try_wait`: the first failed worker of a partial
+/// failure (some workers exited, others not) is noticed within one
+/// sweep, and it ends the generation.
 const SWEEP: Duration = Duration::from_millis(20);
 
 /// Nap between reap sweeps once every worker has closed the exit socket
@@ -938,8 +939,9 @@ pub enum ExitKind {
     /// Exit 1 or a panic (101): a genuine bug; restarting would only mask
     /// it.
     Bug,
-    /// Stopped by the supervisor after the generation was already lost;
-    /// not classified.
+    /// Still running when another worker of its generation failed, and
+    /// killed by the supervisor; not classified. (A worker that exited
+    /// on its own before the kill landed is classified by its code.)
     Excluded,
 }
 
@@ -967,16 +969,43 @@ pub struct GenExit {
     pub desc: String,
 }
 
+impl GenExit {
+    /// Classify worker `node`'s reaped `status`. A worker the supervisor
+    /// `stopped` and that died of a signal died of the stop.
+    fn of(node: usize, status: std::io::Result<ExitStatus>, stopped: bool) -> GenExit {
+        let (kind, desc) = match status {
+            Ok(status) if stopped && status.code().is_none() => (
+                ExitKind::Excluded,
+                format!("worker {node} stopped by the supervisor (generation lost)"),
+            ),
+            Ok(status) => (
+                ExitKind::of(status),
+                format!("worker {node} exited with {status}"),
+            ),
+            Err(e) => (ExitKind::Crash, format!("worker {node}: wait failed: {e}")),
+        };
+        GenExit { node, kind, desc }
+    }
+}
+
 /// A child process that is killed and reaped when dropped — on every
 /// exit path, panics included — so nothing the supervisor starts can
 /// outlive it.
 #[derive(Debug)]
 pub struct KillOnDrop(pub Child);
 
+impl KillOnDrop {
+    /// Kill the child unless it has already exited, reap it, and return
+    /// the status it left with.
+    fn stop(&mut self) -> std::io::Result<ExitStatus> {
+        let _ = self.0.kill();
+        self.0.wait()
+    }
+}
+
 impl Drop for KillOnDrop {
     fn drop(&mut self) {
-        let _ = self.0.kill();
-        let _ = self.0.wait();
+        let _ = self.stop();
     }
 }
 
@@ -1003,6 +1032,9 @@ impl Generation {
     pub fn spawn(workers: impl IntoIterator<Item = (usize, Command)>) -> Result<Self, String> {
         let (exits, worker_end) =
             UnixStream::pair().map_err(|e| format!("worker exit socket: {e}"))?;
+        exits
+            .set_read_timeout(Some(SWEEP))
+            .map_err(|e| format!("worker exit socket: {e}"))?;
         let mut generation = Generation {
             workers: Vec::new(),
             exits,
@@ -1022,12 +1054,10 @@ impl Generation {
 
     /// Wait for every worker and classify its exit, forwarding worker
     /// stdout bytes to `out`. Errors if the whole-run guard
-    /// (`4 × io_deadline + 30 s`) expires. Once a failure is seen the
-    /// remaining workers get a bounded window to flush their own exits —
-    /// short (`min(io_deadline, 5 s)`) when a culprit is already known, a
-    /// full I/O deadline plus 5 s when only collateral failures arrived
-    /// (the culprit may still be timing out) — and stragglers past the
-    /// window are stopped and marked [`ExitKind::Excluded`].
+    /// (`4 × io_deadline + 30 s`) expires. The first sweep that reaps a
+    /// failed worker ends the generation: every worker still running is
+    /// stopped and reaped, and marked [`ExitKind::Excluded`] unless it
+    /// exited on its own before the stop landed.
     pub fn wait(
         mut self,
         io_deadline: Duration,
@@ -1038,37 +1068,32 @@ impl Generation {
             .saturating_add(Duration::from_secs(30));
         // A deadline beyond `Instant`'s range is no deadline.
         let guard = Instant::now().checked_add(guard_after);
-        let grace = io_deadline.min(Duration::from_secs(5));
-        let drain = io_deadline.saturating_add(Duration::from_secs(5));
         let mut exits: Vec<GenExit> = Vec::new();
-        let mut first_failure: Option<Instant> = None;
-        let mut culprit_seen = false;
         let mut all_closed = false;
         let mut buf = [0u8; 4096];
         loop {
+            // Wait before the first sweep too, so workers that exit
+            // together are reaped together.
+            if all_closed {
+                std::thread::sleep(REAP_NAP);
+            } else {
+                all_closed = self.read_exits(&mut buf, out)?;
+            }
             for (node, mut child) in std::mem::take(&mut self.workers) {
-                let (kind, desc) = match child.0.try_wait() {
-                    Ok(None) => {
-                        self.workers.push((node, child));
-                        continue;
-                    }
-                    Ok(Some(status)) => (
-                        ExitKind::of(status),
-                        format!("worker {node} exited with {status}"),
-                    ),
-                    Err(e) => (ExitKind::Crash, format!("worker {node}: wait failed: {e}")),
-                };
-                if kind != ExitKind::Ok && first_failure.is_none() {
-                    first_failure = Some(Instant::now());
+                match child.0.try_wait().transpose() {
+                    None => self.workers.push((node, child)),
+                    Some(status) => exits.push(GenExit::of(node, status, false)),
                 }
-                culprit_seen |= matches!(kind, ExitKind::Crash | ExitKind::Bug);
-                exits.push(GenExit { node, kind, desc });
+            }
+            if exits.iter().any(|exit| exit.kind != ExitKind::Ok) {
+                for (node, mut child) in std::mem::take(&mut self.workers) {
+                    exits.push(GenExit::of(node, child.stop(), true));
+                }
             }
             if self.workers.is_empty() {
                 return Ok(exits);
             }
-            let now = Instant::now();
-            if guard.is_some_and(|guard| now > guard) {
+            if guard.is_some_and(|guard| Instant::now() > guard) {
                 let stuck: Vec<String> = self.workers.iter().map(|(n, _)| n.to_string()).collect();
                 // Dropping `self` kills and reaps the stuck workers.
                 return Err(format!(
@@ -1077,45 +1102,13 @@ impl Generation {
                     stuck.join(", ")
                 ));
             }
-            let lost_at = first_failure
-                .and_then(|first| first.checked_add(if culprit_seen { grace } else { drain }));
-            if lost_at.is_some_and(|lost_at| now > lost_at) {
-                for (node, child) in self.workers.drain(..) {
-                    drop(child);
-                    exits.push(GenExit {
-                        node,
-                        kind: ExitKind::Excluded,
-                        desc: format!("worker {node} stopped by the supervisor (generation lost)"),
-                    });
-                }
-                return Ok(exits);
-            }
-            if all_closed {
-                std::thread::sleep(REAP_NAP);
-            } else {
-                let wake = [guard, lost_at]
-                    .into_iter()
-                    .flatten()
-                    .fold(now + SWEEP, Instant::min);
-                // A zero read timeout is an error, not a poll.
-                let timeout = wake.saturating_duration_since(now).max(REAP_NAP);
-                all_closed = self.read_exits(timeout, &mut buf, out)?;
-            }
         }
     }
 
-    /// Block on the exit socket for at most `timeout`, forwarding any
-    /// worker stdout bytes to `out`. Returns whether every worker has
-    /// closed its end (EOF).
-    fn read_exits(
-        &mut self,
-        timeout: Duration,
-        buf: &mut [u8],
-        out: &mut impl Write,
-    ) -> Result<bool, String> {
-        self.exits
-            .set_read_timeout(Some(timeout))
-            .map_err(|e| format!("worker exit socket: {e}"))?;
+    /// Block on the exit socket for at most one [`SWEEP`] (its read
+    /// timeout), forwarding any worker stdout bytes to `out`. Returns
+    /// whether every worker has closed its end (EOF).
+    fn read_exits(&mut self, buf: &mut [u8], out: &mut impl Write) -> Result<bool, String> {
         match self.exits.read(buf) {
             Ok(0) => Ok(true),
             Ok(len) => {
@@ -1584,35 +1577,52 @@ mod tests {
 
     #[test]
     fn exits_classify_by_code_and_signal() {
-        let generation = sh_generation(&[
-            "exit 0",
-            "exit 45",
-            "exit 46",
-            "exit 1",
-            "exit 101",
-            "kill -9 $$",
-        ]);
-        let exits = generation
-            .wait(Duration::from_secs(10), &mut Vec::new())
-            .expect("every child exits");
         use ExitKind::{Bug, Collateral, Crash, Ok};
-        assert_eq!(kinds(exits), [Ok, Collateral, Crash, Bug, Bug, Crash]);
+        // One worker per generation: the sweep reaps each exit, while a
+        // sibling still running beside a failure would be stopped.
+        for (script, kind) in [
+            ("exit 0", Ok),
+            ("exit 45", Collateral),
+            ("exit 46", Crash),
+            ("exit 1", Bug),
+            ("exit 101", Bug),
+            ("kill -9 $$", Crash),
+        ] {
+            let exits = sh_generation(&[script])
+                .wait(Duration::from_secs(10), &mut Vec::new())
+                .expect("the child exits");
+            assert_eq!(kinds(exits), [kind], "{script}");
+        }
     }
 
     #[test]
-    fn a_straggler_beside_a_culprit_is_excluded_after_the_grace_window() {
-        let generation = sh_generation(&["exit 46", "exec sleep 30"]);
-        let started = Instant::now();
-        let exits = generation
-            .wait(Duration::from_secs(1), &mut Vec::new())
-            .expect("the window ends the generation, not the guard");
-        let took = started.elapsed();
-        assert_eq!(kinds(exits), [ExitKind::Crash, ExitKind::Excluded]);
-        // grace = min(io_deadline, 5 s) = 1 s after the crash was seen.
-        assert!(
-            took >= Duration::from_secs(1) && took < Duration::from_secs(3),
-            "straggler stopped after {took:?}"
-        );
+    fn the_first_failed_worker_ends_its_generation_at_once() {
+        use ExitKind::{Collateral, Crash, Excluded};
+        for (culprit, kind) in [("exit 46", Crash), ("exit 45", Collateral)] {
+            let generation = sh_generation(&[culprit, "exec sleep 30"]);
+            let started = Instant::now();
+            let exits = generation
+                .wait(Duration::from_secs(60), &mut Vec::new())
+                .expect("the failure ends the generation, not the guard");
+            let took = started.elapsed();
+            assert_eq!(kinds(exits), [kind, Excluded], "{culprit}");
+            assert!(
+                took < Duration::from_secs(1),
+                "{culprit}: straggler stopped after {took:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_stopped_worker_that_exited_on_its_own_keeps_its_code() {
+        use std::os::unix::process::ExitStatusExt;
+        let of = |raw: i32, stopped: bool| GenExit::of(3, Ok(ExitStatus::from_raw(raw)), stopped);
+        // A crash that raced the stop is still charged to its slot.
+        assert_eq!(of(46 << 8, true).kind, ExitKind::Crash);
+        assert_eq!(of(45 << 8, true).kind, ExitKind::Collateral);
+        // SIGKILL is the stop itself; reaped by a sweep it is a crash.
+        assert_eq!(of(9, true).kind, ExitKind::Excluded);
+        assert_eq!(of(9, false).kind, ExitKind::Crash);
     }
 
     #[test]

@@ -576,6 +576,87 @@ mod tests {
         assert_eq!(p.generation(), u64::from(Policy::FLAKES));
     }
 
+    /// Run `lafd chaos`-style round-1 kills of `slots` (each rule firing
+    /// for `times` incarnations, and stripped once its slot is dead)
+    /// through the policy of an `n`-worker run at `t`. `charge` picks
+    /// which of a generation's firing slots are reaped as crashes; the
+    /// rest of that generation is stopped. Returns the terminal step, the
+    /// dead set and the generations launched.
+    fn run_kills(
+        n: usize,
+        t: usize,
+        slots: &[usize],
+        times: u64,
+        charge: fn(&[usize]) -> &[usize],
+    ) -> (Step, Vec<usize>, u64) {
+        let builder = SpecBuilder::new(Protocol::ChainFd, n).with_t(t);
+        let mut p = Policy::new(&builder, ClusterConfig::default().max_restarts);
+        loop {
+            let firing: Vec<usize> = slots
+                .iter()
+                .copied()
+                .filter(|slot| p.generation() < times && !p.dead().contains(slot))
+                .collect();
+            let crashed = charge(&firing);
+            let exits: Vec<GenExit> = (0..n)
+                .map(|node| {
+                    let kind = if crashed.contains(&node) {
+                        Crash
+                    } else if firing.is_empty() {
+                        Ok
+                    } else {
+                        Excluded
+                    };
+                    GenExit {
+                        node,
+                        kind,
+                        desc: format!("worker {node} exited ({kind:?})"),
+                    }
+                })
+                .collect();
+            if let step @ (Step::Collect | Step::Abort(_)) = p.step(&exits) {
+                return (step, p.dead().to_vec(), p.generation() + 1);
+            }
+        }
+    }
+
+    #[test]
+    fn crashes_split_across_generations_reach_the_same_end_as_crashes_together() {
+        // (n, t, killed slots, incarnations each kill fires for): the
+        // `kill-beyond-t` campaigns at t = 1 and t = 2, and a transient
+        // two-slot kill.
+        let cases = [
+            (4, 1, &[0, 1][..], u64::MAX),
+            (8, 2, &[0, 1, 2], u64::MAX),
+            (4, 1, &[0, 1], 1),
+        ];
+        for (n, t, slots, times) in cases {
+            let (end, dead) = if times == u64::MAX {
+                let error = format!(
+                    "workers {slots:?} are dead past their restart budget — {} crash failures exceed t = {t}",
+                    slots.len()
+                );
+                (Step::Abort(error), slots)
+            } else {
+                (Step::Collect, &[][..])
+            };
+            let together = run_kills(n, t, slots, times, |firing| firing);
+            // A stop racing the other crashes charges one per generation,
+            // whichever the sweep happened to reap first.
+            let lowest = run_kills(n, t, slots, times, |firing| &firing[..firing.len().min(1)]);
+            let highest = run_kills(n, t, slots, times, |firing| {
+                &firing[firing.len().saturating_sub(1)..]
+            });
+            for run in [&together, &lowest, &highest] {
+                assert_eq!(
+                    (&run.0, &run.1[..]),
+                    (&end, dead),
+                    "{slots:?} at t = {t}: {run:?}, together {together:?}"
+                );
+            }
+        }
+    }
+
     #[test]
     fn the_generation_backstop_stops_a_run() {
         let mut p = policy(1);

@@ -20,7 +20,7 @@ use local_auth_fd::core::sweep::AdversaryKind;
 use local_auth_fd::core::wire::Value;
 use local_auth_fd::simnet::NodeId;
 use std::process::Command;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 const SEED: u64 = 23;
 
@@ -98,23 +98,38 @@ fn identical_seeds_produce_identical_injection_traces_and_reports() {
 fn a_transient_kill_within_the_budget_recovers_byte_identical_to_fault_free() {
     let (cluster, spec) = cluster_builder(4).build().expect("valid spec");
     let fault_free = cluster.run(&spec).to_json();
-    // kill=1@round:1 (times = 1): the victim dies once, the supervisor
-    // relaunches the generation, and the retried run is clean.
-    let (stdout, stderr, code) = run_chaos_cluster(&["--chaos", "seed=7;kill=1@round:1"]);
-    assert_eq!(code, Some(0), "recovered run must exit 0: {stderr}");
-    assert_eq!(
-        stdout.lines().last().unwrap_or_default(),
-        fault_free,
-        "a recovered run must report byte-identical to the fault-free run"
-    );
-    assert!(
-        stdout.contains("generations=2"),
-        "recovery must take exactly one restart generation, stdout: {stdout}"
-    );
-    assert!(
-        stdout.contains("degraded=false"),
-        "a recovered run is not degraded, stdout: {stdout}"
-    );
+    // kill=1@PHASE (times = 1): the victim dies once, the supervisor
+    // stops the generation and relaunches it, and the retried run is
+    // clean. No phase waits out a timer, so each recovers well inside the
+    // 10 s I/O deadline.
+    for phase in ["keydist", "round:1", "teardown"] {
+        let started = Instant::now();
+        let chaos = format!("seed=7;kill=1@{phase}");
+        let (stdout, stderr, code) = run_chaos_cluster(&["--chaos", &chaos]);
+        let took = started.elapsed();
+        assert_eq!(
+            code,
+            Some(0),
+            "{chaos}: recovered run must exit 0: {stderr}"
+        );
+        assert_eq!(
+            stdout.lines().last().unwrap_or_default(),
+            fault_free,
+            "{chaos}: a recovered run must report byte-identical to the fault-free run"
+        );
+        assert!(
+            stdout.contains("generations=2"),
+            "{chaos}: recovery must take exactly one restart generation, stdout: {stdout}"
+        );
+        assert!(
+            stdout.contains("degraded=false"),
+            "{chaos}: a recovered run is not degraded, stdout: {stdout}"
+        );
+        assert!(
+            took < Duration::from_secs(2),
+            "{chaos}: recovery took {took:?}"
+        );
+    }
 }
 
 #[test]
