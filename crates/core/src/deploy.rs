@@ -801,6 +801,7 @@ fn run_worker_inner(
             stores,
             stats: kd_stats.clone(),
             anomalies: vec![(me, kd_anomalies.clone())],
+            round_marks: None,
             predicates: Some(table),
             rings,
         });

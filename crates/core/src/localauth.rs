@@ -19,12 +19,19 @@
 //! The protocol makes **no assumption about the number of faulty nodes**;
 //! a peer that misbehaves is simply never accepted into the local
 //! [`KeyStore`]. After the protocol, properties G1 and G2 hold (Theorem 2).
+//!
+//! One buffer per node-round: a node encodes all of a round's challenges
+//! (or responses) into one exactly sized buffer and sends each message as
+//! a slice of it, so a round costs it one allocation, not one per peer. A
+//! corrupting link still changes one message only (copy-on-write, see
+//! [`fd_simnet::Payload::make_mut`]).
 
 use crate::keys::{KeyStore, Keyring, PredicateTable};
 use fd_crypto::{PublicKey, Signature, SignatureScheme};
 use fd_simnet::codec::{CodecError, Decode, Encode, Reader, Writer};
-use fd_simnet::{Envelope, Node, NodeId, Outbox};
+use fd_simnet::{Envelope, Node, NodeId, Outbox, Payload};
 use std::any::Any;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Wire messages of the key distribution protocol.
@@ -60,6 +67,44 @@ pub enum KdMsg {
 const TAG_ANNOUNCE: u8 = 0x01;
 const TAG_CHALLENGE: u8 = 0x02;
 const TAG_RESPONSE: u8 = 0x03;
+
+/// Encoded length of a [`KdMsg::Challenge`]: tag, two names, nonce.
+const CHALLENGE_LEN: usize = 1 + 2 + 2 + 8;
+/// Encoded length of a [`KdMsg::Response`] without its signature bytes:
+/// the challenge fields plus the signature's length prefix.
+const RESPONSE_HEADER_LEN: usize = CHALLENGE_LEN + 4;
+
+/// One round's messages of a node: encoded back to back into one buffer,
+/// sent as slices of it.
+struct Batch {
+    w: Writer,
+    sends: Vec<(NodeId, Range<usize>)>,
+}
+
+impl Batch {
+    /// Room for `count` messages of `len` bytes each.
+    fn new(count: usize, len: usize) -> Self {
+        Batch {
+            w: Writer::with_capacity(count * len),
+            sends: Vec::with_capacity(count),
+        }
+    }
+
+    /// Encode `msg` for `to`.
+    fn push(&mut self, to: NodeId, msg: &KdMsg) {
+        let start = self.w.len();
+        msg.encode(&mut self.w);
+        self.sends.push((to, start..self.w.len()));
+    }
+
+    /// Queue every message, in push order, as a slice of one payload.
+    fn send(self, out: &mut Outbox) {
+        let buf = Payload::from(self.w.into_bytes());
+        for (to, range) in self.sends {
+            out.send(to, buf.slice(range));
+        }
+    }
+}
 
 impl Encode for KdMsg {
     fn encode(&self, w: &mut Writer) {
@@ -265,6 +310,7 @@ impl Node for KeyDistNode {
             }
             // Round 1: record announcements, challenge each announcer.
             1 => {
+                let mut batch = Batch::new(inbox.len(), CHALLENGE_LEN);
                 for env in inbox {
                     let Some(msg) = self.decode(env) else {
                         continue;
@@ -282,16 +328,16 @@ impl Node for KeyDistNode {
                     self.candidates[env.from.index()] = Some(interned);
                     let nonce = self.rng.next_u64();
                     self.issued[env.from.index()] = Some(nonce);
-                    out.send(
+                    batch.push(
                         env.from,
-                        KdMsg::Challenge {
+                        &KdMsg::Challenge {
                             challenger: self.me,
                             challenged: env.from,
                             nonce,
-                        }
-                        .encode_to_vec(),
+                        },
                     );
                 }
+                batch.send(out);
                 for peer in NodeId::all(self.n) {
                     if peer != self.me && self.candidates[peer.index()].is_none() {
                         self.anomalies.push(KdAnomaly::NoAnnounce(peer));
@@ -300,6 +346,8 @@ impl Node for KeyDistNode {
             }
             // Round 2: sign challenges that name me and the true challenger.
             2 => {
+                let response_len = RESPONSE_HEADER_LEN + self.scheme.signature_len();
+                let mut batch = Batch::new(inbox.len(), response_len);
                 for env in inbox {
                     let Some(msg) = self.decode(env) else {
                         continue;
@@ -324,17 +372,17 @@ impl Node for KeyDistNode {
                         .scheme
                         .sign(&self.keyring.sk, &bytes)
                         .expect("own keyring is well-formed");
-                    out.send(
+                    batch.push(
                         env.from,
-                        KdMsg::Response {
+                        &KdMsg::Response {
                             challenger,
                             challenged,
                             nonce,
                             sig: sig.0,
-                        }
-                        .encode_to_vec(),
+                        },
                     );
                 }
+                batch.send(out);
             }
             // Round 3: verify responses, accept predicates.
             3 => {
@@ -485,6 +533,105 @@ mod tests {
                         "stores disagree on {peer}"
                     );
                 }
+            }
+        }
+    }
+
+    /// A key distribution node that keeps a handle to every payload it
+    /// sends, by round.
+    struct Tap {
+        inner: KeyDistNode,
+        sent: Vec<Vec<Payload>>,
+    }
+
+    impl Node for Tap {
+        fn id(&self) -> NodeId {
+            self.inner.id()
+        }
+        fn on_round(&mut self, round: u32, inbox: &[Envelope], out: &mut Outbox) {
+            let mut own = Outbox::new();
+            self.inner.on_round(round, inbox, &mut own);
+            let msgs = own.into_messages();
+            self.sent
+                .push(msgs.iter().map(|(_, p)| p.clone()).collect());
+            for (to, payload) in msgs {
+                out.send(to, payload);
+            }
+        }
+        fn is_done(&self) -> bool {
+            self.inner.is_done()
+        }
+        fn as_any(&self) -> &dyn Any {
+            self
+        }
+        fn as_any_mut(&mut self) -> &mut dyn Any {
+            self
+        }
+        fn into_any(self: Box<Self>) -> Box<dyn Any> {
+            self
+        }
+    }
+
+    #[test]
+    fn a_node_round_is_one_exactly_sized_buffer() {
+        let n = 5;
+        let scheme: Arc<dyn SignatureScheme> = Arc::new(SchnorrScheme::test_tiny());
+        let nodes: Vec<Box<dyn Node>> = NodeId::all(n)
+            .map(|me| {
+                let ring = Keyring::generate(scheme.as_ref(), me, 3);
+                Box::new(Tap {
+                    inner: KeyDistNode::new(me, n, Arc::clone(&scheme), ring, 3),
+                    sent: Vec::new(),
+                }) as Box<dyn Node>
+            })
+            .collect();
+        let mut net = SyncNetwork::new(nodes);
+        net.run_until_done(KEYDIST_ROUNDS);
+        let response_len = RESPONSE_HEADER_LEN + scheme.signature_len();
+        for node in net.into_nodes() {
+            let tap = node.into_any().downcast::<Tap>().unwrap();
+            for (round, len) in [(1, CHALLENGE_LEN), (2, response_len)] {
+                let batch = &tap.sent[round];
+                assert_eq!(batch.len(), n - 1);
+                for payload in batch {
+                    assert!(payload.shares_buffer_with(&batch[0]), "round {round}");
+                    assert_eq!(payload.len(), len, "round {round}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn corrupting_one_batched_message_leaves_its_siblings_intact() {
+        // Node 0's challenge to node 1 loses its last nonce byte; the
+        // challenges to 2..4 are slices of the same buffer.
+        let n = 5;
+        let scheme: Arc<dyn SignatureScheme> = Arc::new(SchnorrScheme::test_tiny());
+        let nodes: Vec<Box<dyn Node>> = NodeId::all(n)
+            .map(|me| {
+                let ring = Keyring::generate(scheme.as_ref(), me, 9);
+                Box::new(KeyDistNode::new(me, n, Arc::clone(&scheme), ring, 9)) as Box<dyn Node>
+            })
+            .collect();
+        let mut net = SyncNetwork::new(nodes);
+        net.set_fault_plan(fd_simnet::fault::FaultPlan::new().with(
+            1,
+            NodeId(0),
+            NodeId(1),
+            fd_simnet::fault::LinkFault::Corrupt {
+                offset: CHALLENGE_LEN - 1,
+                mask: 0x01,
+            },
+        ));
+        net.run_until_done(KEYDIST_ROUNDS);
+        for (i, node) in net.into_nodes().into_iter().enumerate() {
+            let node = node.into_any().downcast::<KeyDistNode>().unwrap();
+            if i == 0 {
+                assert_eq!(node.anomalies(), [KdAnomaly::BadResponse(NodeId(1))]);
+                assert_eq!(node.store().accepted_count(), n - 1);
+            } else {
+                assert!(node.anomalies().is_empty(), "node {i}");
+                assert_eq!(node.store().accepted_count(), n, "node {i}");
             }
         }
     }

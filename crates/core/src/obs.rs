@@ -169,7 +169,8 @@ impl PhaseBreakdown {
 /// One named span on a trace timeline, in the trace's clock units.
 #[derive(Debug, Clone)]
 pub struct Span {
-    /// Span name (`keydist`, `round:12`, `assemble`, `report`, `verify`).
+    /// Span name (`keydist`, `keydist:round:2`, `round:12`, `assemble`,
+    /// `report`, `verify`).
     pub name: String,
     /// Start timestamp.
     pub start: u64,
@@ -190,8 +191,9 @@ pub struct CounterSample {
 ///
 /// The `spans` tile the run timeline without overlap, so their durations
 /// sum to the run's total extent in the trace clock; `attributed` spans
-/// (currently just `verify`) re-attribute time already counted inside the
-/// round spans and live on a separate track.
+/// re-attribute time already counted inside them and live on a separate
+/// track: `keydist:round:N` (wall clock only) tile the `keydist` span,
+/// `verify` sums the run's predicate evaluations.
 #[derive(Debug, Clone)]
 pub struct RunTrace {
     /// Clock of every timestamp in this trace.
@@ -369,13 +371,31 @@ fn assemble_trace(
     let mut cursor = 0u64;
     match clock {
         SpanClock::WallMicros => {
-            if keydist.is_some() {
+            if let Some(kd) = keydist {
                 spans.push(Span {
                     name: "keydist".to_string(),
                     start: 0,
                     dur: kd_us,
                 });
                 cursor = kd_us;
+                // The keydist rounds tile the keydist span: round 0 also
+                // covers key generation, the last round the store
+                // extraction after the round loop.
+                let marks = kd.round_marks.as_deref().unwrap_or_default();
+                let mut prev = 0u64;
+                for (r, &mark) in marks.iter().enumerate() {
+                    let end = if r + 1 == marks.len() {
+                        kd_us
+                    } else {
+                        mark.clamp(prev, kd_us)
+                    };
+                    attributed.push(Span {
+                        name: format!("keydist:round:{r}"),
+                        start: prev,
+                        dur: end - prev,
+                    });
+                    prev = end;
+                }
             }
             let run_base = cursor;
             let mut prev = 0u64;

@@ -80,11 +80,16 @@ pub struct SyncDriver {
     /// Record end-of-round wall-clock marks into
     /// [`DriveReport::round_marks`].
     pub record_marks: bool,
+    /// Threads that step one round's nodes (see
+    /// [`SyncNetwork::set_workers`]; 0 and 1 both mean the calling thread
+    /// alone). Reports are identical for any count.
+    pub workers: usize,
 }
 
 impl NetworkDriver for SyncDriver {
     fn drive(&self, nodes: Vec<Box<dyn Node>>, max_rounds: u32) -> DriveReport {
         let mut net = SyncNetwork::new(nodes);
+        net.set_workers(self.workers);
         if !self.faults.is_empty() {
             net.set_fault_plan(self.faults.clone());
         }
@@ -229,6 +234,11 @@ pub struct KeyDistReport {
     pub stats: NetStats,
     /// Anomalies each honest node recorded.
     pub anomalies: Vec<(NodeId, Vec<KdAnomaly>)>,
+    /// End-of-round wall-clock marks, in µs since the key distribution
+    /// began (so round 0 also covers key generation), when it ran on the
+    /// sync engine with observability on; `None` otherwise. Never part of
+    /// an equivalence surface.
+    pub round_marks: Option<Vec<u64>>,
     /// The shared predicate table the stores intern against, when the run
     /// used one (honest-case allocation profile: `O(n)` distinct keys —
     /// see [`PredicateTable::distinct_allocations`]). `None` for
@@ -409,13 +419,21 @@ impl Cluster {
     /// Drive a node set to completion on the configured engine. The round
     /// budget is stretched for non-synchronous latency and for the largest
     /// installed delay fault, so late messages still land within the run
-    /// instead of silently degrading into drops.
-    pub(crate) fn drive(&self, nodes: Vec<Box<dyn Node>>, base_rounds: u32) -> DriveReport {
+    /// instead of silently degrading into drops. `workers` threads step
+    /// each sync-engine round (see [`SyncNetwork::set_workers`]); the event
+    /// engine always runs on the calling thread.
+    pub(crate) fn drive(
+        &self,
+        nodes: Vec<Box<dyn Node>>,
+        base_rounds: u32,
+        workers: usize,
+    ) -> DriveReport {
         let delay_slack = self.faults.max_delay_rounds();
         match self.engine {
             Engine::Sync => SyncDriver {
                 faults: self.faults.clone(),
                 record_marks: self.obs,
+                workers,
             }
             .drive(nodes, base_rounds.saturating_add(delay_slack)),
             Engine::Event => {
@@ -469,6 +487,7 @@ impl Cluster {
             stores,
             stats: NetStats::new(self.n),
             anomalies: Vec::new(),
+            round_marks: None,
             predicates: Some(table),
             rings,
         }
@@ -486,13 +505,32 @@ impl Cluster {
         self.run_key_distribution_with(&mut |_| None)
     }
 
-    /// Run key distribution with selected nodes replaced by adversaries.
+    /// Run key distribution with selected nodes replaced by adversaries,
+    /// stepping each sync-engine round on every available core (see
+    /// [`Cluster::run_key_distribution_on`]).
     ///
     /// Honest nodes intern announced predicates against one shared
     /// [`PredicateTable`], so the honest case builds all stores from
     /// `O(n)` distinct key allocations (the table is returned on the
     /// report for allocation-profile assertions).
     pub fn run_key_distribution_with(&self, substitute: Substitution<'_>) -> KeyDistReport {
+        let workers = std::thread::available_parallelism().map_or(1, usize::from);
+        self.run_key_distribution_on(workers, substitute)
+    }
+
+    /// [`Cluster::run_key_distribution_with`] on exactly `workers` threads
+    /// per sync-engine round (event-engine rounds stay on the calling
+    /// thread). The report is identical for any worker count: within a
+    /// round each node's work depends only on its own inbox, and honest
+    /// nodes share only the intern table and the scheme's lazily built
+    /// tables, which answer the same whatever order they are called in.
+    /// A substitute must not share order-dependent state either.
+    pub fn run_key_distribution_on(
+        &self,
+        workers: usize,
+        substitute: Substitution<'_>,
+    ) -> KeyDistReport {
+        let started = std::time::Instant::now();
         // One pass of key generation feeds both the honest keyrings and
         // the shared table the stores intern against.
         let rings = self.keyrings();
@@ -519,7 +557,17 @@ impl Cluster {
                 }
             })
             .collect();
-        let report = self.drive(nodes, KEYDIST_ROUNDS);
+        let lead_us = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
+        let report = self.drive(nodes, KEYDIST_ROUNDS, workers);
+        let round_marks = match self.engine {
+            Engine::Sync => report.round_marks.map(|marks| {
+                marks
+                    .iter()
+                    .map(|&mark| lead_us.saturating_add(mark))
+                    .collect()
+            }),
+            Engine::Event => None,
+        };
         let stats = report.stats;
         let mut stores = Vec::with_capacity(self.n);
         let mut anomalies = Vec::new();
@@ -540,6 +588,7 @@ impl Cluster {
             stores,
             stats,
             anomalies,
+            round_marks,
             predicates: Some(table),
             rings,
         }
@@ -581,7 +630,7 @@ impl Cluster {
                 )) as Box<dyn Node>
             })
             .collect();
-        let report = self.drive(nodes, rounds);
+        let report = self.drive(nodes, rounds, 1);
         let stats = report.stats;
         let delay_log = report.delay_log;
         let mut outcomes = Vec::with_capacity(self.n);

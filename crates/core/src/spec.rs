@@ -644,7 +644,9 @@ impl Cluster {
             });
             self.honest_node(protocol, me, slot_keys, &value, &default_value)
         });
-        let drive = self.drive(nodes, rounds);
+        // One worker: the run's nodes share `cache` (see
+        // `SyncNetwork::set_workers`).
+        let drive = self.drive(nodes, rounds, 1);
         let phases = crate::obs::PhaseBreakdown::from_drive(
             self.engine,
             drive.round_marks,

@@ -65,6 +65,14 @@ impl Writer {
         Writer::default()
     }
 
+    /// Fresh empty writer with room for `capacity` bytes, for callers
+    /// that encode several values into one buffer of known size.
+    pub fn with_capacity(capacity: usize) -> Self {
+        Writer {
+            buf: Vec::with_capacity(capacity),
+        }
+    }
+
     /// Current encoded length.
     pub fn len(&self) -> usize {
         self.buf.len()

@@ -3,17 +3,26 @@
 use crate::fault::{FaultPlan, LinkFault};
 use crate::{Envelope, NetStats, Node, NodeId, Outbox};
 
+/// Rounds that deliver fewer messages than this step every node on the
+/// calling thread: below it, spawning a worker costs more than the round.
+const PARALLEL_MIN_DELIVERIES: usize = 256;
+
 /// Round-synchronous network simulator (paper §2 model).
 ///
 /// Owns the node automata and drives them in lock-step rounds: everything
 /// sent in round `r` is delivered at the start of round `r + 1`, reliably
 /// (N1) and with the sender stamped by the simulator (N2). Execution is
-/// fully deterministic: message order within a round is sender-id order,
-/// then send order.
+/// fully deterministic for any worker count (see
+/// [`SyncNetwork::set_workers`]): message order within a round is
+/// sender-id order, then send order.
 pub struct SyncNetwork {
     nodes: Vec<Box<dyn Node>>,
-    /// Messages sent in the round just executed, awaiting delivery.
-    in_flight: Vec<Envelope>,
+    /// Messages sent in the round just executed, awaiting delivery: one
+    /// segment per worker's id range, in id order, then the rushing
+    /// nodes' segment — walking them in order is sender-id order.
+    in_flight: Vec<Vec<Envelope>>,
+    /// Threads that may step one round's nodes (at least 1).
+    workers: usize,
     /// Messages held back by a [`LinkFault::Delay`], keyed by the round in
     /// which they become deliverable.
     delayed: Vec<(u32, Envelope)>,
@@ -52,6 +61,7 @@ impl SyncNetwork {
         SyncNetwork {
             nodes,
             in_flight: Vec::new(),
+            workers: 1,
             delayed: Vec::new(),
             round: 0,
             stats: NetStats::new(n),
@@ -84,6 +94,24 @@ impl SyncNetwork {
     /// when round marks were never enabled.
     pub fn max_queue_depth(&self) -> Option<usize> {
         self.round_marks.as_ref().map(|_| self.max_queue_depth)
+    }
+
+    /// Step each round's non-rushing nodes on up to `workers` threads
+    /// (default 1; 0 counts as 1). The nodes are split into contiguous id
+    /// ranges: the calling thread runs the first, scoped threads the rest,
+    /// and each range queues its sends into its own segment, delivered in
+    /// id order — so delivery order, statistics and every node's inputs
+    /// are the same for any worker count. Rounds delivering fewer than 256
+    /// messages use the calling thread alone.
+    ///
+    /// That holds as long as nodes share no state whose outcome depends
+    /// on the order they touch it in: a verification cache shared by every
+    /// node of a protocol run counts hits and misses by arrival, and its
+    /// mutexes serialize the workers anyway, so protocol runs keep one
+    /// worker. A node that panics on a worker thread re-raises its own
+    /// panic payload on the calling thread.
+    pub fn set_workers(&mut self, workers: usize) {
+        self.workers = workers.max(1);
     }
 
     /// Install a link-fault plan (deliberate N1 violations for tests).
@@ -173,7 +201,7 @@ impl SyncNetwork {
             }
         }
         self.delayed = held;
-        for env in self.in_flight.drain(..) {
+        for env in std::mem::take(&mut self.in_flight).into_iter().flatten() {
             match self.faults.lookup(env.round, env.from, env.to) {
                 Some(LinkFault::Drop) => continue,
                 Some(LinkFault::Corrupt { offset, mask }) => {
@@ -204,48 +232,71 @@ impl SyncNetwork {
         }
 
         // Run every node on its inbox; collect new messages. Non-rushing
-        // nodes act first (in id order); rushing nodes act last and
-        // additionally preview the current round's messages addressed to
-        // them (see [`SyncNetwork::set_rushing`]).
-        let order: Vec<usize> = (0..n)
-            .filter(|i| !self.rushing.contains(&NodeId(*i as u16)))
-            .chain((0..n).filter(|i| self.rushing.contains(&NodeId(*i as u16))))
-            .collect();
-        for i in order {
-            let from = NodeId(i as u16);
-            let mut inbox = std::mem::take(&mut inboxes[i]);
-            if self.rushing.contains(&from) {
-                inbox.extend(
-                    self.in_flight
-                        .iter()
-                        .filter(|env| env.round == round && env.to == from)
-                        .cloned(),
-                );
+        // nodes act first, one contiguous id range per worker; rushing
+        // nodes act last and additionally preview the current round's
+        // messages addressed to them (see [`SyncNetwork::set_rushing`]).
+        let deliveries: usize = inboxes.iter().map(Vec::len).sum();
+        let workers = if deliveries < PARALLEL_MIN_DELIVERIES {
+            1
+        } else {
+            self.workers
+        };
+        let chunk = n.div_ceil(workers).max(1);
+        let rushing = &self.rushing;
+        let mut segments = Vec::with_capacity(workers + 1);
+        std::thread::scope(|scope| {
+            let mut ranges = self
+                .nodes
+                .chunks_mut(chunk)
+                .zip(inboxes.chunks_mut(chunk))
+                .enumerate()
+                .map(|(r, (nodes, inboxes))| (r * chunk, nodes, inboxes));
+            let first = ranges.next();
+            let spawned: Vec<_> = ranges
+                .map(|(base, nodes, inboxes)| {
+                    scope.spawn(move || step_range(base, nodes, inboxes, round, rushing))
+                })
+                .collect();
+            if let Some((base, nodes, inboxes)) = first {
+                segments.push(step_range(base, nodes, inboxes, round, rushing));
             }
-            let mut out = Outbox::new();
-            self.nodes[i].on_round(round, &inbox, &mut out);
-            for (to, payload) in out.into_messages() {
-                if to.index() >= n {
-                    self.stats.dropped_invalid += 1;
-                    continue;
+            for worker in spawned {
+                match worker.join() {
+                    Ok(segment) => segments.push(segment),
+                    Err(panic) => std::panic::resume_unwind(panic),
                 }
-                let env = Envelope {
-                    from,
-                    to,
-                    round,
-                    payload,
-                };
-                self.stats.record_send(from, round, env.wire_len());
-                self.in_flight.push(env);
             }
+        });
+        for segment in &mut segments {
+            record_segment(&mut self.stats, segment, n);
         }
+        let mut rushed = Vec::new();
+        for from in NodeId::all(n).filter(|id| self.rushing.contains(id)) {
+            let mut inbox = std::mem::take(&mut inboxes[from.index()]);
+            inbox.extend(
+                segments
+                    .iter()
+                    .chain([&rushed])
+                    .flatten()
+                    .filter(|env| env.to == from)
+                    .cloned(),
+            );
+            let mut out = Outbox::new();
+            self.nodes[from.index()].on_round(round, &inbox, &mut out);
+            let mut sent = envelopes(from, round, out).collect();
+            record_segment(&mut self.stats, &mut sent, n);
+            rushed.append(&mut sent);
+        }
+        segments.push(rushed);
+        self.in_flight = segments;
 
         self.round += 1;
         self.stats.rounds = self.round;
         if let Some(marks) = self.round_marks.as_mut() {
             let epoch = self.marks_epoch.expect("marks epoch set with round_marks");
             marks.push(u64::try_from(epoch.elapsed().as_micros()).unwrap_or(u64::MAX));
-            let depth = self.in_flight.len() + self.delayed.len();
+            let in_flight: usize = self.in_flight.iter().map(Vec::len).sum();
+            let depth = in_flight + self.delayed.len();
             self.max_queue_depth = self.max_queue_depth.max(depth);
         }
     }
@@ -255,7 +306,10 @@ impl SyncNetwork {
     pub fn run_until_done(&mut self, max_rounds: u32) -> u32 {
         while self.round < max_rounds {
             self.step();
-            if self.all_done() && self.in_flight.is_empty() && self.delayed.is_empty() {
+            if self.all_done()
+                && self.in_flight.iter().all(Vec::is_empty)
+                && self.delayed.is_empty()
+            {
                 break;
             }
         }
@@ -263,12 +317,65 @@ impl SyncNetwork {
     }
 }
 
+/// Step one contiguous id range of a round, `base` being its first id:
+/// each non-rushing node consumes its inbox (dropped as soon as the node
+/// returns) and its sends join the range's segment in send order.
+fn step_range(
+    base: usize,
+    nodes: &mut [Box<dyn Node>],
+    inboxes: &mut [Vec<Envelope>],
+    round: u32,
+    rushing: &[NodeId],
+) -> Vec<Envelope> {
+    let mut segment = Vec::new();
+    for (i, (node, inbox)) in nodes.iter_mut().zip(inboxes).enumerate() {
+        let from = NodeId((base + i) as u16);
+        if rushing.contains(&from) {
+            continue;
+        }
+        let inbox = std::mem::take(inbox);
+        let mut out = Outbox::new();
+        node.on_round(round, &inbox, &mut out);
+        drop(inbox);
+        segment.extend(envelopes(from, round, out));
+    }
+    segment
+}
+
+/// A node's queued sends as envelopes stamped with the true sender (N2).
+fn envelopes(from: NodeId, round: u32, out: Outbox) -> impl Iterator<Item = Envelope> {
+    out.into_messages()
+        .into_iter()
+        .map(move |(to, payload)| Envelope {
+            from,
+            to,
+            round,
+            payload,
+        })
+}
+
+/// Drop a segment's messages to unknown ids (counted as
+/// `dropped_invalid`) and record the rest as sent.
+fn record_segment(stats: &mut NetStats, segment: &mut Vec<Envelope>, n: usize) {
+    segment.retain(|env| {
+        if env.to.index() >= n {
+            stats.dropped_invalid += 1;
+            return false;
+        }
+        stats.record_send(env.from, env.round, env.wire_len());
+        true
+    });
+}
+
 impl core::fmt::Debug for SyncNetwork {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         f.debug_struct("SyncNetwork")
             .field("n", &self.nodes.len())
             .field("round", &self.round)
-            .field("in_flight", &self.in_flight.len())
+            .field(
+                "in_flight",
+                &self.in_flight.iter().map(Vec::len).sum::<usize>(),
+            )
             .finish()
     }
 }
@@ -510,6 +617,127 @@ mod tests {
         net.run_until_done(3);
         assert_eq!(net.stats().messages_total, 0);
         assert_eq!(net.stats().dropped_invalid, 1);
+    }
+
+    /// Broadcasts `[id, round, seq]` in rounds 0..4, plus one stray send
+    /// to an unknown id in round 1; records every delivery in order.
+    /// `panic_in` makes it panic in that round.
+    struct Gossip {
+        id: NodeId,
+        n: usize,
+        panic_in: Option<u32>,
+        seen: Vec<Envelope>,
+    }
+
+    impl Node for Gossip {
+        fn id(&self) -> NodeId {
+            self.id
+        }
+        fn on_round(&mut self, round: u32, inbox: &[Envelope], out: &mut Outbox) {
+            if self.panic_in == Some(round) {
+                panic!("node {} gives up in round {round}", self.id.0);
+            }
+            self.seen.extend_from_slice(inbox);
+            if round < 4 {
+                let id = self.id.0 as u8;
+                for (seq, peer) in NodeId::all(self.n).filter(|&p| p != self.id).enumerate() {
+                    out.send(peer, vec![id, round as u8, seq as u8]);
+                }
+            }
+            if round == 1 {
+                out.send(NodeId(self.n as u16 + 3), vec![0]);
+            }
+        }
+        fn as_any(&self) -> &dyn Any {
+            self
+        }
+        fn as_any_mut(&mut self) -> &mut dyn Any {
+            self
+        }
+        fn into_any(self: Box<Self>) -> Box<dyn Any> {
+            self
+        }
+    }
+
+    /// 24 gossiping nodes (552 deliveries a round, above the parallel
+    /// threshold) on `workers` threads.
+    fn gossip_net(workers: usize, panic_at: Option<(NodeId, u32)>) -> SyncNetwork {
+        let n = 24;
+        let nodes: Vec<Box<dyn Node>> = NodeId::all(n)
+            .map(|id| {
+                Box::new(Gossip {
+                    id,
+                    n,
+                    panic_in: panic_at.and_then(|(who, round)| (who == id).then_some(round)),
+                    seen: Vec::new(),
+                }) as Box<dyn Node>
+            })
+            .collect();
+        let mut net = SyncNetwork::new(nodes);
+        net.set_workers(workers);
+        net
+    }
+
+    #[test]
+    fn worker_count_never_changes_delivery_or_stats() {
+        let faults = FaultPlan::new()
+            .with(1, NodeId(2), NodeId(3), LinkFault::Drop)
+            .with(
+                1,
+                NodeId(9),
+                NodeId(17),
+                LinkFault::Corrupt {
+                    offset: 2,
+                    mask: 0x5a,
+                },
+            )
+            .with(1, NodeId(20), NodeId(4), LinkFault::Duplicate)
+            .with(2, NodeId(11), NodeId(0), LinkFault::Delay { rounds: 2 })
+            .with(2, NodeId(23), NodeId(12), LinkFault::Reorder);
+        let run = |workers: usize| {
+            let mut net = gossip_net(workers, None);
+            net.set_fault_plan(faults.clone());
+            // Node 10 sits inside a worker's id range and rushes.
+            net.set_rushing(vec![NodeId(10)]);
+            net.enable_round_marks();
+            net.run_until_done(8);
+            let marks = net.round_marks().map(<[u64]>::len);
+            let (nodes, stats) = net.finish();
+            let seen: Vec<Vec<Envelope>> = nodes
+                .into_iter()
+                .map(|node| node.into_any().downcast::<Gossip>().unwrap().seen)
+                .collect();
+            (seen, stats, marks)
+        };
+        let serial = run(1);
+        assert_eq!(serial.1.dropped_invalid, 24, "one stray send per node");
+        assert_eq!(serial.2, Some(8));
+        assert_eq!(run(3), serial);
+    }
+
+    /// The panic payload's message.
+    fn panic_message(payload: &(dyn Any + Send)) -> String {
+        payload
+            .downcast_ref::<String>()
+            .cloned()
+            .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+            .unwrap_or_default()
+    }
+
+    #[test]
+    fn a_worker_panic_surfaces_with_its_own_message() {
+        for workers in [1, 3] {
+            // Node 21 is in the last of three ranges: a spawned worker.
+            let mut net = gossip_net(workers, Some((NodeId(21), 1)));
+            net.step();
+            let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| net.step()))
+                .expect_err("node 21 panics in round 1");
+            assert_eq!(
+                panic_message(panic.as_ref()),
+                "node 21 gives up in round 1",
+                "{workers} workers"
+            );
+        }
     }
 
     #[test]

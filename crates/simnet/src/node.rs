@@ -101,7 +101,9 @@ impl Outbox {
 /// sent to this node in the previous round (`inbox`), and the node may queue
 /// outgoing messages (`out`). Determinism requirement: `on_round` must be a
 /// pure function of construction parameters, rounds seen so far, and inbox
-/// contents — all experiment tables rely on replayability.
+/// contents — all experiment tables rely on replayability. `Send` is
+/// load-bearing: [`crate::SyncNetwork::set_workers`] steps nodes on other
+/// threads.
 pub trait Node: Send {
     /// This node's identity. Must match its index in the transport.
     fn id(&self) -> NodeId;

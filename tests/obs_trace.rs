@@ -8,7 +8,8 @@
 //!   is a local observation, not a report surface.
 //! * Sync-engine phase spans tile the measured wall time: the tiling
 //!   span-duration sum equals the reported `wall_us` (well within the 5%
-//!   acceptance envelope — it is exact by construction).
+//!   acceptance envelope — it is exact by construction), and the
+//!   `keydist:round:N` spans tile the `keydist` span the same way.
 //! * The Chrome trace-event export is valid JSON (parsed by the repo's
 //!   own `wire::Value`) with the expected phase and counter events.
 
@@ -116,6 +117,46 @@ fn sync_engine_spans_tile_the_measured_wall_time() {
         total.abs_diff(wall) <= envelope,
         "span sum {total} vs wall {wall} exceeds 5%"
     );
+}
+
+#[test]
+fn sync_keydist_round_spans_tile_the_keydist_span() {
+    // n = 24 delivers 552 messages a keydist round: above the parallel
+    // threshold, so the rounds run on every available core.
+    let (_, trace) = cluster(24, Engine::Sync).run_traced(&spec(Protocol::ChainFd));
+    let keydist = trace
+        .spans
+        .iter()
+        .find(|s| s.name == "keydist")
+        .expect("keydist span");
+    let rounds: Vec<_> = trace
+        .attributed
+        .iter()
+        .filter(|s| s.name.starts_with("keydist:round:"))
+        .collect();
+    let names: Vec<&str> = rounds.iter().map(|s| s.name.as_str()).collect();
+    assert_eq!(
+        names,
+        [
+            "keydist:round:0",
+            "keydist:round:1",
+            "keydist:round:2",
+            "keydist:round:3"
+        ]
+    );
+    let mut cursor = keydist.start;
+    for round in &rounds {
+        assert_eq!(round.start, cursor, "{} leaves a gap", round.name);
+        cursor += round.dur;
+    }
+    assert_eq!(cursor, keydist.start + keydist.dur);
+
+    // The virtual-tick timeline has no keydist round spans.
+    let (_, event) = cluster(24, Engine::Event).run_traced(&spec(Protocol::ChainFd));
+    assert!(event
+        .attributed
+        .iter()
+        .all(|s| !s.name.starts_with("keydist")));
 }
 
 #[test]

@@ -20,16 +20,24 @@
 //!   `n` keyrings, and every later run borrows them, at n = 64 on every
 //!   keyed protocol and both engines, and at n = 4096 as an ignored
 //!   large-`n` guard.
+//! * Key distribution decides the same stores, anomalies and statistics
+//!   on 1, 2, 3 or 7 threads per round, honest and with every keydist
+//!   adversary at one or two slots, at n = 17 and 65, and at n = 192 as
+//!   an ignored large-`n` guard.
 
-use local_auth_fd::core::adversary::{AdversaryKind, AdversarySpec};
+use local_auth_fd::core::adversary::{
+    AdversaryKind, AdversarySpec, EquivocatingKeyDist, KeyThiefKeyDist, SharedKeyKeyDist,
+    WrongNameKeyDist,
+};
 use local_auth_fd::core::keys::KeyStore;
+use local_auth_fd::core::localauth::KdAnomaly;
 use local_auth_fd::core::runner::{Cluster, KeyDistReport};
 use local_auth_fd::core::spec::{Protocol, RunSpec, Session};
 use local_auth_fd::core::sweep::{run_sweep, SweepMatrix};
 use local_auth_fd::crypto::{
     CryptoError, PublicKey, SchnorrScheme, SecretKey, Signature, SignatureScheme,
 };
-use local_auth_fd::simnet::{Engine, NodeId};
+use local_auth_fd::simnet::{Engine, NetStats, Node, NodeId};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -61,6 +69,7 @@ fn unshared(kd: &KeyDistReport, n: usize) -> KeyDistReport {
         stores,
         stats: kd.stats.clone(),
         anomalies: kd.anomalies.clone(),
+        round_marks: None,
         predicates: None,
         rings: kd.rings.clone(),
     }
@@ -234,6 +243,86 @@ fn keydist_interns_announcements_into_one_shared_table() {
     for store in kd.stores.iter().flatten() {
         assert_eq!(store.accepted_count(), n);
     }
+}
+
+/// What a key distribution decided: every store's accepted predicate
+/// bytes per peer, every honest node's anomalies, the message statistics.
+type KdOutcome = (
+    Vec<Option<Vec<Option<Vec<u8>>>>>,
+    Vec<(NodeId, Vec<KdAnomaly>)>,
+    NetStats,
+);
+
+fn kd_outcome(kd: KeyDistReport) -> KdOutcome {
+    let n = kd.stores.len();
+    let stores = kd
+        .stores
+        .iter()
+        .map(|slot| {
+            slot.as_ref().map(|store| {
+                NodeId::all(n)
+                    .map(|peer| store.accepted(peer).map(|pk| pk.as_bytes().to_vec()))
+                    .collect()
+            })
+        })
+        .collect();
+    (stores, kd.anomalies, kd.stats)
+}
+
+/// Key distribution at `n` on 1, 2, 3 and 7 threads per round must decide
+/// the same outcome: honest, and with each keydist adversary substituted
+/// at one slot and at two slots in different id ranges.
+fn keydist_outcome_is_worker_count_invariant(n: usize) {
+    let c = cluster(n, 1, Engine::Sync);
+    let scheme = Arc::clone(&c.scheme);
+    let victim = c.keyring(NodeId(0)).pk;
+    let adversary = |kind: usize, me: NodeId| -> Box<dyn Node> {
+        match kind {
+            0 => Box::new(EquivocatingKeyDist::new(
+                me,
+                n,
+                Arc::clone(&scheme),
+                555,
+                NodeId(n as u16 / 2),
+            )),
+            1 => Box::new(SharedKeyKeyDist::new(me, n, Arc::clone(&scheme), 888)),
+            2 => Box::new(KeyThiefKeyDist::new(me, n, victim.clone())),
+            _ => Box::new(WrongNameKeyDist::new(me, n, Arc::clone(&scheme), 77)),
+        }
+    };
+    let one = vec![NodeId(n as u16 / 3)];
+    let two = vec![NodeId(1), NodeId(n as u16 - 2)];
+    let mut cases = vec![(0, Vec::new())];
+    for kind in 0..4 {
+        cases.push((kind, one.clone()));
+        cases.push((kind, two.clone()));
+    }
+    for (kind, slots) in cases {
+        let run = |workers: usize| {
+            kd_outcome(c.run_key_distribution_on(workers, &mut |id| {
+                slots.contains(&id).then(|| adversary(kind, id))
+            }))
+        };
+        let serial = run(1);
+        for workers in [2, 3, 7] {
+            assert!(
+                run(workers) == serial,
+                "n = {n}, adversary {kind} at {slots:?}: {workers} workers differ from 1"
+            );
+        }
+    }
+}
+
+#[test]
+fn keydist_outcome_is_worker_count_invariant_at_n17_and_n65() {
+    keydist_outcome_is_worker_count_invariant(17);
+    keydist_outcome_is_worker_count_invariant(65);
+}
+
+#[test]
+#[ignore = "large-n guard; run with --release -- --ignored"]
+fn keydist_outcome_is_worker_count_invariant_at_n192() {
+    keydist_outcome_is_worker_count_invariant(192);
 }
 
 #[test]
