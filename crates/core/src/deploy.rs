@@ -3,15 +3,16 @@
 //!
 //! Everything below `lafd cluster` lives here:
 //!
-//! * [`Registry`] — a small TCP discovery service speaking the framed
-//!   [`crate::wire`] registry dialect: workers register `(node, addr)`,
-//!   block
-//!   until the full roster is known (the barrier that opens a run), pass
-//!   phase barriers between key distribution and the protocol, and
-//!   deposit a [`WorkerSummary`] at teardown. One registry serves many
-//!   runs, keyed by run id.
-//! * [`registry_call`] — the one-shot framed client used by workers and
-//!   the orchestrator (one request, one reply, one connection).
+//! * [`Registry`] — a small TCP discovery service speaking the
+//!   [`crate::wire`] registry dialect in newline-delimited wire-v1, one
+//!   line per request and per reply: workers register `(node, addr)`,
+//!   block until the full roster is known (the barrier that opens a
+//!   run), pass phase barriers between key distribution and the protocol,
+//!   and deposit a [`WorkerSummary`] at teardown. One registry serves
+//!   many runs, keyed by run id.
+//! * [`registry_call`] — the one-shot client used by workers and the
+//!   orchestrator (one request line, one reply line, one connection, over
+//!   [`crate::service::call`]).
 //! * [`run_worker`] — the whole life of one worker process: build the
 //!   [`Cluster`](crate::runner::Cluster) from a wire request, register, mesh up
 //!   ([`MeshPeers`]/[`NonblockingMesh`]), run the key distribution and
@@ -47,6 +48,7 @@ use crate::flags::{FlagError, Flags};
 use crate::keys;
 use crate::localauth::{KeyDistNode, KEYDIST_ROUNDS};
 use crate::runner::{FdRunReport, KeyDistReport};
+use crate::service::{self, CallError};
 use crate::spec::{Protocol, SpecBuilder};
 use crate::wire::{
     registry_reply_from_json, registry_reply_to_json, registry_request_from_json,
@@ -60,10 +62,11 @@ use fd_simnet::transport::{DelayShim, MeshPeers, MeshRun, NonblockingMesh, Trans
 use fd_simnet::{LatencySpec, NetStats, NodeId};
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::io::{ErrorKind, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener};
 use std::os::fd::OwnedFd;
 use std::os::unix::net::UnixStream;
 use std::process::{Child, Command, ExitStatus, Stdio};
+use std::sync::atomic::AtomicBool;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -78,97 +81,54 @@ pub use supervise::{
     degraded, supervise, Aborted, ClusterConfig, Policy, Resilience, Step, Supervised,
 };
 
-/// Upper bound on a single registry frame (a roster or summary set for
-/// any plausible `n` is far below this).
-const MAX_FRAME: usize = 16 * 1024 * 1024;
-
-// ---------------------------------------------------------------------
-// Framing
-// ---------------------------------------------------------------------
-
-/// Write one length-prefixed frame (4-byte big-endian length + body) in
-/// a single write, so a frame never waits out a delayed ACK between its
-/// header and its body.
-pub fn send_frame(stream: &mut TcpStream, body: &[u8]) -> std::io::Result<()> {
-    let len = u32::try_from(body.len())
-        .map_err(|_| std::io::Error::new(std::io::ErrorKind::InvalidInput, "frame too large"))?;
-    let mut frame = Vec::with_capacity(4 + body.len());
-    frame.extend_from_slice(&len.to_be_bytes());
-    frame.extend_from_slice(body);
-    stream.write_all(&frame)
+/// Why a [`registry_call`] failed, sorted for the retry policy.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum RegistryError {
+    /// The exchange failed on the connection (connect, send, or a lost,
+    /// cut-off, over-long or non-UTF-8 reply): worth retrying.
+    Transient(String),
+    /// The registry refused the request, its reply is no registry reply,
+    /// or the address does not resolve: final.
+    Final(String),
 }
 
-/// Read one length-prefixed frame.
-pub fn recv_frame(stream: &mut TcpStream) -> std::io::Result<Vec<u8>> {
-    let mut len_buf = [0u8; 4];
-    stream.read_exact(&mut len_buf)?;
-    let len = u32::from_be_bytes(len_buf) as usize;
-    if len > MAX_FRAME {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            format!("frame of {len} bytes exceeds the {MAX_FRAME}-byte cap"),
-        ));
+impl std::fmt::Display for RegistryError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            RegistryError::Transient(error) | RegistryError::Final(error) => f.write_str(error),
+        }
     }
-    let mut body = vec![0u8; len];
-    stream.read_exact(&mut body)?;
-    Ok(body)
 }
 
-/// One registry round trip: connect, send the request, await the reply.
-/// `timeout` bounds the whole exchange (connect, write, and the blocking
-/// wait a register/barrier request implies).
+impl From<RegistryError> for String {
+    fn from(error: RegistryError) -> String {
+        error.to_string()
+    }
+}
+
+/// One registry round trip on a fresh connection ([`service::call`]):
+/// send the request line, await the reply line. `timeout` bounds the
+/// connect and every read and write, the blocking wait a
+/// register/barrier request implies included.
 pub fn registry_call(
     addr: &str,
     request: &RegistryRequest,
     timeout: Duration,
-) -> Result<RegistryReply, String> {
-    let sock: SocketAddr = addr
-        .parse()
-        .map_err(|e| format!("registry address {addr:?}: {e}"))?;
-    let mut stream = TcpStream::connect_timeout(&sock, timeout)
-        .map_err(|e| format!("connect registry {addr}: {e}"))?;
-    stream
-        .set_read_timeout(Some(timeout))
-        .and_then(|()| stream.set_write_timeout(Some(timeout)))
-        .and_then(|()| stream.set_nodelay(true))
-        .map_err(|e| format!("registry socket setup: {e}"))?;
-    send_frame(&mut stream, registry_request_to_json(request).as_bytes())
-        .map_err(|e| format!("send to registry: {e}"))?;
-    let body = recv_frame(&mut stream).map_err(|e| format!("registry reply: {e}"))?;
-    let text = String::from_utf8(body).map_err(|e| format!("registry reply: {e}"))?;
-    match registry_reply_from_json(&text)? {
-        RegistryReply::Error { error } => Err(format!("registry: {error}")),
+) -> Result<RegistryReply, RegistryError> {
+    let line = registry_request_to_json(request);
+    let reply = service::call(addr, line, Some(timeout)).map_err(|error| match error {
+        CallError::Address(e) => RegistryError::Final(format!("registry address {addr:?}: {e}")),
+        error => RegistryError::Transient(format!("registry {addr}: {error}")),
+    })?;
+    match registry_reply_from_json(&reply).map_err(RegistryError::Final)? {
+        RegistryReply::Error { error } => Err(RegistryError::Final(format!("registry: {error}"))),
         reply => Ok(reply),
     }
 }
 
-/// Sort a stringified [`registry_call`] failure into the typed transport
-/// taxonomy: connection-level trouble (connect, send, lost reply) is
-/// transient and worth retrying; registry-level refusals (fencing, bad
-/// requests, barrier expiry) are final.
-fn classify_registry_error(node: NodeId, error: String) -> TransportError {
-    let transient_failure = error.starts_with("connect registry")
-        || error.starts_with("send to registry")
-        || error.starts_with("registry reply:")
-        || error.starts_with("registry socket setup");
-    if transient_failure {
-        TransportError::Io {
-            node,
-            context: "registry call".to_string(),
-            error,
-        }
-    } else {
-        TransportError::Protocol {
-            node,
-            detail: error,
-        }
-    }
-}
-
-/// [`registry_call`] under a retry policy: transient connection failures
-/// back off (capped, seeded jitter) and retry up to the budget; an
-/// exhausted budget surfaces as the typed
-/// [`TransportError::Exhausted`]. Safe because every registry operation
+/// [`registry_call`] under a retry policy: transient failures back off
+/// (capped, seeded jitter) and retry up to the budget; an exhausted
+/// budget surfaces as the typed [`TransportError::Exhausted`]. Safe because every registry operation
 /// is idempotent per `(run, node, incarnation)`: re-registering the same
 /// address, re-arriving at a barrier, and re-depositing a summary all
 /// land in the same state.
@@ -190,7 +150,14 @@ pub fn registry_call_with(
                 });
             }
         }
-        registry_call(addr, request, timeout).map_err(|e| classify_registry_error(node, e))
+        registry_call(addr, request, timeout).map_err(|error| match error {
+            RegistryError::Transient(error) => TransportError::Io {
+                node,
+                context: "registry call".to_string(),
+                error,
+            },
+            RegistryError::Final(detail) => TransportError::Protocol { node, detail },
+        })
     })
 }
 
@@ -233,12 +200,13 @@ struct RegistryState {
 }
 
 /// The discovery registry behind `lafd registry`: a threaded TCP service
-/// answering one framed [`RegistryRequest`] per connection. Register and
-/// barrier requests block (bounded by [`Registry::with_wait_limit`])
-/// until the rest of the run arrives, which is what makes them barriers.
+/// answering [`RegistryRequest`] lines on the accept loop of
+/// [`crate::service`]. Register and barrier requests block (bounded by
+/// [`Registry::with_wait_limit`]) until the rest of the run arrives,
+/// which is what makes them barriers.
 pub struct Registry {
     listener: TcpListener,
-    state: Arc<RegistryState>,
+    state: RegistryState,
     wait_limit: Duration,
 }
 
@@ -256,10 +224,10 @@ impl Registry {
     pub fn bind(addr: &str) -> std::io::Result<Registry> {
         Ok(Registry {
             listener: TcpListener::bind(addr)?,
-            state: Arc::new(RegistryState {
+            state: RegistryState {
                 runs: Mutex::new(HashMap::new()),
                 changed: Condvar::new(),
-            }),
+            },
             wait_limit: Duration::from_secs(120),
         })
     }
@@ -276,48 +244,33 @@ impl Registry {
 
     /// Bound the blocking wait of register/barrier requests; expiry
     /// answers with a registry error instead of holding the connection
-    /// forever.
+    /// forever. A connection whose request is still unfinished this long
+    /// after its accept (or its last reply) is closed.
     #[must_use]
     pub fn with_wait_limit(mut self, wait_limit: Duration) -> Self {
         self.wait_limit = wait_limit;
         self
     }
 
-    /// Accept and serve connections forever (one thread per connection —
-    /// registry traffic is a handful of exchanges per worker per run).
-    pub fn serve(&self) -> std::io::Result<()> {
-        loop {
-            let (stream, _) = self.listener.accept()?;
-            let state = Arc::clone(&self.state);
-            let wait_limit = self.wait_limit;
-            std::thread::spawn(move || handle_connection(stream, &state, wait_limit));
-        }
-    }
-}
-
-fn handle_connection(mut stream: TcpStream, state: &RegistryState, wait_limit: Duration) {
-    // A worker that never completes its request frame must not pin the
-    // handler thread forever.
-    let _ = stream.set_read_timeout(Some(wait_limit));
-    let _ = stream.set_nodelay(true);
-    let reply = match recv_frame(&mut stream)
-        .map_err(|e| format!("receive request: {e}"))
-        .and_then(|body| String::from_utf8(body).map_err(|e| format!("request not utf-8: {e}")))
-        .and_then(|text| registry_request_from_json(&text))
-    {
-        Ok(request) => answer(request, state, wait_limit),
-        Err(error) => {
-            // Malformed traffic gets a typed error reply (and a log line)
-            // rather than a silently dropped connection.
-            eprintln!("lafd registry: rejecting malformed request: {error}");
-            RegistryReply::Error { error }
-        }
-    };
-    if let Err(e) = send_frame(&mut stream, registry_reply_to_json(&reply).as_bytes()) {
-        // The peer vanished between request and reply (crash, chaos
-        // kill). Log it — a silently dropped reply is indistinguishable
-        // from a registry bug when debugging a campaign.
-        eprintln!("lafd registry: dropped reply ({e})");
+    /// Accept and serve connections forever, one thread per connection
+    /// (registry traffic is a handful of exchanges per worker per run).
+    pub fn serve(&self) {
+        let never = AtomicBool::new(false);
+        service::serve_lines(&self.listener, &never, Some(self.wait_limit), |line| {
+            let request = line
+                .map_err(|bad| bad.to_string())
+                .and_then(registry_request_from_json);
+            let reply = match request {
+                Ok(request) => answer(request, &self.state, self.wait_limit),
+                Err(error) => {
+                    // Malformed traffic gets a typed error reply (and a
+                    // log line) rather than a silently dropped connection.
+                    eprintln!("lafd registry: rejecting malformed request: {error}");
+                    RegistryReply::Error { error }
+                }
+            };
+            registry_reply_to_json(&reply)
+        });
     }
 }
 
@@ -1233,9 +1186,7 @@ mod tests {
             .expect("bind registry")
             .with_wait_limit(wait_limit);
         let addr = registry.local_addr();
-        let handle = std::thread::spawn(move || {
-            let _ = registry.serve();
-        });
+        let handle = std::thread::spawn(move || registry.serve());
         (addr, handle)
     }
 
@@ -1302,7 +1253,10 @@ mod tests {
             Duration::from_secs(10),
         )
         .expect_err("barrier must fail, not hang");
-        assert!(err.contains("incomplete"), "unexpected error: {err}");
+        assert!(
+            matches!(&err, RegistryError::Final(e) if e.contains("incomplete")),
+            "unexpected error: {err}"
+        );
     }
 
     #[test]
@@ -1378,7 +1332,10 @@ mod tests {
         register(2, 0).expect("incarnation 2 admitted");
         // A stale incarnation is refused with a typed fencing error.
         let err = register(1, 0).expect_err("incarnation 1 must be fenced");
-        assert!(err.contains("fenced"), "unexpected error: {err}");
+        assert!(
+            matches!(&err, RegistryError::Final(e) if e.contains("fenced")),
+            "unexpected error: {err}"
+        );
         // A newer incarnation resets the roster: node 0 can re-register
         // at a different address without a clash.
         registry_call(
@@ -1406,7 +1363,10 @@ mod tests {
             Duration::from_secs(10),
         )
         .expect_err("stale barrier must be fenced");
-        assert!(err.contains("fenced"), "unexpected error: {err}");
+        assert!(
+            matches!(&err, RegistryError::Final(e) if e.contains("fenced")),
+            "unexpected error: {err}"
+        );
     }
 
     #[test]

@@ -26,10 +26,10 @@
 //! * [`epoch`] — key rotation: re-running local authentication in epochs,
 //!   with cross-epoch replays discovered by the unchanged Theorem 4
 //!   machinery.
-//! * [`runner`] — cluster orchestration over the pluggable
-//!   [`runner::NetworkDriver`] seam: every protocol runs on the lockstep
-//!   engine (the paper's §2 timing) or the discrete-event engine
-//!   (latency models, per-link overrides, adversarial schedules).
+//! * [`runner`] — cluster orchestration: [`runner::Cluster`] runs every
+//!   protocol on the lockstep engine (the paper's §2 timing) or the
+//!   discrete-event engine (latency models, per-link overrides,
+//!   adversarial schedules).
 //! * [`spec`] — the unified execution API: one typed [`RunSpec`] per
 //!   protocol run, executed via [`runner::Cluster::run`], plus
 //!   [`Session`], which lazily runs the key distribution once and
@@ -44,8 +44,9 @@
 //!   predicate table, and verification cache across requests, with
 //!   bounded LRU eviction and graceful drain.
 //! * [`deploy`] — the deployment layer behind `lafd cluster`: a
-//!   discovery registry (register/lookup/barrier/teardown over framed
-//!   wire-v1 JSON), the per-worker lifecycle over the non-blocking
+//!   discovery registry (register/lookup/barrier/teardown in
+//!   newline-delimited wire-v1, one line per request and per reply), the
+//!   per-worker lifecycle over the non-blocking
 //!   socket mesh, the aggregation of per-worker summaries back into
 //!   a byte-identical [`runner::FdRunReport`], and the supervisor and
 //!   chaos campaigns behind `lafd cluster` / `lafd chaos`.

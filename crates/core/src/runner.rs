@@ -8,10 +8,10 @@
 //! shot) or a [`crate::spec::Session`] (many runs amortizing one key
 //! distribution) — see [`crate::spec`] for the execution API.
 //!
-//! Runs execute on a pluggable [`NetworkDriver`]: the lockstep
-//! [`SyncDriver`] (paper §2 model, the default) or the discrete-event
-//! [`EventDriver`] with a configurable [`LatencySpec`]. Under
-//! [`LatencySpec::Synchronous`] the two drivers are byte-identical (the
+//! [`Cluster`] drives each run on the configured [`Engine`]: the lockstep
+//! [`SyncNetwork`] (paper §2 model, the default) or the discrete-event
+//! [`EventNetwork`] with a configurable [`LatencySpec`]. Under
+//! [`LatencySpec::Synchronous`] the two engines are byte-identical (the
 //! sweep engine cross-validates this); other latency specs expose timing
 //! behaviour the synchronous model cannot express.
 
@@ -41,142 +41,24 @@ pub type Schedule = fd_simnet::DelayOverrides;
 pub type Substitution<'a> = &'a mut dyn FnMut(NodeId) -> Option<Box<dyn Node>>;
 
 /// Result of driving a node set to completion on some engine.
-pub struct DriveReport {
+pub(crate) struct DriveReport {
     /// The automata, for outcome extraction.
     pub nodes: Vec<Box<dyn Node>>,
     /// Message statistics of the run.
     pub stats: NetStats,
-    /// Rounds actually executed.
-    pub rounds: u32,
     /// Per-message `(send_round, ticks)` delays in send order, when the
-    /// driver recorded them (event engine with delay logging enabled).
+    /// engine recorded them (event engine with delay logging enabled).
     pub delay_log: Option<Vec<(u32, u64)>>,
-    /// End-of-round marks when the driver recorded them: wall-clock µs on
+    /// End-of-round marks when the engine recorded them: wall-clock µs on
     /// the sync engine, virtual ticks on the event engine (see
     /// [`crate::obs::SpanClock`]).
     pub round_marks: Option<Vec<u64>>,
     /// Peak delivery-queue depth observed at round boundaries, when the
-    /// driver recorded round marks.
+    /// engine recorded round marks.
     pub max_queue_depth: Option<usize>,
     /// Scheduler counters (ring vs heap routing, arena high-water mark);
     /// `None` on the sync engine, which has no delivery scheduler.
     pub sched: Option<SchedCounters>,
-}
-
-/// An execution engine a [`Cluster`] can run node sets on.
-///
-/// Both implementations drive the same [`Node`] automata; the driver only
-/// decides *when* messages arrive.
-pub trait NetworkDriver {
-    /// Run the automata for up to `max_rounds` rounds.
-    fn drive(&self, nodes: Vec<Box<dyn Node>>, max_rounds: u32) -> DriveReport;
-}
-
-/// The lockstep round-synchronous engine (paper §2 model).
-#[derive(Debug, Clone, Default)]
-pub struct SyncDriver {
-    /// Link faults injected into every run.
-    pub faults: FaultPlan,
-    /// Record end-of-round wall-clock marks into
-    /// [`DriveReport::round_marks`].
-    pub record_marks: bool,
-    /// Threads that step one round's nodes (see
-    /// [`SyncNetwork::set_workers`]; 0 and 1 both mean the calling thread
-    /// alone). Reports are identical for any count.
-    pub workers: usize,
-}
-
-impl NetworkDriver for SyncDriver {
-    fn drive(&self, nodes: Vec<Box<dyn Node>>, max_rounds: u32) -> DriveReport {
-        let mut net = SyncNetwork::new(nodes);
-        net.set_workers(self.workers);
-        if !self.faults.is_empty() {
-            net.set_fault_plan(self.faults.clone());
-        }
-        if self.record_marks {
-            net.enable_round_marks();
-        }
-        let rounds = net.run_until_done(max_rounds);
-        let round_marks = net.round_marks().map(<[u64]>::to_vec);
-        let max_queue_depth = net.max_queue_depth();
-        let (nodes, stats) = net.finish();
-        DriveReport {
-            stats,
-            rounds,
-            nodes,
-            delay_log: None,
-            round_marks,
-            max_queue_depth,
-            sched: None,
-        }
-    }
-}
-
-/// The discrete-event engine with a configurable latency model.
-#[derive(Debug, Clone, Default)]
-pub struct EventDriver {
-    /// Latency model for every link.
-    pub latency: LatencySpec,
-    /// Per-link overrides layered on top of `latency` (see
-    /// [`fd_simnet::event::PerLink`]).
-    pub link_latency: Vec<LinkLatencySpec>,
-    /// Seed feeding the latency model's randomness.
-    pub seed: u64,
-    /// Link faults injected into every run.
-    pub faults: FaultPlan,
-    /// Per-message delay overrides (the adversarial scheduler's hook).
-    pub schedule: Option<Schedule>,
-    /// Record the applied per-message delays into
-    /// [`DriveReport::delay_log`].
-    pub record_delays: bool,
-    /// Record end-of-round virtual-tick marks into
-    /// [`DriveReport::round_marks`].
-    pub record_marks: bool,
-    /// Route every delivery through the reference binary heap instead of
-    /// the flat-ring fast path (see
-    /// [`EventNetwork::set_reference_scheduler`]) — the equivalence
-    /// tests' unoptimized baseline.
-    pub reference_scheduler: bool,
-}
-
-impl NetworkDriver for EventDriver {
-    fn drive(&self, nodes: Vec<Box<dyn Node>>, max_rounds: u32) -> DriveReport {
-        let mut net = EventNetwork::new(nodes);
-        net.set_latency(LinkLatencySpec::build_model(
-            self.latency,
-            &self.link_latency,
-            self.seed,
-        ));
-        if let Some(schedule) = &self.schedule {
-            net.set_delay_overrides(Arc::clone(schedule));
-        }
-        if self.record_delays {
-            net.enable_delay_log();
-        }
-        if self.record_marks {
-            net.enable_round_marks();
-        }
-        if !self.faults.is_empty() {
-            net.set_fault_plan(self.faults.clone());
-        }
-        if self.reference_scheduler {
-            net.set_reference_scheduler(true);
-        }
-        let rounds = net.run_until_done(max_rounds);
-        let round_marks = net.round_marks().map(<[u64]>::to_vec);
-        let max_queue_depth = net.max_queue_depth();
-        let sched = net.sched_counters();
-        let (nodes, stats, delay_log) = net.finish();
-        DriveReport {
-            stats,
-            rounds,
-            delay_log,
-            nodes,
-            round_marks,
-            max_queue_depth,
-            sched: Some(sched),
-        }
-    }
 }
 
 /// Fixed configuration for a family of deterministic runs.
@@ -430,12 +312,28 @@ impl Cluster {
     ) -> DriveReport {
         let delay_slack = self.faults.max_delay_rounds();
         match self.engine {
-            Engine::Sync => SyncDriver {
-                faults: self.faults.clone(),
-                record_marks: self.obs,
-                workers,
+            Engine::Sync => {
+                let mut net = SyncNetwork::new(nodes);
+                net.set_workers(workers);
+                if !self.faults.is_empty() {
+                    net.set_fault_plan(self.faults.clone());
+                }
+                if self.obs {
+                    net.enable_round_marks();
+                }
+                net.run_until_done(base_rounds.saturating_add(delay_slack));
+                let round_marks = net.round_marks().map(<[u64]>::to_vec);
+                let max_queue_depth = net.max_queue_depth();
+                let (nodes, stats) = net.finish();
+                DriveReport {
+                    stats,
+                    nodes,
+                    delay_log: None,
+                    round_marks,
+                    max_queue_depth,
+                    sched: None,
+                }
             }
-            .drive(nodes, base_rounds.saturating_add(delay_slack)),
             Engine::Event => {
                 // The slowest of the base model and any per-link override
                 // bounds how far a message can stretch.
@@ -444,17 +342,40 @@ impl Cluster {
                     .iter()
                     .map(|link| link.spec.round_budget(base_rounds))
                     .fold(self.latency.round_budget(base_rounds), u32::max);
-                EventDriver {
-                    latency: self.latency,
-                    link_latency: self.link_latency.clone(),
-                    seed: self.seed,
-                    faults: self.faults.clone(),
-                    schedule: self.schedule.clone(),
-                    record_delays: self.record_delays,
-                    record_marks: self.obs,
-                    reference_scheduler: self.reference_scheduler,
+                let mut net = EventNetwork::new(nodes);
+                net.set_latency(LinkLatencySpec::build_model(
+                    self.latency,
+                    &self.link_latency,
+                    self.seed,
+                ));
+                if let Some(schedule) = &self.schedule {
+                    net.set_delay_overrides(Arc::clone(schedule));
                 }
-                .drive(nodes, budget.saturating_add(delay_slack))
+                if self.record_delays {
+                    net.enable_delay_log();
+                }
+                if self.obs {
+                    net.enable_round_marks();
+                }
+                if !self.faults.is_empty() {
+                    net.set_fault_plan(self.faults.clone());
+                }
+                if self.reference_scheduler {
+                    net.set_reference_scheduler(true);
+                }
+                net.run_until_done(budget.saturating_add(delay_slack));
+                let round_marks = net.round_marks().map(<[u64]>::to_vec);
+                let max_queue_depth = net.max_queue_depth();
+                let sched = net.sched_counters();
+                let (nodes, stats, delay_log) = net.finish();
+                DriveReport {
+                    stats,
+                    delay_log,
+                    nodes,
+                    round_marks,
+                    max_queue_depth,
+                    sched: Some(sched),
+                }
             }
         }
     }

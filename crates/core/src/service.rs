@@ -36,7 +36,10 @@
 //!   and p50/p99 request latency.
 //! * The front end, [`FdService::serve`] on a TCP or Unix [`Listener`]
 //!   and [`FdService::serve_batch`] on stdin, reads newline-delimited
-//!   frames of at most [`MAX_REQUEST_LINE`] bytes.
+//!   frames of at most [`MAX_REQUEST_LINE`] bytes. It is the one line
+//!   protocol of the workspace: the discovery registry
+//!   ([`crate::deploy::Registry`]) is served by the same accept loop, and
+//!   [`call`] is the one client of both.
 //!
 //! [`Cluster::run`]: crate::runner::Cluster::run
 //! [`Cluster::run_with_keys`]: crate::runner::Cluster::run_with_keys
@@ -46,12 +49,14 @@ use crate::runner::KeyDistReport;
 use crate::spec::SpecBuilder;
 use crate::wire::{self, Value};
 use std::collections::{BTreeMap, HashMap};
+use std::fmt;
 use std::io::{self, BufRead, BufReader, ErrorKind, Read, Write};
-use std::net::{Ipv4Addr, Ipv6Addr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::unix::fs::FileTypeExt;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
+use std::str::Utf8Error;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -401,66 +406,13 @@ impl FdService {
     /// Serve `listener` until a client sends `{"op": "shutdown"}`, one
     /// thread per connection, and return once every connection has
     /// closed. Accept blocks; the connection that answers the shutdown
-    /// wakes it with [`Listener::wake`].
+    /// wakes it with [`Listener::wake`]. A line the framing refuses is
+    /// answered with a wire error response.
     pub fn serve<L: Listener>(&self, listener: &L) {
-        std::thread::scope(|scope| {
-            while !self.stop.load(Ordering::SeqCst) {
-                match listener.accept_conn() {
-                    // Past a shutdown the connection is the wake-up (or a
-                    // late client): drop it.
-                    Ok(stream) if !self.stop.load(Ordering::SeqCst) => {
-                        scope.spawn(move || self.serve_connection(stream, listener));
-                    }
-                    Ok(_) => {}
-                    Err(e) => {
-                        eprintln!("serve: accept: {e}");
-                        // Do not spin on a lasting error (EMFILE).
-                        std::thread::sleep(Duration::from_millis(10));
-                    }
-                }
-            }
+        serve_lines(listener, &self.stop, None, |line| match line {
+            Ok(request) => self.answer(request),
+            Err(bad) => refusal(&bad),
         });
-    }
-
-    /// Serve one connection: one response frame per request line. A line
-    /// past [`MAX_REQUEST_LINE`] is answered with one error frame and the
-    /// connection closed, so a client that never sends a newline cannot
-    /// grow the server. The read timeout [`Listener::accept_conn`] sets
-    /// lets an idle connection notice a shutdown.
-    fn serve_connection<L: Listener>(&self, stream: L::Stream, listener: &L) {
-        let mut reader = BufReader::new(stream);
-        let mut line = Vec::new();
-        loop {
-            match read_request_line(&mut reader, &mut line) {
-                Ok(RequestLine::Eof) => break,
-                Ok(RequestLine::TooLong) => {
-                    let _ = write_frame(reader.get_mut(), oversized_line_response());
-                    break;
-                }
-                Ok(RequestLine::Complete) => {
-                    let response = match request_text(&line) {
-                        Ok("") => None,
-                        Ok(request) => Some(self.answer(request)),
-                        Err(error) => Some(error),
-                    };
-                    line.clear();
-                    let Some(response) = response else { continue };
-                    if write_frame(reader.get_mut(), response).is_err() {
-                        break;
-                    }
-                    if self.stop.load(Ordering::SeqCst) {
-                        let _ = listener.wake();
-                        break;
-                    }
-                }
-                // A timed-out read leaves any partial line in the buffer:
-                // keep it and read on, unless the service is stopping.
-                Err(e)
-                    if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut)
-                        && !self.stop.load(Ordering::SeqCst) => {}
-                Err(_) => break,
-            }
-        }
     }
 
     /// Answer a whole batch (`lafd serve --stdin`): read `input` to its
@@ -474,15 +426,15 @@ impl FdService {
         let (mut lines, mut rejected) = (Vec::new(), Vec::new());
         let mut line = Vec::new();
         loop {
-            match read_request_line(input, &mut line)? {
-                RequestLine::Eof => break,
-                RequestLine::Complete => match request_text(&line) {
+            match read_frame(input, &mut line, MAX_REQUEST_LINE)? {
+                Frame::Eof => break,
+                Frame::Complete => match line_text(&line) {
                     Ok("") => {}
                     Ok(request) => lines.push(request.to_string()),
-                    Err(error) => rejected.push((lines.len() + rejected.len(), error)),
+                    Err(bad) => rejected.push((lines.len() + rejected.len(), refusal(&bad))),
                 },
-                RequestLine::TooLong => {
-                    rejected.push((lines.len() + rejected.len(), oversized_line_response()));
+                Frame::TooLong => {
+                    rejected.push((lines.len() + rejected.len(), refusal(&BadLine::TooLong)));
                     while !line.ends_with(b"\n") {
                         line.clear();
                         if input.take(1 << 16).read_until(b'\n', &mut line)? == 0 {
@@ -501,68 +453,256 @@ impl FdService {
     }
 }
 
-/// Longest request line the service reads, on a socket or in a batch.
+/// The service's wire error response to a line the framing refuses.
+fn refusal(bad: &BadLine) -> String {
+    wire::error_to_json(None, &bad.to_string())
+}
+
+/// Longest request line a server reads, on a socket or in a batch.
 pub const MAX_REQUEST_LINE: usize = 1 << 20;
+
+/// Longest reply line [`call`] reads: far above any run report, registry
+/// roster or summary set, and a bound on what a misbehaving server can
+/// make a client hold.
+pub const MAX_REPLY_LINE: usize = 16 << 20;
 
 /// Send one newline-terminated frame in exactly one write. With the
 /// terminator in a write of its own, Nagle's algorithm holds it back
 /// until the peer's delayed ACK fires (~40 ms per frame).
-pub(crate) fn write_frame(out: &mut impl Write, mut frame: String) -> io::Result<()> {
+fn write_frame(out: &mut impl Write, mut frame: String) -> io::Result<()> {
     frame.push('\n');
     out.write_all(frame.as_bytes())?;
     out.flush()
 }
 
-/// What [`read_request_line`] found.
-enum RequestLine {
-    /// `line` holds one request (newline-terminated, or cut off by end
-    /// of input).
+/// What [`read_frame`] found.
+enum Frame {
+    /// `line` holds one line (newline-terminated, or cut off by end of
+    /// input).
     Complete,
-    /// `line` passed [`MAX_REQUEST_LINE`] bytes without a newline.
+    /// `line` passed the cap without a newline.
     TooLong,
     /// End of input with nothing pending.
     Eof,
 }
 
-/// Append the next request line to `line`, never holding more than
-/// [`MAX_REQUEST_LINE`] + 1 bytes. On an I/O error (a read timeout, on a
-/// socket) the bytes read so far stay in `line` and the call can simply
-/// be repeated.
-fn read_request_line(reader: &mut impl BufRead, line: &mut Vec<u8>) -> io::Result<RequestLine> {
-    let room = (MAX_REQUEST_LINE + 1).saturating_sub(line.len());
+/// Append the next line to `line`, never holding more than `max` + 1
+/// bytes. On an I/O error (a read timeout, on a socket) the bytes read so
+/// far stay in `line` and the call can simply be repeated.
+fn read_frame(reader: &mut impl BufRead, line: &mut Vec<u8>, max: usize) -> io::Result<Frame> {
+    let room = (max + 1).saturating_sub(line.len());
     let read = reader.take(room as u64).read_until(b'\n', line)?;
     Ok(if line.ends_with(b"\n") {
-        RequestLine::Complete
-    } else if line.len() > MAX_REQUEST_LINE {
-        RequestLine::TooLong
+        Frame::Complete
+    } else if line.len() > max {
+        Frame::TooLong
     } else if read == 0 {
-        RequestLine::Eof
+        Frame::Eof
     } else {
-        RequestLine::Complete
+        Frame::Complete
     })
 }
 
-/// The error frame answering a [`RequestLine::TooLong`] line.
-fn oversized_line_response() -> String {
-    wire::error_to_json(
-        None,
-        &format!("request line exceeds {MAX_REQUEST_LINE} bytes"),
-    )
+/// A request line the framing refuses. Each server answers it in its own
+/// dialect, with this text.
+#[derive(Debug)]
+pub(crate) enum BadLine {
+    /// Past [`MAX_REQUEST_LINE`] bytes: answered, then the connection
+    /// closes, so a client that never sends a newline cannot grow the
+    /// server.
+    TooLong,
+    /// Not UTF-8: answered, and the connection reads on.
+    NotUtf8(Utf8Error),
 }
 
-/// The trimmed text of a request line, or the error frame answering one
-/// that is not UTF-8.
-fn request_text(line: &[u8]) -> Result<&str, String> {
+impl fmt::Display for BadLine {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            BadLine::TooLong => write!(f, "request line exceeds {MAX_REQUEST_LINE} bytes"),
+            BadLine::NotUtf8(e) => write!(f, "request line is not UTF-8: {e}"),
+        }
+    }
+}
+
+/// The trimmed text of a request line.
+fn line_text(line: &[u8]) -> Result<&str, BadLine> {
     std::str::from_utf8(line)
         .map(str::trim)
-        .map_err(|e| wire::error_to_json(None, &format!("request line is not UTF-8: {e}")))
+        .map_err(BadLine::NotUtf8)
 }
 
-/// How long a connection's read blocks before [`FdService::serve`]
-/// rechecks its stop flag, so an idle client cannot hold up a shutdown.
+/// The accept loop of every line server (`lafd serve` and `lafd
+/// registry`): serve `listener` until `stop` is set, one thread per
+/// connection, and return once every connection has closed. Each
+/// non-blank request line gets the one reply line `answer` returns for
+/// it; `answer` also renders the lines the framing refuses. The
+/// connection that answers with `stop` set wakes the blocked accept.
+/// With a `wait_limit`, a connection whose next request is not complete
+/// that long after its accept or its last reply is closed. An accept
+/// error is logged and retried after a nap.
+pub(crate) fn serve_lines<L, A>(
+    listener: &L,
+    stop: &AtomicBool,
+    wait_limit: Option<Duration>,
+    answer: A,
+) where
+    L: Listener,
+    A: Fn(Result<&str, BadLine>) -> String + Sync,
+{
+    let answer = &answer;
+    std::thread::scope(|scope| {
+        while !stop.load(Ordering::SeqCst) {
+            match listener.accept_conn() {
+                // Past a shutdown the connection is the wake-up (or a
+                // late client): drop it.
+                Ok(stream) if !stop.load(Ordering::SeqCst) => {
+                    scope.spawn(move || {
+                        serve_connection(stream, listener, stop, wait_limit, answer)
+                    });
+                }
+                Ok(_) => {}
+                Err(e) => {
+                    eprintln!("serve: accept: {e}");
+                    // Do not spin on a lasting error (EMFILE).
+                    std::thread::sleep(Duration::from_millis(10));
+                }
+            }
+        }
+    });
+}
+
+/// Serve one connection for [`serve_lines`]. The read timeout
+/// [`Listener::accept_conn`] sets lets an idle connection notice a
+/// shutdown and its wait limit.
+fn serve_connection<L: Listener>(
+    stream: L::Stream,
+    listener: &L,
+    stop: &AtomicBool,
+    wait_limit: Option<Duration>,
+    answer: &(impl Fn(Result<&str, BadLine>) -> String + Sync),
+) {
+    let mut reader = BufReader::new(stream);
+    let mut line = Vec::new();
+    let mut waiting_since = Instant::now();
+    loop {
+        let reply = match read_frame(&mut reader, &mut line, MAX_REQUEST_LINE) {
+            Ok(Frame::Eof) => break,
+            Ok(Frame::TooLong) => {
+                let _ = write_frame(reader.get_mut(), answer(Err(BadLine::TooLong)));
+                break;
+            }
+            Ok(Frame::Complete) => {
+                let reply = match line_text(&line) {
+                    Ok("") => None,
+                    text => Some(answer(text)),
+                };
+                line.clear();
+                reply
+            }
+            // A timed-out read leaves any partial line in the buffer:
+            // keep it and read on, unless the server is stopping or the
+            // request is past its wait limit.
+            Err(e)
+                if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut)
+                    && !stop.load(Ordering::SeqCst)
+                    && wait_limit.is_none_or(|limit| waiting_since.elapsed() < limit) =>
+            {
+                None
+            }
+            Err(_) => break,
+        };
+        let Some(reply) = reply else { continue };
+        if write_frame(reader.get_mut(), reply).is_err() {
+            break;
+        }
+        if stop.load(Ordering::SeqCst) {
+            let _ = listener.wake();
+            break;
+        }
+        waiting_since = Instant::now();
+    }
+}
+
+/// Why a [`call`] failed.
+#[derive(Debug)]
+pub enum CallError {
+    /// The address does not resolve.
+    Address(io::Error),
+    /// No resolved address accepted the connection.
+    Connect(io::Error),
+    /// Sending the request or reading the reply failed (a timeout or a
+    /// reply that is not UTF-8 included).
+    Io(io::Error),
+    /// The server closed the connection before a whole reply line.
+    Closed,
+    /// The reply line passed [`MAX_REPLY_LINE`] bytes.
+    TooLong,
+}
+
+impl fmt::Display for CallError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            CallError::Address(e) | CallError::Connect(e) => write!(f, "connect: {e}"),
+            CallError::Io(e) => write!(f, "{e}"),
+            CallError::Closed => f.write_str("closed without replying"),
+            CallError::TooLong => write!(f, "reply line exceeds {MAX_REPLY_LINE} bytes"),
+        }
+    }
+}
+
+/// One exchange with a line server (`lafd serve` or `lafd registry`) on a
+/// fresh `TCP_NODELAY` connection to `addr` (`HOST:PORT`): send `line`,
+/// read one reply line of at most [`MAX_REPLY_LINE`] bytes and return it
+/// without its newline. `timeout` bounds the connect and every read and
+/// write; `None` waits as long as the server takes.
+pub fn call(addr: &str, line: String, timeout: Option<Duration>) -> Result<String, CallError> {
+    let mut stream = connect(addr, timeout)?;
+    stream
+        .set_nodelay(true)
+        .and_then(|()| stream.set_read_timeout(timeout))
+        .and_then(|()| stream.set_write_timeout(timeout))
+        .and_then(|()| write_frame(&mut stream, line))
+        .map_err(CallError::Io)?;
+    let mut reply = Vec::new();
+    let frame = read_frame(&mut BufReader::new(stream), &mut reply, MAX_REPLY_LINE)
+        .map_err(CallError::Io)?;
+    if matches!(frame, Frame::TooLong) {
+        return Err(CallError::TooLong);
+    }
+    // A reply cut off by the close is no reply.
+    if reply.pop() != Some(b'\n') {
+        return Err(CallError::Closed);
+    }
+    String::from_utf8(reply).map_err(|e| CallError::Io(io::Error::new(ErrorKind::InvalidData, e)))
+}
+
+/// Connect to the first of `addr`'s resolved addresses that accepts, as
+/// [`TcpStream::connect`] does, each attempt bounded by `timeout`.
+fn connect(addr: &str, timeout: Option<Duration>) -> Result<TcpStream, CallError> {
+    let mut last = io::Error::new(
+        ErrorKind::InvalidInput,
+        "could not resolve to any addresses",
+    );
+    for sock in addr.to_socket_addrs().map_err(CallError::Address)? {
+        let attempt = match timeout {
+            Some(timeout) => TcpStream::connect_timeout(&sock, timeout),
+            None => TcpStream::connect(sock),
+        };
+        match attempt {
+            Ok(stream) => return Ok(stream),
+            Err(e) => last = e,
+        }
+    }
+    Err(CallError::Connect(last))
+}
+
+/// How long a connection's read blocks before its accept loop rechecks
+/// the stop flag and the wait limit, so an idle client cannot hold up a
+/// shutdown.
 const READ_TIMEOUT: Duration = Duration::from_millis(200);
 
-/// A bound socket [`FdService::serve`] accepts connections on: a
+/// A bound socket a line server ([`FdService::serve`],
+/// [`crate::deploy::Registry::serve`]) accepts connections on: a
 /// [`TcpListener`] or a [`UnixListener`].
 pub trait Listener: Sync {
     /// An accepted connection.

@@ -44,14 +44,12 @@ use crate::metrics;
 use crate::pool;
 use crate::runner::FdRunReport;
 use crate::schedsearch::{self, Score, SearchConfig, Strategy};
-use crate::service;
+use crate::service::{self, CallError};
 use crate::spec::{Session, SpecBuilder};
 use crate::wire::{self, Value};
 use fd_simnet::{Engine, LatencySpec, LinkLatencySpec};
 use std::collections::BTreeSet;
 use std::fmt;
-use std::io::{BufRead, BufReader};
-use std::net::TcpStream;
 
 // The sweep's protocol and adversary axes migrated into the unified
 // execution API ([`crate::spec`] / [`crate::adversary`]); re-exported
@@ -563,9 +561,11 @@ impl ScenarioExecutor for LocalExecutor {
 }
 
 /// The executor of `lafd sweep --remote`: one wire-v1 request per
-/// scenario to a `lafd serve` at `addr`, on a fresh `TCP_NODELAY`
-/// connection (which keeps it `Sync`), framed by `service::write_frame`
-/// like the server's replies.
+/// scenario to a `lafd serve` at `addr` over [`service::call`], in
+/// newline-delimited wire-v1, one line per request and per reply, on a
+/// fresh connection (which keeps it `Sync`). A reply line past
+/// [`service::MAX_REPLY_LINE`] bytes is an error, so a misbehaving service
+/// cannot grow the sweep.
 #[derive(Debug, Clone)]
 pub struct RemoteExecutor {
     /// `HOST:PORT` of the service.
@@ -576,19 +576,11 @@ impl ScenarioExecutor for RemoteExecutor {
     fn execute(&self, scenario: &SpecBuilder) -> Result<(Option<usize>, FdRunReport), String> {
         let addr = &self.addr;
         let request = wire::request_to_json(scenario, None)?;
-        let mut stream =
-            TcpStream::connect(addr).map_err(|e| format!("connecting to {addr}: {e}"))?;
-        stream
-            .set_nodelay(true)
-            .and_then(|()| service::write_frame(&mut stream, request))
-            .map_err(|e| format!("sending request to {addr}: {e}"))?;
-        let mut reply = String::new();
-        BufReader::new(&stream)
-            .read_line(&mut reply)
-            .map_err(|e| format!("reading response from {addr}: {e}"))?;
-        if reply.trim().is_empty() {
-            return Err(format!("service at {addr} closed without replying"));
-        }
+        let reply = service::call(addr, request, None).map_err(|error| match error {
+            CallError::Address(e) | CallError::Connect(e) => format!("connecting to {addr}: {e}"),
+            CallError::Closed => format!("service at {addr} closed without replying"),
+            error => format!("service at {addr}: {error}"),
+        })?;
         let response = wire::response_from_json(reply.trim())?;
         Ok((response.keydist_messages, response.report?))
     }

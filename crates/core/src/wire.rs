@@ -1225,8 +1225,8 @@ pub struct WorkerSummary {
     pub retries: u64,
 }
 
-/// A request to the discovery registry (`lafd registry`), one framed
-/// JSON document per connection.
+/// A request to the discovery registry (`lafd registry`), in
+/// newline-delimited wire-v1, one line per request and per reply.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RegistryRequest {
     /// Announce `(node, addr)` for a run and block until all `n` peers

@@ -33,7 +33,7 @@
 //! late, which the paper's protocols surface as *discovered* timing
 //! failures, never as silent disagreement.
 
-use crate::fault::{FaultPlan, LinkFault};
+use crate::fault::{self, FaultPlan, LinkFault};
 use crate::node::OutOp;
 use crate::{Envelope, NetStats, Node, NodeId, Outbox, Payload};
 use std::cmp::Ordering;
@@ -858,26 +858,16 @@ impl EventNetwork {
     }
 
     /// Apply delivery-time faults and file the message into its inbox.
+    /// Delay was already applied when the delivery was scheduled.
     fn deliver(&mut self, env: Envelope) {
-        match self.faults.lookup(env.round, env.from, env.to) {
-            Some(LinkFault::Drop) => {}
-            Some(LinkFault::Corrupt { offset, mask }) => {
-                let mut env = env;
-                // Copy-on-write: sibling deliveries sharing the buffer
-                // must not observe the corruption.
-                if offset < env.payload.len() {
-                    env.payload.make_mut()[offset] ^= mask;
-                }
-                self.pending[env.to.index()].push(env);
-            }
-            Some(LinkFault::Duplicate) => {
-                self.pending[env.to.index()].push(env.clone());
-                self.pending[env.to.index()].push(env);
-            }
-            Some(LinkFault::Reorder) => self.pending_reordered[env.to.index()].push(env),
-            // Delay was already applied when the delivery was scheduled.
-            Some(LinkFault::Delay { .. }) | None => self.pending[env.to.index()].push(env),
-        }
+        let to = env.to.index();
+        let fault = self.faults.lookup(env.round, env.from, env.to);
+        fault::deliver(
+            fault,
+            env,
+            &mut self.pending[to],
+            &mut self.pending_reordered[to],
+        );
     }
 
     /// Park `record` in the ring bucket for round-boundary `at` (must be a
@@ -976,25 +966,8 @@ impl EventNetwork {
                 inbox.push(env);
                 continue;
             }
-            match self.faults.lookup(env.round, env.from, env.to) {
-                Some(LinkFault::Drop) => {}
-                Some(LinkFault::Corrupt { offset, mask }) => {
-                    let mut env = env;
-                    // Copy-on-write: sibling deliveries sharing the buffer
-                    // must not observe the corruption.
-                    if offset < env.payload.len() {
-                        env.payload.make_mut()[offset] ^= mask;
-                    }
-                    inbox.push(env);
-                }
-                Some(LinkFault::Duplicate) => {
-                    inbox.push(env.clone());
-                    inbox.push(env);
-                }
-                Some(LinkFault::Reorder) => self.pending_reordered[i].push(env),
-                // Delay was already applied when the delivery was scheduled.
-                Some(LinkFault::Delay { .. }) | None => inbox.push(env),
-            }
+            let fault = self.faults.lookup(env.round, env.from, env.to);
+            fault::deliver(fault, env, &mut inbox, &mut self.pending_reordered[i]);
         }
         // …then reorder-faulted messages, then a rusher's preview.
         inbox.append(&mut self.pending_reordered[i]);

@@ -7,7 +7,7 @@
 //! the simulator accepts an explicit [`FaultPlan`] that breaks N1 on
 //! selected (round, from, to) triples. Correct runs never install one.
 
-use crate::NodeId;
+use crate::{Envelope, NodeId};
 use std::collections::HashMap;
 
 /// What to do to a matched message.
@@ -130,6 +130,39 @@ impl FaultPlan {
             plan = plan.with(round, from, to, kind);
         }
         plan
+    }
+}
+
+/// File `env` into `inbox` under `fault`: the delivery rules both engines
+/// share. A dropped message goes nowhere, a corrupted one arrives with
+/// one payload byte flipped, a duplicated one arrives twice, and a
+/// reordered one goes to `late`, which the engine appends after the rest
+/// of the round's inbox. [`LinkFault::Delay`] is engine-specific (the
+/// sync engine holds the message, the event engine shifts its arrival
+/// tick), so the engine applies it first and the message then arrives
+/// here as if unfaulted.
+pub(crate) fn deliver(
+    fault: Option<LinkFault>,
+    mut env: Envelope,
+    inbox: &mut Vec<Envelope>,
+    late: &mut Vec<Envelope>,
+) {
+    match fault {
+        Some(LinkFault::Drop) => {}
+        Some(LinkFault::Corrupt { offset, mask }) => {
+            // Copy-on-write: sibling deliveries sharing the buffer must
+            // not observe the corruption.
+            if offset < env.payload.len() {
+                env.payload.make_mut()[offset] ^= mask;
+            }
+            inbox.push(env);
+        }
+        Some(LinkFault::Duplicate) => {
+            inbox.push(env.clone());
+            inbox.push(env);
+        }
+        Some(LinkFault::Reorder) => late.push(env),
+        Some(LinkFault::Delay { .. }) | None => inbox.push(env),
     }
 }
 

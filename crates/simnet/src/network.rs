@@ -1,6 +1,6 @@
 //! The deterministic round-synchronous simulator.
 
-use crate::fault::{FaultPlan, LinkFault};
+use crate::fault::{self, FaultPlan, LinkFault};
 use crate::{Envelope, NetStats, Node, NodeId, Outbox};
 
 /// Rounds that deliver fewer messages than this step every node on the
@@ -202,29 +202,14 @@ impl SyncNetwork {
         }
         self.delayed = held;
         for env in std::mem::take(&mut self.in_flight).into_iter().flatten() {
+            let to = env.to.index();
             match self.faults.lookup(env.round, env.from, env.to) {
-                Some(LinkFault::Drop) => continue,
-                Some(LinkFault::Corrupt { offset, mask }) => {
-                    let mut env = env;
-                    // Copy-on-write: sibling deliveries sharing the buffer
-                    // must not observe the corruption.
-                    if offset < env.payload.len() {
-                        env.payload.make_mut()[offset] ^= mask;
-                    }
-                    inboxes[env.to.index()].push(env);
-                }
-                Some(LinkFault::Duplicate) => {
-                    inboxes[env.to.index()].push(env.clone());
-                    inboxes[env.to.index()].push(env);
-                }
                 // A zero-round delay is a no-op (as on the event engine,
                 // where it adds zero ticks).
-                Some(LinkFault::Delay { rounds: 0 }) => inboxes[env.to.index()].push(env),
-                Some(LinkFault::Delay { rounds }) => {
+                Some(LinkFault::Delay { rounds }) if rounds > 0 => {
                     self.delayed.push((round.saturating_add(rounds), env));
                 }
-                Some(LinkFault::Reorder) => reordered[env.to.index()].push(env),
-                None => inboxes[env.to.index()].push(env),
+                fault => fault::deliver(fault, env, &mut inboxes[to], &mut reordered[to]),
             }
         }
         for (inbox, late) in inboxes.iter_mut().zip(reordered) {

@@ -763,13 +763,8 @@ fn cmd_registry((listen, wait_limit_secs): (String, Option<u64>)) -> ExitCode {
     // this exact line — keep it first and flushed.
     println!("registry listening on {}", registry.local_addr());
     let _ = std::io::stdout().flush();
-    match registry.serve() {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("error: registry accept loop: {e}");
-            ExitCode::FAILURE
-        }
-    }
+    registry.serve();
+    ExitCode::SUCCESS
 }
 
 fn parse_cluster(args: &[String]) -> Result<(SpecBuilder, ClusterConfig), String> {

@@ -2,15 +2,20 @@
 //! parser bounds nesting at `wire::MAX_DEPTH`, so each surface that reads
 //! JSON from outside answers such a document with a typed error naming
 //! the limit and carries on: the `lafd serve` socket front end, the
-//! cluster registry, and `lafd run --spec`.
+//! cluster registry, and `lafd run --spec`. The line framing bounds the
+//! rest: the registry answers an over-long or non-UTF-8 line and closes a
+//! stalled one, and `lafd sweep --remote` refuses an endless reply.
 
-use local_auth_fd::core::deploy::{self, Registry};
+use local_auth_fd::core::deploy::{self, Registry, RegistryError};
+use local_auth_fd::core::service;
 use local_auth_fd::core::spec::{Protocol, SpecBuilder};
+use local_auth_fd::core::sweep::{RemoteExecutor, ScenarioExecutor};
 use local_auth_fd::core::wire::{self, RegistryReply, RegistryRequest};
-use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::{TcpListener, TcpStream};
 use std::process::{Command, Stdio};
-use std::time::Duration;
+use std::sync::mpsc;
+use std::time::{Duration, Instant};
 
 const LIMIT_ERROR: &str = "nesting deeper than 64 levels";
 
@@ -68,33 +73,157 @@ fn a_tcp_server_answers_a_deep_line_with_an_error_frame_and_serves_on() {
     assert!(status.success(), "lafd serve exited with {status}");
 }
 
-#[test]
-fn the_registry_survives_a_deep_frame() {
+/// A registry served from a thread of this test, with `wait_limit`.
+fn registry(wait_limit: Duration) -> String {
     let registry = Registry::bind("127.0.0.1:0")
         .expect("bind registry")
-        .with_wait_limit(Duration::from_secs(10));
+        .with_wait_limit(wait_limit);
     let addr = registry.local_addr().to_string();
     std::thread::spawn(move || registry.serve());
+    addr
+}
 
-    let mut stream = TcpStream::connect(&addr).expect("connect registry");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(30)))
-        .expect("read timeout");
-    deploy::send_frame(&mut stream, "[".repeat(20_000).as_bytes()).expect("send");
-    let reply = deploy::recv_frame(&mut stream).expect("a reply frame");
-    match wire::registry_reply_from_json(std::str::from_utf8(&reply).unwrap()) {
-        Ok(RegistryReply::Error { error }) => assert!(error.contains(LIMIT_ERROR), "{error}"),
+/// `reply` is a typed registry error reply containing `expected`.
+fn assert_refused(reply: &str, expected: &str) {
+    match wire::registry_reply_from_json(reply.trim()) {
+        Ok(RegistryReply::Error { error }) => assert!(error.contains(expected), "{error}"),
         other => panic!("expected a typed error reply, got {other:?}"),
     }
-    // The registry still answers the next caller.
+}
+
+/// The registry still answers the next caller.
+fn assert_serves_on(addr: &str) {
     let lookup = RegistryRequest::Lookup {
         run: "r".to_string(),
         node: 0,
     };
-    match deploy::registry_call(&addr, &lookup, Duration::from_secs(10)) {
-        Err(error) => assert!(error.contains("not registered"), "{error}"),
+    match deploy::registry_call(addr, &lookup, Duration::from_secs(10)) {
+        Err(RegistryError::Final(error)) => assert!(error.contains("not registered"), "{error}"),
         other => panic!("expected the unknown-run error, got {other:?}"),
     }
+}
+
+/// Send `bytes` on a fresh connection and read the registry's reply line.
+fn raw_exchange(addr: &str, bytes: &[u8]) -> String {
+    let mut stream = TcpStream::connect(addr).expect("connect registry");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("read timeout");
+    stream.write_all(bytes).expect("send");
+    let mut reply = String::new();
+    BufReader::new(stream)
+        .read_line(&mut reply)
+        .expect("a reply line");
+    reply
+}
+
+#[test]
+fn the_registry_survives_a_deep_frame() {
+    let addr = registry(Duration::from_secs(10));
+    let reply = service::call(&addr, "[".repeat(20_000), Some(Duration::from_secs(30)))
+        .expect("a reply line");
+    assert_refused(&reply, LIMIT_ERROR);
+    assert_serves_on(&addr);
+}
+
+#[test]
+fn the_registry_answers_a_line_past_the_cap_and_serves_on() {
+    let addr = registry(Duration::from_secs(10));
+    // Exactly one byte past the cap: the registry reads all of it, so its
+    // close cannot reset the reply away.
+    let reply = raw_exchange(&addr, &vec![b'x'; service::MAX_REQUEST_LINE + 1]);
+    assert_refused(&reply, "request line exceeds 1048576 bytes");
+    assert_serves_on(&addr);
+}
+
+#[test]
+fn the_registry_answers_a_non_utf8_line_and_serves_on() {
+    let addr = registry(Duration::from_secs(10));
+    let reply = raw_exchange(&addr, b"{\"run\": \"\xff\xfe\"}\n");
+    assert_refused(&reply, "request line is not UTF-8");
+    assert_serves_on(&addr);
+}
+
+#[test]
+fn the_registry_closes_a_request_stalled_past_its_wait_limit() {
+    let addr = registry(Duration::from_secs(1));
+    let mut stream = TcpStream::connect(&addr).expect("connect registry");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("read timeout");
+    stream
+        .write_all(b"{\"schema_version\": 1")
+        .expect("send half a request");
+    let started = Instant::now();
+    let mut rest = Vec::new();
+    stream
+        .read_to_end(&mut rest)
+        .expect("the registry closes the connection");
+    let took = started.elapsed();
+    assert!(rest.is_empty(), "no reply to half a request: {rest:?}");
+    assert!(
+        took >= Duration::from_millis(500) && took < Duration::from_secs(10),
+        "closed after {took:?}, not at the 1 s wait limit"
+    );
+    assert_serves_on(&addr);
+}
+
+#[test]
+fn a_remote_sweep_refuses_an_endless_reply() {
+    // A fake service: 17 MiB without a newline, then the socket stays
+    // open until the test ends.
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind the fake service");
+    let addr = listener.local_addr().expect("bound").to_string();
+    let (hold, held) = mpsc::channel::<()>();
+    std::thread::spawn(move || {
+        let (mut stream, _) = listener.accept().expect("accept");
+        let chunk = vec![b'x'; 1 << 16];
+        for _ in 0..17 * 16 {
+            if stream.write_all(&chunk).is_err() {
+                return;
+            }
+        }
+        let _ = held.recv();
+    });
+    let (done, result) = mpsc::channel();
+    std::thread::spawn(move || {
+        let executor = RemoteExecutor { addr };
+        let _ = done.send(executor.execute(&SpecBuilder::new(Protocol::ChainFd, 4)));
+    });
+    let error = result
+        .recv_timeout(Duration::from_secs(60))
+        .expect("the client gives up instead of reading on")
+        .expect_err("an endless reply is an error");
+    assert!(
+        error.ends_with(&format!(
+            "reply line exceeds {} bytes",
+            service::MAX_REPLY_LINE
+        )),
+        "{error}"
+    );
+    drop(hold);
+}
+
+#[test]
+fn a_remote_sweep_names_a_silent_or_dead_service() {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind the fake service");
+    let addr = listener.local_addr().expect("bound").to_string();
+    // Read one request, close the connection unanswered, stop listening.
+    let service = std::thread::spawn(move || {
+        let (stream, _) = listener.accept().expect("accept");
+        let mut request = String::new();
+        let _ = BufReader::new(stream).read_line(&mut request);
+    });
+    let executor = RemoteExecutor { addr: addr.clone() };
+    let scenario = SpecBuilder::new(Protocol::ChainFd, 4);
+    let silent = executor.execute(&scenario).expect_err("no reply");
+    assert_eq!(silent, format!("service at {addr} closed without replying"));
+    service.join().expect("the fake service ends");
+    let dead = executor.execute(&scenario).expect_err("nobody listens");
+    assert!(
+        dead.starts_with(&format!("connecting to {addr}: ")),
+        "{dead}"
+    );
 }
 
 #[test]
