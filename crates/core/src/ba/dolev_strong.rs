@@ -16,7 +16,7 @@
 //! `n − 1` (experiment T6).
 
 use crate::chain::ChainMessage;
-use crate::keys::{CohortKey, CohortVerdict, KeyStore, Keyring};
+use crate::keys::{CohortKey, CohortVerdict, Cohorts, KeyStore, Keyring};
 use crate::outcome::{DiscoveryReason, Outcome};
 use fd_crypto::SignatureScheme;
 use fd_simnet::codec::{CodecError, Decode, Encode, Reader, Writer};
@@ -93,6 +93,18 @@ impl DolevStrongParams {
 enum Accepted {
     Shared(Arc<[u8]>),
     Owned(ChainMessage),
+}
+
+/// What one receiver takes from a cohort verdict, decided while the
+/// verdict is read in place under the cohort lock.
+enum Take {
+    /// An echo of a chain this node signed, or a body it already
+    /// extracted: nothing to copy.
+    Nothing,
+    /// A body this node has not extracted yet.
+    Body(Arc<[u8]>),
+    /// A discovery (recorded only if it is this node's first).
+    Discovery(DiscoveryReason),
 }
 
 /// Honest Dolev–Strong participant.
@@ -189,33 +201,64 @@ impl DolevStrongNode {
         }
     }
 
-    /// Apply a batched cohort verdict as *this* receiver: the per-receiver
-    /// echo rule (a chain this node already signed is ignored) lives here,
-    /// everything else mirrors [`DolevStrongNode::validate`] outcome for
-    /// outcome. Returns the accepted body, if any.
-    fn apply_verdict(&mut self, verdict: CohortVerdict) -> Option<Arc<[u8]>> {
+    /// Read a batched cohort verdict as *this* receiver: the
+    /// per-receiver echo rule (a chain this node already signed is
+    /// ignored) lives here, everything else mirrors
+    /// [`DolevStrongNode::validate`] outcome for outcome. A body this node
+    /// already extracted is dropped here rather than copied out.
+    fn take(&self, verdict: &CohortVerdict) -> Take {
+        if verdict.signers().contains(&self.me) {
+            return Take::Nothing;
+        }
         match verdict {
-            CohortVerdict::Malformed => {
-                self.discovered.get_or_insert(DiscoveryReason::Malformed);
-                None
-            }
-            CohortVerdict::BadChain => {
-                self.discovered.get_or_insert(DiscoveryReason::BadStructure);
-                None
-            }
-            CohortVerdict::Duplicate { signers } => {
-                if !signers.contains(&self.me) {
-                    self.discovered.get_or_insert(DiscoveryReason::BadStructure);
+            CohortVerdict::Accept { body, .. } => {
+                if self.extracted.iter().any(|e| e[..] == body[..]) {
+                    Take::Nothing
+                } else {
+                    Take::Body(Arc::clone(body))
                 }
-                None
             }
-            CohortVerdict::Accept { signers, body } => {
-                (!signers.contains(&self.me)).then_some(body)
+            CohortVerdict::Malformed => Take::Discovery(DiscoveryReason::Malformed),
+            CohortVerdict::BadChain | CohortVerdict::Duplicate { .. } => {
+                Take::Discovery(DiscoveryReason::BadStructure)
             }
-            CohortVerdict::Discovered { signers, reason } => {
-                if !signers.contains(&self.me) {
-                    self.discovered.get_or_insert(reason);
-                }
+            CohortVerdict::Discovered { reason, .. } => Take::Discovery(reason.clone()),
+        }
+    }
+
+    /// Screen one envelope through the cohort layer: replay the verdict
+    /// its broadcast buffer was judged to under this store's view, or
+    /// judge it (the cohort's first receiver with this view) and record
+    /// the verdict for the rest. Returns a newly accepted body.
+    fn screen_cohort(
+        &mut self,
+        cohorts: &mut Cohorts<'_>,
+        env: &Envelope,
+        r: u32,
+    ) -> Option<Arc<[u8]>> {
+        let key: CohortKey = (env.payload.ident(), env.from, r);
+        let take = match cohorts.with(&key, &self.store, |v| self.take(v)) {
+            Some(take) => take,
+            None => {
+                let decoded = DsMsg::decode_exact(&env.payload).ok();
+                let verdict = CohortVerdict::judge(
+                    self.scheme.as_ref(),
+                    &self.store,
+                    decoded.as_ref().map(|m| &m.chain),
+                    env.from,
+                    self.params.sender,
+                    r as usize,
+                );
+                let take = self.take(&verdict);
+                cohorts.put(key, &env.payload, &self.store, verdict);
+                take
+            }
+        };
+        match take {
+            Take::Nothing => None,
+            Take::Body(body) => Some(body),
+            Take::Discovery(reason) => {
+                self.discovered.get_or_insert(reason);
                 None
             }
         }
@@ -267,32 +310,17 @@ impl Node for DolevStrongNode {
         // Rounds 1..=t+1: extract and (through round t) relay. With a
         // cohort-enabled cache the entire screening pipeline (decode,
         // structure checks, signer extraction, verification) runs once per
-        // broadcast buffer and every other receiver replays the verdict;
-        // without one, each message is validated individually. Outcomes
-        // are identical either way — only the work is shared.
-        let cohorts = self.store.cache().filter(|c| c.cohorts_enabled()).cloned();
+        // broadcast buffer and every other receiver replays the verdict,
+        // under one lock of the cohort layer for the whole inbox; without
+        // one, each message is validated individually. Outcomes are
+        // identical either way — only the work is shared.
+        let cache = self.store.cache().cloned();
+        let mut cohorts = cache.as_ref().and_then(|c| c.cohorts());
         for env in inbox {
-            let accepted: Option<Accepted> = match &cohorts {
-                Some(cache) => {
-                    let key: CohortKey = (env.payload.ident(), env.from, round);
-                    let verdict = match cache.cohort_get(&key, &self.store) {
-                        Some(v) => v,
-                        None => {
-                            let decoded = DsMsg::decode_exact(&env.payload).ok();
-                            let v = CohortVerdict::judge(
-                                self.scheme.as_ref(),
-                                &self.store,
-                                decoded.as_ref().map(|m| &m.chain),
-                                env.from,
-                                self.params.sender,
-                                round as usize,
-                            );
-                            cache.cohort_put(key, &env.payload, &self.store, v.clone());
-                            v
-                        }
-                    };
-                    self.apply_verdict(verdict).map(Accepted::Shared)
-                }
+            let accepted: Option<Accepted> = match &mut cohorts {
+                Some(cohorts) => self
+                    .screen_cohort(cohorts, env, round)
+                    .map(Accepted::Shared),
                 None => self.validate(env, round).map(Accepted::Owned),
             };
             if let Some(acc) = accepted {

@@ -46,6 +46,7 @@ use crate::outcome::DiscoveryReason;
 use fd_crypto::{PublicKey, SecretKey, Sha256, Signature, SignatureScheme};
 use fd_simnet::{NodeId, Payload};
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -193,11 +194,24 @@ impl PredicateTable {
 ///
 /// Keys are SHA-256 over length-prefixed parts, so structurally different
 /// inputs cannot collide by concatenation.
+///
+/// Above both sits the cohort level (see the module docs). A receiver
+/// locks it once for its whole inbox (`VerifyCache::cohorts`) and reads
+/// each verdict in place through the visitor `Cohorts::with`, which
+/// hands back only what the receiver keeps: the common hit (an echo, or a
+/// body the receiver has already extracted) takes no lock of its own,
+/// copies nothing and touches no reference count.
+///
+/// All three maps hash with `WordHasher` instead of the standard
+/// library's SipHash. Their keys are SHA-256 digests or `(payload ident,
+/// sender, round)` triples the simulator makes itself — never bytes a
+/// remote peer chooses — so a flooding-resistant hash buys nothing and
+/// costs time on every lookup.
 #[derive(Clone, Debug, Default)]
 pub struct VerifyCache {
-    sigs: Arc<Mutex<HashMap<[u8; 32], bool>>>,
+    sigs: Arc<Mutex<WordMap<[u8; 32], bool>>>,
     chains: Arc<Mutex<ChainReceipts>>,
-    cohorts: Arc<Mutex<HashMap<CohortKey, Cohort>>>,
+    cohorts: Arc<Mutex<CohortMap>>,
     /// Set by [`VerifyCache::without_cohorts`]: this handle bypasses the
     /// cohort layer entirely (the chain-receipt and signature layers stay
     /// active). The unbatched reference runs of the equivalence tests use
@@ -213,7 +227,68 @@ pub struct VerifyCache {
 }
 
 /// Chain-level verification receipts, keyed by receipt hash.
-type ChainReceipts = HashMap<[u8; 32], Result<NodeId, DiscoveryReason>>;
+type ChainReceipts = WordMap<[u8; 32], Result<NodeId, DiscoveryReason>>;
+
+/// The cohort verdicts, and the hits they served: counted under the
+/// cohort lock a receiver holds anyway, so a hit costs no atomic add.
+#[derive(Debug, Default)]
+struct CohortMap {
+    cohorts: WordMap<CohortKey, Cohort>,
+    hits: usize,
+}
+
+/// A `HashMap` hashed by [`WordHasher`].
+type WordMap<K, V> = HashMap<K, V, BuildHasherDefault<WordHasher>>;
+
+/// The verify cache's map hasher: one multiply-rotate step per machine
+/// word of the key, and no per-map random state. It is fit only for keys
+/// no remote peer picks (see [`VerifyCache`]); an attacker who chooses
+/// keys could aim them all at one bucket.
+#[derive(Clone, Copy, Debug, Default)]
+struct WordHasher(u64);
+
+impl WordHasher {
+    /// Fold one word in. The odd multiplier spreads each input bit over
+    /// the bits above it; the rotation carries the high bits of earlier
+    /// words down into the low bits the next multiply reads.
+    fn mix(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+}
+
+impl Hasher for WordHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        let mut words = bytes.chunks_exact(8);
+        for word in &mut words {
+            self.mix(u64::from_le_bytes(word.try_into().expect("8-byte chunk")));
+        }
+        let tail = words.remainder();
+        if !tail.is_empty() {
+            let mut word = [0u8; 8];
+            word[..tail.len()].copy_from_slice(tail);
+            self.mix(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u16(&mut self, i: u16) {
+        self.mix(u64::from(i));
+    }
+
+    fn write_u32(&mut self, i: u32) {
+        self.mix(u64::from(i));
+    }
+
+    fn write_usize(&mut self, i: usize) {
+        self.mix(i as u64);
+    }
+
+    /// The multiply leaves its best-mixed bits at the top of the word;
+    /// the rotation brings them down to the low bits a `HashMap` takes
+    /// its bucket index from.
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
+}
 
 /// Cohort identity: the payload's allocation ident
 /// ([`Payload::ident`]), the immediate sender, and the round the chain is
@@ -459,56 +534,18 @@ impl VerifyCache {
         !self.cohorts_disabled
     }
 
-    /// Look up a cohort verdict valid under `store`'s view of the
-    /// relevant signers.
-    pub(crate) fn cohort_get(&self, key: &CohortKey, store: &KeyStore) -> Option<CohortVerdict> {
-        if self.cohorts_disabled {
-            return None;
-        }
-        let verdict = {
-            let map = lock(&self.cohorts);
-            let cohort = map.get(key)?;
-            cohort
-                .entries
-                .iter()
-                .find(|e| !e.verdict.store_dependent() || view_matches(store, &e.view))
-                .map(|e| e.verdict.clone())?
-        };
-        self.hits.fetch_add(1, Ordering::Relaxed);
-        Some(verdict)
+    /// Lock the cohort layer for one batch of lookups (a receiver's
+    /// inbox), or `None` when this handle has it disabled.
+    pub(crate) fn cohorts(&self) -> Option<Cohorts<'_>> {
+        (!self.cohorts_disabled).then(|| Cohorts {
+            misses: &self.misses,
+            map: lock(&self.cohorts),
+        })
     }
 
-    /// Record a cohort verdict judged under `store`, pinning `payload`'s
-    /// buffer so the key's address stays live for the cache's lifetime.
-    pub(crate) fn cohort_put(
-        &self,
-        key: CohortKey,
-        payload: &Payload,
-        store: &KeyStore,
-        verdict: CohortVerdict,
-    ) {
-        if self.cohorts_disabled {
-            return;
-        }
-        let view = if verdict.store_dependent() {
-            signer_view(store, verdict.signers())
-        } else {
-            Vec::new()
-        };
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        lock(&self.cohorts)
-            .entry(key)
-            .or_insert_with(|| Cohort {
-                _pin: payload.clone(),
-                entries: Vec::new(),
-            })
-            .entries
-            .push(CohortEntry { view, verdict });
-    }
-
-    /// Cache hits so far (signature and chain level combined).
+    /// Cache hits so far (signature, chain and cohort level combined).
     pub fn hits(&self) -> usize {
-        self.hits.load(Ordering::Relaxed)
+        self.hits.load(Ordering::Relaxed) + lock(&self.cohorts).hits
     }
 
     /// Cache misses (= underlying verifications actually executed).
@@ -532,6 +569,68 @@ impl VerifyCache {
         self.verify_ns
             .as_ref()
             .map(|acc| acc.load(Ordering::Relaxed) / 1_000)
+    }
+}
+
+/// The cohort layer of a [`VerifyCache`], locked for one batch of
+/// lookups. A receiver holds it across its inbox, so the lock is taken
+/// once per inbox instead of once per envelope. Judging a miss while it
+/// is held is safe: verification reads only the signature and
+/// chain-receipt maps, each behind its own lock. Its holder must not call
+/// [`VerifyCache::hits`], which reads the cohort hit count under this
+/// lock.
+pub(crate) struct Cohorts<'a> {
+    misses: &'a AtomicUsize,
+    map: MutexGuard<'a, CohortMap>,
+}
+
+impl Cohorts<'_> {
+    /// Visit the verdict recorded under `key` that holds for `store`'s
+    /// view of its signers, if there is one, and count the hit. The
+    /// visitor reads the verdict in place, so it should return only what
+    /// its caller keeps.
+    pub(crate) fn with<R>(
+        &mut self,
+        key: &CohortKey,
+        store: &KeyStore,
+        visit: impl FnOnce(&CohortVerdict) -> R,
+    ) -> Option<R> {
+        let map = &mut *self.map;
+        let entry = map
+            .cohorts
+            .get(key)?
+            .entries
+            .iter()
+            .find(|e| !e.verdict.store_dependent() || view_matches(store, &e.view))?;
+        let seen = visit(&entry.verdict);
+        map.hits += 1;
+        Some(seen)
+    }
+
+    /// Record a verdict judged under `store`, pinning `payload`'s buffer
+    /// so the key's address stays live for the cache's lifetime.
+    pub(crate) fn put(
+        &mut self,
+        key: CohortKey,
+        payload: &Payload,
+        store: &KeyStore,
+        verdict: CohortVerdict,
+    ) {
+        let view = if verdict.store_dependent() {
+            signer_view(store, verdict.signers())
+        } else {
+            Vec::new()
+        };
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        self.map
+            .cohorts
+            .entry(key)
+            .or_insert_with(|| Cohort {
+                _pin: payload.clone(),
+                entries: Vec::new(),
+            })
+            .entries
+            .push(CohortEntry { view, verdict });
     }
 }
 
@@ -853,6 +952,34 @@ mod tests {
         assert_eq!((cache.hits(), cache.misses()), (2, 2));
     }
 
+    fn word_hash(key: &impl std::hash::Hash) -> u64 {
+        let mut h = WordHasher::default();
+        key.hash(&mut h);
+        h.finish()
+    }
+
+    #[test]
+    fn word_hasher_spreads_cache_keys_over_bucket_bits() {
+        // Payload idents are nearby, 16-byte-aligned heap addresses; a
+        // 1024-bucket map indexes by the low 10 bits of the hash. Random
+        // hashing would fill ≈ 647 of the buckets.
+        let buckets: std::collections::BTreeSet<u64> = (0..1024usize)
+            .map(|i| {
+                let key: CohortKey = ((0x5600_0000_0000 + 48 * i, 0, 96), NodeId(1), 1);
+                word_hash(&key) & 1023
+            })
+            .collect();
+        assert!(buckets.len() > 580, "{} buckets used", buckets.len());
+        // Digests differing in any one byte, tail included, hash apart.
+        let digest = cache_key(b"receipt", &[]);
+        let mut seen = std::collections::BTreeSet::from([word_hash(&digest)]);
+        for i in 0..32 {
+            let mut other = digest;
+            other[i] ^= 1;
+            assert!(seen.insert(word_hash(&other)), "byte {i}");
+        }
+    }
+
     fn cohort_rings(n: usize, seed: u64) -> (SchnorrScheme, Vec<Keyring>, Vec<PublicKey>) {
         let scheme = SchnorrScheme::test_tiny();
         let rings: Vec<Keyring> = (0..n)
@@ -860,6 +987,23 @@ mod tests {
             .collect();
         let pks: Vec<PublicKey> = rings.iter().map(|r| r.pk.clone()).collect();
         (scheme, rings, pks)
+    }
+
+    /// One cohort lookup under its own lock, the verdict cloned out.
+    fn lookup(cache: &VerifyCache, key: &CohortKey, store: &KeyStore) -> Option<CohortVerdict> {
+        cache.cohorts()?.with(key, store, CohortVerdict::clone)
+    }
+
+    /// Record one cohort verdict under its own lock.
+    fn record(
+        cache: &VerifyCache,
+        key: CohortKey,
+        payload: &Payload,
+        store: &KeyStore,
+        verdict: CohortVerdict,
+    ) {
+        let mut cohorts = cache.cohorts().expect("cohorts enabled");
+        cohorts.put(key, payload, store, verdict);
     }
 
     /// A two-signature chain P0 → P1, as received from P1.
@@ -946,12 +1090,12 @@ mod tests {
             .iter()
             .map(|&i| KeyStore::global(NodeId(i), &pks).with_cache(cache.clone()))
             .collect();
-        assert_eq!(cache.cohort_get(&key, &stores[0]), None);
+        assert_eq!(lookup(&cache, &key, &stores[0]), None);
         let verdict =
             CohortVerdict::judge(&scheme, &stores[0], Some(&chain), NodeId(1), NodeId(0), 2);
-        cache.cohort_put(key, &payload, &stores[0], verdict.clone());
+        record(&cache, key, &payload, &stores[0], verdict.clone());
         for store in &stores[1..] {
-            assert_eq!(cache.cohort_get(&key, store), Some(verdict.clone()));
+            assert_eq!(lookup(&cache, &key, store), Some(verdict.clone()));
         }
         // The receivers' stores were built by KeyStore::global (fresh
         // allocations per store), so the hits came from the byte-equality
@@ -982,14 +1126,14 @@ mod tests {
 
         let verdict_a =
             CohortVerdict::judge(&scheme, &store_a, Some(&chain), NodeId(1), NodeId(0), 2);
-        cache.cohort_put(key, &payload, &store_a, verdict_a.clone());
+        record(&cache, key, &payload, &store_a, verdict_a.clone());
         assert!(matches!(verdict_a, CohortVerdict::Accept { .. }));
 
         // Store B must NOT be served A's verdict: its view differs.
-        assert_eq!(cache.cohort_get(&key, &store_b), None);
+        assert_eq!(lookup(&cache, &key, &store_b), None);
         let verdict_b =
             CohortVerdict::judge(&scheme, &store_b, Some(&chain), NodeId(1), NodeId(0), 2);
-        cache.cohort_put(key, &payload, &store_b, verdict_b.clone());
+        record(&cache, key, &payload, &store_b, verdict_b.clone());
         match &verdict_b {
             CohortVerdict::Discovered { reason, .. } => {
                 assert_eq!(*reason, DiscoveryReason::BadSignature);
@@ -997,8 +1141,8 @@ mod tests {
             other => panic!("expected Discovered, got {other:?}"),
         }
         // Both entries now coexist under one key; each store gets its own.
-        assert_eq!(cache.cohort_get(&key, &store_a), Some(verdict_a));
-        assert_eq!(cache.cohort_get(&key, &store_b), Some(verdict_b));
+        assert_eq!(lookup(&cache, &key, &store_a), Some(verdict_a));
+        assert_eq!(lookup(&cache, &key, &store_b), Some(verdict_b));
     }
 
     #[test]
@@ -1021,16 +1165,16 @@ mod tests {
         assert_ne!(honest_key, forged_key);
 
         let hv = CohortVerdict::judge(&scheme, &store, Some(&honest), NodeId(1), NodeId(0), 2);
-        cache.cohort_put(honest_key, &honest_payload, &store, hv);
-        assert_eq!(cache.cohort_get(&forged_key, &store), None);
+        record(&cache, honest_key, &honest_payload, &store, hv);
+        assert_eq!(lookup(&cache, &forged_key, &store), None);
         let fv = CohortVerdict::judge(&scheme, &store, Some(&forged), NodeId(1), NodeId(0), 2);
         assert!(matches!(fv, CohortVerdict::Discovered { .. }));
-        cache.cohort_put(forged_key, &forged_payload, &store, fv.clone());
+        record(&cache, forged_key, &forged_payload, &store, fv.clone());
         assert!(matches!(
-            cache.cohort_get(&honest_key, &store),
+            lookup(&cache, &honest_key, &store),
             Some(CohortVerdict::Accept { .. })
         ));
-        assert_eq!(cache.cohort_get(&forged_key, &store), Some(fv));
+        assert_eq!(lookup(&cache, &forged_key, &store), Some(fv));
     }
 
     #[test]
@@ -1048,8 +1192,8 @@ mod tests {
         // Wrong count for "round 7": BadChain regardless of keys.
         let v = CohortVerdict::judge(&scheme, &store_full, Some(&chain), NodeId(1), NodeId(0), 7);
         assert_eq!(v, CohortVerdict::BadChain);
-        cache.cohort_put(key, &payload, &store_full, v.clone());
-        assert_eq!(cache.cohort_get(&key, &store_empty), Some(v));
+        record(&cache, key, &payload, &store_full, v.clone());
+        assert_eq!(lookup(&cache, &key, &store_empty), Some(v));
     }
 
     #[test]
@@ -1065,12 +1209,11 @@ mod tests {
         let payload = Payload::from(chain.encode_to_vec());
         let key: CohortKey = (payload.ident(), NodeId(1), 2);
         let v = CohortVerdict::judge(&scheme, &store, Some(&chain), NodeId(1), NodeId(0), 2);
-        cache.cohort_put(key, &payload, &store, v.clone());
-        // The disabled handle neither reads nor writes the cohort map …
-        assert_eq!(reference.cohort_get(&key, &store), None);
-        reference.cohort_put(key, &payload, &store, CohortVerdict::Malformed);
+        record(&cache, key, &payload, &store, v.clone());
+        // The disabled handle can neither read nor write the cohort map …
+        assert!(reference.cohorts().is_none());
         // … so the enabled handle still sees exactly the original verdict.
-        assert_eq!(cache.cohort_get(&key, &store), Some(v));
+        assert_eq!(lookup(&cache, &key, &store), Some(v));
     }
 
     #[test]

@@ -48,7 +48,7 @@ use crate::pool::{self, ShardWorkers};
 use crate::runner::KeyDistReport;
 use crate::spec::SpecBuilder;
 use crate::wire::{self, Value};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt;
 use std::io::{self, BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::{Ipv4Addr, Ipv6Addr, TcpListener, TcpStream, ToSocketAddrs};
@@ -301,19 +301,32 @@ impl FdService {
     /// [`FdService::submit_line`] on a line already parsed (or refused by
     /// the parser), so no line is parsed twice.
     fn submit_parsed(&self, line: Result<Value, String>) -> String {
-        let (builder, id) = match line.and_then(|value| wire::request_from_value(&value)) {
-            Ok(parsed) => parsed,
-            Err(e) => {
+        match self.admit(line) {
+            Ok((builder, id)) => self.submit(builder, id),
+            Err(refused) => refused,
+        }
+    }
+
+    /// Decode and validate a parsed request line, or answer it with a
+    /// wire error response (counted as a front-end error). Validating up
+    /// front means a shard worker can never hit a `Cluster` panic on a
+    /// bad request shape.
+    fn admit(&self, line: Result<Value, String>) -> Result<(SpecBuilder, Option<String>), String> {
+        let (builder, id) = line
+            .and_then(|value| wire::request_from_value(&value))
+            .map_err(|e| {
                 self.front_errors.fetch_add(1, Ordering::Relaxed);
-                return wire::error_to_json(None, &e);
-            }
-        };
-        // Validate up front so a shard worker can never hit a `Cluster`
-        // panic on a bad request shape.
+                wire::error_to_json(None, &e)
+            })?;
         if let Err(e) = builder.validate() {
             self.front_errors.fetch_add(1, Ordering::Relaxed);
-            return wire::error_to_json(id.as_deref(), &e);
+            return Err(wire::error_to_json(id.as_deref(), &e));
         }
+        Ok((builder, id))
+    }
+
+    /// Route an admitted request to its shard and wait for the response.
+    fn submit(&self, builder: SpecBuilder, id: Option<String>) -> String {
         let shard = self.shard_of(builder.n, &builder.scheme);
         let (reply, receiver) = mpsc::channel();
         let depth = self.queue_depths[shard].fetch_add(1, Ordering::Relaxed) + 1;
@@ -338,8 +351,36 @@ impl FdService {
     /// Handle a batch of request lines from `clients` concurrent client
     /// threads, returning responses in input order (the stdin batch mode
     /// of `lafd serve`, and the concurrency test harness).
+    ///
+    /// The first keyed request of each session (`n`, scheme, seed) in
+    /// input order runs before any later one of that session, so it is
+    /// the one that warms the session and reports `keydist_reused: false`,
+    /// and every later one reports `true`, whatever `clients` is. (A
+    /// session evicted from a full pool mid-batch re-warms in arrival
+    /// order.)
     pub fn submit_batch(&self, lines: &[String], clients: usize) -> Vec<String> {
-        pool::parallel_indexed(lines.len(), clients.max(1), |i| self.submit_line(&lines[i]))
+        let requests: Vec<_> = lines
+            .iter()
+            .map(|line| self.admit(Value::parse(line.trim())))
+            .collect();
+        let mut sessions = HashSet::new();
+        let (warming, warm): (Vec<usize>, Vec<usize>) = (0..lines.len()).partition(|&i| {
+            matches!(&requests[i], Ok((b, _))
+                if b.protocol.needs_keys() && sessions.insert((b.n, b.scheme.clone(), b.seed)))
+        });
+        let mut responses = vec![String::new(); lines.len()];
+        for phase in [warming, warm] {
+            let answered = pool::parallel_indexed(phase.len(), clients.max(1), |k| match &requests
+                [phase[k]]
+            {
+                Ok((builder, id)) => self.submit(builder.clone(), id.clone()),
+                Err(refused) => refused.clone(),
+            });
+            for (i, response) in phase.into_iter().zip(answered) {
+                responses[i] = response;
+            }
+        }
+        responses
     }
 
     /// Gather a consistent snapshot of every counter and gauge.
@@ -573,7 +614,7 @@ pub(crate) fn serve_lines<L, A>(
 
 /// Serve one connection for [`serve_lines`]. The read timeout
 /// [`Listener::accept_conn`] sets lets an idle connection notice a
-/// shutdown and its wait limit.
+/// shutdown, and the [`Waited`] reader its wait limit.
 fn serve_connection<L: Listener>(
     stream: L::Stream,
     listener: &L,
@@ -581,14 +622,17 @@ fn serve_connection<L: Listener>(
     wait_limit: Option<Duration>,
     answer: &(impl Fn(Result<&str, BadLine>) -> String + Sync),
 ) {
-    let mut reader = BufReader::new(stream);
+    let mut reader = BufReader::new(Waited {
+        stream,
+        limit: wait_limit,
+        since: Instant::now(),
+    });
     let mut line = Vec::new();
-    let mut waiting_since = Instant::now();
     loop {
         let reply = match read_frame(&mut reader, &mut line, MAX_REQUEST_LINE) {
             Ok(Frame::Eof) => break,
             Ok(Frame::TooLong) => {
-                let _ = write_frame(reader.get_mut(), answer(Err(BadLine::TooLong)));
+                let _ = write_frame(&mut reader.get_mut().stream, answer(Err(BadLine::TooLong)));
                 break;
             }
             Ok(Frame::Complete) => {
@@ -605,21 +649,48 @@ fn serve_connection<L: Listener>(
             Err(e)
                 if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut)
                     && !stop.load(Ordering::SeqCst)
-                    && wait_limit.is_none_or(|limit| waiting_since.elapsed() < limit) =>
+                    && !reader.get_ref().expired() =>
             {
                 None
             }
             Err(_) => break,
         };
         let Some(reply) = reply else { continue };
-        if write_frame(reader.get_mut(), reply).is_err() {
+        if write_frame(&mut reader.get_mut().stream, reply).is_err() {
             break;
         }
         if stop.load(Ordering::SeqCst) {
             let _ = listener.wake();
             break;
         }
-        waiting_since = Instant::now();
+        reader.get_mut().since = Instant::now();
+    }
+}
+
+/// A connection's stream whose reads fail with `TimedOut` once the
+/// request being read is past its wait limit, counted from the accept or
+/// the last reply. The limit is checked before every read, not only when
+/// one times out, so a client that trickles a byte at a time is closed
+/// too; a read that blocks overshoots it by at most [`READ_TIMEOUT`].
+struct Waited<S> {
+    stream: S,
+    limit: Option<Duration>,
+    since: Instant,
+}
+
+impl<S> Waited<S> {
+    fn expired(&self) -> bool {
+        self.limit
+            .is_some_and(|limit| self.since.elapsed() >= limit)
+    }
+}
+
+impl<S: Read> Read for Waited<S> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        if self.expired() {
+            return Err(ErrorKind::TimedOut.into());
+        }
+        self.stream.read(buf)
     }
 }
 

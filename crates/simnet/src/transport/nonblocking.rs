@@ -46,6 +46,26 @@ use std::time::{Duration, Instant};
 const TAG_MSG: u8 = 0;
 const TAG_MARKER: u8 = 1;
 
+/// The longest frame body (tag, round and payload, after the 4-byte
+/// length) a node buffers; a peer announcing a longer one is refused with
+/// [`TransportError::Protocol`] before any of it is read, so a garbled or
+/// hostile length cannot grow a read buffer towards 4 GiB.
+///
+/// Derived from the largest message a cluster run sends. Message size
+/// grows with `n` only through signature chains (Dolev–Strong and the
+/// chain FD family): at the largest `n`, 65 535 (node ids are `u16`), a
+/// chain carries at most `n − 1` = 65 534 layers of 2 + 4 + 128 bytes
+/// (assignee, length prefix, an `rsa1024` signature — the widest scheme),
+/// ≈ 8.8 MB, plus its body. The body is the run's value, which reaches
+/// every worker inside one hex-encoded argument string (at most 128 KiB on
+/// Linux), so under 64 KiB. The whole chain stays below 9 MB, and the cap
+/// leaves room for the one message that grows faster: the FD→BA
+/// fallback's EIG relay in round `t` carries `(n − 2)···(n − t)` tree
+/// entries of `2t + 6` bytes plus a value each, ≈ 27 MB at `n = 100`,
+/// `t = 4` with 16-byte values. A run whose EIG relay outgrows the cap
+/// fails with this error instead of buffering it.
+pub const MAX_FRAME_LEN: usize = 64 << 20;
+
 /// How long an idle readiness sweep parks before the next sweep.
 const IDLE_NAP: Duration = Duration::from_micros(200);
 
@@ -673,6 +693,12 @@ fn parse_frames(
                 detail: format!("frame from {peer} too short ({len} bytes)"),
             });
         }
+        if len > MAX_FRAME_LEN {
+            return Err(TransportError::Protocol {
+                node: me,
+                detail: format!("frame from {peer} too long ({len} bytes, cap {MAX_FRAME_LEN})"),
+            });
+        }
         if rbuf.len() - consumed < 4 + len {
             break;
         }
@@ -1037,6 +1063,85 @@ mod tests {
         assert!(report.ok().is_ok(), "{:?}", report.errors);
         assert_eq!(report.rounds, 4);
         assert_eq!(report.stats.messages_total, 4);
+    }
+
+    fn parse(rbuf: &mut Vec<u8>) -> Result<Vec<InFrame>, TransportError> {
+        parse_frames(NodeId(0), NodeId(1), rbuf)
+    }
+
+    #[test]
+    fn an_oversized_frame_length_is_refused_before_its_body_arrives() {
+        let mut rbuf = ((MAX_FRAME_LEN + 1) as u32).to_be_bytes().to_vec();
+        match parse(&mut rbuf) {
+            Err(TransportError::Protocol { detail, .. }) => {
+                assert!(detail.contains("too long"), "{detail}")
+            }
+            other => panic!(
+                "expected a protocol error, got {:?}",
+                other.map(|f| f.len())
+            ),
+        }
+        // The cap itself is a legal length: it waits for the body.
+        let mut rbuf = (MAX_FRAME_LEN as u32).to_be_bytes().to_vec();
+        assert!(parse(&mut rbuf).unwrap().is_empty());
+        assert_eq!(rbuf.len(), 4);
+    }
+
+    #[test]
+    fn a_truncated_frame_waits_for_its_last_byte() {
+        let frame = frame_bytes(TAG_MSG, 3, b"payload");
+        let mut rbuf = frame[..frame.len() - 1].to_vec();
+        assert!(parse(&mut rbuf).unwrap().is_empty());
+        assert_eq!(rbuf, frame[..frame.len() - 1], "partial bytes are kept");
+        rbuf.push(*frame.last().unwrap());
+        match parse(&mut rbuf).unwrap().as_slice() {
+            [InFrame::Msg { round: 3, payload }] => assert_eq!(payload, b"payload"),
+            _ => panic!("expected the completed message"),
+        }
+        assert!(rbuf.is_empty());
+    }
+
+    #[test]
+    fn an_unknown_frame_tag_is_skipped() {
+        let mut rbuf = frame_bytes(7, 0, b"future");
+        rbuf.extend(frame_bytes(TAG_MSG, 1, b"m"));
+        match parse(&mut rbuf).unwrap().as_slice() {
+            [InFrame::Msg { round: 1, payload }] => assert_eq!(payload, b"m"),
+            _ => panic!("expected only the message frame"),
+        }
+        assert!(rbuf.is_empty());
+    }
+
+    #[test]
+    fn a_close_mid_frame_delivers_nothing_and_marks_the_peer_gone() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (stream, _) = listener.accept().unwrap();
+        stream.set_nonblocking(true).unwrap();
+        let frame = frame_bytes(TAG_MSG, 0, b"cut off");
+        peer.write_all(&frame[..6]).unwrap();
+        drop(peer);
+        let mut io = HashMap::from([(
+            NodeId(1),
+            PeerIo {
+                stream,
+                rbuf: Vec::new(),
+                outq: VecDeque::new(),
+                wbuf: Vec::new(),
+                wpos: 0,
+                wstall: None,
+                eof: false,
+            },
+        )]);
+        let (mut buffered, mut markers) = (HashMap::new(), HashMap::new());
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !io[&NodeId(1)].eof {
+            assert!(Instant::now() < deadline, "EOF never seen");
+            sweep(NodeId(0), &mut io, &mut buffered, &mut markers).unwrap();
+            std::thread::sleep(IDLE_NAP);
+        }
+        assert!(buffered.is_empty() && markers.is_empty());
+        assert_eq!(io[&NodeId(1)].rbuf, frame[..6]);
     }
 
     #[test]

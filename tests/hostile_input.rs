@@ -4,7 +4,7 @@
 //! the limit and carries on: the `lafd serve` socket front end, the
 //! cluster registry, and `lafd run --spec`. The line framing bounds the
 //! rest: the registry answers an over-long or non-UTF-8 line and closes a
-//! stalled one, and `lafd sweep --remote` refuses an endless reply.
+//! stalled or trickled one, and `lafd sweep --remote` refuses an endless reply.
 
 use local_auth_fd::core::deploy::{self, Registry, RegistryError};
 use local_auth_fd::core::service;
@@ -164,6 +164,30 @@ fn the_registry_closes_a_request_stalled_past_its_wait_limit() {
     assert!(
         took >= Duration::from_millis(500) && took < Duration::from_secs(10),
         "closed after {took:?}, not at the 1 s wait limit"
+    );
+    assert_serves_on(&addr);
+}
+
+#[test]
+fn the_registry_closes_a_request_trickled_past_its_wait_limit() {
+    // One space every 100 ms never lets a read time out: the wait limit
+    // must still close the connection about 1 s after the accept.
+    let addr = registry(Duration::from_secs(1));
+    let mut stream = TcpStream::connect(&addr).expect("connect registry");
+    let started = Instant::now();
+    let closed = loop {
+        if stream.write_all(b" ").is_err() {
+            break started.elapsed();
+        }
+        assert!(
+            started.elapsed() < Duration::from_secs(5),
+            "still open after 5 s of trickling"
+        );
+        std::thread::sleep(Duration::from_millis(100));
+    };
+    assert!(
+        closed >= Duration::from_millis(900) && closed < Duration::from_secs(2),
+        "closed after {closed:?}, not at the 1 s wait limit"
     );
     assert_serves_on(&addr);
 }

@@ -24,12 +24,18 @@
 //!   on 1, 2, 3 or 7 threads per round, honest and with every keydist
 //!   adversary at one or two slots, at n = 17 and 65, and at n = 192 as
 //!   an ignored large-`n` guard.
+//! * Dolev–Strong with the cohort layer decides and reports exactly what
+//!   a cohort-free cache does, under every scripted adversary that speaks
+//!   it, a key-equivocating relay and corrupted links, on both engines at
+//!   n ∈ {7, 16, 64} and t ∈ {1, 2}; and one n = 64 run's verify-cache
+//!   hit and miss counts are pinned per engine.
 
 use local_auth_fd::core::adversary::{
     AdversaryKind, AdversarySpec, EquivocatingKeyDist, KeyThiefKeyDist, SharedKeyKeyDist,
     WrongNameKeyDist,
 };
-use local_auth_fd::core::keys::KeyStore;
+use local_auth_fd::core::ba::{DolevStrongNode, DolevStrongParams};
+use local_auth_fd::core::keys::{KeyStore, Keyring, VerifyCache};
 use local_auth_fd::core::localauth::KdAnomaly;
 use local_auth_fd::core::runner::{Cluster, KeyDistReport};
 use local_auth_fd::core::spec::{Protocol, RunSpec, Session};
@@ -37,6 +43,7 @@ use local_auth_fd::core::sweep::{run_sweep, SweepMatrix};
 use local_auth_fd::crypto::{
     CryptoError, PublicKey, SchnorrScheme, SecretKey, Signature, SignatureScheme,
 };
+use local_auth_fd::simnet::fault::{FaultPlan, LinkFault};
 use local_auth_fd::simnet::{Engine, NetStats, Node, NodeId};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -166,7 +173,6 @@ fn ds_fast_path_matches_unbatched_reference_at_scale() {
     // unbatched reference — every delivery forced through the binary
     // heap, cohort verdicts disabled so every envelope is validated
     // individually. Reports must be byte-identical.
-    use local_auth_fd::core::keys::VerifyCache;
     for n in [256usize, 1024] {
         let t = 1usize;
         let spec = RunSpec::new(Protocol::DolevStrong, b"ds-eq".to_vec())
@@ -502,5 +508,126 @@ fn chain4096_dealer_run_generates_no_keys() {
     let table = kd.predicates.as_ref().expect("dealer keydist shares");
     for node in NodeId::all(n) {
         assert_eq!(table.ref_count(node), Some(n + 1), "{node}");
+    }
+}
+
+/// The Dolev–Strong cells the cohort hit path is checked on at `(n, t)`:
+/// every scripted adversary kind that speaks the protocol, a relay that
+/// equivocated its predicate during key distribution and signs with the
+/// half-accepted key (so one cohort key carries an `Accept` for one store
+/// view and a discovery for the other), and links that corrupt the
+/// sender's chain body or tag. Each cell is a label, the spec, the fault
+/// plan and whether it runs on the equivocated key distribution.
+fn ds_cohort_cells(n: usize, t: usize) -> Vec<(String, RunSpec, FaultPlan, bool)> {
+    let spec = |adversary: AdversarySpec| {
+        RunSpec::new(Protocol::DolevStrong, b"ds-cohort".to_vec())
+            .with_default_value(b"ds-default".to_vec())
+            .with_adversary(adversary)
+    };
+    let mut cells = Vec::new();
+    for kind in AdversaryKind::ALL {
+        if kind.applies_to(Protocol::DolevStrong) {
+            let adversary = AdversarySpec::scripted(kind);
+            cells.push((
+                kind.name().to_string(),
+                spec(adversary),
+                FaultPlan::new(),
+                false,
+            ));
+        }
+    }
+    let (scheme, seed) = (cluster(n, t, Engine::Sync).scheme, 77);
+    let sk_a = equivocator(n, &scheme).key_for(NodeId(0)).0.clone();
+    let relay = AdversarySpec::custom(move |id| {
+        (id == NodeId(2)).then(|| {
+            let mut ring = Keyring::generate(scheme.as_ref(), id, seed);
+            ring.sk = sk_a.clone();
+            Box::new(DolevStrongNode::new(
+                id,
+                DolevStrongParams::new(n, t, b"ds-default".to_vec()),
+                Arc::clone(&scheme),
+                KeyStore::new(n, id),
+                ring,
+                None,
+            )) as Box<dyn Node>
+        })
+    });
+    cells.push(("g3-relay".to_string(), spec(relay), FaultPlan::new(), true));
+    for (label, offset, mask) in [("corrupt-body", 15, 0x10), ("corrupt-tag", 0, 0xFF)] {
+        let faults = FaultPlan::new()
+            .with(0, NodeId(0), NodeId(1), LinkFault::Corrupt { offset, mask })
+            .with(
+                0,
+                NodeId(0),
+                NodeId(n as u16 - 1),
+                LinkFault::Corrupt { offset, mask },
+            );
+        cells.push((
+            label.to_string(),
+            spec(AdversarySpec::Honest),
+            faults,
+            false,
+        ));
+    }
+    cells
+}
+
+/// Node 2's key-distribution equivocator: predicate A to nodes below
+/// `n / 2`, predicate B to the rest.
+fn equivocator(n: usize, scheme: &Arc<dyn SignatureScheme>) -> EquivocatingKeyDist {
+    EquivocatingKeyDist::new(NodeId(2), n, Arc::clone(scheme), 999, NodeId(n as u16 / 2))
+}
+
+#[test]
+fn ds_cohort_hit_path_matches_cohort_free_cache() {
+    let mut cells = 0;
+    for n in [7usize, 16, 64] {
+        let keyed = cluster(n, 1, Engine::Sync);
+        let honest_kd = keyed.dealer_keydist();
+        let scheme = Arc::clone(&keyed.scheme);
+        let g3_kd = keyed.run_key_distribution_with(&mut |id| {
+            (id == NodeId(2)).then(|| Box::new(equivocator(n, &scheme)) as Box<dyn Node>)
+        });
+        for t in [1usize, 2] {
+            for engine in [Engine::Sync, Engine::Event] {
+                for (label, spec, faults, g3) in ds_cohort_cells(n, t) {
+                    let kd = if g3 { &g3_kd } else { &honest_kd };
+                    let c = cluster(n, t, engine).with_faults(faults);
+                    let batched = c.run_with_keys(&spec, Some(kd));
+                    let reference = c
+                        .with_verify_cache(VerifyCache::new().without_cohorts())
+                        .run_with_keys(&spec, Some(kd));
+                    let cell = format!("n={n} t={t} {engine} {label}");
+                    assert_eq!(batched.to_json(), reference.to_json(), "{cell}");
+                    assert_eq!(batched.outcomes, reference.outcomes, "{cell}");
+                    if g3 {
+                        assert!(batched.any_discovery(), "{cell}: Theorem 4 discovery");
+                    }
+                    cells += 1;
+                }
+            }
+        }
+    }
+    assert_eq!(cells, 3 * 2 * 2 * 5);
+}
+
+#[test]
+fn ds_n64_verify_cache_counters_are_pinned() {
+    // Hits and misses of one traced Dolev–Strong run on dealer stores: a
+    // change to the cohort hit path may make a hit cheaper, never turn it
+    // into a miss or count it twice.
+    let spec = RunSpec::new(Protocol::DolevStrong, b"ds-counters".to_vec())
+        .with_default_value(b"ds-default".to_vec());
+    for (engine, expected) in [(Engine::Sync, [4031, 192]), (Engine::Event, [4031, 192])] {
+        let c = cluster(64, 2, engine).with_obs();
+        let kd = c.dealer_keydist();
+        let run = c.run_with_keys(&spec, Some(&kd));
+        assert!(run.all_decided(b"ds-counters"), "{engine}");
+        let phases = run.phases.expect("obs cluster records phases");
+        assert_eq!(
+            [phases.cache_hits, phases.cache_misses],
+            expected,
+            "{engine}"
+        );
     }
 }

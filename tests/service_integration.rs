@@ -186,6 +186,59 @@ fn shutdown_drains_queued_work_and_reports_every_run() {
     assert_eq!(svc.get("errors").unwrap().as_int(), Some(0));
 }
 
+/// `line` with its `wall_us` figure replaced by 0.
+fn mask_wall_us(line: &str) -> String {
+    let key = "\"wall_us\": ";
+    let start = line.find(key).expect("a response carries wall_us") + key.len();
+    let digits = line[start..].bytes().take_while(u8::is_ascii_digit).count();
+    format!("{}0{}", &line[..start], &line[start + digits..])
+}
+
+/// The 50-spec batch of CI's service smoke job through a fresh 2-shard
+/// service on `clients` threads, `wall_us` masked.
+fn ci_batch_responses(clients: usize) -> Vec<String> {
+    let protocols = ["chain_fd", "fd_to_ba", "non_auth_fd", "dolev_strong"];
+    let batch: String = (0..50)
+        .map(|i| {
+            format!(
+                "{{\"schema_version\": 1, \"id\": \"ci-{i}\", \"protocol\": \"{}\", \
+                 \"n\": {}, \"seed\": 5, \"input\": \"{i:02x}\"}}\n",
+                protocols[i % 4],
+                if i % 2 == 0 { 5 } else { 6 }
+            )
+        })
+        .collect();
+    let service = FdService::start(ServiceConfig {
+        shards: 2,
+        max_sessions: 8,
+    });
+    let responses = service
+        .serve_batch(&mut batch.as_bytes(), clients)
+        .expect("an in-memory batch reads");
+    responses.iter().map(|line| mask_wall_us(line)).collect()
+}
+
+/// Which request reports `keydist_reused` does not depend on thread
+/// timing: the first keyed request of each session in input order warms
+/// it, whatever the number of clients.
+#[test]
+fn batch_keydist_reuse_follows_input_order_on_any_client_count() {
+    let serial = ci_batch_responses(1);
+    for (i, line) in serial.iter().enumerate() {
+        let response = wire::response_from_json(line).unwrap();
+        assert!(response.report.is_ok(), "request {i} failed");
+        // Requests 0 and 1 are the chain FD runs at n = 5 and n = 6.
+        let keyed = i % 4 != 2;
+        assert_eq!(response.keydist_reused, keyed && i > 1, "request {i}");
+    }
+    for run in 0..20 {
+        assert!(
+            ci_batch_responses(4) == serial,
+            "run {run}: 4 clients differ from 1"
+        );
+    }
+}
+
 /// End-to-end CLI check: `lafd serve --stdin` over a 50-spec batch writes
 /// ordered responses to stdout and a parseable metrics artifact.
 #[test]
