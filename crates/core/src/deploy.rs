@@ -44,7 +44,6 @@
 //! delays scaled to real time — which stretches socket timing without
 //! changing the round structure, so counters stay comparable.
 
-use crate::flags::{FlagError, Flags};
 use crate::keys;
 use crate::localauth::{KeyDistNode, KEYDIST_ROUNDS};
 use crate::runner::{FdRunReport, KeyDistReport};
@@ -504,46 +503,6 @@ impl WorkerConfig {
             args.extend(["--chaos".to_string(), chaos.to_spec_string()]);
         }
         args
-    }
-
-    /// Parse a [`WorkerConfig::to_args`] command line back into the
-    /// configuration and the request JSON. `--registry`, `--run`,
-    /// `--node` and `--request` are required; the rest default as in
-    /// [`ClusterConfig::default`].
-    pub fn from_args(args: &[String]) -> Result<(WorkerConfig, String), FlagError> {
-        let mut cfg = ClusterConfig::default();
-        let (mut registry, mut run, mut node, mut request) = (None, None, None, None);
-        let mut incarnation = 0;
-        let mut flags = Flags::new(args);
-        while let Some(flag) = flags.next_flag() {
-            let bad = |message: String| FlagError::BadValue(flag.to_string(), message);
-            match flag {
-                "--registry" => registry = Some(flags.value()?),
-                "--run" => run = Some(flags.value()?),
-                "--node" => node = Some(flags.parse("--node")?),
-                "--request" => request = Some(flags.value()?),
-                "--io-deadline-secs" => {
-                    let secs = parse_deadline_secs(flag, &flags.value()?).map_err(bad)?;
-                    cfg.io_deadline = Duration::from_secs(secs);
-                }
-                "--round-wall-us" => {
-                    cfg.round_wall = Duration::from_micros(flags.parse("--round-wall-us")?);
-                }
-                "--incarnation" => incarnation = flags.parse("--incarnation")?,
-                "--bind" => cfg.bind = flags.value()?,
-                "--chaos" => cfg.chaos = Some(ChaosSpec::parse(&flags.value()?).map_err(bad)?),
-                other => return Err(FlagError::Unknown("cluster-worker", other.to_string())),
-            }
-        }
-        match (registry, run, node, request) {
-            (Some(registry), Some(run), Some(node), Some(request)) => {
-                Ok((cfg.worker(registry, run, node, incarnation), request))
-            }
-            _ => Err(FlagError::Missing(
-                "cluster-worker",
-                "--registry, --run, --node, and --request",
-            )),
-        }
     }
 }
 
@@ -1179,6 +1138,7 @@ pub fn assemble_report(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::flags::FlagError;
     use crate::spec::SpecBuilder;
 
     fn spawn_registry(wait_limit: Duration) -> (SocketAddr, std::thread::JoinHandle<()>) {

@@ -202,9 +202,10 @@ pub struct FdService {
 }
 
 /// Rendering of a service metrics snapshot.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum MetricsFormat {
     /// The `lafd-serve-v1` JSON document (default).
+    #[default]
     Json,
     /// Prometheus text exposition (one metric per line, `# EOF`
     /// terminated so line-framed wire clients can find the end).

@@ -187,15 +187,27 @@ impl MeshPeers {
             .set_nonblocking(true)
             .map_err(|e| TransportError::io(me, "nonblocking accept", &e))?;
         let deadline = Instant::now() + io_deadline;
+        let expired = |expected: usize| TransportError::Deadline {
+            node: me,
+            waiting: format!("{expected} peer connection(s)"),
+            after: io_deadline,
+        };
         let mut expected = me.index();
         while expected > 0 {
             match listener.accept() {
                 Ok((mut stream, _)) => {
+                    // The id read shares the establishment deadline: a
+                    // silent connector may spend what is left of it, not a
+                    // fresh `io_deadline` each.
+                    let left = deadline.saturating_duration_since(Instant::now());
+                    if left.is_zero() {
+                        return Err(expired(expected));
+                    }
                     stream
                         .set_nonblocking(false)
                         .map_err(|e| TransportError::io(me, "blocking handshake", &e))?;
                     stream
-                        .set_read_timeout(Some(io_deadline))
+                        .set_read_timeout(Some(left))
                         .map_err(|e| TransportError::io(me, "handshake timeout", &e))?;
                     let mut id_buf = [0u8; 2];
                     if stream.read_exact(&mut id_buf).is_err() {
@@ -223,11 +235,7 @@ impl MeshPeers {
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                     if Instant::now() >= deadline {
-                        return Err(TransportError::Deadline {
-                            node: me,
-                            waiting: format!("{expected} peer connection(s)"),
-                            after: io_deadline,
-                        });
+                        return Err(expired(expected));
                     }
                     std::thread::sleep(IDLE_NAP);
                 }

@@ -3,7 +3,7 @@
 //! encodings are mutated by truncation, character flips, insertions,
 //! deletions, a splice of 100 `[`, overlong digit runs and duplicated
 //! keys. Whatever the bytes, each decoder returns `Ok` or `Err`; none
-//! panics.
+//! panics, and a decoded run request that validates also builds.
 
 use local_auth_fd::core::adversary::{AdversaryKind, AdversarySpec};
 use local_auth_fd::core::ba::Grade;
@@ -140,9 +140,17 @@ fn corpus() -> Vec<String> {
 }
 
 /// Feed `doc` to every decoder. A panic fails the calling test; a decoder
-/// that returns at all, `Ok` or `Err`, passes.
+/// that returns at all, `Ok` or `Err`, passes. A decoded request that
+/// validates must also build, as `lafd run --spec` expects of it.
 fn decode_all(doc: &str) {
-    let _ = wire::request_from_json(doc);
+    if let Ok((builder, _)) = wire::request_from_json(doc) {
+        if builder.validate().is_ok() {
+            assert!(
+                builder.build().is_ok(),
+                "validates but does not build: {doc}"
+            );
+        }
+    }
     let _ = wire::response_from_json(doc);
     let _ = wire::registry_request_from_json(doc);
     let _ = wire::registry_reply_from_json(doc);

@@ -12,8 +12,8 @@ use local_auth_fd::core::wire::RegistryRequest;
 use local_auth_fd::simnet::transport::chaos::{ChaosInjector, ChaosSpec, RetryCtx, RetryPolicy};
 use local_auth_fd::simnet::transport::{MeshPeers, NbCluster, TransportError};
 use local_auth_fd::simnet::{Envelope, Node, NodeId, Outbox};
-use std::net::{SocketAddr, TcpListener};
-use std::time::Duration;
+use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::time::{Duration, Instant};
 
 /// A retry context that makes exactly one attempt, so the raw typed
 /// error reaches the caller instead of an [`TransportError::Exhausted`]
@@ -109,6 +109,36 @@ fn handshake_reset_surfaces_as_a_typed_handshake_error() {
         }
         other => panic!("expected a typed Handshake error, got {other}"),
     }
+}
+
+#[test]
+fn silent_connectors_share_one_establishment_deadline() {
+    // Node 2 of 3 accepts nodes 0 and 1, which both connect and never
+    // send their id. The id reads may spend only what is left of the one
+    // establishment deadline, so setup fails after about one deadline,
+    // not after one deadline per silent connector.
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind mesh listener");
+    let addr = listener.local_addr().expect("local addr");
+    let _silent: Vec<TcpStream> = (0..2)
+        .map(|_| TcpStream::connect(addr).expect("connect a silent peer"))
+        .collect();
+    let start = Instant::now();
+    let result = MeshPeers::establish(NodeId(2), &listener, &[addr; 3], Duration::from_secs(1));
+    let took = start.elapsed();
+    assert!(
+        matches!(
+            result,
+            Err(TransportError::Deadline {
+                node: NodeId(2),
+                ..
+            })
+        ),
+        "{result:?}"
+    );
+    assert!(
+        took < Duration::from_millis(1600),
+        "mesh setup took {took:?}"
+    );
 }
 
 #[test]
