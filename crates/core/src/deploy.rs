@@ -5,19 +5,19 @@
 //!
 //! * [`Registry`] — a small TCP discovery service speaking the
 //!   [`crate::wire`] registry dialect in newline-delimited wire-v1, one
-//!   line per request and per reply: workers register `(node, addr)`,
-//!   block until the full roster is known (the barrier that opens a
-//!   run), pass phase barriers between key distribution and the protocol,
-//!   and deposit a [`WorkerSummary`] at teardown. One registry serves
-//!   many runs, keyed by run id.
+//!   line per request and per reply, with three verbs: workers register
+//!   `(node, addr)` and block until the full roster is known (the one
+//!   wait of a run), and deposit a [`WorkerSummary`] at teardown; the
+//!   orchestrator collects the summaries. One registry serves many runs,
+//!   keyed by run id.
 //! * [`registry_call`] — the one-shot client used by workers and the
 //!   orchestrator (one request line, one reply line, one connection, over
 //!   [`crate::service::call`]).
 //! * [`run_worker`] — the whole life of one worker process: build the
 //!   [`Cluster`](crate::runner::Cluster) from a wire request, register, mesh up
-//!   ([`MeshPeers`]/[`NonblockingMesh`]), run the key distribution and
-//!   then the protocol as two mesh phases separated by a registry
-//!   barrier, and tear down with a summary. Any transport or registry
+//!   once ([`MeshPeers`]), run the key distribution and then the
+//!   protocol as two [`NonblockingMesh`] phases over that one mesh, close
+//!   it, and tear down with a summary. Any transport or registry
 //!   failure is returned as an error — the CLI maps it to a nonzero exit
 //!   code, so a lost or hung peer is always loud.
 //! * [`Generation`] — the supervisor's side of one generation of worker
@@ -59,7 +59,7 @@ use fd_simnet::transport::chaos::{
 };
 use fd_simnet::transport::{DelayShim, MeshPeers, MeshRun, NonblockingMesh, TransportError};
 use fd_simnet::{LatencySpec, NetStats, NodeId};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener};
 use std::os::fd::OwnedFd;
@@ -107,8 +107,8 @@ impl From<RegistryError> for String {
 
 /// One registry round trip on a fresh connection ([`service::call`]):
 /// send the request line, await the reply line. `timeout` bounds the
-/// connect and every read and write, the blocking wait a
-/// register/barrier request implies included.
+/// connect and every read and write, the blocking wait of a register
+/// request included.
 pub fn registry_call(
     addr: &str,
     request: &RegistryRequest,
@@ -127,10 +127,10 @@ pub fn registry_call(
 
 /// [`registry_call`] under a retry policy: transient failures back off
 /// (capped, seeded jitter) and retry up to the budget; an exhausted
-/// budget surfaces as the typed [`TransportError::Exhausted`]. Safe because every registry operation
-/// is idempotent per `(run, node, incarnation)`: re-registering the same
-/// address, re-arriving at a barrier, and re-depositing a summary all
-/// land in the same state.
+/// budget surfaces as the typed [`TransportError::Exhausted`]. Safe
+/// because every registry operation is idempotent per `(run, node,
+/// incarnation)`: re-registering the same address and re-depositing a
+/// summary land in the same state, and a collect only reads.
 pub fn registry_call_with(
     addr: &str,
     request: &RegistryRequest,
@@ -166,14 +166,12 @@ pub fn registry_call_with(
 
 #[derive(Default)]
 struct RunState {
-    /// Highest incarnation admitted for this run. A register/barrier/
-    /// teardown from a higher incarnation advances the generation and
-    /// clears all state below; one from a lower incarnation is fenced
-    /// with a typed error — a stale worker can never corrupt the
-    /// restarted run.
+    /// Highest incarnation admitted for this run. A register or teardown
+    /// from a higher incarnation advances the generation and clears all
+    /// state below; one from a lower incarnation is fenced with a typed
+    /// error — a stale worker can never corrupt the restarted run.
     generation: u64,
     roster: BTreeMap<usize, String>,
-    barriers: HashMap<String, HashSet<usize>>,
     summaries: Vec<WorkerSummary>,
 }
 
@@ -183,7 +181,6 @@ fn admit(slot: &mut RunState, incarnation: u64) -> Result<(), u64> {
     if incarnation > slot.generation {
         slot.generation = incarnation;
         slot.roster.clear();
-        slot.barriers.clear();
         slot.summaries.clear();
     }
     if incarnation < slot.generation {
@@ -199,10 +196,10 @@ struct RegistryState {
 }
 
 /// The discovery registry behind `lafd registry`: a threaded TCP service
-/// answering [`RegistryRequest`] lines on the accept loop of
-/// [`crate::service`]. Register and barrier requests block (bounded by
-/// [`Registry::with_wait_limit`]) until the rest of the run arrives,
-/// which is what makes them barriers.
+/// answering [`RegistryRequest`] lines (register, teardown, collect) on
+/// the accept loop of [`crate::service`]. A register request blocks
+/// (bounded by [`Registry::with_wait_limit`]) until the rest of the run
+/// has registered; the other two answer at once.
 pub struct Registry {
     listener: TcpListener,
     state: RegistryState,
@@ -241,10 +238,10 @@ impl Registry {
         self.listener.local_addr().expect("bound listener")
     }
 
-    /// Bound the blocking wait of register/barrier requests; expiry
-    /// answers with a registry error instead of holding the connection
-    /// forever. A connection whose request is still unfinished this long
-    /// after its accept (or its last reply) is closed.
+    /// Bound the blocking wait of register requests; expiry answers with
+    /// a registry error ("roster incomplete") instead of holding the
+    /// connection forever. A connection whose request is still unfinished
+    /// this long after its accept (or its last reply) is closed.
     #[must_use]
     pub fn with_wait_limit(mut self, wait_limit: Duration) -> Self {
         self.wait_limit = wait_limit;
@@ -327,55 +324,6 @@ fn answer(request: RegistryRequest, state: &RegistryState, wait_limit: Duration)
             RegistryReply::Roster {
                 peers: roster.iter().map(|(&k, v)| (k, v.clone())).collect(),
             }
-        }
-        RegistryRequest::Lookup { run, node } => {
-            let runs = state.runs.lock().expect("registry lock");
-            match runs.get(&run).and_then(|s| s.roster.get(&node)) {
-                Some(addr) => RegistryReply::Addr {
-                    node,
-                    addr: addr.clone(),
-                },
-                None => error(format!("run {run:?}: node {node} not registered")),
-            }
-        }
-        RegistryRequest::Barrier {
-            run,
-            node,
-            n,
-            phase,
-            incarnation,
-        } => {
-            let mut runs = state.runs.lock().expect("registry lock");
-            let slot = runs.entry(run.clone()).or_default();
-            if let Err(generation) = admit(slot, incarnation) {
-                return error(format!(
-                    "run {run:?}: node {node} fenced at barrier {phase:?} (incarnation {incarnation} < generation {generation})"
-                ));
-            }
-            slot.barriers.entry(phase.clone()).or_default().insert(node);
-            state.changed.notify_all();
-            let (runs, timeout) = state
-                .changed
-                .wait_timeout_while(runs, wait_limit, |runs| {
-                    runs.get(&run).is_none_or(|s| {
-                        s.generation == incarnation
-                            && s.barriers
-                                .get(&phase)
-                                .is_none_or(|arrived| arrived.len() < n)
-                    })
-                })
-                .expect("registry lock");
-            if runs.get(&run).is_none_or(|s| s.generation != incarnation) {
-                return error(format!(
-                    "run {run:?}: node {node} fenced at barrier {phase:?} (the run restarted)"
-                ));
-            }
-            if timeout.timed_out() {
-                return error(format!(
-                    "run {run:?}: barrier {phase:?} incomplete after {wait_limit:?}"
-                ));
-            }
-            RegistryReply::Released { phase }
         }
         RegistryRequest::Teardown {
             run,
@@ -525,8 +473,8 @@ pub enum WorkerFailure {
         /// The typed transport failure.
         error: TransportError,
     },
-    /// A registry exchange was refused (fencing, barrier expiry, bad
-    /// request).
+    /// A registry exchange was refused (fencing, an incomplete roster, a
+    /// bad request).
     Registry(String),
     /// Configuration or build errors — never retried.
     Other(String),
@@ -561,8 +509,8 @@ impl WorkerFailure {
     }
 }
 
-/// Run one worker end to end: register, key distribution over the mesh,
-/// barrier, protocol phase over a fresh mesh, teardown with a
+/// Run one worker end to end: register, mesh up, key distribution and
+/// the protocol phase over that one mesh, close, teardown with a
 /// [`WorkerSummary`]. Every failure path returns a typed
 /// [`WorkerFailure`] — the CLI maps it to the exit-code scheme the
 /// supervisor classifies restarts by. Chaos injections (if configured)
@@ -627,8 +575,8 @@ fn run_worker_inner(
         .local_addr()
         .map_err(|e| WorkerFailure::Other(format!("listener address: {e}")))?;
 
-    // Registration doubles as the barrier that opens the run: the reply
-    // arrives once all n workers have announced themselves.
+    // Registration is the run's one wait: the reply arrives once all n
+    // workers have announced themselves, and every listener is bound.
     let registry = |request: RegistryRequest| {
         registry_call_with(&cfg.registry, &request, cfg.io_deadline, me, retry, chaos)
             .map_err(registry_failure)
@@ -666,6 +614,14 @@ fn run_worker_inner(
         }
     }
 
+    // One mesh carries both phases, as local authentication (paper §3)
+    // sets up keys over the links the protocol then uses.
+    let mut mesh = MeshPeers::establish_with(me, &listener, &addrs, cfg.io_deadline, retry, chaos)
+        .map_err(|e| WorkerFailure::Transport {
+            phase: "mesh",
+            error: e,
+        })?;
+
     // Phase 1 — key distribution, always synchronous (paper §3), all
     // nodes honest (the adversary only enters the protocol phase, as in
     // `Cluster::run`).
@@ -683,14 +639,9 @@ fn run_worker_inner(
             cluster.seed,
         )
         .with_intern_table(Arc::clone(&table));
-        let peers = MeshPeers::establish_with(me, &listener, &addrs, cfg.io_deadline, retry, chaos)
-            .map_err(|e| WorkerFailure::Transport {
-                phase: "keydist mesh",
-                error: e,
-            })?;
         let run: MeshRun = NonblockingMesh::new(KEYDIST_ROUNDS)
             .with_io_deadline(cfg.io_deadline)
-            .run(Box::new(node), peers)
+            .run(Box::new(node), &mut mesh)
             .map_err(|e| WorkerFailure::Transport {
                 phase: "keydist phase",
                 error: e,
@@ -719,16 +670,6 @@ fn run_worker_inner(
         });
     }
 
-    // The inter-phase barrier: nobody re-meshes for the protocol phase
-    // until everyone has finished tearing down the keydist mesh.
-    registry(RegistryRequest::Barrier {
-        run: cfg.run.clone(),
-        node: cfg.node,
-        n,
-        phase: "keydist-done".to_string(),
-        incarnation: cfg.incarnation,
-    })?;
-
     // Phase 2 — the protocol, with the spec's adversary substitution for
     // this slot and an optional wall-clock delay shim on the links.
     let rounds = cluster.protocol_rounds(spec.protocol, &spec.default_value);
@@ -745,14 +686,9 @@ fn run_worker_inner(
             cluster.honest_node(spec.protocol, me, keys, &spec.input, &spec.default_value)
         }
     };
-    let peers = MeshPeers::establish_with(me, &listener, &addrs, cfg.io_deadline, retry, chaos)
-        .map_err(|e| WorkerFailure::Transport {
-            phase: "protocol mesh",
-            error: e,
-        })?;
-    let mut mesh = NonblockingMesh::new(rounds).with_io_deadline(cfg.io_deadline);
+    let mut protocol = NonblockingMesh::new(rounds).with_io_deadline(cfg.io_deadline);
     if cluster.latency.normalize() != LatencySpec::Synchronous && !cfg.round_wall.is_zero() {
-        mesh = mesh.with_delay_shim(DelayShim {
+        protocol = protocol.with_delay_shim(DelayShim {
             model: cluster.latency.build(cluster.seed),
             round_wall: cfg.round_wall,
         });
@@ -760,15 +696,18 @@ fn run_worker_inner(
     if let Some(inj) = chaos {
         // `round:k` kills and frame stalls fire inside the protocol
         // phase — the mesh owns both.
-        mesh = mesh.with_chaos(inj.clone());
+        protocol = protocol.with_chaos(inj.clone());
     }
-    let run: MeshRun = mesh.run(node, peers).map_err(|e| match e {
-        TransportError::Killed { phase, .. } => WorkerFailure::Killed { phase },
-        error => WorkerFailure::Transport {
-            phase: "protocol phase",
-            error,
-        },
-    })?;
+    let run: MeshRun = protocol
+        .run(node, &mut mesh)
+        .and_then(|run| mesh.close().map(|()| run))
+        .map_err(|e| match e {
+            TransportError::Killed { phase, .. } => WorkerFailure::Killed { phase },
+            error => WorkerFailure::Transport {
+                phase: "protocol phase",
+                error,
+            },
+        })?;
     let (outcome, used_fallback, grade) = crate::spec::extract_slot(spec.protocol, run.node);
 
     let summary = WorkerSummary {
@@ -1151,7 +1090,7 @@ mod tests {
     }
 
     #[test]
-    fn registry_roster_barrier_and_lookup() {
+    fn registry_roster_reaches_every_registrant() {
         let (addr, _handle) = spawn_registry(Duration::from_secs(10));
         let addr = addr.to_string();
         let n = 3;
@@ -1180,42 +1119,32 @@ mod tests {
             assert_eq!(peers.len(), n);
             assert_eq!(peers[1], (1, "127.0.0.1:7001".to_string()));
         }
-        let looked = registry_call(
-            &addr,
-            &RegistryRequest::Lookup {
-                run: "t0".to_string(),
-                node: 2,
-            },
-            Duration::from_secs(10),
-        )
-        .expect("lookup ok");
-        assert_eq!(
-            looked,
-            RegistryReply::Addr {
-                node: 2,
-                addr: "127.0.0.1:7002".to_string()
-            }
-        );
     }
 
     #[test]
-    fn registry_barrier_times_out_loudly_when_a_worker_is_missing() {
+    fn registry_register_times_out_loudly_when_a_worker_is_missing() {
         let (addr, _handle) = spawn_registry(Duration::from_millis(300));
+        let started = Instant::now();
         let err = registry_call(
             &addr.to_string(),
-            &RegistryRequest::Barrier {
+            &RegistryRequest::Register {
                 run: "t1".to_string(),
                 node: 0,
                 n: 2,
-                phase: "open".to_string(),
+                addr: "127.0.0.1:7000".to_string(),
                 incarnation: 0,
             },
             Duration::from_secs(10),
         )
-        .expect_err("barrier must fail, not hang");
+        .expect_err("register must fail, not hang");
         assert!(
             matches!(&err, RegistryError::Final(e) if e.contains("incomplete")),
             "unexpected error: {err}"
+        );
+        assert!(
+            started.elapsed() < Duration::from_secs(5),
+            "the 300 ms wait limit took {:?}",
+            started.elapsed()
         );
     }
 
@@ -1310,30 +1239,27 @@ mod tests {
             Duration::from_secs(10),
         )
         .expect("incarnation 3 resets the roster");
-        // And the stale incarnation's barrier is fenced too.
+        // And the stale incarnation's teardown is fenced too.
         let err = registry_call(
             &addr,
-            &RegistryRequest::Barrier {
+            &RegistryRequest::Teardown {
                 run: "fence".to_string(),
                 node: 0,
-                n: 1,
-                phase: "open".to_string(),
+                summary: summary(2),
                 incarnation: 2,
             },
             Duration::from_secs(10),
         )
-        .expect_err("stale barrier must be fenced");
+        .expect_err("stale teardown must be fenced");
         assert!(
             matches!(&err, RegistryError::Final(e) if e.contains("fenced")),
             "unexpected error: {err}"
         );
     }
 
-    #[test]
-    fn teardown_is_idempotent_per_incarnation() {
-        let (addr, _handle) = spawn_registry(Duration::from_secs(10));
-        let addr = addr.to_string();
-        let summary = WorkerSummary {
+    /// A summary with zero counters and 4 retries, from `incarnation`.
+    fn summary(incarnation: u64) -> WorkerSummary {
+        WorkerSummary {
             node: 0,
             outcome: None,
             used_fallback: false,
@@ -1348,9 +1274,16 @@ mod tests {
             kd_bytes: 0,
             kd_per_round: Vec::new(),
             kd_anomalies: 0,
-            incarnation: 1,
+            incarnation,
             retries: 4,
-        };
+        }
+    }
+
+    #[test]
+    fn teardown_is_idempotent_per_incarnation() {
+        let (addr, _handle) = spawn_registry(Duration::from_secs(10));
+        let addr = addr.to_string();
+        let summary = summary(1);
         let deposit = || {
             registry_call(
                 &addr,

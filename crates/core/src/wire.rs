@@ -1226,12 +1226,13 @@ pub struct WorkerSummary {
 }
 
 /// A request to the discovery registry (`lafd registry`), in
-/// newline-delimited wire-v1, one line per request and per reply.
+/// newline-delimited wire-v1, one line per request and per reply: a
+/// worker registers and later tears down; the orchestrator collects.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RegistryRequest {
     /// Announce `(node, addr)` for a run and block until all `n` peers
     /// have announced theirs; the reply is the full roster. This is the
-    /// barrier that opens a run.
+    /// one wait of a run: every worker meshes up once it returns.
     Register {
         /// Run identifier (one registry serves many runs).
         run: String,
@@ -1243,26 +1244,6 @@ pub enum RegistryRequest {
         addr: String,
         /// Restart generation: the registry admits the highest
         /// incarnation seen for the run and fences lower ones.
-        incarnation: u64,
-    },
-    /// Look up one peer's registered address.
-    Lookup {
-        /// Run identifier.
-        run: String,
-        /// The slot to look up.
-        node: usize,
-    },
-    /// Block until all `n` workers of the run have reached `phase`.
-    Barrier {
-        /// Run identifier.
-        run: String,
-        /// The arriving worker's slot.
-        node: usize,
-        /// Expected system size.
-        n: usize,
-        /// Phase label (e.g. `"keydist-done"`).
-        phase: String,
-        /// Restart generation (stale incarnations are fenced).
         incarnation: u64,
     },
     /// Deposit the worker's final [`WorkerSummary`] and leave the run.
@@ -1292,18 +1273,6 @@ pub enum RegistryReply {
     Roster {
         /// `(slot, addr)` pairs, ascending by slot.
         peers: Vec<(usize, String)>,
-    },
-    /// One peer's address — the answer to [`RegistryRequest::Lookup`].
-    Addr {
-        /// The looked-up slot.
-        node: usize,
-        /// Its registered address.
-        addr: String,
-    },
-    /// The barrier opened — the answer to [`RegistryRequest::Barrier`].
-    Released {
-        /// Echo of the phase label.
-        phase: String,
     },
     /// Acknowledgement of a [`RegistryRequest::Teardown`].
     Ack,
@@ -1415,25 +1384,6 @@ pub fn registry_request_to_json(request: &RegistryRequest) -> String {
             ("addr", addr.as_str().into()),
             ("incarnation", (*incarnation).into()),
         ]),
-        RegistryRequest::Lookup { run, node } => fields.extend([
-            ("op", "lookup".into()),
-            ("run", run.as_str().into()),
-            ("node", (*node).into()),
-        ]),
-        RegistryRequest::Barrier {
-            run,
-            node,
-            n,
-            phase,
-            incarnation,
-        } => fields.extend([
-            ("op", "barrier".into()),
-            ("run", run.as_str().into()),
-            ("node", (*node).into()),
-            ("n", (*n).into()),
-            ("phase", phase.as_str().into()),
-            ("incarnation", (*incarnation).into()),
-        ]),
         RegistryRequest::Teardown {
             run,
             node,
@@ -1467,7 +1417,6 @@ pub fn registry_request_from_json(json: &str) -> Result<RegistryRequest, String>
             "node",
             "n",
             "addr",
-            "phase",
             "summary",
             "incarnation",
         ],
@@ -1481,17 +1430,6 @@ pub fn registry_request_from_json(json: &str) -> Result<RegistryRequest, String>
             node: uint_field(&value, "node", what)?,
             n: uint_field(&value, "n", what)?,
             addr: str_field(&value, "addr", what)?.to_string(),
-            incarnation: opt_u64_field(&value, "incarnation", what)?,
-        }),
-        "lookup" => Ok(RegistryRequest::Lookup {
-            run,
-            node: uint_field(&value, "node", what)?,
-        }),
-        "barrier" => Ok(RegistryRequest::Barrier {
-            run,
-            node: uint_field(&value, "node", what)?,
-            n: uint_field(&value, "n", what)?,
-            phase: str_field(&value, "phase", what)?.to_string(),
             incarnation: opt_u64_field(&value, "incarnation", what)?,
         }),
         "teardown" => Ok(RegistryRequest::Teardown {
@@ -1516,15 +1454,6 @@ pub fn registry_reply_to_json(reply: &RegistryReply) -> String {
                 .collect();
             fields.extend([("reply", "roster".into()), ("peers", Value::Arr(peers))]);
         }
-        RegistryReply::Addr { node, addr } => fields.extend([
-            ("reply", "addr".into()),
-            ("node", (*node).into()),
-            ("addr", addr.as_str().into()),
-        ]),
-        RegistryReply::Released { phase } => fields.extend([
-            ("reply", "released".into()),
-            ("phase", phase.as_str().into()),
-        ]),
         RegistryReply::Ack => fields.push(("reply", "ack".into())),
         RegistryReply::Summaries { workers } => fields.extend([
             ("reply", "summaries".into()),
@@ -1547,16 +1476,7 @@ pub fn registry_reply_from_json(json: &str) -> Result<RegistryReply, String> {
     let what = "registry reply";
     deny_unknown(
         &value,
-        &[
-            "schema_version",
-            "reply",
-            "peers",
-            "node",
-            "addr",
-            "phase",
-            "workers",
-            "error",
-        ],
+        &["schema_version", "reply", "peers", "workers", "error"],
         what,
     )?;
     check_schema_version(&value, what)?;
@@ -1567,13 +1487,6 @@ pub fn registry_reply_from_json(json: &str) -> Result<RegistryReply, String> {
                     .and_then(|(node, addr)| Some((uint(node)?, addr.as_str()?.to_string())))
                     .ok_or_else(|| format!("{what}: peers entries are [node, addr]"))
             })?,
-        }),
-        "addr" => Ok(RegistryReply::Addr {
-            node: uint_field(&value, "node", what)?,
-            addr: str_field(&value, "addr", what)?.to_string(),
-        }),
-        "released" => Ok(RegistryReply::Released {
-            phase: str_field(&value, "phase", what)?.to_string(),
         }),
         "ack" => Ok(RegistryReply::Ack),
         "summaries" => Ok(RegistryReply::Summaries {
@@ -1815,17 +1728,6 @@ mod tests {
                 addr: "127.0.0.1:4242".to_string(),
                 incarnation: 1,
             },
-            RegistryRequest::Lookup {
-                run: "r0".to_string(),
-                node: 5,
-            },
-            RegistryRequest::Barrier {
-                run: "r0".to_string(),
-                node: 2,
-                n: 7,
-                phase: "keydist-done".to_string(),
-                incarnation: 0,
-            },
             RegistryRequest::Teardown {
                 run: "r0".to_string(),
                 node: 3,
@@ -1849,13 +1751,6 @@ mod tests {
         let replies = [
             RegistryReply::Roster {
                 peers: vec![(0, "a:1".to_string()), (1, "b:2".to_string())],
-            },
-            RegistryReply::Addr {
-                node: 1,
-                addr: "b:2".to_string(),
-            },
-            RegistryReply::Released {
-                phase: "keydist-done".to_string(),
             },
             RegistryReply::Ack,
             RegistryReply::Summaries {

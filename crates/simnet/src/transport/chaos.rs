@@ -42,7 +42,7 @@ use std::time::Duration;
 pub const CHAOS_KILL_EXIT: u8 = 46;
 
 /// Worker exit code for a collateral failure — a peer vanished, a
-/// deadline or retry budget expired, a barrier broke. The supervisor
+/// deadline or retry budget expired, a registry wait broke. The supervisor
 /// restarts the generation without blaming this worker.
 pub const COLLATERAL_EXIT: u8 = 45;
 
@@ -82,7 +82,8 @@ fn site_hash(site: &str) -> u64 {
 /// key distribution, a specific protocol round, or teardown.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ChaosPhase {
-    /// Right before the key-distribution mesh phase.
+    /// After registering, right before the worker establishes its mesh
+    /// for key distribution and the protocol.
     Keydist,
     /// Entering protocol round `k` (before the round executes — nothing
     /// of round `k` reaches the wire).

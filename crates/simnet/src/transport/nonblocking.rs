@@ -31,6 +31,10 @@
 //! interleavings, never the protocol-visible round structure — counters
 //! and outcomes stay byte-identical to the synchronous engine.
 //!
+//! **Phases over one mesh.** Key distribution and then the protocol run
+//! over the same [`MeshPeers`]; frames carry a wire round that keeps the
+//! phases apart (see there).
+//!
 //! Property N2 holds structurally as everywhere else: frames are
 //! attributed to the connection they arrived on.
 
@@ -101,19 +105,38 @@ impl core::fmt::Debug for DelayShim {
 }
 
 /// An established full mesh for one node: the `n − 1` peer connections,
-/// each bound to the peer identity fixed at handshake time (property N2).
+/// each bound to the peer identity fixed at handshake time (property N2),
+/// and each peer's I/O state.
+///
+/// The mesh outlives a phase: [`NonblockingMesh::run`] borrows it, so key
+/// distribution and the protocol run over the same connections, and
+/// [`MeshPeers::close`] ends it once. The read buffers, write queues and
+/// whatever frames or markers arrived early carry over from one phase to
+/// the next. On the wire a round is the phase's base plus its local round
+/// (the base is the sum of the rounds earlier phases executed), so a peer
+/// already in the next phase never lands in this phase's inboxes or votes.
 #[derive(Debug)]
 pub struct MeshPeers {
     me: NodeId,
     n: usize,
-    peers: HashMap<NodeId, TcpStream>,
+    io_deadline: Duration,
+    io: HashMap<NodeId, PeerIo>,
+    /// Wire round -> messages delivered in the wire round after it, in
+    /// arrival order.
+    buffered: HashMap<u32, Vec<Envelope>>,
+    /// Wire round -> per-node `(done, sent)` termination votes.
+    markers: HashMap<u32, HashMap<NodeId, (bool, u64)>>,
+    /// The wire round of the next phase's round 0.
+    base: u32,
 }
 
 impl MeshPeers {
     /// Establish the mesh from a roster: connect to every higher id
     /// (sending our id as a 2-byte handshake), accept every lower id
     /// (reading theirs). `addrs[i]` must be node `i`'s listener address;
-    /// `listener` must be the one bound at `addrs[me]`.
+    /// `listener` must be the one bound at `addrs[me]`. `io_deadline`
+    /// bounds the establishment and, later, the final flush of
+    /// [`MeshPeers::close`].
     pub fn establish(
         me: NodeId,
         listener: &TcpListener,
@@ -248,7 +271,41 @@ impl MeshPeers {
                 .map_err(|e| TransportError::io(me, "nonblocking stream", &e))?;
             let _ = stream.set_nodelay(true);
         }
-        Ok(MeshPeers { me, n, peers })
+        Ok(MeshPeers::new(me, n, io_deadline, peers))
+    }
+
+    /// A mesh over already-connected, nonblocking `streams`, before its
+    /// first phase.
+    fn new(
+        me: NodeId,
+        n: usize,
+        io_deadline: Duration,
+        streams: HashMap<NodeId, TcpStream>,
+    ) -> MeshPeers {
+        let io = streams
+            .into_iter()
+            .map(|(peer, stream)| {
+                let io = PeerIo {
+                    stream,
+                    rbuf: Vec::new(),
+                    outq: VecDeque::new(),
+                    wbuf: Vec::new(),
+                    wpos: 0,
+                    wstall: None,
+                    eof: false,
+                };
+                (peer, io)
+            })
+            .collect();
+        MeshPeers {
+            me,
+            n,
+            io_deadline,
+            io,
+            buffered: HashMap::new(),
+            markers: HashMap::new(),
+            base: 0,
+        }
     }
 
     /// This node's identity.
@@ -260,12 +317,154 @@ impl MeshPeers {
     pub fn n(&self) -> usize {
         self.n
     }
+
+    /// Graceful close: flush every queued frame, send FIN, drain peers to
+    /// EOF (best effort — every node has already collected all the data it
+    /// needs by the termination rule). The flush is bounded by the
+    /// establishment's `io_deadline`.
+    pub fn close(mut self) -> Result<(), TransportError> {
+        let deadline = Instant::now() + self.io_deadline;
+        while self.io.values().any(PeerIo::writes_pending) {
+            if !self.sweep()? {
+                if Instant::now() >= deadline {
+                    return Err(TransportError::Deadline {
+                        node: self.me,
+                        waiting: "final flush".to_string(),
+                        after: self.io_deadline,
+                    });
+                }
+                std::thread::sleep(IDLE_NAP);
+            }
+        }
+        for peer_io in self.io.values() {
+            let _ = peer_io.stream.shutdown(std::net::Shutdown::Write);
+        }
+        while !self.io.values().all(|s| s.eof) {
+            match self.sweep() {
+                Ok(true) => {}
+                Ok(false) => {
+                    if Instant::now() >= deadline {
+                        break; // best effort
+                    }
+                    std::thread::sleep(IDLE_NAP);
+                }
+                Err(_) => break, // peer dropped first; nothing left to need
+            }
+        }
+        Ok(())
+    }
+
+    /// One readiness sweep over every peer: flush due writes, absorb
+    /// readable bytes, parse complete frames. Returns whether any byte
+    /// moved.
+    fn sweep(&mut self) -> Result<bool, TransportError> {
+        let me = self.me;
+        let mut progress = false;
+        let now = Instant::now();
+        let mut scratch = [0u8; 65536];
+        for (&peer, s) in self.io.iter_mut() {
+            // Writes: start the next due frame whenever the wire is caught up.
+            loop {
+                if s.wpos >= s.wbuf.len() {
+                    match s.outq.front() {
+                        Some(frame) if frame.due <= now => {
+                            let frame = s.outq.pop_front().expect("checked front");
+                            s.wstall = frame.stall.map(|hold| (frame.bytes.len() / 2, now + hold));
+                            s.wbuf = frame.bytes;
+                            s.wpos = 0;
+                        }
+                        _ => break,
+                    }
+                }
+                // A stalled frame exposes only its first half until the
+                // resume instant passes (partial-write injection).
+                let end = match s.wstall {
+                    Some((limit, resume)) if now < resume => limit.min(s.wbuf.len()),
+                    Some(_) => {
+                        s.wstall = None;
+                        s.wbuf.len()
+                    }
+                    None => s.wbuf.len(),
+                };
+                if s.wpos >= end {
+                    break;
+                }
+                match s.stream.write(&s.wbuf[s.wpos..end]) {
+                    Ok(0) => {
+                        return Err(TransportError::PeerLost {
+                            node: me,
+                            peer,
+                            round: 0,
+                        })
+                    }
+                    Ok(k) => {
+                        s.wpos += k;
+                        progress = true;
+                    }
+                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
+                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                    Err(e) => {
+                        return Err(TransportError::io(me, format!("send frame to {peer}"), &e))
+                    }
+                }
+            }
+            // Reads: absorb whatever the kernel has.
+            if !s.eof {
+                loop {
+                    match s.stream.read(&mut scratch) {
+                        Ok(0) => {
+                            s.eof = true;
+                            progress = true;
+                            break;
+                        }
+                        Ok(k) => {
+                            s.rbuf.extend_from_slice(&scratch[..k]);
+                            progress = true;
+                        }
+                        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
+                        Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                        Err(_) => {
+                            // Reset mid-close or a vanished peer: surfaces as
+                            // EOF; the caller decides whether it still needed
+                            // this peer.
+                            s.eof = true;
+                            progress = true;
+                            break;
+                        }
+                    }
+                }
+            }
+            // Frames: parse every complete frame out of the read buffer.
+            // They are keyed by wire round; the run that takes an inbox
+            // stamps it with its phase-local round.
+            for frame in parse_frames(me, peer, &mut s.rbuf)? {
+                match frame {
+                    InFrame::Msg { round, payload } => {
+                        self.buffered.entry(round).or_default().push(Envelope {
+                            from: peer,
+                            to: me,
+                            round,
+                            payload: payload.into(),
+                        })
+                    }
+                    InFrame::Marker { round, done, sent } => {
+                        self.markers
+                            .entry(round)
+                            .or_default()
+                            .insert(peer, (done, sent));
+                    }
+                }
+            }
+        }
+        Ok(progress)
+    }
 }
 
 /// One frame queued for a peer, with the wall instant it may hit the wire
 /// and an optional chaos stall: write half the frame, hold the rest for
 /// the stall duration (exercising partial-write resumption on the
 /// receiver).
+#[derive(Debug)]
 struct OutFrame {
     bytes: Vec<u8>,
     due: Instant,
@@ -273,6 +472,7 @@ struct OutFrame {
 }
 
 /// Per-peer I/O state of the readiness loop.
+#[derive(Debug)]
 struct PeerIo {
     stream: TcpStream,
     /// Unparsed inbound bytes (partial frames).
@@ -323,12 +523,13 @@ pub struct MeshRun {
     pub rounds: u32,
 }
 
-/// The single-threaded readiness-loop executor for one node of a mesh.
+/// The single-threaded readiness-loop executor for one phase of one node
+/// of a mesh.
 ///
 /// Construct per phase (the [`DelayShim`] is consumed by the run), then
 /// [`run`](NonblockingMesh::run) the node over an established
-/// [`MeshPeers`]. The mesh closes its connections at the end of the phase;
-/// re-establish for the next phase.
+/// [`MeshPeers`]. The run leaves the connections open: the next phase
+/// runs over the same mesh, and [`MeshPeers::close`] ends it.
 #[derive(Debug)]
 pub struct NonblockingMesh {
     rounds_limit: u32,
@@ -379,40 +580,25 @@ impl NonblockingMesh {
     }
 
     /// Run the node over the mesh until the termination rule fires or
-    /// `rounds_limit` rounds have executed, then close the connections.
-    pub fn run(self, mut node: Box<dyn Node>, peers: MeshPeers) -> Result<MeshRun, TransportError> {
-        let MeshPeers { me, n, peers } = peers;
-        let mut io: HashMap<NodeId, PeerIo> = peers
-            .into_iter()
-            .map(|(peer, stream)| {
-                (
-                    peer,
-                    PeerIo {
-                        stream,
-                        rbuf: Vec::new(),
-                        outq: VecDeque::new(),
-                        wbuf: Vec::new(),
-                        wpos: 0,
-                        wstall: None,
-                        eof: false,
-                    },
-                )
-            })
-            .collect();
-
+    /// `rounds_limit` rounds have executed, and leave the connections open
+    /// for the next phase. The automaton, kill rules, stalls, the delay
+    /// shim and every error see the phase-local round; only the frames
+    /// carry the wire round. On an error the mesh is unusable: dropping it
+    /// closes every connection abruptly (no flush, no FIN handshake),
+    /// which is how a killed node vanishes.
+    pub fn run(
+        self,
+        mut node: Box<dyn Node>,
+        mesh: &mut MeshPeers,
+    ) -> Result<MeshRun, TransportError> {
+        let (me, n, base) = (mesh.me, mesh.n, mesh.base);
         let mut stats = NetStats::new(n);
-        // round -> messages delivered in round + 1, in arrival order.
-        let mut buffered: HashMap<u32, Vec<Envelope>> = HashMap::new();
-        // round -> per-node (done, sent) termination votes.
-        let mut markers: HashMap<u32, HashMap<NodeId, (bool, u64)>> = HashMap::new();
         let mut rounds_executed = self.rounds_limit;
 
         for round in 0..self.rounds_limit {
+            let wire = base + round;
             if let Some(inj) = &self.chaos {
                 if inj.should_kill(ChaosPhase::Round(round)) {
-                    // Crash semantics: drop every socket abruptly (no
-                    // flush, no FIN handshake) and surface the typed kill.
-                    drop(io);
                     return Err(TransportError::Killed {
                         node: me,
                         phase: ChaosPhase::Round(round).label(),
@@ -421,7 +607,10 @@ impl NonblockingMesh {
             }
             let round_start = Instant::now();
             let inbox = if round > 0 {
-                let mut msgs = buffered.remove(&(round - 1)).unwrap_or_default();
+                let mut msgs = mesh.buffered.remove(&(wire - 1)).unwrap_or_default();
+                for env in &mut msgs {
+                    env.round = round - 1;
+                }
                 // Simulator order: by sender id, then send order (stable).
                 msgs.sort_by_key(|e| e.from);
                 msgs
@@ -449,7 +638,7 @@ impl NonblockingMesh {
                 if to == me {
                     // The simulator delivers self-addressed messages in
                     // the next round; so do we.
-                    buffered.entry(round).or_default().push(env);
+                    mesh.buffered.entry(wire).or_default().push(env);
                     continue;
                 }
                 let due = match &self.shim {
@@ -462,8 +651,9 @@ impl NonblockingMesh {
                     *idx += 1;
                     decision
                 });
-                let frame = frame_bytes(TAG_MSG, round, &env.payload);
-                io.get_mut(&to)
+                let frame = frame_bytes(TAG_MSG, wire, &env.payload);
+                mesh.io
+                    .get_mut(&to)
                     .expect("established peer")
                     .outq
                     .push_back(OutFrame {
@@ -480,25 +670,34 @@ impl NonblockingMesh {
             let mut marker_payload = [0u8; 9];
             marker_payload[0] = u8::from(done);
             marker_payload[1..9].copy_from_slice(&sent.to_be_bytes());
-            for peer_io in io.values_mut() {
+            for peer_io in mesh.io.values_mut() {
                 peer_io.outq.push_back(OutFrame {
-                    bytes: frame_bytes(TAG_MARKER, round, &marker_payload),
+                    bytes: frame_bytes(TAG_MARKER, wire, &marker_payload),
                     due: round_start,
                     stall: None,
                 });
             }
-            markers.entry(round).or_default().insert(me, (done, sent));
+            mesh.markers
+                .entry(wire)
+                .or_default()
+                .insert(me, (done, sent));
 
-            // Pump until every node's round-`round` vote is in.
+            // Pump until every node's round-`round` vote is in. Sweep at
+            // least once, even when every peer's vote arrived early: this
+            // round's frames must reach the wire before the next round
+            // can kill the node.
             let mut last_progress = Instant::now();
-            while markers.get(&round).map_or(0, HashMap::len) < n {
-                let progress = sweep(me, &mut io, &mut buffered, &mut markers)?;
+            loop {
+                let progress = mesh.sweep()?;
+                if mesh.markers.get(&wire).map_or(0, HashMap::len) == n {
+                    break;
+                }
                 if progress {
                     last_progress = Instant::now();
                 } else {
-                    if let Some(peer) = io.iter().find_map(|(peer, s)| {
-                        (s.eof && !markers.get(&round).is_some_and(|m| m.contains_key(peer)))
-                            .then_some(*peer)
+                    let votes = mesh.markers.get(&wire);
+                    if let Some(peer) = mesh.io.iter().find_map(|(peer, s)| {
+                        (s.eof && !votes.is_some_and(|m| m.contains_key(peer))).then_some(*peer)
                     }) {
                         return Err(TransportError::PeerLost {
                             node: me,
@@ -519,7 +718,7 @@ impl NonblockingMesh {
 
             // The simulator's early-stop rule, evaluated on identical data
             // by every node: all done and nothing in flight.
-            let votes = &markers[&round];
+            let votes = &mesh.markers[&wire];
             let all_done = votes.values().all(|(done, _)| *done);
             let in_flight: u64 = votes.values().map(|(_, sent)| *sent).sum();
             if all_done && in_flight == 0 {
@@ -528,7 +727,13 @@ impl NonblockingMesh {
             }
         }
 
-        self.close(me, &mut io, &mut buffered, &mut markers)?;
+        // The next phase starts past every wire round this one used; what
+        // is left below it (votes, and the last round's sends when the
+        // limit cut the phase) belongs to no round.
+        mesh.base = base + rounds_executed;
+        let next = mesh.base;
+        mesh.buffered.retain(|&wire, _| wire >= next);
+        mesh.markers.retain(|&wire, _| wire >= next);
         stats.rounds = rounds_executed;
         Ok(MeshRun {
             node,
@@ -536,149 +741,6 @@ impl NonblockingMesh {
             rounds: rounds_executed,
         })
     }
-
-    /// Graceful close: flush every queued frame, send FIN, drain peers to
-    /// EOF (best effort — every node has already collected all the data it
-    /// needs by the termination rule).
-    fn close(
-        &self,
-        me: NodeId,
-        io: &mut HashMap<NodeId, PeerIo>,
-        buffered: &mut HashMap<u32, Vec<Envelope>>,
-        markers: &mut HashMap<u32, HashMap<NodeId, (bool, u64)>>,
-    ) -> Result<(), TransportError> {
-        let deadline = Instant::now() + self.io_deadline;
-        while io.values().any(PeerIo::writes_pending) {
-            let progress = sweep(me, io, buffered, markers)?;
-            if !progress {
-                if Instant::now() >= deadline {
-                    return Err(TransportError::Deadline {
-                        node: me,
-                        waiting: "final flush".to_string(),
-                        after: self.io_deadline,
-                    });
-                }
-                std::thread::sleep(IDLE_NAP);
-            }
-        }
-        for peer_io in io.values() {
-            let _ = peer_io.stream.shutdown(std::net::Shutdown::Write);
-        }
-        while !io.values().all(|s| s.eof) {
-            match sweep(me, io, buffered, markers) {
-                Ok(true) => {}
-                Ok(false) => {
-                    if Instant::now() >= deadline {
-                        break; // best effort
-                    }
-                    std::thread::sleep(IDLE_NAP);
-                }
-                Err(_) => break, // peer dropped first; nothing left to need
-            }
-        }
-        Ok(())
-    }
-}
-
-/// One readiness sweep over every peer: flush due writes, absorb readable
-/// bytes, parse complete frames. Returns whether any byte moved.
-fn sweep(
-    me: NodeId,
-    io: &mut HashMap<NodeId, PeerIo>,
-    buffered: &mut HashMap<u32, Vec<Envelope>>,
-    markers: &mut HashMap<u32, HashMap<NodeId, (bool, u64)>>,
-) -> Result<bool, TransportError> {
-    let mut progress = false;
-    let now = Instant::now();
-    let mut scratch = [0u8; 65536];
-    for (&peer, s) in io.iter_mut() {
-        // Writes: start the next due frame whenever the wire is caught up.
-        loop {
-            if s.wpos >= s.wbuf.len() {
-                match s.outq.front() {
-                    Some(frame) if frame.due <= now => {
-                        let frame = s.outq.pop_front().expect("checked front");
-                        s.wstall = frame.stall.map(|hold| (frame.bytes.len() / 2, now + hold));
-                        s.wbuf = frame.bytes;
-                        s.wpos = 0;
-                    }
-                    _ => break,
-                }
-            }
-            // A stalled frame exposes only its first half until the
-            // resume instant passes (partial-write injection).
-            let end = match s.wstall {
-                Some((limit, resume)) if now < resume => limit.min(s.wbuf.len()),
-                Some(_) => {
-                    s.wstall = None;
-                    s.wbuf.len()
-                }
-                None => s.wbuf.len(),
-            };
-            if s.wpos >= end {
-                break;
-            }
-            match s.stream.write(&s.wbuf[s.wpos..end]) {
-                Ok(0) => {
-                    return Err(TransportError::PeerLost {
-                        node: me,
-                        peer,
-                        round: 0,
-                    })
-                }
-                Ok(k) => {
-                    s.wpos += k;
-                    progress = true;
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(TransportError::io(me, format!("send frame to {peer}"), &e)),
-            }
-        }
-        // Reads: absorb whatever the kernel has.
-        if !s.eof {
-            loop {
-                match s.stream.read(&mut scratch) {
-                    Ok(0) => {
-                        s.eof = true;
-                        progress = true;
-                        break;
-                    }
-                    Ok(k) => {
-                        s.rbuf.extend_from_slice(&scratch[..k]);
-                        progress = true;
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                    Err(_) => {
-                        // Reset mid-close or a vanished peer: surfaces as
-                        // EOF; the caller decides whether it still needed
-                        // this peer.
-                        s.eof = true;
-                        progress = true;
-                        break;
-                    }
-                }
-            }
-        }
-        // Frames: parse every complete frame out of the read buffer.
-        for frame in parse_frames(me, peer, &mut s.rbuf)? {
-            match frame {
-                InFrame::Msg { round, payload } => {
-                    buffered.entry(round).or_default().push(Envelope {
-                        from: peer,
-                        to: me,
-                        round,
-                        payload: payload.into(),
-                    })
-                }
-                InFrame::Marker { round, done, sent } => {
-                    markers.entry(round).or_default().insert(peer, (done, sent));
-                }
-            }
-        }
-    }
-    Ok(progress)
 }
 
 /// Split complete frames off the front of `rbuf`.
@@ -820,8 +882,10 @@ impl NbCluster {
             handles.push(std::thread::spawn(
                 move || -> Result<MeshRun, TransportError> {
                     let me = NodeId(i as u16);
-                    let peers = MeshPeers::establish(me, &listener, &addrs, mesh.io_deadline)?;
-                    mesh.run(node, peers)
+                    let mut peers = MeshPeers::establish(me, &listener, &addrs, mesh.io_deadline)?;
+                    let run = mesh.run(node, &mut peers)?;
+                    peers.close()?;
+                    Ok(run)
                 },
             ));
         }
@@ -837,11 +901,24 @@ impl NbCluster {
                 }),
             }
         }
+        ClusterReport::from_runs(n, finished, errors)
+    }
+}
 
-        // Every node derives the round count from the same votes; a
-        // mismatch means the transport broke its own invariant.
-        let rounds = finished.first().map_or(0, |run| run.rounds);
-        for run in &finished {
+impl ClusterReport {
+    /// Fold the runs of one phase on the nodes of an `n`-node mesh (in any
+    /// order) into a report: statistics aggregated the simulator's way,
+    /// nodes in id order, and `errors` plus a
+    /// [`TransportError::Protocol`] for every node whose round count
+    /// disagrees with the first — every node derives it from the same
+    /// votes, so a mismatch means the transport broke its own invariant.
+    pub fn from_runs(
+        n: usize,
+        mut runs: Vec<MeshRun>,
+        mut errors: Vec<TransportError>,
+    ) -> ClusterReport {
+        let rounds = runs.first().map_or(0, |run| run.rounds);
+        for run in &runs {
             if run.rounds != rounds {
                 errors.push(TransportError::Protocol {
                     node: run.node.id(),
@@ -855,7 +932,7 @@ impl NbCluster {
 
         let mut stats = NetStats::new(n);
         stats.rounds = rounds;
-        for run in &finished {
+        for run in &runs {
             let id = run.node.id();
             for (r, count) in run.stats.per_round.iter().enumerate() {
                 if stats.per_round.len() <= r {
@@ -869,9 +946,9 @@ impl NbCluster {
             stats.sent_by[id.index()] = run.stats.messages_total;
         }
 
-        finished.sort_by_key(|run| run.node.id());
+        runs.sort_by_key(|run| run.node.id());
         ClusterReport {
-            nodes: finished.into_iter().map(|run| run.node).collect(),
+            nodes: runs.into_iter().map(|run| run.node).collect(),
             stats,
             rounds,
             errors,
@@ -1129,27 +1206,20 @@ mod tests {
         let frame = frame_bytes(TAG_MSG, 0, b"cut off");
         peer.write_all(&frame[..6]).unwrap();
         drop(peer);
-        let mut io = HashMap::from([(
-            NodeId(1),
-            PeerIo {
-                stream,
-                rbuf: Vec::new(),
-                outq: VecDeque::new(),
-                wbuf: Vec::new(),
-                wpos: 0,
-                wstall: None,
-                eof: false,
-            },
-        )]);
-        let (mut buffered, mut markers) = (HashMap::new(), HashMap::new());
+        let mut mesh = MeshPeers::new(
+            NodeId(0),
+            2,
+            Duration::from_secs(10),
+            HashMap::from([(NodeId(1), stream)]),
+        );
         let deadline = Instant::now() + Duration::from_secs(10);
-        while !io[&NodeId(1)].eof {
+        while !mesh.io[&NodeId(1)].eof {
             assert!(Instant::now() < deadline, "EOF never seen");
-            sweep(NodeId(0), &mut io, &mut buffered, &mut markers).unwrap();
+            mesh.sweep().unwrap();
             std::thread::sleep(IDLE_NAP);
         }
-        assert!(buffered.is_empty() && markers.is_empty());
-        assert_eq!(io[&NodeId(1)].rbuf, frame[..6]);
+        assert!(mesh.buffered.is_empty() && mesh.markers.is_empty());
+        assert_eq!(mesh.io[&NodeId(1)].rbuf, frame[..6]);
     }
 
     #[test]

@@ -104,15 +104,24 @@ fn exec<A>(read: Result<A, String>, cmd: fn(A) -> Exit) -> ExitCode {
 
 /// A command line that cannot run: the error, the usage, exit 1.
 fn refuse(error: String) -> ExitCode {
-    eprintln!("error: {error}");
-    eprintln!("{USAGE}");
+    say(&format!("error: {error}\n{USAGE}"));
     ExitCode::FAILURE
 }
 
 /// A command that could not finish: the error, exit 1.
 fn fail(error: String) -> ExitCode {
-    eprintln!("error: {error}");
+    say(&format!("error: {error}"));
     ExitCode::FAILURE
+}
+
+/// Write `text` and a newline to stderr in one `write_all`. Cluster
+/// workers share the supervisor's stderr pipe, and only a single write
+/// under `PIPE_BUF` is atomic: `eprintln!` may split one line across
+/// several writes and tear against a sibling process's line.
+fn say(text: &str) {
+    let _ = std::io::stderr()
+        .lock()
+        .write_all(format!("{text}\n").as_bytes());
 }
 
 /// Write `contents` to `path` when one was given and note it on stderr as
@@ -464,7 +473,7 @@ fn cmd_cluster_worker(args: &[String]) -> Exit {
     let (builder, _id) = wire::request_from_json(&request)
         .map_err(|e| format!("cluster worker {node}: bad --request: {e}"))?;
     if let Err(failure) = deploy::run_worker(&cfg, &builder) {
-        eprintln!("error: cluster worker {node}: {failure}");
+        say(&format!("error: cluster worker {node}: {failure}"));
         // The exit code is the supervisor's classification channel:
         // chaos kills are charged to the slot's restart budget,
         // collateral failures restart the generation without blame,

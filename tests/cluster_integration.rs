@@ -207,3 +207,44 @@ fn a_killed_worker_fails_loudly_with_a_nonzero_exit() {
         (3, &[2][..], true)
     );
 }
+
+/// Sibling workers share the supervisor's stderr pipe, and a worker's
+/// failure line is one write: over ten restarted runs, every line naming
+/// a cluster worker is whole, with its `error: cluster worker N: ` prefix
+/// exactly once.
+#[test]
+fn worker_failure_lines_never_tear() {
+    let args = [
+        "chain",
+        "-n",
+        "8",
+        "--t",
+        "2",
+        "--seed",
+        "5",
+        "--chaos",
+        "seed=5;kill=3@round:1",
+    ];
+    for _ in 0..10 {
+        let (_, stderr, ok) = run_cluster(&args);
+        assert!(ok, "the killed worker's restart recovers: {stderr}");
+        let lines: Vec<&str> = stderr
+            .lines()
+            .filter(|line| line.contains("cluster worker"))
+            .collect();
+        assert!(!lines.is_empty(), "the kill leaves failure lines: {stderr}");
+        for line in lines {
+            let rest = line.strip_prefix("error: cluster worker ").unwrap_or("");
+            let digits = rest.bytes().take_while(u8::is_ascii_digit).count();
+            assert!(
+                digits > 0 && rest[digits..].starts_with(": "),
+                "torn line: {line:?}"
+            );
+            assert_eq!(
+                line.matches("error: cluster worker ").count(),
+                1,
+                "torn line: {line:?}"
+            );
+        }
+    }
+}

@@ -3,7 +3,9 @@
 //! encodings are mutated by truncation, character flips, insertions,
 //! deletions, a splice of 100 `[`, overlong digit runs and duplicated
 //! keys. Whatever the bytes, each decoder returns `Ok` or `Err`; none
-//! panics, and a decoded run request that validates also builds.
+//! panics, and a decoded run request that validates also builds. Mutated
+//! run requests also go to the `lafd run --spec` binary as files, which
+//! must print a report or refuse with an `error:` line.
 
 use local_auth_fd::core::adversary::{AdversaryKind, AdversarySpec};
 use local_auth_fd::core::ba::Grade;
@@ -14,7 +16,10 @@ use local_auth_fd::core::{DiscoveryReason, Outcome};
 use local_auth_fd::simnet::{Engine, LatencySpec, LinkLatencySpec, NetStats, NodeId};
 use proptest::prelude::*;
 use std::collections::HashMap;
+use std::process::{Command, Stdio};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 fn summary() -> WorkerSummary {
     WorkerSummary {
@@ -91,17 +96,6 @@ fn corpus() -> Vec<String> {
                 addr: "127.0.0.1:4242".to_string(),
                 incarnation: 1,
             },
-            RegistryRequest::Lookup {
-                run: run(),
-                node: 5,
-            },
-            RegistryRequest::Barrier {
-                run: run(),
-                node: 2,
-                n: 7,
-                phase: "keydist-done".to_string(),
-                incarnation: 0,
-            },
             RegistryRequest::Teardown {
                 run: run(),
                 node: 3,
@@ -117,13 +111,6 @@ fn corpus() -> Vec<String> {
         [
             RegistryReply::Roster {
                 peers: vec![(0, "a:1".to_string()), (1, "b:2".to_string())],
-            },
-            RegistryReply::Addr {
-                node: 1,
-                addr: "b:2".to_string(),
-            },
-            RegistryReply::Released {
-                phase: "keydist-done".to_string(),
             },
             RegistryReply::Ack,
             RegistryReply::Summaries {
@@ -264,6 +251,97 @@ proptest! {
         for m in mutations {
             doc = mutate(&doc, m);
             decode_all(&doc);
+        }
+    }
+}
+
+/// How long one `lafd run --spec` on a mutant may run.
+const SPEC_RUN_BOUND: Duration = Duration::from_secs(60);
+
+/// Whether `lafd run --spec` gets `doc`: a request that does not decode or
+/// validate is refused before any run, and one that validates runs only
+/// at n ≤ 16 (`decode_all` checks that larger ones build).
+fn for_the_binary(doc: &str) -> bool {
+    match wire::request_from_json(doc) {
+        Ok((builder, _)) => builder.validate().is_err() || builder.n <= 16,
+        Err(_) => true,
+    }
+}
+
+/// Write `doc` to a file and run `lafd run --spec` on it. It must exit 0
+/// with a report on its last stdout line, or exit 1 with an `error:` first
+/// stderr line, within [`SPEC_RUN_BOUND`]; a signal, a panic (101), an
+/// abort (134) or any other end fails.
+fn run_spec_file(doc: &str) {
+    static FILES: AtomicUsize = AtomicUsize::new(0);
+    let stem = format!(
+        "lafd-spec-wall-{}-{}",
+        std::process::id(),
+        FILES.fetch_add(1, Ordering::Relaxed)
+    );
+    let dir = std::env::temp_dir();
+    let [spec, out, err] = ["json", "out", "err"].map(|ext| dir.join(format!("{stem}.{ext}")));
+    std::fs::write(&spec, doc).expect("write the spec file");
+    let file = |path: &std::path::Path| std::fs::File::create(path).expect("create an output file");
+    let mut child = Command::new(env!("CARGO_BIN_EXE_lafd"))
+        .args(["run", "--spec"])
+        .arg(&spec)
+        .stdin(Stdio::null())
+        .stdout(file(&out))
+        .stderr(file(&err))
+        .spawn()
+        .expect("spawn lafd run --spec");
+    let started = Instant::now();
+    let status = loop {
+        if let Some(status) = child.try_wait().expect("wait for lafd") {
+            break status;
+        }
+        if started.elapsed() > SPEC_RUN_BOUND {
+            let _ = child.kill();
+            let _ = child.wait();
+            panic!("lafd run --spec ran past {SPEC_RUN_BOUND:?} on {doc}");
+        }
+        std::thread::sleep(Duration::from_millis(2));
+    };
+    let read = |path: &std::path::Path| std::fs::read_to_string(path).unwrap_or_default();
+    let (stdout, stderr) = (read(&out), read(&err));
+    for path in [&spec, &out, &err] {
+        let _ = std::fs::remove_file(path);
+    }
+    match status.code() {
+        Some(0) => assert!(
+            stdout
+                .lines()
+                .last()
+                .is_some_and(|line| line.starts_with("{\"outcomes\": ")),
+            "exit 0 without a report on {doc}: {stdout}"
+        ),
+        Some(1) => assert!(
+            stderr.starts_with("error:"),
+            "exit 1 without an error line on {doc}: {stderr}"
+        ),
+        _ => panic!("lafd run --spec ended with {status} on {doc}: {stderr}"),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn mutated_spec_files_get_a_report_or_an_error_line(
+        pick in any::<prop::sample::Index>(),
+        mutations in prop::collection::vec(mutation(), 1..4),
+    ) {
+        let requests: Vec<String> = corpus()
+            .into_iter()
+            .filter(|doc| wire::request_from_json(doc).is_ok())
+            .collect();
+        let mut doc = requests[pick.index(requests.len())].clone();
+        for m in mutations {
+            doc = mutate(&doc, m);
+            if for_the_binary(&doc) {
+                run_spec_file(&doc);
+            }
         }
     }
 }

@@ -6,7 +6,7 @@
 //! rest: the registry answers an over-long or non-UTF-8 line and closes a
 //! stalled or trickled one, and `lafd sweep --remote` refuses an endless reply.
 
-use local_auth_fd::core::deploy::{self, Registry, RegistryError};
+use local_auth_fd::core::deploy::{self, Registry};
 use local_auth_fd::core::service;
 use local_auth_fd::core::spec::{Protocol, SpecBuilder};
 use local_auth_fd::core::sweep::{RemoteExecutor, ScenarioExecutor};
@@ -91,15 +91,15 @@ fn assert_refused(reply: &str, expected: &str) {
     }
 }
 
-/// The registry still answers the next caller.
+/// The registry still answers the next caller: a collect of a run nobody
+/// registered is an empty list.
 fn assert_serves_on(addr: &str) {
-    let lookup = RegistryRequest::Lookup {
+    let collect = RegistryRequest::Collect {
         run: "r".to_string(),
-        node: 0,
     };
-    match deploy::registry_call(addr, &lookup, Duration::from_secs(10)) {
-        Err(RegistryError::Final(error)) => assert!(error.contains("not registered"), "{error}"),
-        other => panic!("expected the unknown-run error, got {other:?}"),
+    match deploy::registry_call(addr, &collect, Duration::from_secs(10)) {
+        Ok(RegistryReply::Summaries { workers }) => assert!(workers.is_empty(), "{workers:?}"),
+        other => panic!("expected an empty summary list, got {other:?}"),
     }
 }
 
@@ -123,6 +123,24 @@ fn the_registry_survives_a_deep_frame() {
     let reply = service::call(&addr, "[".repeat(20_000), Some(Duration::from_secs(30)))
         .expect("a reply line");
     assert_refused(&reply, LIMIT_ERROR);
+    assert_serves_on(&addr);
+}
+
+#[test]
+fn the_registry_answers_a_retired_verb_with_a_typed_error_and_serves_on() {
+    let addr = registry(Duration::from_secs(30));
+    // A retired verb's own fields that no live verb uses (a barrier's
+    // `phase`) are refused first, as unknown fields.
+    for (op, fields) in [
+        ("lookup", ""),
+        ("barrier", ", \"n\": 2, \"incarnation\": 0"),
+    ] {
+        let line = format!(
+            "{{\"schema_version\": 1, \"op\": \"{op}\", \"run\": \"r\", \"node\": 0{fields}}}\n"
+        );
+        let reply = raw_exchange(&addr, line.as_bytes());
+        assert_refused(&reply, &format!("unknown op {op:?}"));
+    }
     assert_serves_on(&addr);
 }
 

@@ -78,65 +78,47 @@ fn summary_strategy() -> impl Strategy<Value = WorkerSummary> {
 
 fn request_strategy() -> impl Strategy<Value = RegistryRequest> {
     (
-        (0usize..5, any::<u32>(), 0usize..64, 2usize..64),
+        (0usize..3, any::<u32>(), 0usize..64, 2usize..64),
         (any::<u16>(), 0u64..4),
-        (0usize..3, summary_strategy()),
+        summary_strategy(),
     )
-        .prop_map(
-            |((pick, tag, node, n), (port, incarnation), (phase_pick, summary))| {
-                let run = format!("run-{tag}");
-                let addr = format!("127.0.0.1:{port}");
-                let phase = ["keydist-done", "protocol-done", "ready"][phase_pick].to_string();
-                match pick {
-                    0 => RegistryRequest::Register {
-                        run,
-                        node,
-                        n,
-                        addr,
-                        incarnation,
-                    },
-                    1 => RegistryRequest::Lookup { run, node },
-                    2 => RegistryRequest::Barrier {
-                        run,
-                        node,
-                        n,
-                        phase,
-                        incarnation,
-                    },
-                    3 => RegistryRequest::Teardown {
-                        run,
-                        node,
-                        summary,
-                        incarnation,
-                    },
-                    _ => RegistryRequest::Collect { run },
-                }
-            },
-        )
+        .prop_map(|((pick, tag, node, n), (port, incarnation), summary)| {
+            let run = format!("run-{tag}");
+            let addr = format!("127.0.0.1:{port}");
+            match pick {
+                0 => RegistryRequest::Register {
+                    run,
+                    node,
+                    n,
+                    addr,
+                    incarnation,
+                },
+                1 => RegistryRequest::Teardown {
+                    run,
+                    node,
+                    summary,
+                    incarnation,
+                },
+                _ => RegistryRequest::Collect { run },
+            }
+        })
 }
 
 fn reply_strategy() -> impl Strategy<Value = RegistryReply> {
     (
-        (0usize..6, 0usize..64, any::<u32>()),
+        (0usize..4, any::<u32>()),
         prop::collection::vec((0usize..64, any::<u16>()), 0..6),
         prop::collection::vec(summary_strategy(), 0..4),
     )
-        .prop_map(|((pick, node, tag), peers, workers)| match pick {
+        .prop_map(|((pick, tag), peers, workers)| match pick {
             0 => RegistryReply::Roster {
                 peers: peers
                     .into_iter()
                     .map(|(slot, port)| (slot, format!("127.0.0.1:{port}")))
                     .collect(),
             },
-            1 => RegistryReply::Addr {
-                node,
-                addr: format!("127.0.0.1:{tag}"),
-            },
-            2 => RegistryReply::Released {
-                phase: format!("phase-{tag}"),
-            },
-            3 => RegistryReply::Ack,
-            4 => RegistryReply::Summaries { workers },
+            1 => RegistryReply::Ack,
+            2 => RegistryReply::Summaries { workers },
             _ => RegistryReply::Error {
                 error: format!("boom {tag}"),
             },

@@ -1,6 +1,7 @@
 //! Transport-agnosticism: the same protocol automata produce the same
 //! message counts and outcomes on the deterministic simulator and on the
-//! localhost TCP mesh (`NbCluster`, one readiness loop per node).
+//! localhost TCP mesh (`NbCluster`, one readiness loop per node), one
+//! phase at a time or key distribution and the protocol over one mesh.
 
 use local_auth_fd::core::fd::{ChainFdNode, ChainFdParams};
 use local_auth_fd::core::keys::{KeyStore, Keyring};
@@ -8,9 +9,14 @@ use local_auth_fd::core::localauth::{KeyDistNode, KEYDIST_ROUNDS};
 use local_auth_fd::core::metrics;
 use local_auth_fd::core::Outcome;
 use local_auth_fd::crypto::{SchnorrScheme, SignatureScheme};
-use local_auth_fd::simnet::transport::NbCluster;
-use local_auth_fd::simnet::{Node, NodeId, SyncNetwork};
+use local_auth_fd::simnet::transport::{
+    ClusterReport, MeshPeers, NbCluster, NonblockingMesh, TransportError,
+};
+use local_auth_fd::simnet::{Envelope, Node, NodeId, Outbox, SyncNetwork};
+use std::any::Any;
+use std::net::{SocketAddr, TcpListener};
 use std::sync::Arc;
+use std::time::Duration;
 
 fn scheme() -> Arc<dyn SignatureScheme> {
     Arc::new(SchnorrScheme::test_tiny())
@@ -37,6 +43,25 @@ fn extract_stores(nodes: Vec<Box<dyn Node>>) -> Vec<KeyStore> {
         .collect()
 }
 
+fn chain_fd_node(
+    me: NodeId,
+    n: usize,
+    t: usize,
+    seed: u64,
+    store: KeyStore,
+    value: &[u8],
+) -> Box<dyn Node> {
+    let sch = scheme();
+    Box::new(ChainFdNode::new(
+        me,
+        ChainFdParams::new(n, t),
+        Arc::clone(&sch),
+        store,
+        Keyring::generate(sch.as_ref(), me, seed),
+        (me == NodeId(0)).then(|| value.to_vec()),
+    ))
+}
+
 fn chain_fd_nodes(
     n: usize,
     t: usize,
@@ -44,19 +69,9 @@ fn chain_fd_nodes(
     stores: &[KeyStore],
     value: &[u8],
 ) -> Vec<Box<dyn Node>> {
-    let sch = scheme();
-    (0..n)
-        .map(|i| {
-            let me = NodeId(i as u16);
-            Box::new(ChainFdNode::new(
-                me,
-                ChainFdParams::new(n, t),
-                Arc::clone(&sch),
-                stores[i].clone(),
-                Keyring::generate(sch.as_ref(), me, seed),
-                (i == 0).then(|| value.to_vec()),
-            )) as Box<dyn Node>
-        })
+    NodeId::all(n)
+        .zip(stores)
+        .map(|(me, store)| chain_fd_node(me, n, t, seed, store.clone(), value))
         .collect()
 }
 
@@ -131,5 +146,128 @@ fn tcp_cluster_scales_to_a_dozen_nodes() {
     let stores = extract_stores(tcp.nodes);
     for s in &stores {
         assert_eq!(s.accepted_count(), n);
+    }
+}
+
+/// A node that sleeps 50 ms before its last key-distribution round. Its
+/// peers wait for its vote; once they have it, they are in the protocol
+/// phase at once and send it frames while it may still be collecting the
+/// key-distribution votes.
+struct Drowsy(Box<dyn Node>);
+
+impl Node for Drowsy {
+    fn id(&self) -> NodeId {
+        self.0.id()
+    }
+    fn on_round(&mut self, round: u32, inbox: &[Envelope], out: &mut Outbox) {
+        if round + 1 == KEYDIST_ROUNDS {
+            std::thread::sleep(Duration::from_millis(50));
+        }
+        self.0.on_round(round, inbox, out);
+    }
+    fn is_done(&self) -> bool {
+        self.0.is_done()
+    }
+    fn as_any(&self) -> &dyn Any {
+        self.0.as_any()
+    }
+    fn as_any_mut(&mut self) -> &mut dyn Any {
+        self.0.as_any_mut()
+    }
+    fn into_any(self: Box<Self>) -> Box<dyn Any> {
+        self.0.into_any()
+    }
+}
+
+/// Key distribution and then chain FD (sender 0, value `v`) over one mesh
+/// per node, each node on its own thread the way a `lafd cluster` worker
+/// runs them; node `drowsy`, if any, is a [`Drowsy`] one. The reports of
+/// both phases.
+fn keydist_then_chain_fd_over_one_mesh(
+    n: usize,
+    t: usize,
+    seed: u64,
+    drowsy: Option<usize>,
+) -> (ClusterReport, ClusterReport) {
+    let deadline = Duration::from_secs(20);
+    let listeners: Vec<TcpListener> = (0..n)
+        .map(|_| TcpListener::bind("127.0.0.1:0").expect("bind listener"))
+        .collect();
+    let addrs: Vec<SocketAddr> = listeners
+        .iter()
+        .map(|l| l.local_addr().expect("bound listener"))
+        .collect();
+    let rounds = ChainFdParams::new(n, t).rounds();
+    let (kd, fd): (Vec<_>, Vec<_>) = std::thread::scope(|scope| {
+        let nodes = keydist_nodes(n, seed).into_iter().zip(&listeners);
+        let handles: Vec<_> = nodes
+            .enumerate()
+            .map(|(i, (node, listener))| {
+                let addrs = &addrs;
+                scope.spawn(move || -> Result<_, TransportError> {
+                    let me = NodeId(i as u16);
+                    let node: Box<dyn Node> = if drowsy == Some(i) {
+                        Box::new(Drowsy(node))
+                    } else {
+                        node
+                    };
+                    let mut mesh = MeshPeers::establish(me, listener, addrs, deadline)?;
+                    let kd = NonblockingMesh::new(KEYDIST_ROUNDS)
+                        .with_io_deadline(deadline)
+                        .run(node, &mut mesh)?;
+                    let store = kd.node.as_any().downcast_ref::<KeyDistNode>();
+                    let store = store.expect("KeyDistNode").store().clone();
+                    let fd = NonblockingMesh::new(rounds)
+                        .with_io_deadline(deadline)
+                        .run(chain_fd_node(me, n, t, seed, store, b"v"), &mut mesh)?;
+                    mesh.close()?;
+                    Ok((kd, fd))
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| match h.join().expect("node thread") {
+                Ok(runs) => runs,
+                Err(e) => panic!("{e}"),
+            })
+            .unzip()
+    });
+    (
+        ClusterReport::from_runs(n, kd, Vec::new()),
+        ClusterReport::from_runs(n, fd, Vec::new()),
+    )
+}
+
+/// Both phases over one mesh equal the simulator phase by phase, also
+/// when protocol frames reach a node that is still in key distribution:
+/// it keeps them for the protocol phase.
+#[test]
+fn keydist_then_chain_fd_over_one_mesh_match_the_simulator() {
+    let (n, t, seed) = (7usize, 2usize, 83u64);
+    let mut sim = SyncNetwork::new(keydist_nodes(n, seed));
+    sim.run_until_done(KEYDIST_ROUNDS);
+    let (kd_nodes, kd_stats) = sim.finish();
+    let stores = extract_stores(kd_nodes);
+    let mut sim_fd = SyncNetwork::new(chain_fd_nodes(n, t, seed, &stores, b"v"));
+    sim_fd.run_until_done(ChainFdParams::new(n, t).rounds());
+    let (fd_nodes, fd_stats) = sim_fd.finish();
+    let outcomes = extract_outcomes(fd_nodes);
+    assert!(outcomes
+        .iter()
+        .all(|o| *o == Outcome::Decided(b"v".to_vec())));
+
+    for drowsy in [None, Some(0)] {
+        let (kd, fd) = keydist_then_chain_fd_over_one_mesh(n, t, seed, drowsy);
+        assert_eq!(kd.stats, kd_stats, "drowsy {drowsy:?}: keydist counters");
+        let tcp_stores = extract_stores(kd.nodes);
+        for (sim_store, tcp_store) in stores.iter().zip(&tcp_stores) {
+            for peer in NodeId::all(n) {
+                assert_eq!(sim_store.accepted(peer), tcp_store.accepted(peer));
+            }
+        }
+        assert_eq!(fd.stats, fd_stats, "drowsy {drowsy:?}: protocol counters");
+        assert_eq!(fd.rounds, fd_stats.rounds);
+        assert_eq!(extract_outcomes(fd.nodes), outcomes, "drowsy {drowsy:?}");
     }
 }
