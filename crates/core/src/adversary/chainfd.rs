@@ -6,7 +6,6 @@ use crate::keys::Keyring;
 use fd_crypto::{SecretKey, SignatureScheme};
 use fd_simnet::codec::{Decode, Encode};
 use fd_simnet::{Envelope, Node, NodeId, Outbox};
-use std::any::Any;
 use std::sync::Arc;
 
 /// What a faulty chain participant does with the chain passing through it.
@@ -289,15 +288,6 @@ impl Node for ChainFdAdversary {
 
     fn is_done(&self) -> bool {
         true
-    }
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
-    fn into_any(self: Box<Self>) -> Box<dyn Any> {
-        self
     }
 }
 

@@ -2,7 +2,6 @@
 
 use fd_crypto::ChaChaDrbg;
 use fd_simnet::{Envelope, Node, NodeId, Outbox};
-use std::any::Any;
 
 /// A crashed node: participates in nothing.
 ///
@@ -20,15 +19,6 @@ impl Node for SilentNode {
     fn on_round(&mut self, _round: u32, _inbox: &[Envelope], _out: &mut Outbox) {}
     fn is_done(&self) -> bool {
         true
-    }
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
-    fn into_any(self: Box<Self>) -> Box<dyn Any> {
-        self
     }
 }
 
@@ -92,15 +82,6 @@ impl Node for NoiseNode {
 
     fn is_done(&self) -> bool {
         true
-    }
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
-    fn into_any(self: Box<Self>) -> Box<dyn Any> {
-        self
     }
 }
 

@@ -4,7 +4,6 @@ use crate::localauth::{challenge_bytes, KdMsg};
 use fd_crypto::{PublicKey, SecretKey, SignatureScheme};
 use fd_simnet::codec::{Decode, Encode};
 use fd_simnet::{Envelope, Node, NodeId, Outbox};
-use std::any::Any;
 use std::sync::Arc;
 
 /// Respond honestly to challenges using `sk` (helper shared by the
@@ -146,15 +145,6 @@ impl Node for EquivocatingKeyDist {
     fn is_done(&self) -> bool {
         true
     }
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
-    fn into_any(self: Box<Self>) -> Box<dyn Any> {
-        self
-    }
 }
 
 impl core::fmt::Debug for EquivocatingKeyDist {
@@ -228,15 +218,6 @@ impl Node for SharedKeyKeyDist {
     fn is_done(&self) -> bool {
         true
     }
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
-    fn into_any(self: Box<Self>) -> Box<dyn Any> {
-        self
-    }
 }
 
 impl core::fmt::Debug for SharedKeyKeyDist {
@@ -307,15 +288,6 @@ impl Node for KeyThiefKeyDist {
 
     fn is_done(&self) -> bool {
         true
-    }
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
-    fn into_any(self: Box<Self>) -> Box<dyn Any> {
-        self
     }
 }
 
@@ -396,15 +368,6 @@ impl Node for WrongNameKeyDist {
 
     fn is_done(&self) -> bool {
         true
-    }
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
-    fn into_any(self: Box<Self>) -> Box<dyn Any> {
-        self
     }
 }
 

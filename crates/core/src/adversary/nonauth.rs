@@ -7,7 +7,6 @@
 use crate::fd::{NaMsg, NonAuthParams};
 use fd_simnet::codec::{Decode, Encode};
 use fd_simnet::{Envelope, Node, NodeId, Outbox};
-use std::any::Any;
 
 /// What a faulty witness-relay participant does.
 #[derive(Debug, Clone)]
@@ -152,15 +151,6 @@ impl Node for NonAuthAdversary {
 
     fn is_done(&self) -> bool {
         true
-    }
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
-    fn into_any(self: Box<Self>) -> Box<dyn Any> {
-        self
     }
 }
 

@@ -19,7 +19,6 @@
 //!   fault, and protocols must either tolerate or discover it).
 
 use fd_simnet::{Envelope, Node, NodeId, Outbox};
-use std::any::Any;
 
 /// Tiny deterministic PRNG (SplitMix64) so omission patterns replay.
 #[derive(Debug, Clone)]
@@ -84,15 +83,6 @@ impl Node for CrashNode {
     fn is_done(&self) -> bool {
         self.crashed || self.inner.is_done()
     }
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
-    fn into_any(self: Box<Self>) -> Box<dyn Any> {
-        self
-    }
 }
 
 impl core::fmt::Debug for CrashNode {
@@ -147,15 +137,6 @@ impl Node for OmissiveNode {
     fn is_done(&self) -> bool {
         self.inner.is_done()
     }
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
-    fn into_any(self: Box<Self>) -> Box<dyn Any> {
-        self
-    }
 }
 
 impl core::fmt::Debug for OmissiveNode {
@@ -201,15 +182,6 @@ impl Node for LaggardNode {
     fn is_done(&self) -> bool {
         self.held.is_empty() && self.inner.is_done()
     }
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
-    fn into_any(self: Box<Self>) -> Box<dyn Any> {
-        self
-    }
 }
 
 impl core::fmt::Debug for LaggardNode {
@@ -228,6 +200,7 @@ mod tests {
     use crate::outcome::Outcome;
     use fd_crypto::SignatureScheme;
     use fd_simnet::SyncNetwork;
+    use std::any::Any;
     use std::sync::Arc;
 
     fn chain_fd_nodes(
@@ -264,7 +237,7 @@ mod tests {
             .enumerate()
             .filter(|(i, _)| *i != faulty)
             .filter_map(|(_, b)| {
-                b.into_any()
+                (b as Box<dyn Any>)
                     .downcast::<ChainFdNode>()
                     .ok()
                     .map(|n| n.outcome().clone())

@@ -43,7 +43,6 @@ use crate::outcome::{DiscoveryReason, Outcome};
 use fd_crypto::SignatureScheme;
 use fd_simnet::codec::{CodecError, Decode, Encode, Reader, Writer};
 use fd_simnet::{Envelope, Node, NodeId, Outbox};
-use std::any::Any;
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
@@ -367,15 +366,6 @@ impl Node for DegradableNode {
     fn is_done(&self) -> bool {
         self.done
     }
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
-    fn into_any(self: Box<Self>) -> Box<dyn Any> {
-        self
-    }
 }
 
 impl core::fmt::Debug for DegradableNode {
@@ -392,6 +382,7 @@ impl core::fmt::Debug for DegradableNode {
 mod tests {
     use super::*;
     use fd_simnet::SyncNetwork;
+    use std::any::Any;
 
     fn fixtures(n: usize) -> (Arc<dyn SignatureScheme>, Vec<Keyring>, Vec<KeyStore>) {
         let scheme: Arc<dyn SignatureScheme> = Arc::new(fd_crypto::SchnorrScheme::test_tiny());
@@ -431,8 +422,7 @@ mod tests {
             .enumerate()
             .filter(|(i, _)| !faulty.contains(i))
             .map(|(_, b)| {
-                let node = b
-                    .into_any()
+                let node = (b as Box<dyn Any>)
                     .downcast::<DegradableNode>()
                     .expect("DegradableNode");
                 (node.outcome.clone(), node.grade)
@@ -526,15 +516,6 @@ mod tests {
                 out.send(NodeId(i as u16), DgMsg { chain }.encode_to_vec());
             }
         }
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
-        }
-        fn into_any(self: Box<Self>) -> Box<dyn Any> {
-            self
-        }
     }
 
     #[test]
@@ -604,15 +585,6 @@ mod tests {
                     .encode_to_vec(),
                 );
             }
-        }
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
-        }
-        fn into_any(self: Box<Self>) -> Box<dyn Any> {
-            self
         }
     }
 
@@ -765,15 +737,6 @@ mod tests {
                     self.ring.me,
                     DgMsg { chain: forged }.encode_to_vec(),
                 );
-            }
-            fn as_any(&self) -> &dyn Any {
-                self
-            }
-            fn as_any_mut(&mut self) -> &mut dyn Any {
-                self
-            }
-            fn into_any(self: Box<Self>) -> Box<dyn Any> {
-                self
             }
         }
 

@@ -21,7 +21,6 @@ use crate::outcome::{DiscoveryReason, Outcome};
 use fd_crypto::SignatureScheme;
 use fd_simnet::codec::{CodecError, Decode, Encode, Reader, Writer};
 use fd_simnet::{Envelope, Node, NodeId, Outbox};
-use std::any::Any;
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
@@ -364,15 +363,6 @@ impl Node for DolevStrongNode {
     fn is_done(&self) -> bool {
         self.done
     }
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
-    fn into_any(self: Box<Self>) -> Box<dyn Any> {
-        self
-    }
 }
 
 impl core::fmt::Debug for DolevStrongNode {
@@ -388,6 +378,7 @@ impl core::fmt::Debug for DolevStrongNode {
 mod tests {
     use super::*;
     use fd_simnet::SyncNetwork;
+    use std::any::Any;
 
     fn build(n: usize, t: usize, value: &[u8]) -> Vec<Box<dyn Node>> {
         let scheme: Arc<dyn SignatureScheme> = Arc::new(fd_crypto::SchnorrScheme::test_tiny());
@@ -414,7 +405,7 @@ mod tests {
         net.into_nodes()
             .into_iter()
             .map(|b| {
-                b.into_any()
+                (b as Box<dyn Any>)
                     .downcast::<DolevStrongNode>()
                     .expect("DolevStrongNode")
                     .outcome
@@ -453,7 +444,7 @@ mod tests {
             .into_iter()
             .skip(1)
             .map(|b| {
-                b.into_any()
+                (b as Box<dyn Any>)
                     .downcast::<DolevStrongNode>()
                     .expect("DolevStrongNode")
                     .outcome
@@ -502,7 +493,7 @@ mod tests {
             .into_nodes()
             .into_iter()
             .map(|b| {
-                b.into_any()
+                (b as Box<dyn Any>)
                     .downcast::<DolevStrongNode>()
                     .expect("DolevStrongNode")
                     .outcome

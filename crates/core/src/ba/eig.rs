@@ -14,7 +14,6 @@
 use crate::outcome::Outcome;
 use fd_simnet::codec::{CodecError, Decode, Encode, Reader, Writer};
 use fd_simnet::{Envelope, Node, NodeId, Outbox};
-use std::any::Any;
 use std::collections::HashMap;
 
 /// Wire message: a batch of `(path, value)` tree entries.
@@ -263,15 +262,6 @@ impl Node for EigNode {
     fn is_done(&self) -> bool {
         self.done
     }
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
-    fn into_any(self: Box<Self>) -> Box<dyn Any> {
-        self
-    }
 }
 
 impl core::fmt::Debug for EigNode {
@@ -288,6 +278,7 @@ impl core::fmt::Debug for EigNode {
 mod tests {
     use super::*;
     use fd_simnet::SyncNetwork;
+    use std::any::Any;
 
     fn build(n: usize, t: usize, value: &[u8]) -> Vec<Box<dyn Node>> {
         (0..n)
@@ -306,7 +297,12 @@ mod tests {
         net.into_nodes()
             .into_iter()
             .skip(skip)
-            .map(|b| b.into_any().downcast::<EigNode>().expect("EigNode").outcome)
+            .map(|b| {
+                (b as Box<dyn Any>)
+                    .downcast::<EigNode>()
+                    .expect("EigNode")
+                    .outcome
+            })
             .collect()
     }
 
@@ -359,15 +355,6 @@ mod tests {
                         out.send(NodeId(j as u16), msg.encode_to_vec());
                     }
                 }
-            }
-            fn as_any(&self) -> &dyn Any {
-                self
-            }
-            fn as_any_mut(&mut self) -> &mut dyn Any {
-                self
-            }
-            fn into_any(self: Box<Self>) -> Box<dyn Any> {
-                self
             }
         }
         let (n, t) = (4usize, 1usize);

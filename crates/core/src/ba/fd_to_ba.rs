@@ -36,7 +36,6 @@ use crate::outcome::Outcome;
 use fd_crypto::SignatureScheme;
 use fd_simnet::codec::{CodecError, Decode, Encode, Reader, Writer};
 use fd_simnet::{Envelope, Node, NodeId, Outbox};
-use std::any::Any;
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
@@ -328,15 +327,6 @@ impl Node for FdToBaNode {
     fn is_done(&self) -> bool {
         self.done
     }
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
-    fn into_any(self: Box<Self>) -> Box<dyn Any> {
-        self
-    }
 }
 
 impl core::fmt::Debug for FdToBaNode {
@@ -353,6 +343,7 @@ impl core::fmt::Debug for FdToBaNode {
 mod tests {
     use super::*;
     use fd_simnet::SyncNetwork;
+    use std::any::Any;
 
     fn build(n: usize, t: usize, value: &[u8]) -> Vec<Box<dyn Node>> {
         let scheme: Arc<dyn SignatureScheme> = Arc::new(fd_crypto::SchnorrScheme::test_tiny());
@@ -383,7 +374,9 @@ mod tests {
             .into_nodes()
             .into_iter()
             .map(|b| {
-                let node = b.into_any().downcast::<FdToBaNode>().expect("FdToBaNode");
+                let node = (b as Box<dyn Any>)
+                    .downcast::<FdToBaNode>()
+                    .expect("FdToBaNode");
                 (node.outcome.clone(), node.used_fallback())
             })
             .collect();
@@ -419,7 +412,9 @@ mod tests {
             .into_nodes()
             .into_iter()
             .map(|b| {
-                let node = b.into_any().downcast::<FdToBaNode>().expect("FdToBaNode");
+                let node = (b as Box<dyn Any>)
+                    .downcast::<FdToBaNode>()
+                    .expect("FdToBaNode");
                 (node.outcome.clone(), node.used_fallback())
             })
             .collect();

@@ -27,7 +27,6 @@
 use crate::outcome::Outcome;
 use fd_simnet::codec::{CodecError, Decode, Encode, Reader, Writer};
 use fd_simnet::{Envelope, Node, NodeId, Outbox};
-use std::any::Any;
 use std::collections::HashMap;
 
 /// Wire message of the Phase-King protocol.
@@ -282,15 +281,6 @@ impl Node for PhaseKingNode {
     fn is_done(&self) -> bool {
         self.done
     }
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
-    fn into_any(self: Box<Self>) -> Box<dyn Any> {
-        self
-    }
 }
 
 impl core::fmt::Debug for PhaseKingNode {
@@ -306,6 +296,7 @@ impl core::fmt::Debug for PhaseKingNode {
 mod tests {
     use super::*;
     use fd_simnet::SyncNetwork;
+    use std::any::Any;
 
     fn build(n: usize, t: usize, value: &[u8]) -> Vec<Box<dyn Node>> {
         (0..n)
@@ -325,7 +316,7 @@ mod tests {
             .into_iter()
             .skip(skip)
             .filter_map(|b| {
-                b.into_any()
+                (b as Box<dyn Any>)
                     .downcast::<PhaseKingNode>()
                     .ok()
                     .map(|n| n.outcome)
@@ -383,7 +374,7 @@ mod tests {
                 .enumerate()
                 .filter(|(i, _)| *i != noisy)
                 .filter_map(|(_, b)| {
-                    b.into_any()
+                    (b as Box<dyn Any>)
                         .downcast::<PhaseKingNode>()
                         .ok()
                         .map(|n| n.outcome)

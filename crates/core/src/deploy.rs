@@ -59,6 +59,7 @@ use fd_simnet::transport::chaos::{
 };
 use fd_simnet::transport::{DelayShim, MeshPeers, MeshRun, NonblockingMesh, TransportError};
 use fd_simnet::{LatencySpec, NetStats, NodeId};
+use std::any::Any;
 use std::collections::{BTreeMap, HashMap};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener};
@@ -648,9 +649,7 @@ fn run_worker_inner(
             })?;
         kd_stats = run.stats;
         kd_stats.rounds = run.rounds;
-        let node = run
-            .node
-            .into_any()
+        let node = (run.node as Box<dyn Any>)
             .downcast::<KeyDistNode>()
             .expect("keydist slot holds KeyDistNode");
         let (own_store, _ring, anoms) = node.into_parts();

@@ -28,7 +28,6 @@ use crate::outcome::{DiscoveryReason, Outcome};
 use fd_crypto::SignatureScheme;
 use fd_simnet::codec::{CodecError, Decode, Encode, Reader, Writer};
 use fd_simnet::{Envelope, Node, NodeId, Outbox, Payload};
-use std::any::Any;
 use std::sync::Arc;
 
 /// Wire message of the chain FD protocol: a chain-signed value.
@@ -279,18 +278,6 @@ impl Node for ChainFdNode {
     fn is_done(&self) -> bool {
         self.done
     }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
-
-    fn into_any(self: Box<Self>) -> Box<dyn Any> {
-        self
-    }
 }
 
 impl core::fmt::Debug for ChainFdNode {
@@ -307,6 +294,7 @@ mod tests {
     use super::*;
     use fd_crypto::SchnorrScheme;
     use fd_simnet::SyncNetwork;
+    use std::any::Any;
 
     fn build_cluster(
         n: usize,
@@ -338,7 +326,7 @@ mod tests {
         net.into_nodes()
             .into_iter()
             .map(|b| {
-                b.into_any()
+                (b as Box<dyn Any>)
                     .downcast::<ChainFdNode>()
                     .expect("ChainFdNode")
                     .outcome

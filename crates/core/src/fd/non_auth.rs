@@ -25,7 +25,6 @@
 use crate::outcome::{DiscoveryReason, Outcome};
 use fd_simnet::codec::{CodecError, Decode, Encode, Reader, Writer};
 use fd_simnet::{Envelope, Node, NodeId, Outbox};
-use std::any::Any;
 
 /// Wire messages of the witness-relay protocol.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -273,18 +272,6 @@ impl Node for NonAuthFdNode {
     fn is_done(&self) -> bool {
         self.done
     }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
-
-    fn into_any(self: Box<Self>) -> Box<dyn Any> {
-        self
-    }
 }
 
 impl core::fmt::Debug for NonAuthFdNode {
@@ -300,6 +287,7 @@ impl core::fmt::Debug for NonAuthFdNode {
 mod tests {
     use super::*;
     use fd_simnet::SyncNetwork;
+    use std::any::Any;
 
     fn build(n: usize, t: usize, value: &[u8]) -> Vec<Box<dyn Node>> {
         (0..n)
@@ -318,7 +306,7 @@ mod tests {
         net.into_nodes()
             .into_iter()
             .map(|b| {
-                b.into_any()
+                (b as Box<dyn Any>)
                     .downcast::<NonAuthFdNode>()
                     .expect("NonAuthFdNode")
                     .outcome

@@ -38,7 +38,6 @@ use crate::outcome::{DiscoveryReason, Outcome};
 use fd_crypto::SignatureScheme;
 use fd_simnet::codec::{CodecError, Decode, Encode, Reader, Writer};
 use fd_simnet::{Envelope, Node, NodeId, Outbox};
-use std::any::Any;
 use std::sync::Arc;
 
 /// Wire message: a chain-signed value (bare from the sender, one layer
@@ -335,18 +334,6 @@ impl Node for SmallRangeFdNode {
     fn is_done(&self) -> bool {
         self.done
     }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
-
-    fn into_any(self: Box<Self>) -> Box<dyn Any> {
-        self
-    }
 }
 
 impl core::fmt::Debug for SmallRangeFdNode {
@@ -363,6 +350,7 @@ mod tests {
     use super::*;
     use fd_crypto::SchnorrScheme;
     use fd_simnet::SyncNetwork;
+    use std::any::Any;
 
     fn build(n: usize, t: usize, value: &[u8]) -> Vec<Box<dyn Node>> {
         let scheme: Arc<dyn SignatureScheme> = Arc::new(SchnorrScheme::test_tiny());
@@ -389,7 +377,7 @@ mod tests {
         net.into_nodes()
             .into_iter()
             .map(|b| {
-                b.into_any()
+                (b as Box<dyn Any>)
                     .downcast::<SmallRangeFdNode>()
                     .expect("SmallRangeFdNode")
                     .outcome

@@ -25,7 +25,6 @@ use crate::outcome::{DiscoveryReason, Outcome};
 use fd_crypto::SignatureScheme;
 use fd_simnet::codec::{CodecError, Decode, Encode, Reader, Writer};
 use fd_simnet::{Envelope, Node, NodeId, Outbox, Payload};
-use std::any::Any;
 use std::sync::Arc;
 
 /// Wire message: a chain tagged with its instance (the sender whose value
@@ -324,15 +323,6 @@ impl Node for VectorFdNode {
     fn is_done(&self) -> bool {
         self.done
     }
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
-    fn into_any(self: Box<Self>) -> Box<dyn Any> {
-        self
-    }
 }
 
 impl core::fmt::Debug for VectorFdNode {
@@ -356,6 +346,7 @@ mod tests {
     use super::*;
     use fd_crypto::SchnorrScheme;
     use fd_simnet::SyncNetwork;
+    use std::any::Any;
 
     fn build(n: usize, t: usize) -> Vec<Box<dyn Node>> {
         let scheme: Arc<dyn SignatureScheme> = Arc::new(SchnorrScheme::test_tiny());
@@ -386,7 +377,7 @@ mod tests {
             .into_nodes()
             .into_iter()
             .map(|b| {
-                *b.into_any()
+                *(b as Box<dyn Any>)
                     .downcast::<VectorFdNode>()
                     .expect("VectorFdNode")
             })
@@ -437,7 +428,7 @@ mod tests {
         let nodes: Vec<VectorFdNode> = net
             .into_nodes()
             .into_iter()
-            .map(|b| *b.into_any().downcast::<VectorFdNode>().unwrap())
+            .map(|b| *(b as Box<dyn Any>).downcast::<VectorFdNode>().unwrap())
             .collect();
         // Instance 0 is discovered at P1.. (chain broken); other instances
         // decide everywhere.

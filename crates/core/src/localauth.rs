@@ -30,7 +30,6 @@ use crate::keys::{KeyStore, Keyring, PredicateTable};
 use fd_crypto::{PublicKey, Signature, SignatureScheme};
 use fd_simnet::codec::{CodecError, Decode, Encode, Reader, Writer};
 use fd_simnet::{Envelope, Node, NodeId, Outbox, Payload};
-use std::any::Any;
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -442,18 +441,6 @@ impl Node for KeyDistNode {
     fn is_done(&self) -> bool {
         self.done
     }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
-
-    fn into_any(self: Box<Self>) -> Box<dyn Any> {
-        self
-    }
 }
 
 impl core::fmt::Debug for KeyDistNode {
@@ -476,6 +463,7 @@ mod tests {
     use super::*;
     use fd_crypto::SchnorrScheme;
     use fd_simnet::SyncNetwork;
+    use std::any::Any;
 
     fn run_honest(n: usize) -> Vec<KeyDistNode> {
         let scheme: Arc<dyn SignatureScheme> = Arc::new(SchnorrScheme::test_tiny());
@@ -490,7 +478,11 @@ mod tests {
         net.run_until_done(KEYDIST_ROUNDS);
         net.into_nodes()
             .into_iter()
-            .map(|b| *b.into_any().downcast::<KeyDistNode>().expect("KeyDistNode"))
+            .map(|b| {
+                *(b as Box<dyn Any>)
+                    .downcast::<KeyDistNode>()
+                    .expect("KeyDistNode")
+            })
             .collect()
     }
 
@@ -561,15 +553,6 @@ mod tests {
         fn is_done(&self) -> bool {
             self.inner.is_done()
         }
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
-        }
-        fn into_any(self: Box<Self>) -> Box<dyn Any> {
-            self
-        }
     }
 
     #[test]
@@ -589,7 +572,7 @@ mod tests {
         net.run_until_done(KEYDIST_ROUNDS);
         let response_len = RESPONSE_HEADER_LEN + scheme.signature_len();
         for node in net.into_nodes() {
-            let tap = node.into_any().downcast::<Tap>().unwrap();
+            let tap = (node as Box<dyn Any>).downcast::<Tap>().unwrap();
             for (round, len) in [(1, CHALLENGE_LEN), (2, response_len)] {
                 let batch = &tap.sent[round];
                 assert_eq!(batch.len(), n - 1);
@@ -625,7 +608,7 @@ mod tests {
         ));
         net.run_until_done(KEYDIST_ROUNDS);
         for (i, node) in net.into_nodes().into_iter().enumerate() {
-            let node = node.into_any().downcast::<KeyDistNode>().unwrap();
+            let node = (node as Box<dyn Any>).downcast::<KeyDistNode>().unwrap();
             if i == 0 {
                 assert_eq!(node.anomalies(), [KdAnomaly::BadResponse(NodeId(1))]);
                 assert_eq!(node.store().accepted_count(), n - 1);

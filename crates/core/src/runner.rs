@@ -25,6 +25,7 @@ use fd_simnet::{
     Engine, EventNetwork, LatencySpec, LinkLatencySpec, NetStats, Node, NodeId, SchedCounters,
     SyncNetwork,
 };
+use std::any::Any;
 use std::sync::Arc;
 
 /// A per-message delivery schedule for the event engine, keyed by send
@@ -494,8 +495,7 @@ impl Cluster {
         let mut anomalies = Vec::new();
         for (i, boxed) in report.nodes.into_iter().enumerate() {
             if honest[i] {
-                let node = boxed
-                    .into_any()
+                let node = (boxed as Box<dyn Any>)
                     .downcast::<KeyDistNode>()
                     .expect("honest slot holds KeyDistNode");
                 let (store, _ring, anoms) = node.into_parts();
@@ -557,8 +557,7 @@ impl Cluster {
         let mut outcomes = Vec::with_capacity(self.n);
         let mut per_instance = Vec::with_capacity(self.n);
         for boxed in report.nodes {
-            let node = boxed
-                .into_any()
+            let node = (boxed as Box<dyn Any>)
                 .downcast::<crate::fd::VectorFdNode>()
                 .expect("VectorFdNode");
             let summary = match node.vector() {

@@ -57,6 +57,7 @@ use crate::runner::{Cluster, FdRunReport, KeyDistReport, Schedule, Substitution}
 use fd_crypto::{DsaScheme, RsaScheme, SchnorrScheme, SignatureScheme};
 use fd_simnet::fault::FaultPlan;
 use fd_simnet::{Engine, LatencySpec, LinkLatencySpec, Node, NodeId};
+use std::any::Any;
 use std::fmt;
 use std::sync::Arc;
 
@@ -788,7 +789,7 @@ pub(crate) fn extract_slot(
     protocol: Protocol,
     node: Box<dyn Node>,
 ) -> (Option<Outcome>, bool, Option<Grade>) {
-    let any = node.into_any();
+    let any: Box<dyn Any> = node;
     let plain = |outcome: Option<&Outcome>| (outcome.cloned(), false, None);
     match protocol {
         Protocol::ChainFd => plain(

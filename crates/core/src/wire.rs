@@ -468,8 +468,13 @@ impl Parser<'_> {
         if end > self.bytes.len() {
             return Err("truncated \\u escape".to_string());
         }
-        let text = std::str::from_utf8(&self.bytes[self.pos..end]).map_err(|e| e.to_string())?;
-        let code = u16::from_str_radix(text, 16).map_err(|e| format!("\\u escape: {e}"))?;
+        let code = self.bytes[self.pos..end]
+            .iter()
+            .try_fold(0u16, |code, &b| {
+                let digit = char::from(b).to_digit(16)?;
+                Some(code << 4 | digit as u16)
+            })
+            .ok_or_else(|| "\\u escape: invalid hex digit".to_string())?;
         self.pos = end - 1; // caller advances past the last digit
         Ok(code)
     }
@@ -681,15 +686,22 @@ fn push_hex(s: &mut String, bytes: &[u8]) {
     }
 }
 
-/// Inverse of [`hex_encode`].
+/// Inverse of [`hex_encode`]: exactly two ASCII hex digits per byte (either
+/// case). Anything else — a sign, a non-ASCII character, an odd length —
+/// is an error, never a panic.
 pub fn hex_decode(text: &str) -> Result<Vec<u8>, String> {
-    if !text.len().is_multiple_of(2) {
-        return Err(format!("hex value has odd length {}", text.len()));
+    let bytes = text.as_bytes();
+    if !bytes.len().is_multiple_of(2) {
+        return Err(format!("hex value has odd length {}", bytes.len()));
     }
-    (0..text.len() / 2)
-        .map(|i| {
-            u8::from_str_radix(&text[2 * i..2 * i + 2], 16).map_err(|e| format!("hex value: {e}"))
-        })
+    let digit = |at: usize| {
+        char::from(bytes[at])
+            .to_digit(16)
+            .ok_or_else(|| format!("hex value: invalid digit at byte {at}"))
+    };
+    (0..bytes.len())
+        .step_by(2)
+        .map(|at| Ok((digit(at)? << 4 | digit(at + 1)?) as u8))
         .collect()
 }
 
@@ -1596,12 +1608,39 @@ mod tests {
     }
 
     #[test]
+    fn unicode_escapes_take_exactly_four_ascii_hex_digits() {
+        assert_eq!(Value::parse("\"\\u004A\""), Ok(Value::Str("J".to_string())));
+        for text in ["\"\\u+041\"", "\"\\u00é\"", "\"\\u0é\""] {
+            assert_eq!(
+                Value::parse(text),
+                Err("\\u escape: invalid hex digit".to_string()),
+                "{text}"
+            );
+        }
+    }
+
+    #[test]
     fn hex_round_trips() {
         for bytes in [vec![], vec![0u8], vec![0xde, 0xad, 0xbe, 0xef]] {
             assert_eq!(hex_decode(&hex_encode(&bytes)).unwrap(), bytes);
         }
         assert!(hex_decode("abc").is_err());
         assert!(hex_decode("zz").is_err());
+    }
+
+    #[test]
+    fn hex_decode_refuses_signs_and_non_ascii_without_panicking() {
+        assert_eq!(hex_decode("DEad").unwrap(), [0xde, 0xad]);
+        // "0é0" has an even byte length, and 'é' straddles the first pair.
+        for (text, error) in [
+            ("0é0", "hex value: invalid digit at byte 1"),
+            ("é0", "hex value has odd length 3"),
+            ("é", "hex value: invalid digit at byte 0"),
+            ("+f", "hex value: invalid digit at byte 0"),
+            ("0-", "hex value: invalid digit at byte 1"),
+        ] {
+            assert_eq!(hex_decode(text), Err(error.to_string()), "{text}");
+        }
     }
 
     #[test]

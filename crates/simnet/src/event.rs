@@ -1187,15 +1187,6 @@ mod tests {
         fn is_done(&self) -> bool {
             self.seen.len() + 1 >= self.n
         }
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
-        }
-        fn into_any(self: Box<Self>) -> Box<dyn Any> {
-            self
-        }
     }
 
     fn echo_nodes(n: usize) -> Vec<Box<dyn Node>> {
@@ -1213,7 +1204,7 @@ mod tests {
     fn seen(net: EventNetwork) -> Vec<Vec<(u32, NodeId, Vec<u8>)>> {
         net.into_nodes()
             .into_iter()
-            .map(|b| b.into_any().downcast::<Echo>().unwrap().seen)
+            .map(|b| (b as Box<dyn Any>).downcast::<Echo>().unwrap().seen)
             .collect()
     }
 
@@ -1229,7 +1220,7 @@ mod tests {
             .into_nodes()
             .into_iter()
             .map(|b| {
-                b.into_any()
+                (b as Box<dyn Any>)
                     .downcast::<Echo>()
                     .unwrap()
                     .seen
@@ -1308,15 +1299,6 @@ mod tests {
                     self.seen.push((round, env.from));
                 }
             }
-            fn as_any(&self) -> &dyn Any {
-                self
-            }
-            fn as_any_mut(&mut self) -> &mut dyn Any {
-                self
-            }
-            fn into_any(self: Box<Self>) -> Box<dyn Any> {
-                self
-            }
         }
         let nodes: Vec<Box<dyn Node>> = (0..5)
             .map(|i| {
@@ -1337,7 +1319,7 @@ mod tests {
             net.step();
         }
         for boxed in net.into_nodes() {
-            let node = boxed.into_any().downcast::<TwoShot>().unwrap();
+            let node = (boxed as Box<dyn Any>).downcast::<TwoShot>().unwrap();
             // Post-gst messages arrive exactly one round later.
             assert!(node
                 .seen
@@ -1431,7 +1413,7 @@ mod tests {
             .into_nodes()
             .into_iter()
             .map(|b| {
-                b.into_any()
+                (b as Box<dyn Any>)
                     .downcast::<Echo>()
                     .unwrap()
                     .seen
@@ -1478,15 +1460,6 @@ mod tests {
             }
             fn is_done(&self) -> bool {
                 true
-            }
-            fn as_any(&self) -> &dyn Any {
-                self
-            }
-            fn as_any_mut(&mut self) -> &mut dyn Any {
-                self
-            }
-            fn into_any(self: Box<Self>) -> Box<dyn Any> {
-                self
             }
         }
         let mut net = EventNetwork::new(vec![Box::new(Stray { id: NodeId(0) })]);
@@ -1746,7 +1719,7 @@ mod tests {
             .into_nodes()
             .into_iter()
             .map(|b| {
-                b.into_any()
+                (b as Box<dyn Any>)
                     .downcast::<Echo>()
                     .unwrap()
                     .seen

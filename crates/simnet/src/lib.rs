@@ -45,9 +45,6 @@
 //!         self.greetings += inbox.len();
 //!     }
 //!     fn is_done(&self) -> bool { self.greetings + 1 >= self.n }
-//!     fn as_any(&self) -> &dyn std::any::Any { self }
-//!     fn as_any_mut(&mut self) -> &mut dyn std::any::Any { self }
-//!     fn into_any(self: Box<Self>) -> Box<dyn std::any::Any> { self }
 //! }
 //!
 //! let nodes: Vec<Box<dyn Node>> = (0..4)

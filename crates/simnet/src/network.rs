@@ -392,15 +392,6 @@ mod tests {
         fn is_done(&self) -> bool {
             self.seen.len() + 1 >= self.n
         }
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
-        }
-        fn into_any(self: Box<Self>) -> Box<dyn Any> {
-            self
-        }
     }
 
     fn echo_net(n: usize) -> SyncNetwork {
@@ -423,11 +414,15 @@ mod tests {
         let mut net = echo_net(3);
         net.set_rushing(vec![NodeId(2)]);
         net.step();
-        let rusher = net.node(NodeId(2)).as_any().downcast_ref::<Echo>().unwrap();
+        let rusher = (net.node(NodeId(2)) as &dyn Any)
+            .downcast_ref::<Echo>()
+            .unwrap();
         let seen0: Vec<NodeId> = rusher.seen.iter().map(|(f, _)| *f).collect();
         assert_eq!(seen0, vec![NodeId(0), NodeId(1)], "preview in round 0");
         // Non-rushing nodes saw nothing yet.
-        let honest = net.node(NodeId(0)).as_any().downcast_ref::<Echo>().unwrap();
+        let honest = (net.node(NodeId(0)) as &dyn Any)
+            .downcast_ref::<Echo>()
+            .unwrap();
         assert!(honest.seen.is_empty());
     }
 
@@ -438,7 +433,9 @@ mod tests {
         net.set_rushing(vec![NodeId(2)]);
         net.step();
         net.step();
-        let rusher = net.node(NodeId(2)).as_any().downcast_ref::<Echo>().unwrap();
+        let rusher = (net.node(NodeId(2)) as &dyn Any)
+            .downcast_ref::<Echo>()
+            .unwrap();
         // Preview (2) + regular delivery (2) = 4 sightings.
         assert_eq!(rusher.seen.len(), 4);
     }
@@ -461,7 +458,7 @@ mod tests {
         assert_eq!(net.stats().messages_total, 20); // n(n-1)
         let nodes = net.into_nodes();
         for node in &nodes {
-            let echo = node.as_any().downcast_ref::<Echo>().unwrap();
+            let echo = (&**node as &dyn Any).downcast_ref::<Echo>().unwrap();
             assert_eq!(echo.seen.len(), 4);
         }
     }
@@ -474,7 +471,7 @@ mod tests {
         net.run_until_done(5);
         let nodes = net.into_nodes();
         for node in nodes {
-            let echo = node.as_any().downcast_ref::<Echo>().unwrap();
+            let echo = (&*node as &dyn Any).downcast_ref::<Echo>().unwrap();
             for (from, payload) in &echo.seen {
                 assert_eq!(from.0 as u8, payload[0]);
             }
@@ -487,7 +484,7 @@ mod tests {
         net.set_fault_plan(FaultPlan::new().with(0, NodeId(0), NodeId(1), LinkFault::Drop));
         net.run_until_done(5);
         let nodes = net.into_nodes();
-        let victim = nodes[1].as_any().downcast_ref::<Echo>().unwrap();
+        let victim = (&*nodes[1] as &dyn Any).downcast_ref::<Echo>().unwrap();
         assert_eq!(victim.seen.len(), 1); // only P2's message arrived
     }
 
@@ -505,7 +502,7 @@ mod tests {
         ));
         net.run_until_done(5);
         let nodes = net.into_nodes();
-        let victim = nodes[1].as_any().downcast_ref::<Echo>().unwrap();
+        let victim = (&*nodes[1] as &dyn Any).downcast_ref::<Echo>().unwrap();
         assert_eq!(victim.seen[0].1[0], 0xff); // 0 ^ 0xff
     }
 
@@ -515,7 +512,7 @@ mod tests {
         net.set_fault_plan(FaultPlan::new().with(0, NodeId(0), NodeId(1), LinkFault::Duplicate));
         net.run_until_done(5);
         let nodes = net.into_nodes();
-        let victim = nodes[1].as_any().downcast_ref::<Echo>().unwrap();
+        let victim = (&*nodes[1] as &dyn Any).downcast_ref::<Echo>().unwrap();
         assert_eq!(victim.seen.len(), 2);
     }
 
@@ -531,13 +528,17 @@ mod tests {
         net.step(); // round 0: sends
         net.step(); // round 1: P2's message arrives, P0's is held
         {
-            let victim = net.node(NodeId(1)).as_any().downcast_ref::<Echo>().unwrap();
+            let victim = (net.node(NodeId(1)) as &dyn Any)
+                .downcast_ref::<Echo>()
+                .unwrap();
             assert_eq!(victim.seen.len(), 1);
             assert_eq!(victim.seen[0].0, NodeId(2));
         }
         net.step(); // round 2: still held (due round 3)
         net.step(); // round 3: delayed message matures
-        let victim = net.node(NodeId(1)).as_any().downcast_ref::<Echo>().unwrap();
+        let victim = (net.node(NodeId(1)) as &dyn Any)
+            .downcast_ref::<Echo>()
+            .unwrap();
         assert_eq!(victim.seen.len(), 2);
         assert_eq!(victim.seen[1].0, NodeId(0));
     }
@@ -555,7 +556,7 @@ mod tests {
         // (all nodes claim done, in_flight empty) and lose the message.
         net.run_until_done(10);
         let nodes = net.into_nodes();
-        let victim = nodes[1].as_any().downcast_ref::<Echo>().unwrap();
+        let victim = (&*nodes[1] as &dyn Any).downcast_ref::<Echo>().unwrap();
         assert_eq!(victim.seen.len(), 1, "delayed message still delivered");
     }
 
@@ -566,7 +567,7 @@ mod tests {
         net.set_fault_plan(FaultPlan::new().with(0, NodeId(0), NodeId(2), LinkFault::Reorder));
         net.run_until_done(5);
         let nodes = net.into_nodes();
-        let victim = nodes[2].as_any().downcast_ref::<Echo>().unwrap();
+        let victim = (&*nodes[2] as &dyn Any).downcast_ref::<Echo>().unwrap();
         let froms: Vec<NodeId> = victim.seen.iter().map(|(f, _)| *f).collect();
         assert_eq!(froms, vec![NodeId(1), NodeId(0)]);
     }
@@ -587,15 +588,6 @@ mod tests {
             }
             fn is_done(&self) -> bool {
                 true
-            }
-            fn as_any(&self) -> &dyn Any {
-                self
-            }
-            fn as_any_mut(&mut self) -> &mut dyn Any {
-                self
-            }
-            fn into_any(self: Box<Self>) -> Box<dyn Any> {
-                self
             }
         }
         let mut net = SyncNetwork::new(vec![Box::new(Stray { id: NodeId(0) })]);
@@ -632,15 +624,6 @@ mod tests {
             if round == 1 {
                 out.send(NodeId(self.n as u16 + 3), vec![0]);
             }
-        }
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
-        }
-        fn into_any(self: Box<Self>) -> Box<dyn Any> {
-            self
         }
     }
 
@@ -690,7 +673,7 @@ mod tests {
             let (nodes, stats) = net.finish();
             let seen: Vec<Vec<Envelope>> = nodes
                 .into_iter()
-                .map(|node| node.into_any().downcast::<Gossip>().unwrap().seen)
+                .map(|node| (node as Box<dyn Any>).downcast::<Gossip>().unwrap().seen)
                 .collect();
             (seen, stats, marks)
         };
@@ -747,15 +730,6 @@ mod tests {
             }
             fn on_round(&mut self, _round: u32, _inbox: &[Envelope], out: &mut Outbox) {
                 out.send(NodeId(1 - self.id.0), vec![0]);
-            }
-            fn as_any(&self) -> &dyn Any {
-                self
-            }
-            fn as_any_mut(&mut self) -> &mut dyn Any {
-                self
-            }
-            fn into_any(self: Box<Self>) -> Box<dyn Any> {
-                self
             }
         }
         let mut net = SyncNetwork::new(vec![

@@ -96,15 +96,22 @@ impl Outbox {
 
 /// A protocol automaton driven in synchronous rounds.
 ///
-/// The same automaton runs on [`crate::SyncNetwork`], the thread transport,
-/// and the TCP transport. In each round the transport delivers everything
-/// sent to this node in the previous round (`inbox`), and the node may queue
-/// outgoing messages (`out`). Determinism requirement: `on_round` must be a
-/// pure function of construction parameters, rounds seen so far, and inbox
-/// contents — all experiment tables rely on replayability. `Send` is
-/// load-bearing: [`crate::SyncNetwork::set_workers`] steps nodes on other
-/// threads.
-pub trait Node: Send {
+/// The same automaton runs on [`crate::SyncNetwork`], [`crate::EventNetwork`]
+/// and the non-blocking socket mesh ([`crate::transport::nonblocking`]). In
+/// each round the engine delivers everything sent to this node in the
+/// previous round (`inbox`), and the node may queue outgoing messages
+/// (`out`). Determinism requirement: `on_round` must be a pure function of
+/// construction parameters, rounds seen so far, and inbox contents — all
+/// experiment tables rely on replayability. `Send` is load-bearing:
+/// [`crate::SyncNetwork::set_workers`] steps nodes on other threads.
+///
+/// Protocols expose their outcome through their concrete type after the
+/// run. `Any` is a supertrait, so a caller upcasts and downcasts:
+/// `(node as Box<dyn Any>).downcast::<T>()` for an owned node, and
+/// `(&*node as &dyn Any).downcast_ref::<T>()` for a borrowed one.
+/// Dereference a `Box<dyn Node>` before upcasting a borrow: `&Box<dyn Node>`
+/// coerces to `&dyn Any` as the box itself, and that never downcasts to `T`.
+pub trait Node: Any + Send {
     /// This node's identity. Must match its index in the transport.
     fn id(&self) -> NodeId;
 
@@ -119,16 +126,6 @@ pub trait Node: Send {
     fn is_done(&self) -> bool {
         false
     }
-
-    /// Downcasting support: protocols expose their outcome through their
-    /// concrete type after the run.
-    fn as_any(&self) -> &dyn Any;
-
-    /// Mutable downcasting support.
-    fn as_any_mut(&mut self) -> &mut dyn Any;
-
-    /// Owned downcasting support; implementors write `self`.
-    fn into_any(self: Box<Self>) -> Box<dyn Any>;
 }
 
 #[cfg(test)]

@@ -1011,22 +1011,19 @@ mod tests {
         fn is_done(&self) -> bool {
             self.done
         }
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
-        }
-        fn into_any(self: Box<Self>) -> Box<dyn Any> {
-            self
-        }
     }
 
     fn inboxes(report: &ClusterReport) -> Vec<Vec<(NodeId, u8)>> {
         report
             .nodes
             .iter()
-            .map(|node| node.as_any().downcast_ref::<Chatter>().unwrap().got.clone())
+            .map(|node| {
+                (&**node as &dyn Any)
+                    .downcast_ref::<Chatter>()
+                    .unwrap()
+                    .got
+                    .clone()
+            })
             .collect()
     }
 
@@ -1038,7 +1035,13 @@ mod tests {
         let (sync_nodes, sync_stats) = sync.finish();
         let sync_got: Vec<Vec<(NodeId, u8)>> = sync_nodes
             .iter()
-            .map(|node| node.as_any().downcast_ref::<Chatter>().unwrap().got.clone())
+            .map(|node| {
+                (&**node as &dyn Any)
+                    .downcast_ref::<Chatter>()
+                    .unwrap()
+                    .got
+                    .clone()
+            })
             .collect();
 
         let report = NbCluster::new(limit)
@@ -1090,15 +1093,6 @@ mod tests {
                 panic!("killed");
             }
             out.broadcast(self.n, self.id, [round as u8]);
-        }
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
-        }
-        fn into_any(self: Box<Self>) -> Box<dyn Any> {
-            self
         }
     }
 

@@ -19,7 +19,6 @@ use local_auth_fd::core::spec::{Protocol, RunSpec, Session};
 use local_auth_fd::crypto::{SchnorrScheme, SignatureScheme};
 use local_auth_fd::simnet::codec::Encode;
 use local_auth_fd::simnet::{Envelope, Node, NodeId, Outbox};
-use std::any::Any;
 use std::sync::Arc;
 
 fn main() {
@@ -105,15 +104,5 @@ impl Node for TwoFacedSender {
             let msg = local_auth_fd::core::ba::DgMsg { chain };
             out.send(NodeId(i as u16), msg.encode_to_vec());
         }
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
-    fn into_any(self: Box<Self>) -> Box<dyn Any> {
-        self
     }
 }

@@ -14,6 +14,7 @@ use local_auth_fd::core::Outcome;
 use local_auth_fd::crypto::{SchnorrScheme, SignatureScheme};
 use local_auth_fd::simnet::transport::NbCluster;
 use local_auth_fd::simnet::{Node, NodeId};
+use std::any::Any;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -46,7 +47,7 @@ fn main() {
         .nodes
         .into_iter()
         .map(|b| {
-            b.into_any()
+            (b as Box<dyn Any>)
                 .downcast::<KeyDistNode>()
                 .expect("KeyDistNode")
                 .into_parts()
@@ -81,7 +82,9 @@ fn main() {
     );
 
     for (i, b) in fd_report.nodes.into_iter().enumerate() {
-        let node = b.into_any().downcast::<ChainFdNode>().expect("ChainFdNode");
+        let node = (b as Box<dyn Any>)
+            .downcast::<ChainFdNode>()
+            .expect("ChainFdNode");
         assert_eq!(
             node.outcome(),
             &Outcome::Decided(b"over the wire".to_vec()),

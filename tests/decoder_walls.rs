@@ -229,6 +229,44 @@ fn every_truncation_of_every_encoding_is_refused_without_a_panic() {
     }
 }
 
+/// Every [`ALPHABET`] character inserted at every position of every hex
+/// value in the corpus: the requests' `input` and `default_value`, and the
+/// decided outcomes in a response and in a teardown summary. Random
+/// mutations seldom land inside these short values. No single insertion
+/// leaves a valid document, so every decoder refuses each mutant, and none
+/// panics on a character that is not an ASCII hex digit.
+#[test]
+fn every_insertion_into_a_hex_value_is_refused_without_a_panic() {
+    let mut mutants = 0;
+    for doc in corpus() {
+        for key in ["\"input\": \"", "\"default_value\": \"", "\"decided:"] {
+            for (found, _) in doc.match_indices(key) {
+                let start = found + key.len();
+                let end = start + doc[start..].find('"').expect("a closing quote");
+                for at in start..=end {
+                    for &c in ALPHABET {
+                        let mut mutant = doc.clone();
+                        mutant.insert(at, c);
+                        decode_all(&mutant);
+                        assert!(
+                            wire::request_from_json(&mutant).is_err()
+                                && wire::response_from_json(&mutant).is_err()
+                                && wire::registry_request_from_json(&mutant).is_err()
+                                && wire::registry_reply_from_json(&mutant).is_err(),
+                            "a decoder accepts {mutant}"
+                        );
+                        mutants += 1;
+                    }
+                }
+            }
+        }
+    }
+    // Every field was found: inputs "v" and "value" (3 + 11 positions),
+    // two default values "default" (2 × 15), "7600" in two responses
+    // (2 × 5), and "76" in three summaries (3 × 3).
+    assert_eq!(mutants, 63 * ALPHABET.len());
+}
+
 fn mutation() -> impl Strategy<Value = Mutation> {
     (
         0usize..7,

@@ -215,6 +215,7 @@ fn degradable_message_count_on_socket_transport() {
     // real socket transport with identical counts.
     use local_auth_fd::core::ba::{DegradableNode, DegradableParams};
     use local_auth_fd::simnet::transport::NbCluster;
+    use std::any::Any;
 
     let (n, t) = (5usize, 1usize);
     let c = cluster(n, t, 57);
@@ -237,8 +238,7 @@ fn degradable_message_count_on_socket_transport() {
     assert!(result.ok().is_ok(), "{:?}", result.errors);
     assert_eq!(result.stats.messages_total, metrics::degradable_messages(n));
     for boxed in result.nodes {
-        let node = boxed
-            .into_any()
+        let node = (boxed as Box<dyn Any>)
             .downcast::<DegradableNode>()
             .expect("DegradableNode");
         assert_eq!(node.outcome().decided(), Some(&b"v"[..]));
@@ -295,15 +295,6 @@ mod rushing {
                 out.send(NodeId(i as u16), PkMsg::King(v).encode_to_vec());
             }
         }
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
-        }
-        fn into_any(self: Box<Self>) -> Box<dyn Any> {
-            self
-        }
     }
 
     #[test]
@@ -334,7 +325,7 @@ mod rushing {
                 .enumerate()
                 .filter(|(i, _)| *i != adversary)
                 .filter_map(|(_, b)| {
-                    b.into_any()
+                    (b as Box<dyn Any>)
                         .downcast::<PhaseKingNode>()
                         .ok()
                         .and_then(|nd| nd.outcome().decided().map(<[u8]>::to_vec))
@@ -390,15 +381,6 @@ mod rushing {
                 }
             }
         }
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
-        }
-        fn into_any(self: Box<Self>) -> Box<dyn Any> {
-            self
-        }
     }
 
     #[test]
@@ -438,7 +420,7 @@ mod rushing {
             .enumerate()
             .filter(|(i, _)| *i != adversary)
             .filter_map(|(_, b)| {
-                b.into_any()
+                (b as Box<dyn Any>)
                     .downcast::<DegradableNode>()
                     .ok()
                     .map(|nd| nd.outcome().clone())
@@ -499,7 +481,7 @@ mod rushing {
             .enumerate()
             .filter(|(i, _)| *i != 1)
             .filter_map(|(_, b)| {
-                b.into_any()
+                (b as Box<dyn Any>)
                     .downcast::<ChainFdNode>()
                     .ok()
                     .map(|nd| nd.outcome().clone())
@@ -543,7 +525,7 @@ mod rushing {
         net.set_rushing(vec![thief]);
         net.run_until_done(KEYDIST_ROUNDS);
         for boxed in net.into_nodes() {
-            if let Ok(node) = boxed.into_any().downcast::<KeyDistNode>() {
+            if let Ok(node) = (boxed as Box<dyn Any>).downcast::<KeyDistNode>() {
                 let (store, _, _) = node.into_parts();
                 if store.owner() == thief {
                     continue;

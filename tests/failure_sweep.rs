@@ -171,6 +171,7 @@ fn vector_fd_single_crash_other_instances_survive() {
     use local_auth_fd::core::keys::Keyring;
     use local_auth_fd::core::Outcome;
     use local_auth_fd::simnet::SyncNetwork;
+    use std::any::Any;
 
     let (n, t) = (6usize, 1usize);
     for crash in 0..n {
@@ -203,7 +204,7 @@ fn vector_fd_single_crash_other_instances_survive() {
             .into_iter()
             .filter(|b| b.id() != crash_id)
             .map(|b| {
-                b.into_any()
+                (b as Box<dyn Any>)
                     .downcast::<VectorFdNode>()
                     .expect("VectorFdNode")
                     .outcomes()

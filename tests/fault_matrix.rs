@@ -160,15 +160,6 @@ fn link_faults_keep_copy_on_write_on_shared_broadcast_payloads() {
                 self.seen.push((round, env.from, env.payload.to_vec()));
             }
         }
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
-        }
-        fn into_any(self: Box<Self>) -> Box<dyn Any> {
-            self
-        }
     }
 
     let n = 6usize;
@@ -206,7 +197,7 @@ fn link_faults_keep_copy_on_write_on_shared_broadcast_payloads() {
         };
         boxed
             .into_iter()
-            .map(|b| b.into_any().downcast::<Probe>().unwrap().seen)
+            .map(|b| (b as Box<dyn Any>).downcast::<Probe>().unwrap().seen)
             .collect()
     };
 

@@ -14,6 +14,7 @@ use local_auth_fd::core::runner::Cluster;
 use local_auth_fd::core::spec::{scheme_by_name, Protocol, RunSpec};
 use local_auth_fd::crypto::{SchnorrScheme, SignatureScheme};
 use local_auth_fd::simnet::{NetStats, Node, NodeId, SyncNetwork};
+use std::any::Any;
 use std::sync::Arc;
 
 fn tiny() -> Arc<dyn SignatureScheme> {
@@ -82,7 +83,9 @@ fn s7_agreement_lineup_costs_and_ordering() {
     let mut net = SyncNetwork::new(nodes);
     net.run_until_done(params.rounds());
     for node in net.into_nodes() {
-        let node = node.into_any().downcast::<EigNode>().expect("EigNode");
+        let node = (node as Box<dyn Any>)
+            .downcast::<EigNode>()
+            .expect("EigNode");
         assert_eq!(node.outcome().decided(), Some(&b"v"[..]), "EIG");
     }
 }

@@ -191,7 +191,6 @@ proptest! {
         use local_auth_fd::core::props::check_degradable;
         use local_auth_fd::simnet::codec::Encode;
         use local_auth_fd::simnet::{Envelope, Outbox};
-        use std::any::Any;
 
         // A sender that reaches only the peers selected by `reach_mask`,
         // possibly with two different (validly signed) values.
@@ -225,9 +224,6 @@ proptest! {
                     out.send(NodeId(i as u16), DgMsg { chain }.encode_to_vec());
                 }
             }
-            fn as_any(&self) -> &dyn Any { self }
-            fn as_any_mut(&mut self) -> &mut dyn Any { self }
-            fn into_any(self: Box<Self>) -> Box<dyn Any> { self }
         }
 
         let c = Cluster::new(n, t, scheme(), seed);

@@ -52,15 +52,6 @@ impl Node for Sprayer {
             self.seen.push((round, env.from, env.payload.to_vec()));
         }
     }
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
-    fn into_any(self: Box<Self>) -> Box<dyn Any> {
-        self
-    }
 }
 
 /// A complete scheduling scenario: node scripts plus everything that
@@ -119,7 +110,7 @@ fn run_plan(plan: &Plan, reference: bool) -> (Seen, NetStats, SchedCounters) {
     let seen = net
         .into_nodes()
         .into_iter()
-        .map(|b| b.into_any().downcast::<Sprayer>().unwrap().seen)
+        .map(|b| (b as Box<dyn Any>).downcast::<Sprayer>().unwrap().seen)
         .collect();
     (seen, stats, sched)
 }

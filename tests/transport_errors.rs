@@ -10,8 +10,10 @@ use local_auth_fd::core::deploy::{self, WorkerConfig, WorkerFailure};
 use local_auth_fd::core::spec::{Protocol, SpecBuilder};
 use local_auth_fd::core::wire::RegistryRequest;
 use local_auth_fd::simnet::transport::chaos::{ChaosInjector, ChaosSpec, RetryCtx, RetryPolicy};
-use local_auth_fd::simnet::transport::{MeshPeers, NbCluster, TransportError};
+use local_auth_fd::simnet::transport::nonblocking::MAX_FRAME_LEN;
+use local_auth_fd::simnet::transport::{MeshPeers, NbCluster, NonblockingMesh, TransportError};
 use local_auth_fd::simnet::{Envelope, Node, NodeId, Outbox};
+use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::time::{Duration, Instant};
 
@@ -247,18 +249,6 @@ impl Node for PanickyNode {
             panic!("scripted automaton bug");
         }
     }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
-
-    fn into_any(self: Box<Self>) -> Box<dyn std::any::Any> {
-        self
-    }
 }
 
 #[test]
@@ -284,4 +274,44 @@ fn a_panicking_worker_thread_surfaces_as_a_typed_worker_panic() {
         "the panicking slot must surface as WorkerPanic, got: {:?}",
         report.errors
     );
+}
+
+#[test]
+fn an_oversized_mesh_frame_is_refused_before_its_body_arrives() {
+    // Node 1 of 2 accepts a raw peer that identifies as node 0 and then
+    // announces a frame one byte over the cap. The header alone must end
+    // the run with a typed protocol error, long before the I/O deadline
+    // a run waiting for 64 MiB of body would spend.
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind mesh listener");
+    let addrs = [dead_addr(), listener.local_addr().expect("local addr")];
+    let io_deadline = Duration::from_secs(10);
+    let node = std::thread::spawn(move || {
+        let mut mesh = MeshPeers::establish(NodeId(1), &listener, &addrs, io_deadline)?;
+        let start = Instant::now();
+        let node = Box::new(PanickyNode {
+            id: NodeId(1),
+            panics: false,
+        });
+        let run = NonblockingMesh::new(4)
+            .with_io_deadline(io_deadline)
+            .run(node, &mut mesh);
+        Ok::<_, TransportError>((run.map(|run| run.rounds), start.elapsed()))
+    });
+    let mut raw = TcpStream::connect(addrs[1]).expect("connect the raw peer");
+    raw.write_all(&0u16.to_be_bytes())
+        .expect("send the handshake");
+    let header = u32::try_from(MAX_FRAME_LEN + 1).expect("the cap fits a header");
+    raw.write_all(&header.to_be_bytes())
+        .expect("send the frame header");
+    // `raw` stays open: the node must not wait for the body or an EOF.
+    let (run, took) = node.join().expect("mesh thread").expect("mesh setup");
+    match run {
+        Err(TransportError::Protocol { node, detail }) => {
+            assert_eq!(node, NodeId(1));
+            assert!(detail.contains("too long"), "{detail}");
+        }
+        other => panic!("expected a typed Protocol error, got {other:?}"),
+    }
+    assert!(took < Duration::from_secs(2), "the run took {took:?}");
+    drop(raw);
 }

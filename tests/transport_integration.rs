@@ -37,7 +37,9 @@ fn extract_stores(nodes: Vec<Box<dyn Node>>) -> Vec<KeyStore> {
     nodes
         .into_iter()
         .map(|b| {
-            let node = b.into_any().downcast::<KeyDistNode>().expect("KeyDistNode");
+            let node = (b as Box<dyn Any>)
+                .downcast::<KeyDistNode>()
+                .expect("KeyDistNode");
             node.into_parts().0
         })
         .collect()
@@ -79,7 +81,7 @@ fn extract_outcomes(nodes: Vec<Box<dyn Node>>) -> Vec<Outcome> {
     nodes
         .into_iter()
         .map(|b| {
-            b.into_any()
+            (b as Box<dyn Any>)
                 .downcast::<ChainFdNode>()
                 .expect("ChainFdNode")
                 .outcome()
@@ -168,15 +170,6 @@ impl Node for Drowsy {
     fn is_done(&self) -> bool {
         self.0.is_done()
     }
-    fn as_any(&self) -> &dyn Any {
-        self.0.as_any()
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self.0.as_any_mut()
-    }
-    fn into_any(self: Box<Self>) -> Box<dyn Any> {
-        self.0.into_any()
-    }
 }
 
 /// Key distribution and then chain FD (sender 0, value `v`) over one mesh
@@ -212,10 +205,16 @@ fn keydist_then_chain_fd_over_one_mesh(
                         node
                     };
                     let mut mesh = MeshPeers::establish(me, listener, addrs, deadline)?;
-                    let kd = NonblockingMesh::new(KEYDIST_ROUNDS)
+                    let mut kd = NonblockingMesh::new(KEYDIST_ROUNDS)
                         .with_io_deadline(deadline)
                         .run(node, &mut mesh)?;
-                    let store = kd.node.as_any().downcast_ref::<KeyDistNode>();
+                    if drowsy == Some(i) {
+                        // A `Drowsy` downcasts as itself; its readers want
+                        // the key-distribution node it wraps.
+                        let wrapper = (kd.node as Box<dyn Any>).downcast::<Drowsy>();
+                        kd.node = wrapper.expect("Drowsy").0;
+                    }
+                    let store = (&*kd.node as &dyn Any).downcast_ref::<KeyDistNode>();
                     let store = store.expect("KeyDistNode").store().clone();
                     let fd = NonblockingMesh::new(rounds)
                         .with_io_deadline(deadline)
