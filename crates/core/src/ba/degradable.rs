@@ -38,7 +38,7 @@
 //! degraded, latency and resilience bookkeeping are not.
 
 use crate::chain::ChainMessage;
-use crate::keys::{KeyStore, Keyring};
+use crate::keys::{screen, Cohorts, Expect, KeyStore, Keyring, VerifyCache};
 use crate::outcome::{DiscoveryReason, Outcome};
 use fd_crypto::SignatureScheme;
 use fd_simnet::codec::{CodecError, Decode, Encode, Reader, Writer};
@@ -211,31 +211,47 @@ impl DegradableNode {
         }
     }
 
+    /// Screen a chain of `count` signatures originated by the sender.
+    /// `sender_ok` is the echo rule: an echo may not come from the
+    /// sender itself.
+    fn screen_chain(
+        &self,
+        cohorts: Option<&mut Cohorts<'_>>,
+        round: u32,
+        env: &Envelope,
+        count: usize,
+        sender_ok: bool,
+    ) -> Result<Vec<u8>, DiscoveryReason> {
+        let expect = Expect {
+            decode: |p: &[u8]| DgMsg::decode_exact(p).ok().map(|m| m.chain),
+            origin: Some(self.params.sender),
+            count: count..=count,
+        };
+        screen(
+            cohorts,
+            self.scheme.as_ref(),
+            &self.store,
+            env,
+            round,
+            expect,
+            |v| v.read(|_, _| sender_ok).map(|body| body.to_vec()),
+        )
+    }
+
     /// Validate a round-1 direct message from the sender.
-    fn take_direct(&mut self, env: &Envelope) {
+    fn take_direct(&mut self, cohorts: Option<&mut Cohorts<'_>>, round: u32, env: &Envelope) {
         if env.from != self.params.sender {
             self.discovered
                 .get_or_insert(DiscoveryReason::UnexpectedMessage { round: env.round });
             return;
         }
-        let msg = match DgMsg::decode_exact(&env.payload) {
-            Ok(m) => m,
-            Err(_) => {
-                self.discovered.get_or_insert(DiscoveryReason::Malformed);
-                return;
-            }
-        };
-        if msg.chain.origin != self.params.sender || msg.chain.signature_count() != 1 {
-            self.discovered.get_or_insert(DiscoveryReason::BadStructure);
-            return;
-        }
-        match msg
-            .chain
-            .verify_cached(self.scheme.as_ref(), &self.store, env.from)
-        {
-            Ok(_) => {
-                self.add_support(msg.chain.body.clone(), self.params.sender);
-                self.direct = Some(msg.chain);
+        match self.screen_chain(cohorts, round, env, 1, true) {
+            Ok(body) => {
+                self.add_support(body, self.params.sender);
+                let chain = DgMsg::decode_exact(&env.payload)
+                    .expect("accepted payload decodes")
+                    .chain;
+                self.direct = Some(chain);
             }
             Err(reason) => {
                 self.discovered.get_or_insert(reason);
@@ -245,26 +261,14 @@ impl DegradableNode {
 
     /// Validate a round-2 echo: sender-originated chain with exactly one
     /// extra layer signed by the echoing node.
-    fn take_echo(&mut self, env: &Envelope) {
-        let msg = match DgMsg::decode_exact(&env.payload) {
-            Ok(m) => m,
-            Err(_) => {
-                self.discovered.get_or_insert(DiscoveryReason::Malformed);
-                return;
-            }
-        };
-        let chain = msg.chain;
-        if chain.origin != self.params.sender
-            || chain.signature_count() != 2
-            || env.from == self.params.sender
-        {
-            self.discovered.get_or_insert(DiscoveryReason::BadStructure);
-            return;
-        }
-        match chain.verify_cached(self.scheme.as_ref(), &self.store, env.from) {
-            Ok(assignee) => {
-                self.add_support(chain.body.clone(), self.params.sender);
-                self.add_support(chain.body, assignee);
+    fn take_echo(&mut self, cohorts: Option<&mut Cohorts<'_>>, round: u32, env: &Envelope) {
+        let sender_ok = env.from != self.params.sender;
+        match self.screen_chain(cohorts, round, env, 2, sender_ok) {
+            Ok(body) => {
+                self.add_support(body.clone(), self.params.sender);
+                // The echo is assigned to its outermost signer: the
+                // immediate sender.
+                self.add_support(body, env.from);
             }
             Err(reason) => {
                 self.discovered.get_or_insert(reason);
@@ -334,9 +338,10 @@ impl Node for DegradableNode {
             }
             1 => {
                 if self.me != self.params.sender {
-                    let envs: Vec<Envelope> = inbox.to_vec();
-                    for env in &envs {
-                        self.take_direct(env);
+                    let cache = self.store.cache().cloned();
+                    let mut cohorts = cache.as_ref().and_then(VerifyCache::cohorts);
+                    for env in inbox {
+                        self.take_direct(cohorts.as_mut(), round, env);
                     }
                     if let Some(direct_chain) = self.direct.clone() {
                         // Count our own echo: it is broadcast to everyone
@@ -354,9 +359,10 @@ impl Node for DegradableNode {
                 }
             }
             _ => {
-                let envs: Vec<Envelope> = inbox.to_vec();
-                for env in &envs {
-                    self.take_echo(env);
+                let cache = self.store.cache().cloned();
+                let mut cohorts = cache.as_ref().and_then(VerifyCache::cohorts);
+                for env in inbox {
+                    self.take_echo(cohorts.as_mut(), round, env);
                 }
                 self.decide();
             }

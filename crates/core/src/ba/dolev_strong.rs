@@ -16,12 +16,11 @@
 //! `n − 1` (experiment T6).
 
 use crate::chain::ChainMessage;
-use crate::keys::{CohortKey, CohortVerdict, Cohorts, KeyStore, Keyring};
+use crate::keys::{screen, CohortVerdict, Expect, KeyStore, Keyring, VerifyCache};
 use crate::outcome::{DiscoveryReason, Outcome};
 use fd_crypto::SignatureScheme;
 use fd_simnet::codec::{CodecError, Decode, Encode, Reader, Writer};
 use fd_simnet::{Envelope, Node, NodeId, Outbox};
-use std::collections::BTreeSet;
 use std::sync::Arc;
 
 /// Wire message: a signature chain carrying a value.
@@ -86,16 +85,8 @@ impl DolevStrongParams {
     }
 }
 
-/// An accepted chain body on its way to extraction: the cohort fast path
-/// hands out the shared body bytes, the per-message path already holds
-/// the decoded chain.
-enum Accepted {
-    Shared(Arc<[u8]>),
-    Owned(ChainMessage),
-}
-
-/// What one receiver takes from a cohort verdict, decided while the
-/// verdict is read in place under the cohort lock.
+/// What one receiver takes from a screened chain, decided while the
+/// verdict is read in place.
 enum Take {
     /// An echo of a chain this node signed, or a body it already
     /// extracted: nothing to copy.
@@ -165,101 +156,19 @@ impl DolevStrongNode {
         self.extracted.len()
     }
 
-    /// Validate a received chain for round `r`: `r` distinct signers
-    /// starting with the sender, and cryptographic validity per Theorem 4.
-    fn validate(&mut self, env: &Envelope, r: u32) -> Option<ChainMessage> {
-        let msg = match DsMsg::decode_exact(&env.payload) {
-            Ok(m) => m,
-            Err(_) => {
-                self.discovered.get_or_insert(DiscoveryReason::Malformed);
-                return None;
-            }
-        };
-        let chain = msg.chain;
-        if chain.origin != self.params.sender || chain.signature_count() != r as usize {
-            self.discovered.get_or_insert(DiscoveryReason::BadStructure);
-            return None;
-        }
-        let signers = chain.signer_sequence(env.from);
-        if signers.contains(&self.me) {
-            // An echo of a chain this node already signed (correct nodes
-            // relay to everyone, including previous signers): ignore.
-            return None;
-        }
-        let distinct: BTreeSet<NodeId> = signers.iter().copied().collect();
-        if distinct.len() != signers.len() {
-            self.discovered.get_or_insert(DiscoveryReason::BadStructure);
-            return None;
-        }
-        match chain.verify_cached(self.scheme.as_ref(), &self.store, env.from) {
-            Ok(_) => Some(chain),
-            Err(reason) => {
-                self.discovered.get_or_insert(reason);
-                None
-            }
-        }
-    }
-
-    /// Read a batched cohort verdict as *this* receiver: the
-    /// per-receiver echo rule (a chain this node already signed is
-    /// ignored) lives here, everything else mirrors
-    /// [`DolevStrongNode::validate`] outcome for outcome. A body this node
-    /// already extracted is dropped here rather than copied out.
+    /// Read a screened chain's verdict as *this* receiver: an echo of a
+    /// chain this node already signed (correct nodes relay to everyone,
+    /// including previous signers) is ignored before anything else; a
+    /// body this node already extracted is dropped here rather than
+    /// copied out.
     fn take(&self, verdict: &CohortVerdict) -> Take {
         if verdict.signers().contains(&self.me) {
             return Take::Nothing;
         }
-        match verdict {
-            CohortVerdict::Accept { body, .. } => {
-                if self.extracted.iter().any(|e| e[..] == body[..]) {
-                    Take::Nothing
-                } else {
-                    Take::Body(Arc::clone(body))
-                }
-            }
-            CohortVerdict::Malformed => Take::Discovery(DiscoveryReason::Malformed),
-            CohortVerdict::BadChain | CohortVerdict::Duplicate { .. } => {
-                Take::Discovery(DiscoveryReason::BadStructure)
-            }
-            CohortVerdict::Discovered { reason, .. } => Take::Discovery(reason.clone()),
-        }
-    }
-
-    /// Screen one envelope through the cohort layer: replay the verdict
-    /// its broadcast buffer was judged to under this store's view, or
-    /// judge it (the cohort's first receiver with this view) and record
-    /// the verdict for the rest. Returns a newly accepted body.
-    fn screen_cohort(
-        &mut self,
-        cohorts: &mut Cohorts<'_>,
-        env: &Envelope,
-        r: u32,
-    ) -> Option<Arc<[u8]>> {
-        let key: CohortKey = (env.payload.ident(), env.from, r);
-        let take = match cohorts.with(&key, &self.store, |v| self.take(v)) {
-            Some(take) => take,
-            None => {
-                let decoded = DsMsg::decode_exact(&env.payload).ok();
-                let verdict = CohortVerdict::judge(
-                    self.scheme.as_ref(),
-                    &self.store,
-                    decoded.as_ref().map(|m| &m.chain),
-                    env.from,
-                    self.params.sender,
-                    r as usize,
-                );
-                let take = self.take(&verdict);
-                cohorts.put(key, &env.payload, &self.store, verdict);
-                take
-            }
-        };
-        match take {
-            Take::Nothing => None,
-            Take::Body(body) => Some(body),
-            Take::Discovery(reason) => {
-                self.discovered.get_or_insert(reason);
-                None
-            }
+        match verdict.read(|_, _| true) {
+            Ok(body) if self.extracted.iter().any(|e| e[..] == body[..]) => Take::Nothing,
+            Ok(body) => Take::Body(Arc::clone(body)),
+            Err(reason) => Take::Discovery(reason),
         }
     }
 
@@ -306,53 +215,52 @@ impl Node for DolevStrongNode {
             }
             return;
         }
-        // Rounds 1..=t+1: extract and (through round t) relay. With a
-        // cohort-enabled cache the entire screening pipeline (decode,
-        // structure checks, signer extraction, verification) runs once per
-        // broadcast buffer and every other receiver replays the verdict,
-        // under one lock of the cohort layer for the whole inbox; without
-        // one, each message is validated individually. Outcomes are
-        // identical either way — only the work is shared.
+        // Rounds 1..=t+1: extract and (through round t) relay. A chain of
+        // round `r` carries `r` distinct signatures starting with the
+        // sender. Screening runs once per broadcast buffer and every other
+        // receiver replays the verdict, under one lock of the cohort layer
+        // for the whole inbox.
         let cache = self.store.cache().cloned();
-        let mut cohorts = cache.as_ref().and_then(|c| c.cohorts());
+        let mut cohorts = cache.as_ref().and_then(VerifyCache::cohorts);
         for env in inbox {
-            let accepted: Option<Accepted> = match &mut cohorts {
-                Some(cohorts) => self
-                    .screen_cohort(cohorts, env, round)
-                    .map(Accepted::Shared),
-                None => self.validate(env, round).map(Accepted::Owned),
+            let expect = Expect {
+                decode: |p: &[u8]| DsMsg::decode_exact(p).ok().map(|m| m.chain),
+                origin: Some(self.params.sender),
+                count: round as usize..=round as usize,
             };
-            if let Some(acc) = accepted {
-                let body: &[u8] = match &acc {
-                    Accepted::Shared(b) => b,
-                    Accepted::Owned(chain) => &chain.body,
-                };
-                if self.extracted.iter().any(|e| e.as_slice() == body) {
+            let take = screen(
+                cohorts.as_mut(),
+                self.scheme.as_ref(),
+                &self.store,
+                env,
+                round,
+                expect,
+                |v| self.take(v),
+            );
+            let body = match take {
+                Take::Nothing => continue,
+                Take::Discovery(reason) => {
+                    self.discovered.get_or_insert(reason);
                     continue;
                 }
-                self.extracted.push(body.to_vec());
-                if round <= self.params.t as u32 {
-                    // Relaying needs the actual chain to extend. The
-                    // cohort path re-decodes it here — at most once per
-                    // distinct extracted value per node (≤ 2 per run),
-                    // never per message.
-                    let chain = match acc {
-                        Accepted::Owned(chain) => chain,
-                        Accepted::Shared(_) => {
-                            DsMsg::decode_exact(&env.payload)
-                                .expect("accepted payload decodes")
-                                .chain
-                        }
-                    };
-                    let extended = chain
-                        .extend(self.scheme.as_ref(), &self.keyring.sk, env.from)
-                        .expect("own keyring well-formed");
-                    out.broadcast(
-                        self.params.n,
-                        self.me,
-                        DsMsg { chain: extended }.encode_to_vec(),
-                    );
-                }
+                Take::Body(body) => body,
+            };
+            self.extracted.push(body.to_vec());
+            if round <= self.params.t as u32 {
+                // Relaying needs the actual chain to extend: decoded here
+                // at most once per distinct extracted value per node
+                // (≤ 2 per run), never per message.
+                let chain = DsMsg::decode_exact(&env.payload)
+                    .expect("accepted payload decodes")
+                    .chain;
+                let extended = chain
+                    .extend(self.scheme.as_ref(), &self.keyring.sk, env.from)
+                    .expect("own keyring well-formed");
+                out.broadcast(
+                    self.params.n,
+                    self.me,
+                    DsMsg { chain: extended }.encode_to_vec(),
+                );
             }
         }
         if round == self.params.t as u32 + 1 {

@@ -31,12 +31,11 @@
 use crate::ba::eig::{EigNode, EigParams};
 use crate::chain::ChainMessage;
 use crate::fd::{ChainFdNode, ChainFdParams};
-use crate::keys::{KeyStore, Keyring};
+use crate::keys::{screen, Cohorts, Expect, KeyStore, Keyring, VerifyCache};
 use crate::outcome::Outcome;
 use fd_crypto::SignatureScheme;
 use fd_simnet::codec::{CodecError, Decode, Encode, Reader, Writer};
 use fd_simnet::{Envelope, Node, NodeId, Outbox};
-use std::collections::BTreeSet;
 use std::sync::Arc;
 
 /// Alarm wire message: a chain-signed "ALARM" marker.
@@ -180,33 +179,31 @@ impl FdToBaNode {
         self.eig.is_some()
     }
 
-    /// Validate an alarm delivered at absolute round `round`; returns the
-    /// chain when acceptable.
-    fn validate_alarm(&self, env: &Envelope, round: u32) -> Option<ChainMessage> {
+    /// Whether an alarm delivered at absolute round `round` is
+    /// acceptable: inside the alarm window, carrying the alarm body, with
+    /// the Dolev–Strong threshold of at least `k` distinct signers at
+    /// `alarm_start + k`, and verified. Anything else is ignored.
+    fn accept_alarm(&self, cohorts: Option<&mut Cohorts<'_>>, env: &Envelope, round: u32) -> bool {
         let first_delivery = self.params.alarm_start() + 1;
         let last_delivery = 2 * self.params.t32() + 3;
         if round < first_delivery || round > last_delivery {
-            return None;
+            return false;
         }
-        let msg = AlarmMsg::decode_exact(&env.payload).ok()?;
-        let chain = msg.chain;
-        if chain.body != ALARM_BODY {
-            return None;
-        }
-        // DS threshold: delivered at alarm_start + k needs >= k signers.
         let k = (round - self.params.alarm_start()) as usize;
-        if chain.signature_count() < k {
-            return None;
-        }
-        let signers = chain.signer_sequence(env.from);
-        let distinct: BTreeSet<NodeId> = signers.iter().copied().collect();
-        if distinct.len() != signers.len() {
-            return None;
-        }
-        chain
-            .verify_cached(self.scheme.as_ref(), &self.store, env.from)
-            .ok()?;
-        Some(chain)
+        let expect = Expect {
+            decode: |p: &[u8]| AlarmMsg::decode_exact(p).ok().map(|m| m.chain),
+            origin: None,
+            count: k..=usize::MAX,
+        };
+        screen(
+            cohorts,
+            self.scheme.as_ref(),
+            &self.store,
+            env,
+            round,
+            expect,
+            |v| v.read(|_, body| body == ALARM_BODY).is_ok(),
+        )
     }
 
     fn handle_alarm_phase(&mut self, round: u32, inbox: &[Envelope], out: &mut Outbox) {
@@ -227,13 +224,17 @@ impl FdToBaNode {
             self.alarm_relayed = true;
         }
         // Accept and relay alarms.
-        let envs: Vec<Envelope> = inbox.to_vec();
-        for env in &envs {
-            if let Some(chain) = self.validate_alarm(env, round) {
+        let cache = self.store.cache().cloned();
+        let mut cohorts = cache.as_ref().and_then(VerifyCache::cohorts);
+        for env in inbox {
+            if self.accept_alarm(cohorts.as_mut(), env, round) {
                 self.alarms_accepted += 1;
                 self.alarm_seen = true;
                 // Relay once, while a relay can still arrive in the window.
                 if !self.alarm_relayed && round <= 2 * self.params.t32() + 2 {
+                    let chain = AlarmMsg::decode_exact(&env.payload)
+                        .expect("accepted payload decodes")
+                        .chain;
                     let extended = chain
                         .extend(self.scheme.as_ref(), &self.keyring.sk, env.from)
                         .expect("own keyring well-formed");

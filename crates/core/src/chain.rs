@@ -252,10 +252,15 @@ impl ChainMessage {
     /// operations, but the Theorem 4 discipline still *reconstructs and
     /// hashes* every nested submessage at every hop — `O(L²)` bytes for an
     /// `L`-layer chain. The chain-level receipt short-circuits all of it
-    /// for repeated receipts of the same bytes: the dissemination phase of
-    /// chain FD sends one identical chain to `n − t − 1` nodes, and every
-    /// Dolev–Strong relay broadcast reaches `n − 1` verifiers, so all but
-    /// the first pay one linear hash instead of a quadratic re-walk.
+    /// for a repeated verification of the same bytes, at the price of one
+    /// encode and one linear hash.
+    ///
+    /// Protocol receivers do not call this directly: they screen through
+    /// `keys::screen`, whose cohort layer replays one verdict per
+    /// shared broadcast buffer (chain FD's dissemination to `n − t − 1`
+    /// nodes, every Dolev–Strong relay broadcast) without reaching this
+    /// function at all. The receipt still serves identical bytes that
+    /// arrive in distinct buffers, and the cohort-free reference runs.
     ///
     /// The receipt key covers the full chain encoding, the immediate
     /// sender, *and the store's accepted predicate for every implied

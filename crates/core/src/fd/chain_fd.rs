@@ -23,7 +23,7 @@
 //! authentication.
 
 use crate::chain::ChainMessage;
-use crate::keys::{KeyStore, Keyring};
+use crate::keys::{screen, Expect, KeyStore, Keyring, VerifyCache};
 use crate::outcome::{DiscoveryReason, Outcome};
 use fd_crypto::SignatureScheme;
 use fd_simnet::codec::{CodecError, Decode, Encode, Reader, Writer};
@@ -175,58 +175,58 @@ impl ChainFdNode {
         }
     }
 
-    /// Validate chain structure: origin is the sender, signer sequence is
-    /// exactly `P_0, P_1, …` up to the expected length.
-    fn structure_ok(&self, chain: &ChainMessage, from: NodeId, expected_layers: usize) -> bool {
-        if chain.origin != self.params.sender || chain.layers.len() != expected_layers {
-            return false;
-        }
-        let signers = chain.signer_sequence(from);
-        signers.iter().enumerate().all(|(i, s)| s.index() == i)
-    }
-
-    fn handle_chain(&mut self, env: &Envelope, out: &mut Outbox) {
-        let msg = match FdMsg::decode_exact(&env.payload) {
-            Ok(m) => m,
-            Err(_) => return self.discover(DiscoveryReason::Malformed),
+    /// Screen the one expected chain of round `round`: it must decode,
+    /// start at the sender, carry `round` signatures (a relay at position
+    /// `i` hears `i` in round `i`, a disseminated node `t + 1` in round
+    /// `t + 1`) whose signers are exactly `P_0, P_1, …` in order, and
+    /// verify. Disseminated nodes share one payload buffer from `P_t`, so
+    /// all but the first replay its cohort verdict.
+    fn handle_chain(&mut self, round: u32, env: &Envelope, out: &mut Outbox) {
+        let expect = Expect {
+            decode: |p: &[u8]| FdMsg::decode_exact(p).ok().map(|m| m.chain),
+            origin: Some(self.params.sender),
+            count: round as usize..=round as usize,
         };
-        // A relay at position i receives i-1 layers; a disseminated node
-        // receives the full t layers (0 layers when t = 0).
-        let expected_layers = match self.params.chain_position(self.me) {
-            Some(i) => i - 1,
-            None => self.params.t,
+        let read = {
+            let mut cohorts = self.store.cache().and_then(VerifyCache::cohorts);
+            screen(
+                cohorts.as_mut(),
+                self.scheme.as_ref(),
+                &self.store,
+                env,
+                round,
+                expect,
+                |v| {
+                    v.read(|signers, _| signers.iter().enumerate().all(|(i, s)| s.index() == i))
+                        .map(|body| body.to_vec())
+                },
+            )
         };
-        if !self.structure_ok(&msg.chain, env.from, expected_layers) {
-            return self.discover(DiscoveryReason::BadStructure);
-        }
-        match msg
-            .chain
-            .verify_cached(self.scheme.as_ref(), &self.store, env.from)
-        {
-            Ok(_assignee) => {
-                let v = msg.chain.body.clone();
-                if let Some(i) = self.params.chain_position(self.me) {
-                    // Relay: sign (previous assignee ‖ chain) and forward.
-                    let extended = msg
-                        .chain
-                        .extend(self.scheme.as_ref(), &self.keyring.sk, env.from)
-                        .expect("own keyring is well-formed");
-                    let payload: Payload = FdMsg { chain: extended }.encode_to_vec().into();
-                    if i < self.params.t {
-                        out.send(NodeId(i as u16 + 1), payload);
-                    } else {
-                        // P_t disseminates to P_{t+1} … P_{n-1}, sharing
-                        // one payload buffer across all recipients.
-                        for j in (self.params.t + 1)..self.params.n {
-                            out.send(NodeId(j as u16), payload.clone());
-                        }
-                    }
+        let v = match read {
+            Ok(v) => v,
+            Err(reason) => return self.discover(reason),
+        };
+        if let Some(i) = self.params.chain_position(self.me) {
+            // Relay: sign (previous assignee ‖ chain) and forward.
+            let chain = FdMsg::decode_exact(&env.payload)
+                .expect("accepted payload decodes")
+                .chain;
+            let extended = chain
+                .extend(self.scheme.as_ref(), &self.keyring.sk, env.from)
+                .expect("own keyring is well-formed");
+            let payload: Payload = FdMsg { chain: extended }.encode_to_vec().into();
+            if i < self.params.t {
+                out.send(NodeId(i as u16 + 1), payload);
+            } else {
+                // P_t disseminates to P_{t+1} … P_{n-1}, sharing one
+                // payload buffer across all recipients.
+                for j in (self.params.t + 1)..self.params.n {
+                    out.send(NodeId(j as u16), payload.clone());
                 }
-                self.outcome = Outcome::Decided(v);
-                self.done = true;
             }
-            Err(reason) => self.discover(reason),
         }
+        self.outcome = Outcome::Decided(v);
+        self.done = true;
     }
 }
 
@@ -267,7 +267,7 @@ impl Node for ChainFdNode {
             // Exactly one message from the expected predecessor.
             match inbox {
                 [] => self.discover(DiscoveryReason::MissingMessage { round }),
-                [env] if env.from == self.expected_from() => self.handle_chain(&env.clone(), out),
+                [env] if env.from == self.expected_from() => self.handle_chain(round, env, out),
                 _ => self.discover(DiscoveryReason::UnexpectedMessage { round }),
             }
         } else if !inbox.is_empty() {

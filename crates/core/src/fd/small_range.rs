@@ -33,7 +33,7 @@
 //! probability).
 
 use crate::chain::ChainMessage;
-use crate::keys::{KeyStore, Keyring};
+use crate::keys::{screen, Cohorts, Expect, KeyStore, Keyring, VerifyCache};
 use crate::outcome::{DiscoveryReason, Outcome};
 use fd_crypto::SignatureScheme;
 use fd_simnet::codec::{CodecError, Decode, Encode, Reader, Writer};
@@ -176,51 +176,61 @@ impl SmallRangeFdNode {
         }
     }
 
-    fn handle_direct(&mut self, env: &Envelope) {
+    /// Screen a sender-originated chain of round `round` (1: the direct
+    /// chain, 2: an echo), which carries `round` signatures. A chain
+    /// carrying the default value has bad structure, because silence is
+    /// how the default travels.
+    fn screen_chain(
+        &self,
+        cohorts: Option<&mut Cohorts<'_>>,
+        round: u32,
+        env: &Envelope,
+    ) -> Result<Vec<u8>, DiscoveryReason> {
+        let expect = Expect {
+            decode: |p: &[u8]| SrMsg::decode_exact(p).ok().map(|m| m.chain),
+            origin: Some(self.params.sender),
+            count: round as usize..=round as usize,
+        };
+        let default = &self.params.default_value[..];
+        screen(
+            cohorts,
+            self.scheme.as_ref(),
+            &self.store,
+            env,
+            round,
+            expect,
+            |v| v.read(|_, body| body != default).map(|body| body.to_vec()),
+        )
+    }
+
+    fn handle_direct(&mut self, cohorts: Option<&mut Cohorts<'_>>, env: &Envelope) {
         if env.from != self.params.sender || self.direct.is_some() {
             return self.fail(DiscoveryReason::UnexpectedMessage { round: 1 });
         }
-        let msg = match SrMsg::decode_exact(&env.payload) {
-            Ok(m) => m,
-            Err(_) => return self.fail(DiscoveryReason::Malformed),
-        };
-        if msg.chain.origin != self.params.sender
-            || !msg.chain.layers.is_empty()
-            || msg.chain.body == self.params.default_value
-        {
-            return self.fail(DiscoveryReason::BadStructure);
-        }
-        match msg
-            .chain
-            .verify_cached(self.scheme.as_ref(), &self.store, env.from)
-        {
-            Ok(_) => {
-                self.direct = Some(msg.chain.body.clone());
-                self.received_chain = Some(msg.chain);
+        match self.screen_chain(cohorts, 1, env) {
+            Ok(body) => {
+                self.direct = Some(body);
+                if self.params.is_witness(self.me) {
+                    // Kept for the echo this witness signs.
+                    let chain = SrMsg::decode_exact(&env.payload)
+                        .expect("accepted payload decodes")
+                        .chain;
+                    self.received_chain = Some(chain);
+                }
             }
             Err(reason) => self.fail(reason),
         }
     }
 
-    fn handle_echo(&mut self, env: &Envelope) {
+    /// An echo chain carries one witness layer over the sender's chain.
+    /// With the sender outside the witness set, its two signers are
+    /// always distinct.
+    fn handle_echo(&mut self, cohorts: Option<&mut Cohorts<'_>>, env: &Envelope) {
         if !self.params.is_witness(env.from) || self.echoes[env.from.index()].is_some() {
             return self.fail(DiscoveryReason::UnexpectedMessage { round: 2 });
         }
-        let msg = match SrMsg::decode_exact(&env.payload) {
-            Ok(m) => m,
-            Err(_) => return self.fail(DiscoveryReason::Malformed),
-        };
-        if msg.chain.origin != self.params.sender
-            || msg.chain.layers.len() != 1
-            || msg.chain.body == self.params.default_value
-        {
-            return self.fail(DiscoveryReason::BadStructure);
-        }
-        match msg
-            .chain
-            .verify_cached(self.scheme.as_ref(), &self.store, env.from)
-        {
-            Ok(_) => self.echoes[env.from.index()] = Some(msg.chain.body),
+        match self.screen_chain(cohorts, 2, env) {
+            Ok(body) => self.echoes[env.from.index()] = Some(body),
             Err(reason) => self.fail(reason),
         }
     }
@@ -293,8 +303,10 @@ impl Node for SmallRangeFdNode {
                 }
             }
             1 => {
-                for env in &inbox.to_vec() {
-                    self.handle_direct(env);
+                let cache = self.store.cache().cloned();
+                let mut cohorts = cache.as_ref().and_then(VerifyCache::cohorts);
+                for env in inbox {
+                    self.handle_direct(cohorts.as_mut(), env);
                 }
                 // Witness echo: extend the verified chain and broadcast.
                 if self.params.is_witness(self.me) && self.failed.is_none() {
@@ -316,8 +328,10 @@ impl Node for SmallRangeFdNode {
                 }
             }
             2 => {
-                for env in &inbox.to_vec() {
-                    self.handle_echo(env);
+                let cache = self.store.cache().cloned();
+                let mut cohorts = cache.as_ref().and_then(VerifyCache::cohorts);
+                for env in inbox {
+                    self.handle_echo(cohorts.as_mut(), env);
                 }
                 self.decide();
             }

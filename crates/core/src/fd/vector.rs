@@ -20,7 +20,7 @@
 //! a node-level discovery, exactly as in the paper's single-instance case.
 
 use crate::chain::ChainMessage;
-use crate::keys::{KeyStore, Keyring};
+use crate::keys::{screen, Cohorts, Expect, KeyStore, Keyring, VerifyCache};
 use crate::outcome::{DiscoveryReason, Outcome};
 use fd_crypto::SignatureScheme;
 use fd_simnet::codec::{CodecError, Decode, Encode, Reader, Writer};
@@ -55,6 +55,19 @@ impl Decode for VecMsg {
                 chain: ChainMessage::decode(r)?,
             }),
             other => Err(CodecError::BadTag(other)),
+        }
+    }
+}
+
+impl VecMsg {
+    /// The instance a payload names, read from its header alone; `None`
+    /// when even the header does not decode (so neither does the
+    /// message).
+    fn peek_instance(payload: &[u8]) -> Option<NodeId> {
+        let mut r = Reader::new(payload);
+        match r.get_u8().ok()? {
+            TAG_VEC => NodeId::decode(&mut r).ok(),
+            _ => None,
         }
     }
 }
@@ -160,50 +173,57 @@ impl VectorFdNode {
         self.node_discovery.get_or_insert(reason);
     }
 
-    /// Structural validity of a chain for `instance` with the expected
-    /// number of layers: origin and signer sequence must follow the
-    /// rotation.
-    fn structure_ok(
-        &self,
-        instance: NodeId,
-        chain: &ChainMessage,
-        from: NodeId,
-        expected_layers: usize,
-    ) -> bool {
-        if chain.origin != instance || chain.layers.len() != expected_layers {
-            return false;
-        }
-        chain
-            .signer_sequence(from)
-            .iter()
-            .enumerate()
-            .all(|(j, s)| *s == self.params.node_at(instance, j))
-    }
-
-    fn handle_msg(&mut self, round: u32, env: &Envelope, out: &mut Outbox) {
-        let msg = match VecMsg::decode_exact(&env.payload) {
-            Ok(m) => m,
-            Err(_) => return self.discover_node(DiscoveryReason::Malformed),
+    /// Screen one chain of `instance`. Whether the payload decodes is
+    /// settled before the instance's schedule is consulted (a malformed
+    /// payload is a node-level discovery); the schedule before the chain's
+    /// structure; the structure — origin `instance`, `round` signatures
+    /// (the expected count whenever the schedule holds), signers
+    /// following the instance's rotation — before the signatures.
+    fn handle_msg(
+        &mut self,
+        cohorts: Option<&mut Cohorts<'_>>,
+        round: u32,
+        env: &Envelope,
+        out: &mut Outbox,
+    ) {
+        let instance = match VecMsg::peek_instance(&env.payload) {
+            Some(instance) if instance.index() < self.params.n => instance,
+            _ => return self.discover_node(DiscoveryReason::Malformed),
         };
-        let instance = msg.instance;
-        if instance.index() >= self.params.n {
+        let expect = Expect {
+            decode: |p: &[u8]| VecMsg::decode_exact(p).ok().map(|m| m.chain),
+            origin: Some(instance),
+            count: round as usize..=round as usize,
+        };
+        let params = &self.params;
+        let read = screen(
+            cohorts,
+            self.scheme.as_ref(),
+            &self.store,
+            env,
+            round,
+            expect,
+            |v| {
+                v.read(|signers, _| {
+                    signers
+                        .iter()
+                        .enumerate()
+                        .all(|(j, s)| *s == params.node_at(instance, j))
+                })
+                .map(|body| body.to_vec())
+            },
+        );
+        if read == Err(DiscoveryReason::Malformed) {
             return self.discover_node(DiscoveryReason::Malformed);
         }
         let my_pos = self.params.position_of(instance, self.me);
         // When should this instance reach me, and from whom?
-        let (expected_round, expected_from, expected_layers) = if (1..=self.params.t)
-            .contains(&my_pos)
-        {
-            (
-                my_pos as u32,
-                self.params.node_at(instance, my_pos - 1),
-                my_pos - 1,
-            )
+        let (expected_round, expected_from) = if (1..=self.params.t).contains(&my_pos) {
+            (my_pos as u32, self.params.node_at(instance, my_pos - 1))
         } else if my_pos > self.params.t {
             (
                 self.params.t as u32 + 1,
                 self.params.node_at(instance, self.params.t),
-                self.params.t,
             )
         } else {
             // I am the sender of this instance: nothing should arrive.
@@ -215,38 +235,32 @@ impl VectorFdNode {
         {
             return self.discover_instance(instance, DiscoveryReason::UnexpectedMessage { round });
         }
-        if !self.structure_ok(instance, &msg.chain, env.from, expected_layers) {
-            return self.discover_instance(instance, DiscoveryReason::BadStructure);
-        }
-        match msg
-            .chain
-            .verify_cached(self.scheme.as_ref(), &self.store, env.from)
-        {
-            Ok(_) => {
-                let v = msg.chain.body.clone();
-                if (1..=self.params.t).contains(&my_pos) {
-                    let extended = msg
-                        .chain
-                        .extend(self.scheme.as_ref(), &self.keyring.sk, env.from)
-                        .expect("own keyring well-formed");
-                    let payload: Payload = VecMsg {
-                        instance,
-                        chain: extended,
-                    }
-                    .encode_to_vec()
-                    .into();
-                    if my_pos < self.params.t {
-                        out.send(self.params.node_at(instance, my_pos + 1), payload);
-                    } else {
-                        for pos in (self.params.t + 1)..self.params.n {
-                            out.send(self.params.node_at(instance, pos), payload.clone());
-                        }
-                    }
-                }
-                self.outcomes[instance.index()] = Outcome::Decided(v);
+        let v = match read {
+            Ok(v) => v,
+            Err(reason) => return self.discover_instance(instance, reason),
+        };
+        if (1..=self.params.t).contains(&my_pos) {
+            let chain = VecMsg::decode_exact(&env.payload)
+                .expect("accepted payload decodes")
+                .chain;
+            let extended = chain
+                .extend(self.scheme.as_ref(), &self.keyring.sk, env.from)
+                .expect("own keyring well-formed");
+            let payload: Payload = VecMsg {
+                instance,
+                chain: extended,
             }
-            Err(reason) => self.discover_instance(instance, reason),
+            .encode_to_vec()
+            .into();
+            if my_pos < self.params.t {
+                out.send(self.params.node_at(instance, my_pos + 1), payload);
+            } else {
+                for pos in (self.params.t + 1)..self.params.n {
+                    out.send(self.params.node_at(instance, pos), payload.clone());
+                }
+            }
         }
+        self.outcomes[instance.index()] = Outcome::Decided(v);
     }
 }
 
@@ -287,8 +301,10 @@ impl Node for VectorFdNode {
             self.outcomes[self.me.index()] = Outcome::Decided(self.value.clone());
         }
 
-        for env in &inbox.to_vec() {
-            self.handle_msg(round, env, out);
+        let cache = self.store.cache().cloned();
+        let mut cohorts = cache.as_ref().and_then(VerifyCache::cohorts);
+        for env in inbox {
+            self.handle_msg(cohorts.as_mut(), round, env, out);
         }
 
         // Deadline checks: any instance due this round that is still

@@ -32,21 +32,33 @@
 //! discipline re-checks the full chain at every hop; the cache is what
 //! makes hop `k + 1` pay only for the one new layer.
 //!
-//! On top of both sits the **cohort layer**: a broadcast hands one shared
-//! payload buffer to `n − 1` receivers, so the whole screening pipeline
-//! (decode, structure checks, signer extraction, verification) is judged
-//! once per [`CohortKey`] — `(payload ident, sender, round)` — and the
-//! resulting [`CohortVerdict`] is replayed for every other receiver whose
-//! store views the implied signers identically. Stores that disagree about
-//! a signer's key (the G3 gap) fail the view match and get their own
-//! entry, so batching never merges genuinely different verdicts.
+//! On top of both sits the **cohort layer**, and `screen` is the one
+//! path every chain receiver verifies through: chain FD relays and
+//! disseminated nodes, small range, FD→BA's alarms, vector FD, degradable
+//! agreement and Dolev–Strong. A broadcast or a dissemination hands one
+//! shared payload buffer to many receivers, so the whole screening
+//! pipeline (decode, structure checks, signer extraction, verification)
+//! is judged once per [`CohortKey`] — `(payload ident, sender, round)` —
+//! and the resulting [`CohortVerdict`] is replayed for every other
+//! receiver whose store views the implied signers identically. Stores
+//! that disagree about a signer's key (the G3 gap) fail the view match
+//! and get their own entry, so batching never merges genuinely different
+//! verdicts. Each protocol reads the verdict with its own structure rule
+//! ([`CohortVerdict::read`]).
+//!
+//! The chain-receipt layer below the cohorts still matters where no
+//! cohort is shared: identical bytes in distinct buffers (a cluster
+//! worker decodes every frame into its own buffer; an adversary may send
+//! a copy), and the cohort-free reference of
+//! [`VerifyCache::without_cohorts`].
 
 use crate::chain::ChainMessage;
 use crate::outcome::DiscoveryReason;
 use fd_crypto::{PublicKey, SecretKey, Sha256, Signature, SignatureScheme};
-use fd_simnet::{NodeId, Payload};
+use fd_simnet::{Envelope, NodeId, Payload};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
+use std::ops::RangeInclusive;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -196,11 +208,11 @@ impl PredicateTable {
 /// inputs cannot collide by concatenation.
 ///
 /// Above both sits the cohort level (see the module docs). A receiver
-/// locks it once for its whole inbox (`VerifyCache::cohorts`) and reads
-/// each verdict in place through the visitor `Cohorts::with`, which
-/// hands back only what the receiver keeps: the common hit (an echo, or a
-/// body the receiver has already extracted) takes no lock of its own,
-/// copies nothing and touches no reference count.
+/// locks it for its inbox (`VerifyCache::cohorts`) and screens each chain
+/// envelope through `screen`, whose visitor reads the verdict in place
+/// and hands back only what the receiver keeps: the common hit (an echo,
+/// or a body the receiver has already extracted) takes no lock of its
+/// own, copies nothing and touches no reference count.
 ///
 /// All three maps hash with `WordHasher` instead of the standard
 /// library's SipHash. Their keys are SHA-256 digests or `(payload ident,
@@ -324,19 +336,20 @@ struct Cohort {
 
 /// The batched-verification verdict on one member of a broadcast cohort.
 ///
-/// [`CohortVerdict::judge`] runs the full Dolev–Strong-style screening
-/// once per `(payload buffer, sender, round, store view)` class; every
-/// other receiver of the same broadcast replays the verdict from the
-/// cohort cache. The first three variants depend only on the chain bytes
-/// (any store reaches them identically); the last two also depend on the
-/// receiver's accepted predicates, so they are cached together with the
-/// `SignerView` they were judged under.
+/// [`CohortVerdict::judge`] runs the protocol-independent screening once
+/// per `(payload buffer, sender, round, store view)` class; every other
+/// receiver of the same broadcast replays the verdict from the cohort
+/// cache (see `screen`). The first three variants depend only on the
+/// chain bytes (any store reaches them identically); the last two also
+/// depend on the receiver's accepted predicates, so they are cached
+/// together with the `SignerView` they were judged under.
 ///
 /// What a verdict *means* to a receiver still depends on the receiver
-/// itself: a node that appears in `signers` treats the message as an echo
-/// of a chain it already signed and stays silent. That per-receiver echo
-/// rule is deliberately left out of the verdict so one verdict serves the
-/// whole cohort.
+/// and its protocol: each protocol reads it through
+/// [`CohortVerdict::read`] with its own structure rule, and Dolev–Strong
+/// first drops an echo of a chain its receiver already signed. Those
+/// rules are deliberately left out of the verdict so one verdict serves
+/// the whole cohort.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CohortVerdict {
     /// The payload does not decode to a chain message.
@@ -359,6 +372,9 @@ pub enum CohortVerdict {
     Discovered {
         /// The implied signer sequence (origin first).
         signers: Arc<[NodeId]>,
+        /// The chain's body bytes, for protocols whose structure rule
+        /// reads the value.
+        body: Arc<[u8]>,
         /// The discovery the verification raised.
         reason: DiscoveryReason,
     },
@@ -370,20 +386,21 @@ impl CohortVerdict {
     ///
     /// `chain` is `None` when the payload failed to decode — the caller
     /// decodes (once per cohort, on the miss path) so this module never
-    /// learns the wire framing. `expected_count` is the signature count a
-    /// round-`r` chain must carry.
+    /// learns the wire framing. `origin` is the node the chain must
+    /// start at (`None`: any node may originate) and `count` the
+    /// signature counts a chain judged at this key may carry.
     pub fn judge(
         scheme: &dyn SignatureScheme,
         store: &KeyStore,
         chain: Option<&ChainMessage>,
         from: NodeId,
-        expected_origin: NodeId,
-        expected_count: usize,
+        origin: Option<NodeId>,
+        count: RangeInclusive<usize>,
     ) -> CohortVerdict {
         let Some(chain) = chain else {
             return CohortVerdict::Malformed;
         };
-        if chain.origin != expected_origin || chain.signature_count() != expected_count {
+        if origin.is_some_and(|o| o != chain.origin) || !count.contains(&chain.signature_count()) {
             return CohortVerdict::BadChain;
         }
         let signers: Arc<[NodeId]> = chain.signer_sequence(from).into();
@@ -391,12 +408,14 @@ impl CohortVerdict {
         if distinct.len() != signers.len() {
             return CohortVerdict::Duplicate { signers };
         }
+        let body = Arc::from(chain.body.as_slice());
         match chain.verify_cached(scheme, store, from) {
-            Ok(_) => CohortVerdict::Accept {
+            Ok(_) => CohortVerdict::Accept { signers, body },
+            Err(reason) => CohortVerdict::Discovered {
                 signers,
-                body: Arc::from(chain.body.as_slice()),
+                body,
+                reason,
             },
-            Err(reason) => CohortVerdict::Discovered { signers, reason },
         }
     }
 
@@ -412,6 +431,33 @@ impl CohortVerdict {
         }
     }
 
+    /// The verdict as one receiver's result, structure before signature:
+    /// a chain that does not decode is [`DiscoveryReason::Malformed`]; a
+    /// wrong origin or count, a repeated signer, or a chain whose signers
+    /// and body fail the protocol's `structure_ok` rule is
+    /// [`DiscoveryReason::BadStructure`]; only then does the
+    /// verification's own discovery or the accepted body count.
+    pub fn read(
+        &self,
+        structure_ok: impl FnOnce(&[NodeId], &[u8]) -> bool,
+    ) -> Result<&Arc<[u8]>, DiscoveryReason> {
+        let (signers, body) = match self {
+            CohortVerdict::Malformed => return Err(DiscoveryReason::Malformed),
+            CohortVerdict::BadChain | CohortVerdict::Duplicate { .. } => {
+                return Err(DiscoveryReason::BadStructure)
+            }
+            CohortVerdict::Accept { signers, body }
+            | CohortVerdict::Discovered { signers, body, .. } => (signers, body),
+        };
+        if !structure_ok(signers, body) {
+            return Err(DiscoveryReason::BadStructure);
+        }
+        match self {
+            CohortVerdict::Discovered { reason, .. } => Err(reason.clone()),
+            _ => Ok(body),
+        }
+    }
+
     /// Whether the verdict depends on the judging store's accepted
     /// predicates (and must therefore be matched against a
     /// [`SignerView`]).
@@ -421,6 +467,61 @@ impl CohortVerdict {
             CohortVerdict::Accept { .. } | CohortVerdict::Discovered { .. }
         )
     }
+}
+
+/// What a receiver expects of one chain envelope: its protocol's
+/// decoder (the wire message's chain, or `None` when the payload does
+/// not decode), the chain's origin (`None`: any node) and the signature
+/// counts it takes. All three must be functions of the cohort key — the
+/// payload bytes, the sender and the round — so that every receiver
+/// sharing a key would judge alike.
+pub(crate) struct Expect<D> {
+    pub(crate) decode: D,
+    pub(crate) origin: Option<NodeId>,
+    pub(crate) count: RangeInclusive<usize>,
+}
+
+/// Screen one chain envelope for a receiver holding `store`: the one
+/// path every chain receiver verifies through.
+///
+/// With the cohort layer (`cohorts` is `Some`), the verdict recorded
+/// under `(payload ident, sender, round)` for this store's view of the
+/// signers is replayed without decoding, hashing or copying; on a miss
+/// the envelope is decoded and judged once and the verdict recorded for
+/// the rest of the cohort. Without it (a store with no cache, or a
+/// [`VerifyCache::without_cohorts`] handle) every envelope is judged and
+/// nothing is recorded. Either way `visit` reads the verdict in place and
+/// returns only what its receiver keeps.
+pub(crate) fn screen<D, R>(
+    mut cohorts: Option<&mut Cohorts<'_>>,
+    scheme: &dyn SignatureScheme,
+    store: &KeyStore,
+    env: &Envelope,
+    round: u32,
+    expect: Expect<D>,
+    visit: impl FnOnce(&CohortVerdict) -> R,
+) -> R
+where
+    D: FnOnce(&[u8]) -> Option<ChainMessage>,
+{
+    let key: CohortKey = (env.payload.ident(), env.from, round);
+    if let Some(verdict) = cohorts.as_deref_mut().and_then(|c| c.get(&key, store)) {
+        return visit(verdict);
+    }
+    let chain = (expect.decode)(&env.payload);
+    let verdict = CohortVerdict::judge(
+        scheme,
+        store,
+        chain.as_ref(),
+        env.from,
+        expect.origin,
+        expect.count,
+    );
+    let seen = visit(&verdict);
+    if let Some(cohorts) = cohorts {
+        cohorts.put(key, &env.payload, store, verdict);
+    }
+    seen
 }
 
 /// The store view a verdict's signers resolve to under `store`.
@@ -585,16 +686,9 @@ pub(crate) struct Cohorts<'a> {
 }
 
 impl Cohorts<'_> {
-    /// Visit the verdict recorded under `key` that holds for `store`'s
-    /// view of its signers, if there is one, and count the hit. The
-    /// visitor reads the verdict in place, so it should return only what
-    /// its caller keeps.
-    pub(crate) fn with<R>(
-        &mut self,
-        key: &CohortKey,
-        store: &KeyStore,
-        visit: impl FnOnce(&CohortVerdict) -> R,
-    ) -> Option<R> {
+    /// The verdict recorded under `key` that holds for `store`'s view of
+    /// its signers, if there is one; counts the hit.
+    fn get(&mut self, key: &CohortKey, store: &KeyStore) -> Option<&CohortVerdict> {
         let map = &mut *self.map;
         let entry = map
             .cohorts
@@ -602,20 +696,13 @@ impl Cohorts<'_> {
             .entries
             .iter()
             .find(|e| !e.verdict.store_dependent() || view_matches(store, &e.view))?;
-        let seen = visit(&entry.verdict);
         map.hits += 1;
-        Some(seen)
+        Some(&entry.verdict)
     }
 
     /// Record a verdict judged under `store`, pinning `payload`'s buffer
     /// so the key's address stays live for the cache's lifetime.
-    pub(crate) fn put(
-        &mut self,
-        key: CohortKey,
-        payload: &Payload,
-        store: &KeyStore,
-        verdict: CohortVerdict,
-    ) {
+    fn put(&mut self, key: CohortKey, payload: &Payload, store: &KeyStore, verdict: CohortVerdict) {
         let view = if verdict.store_dependent() {
             signer_view(store, verdict.signers())
         } else {
@@ -793,7 +880,7 @@ impl KeyStore {
 mod tests {
     use super::*;
     use fd_crypto::SchnorrScheme;
-    use fd_simnet::codec::Encode;
+    use fd_simnet::codec::{Decode, Encode};
 
     #[test]
     fn keyring_generation_is_deterministic_and_distinct() {
@@ -991,7 +1078,7 @@ mod tests {
 
     /// One cohort lookup under its own lock, the verdict cloned out.
     fn lookup(cache: &VerifyCache, key: &CohortKey, store: &KeyStore) -> Option<CohortVerdict> {
-        cache.cohorts()?.with(key, store, CohortVerdict::clone)
+        cache.cohorts()?.get(key, store).cloned()
     }
 
     /// Record one cohort verdict under its own lock.
@@ -1024,7 +1111,14 @@ mod tests {
         let chain = two_hop_chain(&scheme, &rings);
 
         // Accepted chain: verdict mirrors Ok(body).
-        let v = CohortVerdict::judge(&scheme, &store, Some(&chain), NodeId(1), NodeId(0), 2);
+        let v = CohortVerdict::judge(
+            &scheme,
+            &store,
+            Some(&chain),
+            NodeId(1),
+            Some(NodeId(0)),
+            2..=2,
+        );
         assert_eq!(
             chain.verify_cached(&scheme, &store, NodeId(1)),
             Ok(NodeId(1))
@@ -1039,16 +1133,30 @@ mod tests {
 
         // Undecodable payload.
         assert_eq!(
-            CohortVerdict::judge(&scheme, &store, None, NodeId(1), NodeId(0), 2),
+            CohortVerdict::judge(&scheme, &store, None, NodeId(1), Some(NodeId(0)), 2..=2),
             CohortVerdict::Malformed
         );
         // Wrong origin and wrong count are both structural.
         assert_eq!(
-            CohortVerdict::judge(&scheme, &store, Some(&chain), NodeId(1), NodeId(3), 2),
+            CohortVerdict::judge(
+                &scheme,
+                &store,
+                Some(&chain),
+                NodeId(1),
+                Some(NodeId(3)),
+                2..=2
+            ),
             CohortVerdict::BadChain
         );
         assert_eq!(
-            CohortVerdict::judge(&scheme, &store, Some(&chain), NodeId(1), NodeId(0), 1),
+            CohortVerdict::judge(
+                &scheme,
+                &store,
+                Some(&chain),
+                NodeId(1),
+                Some(NodeId(0)),
+                1..=1
+            ),
             CohortVerdict::BadChain
         );
         // A repeated signer: P0 → P1 → P0, received from P0 again.
@@ -1056,7 +1164,14 @@ mod tests {
             .clone()
             .extend(&scheme, &rings[0].sk, NodeId(1))
             .unwrap();
-        match CohortVerdict::judge(&scheme, &store, Some(&cycled), NodeId(0), NodeId(0), 3) {
+        match CohortVerdict::judge(
+            &scheme,
+            &store,
+            Some(&cycled),
+            NodeId(0),
+            Some(NodeId(0)),
+            3..=3,
+        ) {
             CohortVerdict::Duplicate { signers } => {
                 assert_eq!(signers.as_ref(), &[NodeId(0), NodeId(1), NodeId(0)]);
             }
@@ -1067,7 +1182,14 @@ mod tests {
         let mut forged = chain.clone();
         forged.body = b"w".to_vec();
         let direct = forged.verify_cached(&scheme, &store, NodeId(1));
-        match CohortVerdict::judge(&scheme, &store, Some(&forged), NodeId(1), NodeId(0), 2) {
+        match CohortVerdict::judge(
+            &scheme,
+            &store,
+            Some(&forged),
+            NodeId(1),
+            Some(NodeId(0)),
+            2..=2,
+        ) {
             CohortVerdict::Discovered { reason, .. } => {
                 assert_eq!(Err(reason), direct);
             }
@@ -1091,8 +1213,14 @@ mod tests {
             .map(|&i| KeyStore::global(NodeId(i), &pks).with_cache(cache.clone()))
             .collect();
         assert_eq!(lookup(&cache, &key, &stores[0]), None);
-        let verdict =
-            CohortVerdict::judge(&scheme, &stores[0], Some(&chain), NodeId(1), NodeId(0), 2);
+        let verdict = CohortVerdict::judge(
+            &scheme,
+            &stores[0],
+            Some(&chain),
+            NodeId(1),
+            Some(NodeId(0)),
+            2..=2,
+        );
         record(&cache, key, &payload, &stores[0], verdict.clone());
         for store in &stores[1..] {
             assert_eq!(lookup(&cache, &key, store), Some(verdict.clone()));
@@ -1124,15 +1252,27 @@ mod tests {
         let mut store_b = KeyStore::global(NodeId(2), &pks).with_cache(cache.clone());
         store_b.accept(NodeId(1), pk_y);
 
-        let verdict_a =
-            CohortVerdict::judge(&scheme, &store_a, Some(&chain), NodeId(1), NodeId(0), 2);
+        let verdict_a = CohortVerdict::judge(
+            &scheme,
+            &store_a,
+            Some(&chain),
+            NodeId(1),
+            Some(NodeId(0)),
+            2..=2,
+        );
         record(&cache, key, &payload, &store_a, verdict_a.clone());
         assert!(matches!(verdict_a, CohortVerdict::Accept { .. }));
 
         // Store B must NOT be served A's verdict: its view differs.
         assert_eq!(lookup(&cache, &key, &store_b), None);
-        let verdict_b =
-            CohortVerdict::judge(&scheme, &store_b, Some(&chain), NodeId(1), NodeId(0), 2);
+        let verdict_b = CohortVerdict::judge(
+            &scheme,
+            &store_b,
+            Some(&chain),
+            NodeId(1),
+            Some(NodeId(0)),
+            2..=2,
+        );
         record(&cache, key, &payload, &store_b, verdict_b.clone());
         match &verdict_b {
             CohortVerdict::Discovered { reason, .. } => {
@@ -1164,10 +1304,24 @@ mod tests {
         let forged_key: CohortKey = (forged_payload.ident(), NodeId(1), 2);
         assert_ne!(honest_key, forged_key);
 
-        let hv = CohortVerdict::judge(&scheme, &store, Some(&honest), NodeId(1), NodeId(0), 2);
+        let hv = CohortVerdict::judge(
+            &scheme,
+            &store,
+            Some(&honest),
+            NodeId(1),
+            Some(NodeId(0)),
+            2..=2,
+        );
         record(&cache, honest_key, &honest_payload, &store, hv);
         assert_eq!(lookup(&cache, &forged_key, &store), None);
-        let fv = CohortVerdict::judge(&scheme, &store, Some(&forged), NodeId(1), NodeId(0), 2);
+        let fv = CohortVerdict::judge(
+            &scheme,
+            &store,
+            Some(&forged),
+            NodeId(1),
+            Some(NodeId(0)),
+            2..=2,
+        );
         assert!(matches!(fv, CohortVerdict::Discovered { .. }));
         record(&cache, forged_key, &forged_payload, &store, fv.clone());
         assert!(matches!(
@@ -1190,7 +1344,14 @@ mod tests {
         let payload = Payload::from(chain.encode_to_vec());
         let key: CohortKey = (payload.ident(), NodeId(1), 7);
         // Wrong count for "round 7": BadChain regardless of keys.
-        let v = CohortVerdict::judge(&scheme, &store_full, Some(&chain), NodeId(1), NodeId(0), 7);
+        let v = CohortVerdict::judge(
+            &scheme,
+            &store_full,
+            Some(&chain),
+            NodeId(1),
+            Some(NodeId(0)),
+            7..=7,
+        );
         assert_eq!(v, CohortVerdict::BadChain);
         record(&cache, key, &payload, &store_full, v.clone());
         assert_eq!(lookup(&cache, &key, &store_empty), Some(v));
@@ -1208,12 +1369,90 @@ mod tests {
         let chain = two_hop_chain(&scheme, &rings);
         let payload = Payload::from(chain.encode_to_vec());
         let key: CohortKey = (payload.ident(), NodeId(1), 2);
-        let v = CohortVerdict::judge(&scheme, &store, Some(&chain), NodeId(1), NodeId(0), 2);
+        let v = CohortVerdict::judge(
+            &scheme,
+            &store,
+            Some(&chain),
+            NodeId(1),
+            Some(NodeId(0)),
+            2..=2,
+        );
         record(&cache, key, &payload, &store, v.clone());
         // The disabled handle can neither read nor write the cohort map …
         assert!(reference.cohorts().is_none());
         // … so the enabled handle still sees exactly the original verdict.
         assert_eq!(lookup(&cache, &key, &store), Some(v));
+    }
+
+    #[test]
+    fn read_puts_structure_before_signature() {
+        let (scheme, rings, pks) = cohort_rings(4, 37);
+        let store = KeyStore::global(NodeId(2), &pks).with_cache(VerifyCache::new());
+        let chain = two_hop_chain(&scheme, &rings);
+        let mut forged = chain.clone();
+        forged.body = b"w".to_vec();
+        let judge = |c: Option<&ChainMessage>, count: usize| {
+            CohortVerdict::judge(
+                &scheme,
+                &store,
+                c,
+                NodeId(1),
+                Some(NodeId(0)),
+                count..=count,
+            )
+        };
+        let (accept, discovered) = (judge(Some(&chain), 2), judge(Some(&forged), 2));
+        let ok = |_: &[NodeId], _: &[u8]| true;
+        let bad = |_: &[NodeId], _: &[u8]| false;
+        assert_eq!(accept.read(ok).map(|b| b.to_vec()), Ok(b"v".to_vec()));
+        assert_eq!(accept.read(bad), Err(DiscoveryReason::BadStructure));
+        assert_eq!(discovered.read(ok), Err(DiscoveryReason::BadSignature));
+        // A structure rule reads the body of a discovered chain too.
+        assert_eq!(
+            discovered.read(|_, body| body != b"w"),
+            Err(DiscoveryReason::BadStructure)
+        );
+        assert_eq!(judge(None, 2).read(ok), Err(DiscoveryReason::Malformed));
+        assert_eq!(
+            judge(Some(&chain), 3).read(ok),
+            Err(DiscoveryReason::BadStructure)
+        );
+    }
+
+    #[test]
+    fn screen_judges_once_per_cohort_and_every_envelope_without_one() {
+        let (scheme, rings, pks) = cohort_rings(5, 38);
+        let chain = two_hop_chain(&scheme, &rings);
+        let payload = Payload::from(chain.encode_to_vec());
+        let env = Envelope {
+            from: NodeId(1),
+            to: NodeId(2),
+            round: 1,
+            payload,
+        };
+        let decoded = std::cell::Cell::new(0);
+        let expect = || Expect {
+            decode: |p: &[u8]| {
+                decoded.set(decoded.get() + 1);
+                ChainMessage::decode_exact(p).ok()
+            },
+            origin: Some(NodeId(0)),
+            count: 2..=2,
+        };
+        let body = |v: &CohortVerdict| v.read(|_, _| true).map(|b| b.to_vec());
+        for cache in [VerifyCache::new(), VerifyCache::new().without_cohorts()] {
+            decoded.set(0);
+            for me in 2..5 {
+                let store = KeyStore::global(NodeId(me), &pks).with_cache(cache.clone());
+                let mut cohorts = cache.cohorts();
+                let read = screen(cohorts.as_mut(), &scheme, &store, &env, 2, expect(), body);
+                assert_eq!(read, Ok(b"v".to_vec()));
+            }
+            // With cohorts the first receiver decodes and judges, the
+            // other two replay; without, every receiver judges.
+            let judged = if cache.cohorts_enabled() { 1 } else { 3 };
+            assert_eq!(decoded.get(), judged);
+        }
     }
 
     #[test]

@@ -804,7 +804,7 @@ mod tests {
             .clone()
             .with_reference_scheduler(true)
             .with_verify_cache(crate::keys::VerifyCache::new().without_cohorts());
-        for protocol in [Protocol::DolevStrong, Protocol::ChainFd] {
+        for protocol in Protocol::ALL.into_iter().filter(|p| p.needs_keys()) {
             let spec = spec(protocol, b"v");
             assert_eq!(
                 fast.run(&spec).to_json(),

@@ -28,8 +28,9 @@ use local_auth_fd::core::sweep::{
     classify, run_sweep_with, LocalExecutor, RemoteExecutor, SweepOutcome,
 };
 use local_auth_fd::core::wire;
-use std::io::Write;
+use std::io::{self, Write};
 use std::process::ExitCode;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
 /// Every subcommand and its flags, with defaults. `NAME` is any name of
@@ -124,6 +125,62 @@ fn say(text: &str) {
         .write_all(format!("{text}\n").as_bytes());
 }
 
+/// Stdout for report lines. A reader that closes the pipe early (`lafd
+/// run chain | head -1`) wants no more: from then on every line is
+/// dropped quietly and the command still ends with its own exit code.
+/// Any other write error fails the write, which `outln!` turns into a
+/// panic as `println!` does.
+struct Out;
+
+/// Set once stdout's reader has gone.
+static STDOUT_CLOSED: AtomicBool = AtomicBool::new(false);
+
+impl Out {
+    /// Run one stdout operation unless the reader has gone; a
+    /// `BrokenPipe` marks it gone and counts as done.
+    fn or_closed<T>(
+        done: T,
+        op: impl FnOnce(&mut io::StdoutLock<'static>) -> io::Result<T>,
+    ) -> io::Result<T> {
+        if STDOUT_CLOSED.load(Ordering::Relaxed) {
+            return Ok(done);
+        }
+        match op(&mut io::stdout().lock()) {
+            Err(e) if e.kind() == io::ErrorKind::BrokenPipe => {
+                STDOUT_CLOSED.store(true, Ordering::Relaxed);
+                Ok(done)
+            }
+            result => result,
+        }
+    }
+}
+
+impl Write for Out {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        Out::or_closed(buf.len(), |stdout| stdout.write(buf))
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        Out::or_closed((), |stdout| stdout.flush())
+    }
+}
+
+/// `print!` through [`Out`].
+macro_rules! out {
+    ($($arg:tt)*) => {
+        write!(Out, $($arg)*)
+            .and_then(|()| Out.flush())
+            .expect("failed printing to stdout")
+    };
+}
+
+/// `println!` through [`Out`].
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        out!("{}\n", format_args!($($arg)*))
+    };
+}
+
 /// Write `contents` to `path` when one was given and note it on stderr as
 /// `{what} written to {path}`; false (after an error line) if the write
 /// failed.
@@ -154,7 +211,7 @@ fn cmd_run(invocation: RunInvocation) -> Exit {
     let t = builder.resolved_t();
     let (cluster, spec) = builder.build().expect("validated by flags::run");
 
-    println!(
+    outln!(
         "run {}: n = {}, t = {t}, engine = {}, latency = {}, adversary = {}, \
          {} link override(s), {} link fault(s)",
         builder.protocol,
@@ -173,12 +230,12 @@ fn cmd_run(invocation: RunInvocation) -> Exit {
         let (run, trace) = cluster.run_traced(&spec);
         if let Some(p) = &run.phases {
             if let Some(kd_us) = p.keydist_us {
-                println!(
+                outln!(
                     "key distribution (setup phase): {} rounds, {kd_us} µs",
                     p.keydist_rounds
                 );
             }
-            println!(
+            outln!(
                 "phases ({}): {} rounds traced, verify {} µs, cache {}/{} hit/miss, \
                  peak queue depth {}",
                 p.clock.name(),
@@ -202,7 +259,7 @@ fn cmd_run(invocation: RunInvocation) -> Exit {
         let kd_start = std::time::Instant::now();
         if builder.protocol.needs_keys() {
             let kd = session.keydist();
-            println!(
+            outln!(
                 "key distribution (setup phase): {} messages (3n(n-1) = {}), {:.2?}",
                 kd.stats.messages_total,
                 metrics::keydist_messages(builder.n),
@@ -219,7 +276,7 @@ fn cmd_run(invocation: RunInvocation) -> Exit {
         .failure_free()
         .then(|| builder.protocol.expected_messages(builder.n, t));
     let formula = expected.map_or_else(|| "—".to_string(), |m| m.to_string());
-    println!(
+    outln!(
         "{}: {} messages (formula {formula}), {} bytes, {} comm rounds, {elapsed:.2?}",
         builder.protocol,
         run.stats.messages_total,
@@ -236,20 +293,20 @@ fn cmd_run(invocation: RunInvocation) -> Exit {
                 .flatten()
                 .map_or_else(String::new, |g| format!(" (grade {g:?})"));
             match o {
-                Some(o) => println!("  P{i}: {o}{grade}"),
-                None => println!("  P{i}: (faulty)"),
+                Some(o) => outln!("  P{i}: {o}{grade}"),
+                None => outln!("  P{i}: (faulty)"),
             }
         }
     } else {
         let outs = run.correct_outcomes();
         let decided = outs.iter().filter(|o| o.decided().is_some()).count();
         let discovered = outs.iter().filter(|o| o.is_discovered()).count();
-        println!(
+        outln!(
             "  outcomes: {decided} decided, {discovered} discovered, {} pending",
             outs.len() - decided - discovered
         );
     }
-    println!("classification: {outcome}");
+    outln!("classification: {outcome}");
     if outcome == SweepOutcome::SilentDisagreement {
         return Err(SILENT.to_string());
     }
@@ -285,7 +342,7 @@ fn cmd_run_spec_file(path: &str) -> Exit {
     }
     let (cluster, spec) = builder.build().expect("validated above");
     let run = cluster.run(&spec);
-    println!("{}", run.to_json());
+    outln!("{}", run.to_json());
     if classify(&run, builder.network_faulted()) == SweepOutcome::SilentDisagreement {
         return Err(SILENT.to_string());
     }
@@ -326,7 +383,7 @@ fn cmd_serve(opts: ServeOpts) -> Exit {
                     opts.service.shards,
                 );
                 for response in responses {
-                    println!("{response}");
+                    outln!("{response}");
                 }
                 Ok(())
             }
@@ -364,7 +421,7 @@ fn cmd_search((config, outs): (SearchConfig, ReportOuts)) -> Exit {
     let report = run_search_parallel(&config, outs.threads)?;
     eprintln!("search: finished in {:?}", start.elapsed());
 
-    print!("{}", report.to_markdown());
+    out!("{}", report.to_markdown());
 
     if !save_reports(&outs, "search", report.to_json(), report.to_markdown()) {
         return Ok(ExitCode::FAILURE);
@@ -393,8 +450,7 @@ fn cmd_registry((listen, wait_limit_secs): (String, Option<u64>)) -> Exit {
     };
     // The orchestrator (and shell scripts) scrape the bound address from
     // this exact line — keep it first and flushed.
-    println!("registry listening on {}", registry.local_addr());
-    let _ = std::io::stdout().flush();
+    outln!("registry listening on {}", registry.local_addr());
     registry.serve();
     Ok(ExitCode::SUCCESS)
 }
@@ -406,32 +462,36 @@ fn lafd_exe() -> Result<std::path::PathBuf, String> {
 
 fn cmd_cluster((builder, cfg): (SpecBuilder, ClusterConfig)) -> Exit {
     let supervised = lafd_exe()
-        .and_then(|exe| {
-            deploy::supervise(&exe, &builder, &cfg, &mut std::io::stdout()).map_err(|e| e.error)
-        })
+        .and_then(|exe| deploy::supervise(&exe, &builder, &cfg, &mut Out).map_err(|e| e.error))
         .map_err(|e| format!("lafd cluster aborted: {e}"))?;
     let totals = &supervised.totals;
     let report = &supervised.report;
     let res = &supervised.resilience;
-    println!(
+    outln!(
         "key distribution: {} messages, {} bytes, {} rounds, {} anomalies",
-        totals.kd_messages, totals.kd_bytes, totals.kd_rounds, totals.kd_anomalies
+        totals.kd_messages,
+        totals.kd_bytes,
+        totals.kd_rounds,
+        totals.kd_anomalies
     );
-    println!(
+    outln!(
         "{}: {} messages, {} bytes, {} rounds",
         builder.protocol.name(),
         report.stats.messages_total,
         report.stats.bytes_total,
         report.stats.rounds
     );
-    println!(
+    outln!(
         "resilience: generations={} retries={} dead={:?} degraded={}",
-        res.generations, res.retries, res.dead, res.degraded
+        res.generations,
+        res.retries,
+        res.dead,
+        res.degraded
     );
     // The machine-readable result is the last stdout line, so scripts (and
     // the cross-validation tests) can compare it byte-for-byte with the
     // in-process engines' `FdRunReport::to_json`.
-    println!("{}", report.to_json());
+    outln!("{}", report.to_json());
     // Loud grade: a degraded run finished, but only by presuming crashed
     // workers — scripts must be able to tell this apart from a clean
     // recovery.
@@ -453,14 +513,13 @@ fn cmd_chaos(chaos: ChaosArgs) -> Exit {
         json,
     } = chaos;
     let exe = lafd_exe()?;
-    let report =
-        deploy::run_campaigns(&exe, &builder, &cluster, &campaigns, &mut std::io::stdout())?;
+    let report = deploy::run_campaigns(&exe, &builder, &cluster, &campaigns, &mut Out)?;
     let doc = report.to_json();
     if let Some(path) = json {
         std::fs::write(&path, format!("{doc}\n")).map_err(|e| format!("write {path}: {e}"))?;
     }
     // Machine-readable robustness matrix as the last stdout line.
-    println!("{doc}");
+    outln!("{doc}");
     if !report.ok() {
         return Err("at least one chaos campaign diverged from its expected outcome".to_string());
     }
@@ -500,7 +559,7 @@ fn cmd_sweep(sweep: SweepArgs) -> Exit {
     }?;
     let elapsed = start.elapsed();
 
-    print!("{}", report.to_markdown());
+    out!("{}", report.to_markdown());
     eprintln!("sweep: finished in {elapsed:?}");
 
     if !save_reports(&sweep.outs, "sweep", report.to_json(), report.to_markdown()) {

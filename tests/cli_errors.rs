@@ -2,8 +2,10 @@
 //! reader error the binary can give, pinned by its exact text. Each line
 //! of [`CASES`] runs the built binary and must exit 1 with the expected
 //! `error: ...` as the first stderr line. The lines fail while flags are
-//! read, so nothing is bound, spawned or run.
+//! read, so nothing is bound, spawned or run. A reader that closes
+//! stdout early is not an error either: the report ends quietly.
 
+use std::io::{BufRead, BufReader};
 use std::process::{Command, Stdio};
 
 /// `(command line, first stderr line without its "error: " prefix)`.
@@ -644,4 +646,47 @@ fn a_bare_lafd_prints_the_usage_and_exits_1() {
         first.starts_with("usage: lafd <run|serve|search|sweep|cluster|chaos|registry>"),
         "{first}"
     );
+}
+
+/// A reader that closes stdout early (`lafd run chain -n 16 | head -1`)
+/// wants no more of the report: the rest is dropped, the command exits
+/// with its own code, and nothing reaches stderr. The pipe is closed
+/// after the first line and before any line; `run --spec` prints one
+/// line, so only the second case reaches its write.
+#[test]
+fn a_closed_stdout_ends_the_report_quietly() {
+    let spec = std::env::temp_dir().join(format!("lafd-closed-stdout-{}.json", std::process::id()));
+    std::fs::write(
+        &spec,
+        r#"{"schema_version": 1, "protocol": "chain_fd", "n": 16, "input": "76"}"#,
+    )
+    .expect("write spec");
+    let spec_path = spec.to_str().expect("utf-8 temp path");
+    for args in [
+        vec!["run", "chain", "-n", "16"],
+        vec!["run", "--spec", spec_path],
+    ] {
+        for lines in [1, 0] {
+            let mut child = Command::new(env!("CARGO_BIN_EXE_lafd"))
+                .args(&args)
+                .stdin(Stdio::null())
+                .stdout(Stdio::piped())
+                .stderr(Stdio::piped())
+                .spawn()
+                .expect("spawn lafd");
+            let mut stdout = BufReader::new(child.stdout.take().expect("piped stdout"));
+            for _ in 0..lines {
+                stdout.read_line(&mut String::new()).expect("first line");
+            }
+            drop(stdout);
+            let out = child.wait_with_output().expect("wait for lafd");
+            let case = format!(
+                "lafd {} with the pipe closed after {lines} line(s)",
+                args.join(" ")
+            );
+            assert_eq!(out.status.code(), Some(0), "{case}");
+            assert_eq!(String::from_utf8_lossy(&out.stderr), "", "{case}");
+        }
+    }
+    let _ = std::fs::remove_file(&spec);
 }

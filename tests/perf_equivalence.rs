@@ -24,17 +24,22 @@
 //!   on 1, 2, 3 or 7 threads per round, honest and with every keydist
 //!   adversary at one or two slots, at n = 17 and 65, and at n = 192 as
 //!   an ignored large-`n` guard.
-//! * Dolev–Strong with the cohort layer decides and reports exactly what
+//! * Every keyed protocol (chain FD, small range, FD→BA, degradable,
+//!   Dolev–Strong) with the cohort layer decides and reports exactly what
 //!   a cohort-free cache does, under every scripted adversary that speaks
-//!   it, a key-equivocating relay and corrupted links, on both engines at
-//!   n ∈ {7, 16, 64} and t ∈ {1, 2}; and one n = 64 run's verify-cache
-//!   hit and miss counts are pinned per engine.
+//!   it, a node signing with its equivocated key and corrupted links on
+//!   the disseminated chain, on both engines at n ∈ {7, 16, 64} and
+//!   t ∈ {1, 2}; and one n = 64 run's verify-cache hit and miss counts
+//!   are pinned per engine for Dolev–Strong and chain FD.
 
 use local_auth_fd::core::adversary::{
     AdversaryKind, AdversarySpec, EquivocatingKeyDist, KeyThiefKeyDist, SharedKeyKeyDist,
     WrongNameKeyDist,
 };
-use local_auth_fd::core::ba::{DolevStrongNode, DolevStrongParams};
+use local_auth_fd::core::ba::{
+    DegradableNode, DegradableParams, DolevStrongNode, DolevStrongParams, FdToBaNode, FdToBaParams,
+};
+use local_auth_fd::core::fd::{ChainFdNode, ChainFdParams, SmallRangeFdNode, SmallRangeParams};
 use local_auth_fd::core::keys::{KeyStore, Keyring, VerifyCache};
 use local_auth_fd::core::localauth::KdAnomaly;
 use local_auth_fd::core::runner::{Cluster, KeyDistReport};
@@ -511,22 +516,36 @@ fn chain4096_dealer_run_generates_no_keys() {
     }
 }
 
-/// The Dolev–Strong cells the cohort hit path is checked on at `(n, t)`:
-/// every scripted adversary kind that speaks the protocol, a relay that
-/// equivocated its predicate during key distribution and signs with the
-/// half-accepted key (so one cohort key carries an `Accept` for one store
-/// view and a discovery for the other), and links that corrupt the
-/// sender's chain body or tag. Each cell is a label, the spec, the fault
-/// plan and whether it runs on the equivocated key distribution.
-fn ds_cohort_cells(n: usize, t: usize) -> Vec<(String, RunSpec, FaultPlan, bool)> {
+/// Every protocol whose receivers screen chains through the cohort layer.
+const KEYED: [Protocol; 5] = [
+    Protocol::ChainFd,
+    Protocol::SmallRange,
+    Protocol::FdToBa,
+    Protocol::Degradable,
+    Protocol::DolevStrong,
+];
+
+/// The cells the cohort hit path of `protocol` is checked on at `(n, t)`:
+/// every scripted adversary kind that speaks the protocol, node 2 signing
+/// with the predicate it equivocated during key distribution (so one
+/// cohort key carries an `Accept` for one store view and a discovery for
+/// the other), and links that corrupt the body or the tag of the chain
+/// disseminated to many receivers. Each cell is a label, the spec, the
+/// fault plan and whether it runs on the equivocated key distribution.
+fn cohort_cells(
+    protocol: Protocol,
+    n: usize,
+    t: usize,
+    honest_kd: &KeyDistReport,
+) -> Vec<(String, RunSpec, FaultPlan, bool)> {
     let spec = |adversary: AdversarySpec| {
-        RunSpec::new(Protocol::DolevStrong, b"ds-cohort".to_vec())
-            .with_default_value(b"ds-default".to_vec())
+        RunSpec::new(protocol, b"cohort".to_vec())
+            .with_default_value(b"cohort-default".to_vec())
             .with_adversary(adversary)
     };
     let mut cells = Vec::new();
     for kind in AdversaryKind::ALL {
-        if kind.applies_to(Protocol::DolevStrong) {
+        if kind.applies_to(protocol) {
             let adversary = AdversarySpec::scripted(kind);
             cells.push((
                 kind.name().to_string(),
@@ -536,32 +555,32 @@ fn ds_cohort_cells(n: usize, t: usize) -> Vec<(String, RunSpec, FaultPlan, bool)
             ));
         }
     }
-    let (scheme, seed) = (cluster(n, t, Engine::Sync).scheme, 77);
+    let scheme = cluster(n, t, Engine::Sync).scheme;
+    let (signer, seed) = (NodeId(2), 77);
     let sk_a = equivocator(n, &scheme).key_for(NodeId(0)).0.clone();
-    let relay = AdversarySpec::custom(move |id| {
-        (id == NodeId(2)).then(|| {
+    // Node 2 runs the honest automaton on a store that accepted everyone,
+    // but signs with predicate A: stores that accepted A verify its
+    // layers, stores that accepted B discover.
+    let store = honest_kd.store(signer).clone();
+    let g3 = AdversarySpec::custom(move |id| {
+        (id == signer).then(|| {
             let mut ring = Keyring::generate(scheme.as_ref(), id, seed);
             ring.sk = sk_a.clone();
-            Box::new(DolevStrongNode::new(
-                id,
-                DolevStrongParams::new(n, t, b"ds-default".to_vec()),
-                Arc::clone(&scheme),
-                KeyStore::new(n, id),
-                ring,
-                None,
-            )) as Box<dyn Node>
+            honest_node(protocol, n, t, &scheme, store.clone(), ring)
         })
     });
-    cells.push(("g3-relay".to_string(), spec(relay), FaultPlan::new(), true));
+    cells.push(("g3-signer".to_string(), spec(g3), FaultPlan::new(), true));
+    // Chain FD (and FD→BA's first phase) disseminates in round t from
+    // P_t; the other protocols broadcast the sender's chain in round 0.
+    let (round, from) = match protocol {
+        Protocol::ChainFd | Protocol::FdToBa => (t as u32, NodeId(t as u16)),
+        _ => (0, NodeId(0)),
+    };
     for (label, offset, mask) in [("corrupt-body", 15, 0x10), ("corrupt-tag", 0, 0xFF)] {
+        let corrupt = LinkFault::Corrupt { offset, mask };
         let faults = FaultPlan::new()
-            .with(0, NodeId(0), NodeId(1), LinkFault::Corrupt { offset, mask })
-            .with(
-                0,
-                NodeId(0),
-                NodeId(n as u16 - 1),
-                LinkFault::Corrupt { offset, mask },
-            );
+            .with(round, from, NodeId(t as u16 + 1), corrupt)
+            .with(round, from, NodeId(n as u16 - 1), corrupt);
         cells.push((
             label.to_string(),
             spec(AdversarySpec::Honest),
@@ -572,6 +591,63 @@ fn ds_cohort_cells(n: usize, t: usize) -> Vec<(String, RunSpec, FaultPlan, bool)
     cells
 }
 
+/// `protocol`'s honest automaton for node `me`, on `store` and `ring`.
+fn honest_node(
+    protocol: Protocol,
+    n: usize,
+    t: usize,
+    scheme: &Arc<dyn SignatureScheme>,
+    store: KeyStore,
+    ring: Keyring,
+) -> Box<dyn Node> {
+    let (me, scheme) = (ring.me, Arc::clone(scheme));
+    let default = b"cohort-default".to_vec();
+    let input = (me == NodeId(0)).then(|| b"cohort".to_vec());
+    match protocol {
+        Protocol::ChainFd => Box::new(ChainFdNode::new(
+            me,
+            ChainFdParams::new(n, t),
+            scheme,
+            store,
+            ring,
+            input,
+        )),
+        Protocol::SmallRange => Box::new(SmallRangeFdNode::new(
+            me,
+            SmallRangeParams::new(n, t, default),
+            scheme,
+            store,
+            ring,
+            input,
+        )),
+        Protocol::FdToBa => Box::new(FdToBaNode::new(
+            me,
+            FdToBaParams::new(n, t, default),
+            scheme,
+            store,
+            ring,
+            input,
+        )),
+        Protocol::Degradable => Box::new(DegradableNode::new(
+            me,
+            DegradableParams::new(n, t, default),
+            scheme,
+            store,
+            ring,
+            input,
+        )),
+        Protocol::DolevStrong => Box::new(DolevStrongNode::new(
+            me,
+            DolevStrongParams::new(n, t, default),
+            scheme,
+            store,
+            ring,
+            input,
+        )),
+        other => unreachable!("{other} screens no chains"),
+    }
+}
+
 /// Node 2's key-distribution equivocator: predicate A to nodes below
 /// `n / 2`, predicate B to the rest.
 fn equivocator(n: usize, scheme: &Arc<dyn SignatureScheme>) -> EquivocatingKeyDist {
@@ -579,8 +655,8 @@ fn equivocator(n: usize, scheme: &Arc<dyn SignatureScheme>) -> EquivocatingKeyDi
 }
 
 #[test]
-fn ds_cohort_hit_path_matches_cohort_free_cache() {
-    let mut cells = 0;
+fn cohort_hit_path_matches_cohort_free_cache_on_every_keyed_protocol() {
+    let (mut cells, mut g3_discoveries) = (0, 0);
     for n in [7usize, 16, 64] {
         let keyed = cluster(n, 1, Engine::Sync);
         let honest_kd = keyed.dealer_keydist();
@@ -590,25 +666,28 @@ fn ds_cohort_hit_path_matches_cohort_free_cache() {
         });
         for t in [1usize, 2] {
             for engine in [Engine::Sync, Engine::Event] {
-                for (label, spec, faults, g3) in ds_cohort_cells(n, t) {
-                    let kd = if g3 { &g3_kd } else { &honest_kd };
-                    let c = cluster(n, t, engine).with_faults(faults);
-                    let batched = c.run_with_keys(&spec, Some(kd));
-                    let reference = c
-                        .with_verify_cache(VerifyCache::new().without_cohorts())
-                        .run_with_keys(&spec, Some(kd));
-                    let cell = format!("n={n} t={t} {engine} {label}");
-                    assert_eq!(batched.to_json(), reference.to_json(), "{cell}");
-                    assert_eq!(batched.outcomes, reference.outcomes, "{cell}");
-                    if g3 {
-                        assert!(batched.any_discovery(), "{cell}: Theorem 4 discovery");
+                for protocol in KEYED {
+                    for (label, spec, faults, g3) in cohort_cells(protocol, n, t, &honest_kd) {
+                        let kd = if g3 { &g3_kd } else { &honest_kd };
+                        let c = cluster(n, t, engine).with_faults(faults);
+                        let batched = c.run_with_keys(&spec, Some(kd));
+                        let reference = c
+                            .with_verify_cache(VerifyCache::new().without_cohorts())
+                            .run_with_keys(&spec, Some(kd));
+                        let cell = format!("{protocol} n={n} t={t} {engine} {label}");
+                        assert_eq!(batched.to_json(), reference.to_json(), "{cell}");
+                        assert_eq!(batched.outcomes, reference.outcomes, "{cell}");
+                        g3_discoveries += usize::from(g3 && batched.any_discovery());
+                        cells += 1;
                     }
-                    cells += 1;
                 }
             }
         }
     }
-    assert_eq!(cells, 3 * 2 * 2 * 5);
+    // Chain FD: 7 adversary kinds; the others: none and silent. Each adds
+    // the G3 signer and two corrupted links.
+    assert_eq!(cells, 3 * 2 * 2 * (10 + 4 * 5));
+    assert!(g3_discoveries > 0, "the G3 signer was never discovered");
 }
 
 #[test]
@@ -623,6 +702,29 @@ fn ds_n64_verify_cache_counters_are_pinned() {
         let kd = c.dealer_keydist();
         let run = c.run_with_keys(&spec, Some(&kd));
         assert!(run.all_decided(b"ds-counters"), "{engine}");
+        let phases = run.phases.expect("obs cluster records phases");
+        assert_eq!(
+            [phases.cache_hits, phases.cache_misses],
+            expected,
+            "{engine}"
+        );
+    }
+}
+
+#[test]
+fn chain_fd_n64_verify_cache_counters_are_pinned() {
+    // Hits and misses of one traced chain FD run on dealer stores. Each
+    // relay judges its own chain (a cohort miss, a receipt miss and one
+    // new signature: three misses; earlier layers hit the signature
+    // cache). The first of the 61 disseminated receivers judges P_2's
+    // chain the same way; the other 60 replay its cohort verdict, so the
+    // dissemination costs one judgement, not 61.
+    let spec = RunSpec::new(Protocol::ChainFd, b"chain-counters".to_vec());
+    for (engine, expected) in [(Engine::Sync, [63, 9]), (Engine::Event, [63, 9])] {
+        let c = cluster(64, 2, engine).with_obs();
+        let kd = c.dealer_keydist();
+        let run = c.run_with_keys(&spec, Some(&kd));
+        assert!(run.all_decided(b"chain-counters"), "{engine}");
         let phases = run.phases.expect("obs cluster records phases");
         assert_eq!(
             [phases.cache_hits, phases.cache_misses],
