@@ -178,7 +178,8 @@ impl VectorFdNode {
     /// payload is a node-level discovery); the schedule before the chain's
     /// structure; the structure — origin `instance`, `round` signatures
     /// (the expected count whenever the schedule holds), signers
-    /// following the instance's rotation — before the signatures.
+    /// following the instance's rotation — before the signatures. A
+    /// message off the instance's schedule is never verified.
     fn handle_msg(
         &mut self,
         cohorts: Option<&mut Cohorts<'_>>,
@@ -190,6 +191,25 @@ impl VectorFdNode {
             Some(instance) if instance.index() < self.params.n => instance,
             _ => return self.discover_node(DiscoveryReason::Malformed),
         };
+        let my_pos = self.params.position_of(instance, self.me);
+        // When should this instance reach me, and from whom? (Never, if
+        // I am its sender.)
+        let expected = if (1..=self.params.t).contains(&my_pos) {
+            Some((my_pos as u32, self.params.node_at(instance, my_pos - 1)))
+        } else if my_pos > self.params.t {
+            Some((
+                self.params.t as u32 + 1,
+                self.params.node_at(instance, self.params.t),
+            ))
+        } else {
+            None
+        };
+        if expected != Some((round, env.from)) || self.outcomes[instance.index()].is_terminal() {
+            if VecMsg::decode_exact(&env.payload).is_err() {
+                return self.discover_node(DiscoveryReason::Malformed);
+            }
+            return self.discover_instance(instance, DiscoveryReason::UnexpectedMessage { round });
+        }
         let expect = Expect {
             decode: |p: &[u8]| VecMsg::decode_exact(p).ok().map(|m| m.chain),
             origin: Some(instance),
@@ -213,30 +233,11 @@ impl VectorFdNode {
                 .map(|body| body.to_vec())
             },
         );
-        if read == Err(DiscoveryReason::Malformed) {
-            return self.discover_node(DiscoveryReason::Malformed);
-        }
-        let my_pos = self.params.position_of(instance, self.me);
-        // When should this instance reach me, and from whom?
-        let (expected_round, expected_from) = if (1..=self.params.t).contains(&my_pos) {
-            (my_pos as u32, self.params.node_at(instance, my_pos - 1))
-        } else if my_pos > self.params.t {
-            (
-                self.params.t as u32 + 1,
-                self.params.node_at(instance, self.params.t),
-            )
-        } else {
-            // I am the sender of this instance: nothing should arrive.
-            return self.discover_instance(instance, DiscoveryReason::UnexpectedMessage { round });
-        };
-        if round != expected_round
-            || env.from != expected_from
-            || self.outcomes[instance.index()].is_terminal()
-        {
-            return self.discover_instance(instance, DiscoveryReason::UnexpectedMessage { round });
-        }
         let v = match read {
             Ok(v) => v,
+            Err(DiscoveryReason::Malformed) => {
+                return self.discover_node(DiscoveryReason::Malformed)
+            }
             Err(reason) => return self.discover_instance(instance, reason),
         };
         if (1..=self.params.t).contains(&my_pos) {
@@ -482,5 +483,199 @@ mod tests {
             chain,
         };
         assert_eq!(VecMsg::decode_exact(&msg.encode_to_vec()).unwrap(), msg);
+    }
+
+    /// A Byzantine node that sends fixed payloads in fixed rounds and
+    /// nothing else.
+    struct Scripted {
+        me: NodeId,
+        sends: Vec<(u32, NodeId, Vec<u8>)>,
+    }
+
+    impl Node for Scripted {
+        fn id(&self) -> NodeId {
+            self.me
+        }
+
+        fn on_round(&mut self, round: u32, _inbox: &[Envelope], out: &mut Outbox) {
+            for (r, to, payload) in &self.sends {
+                if *r == round {
+                    out.send(*to, payload.clone());
+                }
+            }
+        }
+    }
+
+    /// The precedence cases run at n = 6, t = 2 with node 5 scripted.
+    const N: usize = 6;
+
+    fn rings() -> (Arc<dyn SignatureScheme>, Vec<Keyring>) {
+        let scheme: Arc<dyn SignatureScheme> = Arc::new(SchnorrScheme::test_tiny());
+        let rings = (0..N)
+            .map(|i| Keyring::generate(scheme.as_ref(), NodeId(i as u16), 15))
+            .collect();
+        (scheme, rings)
+    }
+
+    /// `VecMsg { instance, chain }` for a chain originated by `instance`
+    /// whose layers are `(assignee, signer)` pairs, innermost first.
+    fn vec_msg(instance: u16, layers: &[(u16, u16)]) -> Vec<u8> {
+        let (scheme, rings) = rings();
+        let sk = |i: u16| &rings[usize::from(i)].sk;
+        let origin = NodeId(instance);
+        let mut chain =
+            ChainMessage::originate(scheme.as_ref(), sk(instance), origin, vec![instance as u8])
+                .unwrap();
+        for &(assignee, signer) in layers {
+            chain = chain
+                .extend(scheme.as_ref(), sk(signer), NodeId(assignee))
+                .unwrap();
+        }
+        VecMsg {
+            instance: origin,
+            chain,
+        }
+        .encode_to_vec()
+    }
+
+    /// Run honest nodes 0..=4 against a scripted node 5 sending `sends`,
+    /// with `faults` on the links, every store on `cache`. Returns node
+    /// 0's outcome for `instance` and for its own instance 0 (which only
+    /// a node-level discovery overturns), and the cache's miss count.
+    fn p0_sees(
+        sends: &[(u32, NodeId, Vec<u8>)],
+        faults: fd_simnet::fault::FaultPlan,
+        cache: Option<VerifyCache>,
+        instance: usize,
+    ) -> (Outcome, Outcome, usize) {
+        let (scheme, rings) = rings();
+        let pks: Vec<_> = rings.iter().map(|r| r.pk.clone()).collect();
+        let params = VectorFdParams::new(N, 2);
+        let mut nodes: Vec<Box<dyn Node>> = (0..N - 1)
+            .map(|i| {
+                let me = NodeId(i as u16);
+                let store = KeyStore::global(me, &pks);
+                let store = match &cache {
+                    Some(cache) => store.with_cache(cache.clone()),
+                    None => store,
+                };
+                Box::new(VectorFdNode::new(
+                    me,
+                    params.clone(),
+                    Arc::clone(&scheme),
+                    store,
+                    rings[i].clone(),
+                    vec![i as u8],
+                )) as Box<dyn Node>
+            })
+            .collect();
+        nodes.push(Box::new(Scripted {
+            me: NodeId(N as u16 - 1),
+            sends: sends.to_vec(),
+        }));
+        let mut net = SyncNetwork::new(nodes);
+        net.set_fault_plan(faults);
+        net.run_until_done(params.rounds());
+        let p0 = net.into_nodes().swap_remove(0);
+        let p0 = (p0 as Box<dyn Any>)
+            .downcast::<VectorFdNode>()
+            .expect("VectorFdNode");
+        let misses = cache.map_or(0, |c| c.misses());
+        (
+            p0.outcomes()[instance].clone(),
+            p0.outcomes()[0].clone(),
+            misses,
+        )
+    }
+
+    #[test]
+    fn screening_keeps_malformed_then_schedule_then_structure_then_signature() {
+        use fd_simnet::fault::{FaultPlan, LinkFault};
+        use DiscoveryReason::*;
+        use Outcome::Discovered;
+        let (p0, p3) = (NodeId(0), NodeId(3));
+        // Instance 3's chain runs P3 → P4 → P5, and P5 hands it to P0 in
+        // round 2; instance 1's runs P1 → P2 → P3, and P3 hands it to P0.
+        let good = vec_msg(3, &[(3, 4), (4, 5)]);
+        let mut bad_tag = good.clone();
+        bad_tag[0] ^= 0xFF;
+        let big_instance = VecMsg {
+            instance: NodeId(N as u16),
+            ..VecMsg::decode_exact(&good).unwrap()
+        }
+        .encode_to_vec();
+        let mut trailing = good.clone();
+        trailing.push(0);
+        let mut trailing_1 = vec_msg(1, &[(1, 2), (2, 3)]);
+        trailing_1.push(0);
+        let cut_p3 = || FaultPlan::new().with(2, p3, p0, LinkFault::Drop);
+        let node = Discovered(Malformed);
+        // (label, round node 5 sends in, its payload to P0, link faults,
+        // the instance P0's outcome is read for, that outcome, whether the
+        // discovery is node-level and so also overturns P0's own value)
+        #[rustfmt::skip]
+        let cases = vec![
+            ("corrupt tag", 2, bad_tag, FaultPlan::new(), 3, node.clone(), true),
+            ("instance >= n", 2, big_instance, FaultPlan::new(), 3, node.clone(), true),
+            ("malformed, on schedule", 2, trailing, FaultPlan::new(), 3, node.clone(), true),
+            ("malformed, off schedule", 0, trailing_1, FaultPlan::new(), 1, node.clone(), true),
+            ("wrong round", 1, good.clone(), FaultPlan::new(), 3,
+                Discovered(UnexpectedMessage { round: 2 }), false),
+            ("wrong sender", 2, vec_msg(1, &[(1, 2), (2, 3)]), cut_p3(), 1,
+                Discovered(UnexpectedMessage { round: 3 }), false),
+            ("wrong count", 2, vec_msg(3, &[(3, 4)]), FaultPlan::new(), 3,
+                Discovered(BadStructure), false),
+            ("wrong rotation", 2, vec_msg(3, &[(3, 1), (1, 5)]), FaultPlan::new(), 3,
+                Discovered(BadStructure), false),
+            ("bad signature", 2, vec_msg(3, &[(3, 1), (4, 5)]), FaultPlan::new(), 3,
+                Discovered(BadSignature), false),
+            ("wrong rotation, bad signature", 2, vec_msg(3, &[(3, 4), (1, 5)]),
+                FaultPlan::new(), 3, Discovered(BadStructure), false),
+            ("on schedule", 2, good, FaultPlan::new(), 3, Outcome::Decided(vec![3]), false),
+        ];
+        for (label, round, payload, faults, instance, expected, node_level) in cases {
+            let own = if node_level {
+                node.clone()
+            } else {
+                Outcome::Decided(vec![0])
+            };
+            let sends = [(round, p0, payload)];
+            for cache in [
+                None,
+                Some(VerifyCache::new()),
+                Some(VerifyCache::new().without_cohorts()),
+            ] {
+                let (seen, seen_own, _) = p0_sees(&sends, faults.clone(), cache, instance);
+                assert_eq!((&seen, &seen_own), (&expected, &own), "{label}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_chain_off_its_schedule_is_never_verified() {
+        use fd_simnet::fault::{FaultPlan, LinkFault};
+        let (p0, p3) = (NodeId(0), NodeId(3));
+        let cut_p3 = FaultPlan::new().with(2, p3, p0, LinkFault::Drop);
+        // A well-formed chain a round early, and one from the wrong
+        // sender, cost exactly what their absence costs.
+        for (round, payload, faults, instance) in [
+            (1, vec_msg(3, &[(3, 4), (4, 5)]), FaultPlan::new(), 3),
+            (2, vec_msg(1, &[(1, 2), (2, 3)]), cut_p3, 1),
+        ] {
+            for cohorts in [true, false] {
+                let cache = || {
+                    let cache = VerifyCache::new();
+                    Some(if cohorts {
+                        cache
+                    } else {
+                        cache.without_cohorts()
+                    })
+                };
+                let sends = [(round, p0, payload.clone())];
+                let (_, _, sent) = p0_sees(&sends, faults.clone(), cache(), instance);
+                let (_, _, absent) = p0_sees(&[], faults.clone(), cache(), instance);
+                assert_eq!(sent, absent, "instance {instance}");
+            }
+        }
     }
 }

@@ -538,6 +538,9 @@ impl Cluster {
         assert_eq!(values.len(), self.n, "one input value per node");
         let params = crate::fd::VectorFdParams::new(self.n, self.t);
         let rounds = params.rounds();
+        // One shared verification cache per run, as in `run_with_keys`:
+        // each instance's disseminated chain is judged once per store view.
+        let cache = self.verify_cache.clone().unwrap_or_default();
         let nodes: Vec<Box<dyn Node>> = (0..self.n)
             .map(|i| {
                 let me = NodeId(i as u16);
@@ -545,7 +548,7 @@ impl Cluster {
                     me,
                     params.clone(),
                     Arc::clone(&self.scheme),
-                    keydist.store(me).clone(),
+                    keydist.store(me).clone().with_cache(cache.clone()),
                     keydist.ring(me).clone(),
                     values[i].clone(),
                 )) as Box<dyn Node>
