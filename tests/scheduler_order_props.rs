@@ -6,10 +6,15 @@
 //! previews included. The reference ordering is recovered by
 //! `EventNetwork::set_reference_scheduler(true)`, which forces every
 //! delivery through the heap and disables broadcast compression.
+//!
+//! A second wall pins the engines to each other: `SyncNetwork` on any
+//! worker count delivers exactly what `EventNetwork` does under
+//! synchronous latency, link faults and a rusher included.
 
 use local_auth_fd::simnet::event::{SeededJitter, TICKS_PER_ROUND};
+use local_auth_fd::simnet::fault::{FaultPlan, LinkFault};
 use local_auth_fd::simnet::{
-    Envelope, EventNetwork, NetStats, Node, NodeId, Outbox, SchedCounters,
+    Envelope, EventNetwork, NetStats, Node, NodeId, Outbox, SchedCounters, SyncNetwork,
 };
 use proptest::prelude::*;
 use std::any::Any;
@@ -222,5 +227,195 @@ proptest! {
         prop_assert_eq!(a.0, b.0);
         prop_assert_eq!(a.1, b.1);
         prop_assert_eq!(a.2, b.2);
+    }
+}
+
+/// One scripted send of the delivery-order wall below.
+#[derive(Debug, Clone, Copy)]
+enum Mixed {
+    /// A broadcast over the whole system.
+    Broadcast,
+    /// A broadcast over `n + 2` ids: the two ids past the system are
+    /// counted as `dropped_invalid`.
+    WideBroadcast,
+    /// A unicast to a node of the system (possibly the sender itself).
+    Send(NodeId),
+    /// A unicast to an id ≥ n, counted as `dropped_invalid`.
+    Stray,
+}
+
+/// Replays a per-round script mixing every kind of send and records
+/// every delivery in observation order.
+struct Mixer {
+    id: NodeId,
+    n: usize,
+    script: Vec<Vec<Mixed>>,
+    seen: Vec<(u32, NodeId, Vec<u8>)>,
+}
+
+impl Node for Mixer {
+    fn id(&self) -> NodeId {
+        self.id
+    }
+    fn on_round(&mut self, round: u32, inbox: &[Envelope], out: &mut Outbox) {
+        for env in inbox {
+            self.seen.push((round, env.from, env.payload.to_vec()));
+        }
+        let ops = self
+            .script
+            .get(round as usize)
+            .map_or(&[][..], Vec::as_slice);
+        for (k, op) in ops.iter().enumerate() {
+            let payload = vec![self.id.0 as u8, round as u8, k as u8, 0x5a];
+            match *op {
+                Mixed::Broadcast => out.broadcast(self.n, self.id, payload),
+                Mixed::WideBroadcast => out.broadcast(self.n + 2, self.id, payload),
+                Mixed::Send(to) => out.send(to, payload),
+                Mixed::Stray => out.send(NodeId((self.n + k) as u16), payload),
+            }
+        }
+    }
+}
+
+/// A delivery-order scenario: scripts, a link-fault plan and an
+/// optional rusher.
+#[derive(Debug, Clone)]
+struct MixedPlan {
+    n: usize,
+    rounds: usize,
+    scripts: Vec<Vec<Vec<Mixed>>>,
+    faults: FaultPlan,
+    rusher: Option<NodeId>,
+}
+
+fn mixers(plan: &MixedPlan) -> Vec<Box<dyn Node>> {
+    NodeId::all(plan.n)
+        .map(|id| {
+            Box::new(Mixer {
+                id,
+                n: plan.n,
+                script: plan.scripts[id.index()].clone(),
+                seen: Vec::new(),
+            }) as Box<dyn Node>
+        })
+        .collect()
+}
+
+fn mixer_seen(nodes: Vec<Box<dyn Node>>) -> Seen {
+    nodes
+        .into_iter()
+        .map(|b| (b as Box<dyn Any>).downcast::<Mixer>().unwrap().seen)
+        .collect()
+}
+
+/// Every send round, plus two rounds for the longest delay and one to
+/// deliver.
+fn mixed_steps(plan: &MixedPlan) -> usize {
+    plan.rounds + 3
+}
+
+fn run_sync(plan: &MixedPlan, workers: usize) -> (Seen, NetStats) {
+    let mut net = SyncNetwork::new(mixers(plan));
+    net.set_workers(workers);
+    net.set_fault_plan(plan.faults.clone());
+    if let Some(r) = plan.rusher {
+        net.set_rushing(vec![r]);
+    }
+    for _ in 0..mixed_steps(plan) {
+        net.step();
+    }
+    let (nodes, stats) = net.finish();
+    (mixer_seen(nodes), stats)
+}
+
+fn run_event(plan: &MixedPlan, reference: bool) -> (Seen, NetStats) {
+    let mut net = EventNetwork::new(mixers(plan));
+    net.set_fault_plan(plan.faults.clone());
+    if let Some(r) = plan.rusher {
+        net.set_rushing(vec![r]);
+    }
+    net.set_reference_scheduler(reference);
+    for _ in 0..mixed_steps(plan) {
+        net.step();
+    }
+    let (nodes, stats, _) = net.finish();
+    (mixer_seen(nodes), stats)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The delivery-order wall between the engines: `SyncNetwork` on
+    /// one, two and three workers delivers exactly what `EventNetwork`
+    /// delivers under synchronous latency, on the hybrid and on the
+    /// reference scheduler — every node's `(round, from, payload)`
+    /// sequence and the whole `NetStats` — for scripts that mix unicasts,
+    /// broadcasts, broadcasts past the system and sends to unknown ids,
+    /// under random link faults and an optional rusher. `dense` gives
+    /// every node a round-0 broadcast, so from n = 17 on a round carries
+    /// more than the 256 deliveries below which the sync engine stays on
+    /// one thread.
+    #[test]
+    fn sync_engine_on_any_worker_count_delivers_what_the_event_engine_does(
+        n in 3usize..41,
+        rounds in 1usize..4,
+        dense in any::<bool>(),
+        ops_raw in prop::collection::vec(
+            (any::<usize>(), any::<usize>(), 0u8..6, any::<usize>()),
+            0..48,
+        ),
+        faults_raw in prop::collection::vec(
+            (any::<usize>(), any::<usize>(), any::<usize>(), 0u8..5, any::<u8>()),
+            0..24,
+        ),
+        rush_pick in any::<usize>(),
+        use_rusher in any::<bool>(),
+    ) {
+        let mut scripts = vec![vec![Vec::new(); rounds]; n];
+        if dense {
+            for script in &mut scripts {
+                script[0].push(Mixed::Broadcast);
+            }
+        }
+        for (sender_pick, round_pick, kind, target_pick) in &ops_raw {
+            let op = match kind {
+                0 | 1 => Mixed::Broadcast,
+                2 => Mixed::WideBroadcast,
+                3 => Mixed::Stray,
+                _ => Mixed::Send(NodeId((target_pick % n) as u16)),
+            };
+            scripts[sender_pick % n][round_pick % rounds].push(op);
+        }
+        let mut faults = FaultPlan::new();
+        for (round_pick, from_pick, to_pick, kind, byte) in &faults_raw {
+            let fault = match kind {
+                0 => LinkFault::Drop,
+                1 => LinkFault::Corrupt {
+                    offset: usize::from(byte % 4),
+                    mask: byte | 1,
+                },
+                2 => LinkFault::Duplicate,
+                3 => LinkFault::Delay {
+                    rounds: u32::from(byte % 2) + 1,
+                },
+                _ => LinkFault::Reorder,
+            };
+            let from = NodeId((from_pick % n) as u16);
+            let to = NodeId((to_pick % n) as u16);
+            faults = faults.with((round_pick % rounds) as u32, from, to, fault);
+        }
+        let plan = MixedPlan {
+            n,
+            rounds,
+            scripts,
+            faults,
+            rusher: use_rusher.then(|| NodeId((rush_pick % n) as u16)),
+        };
+
+        let hybrid = run_event(&plan, false);
+        prop_assert_eq!(&run_event(&plan, true), &hybrid, "reference scheduler: {plan:?}");
+        for workers in [1, 2, 3] {
+            prop_assert_eq!(&run_sync(&plan, workers), &hybrid, "{workers} workers: {plan:?}");
+        }
     }
 }
