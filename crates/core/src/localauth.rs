@@ -160,15 +160,28 @@ impl Decode for KdMsg {
     }
 }
 
+/// Domain separator that opens [`challenge_bytes`].
+const CHALLENGE_DOMAIN: &[u8] = b"fd-la-challenge-v1";
+
+/// Length of [`challenge_bytes`]: the domain, two big-endian ids and a
+/// big-endian nonce.
+pub const SIGNED_CHALLENGE_LEN: usize = CHALLENGE_DOMAIN.len() + 2 + 2 + 8;
+
 /// Canonical bytes a challenged node signs: domain-separated
-/// `(challenger, challenged, nonce)`.
-pub fn challenge_bytes(challenger: NodeId, challenged: NodeId, nonce: u64) -> Vec<u8> {
-    let mut w = Writer::new();
-    w.put_raw(b"fd-la-challenge-v1");
-    challenger.encode(&mut w);
-    challenged.encode(&mut w);
-    w.put_u64(nonce);
-    w.into_bytes()
+/// `(challenger, challenged, nonce)`, on the stack (key distribution
+/// signs and verifies n(n−1) of them).
+pub fn challenge_bytes(
+    challenger: NodeId,
+    challenged: NodeId,
+    nonce: u64,
+) -> [u8; SIGNED_CHALLENGE_LEN] {
+    let mut bytes = [0; SIGNED_CHALLENGE_LEN];
+    let (domain, fields) = bytes.split_at_mut(CHALLENGE_DOMAIN.len());
+    domain.copy_from_slice(CHALLENGE_DOMAIN);
+    fields[..2].copy_from_slice(&challenger.0.to_be_bytes());
+    fields[2..4].copy_from_slice(&challenged.0.to_be_bytes());
+    fields[4..].copy_from_slice(&nonce.to_be_bytes());
+    bytes
 }
 
 /// Anomalies observed during key distribution.
@@ -625,6 +638,14 @@ mod tests {
         assert_ne!(base, challenge_bytes(NodeId(2), NodeId(1), 99));
         assert_ne!(base, challenge_bytes(NodeId(1), NodeId(2), 98));
         assert_ne!(base, challenge_bytes(NodeId(1), NodeId(3), 99));
+        // The layout signed since the first release: domain, then the
+        // codec's big-endian fields.
+        let mut w = Writer::new();
+        w.put_raw(b"fd-la-challenge-v1");
+        NodeId(1).encode(&mut w);
+        NodeId(2).encode(&mut w);
+        w.put_u64(99);
+        assert_eq!(base[..], w.into_bytes()[..]);
     }
 
     #[test]

@@ -14,9 +14,11 @@
 //!   ring of per-boundary buckets, which preserves send order for free;
 //!   only out-of-band arrivals (jitter, per-message overrides) pay for a
 //!   binary heap. Broadcasts with a uniform round-aligned delay stay
-//!   *compressed*: one `DeliveryRecord` stands for `n − 1` messages,
-//!   and the per-receiver envelopes are materialized into a reused arena
-//!   only when their round executes (see [`SchedCounters`]);
+//!   *compressed*: one record stands for `n − 1` messages. A matured
+//!   bucket is indexed by destination once, and each receiver's
+//!   envelopes are materialized into a reused arena just before it runs
+//!   — the delivery path [`SyncNetwork`](crate::SyncNetwork) uses too
+//!   (see [`SchedCounters`]);
 //! * a pluggable [`LatencyModel`] decides each message's flight time in
 //!   virtual ticks ([`TICKS_PER_ROUND`] per round), with optional
 //!   per-link overrides ([`PerLink`]);
@@ -33,6 +35,7 @@
 //! late, which the paper's protocols surface as *discovered* timing
 //! failures, never as silent disagreement.
 
+use crate::delivery::{self, Delivery, Record};
 use crate::fault::{self, FaultPlan, LinkFault};
 use crate::node::OutOp;
 use crate::{Envelope, NetStats, Node, NodeId, Outbox, Payload};
@@ -552,47 +555,6 @@ impl Ord for QueuedEvent {
     }
 }
 
-/// Destination set of a [`DeliveryRecord`].
-#[derive(Debug, Clone, Copy)]
-enum Dest {
-    /// One destination.
-    One(NodeId),
-    /// Every node of an `n`-node system except `skip` (a compressed
-    /// broadcast — the record stands for `n − 1` logical messages).
-    All { n: usize, skip: NodeId },
-}
-
-impl Dest {
-    /// Number of logical messages this destination set stands for.
-    fn count(self) -> u64 {
-        match self {
-            Dest::One(_) => 1,
-            Dest::All { n, skip } => (n as u64) - u64::from(skip.index() < n),
-        }
-    }
-
-    /// Whether node `i` receives a copy.
-    fn covers(self, me: NodeId) -> bool {
-        match self {
-            Dest::One(to) => to == me,
-            Dest::All { n, skip } => me.index() < n && me != skip,
-        }
-    }
-}
-
-/// One round-aligned delivery parked in the flat ring. A whole broadcast
-/// is one record: the per-receiver [`Envelope`]s are only materialized —
-/// into a reused arena — when the destination round executes.
-#[derive(Debug)]
-struct DeliveryRecord {
-    from: NodeId,
-    /// Round the message was sent in (what [`Envelope::round`] carries and
-    /// what fault plans key on).
-    round: u32,
-    payload: Payload,
-    dest: Dest,
-}
-
 /// Scheduler/arena counters exposed for observability: how delivery
 /// traffic split between the flat ring and the binary-heap fallback, and
 /// the inbox arena's high-water mark.
@@ -626,7 +588,7 @@ pub struct EventNetwork {
     /// per upcoming round boundary. `ring[k]` matures at round
     /// `ring_base + k`. Buckets are in send (= seq) order by construction,
     /// so maturing a bucket needs no sorting.
-    ring: VecDeque<Vec<DeliveryRecord>>,
+    ring: VecDeque<Vec<Record>>,
     /// Round index of `ring.front()`.
     ring_base: u64,
     /// Heap deliveries popped for the current boundary, filed per node in
@@ -677,16 +639,9 @@ impl EventNetwork {
     /// # Panics
     ///
     /// Panics if `nodes[i].id() != NodeId(i)` — ids must match positions so
-    /// the simulator can stamp senders (N2).
+    /// the simulator can stamp senders (N2) — or on more than 65 535 nodes.
     pub fn new(nodes: Vec<Box<dyn Node>>) -> Self {
-        for (i, node) in nodes.iter().enumerate() {
-            assert_eq!(
-                node.id(),
-                NodeId(i as u16),
-                "node at index {i} reports id {}",
-                node.id()
-            );
-        }
+        delivery::check_nodes(&nodes);
         let n = nodes.len();
         EventNetwork {
             nodes,
@@ -872,7 +827,7 @@ impl EventNetwork {
 
     /// Park `record` in the ring bucket for round-boundary `at` (must be a
     /// multiple of [`TICKS_PER_ROUND`], strictly in the future).
-    fn ring_push(&mut self, at: u64, record: DeliveryRecord) {
+    fn ring_push(&mut self, at: u64, record: Record) {
         debug_assert!(at.is_multiple_of(TICKS_PER_ROUND));
         let idx = (at / TICKS_PER_ROUND - self.ring_base) as usize;
         if self.ring.len() <= idx {
@@ -887,17 +842,19 @@ impl EventNetwork {
         let boundary = u64::from(round) * TICKS_PER_ROUND;
         self.now = boundary;
 
-        // Mature this boundary's ring bucket. Records are already in send
-        // (= seq) order; all of them arrive exactly at the boundary.
-        let bucket: Vec<DeliveryRecord> = if self.ring_base == u64::from(round) {
+        // Mature this boundary's ring bucket and index it by destination.
+        // Records are already in send (= seq) order; all of them arrive
+        // exactly at the boundary.
+        let n = self.nodes.len();
+        let bucket: Vec<Record> = if self.ring_base == u64::from(round) {
             self.ring_base += 1;
             self.ring.pop_front().unwrap_or_default()
         } else {
             Vec::new()
         };
-        for rec in &bucket {
-            self.in_flight -= rec.dest.count();
-        }
+        let bucket = [bucket];
+        let delivery = Delivery::new(&bucket, n);
+        self.in_flight -= delivery.messages() as u64;
 
         // Drain heap events due at or before the boundary into the pending
         // inboxes in (deliver_at, seq) order. In hybrid mode the heap only
@@ -915,14 +872,13 @@ impl EventNetwork {
 
         // Run every node on its inbox, non-rushers first in id order, then
         // rushers (who preview this round's traffic addressed to them).
-        let n = self.nodes.len();
         let order: Vec<usize> = (0..n)
             .filter(|i| !self.rushing.contains(&NodeId(*i as u16)))
             .chain((0..n).filter(|i| self.rushing.contains(&NodeId(*i as u16))))
             .collect();
         let mut sent_this_round: Vec<Envelope> = Vec::new();
         for i in order {
-            self.run_node(i, round, &bucket, &mut sent_this_round);
+            self.run_node(i, round, &delivery, &mut sent_this_round);
         }
 
         self.round = round + 1;
@@ -939,7 +895,7 @@ impl EventNetwork {
         &mut self,
         i: usize,
         round: u32,
-        bucket: &[DeliveryRecord],
+        delivery: &Delivery<'_>,
         sent_this_round: &mut Vec<Envelope>,
     ) {
         let me = NodeId(i as u16);
@@ -948,26 +904,17 @@ impl EventNetwork {
         // Heap deliveries first (strictly earlier arrival ticks in hybrid
         // mode; everything in reference mode)…
         inbox.append(&mut self.pending[i]);
-        // …then this node's slice of the matured bucket, materialized into
-        // the arena. With no fault plan the envelope is a plain handle
-        // clone; otherwise each member goes through the same per-delivery
-        // fault dispatch as `deliver`.
-        for rec in bucket {
-            if !rec.dest.covers(me) {
-                continue;
+        // …then this node's records of the matured bucket, materialized
+        // into the arena. With no fault plan the envelope is a plain handle
+        // clone; otherwise each one goes through the same per-delivery
+        // fault dispatch as `deliver` (a delay was applied at send time).
+        if self.faults.is_empty() {
+            inbox.extend(delivery.inbound(me));
+        } else {
+            for env in delivery.inbound(me) {
+                let fault = self.faults.lookup(env.round, env.from, env.to);
+                fault::deliver(fault, env, &mut inbox, &mut self.pending_reordered[i]);
             }
-            let env = Envelope {
-                from: rec.from,
-                to: me,
-                round: rec.round,
-                payload: rec.payload.clone(),
-            };
-            if self.faults.is_empty() {
-                inbox.push(env);
-                continue;
-            }
-            let fault = self.faults.lookup(env.round, env.from, env.to);
-            fault::deliver(fault, env, &mut inbox, &mut self.pending_reordered[i]);
         }
         // …then reorder-faulted messages, then a rusher's preview.
         inbox.append(&mut self.pending_reordered[i]);
@@ -984,11 +931,12 @@ impl EventNetwork {
         self.dispatch_outbox(me, round, out, sent_this_round);
     }
 
-    /// Schedule a node's queued sends. Broadcasts ride the compressed
-    /// fast path — one ring record and one batched statistics update for
-    /// `n − 1` logical messages — whenever nothing per-message-observable
-    /// is active; everything else expands through [`EventNetwork::send_one`]
-    /// in exactly the legacy per-message order.
+    /// Schedule a node's queued sends. A broadcast over the whole system
+    /// from its sender rides the compressed fast path — one ring record
+    /// and one batched statistics update for `n − 1` logical messages —
+    /// whenever nothing per-message-observable is active; everything else
+    /// expands through [`EventNetwork::send_one`] in exactly the legacy
+    /// per-message order.
     fn dispatch_outbox(
         &mut self,
         from: NodeId,
@@ -1020,9 +968,9 @@ impl EventNetwork {
                     n: bn,
                     skip,
                     payload,
-                } if bn == n && uniform.is_some() => {
+                } if bn == n && skip == from && uniform.is_some() => {
                     let d = uniform.expect("guarded");
-                    let count = bn - usize::from(skip.index() < bn);
+                    let count = n - 1;
                     if count == 0 {
                         continue;
                     }
@@ -1038,11 +986,11 @@ impl EventNetwork {
                     self.sched.ring_enqueued += count as u64;
                     self.ring_push(
                         self.now + d,
-                        DeliveryRecord {
-                            from,
-                            round,
+                        Record {
                             payload,
-                            dest: Dest::All { n: bn, skip },
+                            from,
+                            to: Record::BROADCAST,
+                            round,
                         },
                     );
                 }
@@ -1111,11 +1059,11 @@ impl EventNetwork {
             self.sched.ring_enqueued += 1;
             self.ring_push(
                 at,
-                DeliveryRecord {
-                    from,
-                    round,
+                Record {
                     payload: env.payload,
-                    dest: Dest::One(to),
+                    from,
+                    to,
+                    round,
                 },
             );
         } else {

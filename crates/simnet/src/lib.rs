@@ -59,6 +59,7 @@
 #![warn(missing_docs)]
 
 pub mod codec;
+mod delivery;
 mod envelope;
 pub mod event;
 pub mod fault;

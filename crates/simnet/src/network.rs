@@ -1,5 +1,6 @@
 //! The deterministic round-synchronous simulator.
 
+use crate::delivery::{self, Delivery, Record};
 use crate::fault::{self, FaultPlan, LinkFault};
 use crate::{Envelope, NetStats, Node, NodeId, Outbox};
 
@@ -15,17 +16,23 @@ const PARALLEL_MIN_DELIVERIES: usize = 256;
 /// fully deterministic for any worker count (see
 /// [`SyncNetwork::set_workers`]): message order within a round is
 /// sender-id order, then send order.
+///
+/// A round's sends wait as compressed records (a broadcast is one record
+/// for `n − 1` messages) in one segment per worker's id range. The next
+/// round indexes them by destination once and materializes each
+/// receiver's inbox, link faults applied, into a reused arena just before
+/// the receiver runs — the same delivery path as [`crate::EventNetwork`].
 pub struct SyncNetwork {
     nodes: Vec<Box<dyn Node>>,
-    /// Messages sent in the round just executed, awaiting delivery: one
+    /// Records sent in the round just executed, awaiting delivery: one
     /// segment per worker's id range, in id order, then the rushing
     /// nodes' segment — walking them in order is sender-id order.
-    in_flight: Vec<Vec<Envelope>>,
+    sent: Vec<Vec<Record>>,
     /// Threads that may step one round's nodes (at least 1).
     workers: usize,
-    /// Messages held back by a [`LinkFault::Delay`], keyed by the round in
-    /// which they become deliverable.
-    delayed: Vec<(u32, Envelope)>,
+    /// Messages held back by a [`LinkFault::Delay`], with the round in
+    /// which they become deliverable, in the order they were held.
+    parked: Vec<(u32, Envelope)>,
     round: u32,
     stats: NetStats,
     faults: FaultPlan,
@@ -47,22 +54,15 @@ impl SyncNetwork {
     /// # Panics
     ///
     /// Panics if `nodes[i].id() != NodeId(i)` — ids must match positions so
-    /// the simulator can stamp senders (N2).
+    /// the simulator can stamp senders (N2) — or on more than 65 535 nodes.
     pub fn new(nodes: Vec<Box<dyn Node>>) -> Self {
-        for (i, node) in nodes.iter().enumerate() {
-            assert_eq!(
-                node.id(),
-                NodeId(i as u16),
-                "node at index {i} reports id {}",
-                node.id()
-            );
-        }
+        delivery::check_nodes(&nodes);
         let n = nodes.len();
         SyncNetwork {
             nodes,
-            in_flight: Vec::new(),
+            sent: Vec::new(),
             workers: 1,
-            delayed: Vec::new(),
+            parked: Vec::new(),
             round: 0,
             stats: NetStats::new(n),
             faults: FaultPlan::new(),
@@ -98,11 +98,14 @@ impl SyncNetwork {
 
     /// Step each round's non-rushing nodes on up to `workers` threads
     /// (default 1; 0 counts as 1). The nodes are split into contiguous id
-    /// ranges: the calling thread runs the first, scoped threads the rest,
-    /// and each range queues its sends into its own segment, delivered in
-    /// id order — so delivery order, statistics and every node's inputs
-    /// are the same for any worker count. Rounds delivering fewer than 256
-    /// messages use the calling thread alone.
+    /// ranges: the calling thread runs the first, scoped threads the rest.
+    /// Every range reads the round's one shared destination index,
+    /// materializes each of its receivers' inboxes in its own reused
+    /// arena, and turns its nodes' sends into records in its own segment;
+    /// the segments are delivered in id order — so delivery order,
+    /// statistics and every node's inputs are the same for any worker
+    /// count. Rounds delivering fewer than 256 messages use the calling
+    /// thread alone.
     ///
     /// That holds as long as nodes share no state whose outcome depends
     /// on the order they touch it in: a verification cache shared by every
@@ -185,103 +188,87 @@ impl SyncNetwork {
     pub fn step(&mut self) {
         let round = self.round;
         let n = self.nodes.len();
+        let previous = std::mem::take(&mut self.sent);
+        let delivery = Delivery::new(&previous, n);
+        // Held messages due now, grouped by receiver in the order they
+        // were held (a stable sort).
+        let (mut matured, held) = std::mem::take(&mut self.parked)
+            .into_iter()
+            .partition::<Vec<_>, _>(|&(due, _)| due <= round);
+        self.parked = held;
+        matured.sort_by_key(|(_, env)| env.to);
+        let input = RoundInput {
+            round,
+            n,
+            delivery: &delivery,
+            matured: &matured,
+            faults: &self.faults,
+            rushing: &self.rushing,
+        };
 
-        // Distribute in-flight messages into per-node inboxes,
-        // applying any installed link faults. Delayed messages whose hold
-        // expired this round are delivered first (they are older), and
-        // reordered messages are appended after everything else.
-        let mut inboxes: Vec<Vec<Envelope>> = (0..n).map(|_| Vec::new()).collect();
-        let mut reordered: Vec<Vec<Envelope>> = (0..n).map(|_| Vec::new()).collect();
-        let mut held = Vec::new();
-        for (due, env) in std::mem::take(&mut self.delayed) {
-            if due <= round {
-                inboxes[env.to.index()].push(env);
-            } else {
-                held.push((due, env));
-            }
-        }
-        self.delayed = held;
-        for env in std::mem::take(&mut self.in_flight).into_iter().flatten() {
-            let to = env.to.index();
-            match self.faults.lookup(env.round, env.from, env.to) {
-                // A zero-round delay is a no-op (as on the event engine,
-                // where it adds zero ticks).
-                Some(LinkFault::Delay { rounds }) if rounds > 0 => {
-                    self.delayed.push((round.saturating_add(rounds), env));
-                }
-                fault => fault::deliver(fault, env, &mut inboxes[to], &mut reordered[to]),
-            }
-        }
-        for (inbox, late) in inboxes.iter_mut().zip(reordered) {
-            inbox.extend(late);
-        }
-
-        // Run every node on its inbox; collect new messages. Non-rushing
-        // nodes act first, one contiguous id range per worker; rushing
-        // nodes act last and additionally preview the current round's
-        // messages addressed to them (see [`SyncNetwork::set_rushing`]).
-        let deliveries: usize = inboxes.iter().map(Vec::len).sum();
-        let workers = if deliveries < PARALLEL_MIN_DELIVERIES {
+        // Non-rushing nodes act first, one contiguous id range per worker;
+        // rushing nodes act last and additionally preview the current
+        // round's messages addressed to them (see
+        // [`SyncNetwork::set_rushing`]).
+        let workers = if delivery.messages() + matured.len() < PARALLEL_MIN_DELIVERIES {
             1
         } else {
             self.workers
         };
         let chunk = n.div_ceil(workers).max(1);
-        let rushing = &self.rushing;
-        let mut segments = Vec::with_capacity(workers + 1);
+        let mut ranges = Vec::with_capacity(workers);
         std::thread::scope(|scope| {
-            let mut ranges = self
+            let mut chunks = self
                 .nodes
                 .chunks_mut(chunk)
-                .zip(inboxes.chunks_mut(chunk))
                 .enumerate()
-                .map(|(r, (nodes, inboxes))| (r * chunk, nodes, inboxes));
-            let first = ranges.next();
-            let spawned: Vec<_> = ranges
-                .map(|(base, nodes, inboxes)| {
-                    scope.spawn(move || step_range(base, nodes, inboxes, round, rushing))
-                })
+                .map(|(r, nodes)| (r * chunk, nodes));
+            let first = chunks.next();
+            let spawned: Vec<_> = chunks
+                .map(|(base, nodes)| scope.spawn(move || input.step_range(base, nodes)))
                 .collect();
-            if let Some((base, nodes, inboxes)) = first {
-                segments.push(step_range(base, nodes, inboxes, round, rushing));
+            if let Some((base, nodes)) = first {
+                ranges.push(input.step_range(base, nodes));
             }
             for worker in spawned {
                 match worker.join() {
-                    Ok(segment) => segments.push(segment),
+                    Ok(range) => ranges.push(range),
                     Err(panic) => std::panic::resume_unwind(panic),
                 }
             }
         });
-        for segment in &mut segments {
-            record_segment(&mut self.stats, segment, n);
+        let sent_before = self.stats.messages_total;
+        let mut sent = Vec::with_capacity(ranges.len() + 1);
+        for range in ranges {
+            self.stats.merge(&range.stats);
+            self.parked.extend(range.parked);
+            sent.push(range.records);
         }
         let mut rushed = Vec::new();
-        for from in NodeId::all(n).filter(|id| self.rushing.contains(id)) {
-            let mut inbox = std::mem::take(&mut inboxes[from.index()]);
+        let mut arena = Arena::default();
+        let mut out = Outbox::new();
+        for me in NodeId::all(n).filter(|id| self.rushing.contains(id)) {
+            let inbox = input.inbox(me, &mut arena, &mut self.parked);
             inbox.extend(
-                segments
-                    .iter()
+                sent.iter()
                     .chain([&rushed])
                     .flatten()
-                    .filter(|env| env.to == from)
-                    .cloned(),
+                    .filter(|record| record.covers(me))
+                    .map(|record| record.envelope(me)),
             );
-            let mut out = Outbox::new();
-            self.nodes[from.index()].on_round(round, &inbox, &mut out);
-            let mut sent = envelopes(from, round, out).collect();
-            record_segment(&mut self.stats, &mut sent, n);
-            rushed.append(&mut sent);
+            self.nodes[me.index()].on_round(round, inbox, &mut out);
+            delivery::push_ops(out.drain_ops(), me, round, n, &mut rushed, &mut self.stats);
         }
-        segments.push(rushed);
-        self.in_flight = segments;
+        sent.push(rushed);
+        let in_flight = self.stats.messages_total - sent_before;
+        self.sent = sent;
 
         self.round += 1;
         self.stats.rounds = self.round;
         if let Some(marks) = self.round_marks.as_mut() {
             let epoch = self.marks_epoch.expect("marks epoch set with round_marks");
             marks.push(u64::try_from(epoch.elapsed().as_micros()).unwrap_or(u64::MAX));
-            let in_flight: usize = self.in_flight.iter().map(Vec::len).sum();
-            let depth = in_flight + self.delayed.len();
+            let depth = in_flight + self.parked.len();
             self.max_queue_depth = self.max_queue_depth.max(depth);
         }
     }
@@ -291,10 +278,7 @@ impl SyncNetwork {
     pub fn run_until_done(&mut self, max_rounds: u32) -> u32 {
         while self.round < max_rounds {
             self.step();
-            if self.all_done()
-                && self.in_flight.iter().all(Vec::is_empty)
-                && self.delayed.is_empty()
-            {
+            if self.all_done() && self.sent.iter().all(Vec::is_empty) && self.parked.is_empty() {
                 break;
             }
         }
@@ -302,64 +286,116 @@ impl SyncNetwork {
     }
 }
 
-/// Step one contiguous id range of a round, `base` being its first id:
-/// each non-rushing node consumes its inbox (dropped as soon as the node
-/// returns) and its sends join the range's segment in send order.
-fn step_range(
-    base: usize,
-    nodes: &mut [Box<dyn Node>],
-    inboxes: &mut [Vec<Envelope>],
+/// What every worker of one round reads.
+#[derive(Clone, Copy)]
+struct RoundInput<'a> {
     round: u32,
-    rushing: &[NodeId],
-) -> Vec<Envelope> {
-    let mut segment = Vec::new();
-    for (i, (node, inbox)) in nodes.iter_mut().zip(inboxes).enumerate() {
-        let from = NodeId((base + i) as u16);
-        if rushing.contains(&from) {
-            continue;
+    n: usize,
+    /// The previous round's records, indexed by destination.
+    delivery: &'a Delivery<'a>,
+    /// Held messages due this round, grouped by receiver.
+    matured: &'a [(u32, Envelope)],
+    faults: &'a FaultPlan,
+    rushing: &'a [NodeId],
+}
+
+/// A worker's reused inbox buffers.
+#[derive(Default)]
+struct Arena {
+    inbox: Vec<Envelope>,
+    /// Reorder-faulted messages, appended after the rest of the inbox.
+    late: Vec<Envelope>,
+}
+
+/// What one id range produced in a round.
+struct RangeOutput {
+    /// Its nodes' sends, in id order, then send order.
+    records: Vec<Record>,
+    /// Those sends' statistics.
+    stats: NetStats,
+    /// Messages its receivers' link faults held back.
+    parked: Vec<(u32, Envelope)>,
+}
+
+impl RoundInput<'_> {
+    /// Materialize `me`'s inbox in `arena`: its held messages due now
+    /// first (they are older), then the previous round's messages in send
+    /// order with link faults applied — a delayed one goes to `parked` —
+    /// then the reordered ones.
+    fn inbox<'b>(
+        &self,
+        me: NodeId,
+        arena: &'b mut Arena,
+        parked: &mut Vec<(u32, Envelope)>,
+    ) -> &'b mut Vec<Envelope> {
+        let inbox = &mut arena.inbox;
+        inbox.clear();
+        let lo = self.matured.partition_point(|(_, env)| env.to < me);
+        let hi = self.matured.partition_point(|(_, env)| env.to <= me);
+        inbox.extend(self.matured[lo..hi].iter().map(|(_, env)| env.clone()));
+        if self.faults.is_empty() {
+            inbox.extend(self.delivery.inbound(me));
+        } else {
+            for env in self.delivery.inbound(me) {
+                match self.faults.lookup(env.round, env.from, env.to) {
+                    // A zero-round delay is a no-op (as on the event engine,
+                    // where it adds zero ticks).
+                    Some(LinkFault::Delay { rounds }) if rounds > 0 => {
+                        parked.push((self.round.saturating_add(rounds), env));
+                    }
+                    fault => fault::deliver(fault, env, inbox, &mut arena.late),
+                }
+            }
+            inbox.append(&mut arena.late);
         }
-        let inbox = std::mem::take(inbox);
-        let mut out = Outbox::new();
-        node.on_round(round, &inbox, &mut out);
-        drop(inbox);
-        segment.extend(envelopes(from, round, out));
+        inbox
     }
-    segment
-}
 
-/// A node's queued sends as envelopes stamped with the true sender (N2).
-fn envelopes(from: NodeId, round: u32, out: Outbox) -> impl Iterator<Item = Envelope> {
-    out.into_messages()
-        .into_iter()
-        .map(move |(to, payload)| Envelope {
-            from,
-            to,
-            round,
-            payload,
-        })
-}
-
-/// Drop a segment's messages to unknown ids (counted as
-/// `dropped_invalid`) and record the rest as sent.
-fn record_segment(stats: &mut NetStats, segment: &mut Vec<Envelope>, n: usize) {
-    segment.retain(|env| {
-        if env.to.index() >= n {
-            stats.dropped_invalid += 1;
-            return false;
+    /// Step one contiguous id range, `base` being its first id: each
+    /// non-rushing node runs on its materialized inbox and its sends join
+    /// the range's segment in send order.
+    fn step_range(&self, base: usize, nodes: &mut [Box<dyn Node>]) -> RangeOutput {
+        let mut output = RangeOutput {
+            records: Vec::new(),
+            stats: NetStats::new(self.n),
+            parked: Vec::new(),
+        };
+        let mut arena = Arena::default();
+        let mut out = Outbox::new();
+        for (i, node) in nodes.iter_mut().enumerate() {
+            let me = NodeId((base + i) as u16);
+            if self.rushing.contains(&me) {
+                continue;
+            }
+            let inbox = self.inbox(me, &mut arena, &mut output.parked);
+            node.on_round(self.round, inbox, &mut out);
+            delivery::push_ops(
+                out.drain_ops(),
+                me,
+                self.round,
+                self.n,
+                &mut output.records,
+                &mut output.stats,
+            );
         }
-        stats.record_send(env.from, env.round, env.wire_len());
-        true
-    });
+        output
+    }
 }
 
 impl core::fmt::Debug for SyncNetwork {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        let n = self.nodes.len();
         f.debug_struct("SyncNetwork")
-            .field("n", &self.nodes.len())
+            .field("n", &n)
             .field("round", &self.round)
             .field(
                 "in_flight",
-                &self.in_flight.iter().map(Vec::len).sum::<usize>(),
+                &self
+                    .sent
+                    .iter()
+                    .flatten()
+                    .map(|r| r.count(n))
+                    .sum::<usize>(),
             )
             .finish()
     }

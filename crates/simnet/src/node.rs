@@ -6,9 +6,10 @@ use std::any::Any;
 /// One queued send operation. Broadcasts stay *compressed* — one op with a
 /// shared payload handle instead of `n − 1` expanded messages — so a
 /// transport that understands fan-out (the event engine's ring scheduler)
-/// can move a whole broadcast as a single delivery record. Transports that
-/// want the flat per-message view call [`Outbox::into_messages`], which
-/// expands ops in exactly the order the legacy per-message outbox produced.
+/// can move a whole broadcast as a single delivery record (both in-process
+/// engines do). Transports that want the flat per-message view call
+/// [`Outbox::into_messages`], which expands ops in exactly the order the
+/// legacy per-message outbox produced.
 #[derive(Debug, Clone)]
 pub(crate) enum OutOp {
     /// A single message to one destination.
@@ -87,10 +88,16 @@ impl Outbox {
         msgs
     }
 
-    /// Drain the raw ops (event-engine-internal; keeps broadcasts
-    /// compressed).
+    /// Drain the raw ops (engine-internal; keeps broadcasts compressed).
     pub(crate) fn into_ops(self) -> Vec<OutOp> {
         self.ops
+    }
+
+    /// Drain the raw ops and keep the buffer, so one outbox serves every
+    /// node an engine steps (engine-internal).
+    pub(crate) fn drain_ops(&mut self) -> std::vec::Drain<'_, OutOp> {
+        self.count = 0;
+        self.ops.drain(..)
     }
 }
 

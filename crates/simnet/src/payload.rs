@@ -3,9 +3,11 @@
 //! Every hop of a simulated message used to deep-copy its bytes: broadcast
 //! fan-out cloned the buffer per peer, `Duplicate`/rushing-preview branches
 //! cloned per delivery, and the report path cloned once more. [`Payload`]
-//! replaces `Vec<u8>` on [`crate::Envelope`] with an `Arc<[u8]>`-backed
-//! handle: cloning is a reference-count bump, and `Bytes`-style
+//! replaces `Vec<u8>` on [`crate::Envelope`] with a handle to a shared
+//! buffer: cloning is a reference-count bump, and `Bytes`-style
 //! [`Payload::slice`] shares the underlying buffer instead of copying.
+//! The handle is 16 bytes (a thin pointer and a `u32` window), which keeps
+//! an envelope, and a send record parked in an engine, at 24 bytes.
 //!
 //! Mutation (the `Corrupt` link fault) goes through [`Payload::make_mut`],
 //! which is copy-on-write: a uniquely owned buffer is flipped in place,
@@ -22,12 +24,13 @@ use core::fmt;
 use std::ops::{Bound, Deref, RangeBounds};
 use std::sync::Arc;
 
-/// An immutable, cheaply clonable byte payload (`Arc<[u8]>` plus a window).
+/// An immutable, cheaply clonable byte payload: a shared buffer plus a
+/// window of at most `u32::MAX` bytes.
 #[derive(Clone)]
 pub struct Payload {
-    buf: Arc<[u8]>,
-    off: usize,
-    len: usize,
+    buf: Arc<Vec<u8>>,
+    off: u32,
+    len: u32,
 }
 
 impl Payload {
@@ -38,12 +41,13 @@ impl Payload {
 
     /// The visible bytes.
     pub fn as_slice(&self) -> &[u8] {
-        &self.buf[self.off..self.off + self.len]
+        let off = self.off as usize;
+        &self.buf[off..off + self.len()]
     }
 
     /// Length of the visible window.
     pub fn len(&self) -> usize {
-        self.len
+        self.len as usize
     }
 
     /// `true` if the visible window is empty.
@@ -65,17 +69,18 @@ impl Payload {
         let end = match range.end_bound() {
             Bound::Included(&e) => e + 1,
             Bound::Excluded(&e) => e,
-            Bound::Unbounded => self.len,
+            Bound::Unbounded => self.len(),
         };
         assert!(
-            start <= end && end <= self.len,
+            start <= end && end <= self.len(),
             "slice {start}..{end} out of bounds for payload of {} bytes",
             self.len
         );
+        // In bounds of a window that fits a `u32`, so the casts are exact.
         Payload {
             buf: Arc::clone(&self.buf),
-            off: self.off + start,
-            len: end - start,
+            off: self.off + start as u32,
+            len: (end - start) as u32,
         }
     }
 
@@ -84,12 +89,10 @@ impl Payload {
     /// windowed) is copied first so other handles keep the original bytes.
     pub fn make_mut(&mut self) -> &mut [u8] {
         let unique_whole =
-            self.off == 0 && self.len == self.buf.len() && Arc::get_mut(&mut self.buf).is_some();
+            self.off == 0 && self.len() == self.buf.len() && Arc::get_mut(&mut self.buf).is_some();
         if !unique_whole {
-            let copy: Arc<[u8]> = Arc::from(&self.buf[self.off..self.off + self.len]);
-            self.buf = copy;
+            self.buf = Arc::new(self.as_slice().to_vec());
             self.off = 0;
-            self.len = self.buf.len();
         }
         Arc::get_mut(&mut self.buf).expect("uniquely owned after copy-on-write")
     }
@@ -114,9 +117,9 @@ impl Payload {
     /// re-verifies instead of sharing).
     pub fn ident(&self) -> (usize, usize, usize) {
         (
-            Arc::as_ptr(&self.buf) as *const u8 as usize,
-            self.off,
-            self.len,
+            Arc::as_ptr(&self.buf) as usize,
+            self.off as usize,
+            self.len(),
         )
     }
 
@@ -147,10 +150,18 @@ impl AsRef<[u8]> for Payload {
 }
 
 impl From<Vec<u8>> for Payload {
-    fn from(bytes: Vec<u8>) -> Self {
-        let len = bytes.len();
+    /// Takes the buffer over without copying its bytes (spare capacity is
+    /// released).
+    ///
+    /// # Panics
+    ///
+    /// Panics on more than `u32::MAX` bytes; no transport carries a
+    /// message that large (mesh frames stop at 64 MiB).
+    fn from(mut bytes: Vec<u8>) -> Self {
+        let len = u32::try_from(bytes.len()).expect("a payload is at most u32::MAX bytes");
+        bytes.shrink_to_fit();
         Payload {
-            buf: Arc::from(bytes),
+            buf: Arc::new(bytes),
             off: 0,
             len,
         }
@@ -159,11 +170,7 @@ impl From<Vec<u8>> for Payload {
 
 impl From<&[u8]> for Payload {
     fn from(bytes: &[u8]) -> Self {
-        Payload {
-            buf: Arc::from(bytes),
-            off: 0,
-            len: bytes.len(),
-        }
+        Payload::from(bytes.to_vec())
     }
 }
 
@@ -244,7 +251,7 @@ impl fmt::Debug for Payload {
             .take(8)
             .map(|b| format!("{b:02x}"))
             .collect();
-        let ellipsis = if self.len > 8 { "…" } else { "" };
+        let ellipsis = if self.len() > 8 { "…" } else { "" };
         write!(f, "Payload({head}{ellipsis}[{}B])", self.len)
     }
 }
@@ -345,6 +352,11 @@ mod tests {
         assert_eq!(Payload::decode_exact(&bytes).unwrap(), p);
         // Byte-compatible with the Vec<u8> encoding.
         assert_eq!(bytes, vec![1u8, 2, 3].encode_to_vec());
+    }
+
+    #[test]
+    fn a_payload_is_a_thin_handle_and_a_window() {
+        assert_eq!(std::mem::size_of::<Payload>(), 16);
     }
 
     #[test]

@@ -69,6 +69,26 @@ impl NetStats {
         }
     }
 
+    /// Add the counts of sends another engine worker recorded over the
+    /// same rounds (per-round and per-node counts add up elementwise;
+    /// `rounds` is left alone).
+    pub(crate) fn merge(&mut self, other: &NetStats) {
+        self.messages_total += other.messages_total;
+        self.bytes_total += other.bytes_total;
+        self.dropped_invalid += other.dropped_invalid;
+        for (mine, theirs) in [
+            (&mut self.per_round, &other.per_round),
+            (&mut self.sent_by, &other.sent_by),
+        ] {
+            if mine.len() < theirs.len() {
+                mine.resize(theirs.len(), 0);
+            }
+            for (a, b) in mine.iter_mut().zip(theirs) {
+                *a += b;
+            }
+        }
+    }
+
     /// Merge another run's statistics into this one (for cumulative
     /// amortization accounting, experiment F1).
     pub fn absorb(&mut self, other: &NetStats) {
@@ -126,6 +146,23 @@ mod tests {
             single.record_send(NodeId(1), 2, 10);
         }
         assert_eq!(batched, single);
+    }
+
+    #[test]
+    fn merge_adds_counts_of_the_same_rounds() {
+        let mut a = NetStats::new(3);
+        a.record_send(NodeId(0), 1, 10);
+        a.rounds = 2;
+        let mut b = NetStats::new(3);
+        b.record_send_n(NodeId(2), 1, 5, 2);
+        b.dropped_invalid = 1;
+        a.merge(&b);
+        assert_eq!(a.messages_total, 3);
+        assert_eq!(a.bytes_total, 20);
+        assert_eq!(a.per_round, vec![0, 3]);
+        assert_eq!(a.sent_by, vec![1, 0, 2]);
+        assert_eq!(a.dropped_invalid, 1);
+        assert_eq!(a.rounds, 2);
     }
 
     #[test]
