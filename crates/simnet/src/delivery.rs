@@ -59,15 +59,6 @@ impl Record {
         self.to == Record::BROADCAST
     }
 
-    /// Logical messages this record stands for in an `n`-node system.
-    pub(crate) fn count(&self, n: usize) -> usize {
-        if self.is_broadcast() {
-            n - 1
-        } else {
-            1
-        }
-    }
-
     /// Whether node `me` of the system receives a copy.
     pub(crate) fn covers(&self, me: NodeId) -> bool {
         self.to == me || (self.is_broadcast() && self.from != me)

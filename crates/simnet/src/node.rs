@@ -5,9 +5,8 @@ use std::any::Any;
 
 /// One queued send operation. Broadcasts stay *compressed* — one op with a
 /// shared payload handle instead of `n − 1` expanded messages — so a
-/// transport that understands fan-out (the event engine's ring scheduler)
-/// can move a whole broadcast as a single delivery record (both in-process
-/// engines do). Transports that want the flat per-message view call
+/// transport that understands fan-out (both in-process engines) can move
+/// a whole broadcast as a single delivery record. Transports that want the flat per-message view call
 /// [`Outbox::into_messages`], which expands ops in exactly the order the
 /// legacy per-message outbox produced.
 #[derive(Debug, Clone)]
@@ -91,13 +90,6 @@ impl Outbox {
     /// Drain the raw ops (engine-internal; keeps broadcasts compressed).
     pub(crate) fn into_ops(self) -> Vec<OutOp> {
         self.ops
-    }
-
-    /// Drain the raw ops and keep the buffer, so one outbox serves every
-    /// node an engine steps (engine-internal).
-    pub(crate) fn drain_ops(&mut self) -> std::vec::Drain<'_, OutOp> {
-        self.count = 0;
-        self.ops.drain(..)
     }
 }
 

@@ -9,7 +9,7 @@
 //!
 //! A second wall pins the engines to each other: `SyncNetwork` on any
 //! worker count delivers exactly what `EventNetwork` does under
-//! synchronous latency, link faults and a rusher included.
+//! synchronous latency, link faults and rushers included.
 
 use local_auth_fd::simnet::event::{SeededJitter, TICKS_PER_ROUND};
 use local_auth_fd::simnet::fault::{FaultPlan, LinkFault};
@@ -277,15 +277,15 @@ impl Node for Mixer {
     }
 }
 
-/// A delivery-order scenario: scripts, a link-fault plan and an
-/// optional rusher.
+/// A delivery-order scenario: scripts, a link-fault plan and up to two
+/// rushers.
 #[derive(Debug, Clone)]
 struct MixedPlan {
     n: usize,
     rounds: usize,
     scripts: Vec<Vec<Vec<Mixed>>>,
     faults: FaultPlan,
-    rusher: Option<NodeId>,
+    rushers: Vec<NodeId>,
 }
 
 fn mixers(plan: &MixedPlan) -> Vec<Box<dyn Node>> {
@@ -318,9 +318,7 @@ fn run_sync(plan: &MixedPlan, workers: usize) -> (Seen, NetStats) {
     let mut net = SyncNetwork::new(mixers(plan));
     net.set_workers(workers);
     net.set_fault_plan(plan.faults.clone());
-    if let Some(r) = plan.rusher {
-        net.set_rushing(vec![r]);
-    }
+    net.set_rushing(plan.rushers.clone());
     for _ in 0..mixed_steps(plan) {
         net.step();
     }
@@ -331,9 +329,7 @@ fn run_sync(plan: &MixedPlan, workers: usize) -> (Seen, NetStats) {
 fn run_event(plan: &MixedPlan, reference: bool) -> (Seen, NetStats) {
     let mut net = EventNetwork::new(mixers(plan));
     net.set_fault_plan(plan.faults.clone());
-    if let Some(r) = plan.rusher {
-        net.set_rushing(vec![r]);
-    }
+    net.set_rushing(plan.rushers.clone());
     net.set_reference_scheduler(reference);
     for _ in 0..mixed_steps(plan) {
         net.step();
@@ -351,7 +347,8 @@ proptest! {
     /// reference scheduler — every node's `(round, from, payload)`
     /// sequence and the whole `NetStats` — for scripts that mix unicasts,
     /// broadcasts, broadcasts past the system and sends to unknown ids,
-    /// under random link faults and an optional rusher. `dense` gives
+    /// under random link faults and up to two rushers (a later rusher
+    /// previews an earlier one's sends). `dense` gives
     /// every node a round-0 broadcast, so from n = 17 on a round carries
     /// more than the 256 deliveries below which the sync engine stays on
     /// one thread.
@@ -368,8 +365,7 @@ proptest! {
             (any::<usize>(), any::<usize>(), any::<usize>(), 0u8..5, any::<u8>()),
             0..24,
         ),
-        rush_pick in any::<usize>(),
-        use_rusher in any::<bool>(),
+        rush_picks in prop::collection::vec(any::<usize>(), 0..3),
     ) {
         let mut scripts = vec![vec![Vec::new(); rounds]; n];
         if dense {
@@ -409,7 +405,7 @@ proptest! {
             rounds,
             scripts,
             faults,
-            rusher: use_rusher.then(|| NodeId((rush_pick % n) as u16)),
+            rushers: rush_picks.iter().map(|pick| NodeId((pick % n) as u16)).collect(),
         };
 
         let hybrid = run_event(&plan, false);
