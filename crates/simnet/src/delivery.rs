@@ -5,7 +5,7 @@
 //! logical messages). Before a round runs, [`Delivery::new`] indexes its
 //! records by destination with one counting sort, and
 //! [`Delivery::inbound`] materializes one receiver's envelopes, in send
-//! order, just before that receiver runs — into an arena the engine
+//! order, just before that receiver runs — into an [`Arena`] the engine
 //! reuses, never into per-receiver inboxes built up front.
 
 use crate::node::OutOp;
@@ -229,10 +229,9 @@ pub(crate) struct Inbound<'a> {
     segment: usize,
 }
 
-impl Iterator for Inbound<'_> {
-    type Item = Envelope;
-
-    fn next(&mut self) -> Option<Envelope> {
+impl<'a> Inbound<'a> {
+    /// The next record addressed to `me`, with its position.
+    fn next_record(&mut self) -> Option<(u32, &'a Record)> {
         loop {
             let pos = match (self.one.split_first(), self.all.split_first()) {
                 (Some((&one, rest)), Some((&all, _))) if one < all => {
@@ -256,9 +255,74 @@ impl Iterator for Inbound<'_> {
             let record =
                 &self.delivery.segments[self.segment][(pos - starts[self.segment]) as usize];
             if record.covers(self.me) {
-                return Some(record.envelope(self.me));
+                return Some((pos, record));
             }
         }
+    }
+}
+
+impl Iterator for Inbound<'_> {
+    type Item = Envelope;
+
+    fn next(&mut self) -> Option<Envelope> {
+        self.next_record()
+            .map(|(_, record)| record.envelope(self.me))
+    }
+}
+
+/// A reused inbox buffer that receivers fill one after another.
+///
+/// Consecutive receivers of a round mostly get the same records — every
+/// broadcast but their own — so [`Arena::refill`] keeps each envelope
+/// whose record is unchanged at its index and only rewrites its
+/// destination: a payload handle is cloned, and later released, once per
+/// change between receivers rather than once per receiver.
+#[derive(Debug, Default)]
+pub(crate) struct Arena {
+    /// The current receiver's inbox.
+    pub(crate) inbox: Vec<Envelope>,
+    /// Position of the record each leading entry of `inbox` was
+    /// materialized from, in the delivery last refilled from.
+    sources: Vec<u32>,
+}
+
+impl Arena {
+    /// Empty the inbox for a receiver assembled by hand.
+    pub(crate) fn clear(&mut self) {
+        self.inbox.clear();
+        self.sources.clear();
+    }
+
+    /// Forget which records the inbox came from: call before refilling
+    /// from a new [`Delivery`], whose positions name other records.
+    pub(crate) fn forget(&mut self) {
+        self.sources.clear();
+    }
+
+    /// Make the inbox exactly `me`'s envelopes of `delivery`, in send
+    /// order, equal to what [`Delivery::inbound`] yields.
+    pub(crate) fn refill(&mut self, delivery: &Delivery<'_>, me: NodeId) {
+        let mut records = delivery.inbound(me);
+        let mut k = 0;
+        while let Some((pos, record)) = records.next_record() {
+            // `sources` covers a prefix of `inbox`, at least `0..k`.
+            if self.sources.get(k) == Some(&pos) {
+                self.inbox[k].to = me;
+            } else {
+                let envelope = record.envelope(me);
+                match self.inbox.get_mut(k) {
+                    Some(slot) => *slot = envelope,
+                    None => self.inbox.push(envelope),
+                }
+                match self.sources.get_mut(k) {
+                    Some(slot) => *slot = pos,
+                    None => self.sources.push(pos),
+                }
+            }
+            k += 1;
+        }
+        self.inbox.truncate(k);
+        self.sources.truncate(k);
     }
 }
 
@@ -294,6 +358,34 @@ mod tests {
         assert_eq!(stats.messages_total, 3 + 3 + 3);
         assert_eq!(stats.dropped_invalid, 2 + 1);
         assert_eq!(stats.sent_by, [0, 9, 0, 0]);
+    }
+
+    #[test]
+    fn refilling_one_arena_receiver_after_receiver_matches_inbound() {
+        let n = 5;
+        let mut segments = vec![Vec::new(), Vec::new()];
+        for from in NodeId::all(n) {
+            let (records, _) = records(n, from, |out| {
+                out.broadcast(n, from, vec![from.0 as u8]);
+                if from.0 % 2 == 0 {
+                    out.send(NodeId((from.0 + 1) % n as u16), vec![from.0 as u8, 1]);
+                }
+            });
+            segments[usize::from(from.0 >= 3)].extend(records);
+        }
+        let delivery = Delivery::new(&segments, n);
+        let mut arena = Arena::default();
+        for round in 0..2 {
+            for me in NodeId::all(n) {
+                arena.refill(&delivery, me);
+                let expected: Vec<Envelope> = delivery.inbound(me).collect();
+                assert_eq!(arena.inbox, expected, "round {round}, node {me}");
+                // What an engine appends after the records (reordered
+                // messages, a rusher's preview) is overwritten next time.
+                arena.inbox.push(expected[0].clone());
+            }
+            arena.clear();
+        }
     }
 
     #[test]

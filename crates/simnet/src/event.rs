@@ -35,7 +35,7 @@
 //! late, which the paper's protocols surface as *discovered* timing
 //! failures, never as silent disagreement.
 
-use crate::delivery::{self, Delivery, Record};
+use crate::delivery::{self, Arena, Delivery, Record};
 use crate::fault::{self, FaultPlan, LinkFault};
 use crate::node::OutOp;
 use crate::{Envelope, NetStats, Node, NodeId, Outbox, Payload};
@@ -600,9 +600,9 @@ pub struct EventNetwork {
     /// Logical messages still in flight (ring records counted expanded).
     in_flight: u64,
     /// Reused per-node inbox arena: envelopes are materialized into this
-    /// buffer at each boundary and the allocation is recycled across nodes
-    /// and rounds (reset, not freed, at round boundaries).
-    inbox_buf: Vec<Envelope>,
+    /// buffer at each boundary, and the buffer and the envelopes that stay
+    /// the same are recycled across nodes (see `Arena::refill`).
+    arena: Arena,
     now: u64,
     seq: u64,
     round: u32,
@@ -651,7 +651,7 @@ impl EventNetwork {
             pending: (0..n).map(|_| Vec::new()).collect(),
             pending_reordered: (0..n).map(|_| Vec::new()).collect(),
             in_flight: 0,
-            inbox_buf: Vec::new(),
+            arena: Arena::default(),
             now: 0,
             seq: 0,
             round: 0,
@@ -855,6 +855,7 @@ impl EventNetwork {
         let bucket = [bucket];
         let delivery = Delivery::new(&bucket, n);
         self.in_flight -= delivery.messages() as u64;
+        self.arena.forget();
 
         // Drain heap events due at or before the boundary into the pending
         // inboxes in (deliver_at, seq) order. In hybrid mode the heap only
@@ -899,34 +900,32 @@ impl EventNetwork {
         sent_this_round: &mut Vec<Envelope>,
     ) {
         let me = NodeId(i as u16);
-        let mut inbox = std::mem::take(&mut self.inbox_buf);
-        inbox.clear();
-        // Heap deliveries first (strictly earlier arrival ticks in hybrid
-        // mode; everything in reference mode)…
-        inbox.append(&mut self.pending[i]);
-        // …then this node's records of the matured bucket, materialized
-        // into the arena. With no fault plan the envelope is a plain handle
-        // clone; otherwise each one goes through the same per-delivery
-        // fault dispatch as `deliver` (a delay was applied at send time).
-        if self.faults.is_empty() {
-            inbox.extend(delivery.inbound(me));
+        let arena = &mut self.arena;
+        if self.pending[i].is_empty() && self.faults.is_empty() {
+            // Only this node's records of the matured bucket.
+            arena.refill(delivery, me);
         } else {
+            // Heap deliveries first (strictly earlier arrival ticks in
+            // hybrid mode; everything in reference mode), then the bucket's
+            // records, each through the same per-delivery fault dispatch as
+            // `deliver` (a delay was applied at send time).
+            arena.clear();
+            arena.inbox.append(&mut self.pending[i]);
             for env in delivery.inbound(me) {
                 let fault = self.faults.lookup(env.round, env.from, env.to);
-                fault::deliver(fault, env, &mut inbox, &mut self.pending_reordered[i]);
+                fault::deliver(fault, env, &mut arena.inbox, &mut self.pending_reordered[i]);
             }
         }
         // …then reorder-faulted messages, then a rusher's preview.
+        let inbox = &mut arena.inbox;
         inbox.append(&mut self.pending_reordered[i]);
         if self.rushing.contains(&me) {
             inbox.extend(sent_this_round.iter().filter(|env| env.to == me).cloned());
         }
 
         let mut out = Outbox::new();
-        self.nodes[i].on_round(round, &inbox, &mut out);
+        self.nodes[i].on_round(round, inbox, &mut out);
         self.sched.arena_hwm = self.sched.arena_hwm.max(inbox.len());
-        inbox.clear();
-        self.inbox_buf = inbox;
 
         self.dispatch_outbox(me, round, out, sent_this_round);
     }

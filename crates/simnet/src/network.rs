@@ -1,6 +1,6 @@
 //! The deterministic round-synchronous simulator.
 
-use crate::delivery::{self, Delivery, Record};
+use crate::delivery::{self, Arena, Delivery, Record};
 use crate::fault::{self, FaultPlan, LinkFault};
 use crate::{Envelope, NetStats, Node, NodeId, Outbox};
 
@@ -299,14 +299,6 @@ struct RoundInput<'a> {
     rushing: &'a [NodeId],
 }
 
-/// A worker's reused inbox buffers.
-#[derive(Default)]
-struct Arena {
-    inbox: Vec<Envelope>,
-    /// Reorder-faulted messages, appended after the rest of the inbox.
-    late: Vec<Envelope>,
-}
-
 /// What one id range produced in a round.
 struct RangeOutput {
     /// Its nodes' sends, in id order, then send order.
@@ -328,26 +320,28 @@ impl RoundInput<'_> {
         arena: &'b mut Arena,
         parked: &mut Vec<(u32, Envelope)>,
     ) -> &'b mut Vec<Envelope> {
-        let inbox = &mut arena.inbox;
-        inbox.clear();
         let lo = self.matured.partition_point(|(_, env)| env.to < me);
         let hi = self.matured.partition_point(|(_, env)| env.to <= me);
-        inbox.extend(self.matured[lo..hi].iter().map(|(_, env)| env.clone()));
-        if self.faults.is_empty() {
-            inbox.extend(self.delivery.inbound(me));
-        } else {
-            for env in self.delivery.inbound(me) {
-                match self.faults.lookup(env.round, env.from, env.to) {
-                    // A zero-round delay is a no-op (as on the event engine,
-                    // where it adds zero ticks).
-                    Some(LinkFault::Delay { rounds }) if rounds > 0 => {
-                        parked.push((self.round.saturating_add(rounds), env));
-                    }
-                    fault => fault::deliver(fault, env, inbox, &mut arena.late),
-                }
-            }
-            inbox.append(&mut arena.late);
+        let matured = &self.matured[lo..hi];
+        if matured.is_empty() && self.faults.is_empty() {
+            arena.refill(self.delivery, me);
+            return &mut arena.inbox;
         }
+        arena.clear();
+        let inbox = &mut arena.inbox;
+        inbox.extend(matured.iter().map(|(_, env)| env.clone()));
+        let mut late = Vec::new();
+        for env in self.delivery.inbound(me) {
+            match self.faults.lookup(env.round, env.from, env.to) {
+                // A zero-round delay is a no-op (as on the event engine,
+                // where it adds zero ticks).
+                Some(LinkFault::Delay { rounds }) if rounds > 0 => {
+                    parked.push((self.round.saturating_add(rounds), env));
+                }
+                fault => fault::deliver(fault, env, inbox, &mut late),
+            }
+        }
+        inbox.append(&mut late);
         inbox
     }
 
