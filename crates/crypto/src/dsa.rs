@@ -104,6 +104,11 @@ impl SignatureScheme for DsaScheme {
         format!("dsa-{}", self.group.label())
     }
 
+    fn append_name(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(b"dsa-");
+        out.extend_from_slice(self.group.label().as_bytes());
+    }
+
     fn keypair_from_seed(&self, seed: u64) -> (SecretKey, PublicKey) {
         let mut material = Vec::new();
         material.extend_from_slice(b"dsa-keygen");

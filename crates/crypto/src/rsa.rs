@@ -83,6 +83,11 @@ impl SignatureScheme for RsaScheme {
         format!("rsa-{}", self.bits)
     }
 
+    fn append_name(&self, out: &mut Vec<u8>) {
+        use std::io::Write;
+        write!(out, "rsa-{}", self.bits).expect("writing to a Vec never fails");
+    }
+
     fn keypair_from_seed(&self, seed: u64) -> (SecretKey, PublicKey) {
         let mut material = Vec::new();
         material.extend_from_slice(b"rsa-keygen");

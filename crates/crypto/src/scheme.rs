@@ -130,6 +130,14 @@ pub trait SignatureScheme: fmt::Debug + Send + Sync {
     /// Human-readable name including parameters, e.g. `"schnorr-512/160"`.
     fn name(&self) -> String;
 
+    /// Append the bytes of [`SignatureScheme::name`] to `out`. The verify
+    /// cache of `fd-core` keys every signature lookup by the scheme's
+    /// name; the shipped schemes override this to write it without
+    /// formatting a fresh `String`.
+    fn append_name(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(self.name().as_bytes());
+    }
+
     /// Deterministically generate a keypair from a seed.
     fn keypair_from_seed(&self, seed: u64) -> (SecretKey, PublicKey);
 
@@ -165,6 +173,22 @@ mod tests {
         let s = format!("{sk:?}");
         assert!(s.contains("redacted"));
         assert!(!s.contains("01"));
+    }
+
+    #[test]
+    fn append_name_writes_the_name() {
+        let schemes: [Box<dyn SignatureScheme>; 5] = [
+            Box::new(crate::SchnorrScheme::test_tiny()),
+            Box::new(crate::SchnorrScheme::s1024()),
+            Box::new(crate::DsaScheme::test_tiny()),
+            Box::new(crate::RsaScheme::new(256)),
+            Box::new(crate::ToyScheme::new()),
+        ];
+        for scheme in &schemes {
+            let mut out = b"prefix".to_vec();
+            scheme.append_name(&mut out);
+            assert_eq!(out, [b"prefix", scheme.name().as_bytes()].concat());
+        }
     }
 
     #[test]

@@ -93,6 +93,11 @@ impl SignatureScheme for SchnorrScheme {
         format!("schnorr-{}", self.group.label())
     }
 
+    fn append_name(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(b"schnorr-");
+        out.extend_from_slice(self.group.label().as_bytes());
+    }
+
     fn keypair_from_seed(&self, seed: u64) -> (SecretKey, PublicKey) {
         let mut material = Vec::new();
         material.extend_from_slice(b"schnorr-keygen");

@@ -36,6 +36,10 @@ impl SignatureScheme for ToyScheme {
         "toy-broken".to_string()
     }
 
+    fn append_name(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(b"toy-broken");
+    }
+
     fn keypair_from_seed(&self, seed: u64) -> (SecretKey, PublicKey) {
         let material = sha256_parts(&[b"toy-keygen", &seed.to_be_bytes()]);
         (
