@@ -12,7 +12,7 @@
 //! G3: assignments may go wrong under local authentication, but never
 //! silently.
 
-use crate::keys::{KeyStore, VerifyCache};
+use crate::keys::KeyStore;
 use crate::outcome::DiscoveryReason;
 use fd_crypto::{SecretKey, Signature, SignatureScheme};
 use fd_simnet::codec::{decode_seq, CodecError, Decode, Encode, Reader, Writer};
@@ -172,6 +172,15 @@ impl ChainMessage {
     /// (the outermost signer = the immediate sender; the origin for a bare
     /// chain).
     ///
+    /// Every predicate evaluation goes through the store's per-run
+    /// [`VerifyCache`](crate::keys::VerifyCache) when one is attached, so a
+    /// chain that arrives one layer longer than one already checked costs
+    /// one new `scheme.verify`; the document is still rebuilt layer by
+    /// layer. Protocol receivers do not call this directly: they screen
+    /// through `keys::screen`, whose cohort layer judges each shared
+    /// broadcast buffer once and replays the verdict for the other
+    /// receivers.
+    ///
     /// # Errors
     ///
     /// Any of these constitutes discovering a failure (the receiving node's
@@ -241,68 +250,6 @@ impl ChainMessage {
             prev_assignee = signer;
         }
         Ok(prev_assignee)
-    }
-
-    /// [`ChainMessage::verify`] through the store's per-run
-    /// [`VerifyCache`], when one is attached (identical result either
-    /// way).
-    ///
-    /// Two memoization layers compose here. The store's signature-level
-    /// cache (inside [`KeyStore::assigns`]) already spares the public-key
-    /// operations, but the Theorem 4 discipline still *reconstructs and
-    /// hashes* every nested submessage at every hop — `O(L²)` bytes for an
-    /// `L`-layer chain. The chain-level receipt short-circuits all of it
-    /// for a repeated verification of the same bytes, at the price of one
-    /// encode and one linear hash.
-    ///
-    /// Protocol receivers do not call this directly: they screen through
-    /// `keys::screen`, whose cohort layer replays one verdict per
-    /// shared broadcast buffer (chain FD's dissemination to `n − t − 1`
-    /// nodes, every Dolev–Strong relay broadcast) without reaching this
-    /// function at all. The receipt still serves identical bytes that
-    /// arrive in distinct buffers, and the cohort-free reference runs.
-    ///
-    /// The receipt key covers the full chain encoding, the immediate
-    /// sender, *and the store's accepted predicate for every implied
-    /// signer* — so stores that disagree about a faulty node's key (the G3
-    /// gap) hash to different receipts and keep their genuinely different
-    /// verdicts.
-    ///
-    /// # Errors
-    ///
-    /// Exactly as [`ChainMessage::verify`].
-    pub fn verify_cached(
-        &self,
-        scheme: &dyn SignatureScheme,
-        store: &KeyStore,
-        immediate_sender: NodeId,
-    ) -> Result<NodeId, DiscoveryReason> {
-        let Some(cache) = store.cache() else {
-            return self.verify(scheme, store, immediate_sender);
-        };
-        let encoded = self.encode_to_vec();
-        let scheme_name = scheme.name();
-        let sender_bytes = immediate_sender.0.to_be_bytes();
-        let mut parts: Vec<&[u8]> = vec![scheme_name.as_bytes(), &sender_bytes, &encoded];
-        let signers = self.signer_sequence(immediate_sender);
-        for signer in &signers {
-            match store.accepted(*signer) {
-                // A presence marker keeps "accepted an empty predicate"
-                // distinct from "accepted nothing".
-                Some(pk) => {
-                    parts.push(b"+");
-                    parts.push(pk.as_bytes());
-                }
-                None => parts.push(b"-"),
-            }
-        }
-        let key = VerifyCache::chain_key(&parts);
-        if let Some(receipt) = cache.chain_get(&key) {
-            return receipt;
-        }
-        let receipt = self.verify(scheme, store, immediate_sender);
-        cache.chain_put(key, receipt.clone());
-        receipt
     }
 }
 

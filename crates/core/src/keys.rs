@@ -11,50 +11,47 @@
 //! ## Allocation discipline
 //!
 //! Stores are *logically* private per node but *physically* share key
-//! material at two levels. Every accepted entry is an `Arc<PublicKey>`,
-//! and a store's table of entries is itself shared copy-on-write: cloning
-//! a store (which every protocol run does, once per node) is one
-//! reference-count increment, and [`KeyStore::accept`] on a shared store
-//! copies the table first, so no clone ever sees another's acceptances.
-//! A [`PredicateTable`] holds the cluster's true predicates once; key
-//! distribution interns announced predicates against it, so the honest
-//! case allocates `O(n)` distinct keys across all `n` stores instead of
-//! `O(n²)` (a misbehaving announcer still gets a private allocation —
-//! sharing never changes which bytes a store holds).
+//! material. Every accepted entry is an `Arc<PublicKey>`, and a store's
+//! table of entries is shared copy-on-write: cloning a store is one
+//! reference-count increment, and [`KeyStore::accept`] on a shared table
+//! copies it first, so no store ever sees another's acceptances. A
+//! [`PredicateTable`] holds the cluster's true predicates once, and every
+//! store holding exactly those allocations (dealer stores, and honest
+//! stores after an honest key distribution) shares its one table. A store
+//! holding any other predicate keeps a private table; key distribution
+//! interns announcements, so even that table allocates only the keys it
+//! disagrees about. Sharing never changes which bytes a store holds.
 //!
 //! ## Verification caching
 //!
-//! [`VerifyCache`] memoizes signature-predicate evaluations per run.
-//! `scheme.verify(pk, msg, sig)` is a pure function of its inputs, so a
-//! cache keyed by a hash of `(scheme, pk, msg, sig)` is sound even when it
-//! is shared across nodes whose stores disagree (disagreeing stores hold
-//! different `pk` bytes and therefore hit different entries). The chain
-//! discipline re-checks the full chain at every hop; the cache is what
-//! makes hop `k + 1` pay only for the one new layer.
+//! [`VerifyCache`] memoizes verification per run in two layers. The
+//! **signature layer** memoizes the pure `scheme.verify(pk, msg, sig)`
+//! by its exact input bytes, so it is sound even when shared by nodes
+//! whose stores disagree (they hold different `pk` bytes). The chain
+//! discipline re-checks the full chain at every hop; this layer makes hop
+//! `k + 1` pay only for its one new signature.
 //!
-//! On top of both sits the **cohort layer**, and `screen` is the one
-//! path every chain receiver verifies through: chain FD relays and
-//! disseminated nodes, small range, FD→BA's alarms, vector FD, degradable
-//! agreement and Dolev–Strong. A broadcast or a dissemination hands one
-//! shared payload buffer to many receivers, so the whole screening
-//! pipeline (decode, structure checks, signer extraction, verification)
-//! is judged once per [`CohortKey`] — `(payload ident, sender, round)` —
-//! and the resulting [`CohortVerdict`] is replayed for every other
-//! receiver whose store views the implied signers identically. Stores
-//! that disagree about a signer's key (the G3 gap) fail the view match
-//! and get their own entry, so batching never merges genuinely different
+//! The **cohort layer** sits on top, and `screen` is the one path every
+//! chain receiver verifies through: chain FD relays and disseminated
+//! nodes, small range, FD→BA's alarms, vector FD, degradable agreement
+//! and Dolev–Strong. A broadcast or a dissemination hands one shared
+//! payload buffer to many receivers, so the whole screening pipeline
+//! (decode, structure checks, signer extraction, verification) is judged
+//! once per [`CohortKey`] — `(payload ident, sender, round)` — and the
+//! resulting [`CohortVerdict`] is replayed for every other receiver whose
+//! store resolves the implied signers to the same predicates: one pointer
+//! compare for a store sharing the judging store's table, signer by
+//! signer otherwise. A store that disagrees about a signer's key (the G3
+//! gap) gets its own entry, so batching never merges genuinely different
 //! verdicts. Each protocol reads the verdict with its own structure rule
-//! ([`CohortVerdict::read`]).
-//!
-//! The chain-receipt layer below the cohorts still matters where no
-//! cohort is shared: identical bytes in distinct buffers (a cluster
-//! worker decodes every frame into its own buffer; an adversary may send
-//! a copy), and the cohort-free reference of
-//! [`VerifyCache::without_cohorts`].
+//! ([`CohortVerdict::read`]). Where no cohort is shared (identical bytes
+//! in distinct buffers, as a cluster worker decodes them, or
+//! [`VerifyCache::without_cohorts`]) a chain is judged again, and the
+//! signature layer answers each of its signatures.
 
 use crate::chain::ChainMessage;
 use crate::outcome::DiscoveryReason;
-use fd_crypto::{PublicKey, SecretKey, Sha256, Signature, SignatureScheme};
+use fd_crypto::{PublicKey, SecretKey, Signature, SignatureScheme};
 use fd_simnet::{Envelope, NodeId, Payload};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -87,20 +84,25 @@ impl Keyring {
     }
 }
 
+/// A store's accepted predicates, indexed by node: `None` where nothing
+/// was accepted. Shared copy-on-write between stores.
+type Slots = Arc<Vec<Option<Arc<PublicKey>>>>;
+
 /// The cluster's true test predicates, allocated once and shared by every
 /// store that accepts them.
 ///
-/// The table serves two masters: [`KeyStore::global_shared`] builds the
-/// trusted-dealer baseline from it without per-store copies, and the key
-/// distribution protocol *interns* announced predicates against it —
-/// announced bytes that match the canonical predicate reuse the shared
-/// allocation, anything else (a faulty announcer) gets a fresh private
-/// one. The interning counters make the allocation profile observable:
-/// `distinct_allocations()` is `n + fresh` and stays `O(n)` in the honest
-/// case (asserted by the large-`n` sharing tests).
+/// [`KeyStore::global_shared`] builds trusted-dealer stores on the table's
+/// own slots. Key distribution *interns* announced predicates against it
+/// — bytes matching the canonical predicate reuse its allocation,
+/// anything else (a faulty announcer) gets a private one — and moves each
+/// finished store that holds only canonical keys onto the shared slots
+/// ([`KeyStore::share_canonical`]). The interning counters make the
+/// allocation profile observable: `distinct_allocations()` is
+/// `n + fresh` and stays `O(n)` in the honest case (asserted by the
+/// large-`n` sharing tests).
 #[derive(Debug)]
 pub struct PredicateTable {
-    keys: Vec<Arc<PublicKey>>,
+    slots: Slots,
     interned: AtomicUsize,
     fresh: AtomicUsize,
 }
@@ -124,7 +126,7 @@ impl PredicateTable {
     /// Build the table from already generated predicates.
     pub fn from_keys(keys: Vec<Arc<PublicKey>>) -> Self {
         PredicateTable {
-            keys,
+            slots: Arc::new(keys.into_iter().map(Some).collect()),
             interned: AtomicUsize::new(0),
             fresh: AtomicUsize::new(0),
         }
@@ -132,22 +134,17 @@ impl PredicateTable {
 
     /// Number of canonical predicates.
     pub fn len(&self) -> usize {
-        self.keys.len()
+        self.slots.len()
     }
 
     /// `true` for the degenerate empty table.
     pub fn is_empty(&self) -> bool {
-        self.keys.is_empty()
+        self.slots.is_empty()
     }
 
     /// The canonical shared predicate of `node`, if in range.
     pub fn entry(&self, node: NodeId) -> Option<&Arc<PublicKey>> {
-        self.keys.get(node.index())
-    }
-
-    /// The canonical predicates, for bulk store construction.
-    pub fn keys(&self) -> &[Arc<PublicKey>] {
-        &self.keys
+        self.slots.get(node.index()).and_then(Option::as_ref)
     }
 
     /// Intern predicate bytes announced by `node`: bytes equal to the
@@ -155,7 +152,7 @@ impl PredicateTable {
     /// privately. Either way the returned key holds exactly `bytes` — the
     /// table is an allocation optimization, never a semantic one.
     pub fn intern(&self, node: NodeId, bytes: Vec<u8>) -> Arc<PublicKey> {
-        if let Some(canonical) = self.keys.get(node.index()) {
+        if let Some(canonical) = self.entry(node) {
             if canonical.as_bytes() == bytes {
                 self.interned.fetch_add(1, Ordering::Relaxed);
                 return Arc::clone(canonical);
@@ -179,13 +176,14 @@ impl PredicateTable {
     /// `n` canonical keys plus every non-interned announcement. `O(n)` in
     /// the honest case regardless of how many stores were built.
     pub fn distinct_allocations(&self) -> usize {
-        self.keys.len() + self.fresh_count()
+        self.slots.len() + self.fresh_count()
     }
 
     /// How many handles currently share `node`'s canonical allocation
-    /// (including the table's own).
+    /// (including the table's own). Stores sharing the table's slots hold
+    /// none of their own, so this counts the private tables that hold it.
     pub fn ref_count(&self, node: NodeId) -> Option<usize> {
-        self.keys.get(node.index()).map(Arc::strong_count)
+        self.entry(node).map(Arc::strong_count)
     }
 }
 
@@ -195,39 +193,35 @@ impl PredicateTable {
 /// (see `Cluster::dispatch`) so memory stays bounded by a single run's
 /// distinct signatures. Two layers:
 ///
-/// * **Signature level** — `(pk, msg, sig) → bool`, consulted by
-///   [`KeyStore::assigns`]. Sound because the predicate is pure.
-/// * **Chain level** — a whole chain-verification *receipt* keyed by the
-///   chain bytes, the immediate sender, and the store's view of every
-///   implied signer (see `ChainMessage::verify_cached` in
-///   [`crate::chain`]). Including the store view keeps the paper's G3
-///   subtlety intact: two stores holding different predicates for a faulty
-///   signer hash to different receipts and can still disagree — loudly.
+/// * **Signature level** — `(scheme, pk, msg, sig) → bool`, consulted by
+///   [`KeyStore::assigns`]. Sound because the predicate is pure. The key
+///   is the exact bytes of all four, each length-prefixed, so inputs that
+///   differ anywhere — or only in where one part ends and the next
+///   begins — never share an entry.
+/// * **Cohort level** (see the module docs) — a receiver locks it for its
+///   inbox (`VerifyCache::cohorts`) and screens each chain envelope
+///   through `screen`, whose visitor reads the verdict in place and hands
+///   back only what the receiver keeps: the common hit (an echo, or a body
+///   the receiver has already extracted) takes no lock of its own, copies
+///   nothing and touches no reference count. A store-dependent verdict is
+///   replayed only for a store that sees its signers as the judging store
+///   did, so stores disagreeing about a faulty signer (G3) still disagree
+///   — loudly.
 ///
-/// Keys are SHA-256 over length-prefixed parts, so structurally different
-/// inputs cannot collide by concatenation.
-///
-/// Above both sits the cohort level (see the module docs). A receiver
-/// locks it for its inbox (`VerifyCache::cohorts`) and screens each chain
-/// envelope through `screen`, whose visitor reads the verdict in place
-/// and hands back only what the receiver keeps: the common hit (an echo,
-/// or a body the receiver has already extracted) takes no lock of its
-/// own, copies nothing and touches no reference count.
-///
-/// All three maps hash with `WordHasher` instead of the standard
-/// library's SipHash. Their keys are SHA-256 digests or `(payload ident,
-/// sender, round)` triples the simulator makes itself — never bytes a
-/// remote peer chooses — so a flooding-resistant hash buys nothing and
-/// costs time on every lookup.
+/// The signature map hashes with the standard library's SipHash: in
+/// `lafd cluster` its key bytes arrive from other processes, and a peer
+/// that chose them could otherwise aim them all at one bucket. The cohort
+/// map hashes with `WordHasher`: its keys are `(payload ident, sender,
+/// round)` triples the simulator makes itself, so a flooding-resistant
+/// hash would buy nothing there and cost time on every lookup.
 #[derive(Clone, Debug, Default)]
 pub struct VerifyCache {
-    sigs: Arc<Mutex<WordMap<[u8; 32], bool>>>,
-    chains: Arc<Mutex<ChainReceipts>>,
+    sigs: Arc<Mutex<HashMap<Vec<u8>, bool>>>,
     cohorts: Arc<Mutex<CohortMap>>,
     /// Set by [`VerifyCache::without_cohorts`]: this handle bypasses the
-    /// cohort layer entirely (the chain-receipt and signature layers stay
-    /// active). The unbatched reference runs of the equivalence tests use
-    /// this to force per-message verification.
+    /// cohort layer entirely (the signature layer stays active). The
+    /// unbatched reference runs of the equivalence tests use this to force
+    /// per-message verification.
     cohorts_disabled: bool,
     hits: Arc<AtomicUsize>,
     misses: Arc<AtomicUsize>,
@@ -237,9 +231,6 @@ pub struct VerifyCache {
     /// default) keeps the hot path free of clock reads.
     verify_ns: Option<Arc<std::sync::atomic::AtomicU64>>,
 }
-
-/// Chain-level verification receipts, keyed by receipt hash.
-type ChainReceipts = WordMap<[u8; 32], Result<NodeId, DiscoveryReason>>;
 
 /// The cohort verdicts, and the hits they served: counted under the
 /// cohort lock a receiver holds anyway, so a hit costs no atomic add.
@@ -252,10 +243,10 @@ struct CohortMap {
 /// A `HashMap` hashed by [`WordHasher`].
 type WordMap<K, V> = HashMap<K, V, BuildHasherDefault<WordHasher>>;
 
-/// The verify cache's map hasher: one multiply-rotate step per machine
-/// word of the key, and no per-map random state. It is fit only for keys
-/// no remote peer picks (see [`VerifyCache`]); an attacker who chooses
-/// keys could aim them all at one bucket.
+/// The cohort map's hasher: one multiply-rotate step per machine word of
+/// the key, and no per-map random state. It is fit only for keys no
+/// remote peer picks (see [`VerifyCache`]); an attacker who chooses keys
+/// could aim them all at one bucket.
 #[derive(Clone, Copy, Debug, Default)]
 struct WordHasher(u64);
 
@@ -269,16 +260,11 @@ impl WordHasher {
 }
 
 impl Hasher for WordHasher {
+    /// A cohort key hashes as integers only (the methods below); bytes
+    /// take one step each.
     fn write(&mut self, bytes: &[u8]) {
-        let mut words = bytes.chunks_exact(8);
-        for word in &mut words {
-            self.mix(u64::from_le_bytes(word.try_into().expect("8-byte chunk")));
-        }
-        let tail = words.remainder();
-        if !tail.is_empty() {
-            let mut word = [0u8; 8];
-            word[..tail.len()].copy_from_slice(tail);
-            self.mix(u64::from_le_bytes(word));
+        for &byte in bytes {
+            self.mix(u64::from(byte));
         }
     }
 
@@ -309,19 +295,38 @@ impl Hasher for WordHasher {
 /// no hashing of the chain bytes.
 pub type CohortKey = ((usize, usize, usize), NodeId, u32);
 
-/// A receiving node's store view of a chain's implied signers: for each
-/// signer, the `Arc` handle the store currently holds (or `None` when
-/// nothing was accepted). Two stores with matching views are guaranteed
-/// the same verification verdict, because [`ChainMessage::verify`] reads
-/// the store only through these slots.
-type SignerView = Vec<(NodeId, Option<Arc<PublicKey>>)>;
-
-/// One judged cohort member: the verdict plus the store view it was
-/// computed under (empty for store-independent verdicts).
+/// One judged cohort member: the verdict, and for a verdict that depends
+/// on the store, the table of the store it was judged under. Holding the
+/// table keeps it shared, so [`KeyStore::accept`] copies it instead of
+/// writing to it: the entry's view of every signer stays as judged.
 #[derive(Debug)]
 struct CohortEntry {
-    view: SignerView,
+    table: Option<Slots>,
     verdict: CohortVerdict,
+}
+
+impl CohortEntry {
+    /// Does `store` see exactly the predicates this verdict was judged
+    /// under? Table identity first (honest stores share one table, so the
+    /// honest case is one pointer compare); otherwise signer by signer,
+    /// pointer equality before byte equality, the correct fallback for
+    /// disagreeing allocations that happen to hold the same bytes. A
+    /// signer outside the tables (a chain may name any id) reads as
+    /// accepted by neither.
+    fn holds_for(&self, store: &KeyStore) -> bool {
+        let Some(table) = &self.table else {
+            return true;
+        };
+        Arc::ptr_eq(table, &store.accepted)
+            || self.verdict.signers().iter().all(|s| {
+                let judged = table.get(s.index()).and_then(Option::as_ref);
+                match (store.accepted_shared(*s), judged) {
+                    (None, None) => true,
+                    (Some(a), Some(b)) => Arc::ptr_eq(a, b) || a == b,
+                    _ => false,
+                }
+            })
+    }
 }
 
 /// All verdicts recorded for one cohort key. `pin` keeps the payload's
@@ -342,7 +347,7 @@ struct Cohort {
 /// cache (see `screen`). The first three variants depend only on the
 /// chain bytes (any store reaches them identically); the last two also
 /// depend on the receiver's accepted predicates, so they are cached
-/// together with the `SignerView` they were judged under.
+/// together with the store table they were judged under.
 ///
 /// What a verdict *means* to a receiver still depends on the receiver
 /// and its protocol: each protocol reads it through
@@ -382,7 +387,7 @@ pub enum CohortVerdict {
 
 impl CohortVerdict {
     /// Judge one cohort member: structural screening, then cryptographic
-    /// verification through the store (and its chain-receipt cache).
+    /// verification through the store (and its signature cache).
     ///
     /// `chain` is `None` when the payload failed to decode — the caller
     /// decodes (once per cohort, on the miss path) so this module never
@@ -409,7 +414,7 @@ impl CohortVerdict {
             return CohortVerdict::Duplicate { signers };
         }
         let body = Arc::from(chain.body.as_slice());
-        match chain.verify_cached(scheme, store, from) {
+        match chain.verify(scheme, store, from) {
             Ok(_) => CohortVerdict::Accept { signers, body },
             Err(reason) => CohortVerdict::Discovered {
                 signers,
@@ -459,8 +464,8 @@ impl CohortVerdict {
     }
 
     /// Whether the verdict depends on the judging store's accepted
-    /// predicates (and must therefore be matched against a
-    /// [`SignerView`]).
+    /// predicates (and must therefore be matched against the store it was
+    /// judged under).
     fn store_dependent(&self) -> bool {
         matches!(
             self,
@@ -524,41 +529,25 @@ where
     seen
 }
 
-/// The store view a verdict's signers resolve to under `store`.
-fn signer_view(store: &KeyStore, signers: &[NodeId]) -> SignerView {
-    signers
-        .iter()
-        .map(|&s| (s, store.accepted_shared(s).cloned()))
-        .collect()
-}
-
-/// Does `store` see exactly the predicates `view` was judged under?
-/// Pointer equality first (stores share allocations via
-/// [`PredicateTable`], so the honest case is `r + 1` pointer compares),
-/// byte equality as the correct fallback for disagreeing allocations that
-/// happen to hold the same bytes.
-fn view_matches(store: &KeyStore, view: &SignerView) -> bool {
-    view.iter()
-        .all(|(s, slot)| match (store.accepted_shared(*s), slot) {
-            (None, None) => true,
-            (Some(a), Some(b)) => Arc::ptr_eq(a, b) || a == b,
-            _ => false,
-        })
-}
-
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-/// Hash length-prefixed parts into a cache key.
-fn cache_key(domain: &[u8], parts: &[&[u8]]) -> [u8; 32] {
-    let mut h = Sha256::new();
-    h.update(domain);
-    for part in parts {
-        h.update(&(part.len() as u64).to_be_bytes());
-        h.update(part);
+/// The signature memo's key: the scheme's name, `pk`, `msg` and `sig`,
+/// each prefixed with its length.
+fn sig_key(scheme: &dyn SignatureScheme, pk: &PublicKey, msg: &[u8], sig: &Signature) -> Vec<u8> {
+    let (pk, sig) = (pk.as_bytes(), &sig.0[..]);
+    // Room for the four length prefixes and a name of up to 32 bytes.
+    let mut key = Vec::with_capacity(64 + pk.len() + msg.len() + sig.len());
+    key.extend_from_slice(&[0; 8]);
+    scheme.append_name(&mut key);
+    let name_len = key.len() as u64 - 8;
+    key[..8].copy_from_slice(&name_len.to_le_bytes());
+    for part in [pk, msg, sig] {
+        key.extend_from_slice(&(part.len() as u64).to_le_bytes());
+        key.extend_from_slice(part);
     }
-    h.finalize()
+    key
 }
 
 impl VerifyCache {
@@ -575,10 +564,7 @@ impl VerifyCache {
         msg: &[u8],
         sig: &Signature,
     ) -> bool {
-        let key = cache_key(
-            b"fd-verify-sig-v1",
-            &[scheme.name().as_bytes(), pk.as_bytes(), msg, &sig.0],
-        );
+        let key = sig_key(scheme, pk, msg, sig);
         if let Some(&cached) = lock(&self.sigs).get(&key) {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return cached;
@@ -598,32 +584,9 @@ impl VerifyCache {
         result
     }
 
-    /// Look up a whole-chain verification receipt.
-    pub(crate) fn chain_get(&self, key: &[u8; 32]) -> Option<Result<NodeId, DiscoveryReason>> {
-        let cached = lock(&self.chains).get(key).cloned();
-        match cached {
-            Some(receipt) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(receipt)
-            }
-            None => None,
-        }
-    }
-
-    /// Record a whole-chain verification receipt.
-    pub(crate) fn chain_put(&self, key: [u8; 32], receipt: Result<NodeId, DiscoveryReason>) {
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        lock(&self.chains).insert(key, receipt);
-    }
-
-    /// Build a whole-chain receipt key from length-prefixed parts.
-    pub(crate) fn chain_key(parts: &[&[u8]]) -> [u8; 32] {
-        cache_key(b"fd-verify-chain-v1", parts)
-    }
-
-    /// A handle with the cohort layer disabled (chain-receipt and
-    /// signature layers unaffected). The flag is per-handle: cloning an
-    /// enabled cache keeps cohorts on.
+    /// A handle with the cohort layer disabled (the signature layer
+    /// unaffected). The flag is per-handle: cloning an enabled cache keeps
+    /// cohorts on.
     #[must_use]
     pub fn without_cohorts(mut self) -> Self {
         self.cohorts_disabled = true;
@@ -644,12 +607,13 @@ impl VerifyCache {
         })
     }
 
-    /// Cache hits so far (signature, chain and cohort level combined).
+    /// Cache hits so far (signature and cohort level combined).
     pub fn hits(&self) -> usize {
         self.hits.load(Ordering::Relaxed) + lock(&self.cohorts).hits
     }
 
-    /// Cache misses (= underlying verifications actually executed).
+    /// Cache misses: cohort judgements plus signature evaluations
+    /// actually executed.
     pub fn misses(&self) -> usize {
         self.misses.load(Ordering::Relaxed)
     }
@@ -676,8 +640,8 @@ impl VerifyCache {
 /// The cohort layer of a [`VerifyCache`], locked for one batch of
 /// lookups. A receiver holds it across its inbox, so the lock is taken
 /// once per inbox instead of once per envelope. Judging a miss while it
-/// is held is safe: verification reads only the signature and
-/// chain-receipt maps, each behind its own lock. Its holder must not call
+/// is held is safe: verification reads only the signature map, behind its
+/// own lock. Its holder must not call
 /// [`VerifyCache::hits`], which reads the cohort hit count under this
 /// lock.
 pub(crate) struct Cohorts<'a> {
@@ -695,7 +659,7 @@ impl Cohorts<'_> {
             .get(key)?
             .entries
             .iter()
-            .find(|e| !e.verdict.store_dependent() || view_matches(store, &e.view))?;
+            .find(|e| e.holds_for(store))?;
         map.hits += 1;
         Some(&entry.verdict)
     }
@@ -703,11 +667,9 @@ impl Cohorts<'_> {
     /// Record a verdict judged under `store`, pinning `payload`'s buffer
     /// so the key's address stays live for the cache's lifetime.
     fn put(&mut self, key: CohortKey, payload: &Payload, store: &KeyStore, verdict: CohortVerdict) {
-        let view = if verdict.store_dependent() {
-            signer_view(store, verdict.signers())
-        } else {
-            Vec::new()
-        };
+        let table = verdict
+            .store_dependent()
+            .then(|| Arc::clone(&store.accepted));
         self.misses.fetch_add(1, Ordering::Relaxed);
         self.map
             .cohorts
@@ -717,7 +679,7 @@ impl Cohorts<'_> {
                 entries: Vec::new(),
             })
             .entries
-            .push(CohortEntry { view, verdict });
+            .push(CohortEntry { table, verdict });
     }
 }
 
@@ -727,12 +689,14 @@ impl Cohorts<'_> {
 /// the *input* to every authenticated protocol. Each node holds its own
 /// store, logically private — but the entries are `Arc<PublicKey>` handles
 /// and the table holding them is shared copy-on-write, so cloning a store
-/// is one reference-count increment, and [`KeyStore::accept`] copies the
-/// table only when another clone still shares it.
+/// is one reference-count increment, stores that hold exactly the
+/// canonical predicates share one [`PredicateTable`]'s table, and
+/// [`KeyStore::accept`] copies the table only when another handle still
+/// shares it.
 #[derive(Debug, Clone)]
 pub struct KeyStore {
     me: NodeId,
-    accepted: Arc<Vec<Option<Arc<PublicKey>>>>,
+    accepted: Slots,
     accepted_count: usize,
     cache: Option<VerifyCache>,
 }
@@ -763,17 +727,41 @@ impl KeyStore {
         }
     }
 
-    /// Build a globally authentic store sharing already allocated keys —
-    /// `n` stores over one [`PredicateTable`] cost `O(n)` distinct
-    /// allocations total instead of `O(n²)`.
-    pub fn global_shared(me: NodeId, pks: &[Arc<PublicKey>]) -> Self {
-        let accepted: Vec<_> = pks.iter().map(Arc::clone).map(Some).collect();
+    /// Build a globally authentic store on `table`'s own slots: `n`
+    /// stores over one [`PredicateTable`] share one table of `n` handles
+    /// instead of holding `n` tables of `n`.
+    pub fn global_shared(me: NodeId, table: &PredicateTable) -> Self {
         KeyStore {
             me,
-            accepted_count: accepted.len(),
-            accepted: Arc::new(accepted),
+            accepted: Arc::clone(&table.slots),
+            accepted_count: table.len(),
             cache: None,
         }
+    }
+
+    /// Swap this store's table for `table`'s own slots when every slot
+    /// already holds the canonical allocation; a store holding any other
+    /// predicate, or none for some node, keeps its private table. The
+    /// store's predicates are the same either way.
+    pub fn share_canonical(&mut self, table: &PredicateTable) {
+        let canonical = self.accepted.len() == table.len()
+            && self
+                .accepted
+                .iter()
+                .zip(table.slots.iter())
+                .all(|(held, own)| match (held, own) {
+                    (Some(a), Some(b)) => Arc::ptr_eq(a, b),
+                    _ => false,
+                });
+        if canonical {
+            self.accepted = Arc::clone(&table.slots);
+        }
+    }
+
+    /// Whether this store's table is `table`'s own slots (see
+    /// [`KeyStore::global_shared`] and [`KeyStore::share_canonical`]).
+    pub fn shares_table(&self, table: &PredicateTable) -> bool {
+        Arc::ptr_eq(&self.accepted, &table.slots)
     }
 
     /// Attach a per-run verification cache ([`VerifyCache`] is a shared
@@ -960,17 +948,20 @@ mod tests {
         let scheme = SchnorrScheme::test_tiny();
         let table = PredicateTable::generate(&scheme, 4, 11);
         let stores: Vec<KeyStore> = (0..4)
-            .map(|i| KeyStore::global_shared(NodeId(i as u16), table.keys()))
+            .map(|i| KeyStore::global_shared(NodeId(i as u16), &table))
             .collect();
-        // 4 stores × 4 keys, yet each allocation is shared: table + 4.
+        // 4 stores × 4 keys, yet all four stores are the table's own
+        // slots: no store holds a key handle of its own.
+        assert!(stores.iter().all(|store| store.shares_table(&table)));
         for node in NodeId::all(4) {
-            assert_eq!(table.ref_count(node), Some(5));
+            assert_eq!(table.ref_count(node), Some(1));
         }
         // Cloning a store shares its table: no key handle moves, however
         // many clones exist.
         let clones: Vec<KeyStore> = (0..1_000).map(|_| stores[0].clone()).collect();
+        assert!(clones.iter().all(|store| store.shares_table(&table)));
         for node in NodeId::all(4) {
-            assert_eq!(table.ref_count(node), Some(5));
+            assert_eq!(table.ref_count(node), Some(1));
         }
         drop(clones);
         assert_eq!(table.distinct_allocations(), 4);
@@ -1057,13 +1048,15 @@ mod tests {
             })
             .collect();
         assert!(buckets.len() > 580, "{} buckets used", buckets.len());
-        // Digests differing in any one byte, tail included, hash apart.
-        let digest = cache_key(b"receipt", &[]);
-        let mut seen = std::collections::BTreeSet::from([word_hash(&digest)]);
-        for i in 0..32 {
-            let mut other = digest;
-            other[i] ^= 1;
-            assert!(seen.insert(word_hash(&other)), "byte {i}");
+        // Keys of one buffer differing only in the sender or the round
+        // hash apart.
+        let ident = (0x5600_0000_0000, 0, 96);
+        let mut seen = std::collections::BTreeSet::new();
+        for from in 0..16u16 {
+            for round in 0..16u32 {
+                let key: CohortKey = (ident, NodeId(from), round);
+                assert!(seen.insert(word_hash(&key)), "sender {from}, round {round}");
+            }
         }
     }
 
@@ -1093,6 +1086,25 @@ mod tests {
         cohorts.put(key, payload, store, verdict);
     }
 
+    /// Judge `chain` as received from `from`, expecting origin P0 and
+    /// `count` signatures.
+    fn judge_at(
+        scheme: &SchnorrScheme,
+        store: &KeyStore,
+        chain: Option<&ChainMessage>,
+        from: u16,
+        count: usize,
+    ) -> CohortVerdict {
+        CohortVerdict::judge(
+            scheme,
+            store,
+            chain,
+            NodeId(from),
+            Some(NodeId(0)),
+            count..=count,
+        )
+    }
+
     /// A two-signature chain P0 → P1, as received from P1.
     fn two_hop_chain(scheme: &SchnorrScheme, rings: &[Keyring]) -> ChainMessage {
         ChainMessage::originate(scheme, &rings[0].sk, NodeId(0), b"v".to_vec())
@@ -1103,26 +1115,16 @@ mod tests {
 
     #[test]
     fn cohort_judge_matches_per_message_verify() {
-        // The batched verdict must agree with what per-message
-        // verify_cached (plus the structural screening around it) says,
+        // The batched verdict must agree with what per-message verify
+        // (plus the structural screening around it) says,
         // across accept, structural-reject, and cryptographic-reject.
         let (scheme, rings, pks) = cohort_rings(4, 31);
         let store = KeyStore::global(NodeId(2), &pks).with_cache(VerifyCache::new());
         let chain = two_hop_chain(&scheme, &rings);
 
         // Accepted chain: verdict mirrors Ok(body).
-        let v = CohortVerdict::judge(
-            &scheme,
-            &store,
-            Some(&chain),
-            NodeId(1),
-            Some(NodeId(0)),
-            2..=2,
-        );
-        assert_eq!(
-            chain.verify_cached(&scheme, &store, NodeId(1)),
-            Ok(NodeId(1))
-        );
+        let v = judge_at(&scheme, &store, Some(&chain), 1, 2);
+        assert_eq!(chain.verify(&scheme, &store, NodeId(1)), Ok(NodeId(1)));
         match &v {
             CohortVerdict::Accept { signers, body } => {
                 assert_eq!(signers.as_ref(), &[NodeId(0), NodeId(1)]);
@@ -1133,7 +1135,7 @@ mod tests {
 
         // Undecodable payload.
         assert_eq!(
-            CohortVerdict::judge(&scheme, &store, None, NodeId(1), Some(NodeId(0)), 2..=2),
+            judge_at(&scheme, &store, None, 1, 2),
             CohortVerdict::Malformed
         );
         // Wrong origin and wrong count are both structural.
@@ -1149,14 +1151,7 @@ mod tests {
             CohortVerdict::BadChain
         );
         assert_eq!(
-            CohortVerdict::judge(
-                &scheme,
-                &store,
-                Some(&chain),
-                NodeId(1),
-                Some(NodeId(0)),
-                1..=1
-            ),
+            judge_at(&scheme, &store, Some(&chain), 1, 1),
             CohortVerdict::BadChain
         );
         // A repeated signer: P0 → P1 → P0, received from P0 again.
@@ -1164,14 +1159,7 @@ mod tests {
             .clone()
             .extend(&scheme, &rings[0].sk, NodeId(1))
             .unwrap();
-        match CohortVerdict::judge(
-            &scheme,
-            &store,
-            Some(&cycled),
-            NodeId(0),
-            Some(NodeId(0)),
-            3..=3,
-        ) {
+        match judge_at(&scheme, &store, Some(&cycled), 0, 3) {
             CohortVerdict::Duplicate { signers } => {
                 assert_eq!(signers.as_ref(), &[NodeId(0), NodeId(1), NodeId(0)]);
             }
@@ -1181,15 +1169,8 @@ mod tests {
         // verification raises.
         let mut forged = chain.clone();
         forged.body = b"w".to_vec();
-        let direct = forged.verify_cached(&scheme, &store, NodeId(1));
-        match CohortVerdict::judge(
-            &scheme,
-            &store,
-            Some(&forged),
-            NodeId(1),
-            Some(NodeId(0)),
-            2..=2,
-        ) {
+        let direct = forged.verify(&scheme, &store, NodeId(1));
+        match judge_at(&scheme, &store, Some(&forged), 1, 2) {
             CohortVerdict::Discovered { reason, .. } => {
                 assert_eq!(Err(reason), direct);
             }
@@ -1213,14 +1194,7 @@ mod tests {
             .map(|&i| KeyStore::global(NodeId(i), &pks).with_cache(cache.clone()))
             .collect();
         assert_eq!(lookup(&cache, &key, &stores[0]), None);
-        let verdict = CohortVerdict::judge(
-            &scheme,
-            &stores[0],
-            Some(&chain),
-            NodeId(1),
-            Some(NodeId(0)),
-            2..=2,
-        );
+        let verdict = judge_at(&scheme, &stores[0], Some(&chain), 1, 2);
         record(&cache, key, &payload, &stores[0], verdict.clone());
         for store in &stores[1..] {
             assert_eq!(lookup(&cache, &key, store), Some(verdict.clone()));
@@ -1252,27 +1226,13 @@ mod tests {
         let mut store_b = KeyStore::global(NodeId(2), &pks).with_cache(cache.clone());
         store_b.accept(NodeId(1), pk_y);
 
-        let verdict_a = CohortVerdict::judge(
-            &scheme,
-            &store_a,
-            Some(&chain),
-            NodeId(1),
-            Some(NodeId(0)),
-            2..=2,
-        );
+        let verdict_a = judge_at(&scheme, &store_a, Some(&chain), 1, 2);
         record(&cache, key, &payload, &store_a, verdict_a.clone());
         assert!(matches!(verdict_a, CohortVerdict::Accept { .. }));
 
         // Store B must NOT be served A's verdict: its view differs.
         assert_eq!(lookup(&cache, &key, &store_b), None);
-        let verdict_b = CohortVerdict::judge(
-            &scheme,
-            &store_b,
-            Some(&chain),
-            NodeId(1),
-            Some(NodeId(0)),
-            2..=2,
-        );
+        let verdict_b = judge_at(&scheme, &store_b, Some(&chain), 1, 2);
         record(&cache, key, &payload, &store_b, verdict_b.clone());
         match &verdict_b {
             CohortVerdict::Discovered { reason, .. } => {
@@ -1283,6 +1243,65 @@ mod tests {
         // Both entries now coexist under one key; each store gets its own.
         assert_eq!(lookup(&cache, &key, &store_a), Some(verdict_a));
         assert_eq!(lookup(&cache, &key, &store_b), Some(verdict_b));
+    }
+
+    #[test]
+    fn non_canonical_store_keeps_a_private_table_and_its_own_verdict() {
+        // Stores on one predicate table replay each other's verdicts by
+        // table identity; a store that accepted a non-canonical key for
+        // the chain's signer P1 holds a private table and is judged apart.
+        let (scheme, rings, _) = cohort_rings(5, 39);
+        let table = PredicateTable::from_rings(&rings);
+        let chain = two_hop_chain(&scheme, &rings);
+        let payload = Payload::from(chain.encode_to_vec());
+        let key: CohortKey = (payload.ident(), NodeId(1), 2);
+        let cache = VerifyCache::new();
+        let shared =
+            |me: u16| KeyStore::global_shared(NodeId(me), &table).with_cache(cache.clone());
+        let (judge_store, peer) = (shared(2), shared(3));
+        let mut private = shared(4);
+        let (_, pk_x) = scheme.keypair_from_seed(2003);
+        private.accept(NodeId(1), pk_x);
+        assert!(peer.shares_table(&table));
+        assert!(!private.shares_table(&table));
+
+        let accepted = judge_at(&scheme, &judge_store, Some(&chain), 1, 2);
+        assert!(matches!(accepted, CohortVerdict::Accept { .. }));
+        record(&cache, key, &payload, &judge_store, accepted.clone());
+        assert_eq!(lookup(&cache, &key, &peer), Some(accepted.clone()));
+        assert_eq!(lookup(&cache, &key, &private), None);
+        let discovered = judge_at(&scheme, &private, Some(&chain), 1, 2);
+        assert!(matches!(
+            discovered,
+            CohortVerdict::Discovered {
+                reason: DiscoveryReason::BadSignature,
+                ..
+            }
+        ));
+        record(&cache, key, &payload, &private, discovered.clone());
+        assert_eq!(lookup(&cache, &key, &private), Some(discovered));
+        assert_eq!(lookup(&cache, &key, &peer), Some(accepted));
+    }
+
+    #[test]
+    fn a_signer_outside_the_system_replays_as_unknown() {
+        // A chain arriving "from" node 9 of 5 names a signer no table has a
+        // slot for; its discovery is replayed for another private store
+        // that also knows nothing of node 9.
+        let (scheme, rings, pks) = cohort_rings(5, 40);
+        let chain = two_hop_chain(&scheme, &rings);
+        let payload = Payload::from(chain.encode_to_vec());
+        let key: CohortKey = (payload.ident(), NodeId(9), 2);
+        let cache = VerifyCache::new();
+        let store_a = KeyStore::global(NodeId(2), &pks).with_cache(cache.clone());
+        let store_b = KeyStore::global(NodeId(3), &pks).with_cache(cache.clone());
+        let verdict = judge_at(&scheme, &store_a, Some(&chain), 9, 2);
+        assert_eq!(
+            verdict.read(|_, _| true),
+            Err(DiscoveryReason::UnknownSigner)
+        );
+        record(&cache, key, &payload, &store_a, verdict.clone());
+        assert_eq!(lookup(&cache, &key, &store_b), Some(verdict));
     }
 
     #[test]
@@ -1304,24 +1323,10 @@ mod tests {
         let forged_key: CohortKey = (forged_payload.ident(), NodeId(1), 2);
         assert_ne!(honest_key, forged_key);
 
-        let hv = CohortVerdict::judge(
-            &scheme,
-            &store,
-            Some(&honest),
-            NodeId(1),
-            Some(NodeId(0)),
-            2..=2,
-        );
+        let hv = judge_at(&scheme, &store, Some(&honest), 1, 2);
         record(&cache, honest_key, &honest_payload, &store, hv);
         assert_eq!(lookup(&cache, &forged_key, &store), None);
-        let fv = CohortVerdict::judge(
-            &scheme,
-            &store,
-            Some(&forged),
-            NodeId(1),
-            Some(NodeId(0)),
-            2..=2,
-        );
+        let fv = judge_at(&scheme, &store, Some(&forged), 1, 2);
         assert!(matches!(fv, CohortVerdict::Discovered { .. }));
         record(&cache, forged_key, &forged_payload, &store, fv.clone());
         assert!(matches!(
@@ -1344,14 +1349,7 @@ mod tests {
         let payload = Payload::from(chain.encode_to_vec());
         let key: CohortKey = (payload.ident(), NodeId(1), 7);
         // Wrong count for "round 7": BadChain regardless of keys.
-        let v = CohortVerdict::judge(
-            &scheme,
-            &store_full,
-            Some(&chain),
-            NodeId(1),
-            Some(NodeId(0)),
-            7..=7,
-        );
+        let v = judge_at(&scheme, &store_full, Some(&chain), 1, 7);
         assert_eq!(v, CohortVerdict::BadChain);
         record(&cache, key, &payload, &store_full, v.clone());
         assert_eq!(lookup(&cache, &key, &store_empty), Some(v));
@@ -1369,14 +1367,7 @@ mod tests {
         let chain = two_hop_chain(&scheme, &rings);
         let payload = Payload::from(chain.encode_to_vec());
         let key: CohortKey = (payload.ident(), NodeId(1), 2);
-        let v = CohortVerdict::judge(
-            &scheme,
-            &store,
-            Some(&chain),
-            NodeId(1),
-            Some(NodeId(0)),
-            2..=2,
-        );
+        let v = judge_at(&scheme, &store, Some(&chain), 1, 2);
         record(&cache, key, &payload, &store, v.clone());
         // The disabled handle can neither read nor write the cohort map …
         assert!(reference.cohorts().is_none());
@@ -1391,16 +1382,7 @@ mod tests {
         let chain = two_hop_chain(&scheme, &rings);
         let mut forged = chain.clone();
         forged.body = b"w".to_vec();
-        let judge = |c: Option<&ChainMessage>, count: usize| {
-            CohortVerdict::judge(
-                &scheme,
-                &store,
-                c,
-                NodeId(1),
-                Some(NodeId(0)),
-                count..=count,
-            )
-        };
+        let judge = |c: Option<&ChainMessage>, count: usize| judge_at(&scheme, &store, c, 1, count);
         let (accept, discovered) = (judge(Some(&chain), 2), judge(Some(&forged), 2));
         let ok = |_: &[NodeId], _: &[u8]| true;
         let bad = |_: &[NodeId], _: &[u8]| false;

@@ -284,8 +284,14 @@ impl KeyDistNode {
         &self.store
     }
 
-    /// Take ownership of the final key store and keyring.
-    pub fn into_parts(self) -> (KeyStore, Keyring, Vec<KdAnomaly>) {
+    /// Take ownership of the final key store and keyring. With an intern
+    /// table attached, a store that accepted exactly the canonical
+    /// predicates comes back on the table's shared slots
+    /// ([`KeyStore::share_canonical`]).
+    pub fn into_parts(mut self) -> (KeyStore, Keyring, Vec<KdAnomaly>) {
+        if let Some(table) = &self.table {
+            self.store.share_canonical(table);
+        }
         (self.store, self.keyring, self.anomalies)
     }
 

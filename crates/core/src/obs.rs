@@ -90,9 +90,10 @@ pub struct PhaseBreakdown {
     /// Wall-clock µs spent inside signature-predicate evaluations on the
     /// verify-cache miss path (0 when no evaluation ran).
     pub verify_us: u64,
-    /// Verify-cache hits during this run (signature + chain level).
+    /// Verify-cache hits during this run (signature + cohort level).
     pub cache_hits: u64,
-    /// Verify-cache misses during this run (= evaluations executed).
+    /// Verify-cache misses during this run: cohort judgements plus
+    /// signature evaluations executed.
     pub cache_misses: u64,
     /// Predicate-table intern calls that reused a shared allocation.
     pub interned: u64,

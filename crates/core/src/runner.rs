@@ -392,7 +392,7 @@ impl Cluster {
     pub fn global_stores(&self) -> Vec<KeyStore> {
         let table = PredicateTable::from_rings(&self.keyrings());
         (0..self.n)
-            .map(|i| KeyStore::global_shared(NodeId(i as u16), table.keys()))
+            .map(|i| KeyStore::global_shared(NodeId(i as u16), &table))
             .collect()
     }
 
@@ -403,7 +403,7 @@ impl Cluster {
         let rings = self.keyrings();
         let table = Arc::new(PredicateTable::from_rings(&rings));
         let stores = (0..self.n)
-            .map(|i| Some(KeyStore::global_shared(NodeId(i as u16), table.keys())))
+            .map(|i| Some(KeyStore::global_shared(NodeId(i as u16), &table)))
             .collect();
         KeyDistReport {
             stores,
@@ -433,8 +433,10 @@ impl Cluster {
     ///
     /// Honest nodes intern announced predicates against one shared
     /// [`PredicateTable`], so the honest case builds all stores from
-    /// `O(n)` distinct key allocations (the table is returned on the
-    /// report for allocation-profile assertions).
+    /// `O(n)` distinct key allocations, and every store that ends up
+    /// holding exactly the canonical predicates shares the table's own
+    /// slots (the table is returned on the report for allocation-profile
+    /// assertions).
     pub fn run_key_distribution_with(&self, substitute: Substitution<'_>) -> KeyDistReport {
         let workers = std::thread::available_parallelism().map_or(1, usize::from);
         self.run_key_distribution_on(workers, substitute)

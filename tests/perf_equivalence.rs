@@ -30,7 +30,9 @@
 //!   it, a node signing with its equivocated key and corrupted links on
 //!   the disseminated chain, on both engines at n ∈ {7, 16, 64} and
 //!   t ∈ {1, 2}; and one n = 64 run's verify-cache hit and miss counts
-//!   are pinned per engine for Dolev–Strong and chain FD.
+//!   are pinned per engine for Dolev–Strong and chain FD, as are the
+//!   `scheme.verify` calls of Dolev–Strong and chain FD runs, honest and
+//!   under a tampering relay.
 
 use local_auth_fd::core::adversary::{
     AdversaryKind, AdversarySpec, EquivocatingKeyDist, KeyThiefKeyDist, SharedKeyKeyDist,
@@ -237,9 +239,9 @@ fn sweep_reports_stay_byte_deterministic_on_both_engines() {
 
 #[test]
 fn keydist_interns_announcements_into_one_shared_table() {
-    // The full Fig. 1 protocol: every store's accepted predicates must be
-    // handles into the run's shared table — zero private allocations in
-    // the honest case.
+    // The full Fig. 1 protocol: every store must end on the run's shared
+    // table itself, whose slots are the canonical allocations — zero
+    // private allocations in the honest case.
     let n = 96;
     let kd = cluster(n, 2, Engine::Sync).run_key_distribution();
     let table = kd.predicates.as_ref().expect("keydist attaches its table");
@@ -247,13 +249,47 @@ fn keydist_interns_announcements_into_one_shared_table() {
     assert_eq!(table.distinct_allocations(), n);
     // Every node interns n predicates (n − 1 announcements + its own).
     assert_eq!(table.interned_count(), n * n);
-    for node in NodeId::all(n) {
-        // n stores hold the entry, plus the table's own handle.
-        assert_eq!(table.ref_count(node), Some(n + 1), "{node}");
-    }
     for store in kd.stores.iter().flatten() {
+        assert!(store.shares_table(table), "{}", store.owner());
         assert_eq!(store.accepted_count(), n);
     }
+    for node in NodeId::all(n) {
+        // Only the table's own handle: no store kept a private copy.
+        assert_eq!(table.ref_count(node), Some(1), "{node}");
+    }
+}
+
+#[test]
+fn keydist_stores_with_a_non_canonical_key_stay_private() {
+    // An equivocating announcer hands every honest node a predicate other
+    // than its canonical one, so every honest store keeps a private table
+    // holding that node's announced bytes, and the other canonical keys
+    // by handle.
+    let n = 16;
+    let c = cluster(n, 2, Engine::Sync);
+    let scheme = Arc::clone(&c.scheme);
+    let liar = NodeId(5);
+    let kd = c.run_key_distribution_with(&mut |id| {
+        (id == liar).then(|| {
+            Box::new(EquivocatingKeyDist::new(
+                id,
+                n,
+                Arc::clone(&scheme),
+                555,
+                NodeId(8),
+            )) as Box<dyn Node>
+        })
+    });
+    let table = kd.predicates.as_ref().expect("keydist attaches its table");
+    let canonical = c.keyring(liar).pk;
+    for store in kd.stores.iter().flatten() {
+        assert!(!store.shares_table(table), "{}", store.owner());
+        if let Some(pk) = store.accepted(liar) {
+            assert_ne!(pk, &canonical, "{}", store.owner());
+        }
+    }
+    // n − 1 private tables hold each honest node's canonical handle.
+    assert_eq!(table.ref_count(NodeId(0)), Some(n));
 }
 
 /// What a key distribution decided: every store's accepted predicate
@@ -340,15 +376,16 @@ fn keydist_outcome_is_worker_count_invariant_at_n192() {
 fn n2048_key_stores_are_built_from_linear_distinct_allocations() {
     // The ROADMAP "large-n memory profile" item: at n = 2048 the per-node
     // stores used to hold O(n²) independently allocated keys. With the
-    // shared predicate table, 2048 stores × 2048 entries are all handles
-    // onto 2048 distinct allocations.
+    // shared predicate table, the 2048 stores are one table of 2048
+    // handles onto 2048 distinct allocations.
     let n = 2048;
     let c = cluster(n, 1, Engine::Sync);
     let kd = c.dealer_keydist();
     let table = kd.predicates.as_ref().expect("dealer keydist shares");
     assert_eq!(table.distinct_allocations(), n);
+    assert!(kd.stores.iter().flatten().all(|s| s.shares_table(table)));
     for node in NodeId::all(n) {
-        assert_eq!(table.ref_count(node), Some(n + 1), "{node}");
+        assert_eq!(table.ref_count(node), Some(1), "{node}");
     }
     // A protocol run clones every store once more (one table handle per
     // store), still without allocating any new key material.
@@ -420,11 +457,13 @@ fn dealer_run_counters_are_exact_for_ds_at_n8192() {
     );
 }
 
-/// Tiny Schnorr that counts its key generations.
+/// Tiny Schnorr that counts its key generations and its predicate
+/// evaluations.
 #[derive(Debug)]
 struct CountingScheme {
     inner: SchnorrScheme,
     keygens: Arc<AtomicUsize>,
+    verifies: Arc<AtomicUsize>,
 }
 
 impl SignatureScheme for CountingScheme {
@@ -442,6 +481,7 @@ impl SignatureScheme for CountingScheme {
     }
 
     fn verify(&self, pk: &PublicKey, msg: &[u8], sig: &Signature) -> bool {
+        self.verifies.fetch_add(1, Ordering::Relaxed);
         self.inner.verify(pk, msg, sig)
     }
 
@@ -454,20 +494,23 @@ impl SignatureScheme for CountingScheme {
     }
 }
 
-/// A cluster on a [`CountingScheme`], and its key generation counter.
-fn counting_cluster(n: usize, t: usize) -> (Cluster, Arc<AtomicUsize>) {
+/// A cluster on a [`CountingScheme`], and its key generation and
+/// predicate evaluation counters.
+fn counting_cluster(n: usize, t: usize) -> (Cluster, Arc<AtomicUsize>, Arc<AtomicUsize>) {
     let keygens = Arc::new(AtomicUsize::new(0));
+    let verifies = Arc::new(AtomicUsize::new(0));
     let scheme = CountingScheme {
         inner: SchnorrScheme::test_tiny(),
         keygens: Arc::clone(&keygens),
+        verifies: Arc::clone(&verifies),
     };
-    (Cluster::new(n, t, Arc::new(scheme), 5), keygens)
+    (Cluster::new(n, t, Arc::new(scheme), 5), keygens, verifies)
 }
 
 #[test]
 fn warm_runs_generate_no_keys() {
     let n = 64;
-    let (c, keygens) = counting_cluster(n, 2);
+    let (c, keygens, _) = counting_cluster(n, 2);
     let mut session = Session::new(c);
     session.keydist();
     assert_eq!(keygens.load(Ordering::Relaxed), n, "keydist makes n rings");
@@ -487,7 +530,7 @@ fn warm_runs_generate_no_keys() {
     }
     assert_eq!(keygens.load(Ordering::Relaxed), n, "runs borrow the rings");
 
-    let (c, keygens) = counting_cluster(n, 2);
+    let (c, keygens, _) = counting_cluster(n, 2);
     let kd = c.dealer_keydist();
     let run = c.run_with_keys(&RunSpec::new(Protocol::ChainFd, vec![1]), Some(&kd));
     assert!(run.all_decided(&[1]));
@@ -502,7 +545,7 @@ fn warm_runs_generate_no_keys() {
 #[ignore = "large-n guard; run with --release -- --ignored"]
 fn chain4096_dealer_run_generates_no_keys() {
     let n = 4096;
-    let (c, keygens) = counting_cluster(n, 1);
+    let (c, keygens, _) = counting_cluster(n, 1);
     let kd = c.dealer_keydist();
     let run = c.run_with_keys(
         &RunSpec::new(Protocol::ChainFd, b"large-n".to_vec()),
@@ -511,8 +554,9 @@ fn chain4096_dealer_run_generates_no_keys() {
     assert!(run.all_decided(b"large-n"));
     assert_eq!(keygens.load(Ordering::Relaxed), n);
     let table = kd.predicates.as_ref().expect("dealer keydist shares");
+    assert!(kd.stores.iter().flatten().all(|s| s.shares_table(table)));
     for node in NodeId::all(n) {
-        assert_eq!(table.ref_count(node), Some(n + 1), "{node}");
+        assert_eq!(table.ref_count(node), Some(1), "{node}");
     }
 }
 
@@ -785,10 +829,16 @@ fn vector_fd_cohort_hit_path_matches_cohort_free_cache() {
 fn ds_n64_verify_cache_counters_are_pinned() {
     // Hits and misses of one traced Dolev–Strong run on dealer stores: a
     // change to the cohort hit path may make a hit cheaper, never turn it
-    // into a miss or count it twice.
+    // into a miss or count it twice. Round 1 judges P_0's broadcast once
+    // (a cohort miss and the origin signature's miss) and replays it for
+    // the other 62 receivers. Round 2 judges each of the 63 relays'
+    // broadcasts once (a cohort miss and the relay's new signature; the
+    // origin signature hits) and replays it for the other 62 of its 63
+    // receivers. Misses: 2 + 63 × 2 = 128. Hits: 62 + 63 × 62 replays and
+    // 63 origin-signature hits, 4031.
     let spec = RunSpec::new(Protocol::DolevStrong, b"ds-counters".to_vec())
         .with_default_value(b"ds-default".to_vec());
-    for (engine, expected) in [(Engine::Sync, [4031, 192]), (Engine::Event, [4031, 192])] {
+    for (engine, expected) in [(Engine::Sync, [4031, 128]), (Engine::Event, [4031, 128])] {
         let c = cluster(64, 2, engine).with_obs();
         let kd = c.dealer_keydist();
         let run = c.run_with_keys(&spec, Some(&kd));
@@ -805,13 +855,14 @@ fn ds_n64_verify_cache_counters_are_pinned() {
 #[test]
 fn chain_fd_n64_verify_cache_counters_are_pinned() {
     // Hits and misses of one traced chain FD run on dealer stores. Each
-    // relay judges its own chain (a cohort miss, a receipt miss and one
-    // new signature: three misses; earlier layers hit the signature
-    // cache). The first of the 61 disseminated receivers judges P_2's
-    // chain the same way; the other 60 replay its cohort verdict, so the
-    // dissemination costs one judgement, not 61.
+    // relay judges its own chain (a cohort miss and one new signature: two
+    // misses; earlier layers hit the signature cache, one hit at P_2). The
+    // first of the 61 disseminated receivers judges P_2's chain the same
+    // way (two misses, two hits); the other 60 replay its cohort verdict,
+    // so the dissemination costs one judgement, not 61. Misses: 3 × 2 = 6.
+    // Hits: 1 + 2 + 60 = 63.
     let spec = RunSpec::new(Protocol::ChainFd, b"chain-counters".to_vec());
-    for (engine, expected) in [(Engine::Sync, [63, 9]), (Engine::Event, [63, 9])] {
+    for (engine, expected) in [(Engine::Sync, [63, 6]), (Engine::Event, [63, 6])] {
         let c = cluster(64, 2, engine).with_obs();
         let kd = c.dealer_keydist();
         let run = c.run_with_keys(&spec, Some(&kd));
@@ -822,5 +873,39 @@ fn chain_fd_n64_verify_cache_counters_are_pinned() {
             expected,
             "{engine}"
         );
+    }
+}
+
+/// `scheme.verify` calls of one `protocol` run at `(n, t = 2)` on dealer
+/// stores, which verify nothing themselves.
+fn run_verifies(protocol: Protocol, n: usize, adversary: AdversarySpec, engine: Engine) -> usize {
+    let (c, _, verifies) = counting_cluster(n, 2);
+    let c = c.with_engine(engine);
+    let kd = c.dealer_keydist();
+    assert_eq!(
+        verifies.load(Ordering::Relaxed),
+        0,
+        "dealer stores verify nothing"
+    );
+    let spec = RunSpec::new(protocol, b"verify-count".to_vec())
+        .with_default_value(b"verify-default".to_vec())
+        .with_adversary(adversary);
+    c.run_with_keys(&spec, Some(&kd));
+    verifies.load(Ordering::Relaxed)
+}
+
+#[test]
+fn scheme_verify_calls_per_run_are_pinned() {
+    // The verify cache may only ever spare a predicate evaluation, never
+    // add one: every distinct signature of a run is checked exactly once.
+    let tamper = || AdversarySpec::scripted(AdversaryKind::TamperBody);
+    for engine in [Engine::Sync, Engine::Event] {
+        let counts = [
+            run_verifies(Protocol::DolevStrong, 64, AdversarySpec::Honest, engine),
+            run_verifies(Protocol::ChainFd, 64, AdversarySpec::Honest, engine),
+            run_verifies(Protocol::ChainFd, 64, tamper(), engine),
+            run_verifies(Protocol::ChainFd, 17, tamper(), engine),
+        ];
+        assert_eq!(counts, [64, 3, 1, 1], "{engine}");
     }
 }
