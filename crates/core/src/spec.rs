@@ -623,8 +623,8 @@ impl Cluster {
     ) -> FdRunReport {
         let keys = || keydist.expect("protocol needs a key distribution");
         // One shared verification cache per run: every node's store routes
-        // signature and chain checks through it, so identical chains
-        // received by many nodes are verified once (see
+        // signature checks and chain verdicts through it, so a chain
+        // received by many nodes is judged once (see
         // [`crate::keys::VerifyCache`] for why sharing across stores is
         // sound even under G3 disagreement). A cluster-installed cache
         // ([`Cluster::with_verify_cache`]) replaces it — the equivalence
