@@ -162,6 +162,13 @@ impl DolevStrongNode {
     /// body this node already extracted is dropped here rather than
     /// copied out.
     fn take(&self, verdict: &CohortVerdict) -> Take {
+        // An accepted body already extracted is dropped whether or not it
+        // is an echo, so the common replay skips reading the signer list.
+        if let CohortVerdict::Accept { body, .. } = verdict {
+            if self.extracted.iter().any(|e| e[..] == body[..]) {
+                return Take::Nothing;
+            }
+        }
         if verdict.signers().contains(&self.me) {
             return Take::Nothing;
         }
