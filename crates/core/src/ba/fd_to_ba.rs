@@ -40,8 +40,8 @@ use std::sync::Arc;
 
 /// Alarm wire message: a chain-signed "ALARM" marker.
 #[derive(Debug, Clone, PartialEq, Eq)]
-struct AlarmMsg {
-    chain: ChainMessage,
+pub(crate) struct AlarmMsg {
+    pub(crate) chain: ChainMessage,
 }
 
 const TAG_ALARM: u8 = 0x60;

@@ -26,7 +26,7 @@
 mod degradable;
 mod dolev_strong;
 mod eig;
-mod fd_to_ba;
+pub(crate) mod fd_to_ba;
 mod phase_king;
 
 pub use degradable::{DegradableNode, DegradableParams, DgMsg, Grade};

@@ -434,4 +434,48 @@ mod tests {
         let m1 = chain_through(&scheme, &rings, b"v", &[1]);
         assert_ne!(m0.document(), m1.document());
     }
+
+    /// Known answer for the five tag-plus-chain wire messages: each is its
+    /// tag byte, then the chain's own encoding, and refuses the other four
+    /// tags.
+    #[test]
+    fn chain_message_payload_bytes_are_pinned() {
+        use crate::ba::fd_to_ba::AlarmMsg;
+        use crate::ba::{DgMsg, DsMsg};
+        use crate::fd::{FdMsg, SrMsg};
+        use std::fmt::Debug;
+
+        const TAGS: [u8; 5] = [0x10, 0x30, 0x40, 0x60, 0x68];
+        fn pin<M: Encode + Decode + PartialEq + Debug>(msg: M, tag: u8, chain: &[u8]) {
+            let bytes = msg.encode_to_vec();
+            assert_eq!(bytes[0], tag);
+            assert_eq!(&bytes[1..], chain, "tag {tag:#04x}");
+            assert_eq!(M::decode_exact(&bytes).unwrap(), msg);
+            for other in TAGS.into_iter().filter(|&t| t != tag) {
+                let mut foreign = bytes.clone();
+                foreign[0] = other;
+                assert_eq!(M::decode_exact(&foreign), Err(CodecError::BadTag(other)));
+            }
+        }
+
+        let (scheme, rings, _) = setup(3);
+        let chain = chain_through(&scheme, &rings, b"value", &[1, 2]);
+        let bytes = chain.encode_to_vec();
+        let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
+        let pinned = [
+            // origin P0, body "value", the origin's signature
+            "0000 00000005 76616c7565 0000000c 4fa8c41820e750e7b942854c",
+            // two layers: assignee P0 under P1's signature, P1 under P2's
+            "00000002",
+            "0000 0000000c 9af11b929a335d156fc54f2b",
+            "0001 0000000c 52154ccf10126c9b4f9a0358",
+        ];
+        assert_eq!(hex, pinned.concat().replace(' ', ""));
+        let chain = || chain.clone();
+        pin(FdMsg { chain: chain() }, 0x10, &bytes);
+        pin(SrMsg { chain: chain() }, 0x30, &bytes);
+        pin(DsMsg { chain: chain() }, 0x40, &bytes);
+        pin(AlarmMsg { chain: chain() }, 0x60, &bytes);
+        pin(DgMsg { chain: chain() }, 0x68, &bytes);
+    }
 }
