@@ -37,41 +37,17 @@
 //! trade the paper's reference [7] calls *degradable*: full agreement is
 //! degraded, latency and resilience bookkeeping are not.
 
-use crate::chain::ChainMessage;
+use crate::chain::{ChainMessage, ChainMsg};
 use crate::keys::{screen, Cohorts, Expect, KeyStore, Keyring, VerifyCache};
 use crate::outcome::{DiscoveryReason, Outcome};
 use fd_crypto::SignatureScheme;
-use fd_simnet::codec::{CodecError, Decode, Encode, Reader, Writer};
-use fd_simnet::{Envelope, Node, NodeId, Outbox};
+use fd_simnet::codec::Encode;
+use fd_simnet::{Envelope, Node, NodeId, Outbox, Payload};
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
 /// Wire message: the sender's chain (1 signature) or an echo (2 signatures).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DgMsg {
-    /// The chain-signed value.
-    pub chain: ChainMessage,
-}
-
-const TAG_DG: u8 = 0x68;
-
-impl Encode for DgMsg {
-    fn encode(&self, w: &mut Writer) {
-        w.put_u8(TAG_DG);
-        self.chain.encode(w);
-    }
-}
-
-impl Decode for DgMsg {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        match r.get_u8()? {
-            TAG_DG => Ok(DgMsg {
-                chain: ChainMessage::decode(r)?,
-            }),
-            other => Err(CodecError::BadTag(other)),
-        }
-    }
-}
+pub type DgMsg = ChainMsg<0x68>;
 
 /// The confidence grade attached to a degradable-agreement decision.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -134,8 +110,9 @@ pub struct DegradableNode {
     store: KeyStore,
     keyring: Keyring,
     value: Option<Vec<u8>>,
-    /// The verified direct chain received from the sender, if any.
-    direct: Option<ChainMessage>,
+    /// The verified direct value received from the sender, with its
+    /// payload (kept for the echo), if any.
+    direct: Option<(Vec<u8>, Payload)>,
     /// Distinct values with valid support, in first-seen order, with the
     /// set of vouching nodes.
     support: Vec<(Vec<u8>, BTreeSet<NodeId>)>,
@@ -223,7 +200,7 @@ impl DegradableNode {
         sender_ok: bool,
     ) -> Result<Vec<u8>, DiscoveryReason> {
         let expect = Expect {
-            decode: |p: &[u8]| DgMsg::decode_exact(p).ok().map(|m| m.chain),
+            decode: DgMsg::chain_of,
             origin: Some(self.params.sender),
             count: count..=count,
         };
@@ -247,11 +224,8 @@ impl DegradableNode {
         }
         match self.screen_chain(cohorts, round, env, 1, true) {
             Ok(body) => {
-                self.add_support(body, self.params.sender);
-                let chain = DgMsg::decode_exact(&env.payload)
-                    .expect("accepted payload decodes")
-                    .chain;
-                self.direct = Some(chain);
+                self.add_support(body.clone(), self.params.sender);
+                self.direct = Some((body, env.payload.clone()));
             }
             Err(reason) => {
                 self.discovered.get_or_insert(reason);
@@ -325,15 +299,7 @@ impl Node for DegradableNode {
                     let chain =
                         ChainMessage::originate(self.scheme.as_ref(), &self.keyring.sk, self.me, v)
                             .expect("own keyring well-formed");
-                    out.broadcast(
-                        self.params.n,
-                        self.me,
-                        DgMsg {
-                            chain: chain.clone(),
-                        }
-                        .encode_to_vec(),
-                    );
-                    self.direct = Some(chain);
+                    out.broadcast(self.params.n, self.me, DgMsg { chain }.encode_to_vec());
                 }
             }
             1 => {
@@ -343,18 +309,17 @@ impl Node for DegradableNode {
                     for env in inbox {
                         self.take_direct(cohorts.as_mut(), round, env);
                     }
-                    if let Some(direct_chain) = self.direct.clone() {
+                    if let Some((body, payload)) = self.direct.take() {
                         // Count our own echo: it is broadcast to everyone
                         // else but not delivered to ourselves.
-                        self.add_support(direct_chain.body.clone(), self.me);
-                        let echo = direct_chain
-                            .extend(self.scheme.as_ref(), &self.keyring.sk, self.params.sender)
-                            .expect("own keyring well-formed");
-                        out.broadcast(
-                            self.params.n,
-                            self.me,
-                            DgMsg { chain: echo }.encode_to_vec(),
+                        self.add_support(body, self.me);
+                        let echo = DgMsg::relay(
+                            &payload,
+                            self.scheme.as_ref(),
+                            &self.keyring.sk,
+                            self.params.sender,
                         );
+                        out.broadcast(self.params.n, self.me, echo);
                     }
                 }
             }
@@ -769,15 +734,6 @@ mod tests {
         for (o, _) in results(net, &[1]) {
             assert!(o.is_discovered(), "forged echo must be discovered: {o:?}");
         }
-    }
-
-    #[test]
-    fn codec_round_trip() {
-        let scheme = fd_crypto::SchnorrScheme::test_tiny();
-        let ring = Keyring::generate(&scheme, NodeId(0), 1);
-        let chain = ChainMessage::originate(&scheme, &ring.sk, NodeId(0), b"x".to_vec()).unwrap();
-        let msg = DgMsg { chain };
-        assert_eq!(DgMsg::decode_exact(&msg.encode_to_vec()).unwrap(), msg);
     }
 
     #[test]

@@ -15,40 +15,16 @@
 //! `n(n−1)` messages, the quadratic contrast to the FD chain protocol's
 //! `n − 1` (experiment T6).
 
-use crate::chain::ChainMessage;
+use crate::chain::{ChainMessage, ChainMsg};
 use crate::keys::{screen, CohortVerdict, Expect, KeyStore, Keyring, VerifyCache};
 use crate::outcome::{DiscoveryReason, Outcome};
 use fd_crypto::SignatureScheme;
-use fd_simnet::codec::{CodecError, Decode, Encode, Reader, Writer};
+use fd_simnet::codec::Encode;
 use fd_simnet::{Envelope, Node, NodeId, Outbox};
 use std::sync::Arc;
 
 /// Wire message: a signature chain carrying a value.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DsMsg {
-    /// The chain-signed value.
-    pub chain: ChainMessage,
-}
-
-const TAG_DS: u8 = 0x40;
-
-impl Encode for DsMsg {
-    fn encode(&self, w: &mut Writer) {
-        w.put_u8(TAG_DS);
-        self.chain.encode(w);
-    }
-}
-
-impl Decode for DsMsg {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        match r.get_u8()? {
-            TAG_DS => Ok(DsMsg {
-                chain: ChainMessage::decode(r)?,
-            }),
-            other => Err(CodecError::BadTag(other)),
-        }
-    }
-}
+pub type DsMsg = ChainMsg<0x40>;
 
 /// Static parameters of a Dolev–Strong run.
 #[derive(Debug, Clone)]
@@ -231,7 +207,7 @@ impl Node for DolevStrongNode {
         let mut cohorts = cache.as_ref().and_then(VerifyCache::cohorts);
         for env in inbox {
             let expect = Expect {
-                decode: |p: &[u8]| DsMsg::decode_exact(p).ok().map(|m| m.chain),
+                decode: DsMsg::chain_of,
                 origin: Some(self.params.sender),
                 count: round as usize..=round as usize,
             };
@@ -257,17 +233,13 @@ impl Node for DolevStrongNode {
                 // Relaying needs the actual chain to extend: decoded here
                 // at most once per distinct extracted value per node
                 // (≤ 2 per run), never per message.
-                let chain = DsMsg::decode_exact(&env.payload)
-                    .expect("accepted payload decodes")
-                    .chain;
-                let extended = chain
-                    .extend(self.scheme.as_ref(), &self.keyring.sk, env.from)
-                    .expect("own keyring well-formed");
-                out.broadcast(
-                    self.params.n,
-                    self.me,
-                    DsMsg { chain: extended }.encode_to_vec(),
+                let relayed = DsMsg::relay(
+                    &env.payload,
+                    self.scheme.as_ref(),
+                    &self.keyring.sk,
+                    env.from,
                 );
+                out.broadcast(self.params.n, self.me, relayed);
             }
         }
         if round == self.params.t as u32 + 1 {
@@ -420,15 +392,6 @@ mod tests {
                 assert_eq!(*o, Outcome::Decided(b"v".to_vec()), "P{i}");
             }
         }
-    }
-
-    #[test]
-    fn codec_round_trip() {
-        let scheme = fd_crypto::SchnorrScheme::test_tiny();
-        let ring = Keyring::generate(&scheme, NodeId(0), 1);
-        let chain = ChainMessage::originate(&scheme, &ring.sk, NodeId(0), b"x".to_vec()).unwrap();
-        let msg = DsMsg { chain };
-        assert_eq!(DsMsg::decode_exact(&msg.encode_to_vec()).unwrap(), msg);
     }
 
     #[test]

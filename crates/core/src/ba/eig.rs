@@ -24,7 +24,7 @@ pub struct EigMsg {
     pub entries: Vec<(Vec<NodeId>, Vec<u8>)>,
 }
 
-const TAG_EIG: u8 = 0x50;
+pub(crate) const TAG_EIG: u8 = 0x50;
 
 impl Encode for EigMsg {
     fn encode(&self, w: &mut Writer) {

@@ -28,42 +28,20 @@
 //! cost (experiment T6); faulty runs pay `O(n²)` alarms plus the EIG
 //! fallback, which is the regime where any BA protocol pays anyway.
 
-use crate::ba::eig::{EigNode, EigParams};
-use crate::chain::ChainMessage;
+use crate::ba::eig::{EigNode, EigParams, TAG_EIG};
+use crate::chain::{ChainMessage, ChainMsg};
 use crate::fd::{ChainFdNode, ChainFdParams};
 use crate::keys::{screen, Cohorts, Expect, KeyStore, Keyring, VerifyCache};
 use crate::outcome::Outcome;
 use fd_crypto::SignatureScheme;
-use fd_simnet::codec::{CodecError, Decode, Encode, Reader, Writer};
+use fd_simnet::codec::Encode;
 use fd_simnet::{Envelope, Node, NodeId, Outbox};
 use std::sync::Arc;
 
 /// Alarm wire message: a chain-signed "ALARM" marker.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct AlarmMsg {
-    pub(crate) chain: ChainMessage,
-}
+pub(crate) type AlarmMsg = ChainMsg<0x60>;
 
-const TAG_ALARM: u8 = 0x60;
 const ALARM_BODY: &[u8] = b"ALARM";
-
-impl Encode for AlarmMsg {
-    fn encode(&self, w: &mut Writer) {
-        w.put_u8(TAG_ALARM);
-        self.chain.encode(w);
-    }
-}
-
-impl Decode for AlarmMsg {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        match r.get_u8()? {
-            TAG_ALARM => Ok(AlarmMsg {
-                chain: ChainMessage::decode(r)?,
-            }),
-            other => Err(CodecError::BadTag(other)),
-        }
-    }
-}
 
 /// Static parameters of the FD→BA extension.
 #[derive(Debug, Clone)]
@@ -191,7 +169,7 @@ impl FdToBaNode {
         }
         let k = (round - self.params.alarm_start()) as usize;
         let expect = Expect {
-            decode: |p: &[u8]| AlarmMsg::decode_exact(p).ok().map(|m| m.chain),
+            decode: AlarmMsg::chain_of,
             origin: None,
             count: k..=usize::MAX,
         };
@@ -232,17 +210,13 @@ impl FdToBaNode {
                 self.alarm_seen = true;
                 // Relay once, while a relay can still arrive in the window.
                 if !self.alarm_relayed && round <= 2 * self.params.t32() + 2 {
-                    let chain = AlarmMsg::decode_exact(&env.payload)
-                        .expect("accepted payload decodes")
-                        .chain;
-                    let extended = chain
-                        .extend(self.scheme.as_ref(), &self.keyring.sk, env.from)
-                        .expect("own keyring well-formed");
-                    out.broadcast(
-                        self.params.n,
-                        self.me,
-                        AlarmMsg { chain: extended }.encode_to_vec(),
+                    let relayed = AlarmMsg::relay(
+                        &env.payload,
+                        self.scheme.as_ref(),
+                        &self.keyring.sk,
+                        env.from,
                     );
+                    out.broadcast(self.params.n, self.me, relayed);
                     self.alarm_relayed = true;
                 }
             }
@@ -256,8 +230,8 @@ impl FdToBaNode {
         let mut eig = Vec::new();
         for env in inbox {
             match env.payload.first() {
-                Some(&TAG_ALARM) => alarm.push(env.clone()),
-                Some(&0x50) => eig.push(env.clone()),
+                Some(&AlarmMsg::TAG) => alarm.push(env.clone()),
+                Some(&TAG_EIG) => eig.push(env.clone()),
                 _ => fd.push(env.clone()),
             }
         }
@@ -382,6 +356,29 @@ mod tests {
             })
             .collect();
         (outs, messages)
+    }
+
+    #[test]
+    fn inbox_tags_are_distinct_and_routed() {
+        // Chain FD, alarm and EIG traffic share one inbox and are told
+        // apart by their first byte alone.
+        let tags = [crate::fd::FdMsg::TAG, AlarmMsg::TAG, TAG_EIG];
+        assert_eq!(tags, [0x10, 0x60, 0x50]);
+        let inbox: Vec<Envelope> = tags
+            .iter()
+            .map(|&tag| Envelope {
+                from: NodeId(1),
+                to: NodeId(2),
+                round: 1,
+                payload: vec![tag].into(),
+            })
+            .collect();
+        let (fd, alarm, eig) = FdToBaNode::split_inbox(&inbox);
+        let lane = |envs: Vec<Envelope>| -> Vec<u8> { envs.iter().map(|e| e.payload[0]).collect() };
+        assert_eq!(
+            (lane(fd), lane(alarm), lane(eig)),
+            (vec![0x10], vec![0x60], vec![0x50])
+        );
     }
 
     #[test]

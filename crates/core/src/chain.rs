@@ -16,7 +16,8 @@ use crate::keys::KeyStore;
 use crate::outcome::DiscoveryReason;
 use fd_crypto::{SecretKey, Signature, SignatureScheme};
 use fd_simnet::codec::{decode_seq, CodecError, Decode, Encode, Reader, Writer};
-use fd_simnet::NodeId;
+use fd_simnet::{NodeId, Payload};
+use std::convert::Infallible;
 
 /// One signature layer: the name of the node the *inner* document is
 /// assigned to, plus the signature of this layer's signer over
@@ -103,21 +104,36 @@ impl ChainMessage {
     /// (this is what the *next* signer signs, together with an assignee
     /// name).
     pub fn document(&self) -> Vec<u8> {
-        let mut doc = {
-            let mut w = Writer::new();
-            self.origin.encode(&mut w);
-            w.put_bytes(&self.body);
-            w.put_bytes(&self.sig0.0);
-            w.into_bytes()
-        };
-        for layer in &self.layers {
+        let Ok(doc) = self.document_through(self.layers.len(), |_, _| Ok::<_, Infallible>(()));
+        doc
+    }
+
+    /// The document of the chain cut to its first `k` layers: the origin's
+    /// signed value, wrapped in each of those layers in turn. Before
+    /// wrapping layer `i` around the document, `check(i, document)` sees
+    /// the inner document that layer signs; its first error ends the walk.
+    /// The one place a document is built: [`ChainMessage::document`] wraps
+    /// every layer, [`ChainMessage::verify`] all but the last, whose check
+    /// reads only the document inside it.
+    fn document_through<E>(
+        &self,
+        k: usize,
+        mut check: impl FnMut(usize, &[u8]) -> Result<(), E>,
+    ) -> Result<Vec<u8>, E> {
+        let mut w = Writer::new();
+        self.origin.encode(&mut w);
+        w.put_bytes(&self.body);
+        w.put_bytes(&self.sig0.0);
+        let mut doc = w.into_bytes();
+        for (i, layer) in self.layers[..k].iter().enumerate() {
+            check(i, &doc)?;
             let mut w = Writer::new();
             layer.inner_assignee.encode(&mut w);
             w.put_bytes(&doc);
             w.put_bytes(&layer.sig.0);
             doc = w.into_bytes();
         }
-        doc
+        Ok(doc)
     }
 
     /// Extend the chain: sign the current document together with
@@ -134,8 +150,7 @@ impl ChainMessage {
         sk: &SecretKey,
         assignee: NodeId,
     ) -> Result<Self, fd_crypto::CryptoError> {
-        let doc = self.document();
-        let sig = scheme.sign(sk, &layer_bytes(assignee, &doc))?;
+        let sig = scheme.sign(sk, &layer_bytes(assignee, &self.document()))?;
         self.layers.push(ChainLayer {
             inner_assignee: assignee,
             sig,
@@ -152,16 +167,11 @@ impl ChainMessage {
     /// sender: origin, then each layer's signer (layer `k`'s signer is
     /// named by layer `k+1`; the outermost signer is the immediate sender).
     pub fn signer_sequence(&self, immediate_sender: NodeId) -> Vec<NodeId> {
-        let mut signers = vec![self.origin];
-        for k in 0..self.layers.len() {
-            let signer = if k + 1 < self.layers.len() {
-                self.layers[k + 1].inner_assignee
-            } else {
-                immediate_sender
-            };
-            signers.push(signer);
-        }
-        signers
+        let named = self.layers.iter().skip(1).map(|layer| layer.inner_assignee);
+        std::iter::once(self.origin)
+            .chain(named)
+            .chain((!self.layers.is_empty()).then_some(immediate_sender))
+            .collect()
     }
 
     /// Verify the chain against a local [`KeyStore`] per the Theorem 4
@@ -197,59 +207,53 @@ impl ChainMessage {
         store: &KeyStore,
         immediate_sender: NodeId,
     ) -> Result<NodeId, DiscoveryReason> {
+        self.verify_signers(scheme, store, &self.signer_sequence(immediate_sender))
+    }
+
+    /// [`ChainMessage::verify`] against the chain's already derived
+    /// [`signer_sequence`](ChainMessage::signer_sequence), for a caller
+    /// that needs the signers itself and derives them once.
+    pub(crate) fn verify_signers(
+        &self,
+        scheme: &dyn SignatureScheme,
+        store: &KeyStore,
+        signers: &[NodeId],
+    ) -> Result<NodeId, DiscoveryReason> {
+        let assign = |signer: NodeId, msg: &[u8], sig: &Signature| {
+            if store.accepted(signer).is_none() {
+                Err(DiscoveryReason::UnknownSigner)
+            } else if !store.assigns(scheme, signer, msg, sig) {
+                Err(DiscoveryReason::BadSignature)
+            } else {
+                Ok(())
+            }
+        };
         // Innermost: the origin's own signature over (origin ‖ body).
-        if store.accepted(self.origin).is_none() {
-            return Err(DiscoveryReason::UnknownSigner);
-        }
-        if !store.assigns(
-            scheme,
+        assign(
             self.origin,
             &origin_bytes(self.origin, &self.body),
             &self.sig0,
-        ) {
-            return Err(DiscoveryReason::BadSignature);
-        }
-
-        // Walk outwards, reconstructing the document and checking each
-        // layer under the key of its (implied) signer.
-        let mut doc = {
-            let mut w = Writer::new();
-            self.origin.encode(&mut w);
-            w.put_bytes(&self.body);
-            w.put_bytes(&self.sig0.0);
-            w.into_bytes()
-        };
-        let mut prev_assignee = self.origin;
-        for (k, layer) in self.layers.iter().enumerate() {
-            // Theorem 4: the embedded name must match *our own* assignment
-            // of the inner document.
-            if layer.inner_assignee != prev_assignee {
+        )?;
+        // Layer `k`, signed by `signers[k + 1]` over its inner document.
+        // Theorem 4: its embedded name must match *our own* assignment of
+        // that document, `signers[k]`.
+        let check = |k: usize, inner: &[u8]| {
+            let layer = &self.layers[k];
+            if layer.inner_assignee != signers[k] {
                 return Err(DiscoveryReason::NameMismatch);
             }
-            let signer = if k + 1 < self.layers.len() {
-                self.layers[k + 1].inner_assignee
-            } else {
-                immediate_sender
-            };
-            if store.accepted(signer).is_none() {
-                return Err(DiscoveryReason::UnknownSigner);
-            }
-            if !store.assigns(
-                scheme,
-                signer,
-                &layer_bytes(layer.inner_assignee, &doc),
+            assign(
+                signers[k + 1],
+                &layer_bytes(layer.inner_assignee, inner),
                 &layer.sig,
-            ) {
-                return Err(DiscoveryReason::BadSignature);
-            }
-            let mut w = Writer::new();
-            layer.inner_assignee.encode(&mut w);
-            w.put_bytes(&doc);
-            w.put_bytes(&layer.sig.0);
-            doc = w.into_bytes();
-            prev_assignee = signer;
-        }
-        Ok(prev_assignee)
+            )
+        };
+        let Some(last) = self.layers.len().checked_sub(1) else {
+            return Ok(self.origin);
+        };
+        let inner = self.document_through(last, check)?;
+        check(last, &inner)?;
+        Ok(signers[last + 1])
     }
 }
 
@@ -270,6 +274,68 @@ impl Decode for ChainMessage {
             sig0: Signature(r.get_bytes()?.to_vec()),
             layers: decode_seq::<ChainLayer>(r)?,
         })
+    }
+}
+
+/// A wire message that is one tag byte and a chain. Chain FD's
+/// [`FdMsg`](crate::fd::FdMsg), small range's
+/// [`SrMsg`](crate::fd::SrMsg), Dolev–Strong's
+/// [`DsMsg`](crate::ba::DsMsg), degradable agreement's
+/// [`DgMsg`](crate::ba::DgMsg) and the FD→BA alarm are aliases of it, one
+/// per tag.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ChainMsg<const TAG: u8> {
+    /// The chain-signed value.
+    pub chain: ChainMessage,
+}
+
+impl<const TAG: u8> ChainMsg<TAG> {
+    /// The byte every payload of this message type starts with.
+    pub const TAG: u8 = TAG;
+
+    /// The chain a payload carries, or `None` unless the payload is
+    /// exactly one such message: the decoder a receiver screens with.
+    pub fn chain_of(payload: &[u8]) -> Option<ChainMessage> {
+        Self::decode_exact(payload).ok().map(|msg| msg.chain)
+    }
+
+    /// Relay an accepted payload: decode its chain, sign it over to
+    /// `assignee` (see [`ChainMessage::extend`]) and encode the longer
+    /// chain under the same tag.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `payload` is not such a message (relay only what
+    /// screening accepted) or `sk` is malformed.
+    pub fn relay(
+        payload: &[u8],
+        scheme: &dyn SignatureScheme,
+        sk: &SecretKey,
+        assignee: NodeId,
+    ) -> Payload {
+        let chain = Self::chain_of(payload)
+            .expect("accepted payload decodes")
+            .extend(scheme, sk, assignee)
+            .expect("own keyring is well-formed");
+        ChainMsg::<TAG> { chain }.encode_to_vec().into()
+    }
+}
+
+impl<const TAG: u8> Encode for ChainMsg<TAG> {
+    fn encode(&self, w: &mut Writer) {
+        w.put_u8(TAG);
+        self.chain.encode(w);
+    }
+}
+
+impl<const TAG: u8> Decode for ChainMsg<TAG> {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        match r.get_u8()? {
+            tag if tag == TAG => Ok(ChainMsg {
+                chain: ChainMessage::decode(r)?,
+            }),
+            other => Err(CodecError::BadTag(other)),
+        }
     }
 }
 

@@ -22,40 +22,16 @@
 //! [`crate::chain`], which is what makes the protocol sound under **local**
 //! authentication.
 
-use crate::chain::ChainMessage;
+use crate::chain::{ChainMessage, ChainMsg};
 use crate::keys::{screen, Expect, KeyStore, Keyring, VerifyCache};
 use crate::outcome::{DiscoveryReason, Outcome};
 use fd_crypto::SignatureScheme;
-use fd_simnet::codec::{CodecError, Decode, Encode, Reader, Writer};
+use fd_simnet::codec::Encode;
 use fd_simnet::{Envelope, Node, NodeId, Outbox, Payload};
 use std::sync::Arc;
 
 /// Wire message of the chain FD protocol: a chain-signed value.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FdMsg {
-    /// The chain-signed value.
-    pub chain: ChainMessage,
-}
-
-const TAG_FD_CHAIN: u8 = 0x10;
-
-impl Encode for FdMsg {
-    fn encode(&self, w: &mut Writer) {
-        w.put_u8(TAG_FD_CHAIN);
-        self.chain.encode(w);
-    }
-}
-
-impl Decode for FdMsg {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        match r.get_u8()? {
-            TAG_FD_CHAIN => Ok(FdMsg {
-                chain: ChainMessage::decode(r)?,
-            }),
-            other => Err(CodecError::BadTag(other)),
-        }
-    }
-}
+pub type FdMsg = ChainMsg<0x10>;
 
 /// Static parameters of a chain FD run.
 #[derive(Debug, Clone)]
@@ -183,7 +159,7 @@ impl ChainFdNode {
     /// all but the first replay its cohort verdict.
     fn handle_chain(&mut self, round: u32, env: &Envelope, out: &mut Outbox) {
         let expect = Expect {
-            decode: |p: &[u8]| FdMsg::decode_exact(p).ok().map(|m| m.chain),
+            decode: FdMsg::chain_of,
             origin: Some(self.params.sender),
             count: round as usize..=round as usize,
         };
@@ -208,13 +184,12 @@ impl ChainFdNode {
         };
         if let Some(i) = self.params.chain_position(self.me) {
             // Relay: sign (previous assignee ‖ chain) and forward.
-            let chain = FdMsg::decode_exact(&env.payload)
-                .expect("accepted payload decodes")
-                .chain;
-            let extended = chain
-                .extend(self.scheme.as_ref(), &self.keyring.sk, env.from)
-                .expect("own keyring is well-formed");
-            let payload: Payload = FdMsg { chain: extended }.encode_to_vec().into();
+            let payload = FdMsg::relay(
+                &env.payload,
+                self.scheme.as_ref(),
+                &self.keyring.sk,
+                env.from,
+            );
             if i < self.params.t {
                 out.send(NodeId(i as u16 + 1), payload);
             } else {
@@ -428,15 +403,5 @@ mod tests {
     #[should_panic(expected = "chain P_0..P_t plus a recipient")]
     fn t_too_large_rejected() {
         let _ = ChainFdParams::new(4, 3);
-    }
-
-    #[test]
-    fn msg_codec_round_trip() {
-        let scheme = SchnorrScheme::test_tiny();
-        let ring = Keyring::generate(&scheme, NodeId(0), 1);
-        let chain = ChainMessage::originate(&scheme, &ring.sk, NodeId(0), b"x".to_vec()).unwrap();
-        let msg = FdMsg { chain };
-        assert_eq!(FdMsg::decode_exact(&msg.encode_to_vec()).unwrap(), msg);
-        assert!(FdMsg::decode_exact(&[0xee]).is_err());
     }
 }

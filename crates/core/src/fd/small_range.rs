@@ -32,41 +32,17 @@
 //! against [`super::ChainFdNode`] as a function of the default-value
 //! probability).
 
-use crate::chain::ChainMessage;
+use crate::chain::{ChainMessage, ChainMsg};
 use crate::keys::{screen, Cohorts, Expect, KeyStore, Keyring, VerifyCache};
 use crate::outcome::{DiscoveryReason, Outcome};
 use fd_crypto::SignatureScheme;
-use fd_simnet::codec::{CodecError, Decode, Encode, Reader, Writer};
-use fd_simnet::{Envelope, Node, NodeId, Outbox};
+use fd_simnet::codec::Encode;
+use fd_simnet::{Envelope, Node, NodeId, Outbox, Payload};
 use std::sync::Arc;
 
 /// Wire message: a chain-signed value (bare from the sender, one layer
 /// from a witness).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SrMsg {
-    /// The chain-signed non-default value.
-    pub chain: ChainMessage,
-}
-
-const TAG_SR: u8 = 0x30;
-
-impl Encode for SrMsg {
-    fn encode(&self, w: &mut Writer) {
-        w.put_u8(TAG_SR);
-        self.chain.encode(w);
-    }
-}
-
-impl Decode for SrMsg {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        match r.get_u8()? {
-            TAG_SR => Ok(SrMsg {
-                chain: ChainMessage::decode(r)?,
-            }),
-            other => Err(CodecError::BadTag(other)),
-        }
-    }
-}
+pub type SrMsg = ChainMsg<0x30>;
 
 /// Static parameters of a small-range FD run.
 #[derive(Debug, Clone)]
@@ -119,8 +95,8 @@ pub struct SmallRangeFdNode {
     value: Option<Vec<u8>>,
     /// Verified direct value from the sender.
     direct: Option<Vec<u8>>,
-    /// The verified sender chain (kept for witness echoing).
-    received_chain: Option<ChainMessage>,
+    /// The verified sender payload (kept for witness echoing).
+    received: Option<Payload>,
     /// Verified witness echo values, indexed by node.
     echoes: Vec<Option<Vec<u8>>>,
     failed: Option<DiscoveryReason>,
@@ -157,7 +133,7 @@ impl SmallRangeFdNode {
             keyring,
             value,
             direct: None,
-            received_chain: None,
+            received: None,
             echoes: vec![None; n],
             failed: None,
             outcome: Outcome::Pending,
@@ -187,7 +163,7 @@ impl SmallRangeFdNode {
         env: &Envelope,
     ) -> Result<Vec<u8>, DiscoveryReason> {
         let expect = Expect {
-            decode: |p: &[u8]| SrMsg::decode_exact(p).ok().map(|m| m.chain),
+            decode: SrMsg::chain_of,
             origin: Some(self.params.sender),
             count: round as usize..=round as usize,
         };
@@ -212,10 +188,7 @@ impl SmallRangeFdNode {
                 self.direct = Some(body);
                 if self.params.is_witness(self.me) {
                     // Kept for the echo this witness signs.
-                    let chain = SrMsg::decode_exact(&env.payload)
-                        .expect("accepted payload decodes")
-                        .chain;
-                    self.received_chain = Some(chain);
+                    self.received = Some(env.payload.clone());
                 }
             }
             Err(reason) => self.fail(reason),
@@ -312,17 +285,16 @@ impl Node for SmallRangeFdNode {
                 if self.params.is_witness(self.me) && self.failed.is_none() {
                     if let Some(v) = self.direct.clone() {
                         let received = self
-                            .received_chain
-                            .clone()
-                            .expect("direct implies stored chain");
-                        let extended = received
-                            .extend(self.scheme.as_ref(), &self.keyring.sk, self.params.sender)
-                            .expect("own keyring is well-formed");
-                        out.broadcast(
-                            self.params.n,
-                            self.me,
-                            SrMsg { chain: extended }.encode_to_vec(),
+                            .received
+                            .as_ref()
+                            .expect("direct implies stored payload");
+                        let echo = SrMsg::relay(
+                            received,
+                            self.scheme.as_ref(),
+                            &self.keyring.sk,
+                            self.params.sender,
                         );
+                        out.broadcast(self.params.n, self.me, echo);
                         self.echoes[self.me.index()] = Some(v);
                     }
                 }
@@ -488,14 +460,5 @@ mod tests {
         node.on_round(1, &[env], &mut out);
         node.on_round(2, &[], &mut out);
         assert!(node.outcome().is_discovered());
-    }
-
-    #[test]
-    fn codec_round_trip() {
-        let scheme = SchnorrScheme::test_tiny();
-        let ring = Keyring::generate(&scheme, NodeId(0), 1);
-        let chain = ChainMessage::originate(&scheme, &ring.sk, NodeId(0), vec![1]).unwrap();
-        let msg = SrMsg { chain };
-        assert_eq!(SrMsg::decode_exact(&msg.encode_to_vec()).unwrap(), msg);
     }
 }

@@ -414,7 +414,7 @@ impl CohortVerdict {
             return CohortVerdict::Duplicate { signers };
         }
         let body = Arc::from(chain.body.as_slice());
-        match chain.verify(scheme, store, from) {
+        match chain.verify_signers(scheme, store, &signers) {
             Ok(_) => CohortVerdict::Accept { signers, body },
             Err(reason) => CohortVerdict::Discovered {
                 signers,
@@ -476,12 +476,13 @@ impl CohortVerdict {
 
 /// What a receiver expects of one chain envelope: its protocol's
 /// decoder (the wire message's chain, or `None` when the payload does
-/// not decode), the chain's origin (`None`: any node) and the signature
+/// not decode; [`ChainMsg::chain_of`](crate::chain::ChainMsg::chain_of)
+/// for the tag-plus-chain messages), the chain's origin (`None`: any node) and the signature
 /// counts it takes. All three must be functions of the cohort key — the
 /// payload bytes, the sender and the round — so that every receiver
 /// sharing a key would judge alike.
-pub(crate) struct Expect<D> {
-    pub(crate) decode: D,
+pub(crate) struct Expect {
+    pub(crate) decode: fn(&[u8]) -> Option<ChainMessage>,
     pub(crate) origin: Option<NodeId>,
     pub(crate) count: RangeInclusive<usize>,
 }
@@ -497,18 +498,15 @@ pub(crate) struct Expect<D> {
 /// [`VerifyCache::without_cohorts`] handle) every envelope is judged and
 /// nothing is recorded. Either way `visit` reads the verdict in place and
 /// returns only what its receiver keeps.
-pub(crate) fn screen<D, R>(
+pub(crate) fn screen<R>(
     mut cohorts: Option<&mut Cohorts<'_>>,
     scheme: &dyn SignatureScheme,
     store: &KeyStore,
     env: &Envelope,
     round: u32,
-    expect: Expect<D>,
+    expect: Expect,
     visit: impl FnOnce(&CohortVerdict) -> R,
-) -> R
-where
-    D: FnOnce(&[u8]) -> Option<ChainMessage>,
-{
+) -> R {
     let key: CohortKey = (env.payload.ident(), env.from, round);
     if let Some(verdict) = cohorts.as_deref_mut().and_then(|c| c.get(&key, store)) {
         return visit(verdict);
@@ -1412,18 +1410,19 @@ mod tests {
             round: 1,
             payload,
         };
-        let decoded = std::cell::Cell::new(0);
+        thread_local!(static DECODED: std::cell::Cell<usize> = const { std::cell::Cell::new(0) });
+        fn decode(p: &[u8]) -> Option<ChainMessage> {
+            DECODED.with(|d| d.set(d.get() + 1));
+            ChainMessage::decode_exact(p).ok()
+        }
         let expect = || Expect {
-            decode: |p: &[u8]| {
-                decoded.set(decoded.get() + 1);
-                ChainMessage::decode_exact(p).ok()
-            },
+            decode,
             origin: Some(NodeId(0)),
             count: 2..=2,
         };
         let body = |v: &CohortVerdict| v.read(|_, _| true).map(|b| b.to_vec());
         for cache in [VerifyCache::new(), VerifyCache::new().without_cohorts()] {
-            decoded.set(0);
+            DECODED.with(|d| d.set(0));
             for me in 2..5 {
                 let store = KeyStore::global(NodeId(me), &pks).with_cache(cache.clone());
                 let mut cohorts = cache.cohorts();
@@ -1433,7 +1432,7 @@ mod tests {
             // With cohorts the first receiver decodes and judges, the
             // other two replay; without, every receiver judges.
             let judged = if cache.cohorts_enabled() { 1 } else { 3 };
-            assert_eq!(decoded.get(), judged);
+            assert_eq!(DECODED.with(std::cell::Cell::get), judged);
         }
     }
 
