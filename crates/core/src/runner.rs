@@ -81,9 +81,6 @@ pub struct Cluster {
     pub link_latency: Vec<LinkLatencySpec>,
     /// Link faults installed on every run (default: none).
     pub faults: FaultPlan,
-    /// Per-message delivery schedule for event-engine runs (default:
-    /// none — the latency model decides every delay).
-    pub schedule: Option<Schedule>,
     /// Record applied per-message delays into [`FdRunReport::delay_log`]
     /// (event engine only; default: off).
     pub record_delays: bool,
@@ -170,7 +167,8 @@ pub struct FdRunReport {
     /// Per-message `(send_round, ticks)` delays in send order, when the
     /// cluster recorded them ([`Cluster::with_delay_log`]). This is the
     /// raw material of a schedule certificate: feeding the delays back via
-    /// [`Cluster::with_schedule`] replays the run exactly.
+    /// [`RunSpec::with_schedule`](crate::spec::RunSpec::with_schedule)
+    /// replays the run exactly.
     pub delay_log: Option<Vec<(u32, u64)>>,
     /// Phase-attributed observability breakdown, populated only when the
     /// cluster ran with [`Cluster::with_obs`]. Deliberately **not**
@@ -224,7 +222,6 @@ impl Cluster {
             latency: LatencySpec::Synchronous,
             link_latency: Vec::new(),
             faults: FaultPlan::new(),
-            schedule: None,
             record_delays: false,
             reference_scheduler: false,
             verify_cache: None,
@@ -256,13 +253,6 @@ impl Cluster {
     /// Install a link-fault plan on every run derived from this cluster.
     pub fn with_faults(mut self, faults: FaultPlan) -> Self {
         self.faults = faults;
-        self
-    }
-
-    /// Install (or clear) a per-message delivery schedule on event-engine
-    /// runs — the adversarial scheduler search's hook into the cluster.
-    pub fn with_schedule(mut self, schedule: Option<Schedule>) -> Self {
-        self.schedule = schedule;
         self
     }
 
@@ -304,12 +294,14 @@ impl Cluster {
     /// installed delay fault, so late messages still land within the run
     /// instead of silently degrading into drops. `workers` threads step
     /// each sync-engine round (see [`SyncNetwork::set_workers`]); the event
-    /// engine always runs on the calling thread.
+    /// engine always runs on the calling thread. `schedule` overrides
+    /// per-message delays on the event engine; the sync engine ignores it.
     pub(crate) fn drive(
         &self,
         nodes: Vec<Box<dyn Node>>,
         base_rounds: u32,
         workers: usize,
+        schedule: Option<&Schedule>,
     ) -> DriveReport {
         let delay_slack = self.faults.max_delay_rounds();
         match self.engine {
@@ -349,7 +341,7 @@ impl Cluster {
                     &self.link_latency,
                     self.seed,
                 ));
-                if let Some(schedule) = &self.schedule {
+                if let Some(schedule) = schedule {
                     net.set_delay_overrides(Arc::clone(schedule));
                 }
                 if self.record_delays {
@@ -482,7 +474,7 @@ impl Cluster {
             })
             .collect();
         let lead_us = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
-        let report = self.drive(nodes, KEYDIST_ROUNDS, workers);
+        let report = self.drive(nodes, KEYDIST_ROUNDS, workers, None);
         let round_marks = match self.engine {
             Engine::Sync => report.round_marks.map(|marks| {
                 marks
@@ -556,7 +548,7 @@ impl Cluster {
                 )) as Box<dyn Node>
             })
             .collect();
-        let report = self.drive(nodes, rounds, 1);
+        let report = self.drive(nodes, rounds, 1, None);
         let stats = report.stats;
         let delay_log = report.delay_log;
         let mut outcomes = Vec::with_capacity(self.n);

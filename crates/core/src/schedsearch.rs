@@ -248,7 +248,7 @@ pub struct ScheduleCert {
 impl ScheduleCert {
     /// The certificate as an override map for
     /// [`fd_simnet::EventNetwork::set_delay_overrides`] /
-    /// [`crate::runner::Cluster::with_schedule`].
+    /// [`crate::spec::RunSpec::with_schedule`].
     pub fn schedule(&self) -> Schedule {
         Arc::new(
             self.perturbations

@@ -224,10 +224,8 @@ pub struct RunSpec {
     /// Which nodes are corrupt and how ([`AdversarySpec::Honest`] by
     /// default).
     pub adversary: AdversarySpec,
-    /// Per-message delivery schedule for event-engine runs. When set, it
-    /// *replaces* any schedule configured on the cluster
-    /// ([`Cluster::with_schedule`]) for this run; `None` leaves the
-    /// cluster's configuration untouched. This is the scheduler search's
+    /// Per-message delivery schedule for event-engine runs (`None`: the
+    /// latency model decides every delay). This is the scheduler search's
     /// per-episode hook.
     pub schedule: Option<Schedule>,
 }
@@ -571,7 +569,6 @@ impl Cluster {
             .with_latency(LatencySpec::Synchronous)
             .with_link_latency(Vec::new())
             .with_faults(fd_simnet::fault::FaultPlan::new())
-            .with_schedule(None)
             .run_key_distribution()
     }
 
@@ -590,22 +587,13 @@ impl Cluster {
             spec.adversary.name(),
             spec.protocol
         );
-        // A per-run schedule overlays the cluster's configuration without
-        // mutating it (the cluster may be shared across a session).
-        let scheduled;
-        let cluster: &Cluster = match &spec.schedule {
-            Some(schedule) => {
-                scheduled = self.clone().with_schedule(Some(Arc::clone(schedule)));
-                &scheduled
-            }
-            None => self,
-        };
-        let mut substitute = spec.adversary.substitution(cluster, keydist);
-        cluster.dispatch(
+        let mut substitute = spec.adversary.substitution(self, keydist);
+        self.dispatch(
             spec.protocol,
             keydist,
             spec.input.clone(),
             spec.default_value.clone(),
+            spec.schedule.as_ref(),
             &mut *substitute,
         )
     }
@@ -619,6 +607,7 @@ impl Cluster {
         keydist: Option<&KeyDistReport>,
         value: Vec<u8>,
         default_value: Vec<u8>,
+        schedule: Option<&Schedule>,
         substitute: Substitution<'_>,
     ) -> FdRunReport {
         let keys = || keydist.expect("protocol needs a key distribution");
@@ -647,7 +636,7 @@ impl Cluster {
         });
         // One worker: the run's nodes share `cache` (see
         // `SyncNetwork::set_workers`).
-        let drive = self.drive(nodes, rounds, 1);
+        let drive = self.drive(nodes, rounds, 1, schedule);
         let phases = crate::obs::PhaseBreakdown::from_drive(
             self.engine,
             drive.round_marks,
