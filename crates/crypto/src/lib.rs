@@ -15,7 +15,7 @@
 //! and cites DSA and RSA as schemes satisfying them with high probability.
 //! This crate provides both families, built entirely on [`fd_bigint`]:
 //!
-//! * [`mod@sha256`] / [`hmac`] — FIPS 180-4 SHA-256 and RFC 2104 HMAC.
+//! * [`mod@sha256`] — FIPS 180-4 SHA-256.
 //! * [`chacha20`] / [`ChaChaDrbg`] — RFC 8439 ChaCha20 core used as a
 //!   deterministic random bit generator for key generation.
 //! * [`SchnorrGroup`] / [`SchnorrScheme`] — Schnorr signatures over
@@ -57,7 +57,6 @@ mod drbg;
 mod dsa;
 mod error;
 mod group;
-pub mod hmac;
 mod rsa;
 mod scheme;
 mod schnorr;
