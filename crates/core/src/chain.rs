@@ -291,11 +291,11 @@ pub struct ChainMsg<const TAG: u8> {
 
 impl<const TAG: u8> ChainMsg<TAG> {
     /// The byte every payload of this message type starts with.
-    pub const TAG: u8 = TAG;
+    pub(crate) const TAG: u8 = TAG;
 
     /// The chain a payload carries, or `None` unless the payload is
     /// exactly one such message: the decoder a receiver screens with.
-    pub fn chain_of(payload: &[u8]) -> Option<ChainMessage> {
+    pub(crate) fn chain_of(payload: &[u8]) -> Option<ChainMessage> {
         Self::decode_exact(payload).ok().map(|msg| msg.chain)
     }
 
@@ -307,7 +307,7 @@ impl<const TAG: u8> ChainMsg<TAG> {
     ///
     /// Panics if `payload` is not such a message (relay only what
     /// screening accepted) or `sk` is malformed.
-    pub fn relay(
+    pub(crate) fn relay(
         payload: &[u8],
         scheme: &dyn SignatureScheme,
         sk: &SecretKey,
@@ -317,7 +317,7 @@ impl<const TAG: u8> ChainMsg<TAG> {
             .expect("accepted payload decodes")
             .extend(scheme, sk, assignee)
             .expect("own keyring is well-formed");
-        ChainMsg::<TAG> { chain }.encode_to_vec().into()
+        Self { chain }.encode_to_vec().into()
     }
 }
 
