@@ -747,4 +747,14 @@ mod tests {
     fn resilience_bound_enforced() {
         let _ = DegradableParams::new(6, 2, vec![]);
     }
+
+    #[test]
+    fn codec_round_trip() {
+        use fd_simnet::codec::Decode;
+        let scheme = fd_crypto::SchnorrScheme::test_tiny();
+        let ring = Keyring::generate(&scheme, NodeId(0), 1);
+        let chain = ChainMessage::originate(&scheme, &ring.sk, NodeId(0), b"x".to_vec()).unwrap();
+        let msg = DgMsg { chain };
+        assert_eq!(DgMsg::decode_exact(&msg.encode_to_vec()).unwrap(), msg);
+    }
 }

@@ -399,4 +399,14 @@ mod tests {
     fn t_must_be_below_n() {
         let _ = DolevStrongParams::new(3, 3, vec![]);
     }
+
+    #[test]
+    fn codec_round_trip() {
+        use fd_simnet::codec::Decode;
+        let scheme = fd_crypto::SchnorrScheme::test_tiny();
+        let ring = Keyring::generate(&scheme, NodeId(0), 1);
+        let chain = ChainMessage::originate(&scheme, &ring.sk, NodeId(0), b"x".to_vec()).unwrap();
+        let msg = DsMsg { chain };
+        assert_eq!(DsMsg::decode_exact(&msg.encode_to_vec()).unwrap(), msg);
+    }
 }

@@ -404,4 +404,15 @@ mod tests {
     fn t_too_large_rejected() {
         let _ = ChainFdParams::new(4, 3);
     }
+
+    #[test]
+    fn msg_codec_round_trip() {
+        use fd_simnet::codec::Decode;
+        let scheme = SchnorrScheme::test_tiny();
+        let ring = Keyring::generate(&scheme, NodeId(0), 1);
+        let chain = ChainMessage::originate(&scheme, &ring.sk, NodeId(0), b"x".to_vec()).unwrap();
+        let msg = FdMsg { chain };
+        assert_eq!(FdMsg::decode_exact(&msg.encode_to_vec()).unwrap(), msg);
+        assert!(FdMsg::decode_exact(&[0xee]).is_err());
+    }
 }

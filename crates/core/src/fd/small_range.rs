@@ -461,4 +461,14 @@ mod tests {
         node.on_round(2, &[], &mut out);
         assert!(node.outcome().is_discovered());
     }
+
+    #[test]
+    fn codec_round_trip() {
+        use fd_simnet::codec::Decode;
+        let scheme = SchnorrScheme::test_tiny();
+        let ring = Keyring::generate(&scheme, NodeId(0), 1);
+        let chain = ChainMessage::originate(&scheme, &ring.sk, NodeId(0), vec![1]).unwrap();
+        let msg = SrMsg { chain };
+        assert_eq!(SrMsg::decode_exact(&msg.encode_to_vec()).unwrap(), msg);
+    }
 }
