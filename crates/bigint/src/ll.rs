@@ -158,16 +158,18 @@ pub(crate) fn bits(a: &[u64]) -> usize {
     }
 }
 
-/// Quotient and remainder by a single limb.
-fn div_rem_limb(u: &[u64], d: u64) -> (Vec<u64>, Vec<u64>) {
+/// Remainder, and the quotient when `want_q`, by a single limb.
+fn div_rem_limb(u: &[u64], d: u64, want_q: bool) -> (Vec<u64>, Vec<u64>) {
     debug_assert!(d != 0);
     let un = nlimbs(u);
     let d128 = d as u128;
-    let mut q = vec![0u64; un];
+    let mut q = if want_q { vec![0u64; un] } else { Vec::new() };
     let mut rem: u128 = 0;
     for i in (0..un).rev() {
         let cur = (rem << 64) | u[i] as u128;
-        q[i] = (cur / d128) as u64;
+        if let Some(qi) = q.get_mut(i) {
+            *qi = (cur / d128) as u64;
+        }
         rem = cur % d128;
     }
     (q, vec![rem as u64])
@@ -181,6 +183,22 @@ fn div_rem_limb(u: &[u64], d: u64) -> (Vec<u64>, Vec<u64>) {
 ///
 /// Panics if `v` is zero.
 pub(crate) fn div_rem(u: &[u64], v: &[u64]) -> (Vec<u64>, Vec<u64>) {
+    divide(u, v, true)
+}
+
+/// `u mod v`, without storing a quotient.
+///
+/// # Panics
+///
+/// Panics if `v` is zero.
+pub(crate) fn rem(u: &[u64], v: &[u64]) -> Vec<u64> {
+    divide(u, v, false).1
+}
+
+/// [`div_rem`], whose quotient is empty unless `want_q`. The remainder is
+/// shifted back in the buffer that held the normalised dividend, and a
+/// divisor whose top limb already has its high bit set is not copied.
+fn divide(u: &[u64], v: &[u64], want_q: bool) -> (Vec<u64>, Vec<u64>) {
     let un = nlimbs(u);
     let vn = nlimbs(v);
     assert!(vn > 0, "division by zero");
@@ -188,15 +206,18 @@ pub(crate) fn div_rem(u: &[u64], v: &[u64]) -> (Vec<u64>, Vec<u64>) {
         return (Vec::new(), u[..un].to_vec());
     }
     if vn == 1 {
-        return div_rem_limb(&u[..un], v[0]);
+        return div_rem_limb(&u[..un], v[0], want_q);
     }
 
     // Normalize: shift so the divisor's top limb has its high bit set.
     let s = v[vn - 1].leading_zeros() as usize;
-    let vv = {
-        let mut t = shl(&v[..vn], s);
-        t.truncate(vn); // shl pads one extra limb; normalization keeps vn limbs
-        t
+    let shifted;
+    let vv = if s == 0 {
+        &v[..vn]
+    } else {
+        shifted = shl(&v[..vn], s);
+        // shl pads one extra limb; normalization keeps vn limbs
+        &shifted[..vn]
     };
     let mut uu = shl(&u[..un], s);
     // Ensure exactly un + 1 limbs so uu[j + vn] is always in range.
@@ -205,7 +226,11 @@ pub(crate) fn div_rem(u: &[u64], v: &[u64]) -> (Vec<u64>, Vec<u64>) {
     let b: u128 = 1 << 64;
     let v1 = vv[vn - 1] as u128;
     let v0 = vv[vn - 2] as u128;
-    let mut q = vec![0u64; un - vn + 1];
+    let mut q = if want_q {
+        vec![0u64; un - vn + 1]
+    } else {
+        Vec::new()
+    };
 
     for j in (0..=un - vn).rev() {
         let u2 = uu[j + vn] as u128;
@@ -252,11 +277,20 @@ pub(crate) fn div_rem(u: &[u64], v: &[u64]) -> (Vec<u64>, Vec<u64>) {
             }
             uu[j + vn] = uu[j + vn].wrapping_add(carry);
         }
-        q[j] = qdigit;
+        if let Some(qj) = q.get_mut(j) {
+            *qj = qdigit;
+        }
     }
 
-    let r = shr(&uu[..vn], s);
-    (q, r)
+    // The remainder is uu[..vn], still shifted left by s bits.
+    uu.truncate(vn);
+    if s > 0 {
+        for i in 0..vn {
+            let hi = uu.get(i + 1).map_or(0, |&x| x << (64 - s));
+            uu[i] = uu[i] >> s | hi;
+        }
+    }
+    (q, uu)
 }
 
 #[cfg(test)]

@@ -13,12 +13,39 @@
 //!   `h = 8, v = 2` (a group generator's). [`MontCtx::pow_fixed_mul`]
 //!   walks two combs under one run of squarings, which is what a Schnorr
 //!   or DSA verification `g^a · y^b` needs.
+//!
+//! # One kernel, specialised per width
+//!
+//! Every product is the one CIOS body, `MontCtx::cios`, reached through
+//! `MontCtx::mont_mul`: a `match` on the modulus's limb count with one
+//! arm per count from 1 to `MAX_FIXED_LIMBS` (64 to 2 048 bits, every
+//! preset group), each inlining the body with its count as a constant,
+//! so the multiply's loops have constant bounds and no bounds checks. A
+//! wider modulus takes the last arm, the same body with the count read at
+//! run time. The loops around the multiply are compiled once; matching
+//! per multiply instead of per exponentiation keeps 33 copies of those
+//! loops (about 1 MB of code) out of the binary.
+//!
+//! Nothing is allocated per multiplication, and up to `MAX_FIXED_LIMBS`
+//! limbs an exponentiation allocates only its result (a comb, its table):
+//! accumulators, scratch and window tables are stack arrays, past that
+//! `Vec`s. An accumulator and its scratch trade places by swapping two
+//! references, never by copying elements. A comb reads its exponent 64
+//! columns at a time: each block of each row is shifted out of the
+//! exponent's limbs once per 64 squarings (once per exponentiation at the
+//! presets' sizes), and a column's entry index is a few shifts over those
+//! words.
 
 use crate::ll;
 use crate::Ubig;
 use core::cmp::Ordering;
 use core::fmt;
 use core::mem::swap;
+
+/// The widest modulus, in limbs, whose multiply is compiled for its
+/// width and whose elements live on the stack: 2 048 bits, the widest
+/// preset group.
+const MAX_FIXED_LIMBS: usize = 32;
 
 /// Precomputed context for Montgomery arithmetic modulo an odd modulus.
 ///
@@ -29,13 +56,14 @@ use core::mem::swap;
 /// order of magnitude faster.
 ///
 /// Every product is a CIOS multiplication into a caller-owned scratch
-/// buffer of `L` limbs, so an exponentiation allocates a fixed few
-/// buffers per call and none per multiplication. [`MontCtx::modpow`] is a
-/// left-to-right fixed-window ladder whose width follows the exponent's
-/// length: 4-bit windows above 32 bits (the 14-multiply table then pays
-/// for itself), one bit at or below. A base used again and again, such as
-/// a group generator or a public key, gets a [`FixedBase`] comb instead,
-/// which needs a fraction of the squarings.
+/// element, so no multiplication allocates; up to 32 limbs the elements
+/// are stack arrays and the multiply is compiled for the modulus's width
+/// (see the module docs).
+/// [`MontCtx::modpow`] is a left-to-right fixed-window ladder whose width
+/// follows the exponent's length: 4-bit windows above 32 bits (the
+/// 14-multiply table then pays for itself), one bit at or below. A base
+/// used again and again, such as a group generator or a public key, gets
+/// a [`FixedBase`] comb instead, which needs a fraction of the squarings.
 ///
 /// ```
 /// use fd_bigint::{MontCtx, Ubig};
@@ -99,19 +127,28 @@ impl FixedBase {
         self.table.len() * 8
     }
 
-    /// The entry column `k` of block `j` of `e` selects, or `None` for an
-    /// all-zero column.
-    fn entry(&self, e: &[u64], j: usize, k: usize) -> Option<&[u64]> {
+    /// `true` iff `ctx` (or a context with the same modulus) built this
+    /// table, so that [`MontCtx::pow_fixed`] walks it rather than the
+    /// ladder.
+    pub fn is_for(&self, ctx: &MontCtx) -> bool {
+        self.m == ctx.m
+    }
+
+    /// Fills `words[j·teeth + t]` with the 64 columns from `lo` up of
+    /// block `j` of row `t` of `e` (bits past the block are never read).
+    fn load_columns(&self, e: &[u64], lo: usize, words: &mut [u64]) {
         let row = self.blocks * self.span;
-        let idx = (0..self.teeth).fold(0, |idx, t| {
-            let bit = t * row + j * self.span + k;
-            let set = e
-                .get(bit / 64)
-                .is_some_and(|limb| limb >> (bit % 64) & 1 == 1);
-            idx | usize::from(set) << t
-        });
+        for (j, block) in words.chunks_exact_mut(self.teeth).enumerate() {
+            for (t, word) in block.iter_mut().enumerate() {
+                *word = bits64(e, t * row + j * self.span + lo);
+            }
+        }
+    }
+
+    /// Block `j`'s entry for column value `idx` (non-zero).
+    fn entry(&self, j: usize, idx: usize) -> &[u64] {
         let l = self.m.len();
-        (idx != 0).then(|| &self.table[(j * ((1 << self.teeth) - 1) + idx - 1) * l..][..l])
+        &self.table[(j * ((1 << self.teeth) - 1) + idx - 1) * l..][..l]
     }
 }
 
@@ -126,11 +163,85 @@ impl fmt::Debug for FixedBase {
     }
 }
 
+/// Bits `pos..pos + 64` of the integer with limbs `e` (zero past its top).
+fn bits64(e: &[u64], pos: usize) -> u64 {
+    let (i, s) = (pos / 64, pos % 64);
+    let lo = e.get(i).map_or(0, |&x| x >> s);
+    let hi = match s {
+        0 => 0,
+        _ => e.get(i + 1).map_or(0, |&x| x << (64 - s)),
+    };
+    lo | hi
+}
+
 /// Digit `i` of `e` in base `2^w`. `w` divides 64, so a digit never
 /// straddles two limbs.
 fn digit(e: &Ubig, w: usize, i: usize) -> usize {
     let k = w * i;
     ((e.limbs()[k / 64] >> (k % 64)) & ((1 << w) - 1)) as usize
+}
+
+/// A limb count and where elements of that many limbs live.
+trait Width: Copy {
+    /// Room for one element of [`Width::l`] limbs (the low `l` are used).
+    type Elem: AsRef<[u64]> + AsMut<[u64]>;
+    /// The limb count.
+    fn l(self) -> usize;
+    /// A zeroed element.
+    fn elem(self) -> Self::Elem;
+}
+
+/// Up to [`MAX_FIXED_LIMBS`] limbs: elements are stack arrays.
+#[derive(Clone, Copy)]
+struct Stack(usize);
+
+impl Width for Stack {
+    type Elem = [u64; MAX_FIXED_LIMBS];
+    fn l(self) -> usize {
+        self.0
+    }
+    fn elem(self) -> [u64; MAX_FIXED_LIMBS] {
+        [0; MAX_FIXED_LIMBS]
+    }
+}
+
+/// Past [`MAX_FIXED_LIMBS`] limbs: elements are `Vec`s.
+#[derive(Clone, Copy)]
+struct Heap(usize);
+
+impl Width for Heap {
+    type Elem = Vec<u64>;
+    fn l(self) -> usize {
+        self.0
+    }
+    fn elem(self) -> Vec<u64> {
+        vec![0; self.0]
+    }
+}
+
+/// Evaluates `$body` with `$w` bound to the [`Width`] of `$l` limbs.
+macro_rules! with_width {
+    ($l:expr, $w:ident => $body:expr) => {
+        if $l <= MAX_FIXED_LIMBS {
+            let $w = Stack($l);
+            $body
+        } else {
+            let $w = Heap($l);
+            $body
+        }
+    };
+}
+
+/// Calls `$ctx.cios` with the limb count `$l` as a literal for every
+/// count in the list, so each arm is the body compiled for its width, and
+/// with `$l` itself past them.
+macro_rules! cios_at_width {
+    ($ctx:expr, $l:expr, $a:expr, $b:expr, $t:expr; $($n:literal)*) => {
+        match $l {
+            $($n => $ctx.cios($n, $a, $b, $t),)*
+            l => $ctx.cios(l, $a, $b, $t),
+        }
+    };
 }
 
 impl MontCtx {
@@ -175,20 +286,15 @@ impl MontCtx {
         Ubig::from_limbs(self.m.clone())
     }
 
-    /// A zeroed buffer of `l` limbs: CIOS scratch, or an accumulator that
-    /// trades places with it.
-    fn scratch(&self) -> Vec<u64> {
-        vec![0; self.l]
-    }
-
     /// CIOS Montgomery multiplication: writes `a·b·R^{-1} mod m` into
     /// `t[..l]`. The two limbs of the running sum above `l` stay in
     /// registers, so `t` needs no more room than the result.
     ///
     /// `a` and `b` hold at least `l` limbs, of which the low `l` are read
-    /// and must be `< m`.
-    fn mont_mul_to(&self, a: &[u64], b: &[u64], t: &mut [u64]) {
-        let l = self.l;
+    /// and must be `< m`. This is the one multiply body: every arm of
+    /// [`MontCtx::mont_mul`] inlines it with its own constant `l`.
+    #[inline(always)]
+    fn cios(&self, l: usize, a: &[u64], b: &[u64], t: &mut [u64]) {
         // Views of exactly `l` limbs, taken once, let the compiler drop the
         // bounds checks inside the loops.
         let (a, b, m) = (&a[..l], &b[..l], &self.m[..l]);
@@ -226,13 +332,28 @@ impl MontCtx {
         debug_assert_eq!(t_l1, 0);
         // Equal lengths: comparing limbs from the top is comparing values.
         if t_l != 0 || t.iter().rev().ge(m.iter().rev()) {
-            let borrow = ll::sub_assign(t, m);
+            let mut borrow = false;
+            for (tj, &mj) in t.iter_mut().zip(m) {
+                let (d, b1) = tj.overflowing_sub(mj);
+                let (d, b2) = d.overflowing_sub(u64::from(borrow));
+                *tj = d;
+                borrow = b1 | b2;
+            }
             // A set top limb is exactly what the low limbs borrow.
             debug_assert_eq!(borrow, t_l != 0);
         }
     }
 
-    /// Writes `x·R mod m` into `out[..l]` (`x` is reduced first if `>= m`).
+    /// `t[..l] ← a·b·R^{-1} mod m`: the CIOS body compiled for this
+    /// modulus's limb count, 1 to [`MAX_FIXED_LIMBS`], or with the count
+    /// read at run time past that.
+    fn mont_mul(&self, a: &[u64], b: &[u64], t: &mut [u64]) {
+        cios_at_width!(self, self.l, a, b, t; 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16
+            17 18 19 20 21 22 23 24 25 26 27 28 29 30 31 32)
+    }
+
+    /// Writes `x·R mod m` into `out[..l]` (`x` is reduced first if `>= m`),
+    /// with `t` as scratch.
     fn to_mont(&self, x: &Ubig, out: &mut [u64], t: &mut [u64]) {
         let reduced;
         let x = if ll::cmp(x.limbs(), &self.m) == Ordering::Less {
@@ -244,82 +365,83 @@ impl MontCtx {
         let out = &mut out[..self.l];
         out.fill(0);
         out[..x.limbs().len()].copy_from_slice(x.limbs());
-        self.mont_mul_to(out, &self.r2, t);
+        self.mont_mul(out, &self.r2, t);
         out.copy_from_slice(&t[..self.l]);
     }
 
-    /// Convert out of Montgomery form.
+    /// Converts out of Montgomery form, into the one allocation of the
+    /// result.
     #[allow(clippy::wrong_self_convention)]
-    fn from_mont(&self, x: &[u64], t: &mut [u64]) -> Ubig {
-        // The plain 1 is the second operand, and its buffer becomes the result.
-        let mut out = vec![0u64; self.l];
-        out[0] = 1;
-        self.mont_mul_to(x, &out, t);
-        out.copy_from_slice(&t[..self.l]);
+    fn from_mont<W: Width>(&self, w: W, x: &[u64]) -> Ubig {
+        // Multiplying by the plain 1 divides by R.
+        let mut one = w.elem();
+        one.as_mut()[0] = 1;
+        let mut out = vec![0u64; w.l()];
+        self.mont_mul(x, one.as_ref(), &mut out);
         Ubig::from_limbs(out)
-    }
-
-    /// `acc ← acc·b` in Montgomery form; `acc` and `t` trade buffers.
-    fn mul_into(&self, acc: &mut Vec<u64>, b: &[u64], t: &mut Vec<u64>) {
-        self.mont_mul_to(acc, b, t);
-        swap(acc, t);
     }
 
     /// `a·b mod m`.
     pub fn mul(&self, a: &Ubig, b: &Ubig) -> Ubig {
-        let mut t = self.scratch();
-        let mut acc = self.scratch();
-        let mut bm = self.scratch();
-        self.to_mont(a, &mut acc, &mut t);
-        self.to_mont(b, &mut bm, &mut t);
-        self.mul_into(&mut acc, &bm, &mut t);
-        self.from_mont(&acc, &mut t)
+        with_width!(self.l, w => self.mul_at(w, a, b))
+    }
+
+    fn mul_at<W: Width>(&self, w: W, a: &Ubig, b: &Ubig) -> Ubig {
+        let (mut am, mut bm, mut t) = (w.elem(), w.elem(), w.elem());
+        self.to_mont(a, am.as_mut(), t.as_mut());
+        self.to_mont(b, bm.as_mut(), t.as_mut());
+        self.mont_mul(am.as_ref(), bm.as_ref(), t.as_mut());
+        self.from_mont(w, t.as_ref())
     }
 
     /// `base^exp mod m`.
     ///
     /// A left-to-right fixed-window ladder in Montgomery form: 4-bit windows
-    /// for exponents over 32 bits, single bits otherwise. It allocates a few
-    /// buffers per call (the window table, an accumulator and the CIOS
-    /// scratch) and nothing per multiplication.
+    /// for exponents over 32 bits, single bits otherwise. Its window table,
+    /// accumulator and scratch are stack elements (up to
+    /// `MAX_FIXED_LIMBS` limbs), so it allocates only the result.
     pub fn modpow(&self, base: &Ubig, exp: &Ubig) -> Ubig {
-        let mut t = self.scratch();
-        let acc = self.pow_mont(base, exp, &mut t);
-        self.from_mont(&acc, &mut t)
+        with_width!(self.l, w => {
+            let mut acc = w.elem();
+            self.pow_mont(w, base, exp, acc.as_mut());
+            self.from_mont(w, acc.as_ref())
+        })
     }
 
-    /// `base^exp` in Montgomery form.
-    fn pow_mont(&self, base: &Ubig, exp: &Ubig, t: &mut Vec<u64>) -> Vec<u64> {
-        let l = self.l;
+    /// Writes `base^exp` in Montgomery form into `out[..l]`.
+    fn pow_mont<W: Width>(&self, w: W, base: &Ubig, exp: &Ubig, out: &mut [u64]) {
+        let l = w.l();
         let nbits = exp.bits();
         if nbits == 0 {
-            return self.one.clone();
+            out[..l].copy_from_slice(&self.one);
+            return;
         }
-        let w = if nbits > 32 { 4 } else { 1 };
-        // pows[d] = base^d for 1 <= d < 2^w (slot 0 is never read: zero
+        let win = if nbits > 32 { 4 } else { 1 };
+        // pows[d] = base^d for 1 <= d < 2^win (slot 0 is never read: zero
         // digits multiply by nothing).
-        let mut pows = vec![0u64; l << w];
-        self.to_mont(base, &mut pows[l..2 * l], t);
-        for d in 2..1 << w {
-            let (done, rest) = pows.split_at_mut(d * l);
-            self.mont_mul_to(&done[(d - 1) * l..], &done[l..], t);
-            rest[..l].copy_from_slice(t);
+        let mut pows: [W::Elem; 16] = core::array::from_fn(|_| w.elem());
+        let (mut x, mut y) = (w.elem(), w.elem());
+        self.to_mont(base, pows[1].as_mut(), y.as_mut());
+        for d in 2..1 << win {
+            let (done, rest) = pows.split_at_mut(d);
+            self.mont_mul(done[d - 1].as_ref(), done[1].as_ref(), rest[0].as_mut());
         }
-        let windows = nbits.div_ceil(w);
+        let windows = nbits.div_ceil(win);
         // The top digit holds the exponent's top bit, so it is non-zero.
-        let top = digit(exp, w, windows - 1);
-        let mut acc = pows[top * l..][..l].to_vec();
+        x.as_mut()[..l].copy_from_slice(&pows[digit(exp, win, windows - 1)].as_ref()[..l]);
+        let (mut acc, mut t) = (&mut x.as_mut()[..l], &mut y.as_mut()[..l]);
         for i in (0..windows - 1).rev() {
-            for _ in 0..w {
-                self.mont_mul_to(&acc, &acc, t);
-                swap(&mut acc, t);
+            for _ in 0..win {
+                self.mont_mul(acc, acc, t);
+                swap(&mut acc, &mut t);
             }
-            let d = digit(exp, w, i);
+            let d = digit(exp, win, i);
             if d != 0 {
-                self.mul_into(&mut acc, &pows[d * l..], t);
+                self.mont_mul(acc, pows[d].as_ref(), t);
+                swap(&mut acc, &mut t);
             }
         }
-        acc
+        out[..l].copy_from_slice(acc);
     }
 
     /// A comb of `teeth` rows cut into `blocks` blocks (`blocks ·
@@ -340,34 +462,8 @@ impl MontCtx {
     ) -> FixedBase {
         assert!((1..=8).contains(&teeth), "a comb has 1 to 8 teeth");
         assert!(blocks > 0, "a comb has at least one block");
-        let l = self.l;
         let span = max_bits.div_ceil(teeth * blocks);
-        let per_block = ((1 << teeth) - 1) * l;
-        let mut table = vec![0u64; blocks * per_block];
-        let mut t = self.scratch();
-        // base^(2^(tooth·blocks·span + j·span)) for tooth `tooth` of block
-        // `j`; taken in that order, each is `span` squarings after the last.
-        let mut unit = self.scratch();
-        self.to_mont(base, &mut unit, &mut t);
-        for tooth in 0..teeth {
-            for (j, block) in table.chunks_exact_mut(per_block).enumerate() {
-                if tooth + j > 0 {
-                    for _ in 0..span {
-                        self.mont_mul_to(&unit, &unit, &mut t);
-                        swap(&mut unit, &mut t);
-                    }
-                }
-                // Entries 2^tooth..2^(tooth+1) are entries 0..2^tooth times
-                // the new tooth.
-                let top = 1 << tooth;
-                block[(top - 1) * l..][..l].copy_from_slice(&unit);
-                for i in 1..top {
-                    let (done, rest) = block.split_at_mut((top + i - 1) * l);
-                    self.mont_mul_to(&done[(i - 1) * l..], &unit, &mut t);
-                    rest[..l].copy_from_slice(&t);
-                }
-            }
-        }
+        let table = with_width!(self.l, w => self.comb_table(w, base, span, teeth, blocks));
         FixedBase {
             table,
             teeth,
@@ -378,67 +474,133 @@ impl MontCtx {
         }
     }
 
+    /// The entries of [`MontCtx::fixed_base`]'s comb.
+    fn comb_table<W: Width>(
+        &self,
+        w: W,
+        base: &Ubig,
+        span: usize,
+        teeth: usize,
+        blocks: usize,
+    ) -> Vec<u64> {
+        let l = w.l();
+        let per_block = ((1 << teeth) - 1) * l;
+        let mut table = vec![0u64; blocks * per_block];
+        // base^(2^(tooth·blocks·span + j·span)) for tooth `tooth` of block
+        // `j`; taken in that order, each is `span` squarings after the last.
+        let (mut x, mut y) = (w.elem(), w.elem());
+        let (mut unit, mut t) = (&mut x.as_mut()[..l], &mut y.as_mut()[..l]);
+        self.to_mont(base, unit, t);
+        for tooth in 0..teeth {
+            for (j, block) in table.chunks_exact_mut(per_block).enumerate() {
+                if tooth + j > 0 {
+                    for _ in 0..span {
+                        self.mont_mul(unit, unit, t);
+                        swap(&mut unit, &mut t);
+                    }
+                }
+                // Entries 2^tooth..2^(tooth+1) are entries 0..2^tooth times
+                // the new tooth.
+                let top = 1 << tooth;
+                block[(top - 1) * l..][..l].copy_from_slice(unit);
+                for i in 1..top {
+                    let (done, rest) = block.split_at_mut((top + i - 1) * l);
+                    self.mont_mul(&done[(i - 1) * l..], unit, rest);
+                }
+            }
+        }
+        table
+    }
+
     /// `base^e mod m` for the table's base: at most `span − 1` squarings
     /// and `blocks · span` multiplications.
     pub fn pow_fixed(&self, fb: &FixedBase, e: &Ubig) -> Ubig {
-        let mut t = self.scratch();
-        let acc = self.pow_combs([(fb, e)], &mut t);
-        self.from_mont(&acc, &mut t)
+        with_width!(self.l, w => self.pow_combs(w, [(fb, e)]))
     }
 
     /// `x^a · y^b mod m` for the bases `x` of `fx` and `y` of `fy`: both
     /// combs walked under one run of squarings, and a single conversion out
     /// of Montgomery form.
     pub fn pow_fixed_mul(&self, fx: &FixedBase, a: &Ubig, fy: &FixedBase, b: &Ubig) -> Ubig {
-        let mut t = self.scratch();
-        let acc = self.pow_combs([(fx, a), (fy, b)], &mut t);
-        self.from_mont(&acc, &mut t)
+        with_width!(self.l, w => self.pow_combs(w, [(fx, a), (fy, b)]))
     }
 
-    /// `∏ base^e` over `terms`, in Montgomery form. The combs that cover
-    /// their exponent share one run of squarings, as long as the longest
-    /// span among them; a term whose table was built for another modulus
-    /// or is too short for its exponent takes the windowed ladder over its
-    /// base.
-    fn pow_combs<const N: usize>(
-        &self,
-        terms: [(&FixedBase, &Ubig); N],
-        t: &mut Vec<u64>,
-    ) -> Vec<u64> {
-        let combed = terms.map(|(fb, e)| fb.m == self.m && e.bits() <= fb.max_bits());
+    /// `∏ base^e mod m` over `terms`. The combs that cover their exponent
+    /// share one run of squarings, as long as the longest span among them;
+    /// a term whose table was built for another modulus or is too short
+    /// for its exponent takes the windowed ladder over its base.
+    fn pow_combs<W: Width, const N: usize>(&self, w: W, terms: [(&FixedBase, &Ubig); N]) -> Ubig {
+        let combed = terms.map(|(fb, e)| fb.is_for(self) && e.bits() <= fb.max_bits());
         let span = (0..N)
             .filter(|&i| combed[i])
             .map(|i| terms[i].0.span)
             .max()
             .unwrap_or(0);
-        let mut acc = self.one.clone();
+        // Each combed term's column words (see `FixedBase::load_columns`),
+        // one after another; on the stack unless the combs are unusually
+        // wide.
+        let words = |i: usize| terms[i].0.teeth * terms[i].0.blocks;
+        let needed: usize = (0..N).filter(|&i| combed[i]).map(words).sum();
+        let mut stack = [0u64; 32];
+        let mut heap = Vec::new();
+        let columns = if needed <= stack.len() {
+            &mut stack[..needed]
+        } else {
+            heap.resize(needed, 0);
+            &mut heap[..]
+        };
+        let l = w.l();
+        let (mut x, mut y) = (w.elem(), w.elem());
+        let (mut acc, mut t) = (&mut x.as_mut()[..l], &mut y.as_mut()[..l]);
+        acc.copy_from_slice(&self.one);
         // The accumulator still holds one: squaring is a no-op and the
         // first entry is copied, not multiplied in.
         let mut is_one = true;
         for k in (0..span).rev() {
             if !is_one {
-                self.mont_mul_to(&acc, &acc, t);
-                swap(&mut acc, t);
+                self.mont_mul(acc, acc, t);
+                swap(&mut acc, &mut t);
             }
-            for (&(fb, e), _) in terms.iter().zip(combed).filter(|&(_, c)| c) {
+            let mut rest = &mut columns[..];
+            for (i, &(fb, e)) in terms.iter().enumerate() {
+                if !combed[i] {
+                    continue;
+                }
+                let (cols, tail) = rest.split_at_mut(words(i));
+                rest = tail;
                 if k >= fb.span {
                     continue;
                 }
-                for entry in (0..fb.blocks).filter_map(|j| fb.entry(e.limbs(), j, k)) {
+                // Walking down, a term reloads on its first column and
+                // wherever the 64-column window ends.
+                if k + 1 == fb.span || k % 64 == 63 {
+                    fb.load_columns(e.limbs(), k - k % 64, cols);
+                }
+                for (j, rows) in cols.chunks_exact(fb.teeth).enumerate() {
+                    let idx = rows.iter().enumerate().fold(0, |idx, (tooth, &row)| {
+                        idx | ((row >> (k % 64)) & 1) << tooth
+                    });
+                    if idx == 0 {
+                        continue;
+                    }
+                    let entry = fb.entry(j, idx as usize);
                     if is_one {
                         acc.copy_from_slice(entry);
                         is_one = false;
                     } else {
-                        self.mul_into(&mut acc, entry, t);
+                        self.mont_mul(acc, entry, t);
+                        swap(&mut acc, &mut t);
                     }
                 }
             }
         }
         for (&(fb, e), _) in terms.iter().zip(combed).filter(|&(_, c)| !c) {
-            let power = self.pow_mont(&fb.base, e, t);
-            self.mul_into(&mut acc, &power, t);
+            let mut power = w.elem();
+            self.pow_mont(w, &fb.base, e, power.as_mut());
+            self.mont_mul(acc, power.as_ref(), t);
+            swap(&mut acc, &mut t);
         }
-        acc
+        self.from_mont(w, acc)
     }
 }
 

@@ -50,7 +50,7 @@ impl Rem for &Ubig {
     ///
     /// Panics if `rhs` is zero.
     fn rem(self, rhs: &Ubig) -> Ubig {
-        self.div_rem(rhs).1
+        Ubig::from_limbs(ll::rem(&self.limbs, &rhs.limbs))
     }
 }
 

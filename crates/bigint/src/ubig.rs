@@ -147,13 +147,32 @@ impl Ubig {
     /// Big-endian bytes padded (or truncated from the left) to exactly `len`
     /// bytes. Returns `None` if the value does not fit in `len` bytes.
     pub fn to_be_bytes_fixed(&self, len: usize) -> Option<Vec<u8>> {
-        let raw = self.to_be_bytes();
-        if raw.len() > len {
-            return None;
+        let mut out = vec![0u8; len];
+        self.write_be_bytes(&mut out).then_some(out)
+    }
+
+    /// Writes the value into all of `out`, big-endian and padded with
+    /// leading zeros. Returns `false`, and writes nothing, if the value
+    /// does not fit in `out.len()` bytes.
+    ///
+    /// ```
+    /// use fd_bigint::Ubig;
+    /// let mut out = [0xff; 4];
+    /// assert!(Ubig::from(0xabcdu64).write_be_bytes(&mut out));
+    /// assert_eq!(out, [0, 0, 0xab, 0xcd]);
+    /// assert!(!Ubig::from(0x1_0000_0000u64).write_be_bytes(&mut out));
+    /// ```
+    pub fn write_be_bytes(&self, out: &mut [u8]) -> bool {
+        if self.bits().div_ceil(8) > out.len() {
+            return false;
         }
-        let mut out = vec![0u8; len - raw.len()];
-        out.extend_from_slice(&raw);
-        Some(out)
+        for (i, byte) in out.iter_mut().rev().enumerate() {
+            *byte = self
+                .limbs
+                .get(i / 8)
+                .map_or(0, |limb| (limb >> (8 * (i % 8))) as u8);
+        }
+        true
     }
 
     /// Construct from big-endian bytes.

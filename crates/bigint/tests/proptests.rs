@@ -1,9 +1,11 @@
 //! Property-based tests for the bigint substrate: ring axioms, division
 //! invariants, encoding round-trips, and modular-arithmetic laws. The
 //! Montgomery ladders (one-bit and 4-bit windows, comb tables and their
-//! fallback) are checked against a division-based reference.
+//! fallback) are checked against a division-based reference, at random
+//! widths and, deterministically, at every width the kernel is compiled
+//! for.
 
-use fd_bigint::{egcd, gcd, modinv, modmul, modpow, Int, MontCtx, Ubig};
+use fd_bigint::{egcd, gcd, modinv, modmul, modpow, Int, MontCtx, RandomUbig, SplitMix64, Ubig};
 use proptest::prelude::*;
 
 fn ubig_strategy() -> impl Strategy<Value = Ubig> {
@@ -244,7 +246,7 @@ proptest! {
 
     #[test]
     fn pow_fixed_matches_modpow(
-        m in odd_modulus(16),
+        m in odd_modulus(32),
         kind in any::<u8>(),
         x in any_ubig(),
         table_bits in 0usize..=200,
@@ -263,7 +265,7 @@ proptest! {
 
     #[test]
     fn pow_fixed_mul_matches_product_of_modpows(
-        m in odd_modulus(16),
+        m in odd_modulus(32),
         kinds in (any::<u8>(), any::<u8>()),
         xs in (any_ubig(), any_ubig()),
         table_bits in (0usize..=200, 0usize..=200),
@@ -287,5 +289,67 @@ proptest! {
         let other = MontCtx::new(&(&m + &Ubig::from(2u64))).unwrap();
         let foreign = other.fixed_base(&y, table_bits.1, teeth.1, blocks.1);
         prop_assert_eq!(ctx.pow_fixed_mul(&fx, &a, &foreign, &b), expected);
+    }
+}
+
+/// Every limb count the Montgomery kernel is compiled for (1 to 32) and
+/// the first past it (33), each with a modulus whose top limb is full and
+/// one whose top limb is a single bit: `mul`, `modpow` on both window
+/// sizes, and the combs (a table's own exponents, longer ones, and a
+/// foreign table) against the division-based reference.
+#[test]
+fn every_kernel_width_matches_the_reference() {
+    let mut rng = SplitMix64::new(0x3319);
+    for limbs in 1..=33usize {
+        for top_bits in [64, 1] {
+            // One limb with a one-bit top is the modulus 1; take 3.
+            let bits = (64 * (limbs - 1) + top_bits).max(2);
+            let mut m = RandomUbig::random_bits(&mut rng, bits);
+            m.set_bit(bits - 1);
+            m.set_bit(0);
+            assert_eq!(m.limbs().len(), limbs);
+            let ctx = MontCtx::new(&m).unwrap();
+            let at = format!("{limbs} limbs, {bits} bits");
+
+            let a = RandomUbig::random_bits(&mut rng, 64 * limbs);
+            let b = &RandomUbig::random_bits(&mut rng, bits) % &m;
+            assert_eq!(ctx.mul(&a, &b), &(&a * &b) % &m, "mul at {at}");
+            assert_eq!(ctx.mul(&m, &b), Ubig::zero(), "mul by m at {at}");
+
+            // Zero, one-bit windows (<= 32 bits), 4-bit windows.
+            for e_bits in [0, 1, 32, 33, 100] {
+                let e = RandomUbig::random_bits(&mut rng, e_bits);
+                assert_eq!(
+                    ctx.modpow(&a, &e),
+                    reference_modpow(&a, &e, &m),
+                    "modpow^{e_bits} at {at}"
+                );
+            }
+
+            let (x, y) = (&a % &m, b.clone());
+            let fx = ctx.fixed_base(&x, 80, 8, 2);
+            let fy = ctx.fixed_base(&y, 80, 5, 1);
+            let foreign = MontCtx::new(&(&m + &Ubig::from(2u64)))
+                .unwrap()
+                .fixed_base(&y, 80, 5, 1);
+            for e_bits in [0, 1, 80, 81] {
+                let e = RandomUbig::random_bits(&mut rng, e_bits);
+                let f = RandomUbig::random_bits(&mut rng, 80);
+                let xe = reference_modpow(&x, &e, &m);
+                let yf = reference_modpow(&y, &f, &m);
+                let product = &(&xe * &yf) % &m;
+                assert_eq!(ctx.pow_fixed(&fx, &e), xe, "pow_fixed^{e_bits} at {at}");
+                assert_eq!(
+                    ctx.pow_fixed_mul(&fx, &e, &fy, &f),
+                    product,
+                    "pow_fixed_mul^{e_bits} at {at}"
+                );
+                assert_eq!(
+                    ctx.pow_fixed_mul(&fx, &e, &foreign, &f),
+                    product,
+                    "foreign pow_fixed_mul^{e_bits} at {at}"
+                );
+            }
+        }
     }
 }

@@ -664,6 +664,7 @@ fn run_worker_inner(
             stats: kd_stats.clone(),
             anomalies: vec![(me, kd_anomalies.clone())],
             round_marks: None,
+            crypto_time: None,
             predicates: Some(table),
             rings,
         });

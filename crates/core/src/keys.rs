@@ -408,9 +408,12 @@ impl CohortVerdict {
         if origin.is_some_and(|o| o != chain.origin) || !count.contains(&chain.signature_count()) {
             return CohortVerdict::BadChain;
         }
-        let signers: Arc<[NodeId]> = chain.signer_sequence(from).into();
-        let distinct: std::collections::BTreeSet<NodeId> = signers.iter().copied().collect();
-        if distinct.len() != signers.len() {
+        let signers = chain.signer_sequence(from);
+        let mut sorted = signers.clone();
+        sorted.sort_unstable();
+        let repeated = sorted.windows(2).any(|pair| pair[0] == pair[1]);
+        let signers: Arc<[NodeId]> = signers.into();
+        if repeated {
             return CohortVerdict::Duplicate { signers };
         }
         let body = Arc::from(chain.body.as_slice());

@@ -25,13 +25,18 @@
 //! a slice of it, so a round costs it one allocation, not one per peer. A
 //! corrupting link still changes one message only (copy-on-write, see
 //! [`fd_simnet::Payload::make_mut`]).
+//!
+//! With [`KeyDistNode::with_crypto_timing`] a node also adds up the wall
+//! time it spends inside the scheme's `sign` (round 2) and `verify`
+//! (round 3), as [`KdCryptoTime`]; without it no clock is read.
 
 use crate::keys::{KeyStore, Keyring, PredicateTable};
 use fd_crypto::{PublicKey, Signature, SignatureScheme};
 use fd_simnet::codec::{CodecError, Decode, Encode, Reader, Writer};
 use fd_simnet::{Envelope, Node, NodeId, Outbox, Payload};
-use std::ops::Range;
+use std::ops::{AddAssign, Range};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 /// Wire messages of the key distribution protocol.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -203,6 +208,35 @@ pub enum KdAnomaly {
     Protocol(NodeId),
 }
 
+/// Wall time key distribution spent inside the signature scheme, summed
+/// over the nodes that measured it (and so over the workers that stepped
+/// them).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct KdCryptoTime {
+    /// Inside `scheme.sign`, answering challenges (round 2).
+    pub sign: Duration,
+    /// Inside `scheme.verify`, checking responses (round 3).
+    pub verify: Duration,
+}
+
+impl AddAssign for KdCryptoTime {
+    fn add_assign(&mut self, other: KdCryptoTime) {
+        self.sign += other.sign;
+        self.verify += other.verify;
+    }
+}
+
+/// `f()`, its wall time added to `total` when there is one.
+fn timed<R>(total: Option<&mut Duration>, f: impl FnOnce() -> R) -> R {
+    let Some(total) = total else {
+        return f();
+    };
+    let start = Instant::now();
+    let out = f();
+    *total += start.elapsed();
+    out
+}
+
 /// Honest participant in the key distribution protocol (paper Fig. 1).
 pub struct KeyDistNode {
     me: NodeId,
@@ -222,6 +256,8 @@ pub struct KeyDistNode {
     store: KeyStore,
     anomalies: Vec<KdAnomaly>,
     done: bool,
+    /// Time inside the scheme, when measured.
+    crypto: Option<KdCryptoTime>,
 }
 
 impl KeyDistNode {
@@ -255,7 +291,21 @@ impl KeyDistNode {
             store,
             anomalies: Vec::new(),
             done: false,
+            crypto: None,
         }
+    }
+
+    /// Measure the wall time spent inside the scheme's `sign` and
+    /// `verify` ([`KeyDistNode::crypto_time`]). Behaviour is unchanged.
+    #[must_use]
+    pub fn with_crypto_timing(mut self) -> Self {
+        self.crypto = Some(KdCryptoTime::default());
+        self
+    }
+
+    /// Time spent inside the scheme so far, if measured.
+    pub fn crypto_time(&self) -> Option<KdCryptoTime> {
+        self.crypto
     }
 
     /// Attach the cluster's shared [`PredicateTable`]: announced predicate
@@ -386,10 +436,10 @@ impl Node for KeyDistNode {
                         continue;
                     }
                     let bytes = challenge_bytes(challenger, challenged, nonce);
-                    let sig = self
-                        .scheme
-                        .sign(&self.keyring.sk, &bytes)
-                        .expect("own keyring is well-formed");
+                    let sig = timed(self.crypto.as_mut().map(|c| &mut c.sign), || {
+                        self.scheme.sign(&self.keyring.sk, &bytes)
+                    })
+                    .expect("own keyring is well-formed");
                     batch.push(
                         env.from,
                         &KdMsg::Response {
@@ -428,7 +478,9 @@ impl Node for KeyDistNode {
                     };
                     let echoed_ok = challenger == self.me && challenged == peer && nonce == issued;
                     let bytes = challenge_bytes(self.me, peer, issued);
-                    let sig_ok = self.scheme.verify(&candidate, &bytes, &Signature(sig));
+                    let sig_ok = timed(self.crypto.as_mut().map(|c| &mut c.verify), || {
+                        self.scheme.verify(&candidate, &bytes, &Signature(sig))
+                    });
                     if echoed_ok && sig_ok {
                         self.store.accept(peer, candidate);
                     } else {

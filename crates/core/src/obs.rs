@@ -170,8 +170,8 @@ impl PhaseBreakdown {
 /// One named span on a trace timeline, in the trace's clock units.
 #[derive(Debug, Clone)]
 pub struct Span {
-    /// Span name (`keydist`, `keydist:round:2`, `round:12`, `assemble`,
-    /// `report`, `verify`).
+    /// Span name (`keydist`, `keydist:round:2`, `keydist:sign`,
+    /// `keydist:verify`, `round:12`, `assemble`, `report`, `verify`).
     pub name: String,
     /// Start timestamp.
     pub start: u64,
@@ -193,8 +193,11 @@ pub struct CounterSample {
 /// The `spans` tile the run timeline without overlap, so their durations
 /// sum to the run's total extent in the trace clock; `attributed` spans
 /// re-attribute time already counted inside them and live on a separate
-/// track: `keydist:round:N` (wall clock only) tile the `keydist` span,
-/// `verify` sums the run's predicate evaluations.
+/// track: `keydist:round:N` (wall clock only) tile the `keydist` span;
+/// `keydist:sign` and `keydist:verify` (wall clock only) sum the time
+/// key distribution's nodes spent inside the scheme's `sign` and `verify`
+/// over every worker, from the start of rounds 2 and 3; `verify` sums the
+/// run's predicate evaluations.
 #[derive(Debug, Clone)]
 pub struct RunTrace {
     /// Clock of every timestamp in this trace.
@@ -383,6 +386,7 @@ fn assemble_trace(
                 // covers key generation, the last round the store
                 // extraction after the round loop.
                 let marks = kd.round_marks.as_deref().unwrap_or_default();
+                let mut starts = Vec::with_capacity(marks.len());
                 let mut prev = 0u64;
                 for (r, &mark) in marks.iter().enumerate() {
                     let end = if r + 1 == marks.len() {
@@ -395,7 +399,23 @@ fn assemble_trace(
                         start: prev,
                         dur: end - prev,
                     });
+                    starts.push(prev);
                     prev = end;
+                }
+                // The time inside the scheme, summed over nodes, from the
+                // start of the round that signs (2) and the one that
+                // verifies (3).
+                if let Some(crypto) = kd.crypto_time {
+                    for (name, round, time) in [
+                        ("keydist:sign", 2, crypto.sign),
+                        ("keydist:verify", 3, crypto.verify),
+                    ] {
+                        attributed.push(Span {
+                            name: name.to_string(),
+                            start: starts.get(round).copied().unwrap_or(0),
+                            dur: u64::try_from(time.as_micros()).unwrap_or(u64::MAX),
+                        });
+                    }
                 }
             }
             let run_base = cursor;

@@ -17,7 +17,7 @@
 
 use crate::ba::Grade;
 use crate::keys::{KeyStore, Keyring, PredicateTable};
-use crate::localauth::{KdAnomaly, KeyDistNode, KEYDIST_ROUNDS};
+use crate::localauth::{KdAnomaly, KdCryptoTime, KeyDistNode, KEYDIST_ROUNDS};
 use crate::outcome::Outcome;
 use fd_crypto::SignatureScheme;
 use fd_simnet::fault::FaultPlan;
@@ -119,6 +119,11 @@ pub struct KeyDistReport {
     /// sync engine with observability on; `None` otherwise. Never part of
     /// an equivalence surface.
     pub round_marks: Option<Vec<u64>>,
+    /// Wall time the honest nodes spent inside the scheme's `sign` and
+    /// `verify`, summed over nodes, when the run had observability on;
+    /// `None` otherwise (and then no clock was read). Never part of an
+    /// equivalence surface.
+    pub crypto_time: Option<KdCryptoTime>,
     /// The shared predicate table the stores intern against, when the run
     /// used one (honest-case allocation profile: `O(n)` distinct keys —
     /// see [`PredicateTable::distinct_allocations`]). `None` for
@@ -402,6 +407,7 @@ impl Cluster {
             stats: NetStats::new(self.n),
             anomalies: Vec::new(),
             round_marks: None,
+            crypto_time: None,
             predicates: Some(table),
             rings,
         }
@@ -459,16 +465,19 @@ impl Cluster {
                     Some(adversary) => adversary,
                     None => {
                         honest[i] = true;
-                        Box::new(
-                            KeyDistNode::new(
-                                me,
-                                self.n,
-                                Arc::clone(&self.scheme),
-                                rings[i].clone(),
-                                self.seed,
-                            )
-                            .with_intern_table(Arc::clone(&table)),
+                        let node = KeyDistNode::new(
+                            me,
+                            self.n,
+                            Arc::clone(&self.scheme),
+                            rings[i].clone(),
+                            self.seed,
                         )
+                        .with_intern_table(Arc::clone(&table));
+                        Box::new(if self.obs {
+                            node.with_crypto_timing()
+                        } else {
+                            node
+                        })
                     }
                 }
             })
@@ -487,11 +496,15 @@ impl Cluster {
         let stats = report.stats;
         let mut stores = Vec::with_capacity(self.n);
         let mut anomalies = Vec::new();
+        let mut crypto_time = self.obs.then(KdCryptoTime::default);
         for (i, boxed) in report.nodes.into_iter().enumerate() {
             if honest[i] {
                 let node = (boxed as Box<dyn Any>)
                     .downcast::<KeyDistNode>()
                     .expect("honest slot holds KeyDistNode");
+                if let (Some(total), Some(own)) = (crypto_time.as_mut(), node.crypto_time()) {
+                    *total += own;
+                }
                 let (store, _ring, anoms) = node.into_parts();
                 anomalies.push((NodeId(i as u16), anoms));
                 stores.push(Some(store));
@@ -504,6 +517,7 @@ impl Cluster {
             stats,
             anomalies,
             round_marks,
+            crypto_time,
             predicates: Some(table),
             rings,
         }

@@ -67,14 +67,6 @@ impl DsaScheme {
         self.group
     }
 
-    fn decode_scalar(&self, bytes: &[u8]) -> Option<Ubig> {
-        if bytes.len() != self.group.scalar_len() {
-            return None;
-        }
-        let v = Ubig::from_be_bytes(bytes);
-        (v < *self.group.q()).then_some(v)
-    }
-
     /// `H(m) mod q`, the truncated message digest DSA signs.
     fn digest_scalar(&self, msg: &[u8]) -> Ubig {
         let digest = sha256_parts(&[b"fd-dsa-v1", self.group.label().as_bytes(), msg]);
@@ -130,7 +122,8 @@ impl SignatureScheme for DsaScheme {
 
     fn sign(&self, sk: &SecretKey, msg: &[u8]) -> Result<Signature, CryptoError> {
         let x = self
-            .decode_scalar(&sk.0)
+            .group
+            .scalar(&sk.0)
             .ok_or(CryptoError::MalformedSecretKey)?;
         let q = self.group.q();
         let h = self.digest_scalar(msg);
@@ -147,25 +140,15 @@ impl SignatureScheme for DsaScheme {
             if s.is_zero() {
                 continue;
             }
-            let mut sig = r.to_be_bytes_fixed(self.group.scalar_len()).expect("r < q");
-            sig.extend_from_slice(&s.to_be_bytes_fixed(self.group.scalar_len()).expect("s < q"));
-            return Ok(Signature(sig));
+            return Ok(Signature(self.group.encode_scalar_pair(&r, &s)));
         }
         // Unreachable in practice: each attempt fails with prob ~2/q.
         Err(CryptoError::MalformedSecretKey)
     }
 
     fn verify(&self, pk: &PublicKey, msg: &[u8], sig: &Signature) -> bool {
-        let scalar_len = self.group.scalar_len();
-        if sig.0.len() != 2 * scalar_len {
+        let Some((r, s)) = self.group.scalar_pair(&sig.0) else {
             return false;
-        }
-        let (r, s) = match (
-            self.decode_scalar(&sig.0[..scalar_len]),
-            self.decode_scalar(&sig.0[scalar_len..]),
-        ) {
-            (Some(r), Some(s)) => (r, s),
-            _ => return false,
         };
         if r.is_zero() || s.is_zero() {
             return false;

@@ -213,6 +213,37 @@ impl SchnorrGroup {
         self.q.bits().div_ceil(8)
     }
 
+    /// The scalar `bytes` encode: exactly [`SchnorrGroup::scalar_len`]
+    /// bytes holding a value below `q`.
+    pub(crate) fn scalar(&self, bytes: &[u8]) -> Option<Ubig> {
+        if bytes.len() != self.scalar_len() {
+            return None;
+        }
+        let v = Ubig::from_be_bytes(bytes);
+        (v < self.q).then_some(v)
+    }
+
+    /// A signature's two scalars, each [`SchnorrGroup::scalar_len`]
+    /// bytes, `None` unless both decode.
+    pub(crate) fn scalar_pair(&self, sig: &[u8]) -> Option<(Ubig, Ubig)> {
+        if sig.len() != 2 * self.scalar_len() {
+            return None;
+        }
+        let (a, b) = sig.split_at(self.scalar_len());
+        Some((self.scalar(a)?, self.scalar(b)?))
+    }
+
+    /// Two scalars below `q` written straight into one signature's bytes.
+    pub(crate) fn encode_scalar_pair(&self, a: &Ubig, b: &Ubig) -> Vec<u8> {
+        let mut sig = vec![0u8; 2 * self.scalar_len()];
+        let (lo, hi) = sig.split_at_mut(self.scalar_len());
+        assert!(
+            a.write_be_bytes(lo) && b.write_be_bytes(hi),
+            "scalars are below q"
+        );
+        sig
+    }
+
     /// `base^exp mod p` using the cached Montgomery context.
     pub fn pow(&self, base: &Ubig, exp: &Ubig) -> Ubig {
         self.mont_p.modpow(base, exp)
@@ -250,6 +281,12 @@ impl SchnorrGroup {
     /// cache or built into it. `None`, and no table, unless `pk` is
     /// exactly [`SchnorrGroup::element_len`] bytes encoding `0 < y < p`.
     pub(crate) fn key_table<'k>(&self, pk: &'k PublicKey) -> Option<&'k FixedBase> {
+        // A table is cached only once the checks below passed for the
+        // modulus it was built with, and the key bytes never change: one
+        // built for `p` needs neither the checks nor `y` again.
+        if let Some(table) = pk.cached_table().filter(|t| t.is_for(&self.mont_p)) {
+            return Some(table);
+        }
         if pk.as_bytes().len() != self.element_len() {
             return None;
         }
@@ -337,6 +374,18 @@ mod tests {
             assert!(g.key_table(&pk).is_none());
             assert!(pk.cached_table().is_none());
         }
+    }
+
+    #[test]
+    fn a_cached_table_is_reused_only_under_its_own_modulus() {
+        let (tiny, s512) = (SchnorrGroup::test_tiny(), SchnorrGroup::s512());
+        let y = tiny.pow_g(&Ubig::from(777u64));
+        let pk = PublicKey::new(y.to_be_bytes_fixed(tiny.element_len()).unwrap());
+        let first: *const FixedBase = tiny.key_table(&pk).unwrap();
+        assert!(std::ptr::eq(tiny.key_table(&pk).unwrap(), first));
+        // The cached table is tiny's: under s512 the same bytes are still
+        // checked, and 12 bytes is no s512 element.
+        assert!(s512.key_table(&pk).is_none());
     }
 
     #[test]

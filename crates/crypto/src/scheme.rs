@@ -93,7 +93,6 @@ impl PublicKey {
     }
 
     /// The cached comb table, if a verifier built one.
-    #[cfg(test)]
     pub(crate) fn cached_table(&self) -> Option<&FixedBase> {
         self.table.get().map(|t| &**t)
     }

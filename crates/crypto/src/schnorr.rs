@@ -6,9 +6,8 @@
 
 use crate::group::SchnorrGroup;
 use crate::scheme::{PublicKey, SecretKey, Signature, SignatureScheme};
-use crate::sha256::sha256_parts;
-use crate::{ChaChaDrbg, CryptoError};
-use fd_bigint::{modmul, modsub, RandomUbig, Ubig};
+use crate::{ChaChaDrbg, CryptoError, Sha256};
+use fd_bigint::{RandomUbig, Ubig};
 
 /// Schnorr signature scheme: `sk = x`, `pk = g^x mod p`,
 /// signature `(e, s)` with `e = H(r ‖ m)`, `s = k − x·e (mod q)`.
@@ -63,23 +62,15 @@ impl SchnorrScheme {
         self.group
     }
 
-    fn decode_scalar(&self, bytes: &[u8]) -> Option<Ubig> {
-        if bytes.len() != self.group.scalar_len() {
-            return None;
-        }
-        let v = Ubig::from_be_bytes(bytes);
-        (v < *self.group.q()).then_some(v)
-    }
-
     /// Hash to a scalar: `H(domain ‖ parts…) mod q`, never zero.
     fn hash_to_scalar(&self, parts: &[&[u8]]) -> Ubig {
-        let mut all: Vec<&[u8]> = Vec::with_capacity(parts.len() + 2);
-        let label = self.group.label().as_bytes();
-        all.push(b"fd-schnorr-v1");
-        all.push(label);
-        all.extend_from_slice(parts);
-        let digest = sha256_parts(&all);
-        let e = &Ubig::from_be_bytes(&digest) % self.group.q();
+        let mut h = Sha256::new();
+        h.update(b"fd-schnorr-v1")
+            .update(self.group.label().as_bytes());
+        for part in parts {
+            h.update(part);
+        }
+        let e = &Ubig::from_be_bytes(&h.finalize()) % self.group.q();
         if e.is_zero() {
             Ubig::one()
         } else {
@@ -119,7 +110,8 @@ impl SignatureScheme for SchnorrScheme {
 
     fn sign(&self, sk: &SecretKey, msg: &[u8]) -> Result<Signature, CryptoError> {
         let x = self
-            .decode_scalar(&sk.0)
+            .group
+            .scalar(&sk.0)
             .ok_or(CryptoError::MalformedSecretKey)?;
         let q = self.group.q();
         // Deterministic nonce: k = H("nonce" ‖ sk ‖ m) mod q (RFC 6979 in
@@ -130,25 +122,15 @@ impl SignatureScheme for SchnorrScheme {
             .to_be_bytes_fixed(self.group.element_len())
             .expect("r < p");
         let e = self.hash_to_scalar(&[b"chal", &r_bytes, msg]);
-        // s = k - x*e mod q
-        let s = modsub(&k, &modmul(&x, &e, q), q);
-
-        let mut sig = e.to_be_bytes_fixed(self.group.scalar_len()).expect("e < q");
-        sig.extend_from_slice(&s.to_be_bytes_fixed(self.group.scalar_len()).expect("s < q"));
-        Ok(Signature(sig))
+        // s = k - x*e mod q, where k and x*e mod q are both below q.
+        let xe = &(&x * &e) % q;
+        let s = k.checked_sub(&xe).unwrap_or_else(|| &(&k + q) - &xe);
+        Ok(Signature(self.group.encode_scalar_pair(&e, &s)))
     }
 
     fn verify(&self, pk: &PublicKey, msg: &[u8], sig: &Signature) -> bool {
-        let scalar_len = self.group.scalar_len();
-        if sig.0.len() != 2 * scalar_len {
+        let Some((e, s)) = self.group.scalar_pair(&sig.0) else {
             return false;
-        }
-        let (e, s) = match (
-            self.decode_scalar(&sig.0[..scalar_len]),
-            self.decode_scalar(&sig.0[scalar_len..]),
-        ) {
-            (Some(e), Some(s)) => (e, s),
-            _ => return false,
         };
         let Some(y) = self.group.key_table(pk) else {
             return false;

@@ -9,7 +9,8 @@
 //! * Sync-engine phase spans tile the measured wall time: the tiling
 //!   span-duration sum equals the reported `wall_us` (well within the 5%
 //!   acceptance envelope — it is exact by construction), and the
-//!   `keydist:round:N` spans tile the `keydist` span the same way.
+//!   `keydist:round:N` spans tile the `keydist` span the same way; the
+//!   `keydist:sign` and `keydist:verify` spans start with rounds 2 and 3.
 //! * The Chrome trace-event export is valid JSON (parsed by the repo's
 //!   own `wire::Value`) with the expected phase and counter events.
 
@@ -157,6 +158,52 @@ fn sync_keydist_round_spans_tile_the_keydist_span() {
         .attributed
         .iter()
         .all(|s| !s.name.starts_with("keydist")));
+}
+
+#[test]
+fn sync_keydist_attributes_its_sign_and_verify_time() {
+    // n = 24: rounds 2 and 3 run on every available core, so each crypto
+    // span is at most its round's wall time on each worker.
+    let workers = std::thread::available_parallelism().map_or(1, usize::from) as u64;
+    let (_, trace) = cluster(24, Engine::Sync).run_traced(&spec(Protocol::ChainFd));
+    let span = |name: &str| {
+        trace
+            .attributed
+            .iter()
+            .find(|s| s.name == name)
+            .unwrap_or_else(|| panic!("no {name} span"))
+            .clone()
+    };
+    for (crypto, round) in [
+        ("keydist:sign", "keydist:round:2"),
+        ("keydist:verify", "keydist:round:3"),
+    ] {
+        let (crypto, round) = (span(crypto), span(round));
+        assert_eq!(
+            crypto.start, round.start,
+            "{} starts its round",
+            crypto.name
+        );
+        assert!(crypto.dur > 0, "552 {} calls take time", crypto.name);
+        assert!(
+            crypto.dur <= round.dur * workers,
+            "{} {} µs exceeds {} µs × {workers}",
+            crypto.name,
+            crypto.dur,
+            round.dur
+        );
+    }
+
+    // Off by default: no clock is read and nothing is attributed.
+    let kd = cluster(24, Engine::Sync).run_key_distribution();
+    assert!(kd.crypto_time.is_none() && kd.round_marks.is_none());
+    let traced = cluster(24, Engine::Sync)
+        .with_obs()
+        .run_key_distribution()
+        .crypto_time
+        .expect("observability measures the scheme");
+    assert!(traced.sign > std::time::Duration::ZERO);
+    assert!(traced.verify > std::time::Duration::ZERO);
 }
 
 #[test]

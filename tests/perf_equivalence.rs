@@ -84,6 +84,7 @@ fn unshared(kd: &KeyDistReport, n: usize) -> KeyDistReport {
         stats: kd.stats.clone(),
         anomalies: kd.anomalies.clone(),
         round_marks: None,
+        crypto_time: None,
         predicates: None,
         rings: kd.rings.clone(),
     }
@@ -779,6 +780,7 @@ fn vector_fd_cohort_hit_path_matches_cohort_free_cache() {
             stats: g3_kd.stats.clone(),
             anomalies: Vec::new(),
             round_marks: None,
+            crypto_time: None,
             predicates: None,
             rings,
         };
