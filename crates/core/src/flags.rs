@@ -521,7 +521,7 @@ pub fn sweep(args: &[String]) -> Result<SweepArgs, String> {
                     if n < 2 {
                         return Err(format!("--sizes: need n >= 2 (got {n})"));
                     }
-                    if n > u16::MAX as usize {
+                    if n > fd_simnet::MAX_NODES {
                         return Err(format!("--sizes: {n} exceeds the node-id range"));
                     }
                     Ok(n)

@@ -20,11 +20,20 @@
 //! a peer that misbehaves is simply never accepted into the local
 //! [`KeyStore`]. After the protocol, properties G1 and G2 hold (Theorem 2).
 //!
-//! One buffer per node-round: a node encodes all of a round's challenges
-//! (or responses) into one exactly sized buffer and sends each message as
-//! a slice of it, so a round costs it one allocation, not one per peer. A
-//! corrupting link still changes one message only (copy-on-write, see
-//! [`fd_simnet::Payload::make_mut`]).
+//! One buffer per node-round, and one record: a node encodes all of a
+//! round's challenges (or responses) into one exactly sized buffer, so a
+//! round costs it one allocation, not one per peer. When the buffer holds
+//! one equally long message for every peer in id order — every honest
+//! round 1 and 2 — it goes out as one [`Outbox::scatter`], which an
+//! in-process engine parks as one send record, not `n − 1`; otherwise each
+//! message is sent as a slice of it. Either way every receiver gets the
+//! same bytes, and a corrupting link still changes one message only
+//! (copy-on-write, see [`fd_simnet::Payload::make_mut`]).
+//!
+//! Per peer, a node keeps only the announced candidate predicate and the
+//! nonce it issued (16 bytes); its [`KeyStore`] is built when it finishes
+//! round 3, on the intern table's shared slots when everything it
+//! accepted is canonical.
 //!
 //! With [`KeyDistNode::with_crypto_timing`] a node also adds up the wall
 //! time it spends inside the scheme's `sign` (round 2) and `verify`
@@ -79,7 +88,7 @@ const CHALLENGE_LEN: usize = 1 + 2 + 2 + 8;
 const RESPONSE_HEADER_LEN: usize = CHALLENGE_LEN + 4;
 
 /// One round's messages of a node: encoded back to back into one buffer,
-/// sent as slices of it.
+/// sent as one scatter or as slices of it.
 struct Batch {
     w: Writer,
     sends: Vec<(NodeId, Range<usize>)>,
@@ -101,11 +110,25 @@ impl Batch {
         self.sends.push((to, start..self.w.len()));
     }
 
-    /// Queue every message, in push order, as a slice of one payload.
-    fn send(self, out: &mut Outbox) {
+    /// Queue every message, in push order, on one payload: as one scatter
+    /// from `me` when there is one message of one length for each of the
+    /// `n − 1` peers in ascending id order, else as one slice each.
+    fn send(self, n: usize, me: NodeId, out: &mut Outbox) {
+        let len = self.sends.first().map_or(0, |(_, range)| range.len());
+        let mut peers = NodeId::all(n).filter(|&peer| peer != me);
+        let scatter = len > 0
+            && self.sends.len() == n - 1
+            && self
+                .sends
+                .iter()
+                .all(|(to, range)| peers.next() == Some(*to) && range.len() == len);
         let buf = Payload::from(self.w.into_bytes());
-        for (to, range) in self.sends {
-            out.send(to, buf.slice(range));
+        if scatter {
+            out.scatter(n, me, buf, len);
+        } else {
+            for (to, range) in self.sends {
+                out.send(to, buf.slice(range));
+            }
         }
     }
 }
@@ -248,12 +271,15 @@ pub struct KeyDistNode {
     /// Shared predicate table for interning announcements (allocation
     /// optimization only; `None` keeps every candidate private).
     table: Option<Arc<PredicateTable>>,
-    /// Candidate predicate per peer (from announcements); shared handles
-    /// when the bytes matched the intern table.
+    /// Candidate predicate per peer (from announcements), and the node's
+    /// own at its own index; shared handles when the bytes matched the
+    /// intern table. Emptied once the store is built.
     candidates: Vec<Option<Arc<PublicKey>>>,
-    /// Nonce issued to each peer.
-    issued: Vec<Option<u64>>,
-    store: KeyStore,
+    /// Nonce issued to each peer that has a candidate (the rest are 0).
+    /// Emptied once the store is built.
+    nonces: Vec<u64>,
+    /// Built at the end of round 3.
+    store: Option<KeyStore>,
     anomalies: Vec<KdAnomaly>,
     done: bool,
     /// Time inside the scheme, when measured.
@@ -276,9 +302,9 @@ impl KeyDistNode {
         material.extend_from_slice(b"keydist-nonce");
         material.extend_from_slice(&run_seed.to_be_bytes());
         material.extend_from_slice(&me.0.to_be_bytes());
-        let mut store = KeyStore::new(n, me);
+        let mut candidates = vec![None; n];
         // A node trivially accepts its own predicate.
-        store.accept(me, keyring.pk.clone());
+        candidates[me.index()] = Some(Arc::new(keyring.pk.clone()));
         KeyDistNode {
             me,
             n,
@@ -286,9 +312,9 @@ impl KeyDistNode {
             keyring,
             rng: fd_crypto::ChaChaDrbg::from_seed_material(&material),
             table: None,
-            candidates: vec![None; n],
-            issued: vec![None; n],
-            store,
+            candidates,
+            nonces: vec![0; n],
+            store: None,
             anomalies: Vec::new(),
             done: false,
             crypto: None,
@@ -316,7 +342,7 @@ impl KeyDistNode {
     #[must_use]
     pub fn with_intern_table(mut self, table: Arc<PredicateTable>) -> Self {
         let own = table.intern(self.me, self.keyring.pk.as_bytes().to_vec());
-        self.store.accept(self.me, own);
+        self.candidates[self.me.index()] = Some(own);
         self.table = Some(table);
         self
     }
@@ -329,20 +355,47 @@ impl KeyDistNode {
         }
     }
 
-    /// The key store accumulated so far (complete after round 3).
-    pub fn store(&self) -> &KeyStore {
-        &self.store
+    /// The key store, once the node has finished round 3.
+    pub fn store(&self) -> Option<&KeyStore> {
+        self.store.as_ref()
     }
 
     /// Take ownership of the final key store and keyring. With an intern
     /// table attached, a store that accepted exactly the canonical
-    /// predicates comes back on the table's shared slots
-    /// ([`KeyStore::share_canonical`]).
+    /// predicates comes back on the table's shared slots. A node that
+    /// never finished round 3 has accepted only its own predicate.
     pub fn into_parts(mut self) -> (KeyStore, Keyring, Vec<KdAnomaly>) {
+        let store = match self.store.take() {
+            Some(store) => store,
+            None => self.build_store(&[]),
+        };
+        (store, self.keyring, self.anomalies)
+    }
+
+    /// The store holding the node's own predicate and the candidate of
+    /// every peer `accepted` marks: the intern table's own slots when
+    /// that is every node's canonical predicate
+    /// ([`KeyStore::global_shared`]), a private table otherwise.
+    fn build_store(&self, accepted: &[bool]) -> KeyStore {
+        let chosen = |peer: NodeId| {
+            let taken = peer == self.me || accepted.get(peer.index()) == Some(&true);
+            self.candidates[peer.index()].as_ref().filter(|_| taken)
+        };
         if let Some(table) = &self.table {
-            self.store.share_canonical(table);
+            let canonical = NodeId::all(self.n).all(|peer| {
+                matches!((chosen(peer), table.entry(peer)), (Some(a), Some(b)) if Arc::ptr_eq(a, b))
+            });
+            if canonical && table.len() == self.n {
+                return KeyStore::global_shared(self.me, table);
+            }
         }
-        (self.store, self.keyring, self.anomalies)
+        let mut store = KeyStore::new(self.n, self.me);
+        for peer in NodeId::all(self.n) {
+            if let Some(pk) = chosen(peer) {
+                store.accept(peer, Arc::clone(pk));
+            }
+        }
+        store
     }
 
     /// Anomalies recorded against misbehaving peers.
@@ -395,7 +448,7 @@ impl Node for KeyDistNode {
                     let interned = self.intern(env.from, pk);
                     self.candidates[env.from.index()] = Some(interned);
                     let nonce = self.rng.next_u64();
-                    self.issued[env.from.index()] = Some(nonce);
+                    self.nonces[env.from.index()] = nonce;
                     batch.push(
                         env.from,
                         &KdMsg::Challenge {
@@ -405,7 +458,7 @@ impl Node for KeyDistNode {
                         },
                     );
                 }
-                batch.send(out);
+                batch.send(self.n, self.me, out);
                 for peer in NodeId::all(self.n) {
                     if peer != self.me && self.candidates[peer.index()].is_none() {
                         self.anomalies.push(KdAnomaly::NoAnnounce(peer));
@@ -450,10 +503,11 @@ impl Node for KeyDistNode {
                         },
                     );
                 }
-                batch.send(out);
+                batch.send(self.n, self.me, out);
             }
             // Round 3: verify responses, accept predicates.
             3 => {
+                let mut accepted = vec![false; self.n];
                 for env in inbox {
                     let Some(msg) = self.decode(env) else {
                         continue;
@@ -469,27 +523,25 @@ impl Node for KeyDistNode {
                         continue;
                     };
                     let peer = env.from;
-                    let (Some(candidate), Some(issued)) = (
-                        self.candidates[peer.index()].clone(),
-                        self.issued[peer.index()],
-                    ) else {
+                    let Some(candidate) = self.candidates[peer.index()].as_ref() else {
                         self.anomalies.push(KdAnomaly::Protocol(peer));
                         continue;
                     };
+                    let issued = self.nonces[peer.index()];
                     let echoed_ok = challenger == self.me && challenged == peer && nonce == issued;
                     let bytes = challenge_bytes(self.me, peer, issued);
                     let sig_ok = timed(self.crypto.as_mut().map(|c| &mut c.verify), || {
-                        self.scheme.verify(&candidate, &bytes, &Signature(sig))
+                        self.scheme.verify(candidate, &bytes, &Signature(sig))
                     });
                     if echoed_ok && sig_ok {
-                        self.store.accept(peer, candidate);
+                        accepted[peer.index()] = true;
                     } else {
                         self.anomalies.push(KdAnomaly::BadResponse(peer));
                     }
                 }
                 for peer in NodeId::all(self.n) {
                     if peer != self.me
-                        && self.store.accepted(peer).is_none()
+                        && !accepted[peer.index()]
                         && self.candidates[peer.index()].is_some()
                         && !self
                             .anomalies
@@ -499,6 +551,9 @@ impl Node for KeyDistNode {
                         self.anomalies.push(KdAnomaly::NoResponse(peer));
                     }
                 }
+                self.store = Some(self.build_store(&accepted));
+                self.candidates = Vec::new();
+                self.nonces = Vec::new();
                 self.done = true;
             }
             _ => {
@@ -518,7 +573,10 @@ impl core::fmt::Debug for KeyDistNode {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         f.debug_struct("KeyDistNode")
             .field("me", &self.me)
-            .field("accepted", &self.store.accepted_count())
+            .field(
+                "accepted",
+                &self.store.as_ref().map(KeyStore::accepted_count),
+            )
             .field("anomalies", &self.anomalies.len())
             .finish()
     }
@@ -561,7 +619,7 @@ mod tests {
     fn honest_run_accepts_everyone() {
         let nodes = run_honest(5);
         for node in &nodes {
-            assert_eq!(node.store().accepted_count(), 5);
+            assert_eq!(node.store().expect("finished").accepted_count(), 5);
             assert!(node.anomalies().is_empty());
         }
     }
@@ -585,14 +643,37 @@ mod tests {
     }
 
     #[test]
+    fn an_honest_round_parks_one_record_per_node() {
+        // Announcements are broadcasts, challenges and responses
+        // scatters: each round parks n records, not n(n − 1).
+        let n = 64;
+        let scheme: Arc<dyn SignatureScheme> = Arc::new(SchnorrScheme::test_tiny());
+        let nodes: Vec<Box<dyn Node>> = NodeId::all(n)
+            .map(|me| {
+                let ring = Keyring::generate(scheme.as_ref(), me, 5);
+                Box::new(KeyDistNode::new(me, n, Arc::clone(&scheme), ring, 5)) as Box<dyn Node>
+            })
+            .collect();
+        let mut net = SyncNetwork::new(nodes);
+        for round in 0..3 {
+            net.step();
+            assert_eq!(net.parked_records(), n, "round {round}");
+            assert_eq!(net.stats().per_round[round], n * (n - 1), "round {round}");
+        }
+        net.step();
+        assert_eq!(net.parked_records(), 0);
+        assert!(net.all_done());
+    }
+
+    #[test]
     fn stores_agree_on_correct_nodes_g2() {
         let nodes = run_honest(4);
         for a in &nodes {
             for b in &nodes {
                 for peer in NodeId::all(4) {
                     assert_eq!(
-                        a.store().accepted(peer),
-                        b.store().accepted(peer),
+                        a.store().expect("finished").accepted(peer),
+                        b.store().expect("finished").accepted(peer),
                         "stores disagree on {peer}"
                     );
                 }
@@ -682,10 +763,14 @@ mod tests {
             let node = (node as Box<dyn Any>).downcast::<KeyDistNode>().unwrap();
             if i == 0 {
                 assert_eq!(node.anomalies(), [KdAnomaly::BadResponse(NodeId(1))]);
-                assert_eq!(node.store().accepted_count(), n - 1);
+                assert_eq!(node.store().expect("finished").accepted_count(), n - 1);
             } else {
                 assert!(node.anomalies().is_empty(), "node {i}");
-                assert_eq!(node.store().accepted_count(), n, "node {i}");
+                assert_eq!(
+                    node.store().expect("finished").accepted_count(),
+                    n,
+                    "node {i}"
+                );
             }
         }
     }

@@ -24,8 +24,9 @@
 //!   ([`SpanClock::VirtualTicks`]), a pure function of the seed, latency
 //!   model, and fault plan. Traces are byte-identical across runs and
 //!   machines for a fixed spec; every wall-clock-derived field (verify
-//!   timing, report-assembly time, total wall) is omitted from the
-//!   exported bytes so the determinism contract survives export.
+//!   timing, report-assembly time, total wall, key distribution's
+//!   wall-clock round marks) is omitted from the exported bytes so the
+//!   determinism contract survives export.
 
 use crate::runner::{Cluster, FdRunReport, KeyDistReport};
 use crate::spec::RunSpec;
@@ -105,6 +106,8 @@ pub struct PhaseBreakdown {
     pub keydist_us: Option<u64>,
     /// Rounds the key distribution executed (0 when none ran).
     pub keydist_rounds: u32,
+    /// Messages the key distribution sent (0 when none ran).
+    pub keydist_messages: usize,
     /// Total wall-clock µs of keydist + run + report assembly, when
     /// measured by [`Cluster::run_traced`].
     pub wall_us: Option<u64>,
@@ -133,6 +136,7 @@ impl PhaseBreakdown {
             fresh: 0,
             keydist_us: None,
             keydist_rounds: 0,
+            keydist_messages: 0,
             wall_us: None,
         })
     }
@@ -193,7 +197,8 @@ pub struct CounterSample {
 /// The `spans` tile the run timeline without overlap, so their durations
 /// sum to the run's total extent in the trace clock; `attributed` spans
 /// re-attribute time already counted inside them and live on a separate
-/// track: `keydist:round:N` (wall clock only) tile the `keydist` span;
+/// track: `keydist:round:N` tile the `keydist` span (one round boundary
+/// apart on the virtual-tick clock);
 /// `keydist:sign` and `keydist:verify` (wall clock only) sum the time
 /// key distribution's nodes spent inside the scheme's `sign` and `verify`
 /// over every worker, from the start of rounds 2 and 3; `verify` sums the
@@ -336,10 +341,12 @@ impl Cluster {
         let _ = report.to_json();
         let asm_us = elapsed_us(asm_start);
 
-        let kd_rounds = keydist.as_ref().map_or(0, |kd| kd.stats.rounds);
         if let Some(phases) = report.phases.as_mut() {
             phases.keydist_us = keydist.as_ref().map(|_| kd_us);
-            phases.keydist_rounds = kd_rounds;
+            if let Some(kd) = &keydist {
+                phases.keydist_rounds = kd.stats.rounds;
+                phases.keydist_messages = kd.stats.messages_total;
+            }
             phases.wall_us = Some(kd_us + run_us + asm_us);
         }
         let trace = assemble_trace(
@@ -451,8 +458,9 @@ fn assemble_trace(
         }
         SpanClock::VirtualTicks => {
             // Deterministic timeline: keydist rounds then run rounds, all
-            // in virtual ticks. Wall-derived spans (verify, report) are
-            // deliberately absent — see the module docs.
+            // in virtual ticks. Wall-derived spans (verify, report, and
+            // the wall-clock keydist marks) are deliberately absent — see
+            // the module docs.
             if let Some(kd) = keydist {
                 let kd_ticks = u64::from(kd.stats.rounds) * TICKS_PER_ROUND;
                 spans.push(Span {
@@ -460,6 +468,11 @@ fn assemble_trace(
                     start: 0,
                     dur: kd_ticks,
                 });
+                attributed.extend((0..u64::from(kd.stats.rounds)).map(|r| Span {
+                    name: format!("keydist:round:{r}"),
+                    start: r * TICKS_PER_ROUND,
+                    dur: TICKS_PER_ROUND,
+                }));
                 cursor = kd_ticks;
             }
             let run_base = cursor;

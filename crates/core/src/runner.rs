@@ -54,6 +54,9 @@ pub(crate) struct DriveReport {
     /// the sync engine, virtual ticks on the event engine (see
     /// [`crate::obs::SpanClock`]).
     pub round_marks: Option<Vec<u64>>,
+    /// End-of-round wall-clock µs since the round loop began, when the
+    /// engine recorded round marks (on the sync engine, `round_marks`).
+    pub wall_marks: Option<Vec<u64>>,
     /// Peak delivery-queue depth observed at round boundaries, when the
     /// engine recorded round marks.
     pub max_queue_depth: Option<usize>,
@@ -115,8 +118,8 @@ pub struct KeyDistReport {
     /// Anomalies each honest node recorded.
     pub anomalies: Vec<(NodeId, Vec<KdAnomaly>)>,
     /// End-of-round wall-clock marks, in µs since the key distribution
-    /// began (so round 0 also covers key generation), when it ran on the
-    /// sync engine with observability on; `None` otherwise. Never part of
+    /// began (so round 0 also covers key generation), when it ran with
+    /// observability on, on either engine; `None` otherwise. Never part of
     /// an equivalence surface.
     pub round_marks: Option<Vec<u64>>,
     /// Wall time the honest nodes spent inside the scheme's `sign` and
@@ -327,6 +330,7 @@ impl Cluster {
                     stats,
                     nodes,
                     delay_log: None,
+                    wall_marks: round_marks.clone(),
                     round_marks,
                     max_queue_depth,
                     sched: None,
@@ -363,6 +367,7 @@ impl Cluster {
                 }
                 net.run_until_done(budget.saturating_add(delay_slack));
                 let round_marks = net.round_marks().map(<[u64]>::to_vec);
+                let wall_marks = net.wall_marks().map(<[u64]>::to_vec);
                 let max_queue_depth = net.max_queue_depth();
                 let sched = net.sched_counters();
                 let (nodes, stats, delay_log) = net.finish();
@@ -371,6 +376,7 @@ impl Cluster {
                     delay_log,
                     nodes,
                     round_marks,
+                    wall_marks,
                     max_queue_depth,
                     sched: Some(sched),
                 }
@@ -484,15 +490,12 @@ impl Cluster {
             .collect();
         let lead_us = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
         let report = self.drive(nodes, KEYDIST_ROUNDS, workers, None);
-        let round_marks = match self.engine {
-            Engine::Sync => report.round_marks.map(|marks| {
-                marks
-                    .iter()
-                    .map(|&mark| lead_us.saturating_add(mark))
-                    .collect()
-            }),
-            Engine::Event => None,
-        };
+        let round_marks = report.wall_marks.map(|marks| {
+            marks
+                .iter()
+                .map(|&mark| lead_us.saturating_add(mark))
+                .collect()
+        });
         let stats = report.stats;
         let mut stores = Vec::with_capacity(self.n);
         let mut anomalies = Vec::new();

@@ -450,7 +450,7 @@ impl SpecBuilder {
     /// [`build`]: SpecBuilder::build
     pub fn validate(&self) -> Result<(), String> {
         let t = self.resolved_t();
-        if self.n > usize::from(u16::MAX) {
+        if self.n > fd_simnet::MAX_NODES {
             return Err(format!("n {} exceeds the node-id space", self.n));
         }
         if t + 2 > self.n {

@@ -1,26 +1,29 @@
 //! The delivery representation both in-process engines share.
 //!
 //! Sends wait for their delivery round as [`Record`]s: one per
-//! point-to-point message, one per broadcast (standing for `n − 1`
-//! logical messages). Before a round runs, [`Delivery::new`] indexes its
-//! records by destination with one counting sort, and
-//! [`Delivery::inbound`] materializes one receiver's envelopes, in send
-//! order, just before that receiver runs — into an [`Arena`] the engine
-//! reuses, never into per-receiver inboxes built up front.
+//! point-to-point message, one per broadcast and one per scatter over the
+//! whole system (each standing for `n − 1` logical messages; a scatter
+//! hands each receiver its own window of one shared buffer). Before a
+//! round runs, [`Delivery::new`] indexes its records by destination with
+//! one counting sort, and [`Delivery::inbound`] materializes one
+//! receiver's envelopes, in send order, just before that receiver runs —
+//! into an [`Arena`] the engine reuses, never into per-receiver inboxes
+//! built up front.
 
 use crate::node::OutOp;
 use crate::{Envelope, NetStats, Node, NodeId, Payload};
 
-/// Largest supported system: [`Record::BROADCAST`] is `NodeId(u16::MAX)`,
-/// so that id never names a node.
-const MAX_NODES: usize = u16::MAX as usize;
+/// Largest supported system, 65 534 nodes: the in-process engines mark a
+/// broadcast and a scatter record with the two highest `u16` ids, so
+/// neither names a node.
+pub const MAX_NODES: usize = u16::MAX as usize - 1;
 
 /// Check that `nodes[i].id() == NodeId(i)` (senders are stamped from
 /// positions, N2) and that the system fits [`MAX_NODES`].
 ///
 /// # Panics
 ///
-/// Panics on the first mismatched id or on more than 65 535 nodes.
+/// Panics on the first mismatched id or on more than 65 534 nodes.
 pub(crate) fn check_nodes(nodes: &[Box<dyn Node>]) {
     assert!(
         nodes.len() <= MAX_NODES,
@@ -40,11 +43,11 @@ pub(crate) fn check_nodes(nodes: &[Box<dyn Node>]) {
 /// A sent message as an engine parks it until its delivery round.
 #[derive(Debug, Clone)]
 pub(crate) struct Record {
-    /// The shared payload.
+    /// The shared payload; for a scatter, the first receiver's window.
     pub(crate) payload: Payload,
     /// Sender (stamped by the engine, N2).
     pub(crate) from: NodeId,
-    /// Destination, or [`Record::BROADCAST`].
+    /// Destination, [`Record::BROADCAST`] or [`Record::SCATTER`].
     pub(crate) to: NodeId,
     /// Round the message was sent in (what [`Envelope::round`] carries
     /// and what fault plans key on).
@@ -55,13 +58,24 @@ impl Record {
     /// `to` of a broadcast record: every node of the system but `from`.
     pub(crate) const BROADCAST: NodeId = NodeId(u16::MAX);
 
-    fn is_broadcast(&self) -> bool {
-        self.to == Record::BROADCAST
+    /// `to` of a scatter record: every node of the system but `from`, the
+    /// k-th of them receiving `payload.stride(k)`.
+    pub(crate) const SCATTER: NodeId = NodeId(u16::MAX - 1);
+
+    /// Whether the record stands for one message to every other node.
+    fn is_fan_out(&self) -> bool {
+        self.to == Record::BROADCAST || self.to == Record::SCATTER
     }
 
     /// Whether node `me` of the system receives a copy.
     pub(crate) fn covers(&self, me: NodeId) -> bool {
-        self.to == me || (self.is_broadcast() && self.from != me)
+        self.to == me || (self.is_fan_out() && self.from != me)
+    }
+
+    /// Which window of a scatter `to` receives: its rank among the nodes
+    /// other than the sender.
+    fn window(&self, to: NodeId) -> Option<usize> {
+        (self.to == Record::SCATTER).then(|| to.index() - usize::from(to > self.from))
     }
 
     /// The copy delivered to `to`.
@@ -70,14 +84,17 @@ impl Record {
             from: self.from,
             to,
             round: self.round,
-            payload: self.payload.clone(),
+            payload: match self.window(to) {
+                Some(k) => self.payload.stride(k),
+                None => self.payload.clone(),
+            },
         }
     }
 }
 
 /// Append a node's queued sends to `records` in send order and count
-/// them in `stats`. A broadcast over the whole system from its sender
-/// stays one record; any other broadcast expands per destination in
+/// them in `stats`. A broadcast or scatter over the whole system from its
+/// sender stays one record; any other expands per destination in
 /// ascending id order, and a destination outside the `n`-node system is
 /// counted as `dropped_invalid` and dropped.
 pub(crate) fn push_ops(
@@ -100,6 +117,8 @@ pub(crate) fn push_ops(
     };
     for op in ops {
         match op {
+            OutOp::Send(to, payload) if to.index() < n => push(to, 1, payload),
+            OutOp::Send(..) => invalid += 1,
             OutOp::Broadcast {
                 n: bn,
                 skip,
@@ -109,21 +128,18 @@ pub(crate) fn push_ops(
                     push(Record::BROADCAST, n - 1, payload);
                 }
             }
-            OutOp::Broadcast {
-                n: bn,
-                skip,
-                payload,
-            } => {
-                for to in NodeId::all(bn).filter(|&to| to != skip) {
-                    if to.index() < n {
-                        push(to, 1, payload.clone());
-                    } else {
-                        invalid += 1;
-                    }
+            OutOp::Scatter { n: sn, skip, first } if sn == n && skip == from => {
+                if n > 1 {
+                    push(Record::SCATTER, n - 1, first);
                 }
             }
-            OutOp::Send(to, payload) if to.index() < n => push(to, 1, payload),
-            OutOp::Send(..) => invalid += 1,
+            op => op.for_each_message(|to, payload| {
+                if to.index() < n {
+                    push(to, 1, payload);
+                } else {
+                    invalid += 1;
+                }
+            }),
         }
     }
     stats.dropped_invalid += invalid;
@@ -143,25 +159,25 @@ pub(crate) struct Delivery<'a> {
     /// Positions of the point-to-point records, grouped by destination
     /// (a counting sort, so ascending within each group).
     index: Vec<u32>,
-    /// Positions of the broadcast records, ascending.
-    broadcasts: Vec<u32>,
+    /// Positions of the broadcast and scatter records, ascending.
+    fan_outs: Vec<u32>,
     /// Logical messages the records stand for.
     messages: usize,
 }
 
 impl<'a> Delivery<'a> {
     /// Index `segments`, whose records all have destinations below `n`
-    /// (or are broadcasts), walking them in order.
+    /// (or are broadcasts or scatters), walking them in order.
     pub(crate) fn new(segments: &'a [Vec<Record>], n: usize) -> Self {
         let mut starts = Vec::with_capacity(segments.len() + 1);
         let mut ends = vec![0u32; n];
-        let mut broadcasts = Vec::new();
+        let mut fan_outs = Vec::new();
         let mut pos = 0u32;
         for segment in segments {
             starts.push(pos);
             for record in segment {
-                if record.is_broadcast() {
-                    broadcasts.push(pos);
+                if record.is_fan_out() {
+                    fan_outs.push(pos);
                 } else {
                     ends[record.to.index()] += 1;
                 }
@@ -179,19 +195,19 @@ impl<'a> Delivery<'a> {
         }
         let mut index = vec![0u32; total as usize];
         for (pos, record) in (0u32..).zip(segments.iter().flatten()) {
-            if !record.is_broadcast() {
+            if !record.is_fan_out() {
                 let slot = &mut ends[record.to.index()];
                 index[*slot as usize] = pos;
                 *slot += 1;
             }
         }
-        let messages = total as usize + broadcasts.len() * n.saturating_sub(1);
+        let messages = total as usize + fan_outs.len() * n.saturating_sub(1);
         Delivery {
             segments,
             starts,
             ends,
             index,
-            broadcasts,
+            fan_outs,
             messages,
         }
     }
@@ -202,7 +218,7 @@ impl<'a> Delivery<'a> {
     }
 
     /// Node `me`'s envelopes in send order: its point-to-point records
-    /// merged with the broadcasts of every other sender.
+    /// merged with the broadcasts and scatters of every other sender.
     pub(crate) fn inbound(&self, me: NodeId) -> Inbound<'_> {
         let i = me.index();
         let start = if i == 0 { 0 } else { self.ends[i - 1] };
@@ -210,7 +226,7 @@ impl<'a> Delivery<'a> {
             delivery: self,
             me,
             one: &self.index[start as usize..self.ends[i] as usize],
-            all: &self.broadcasts,
+            all: &self.fan_outs,
             segment: 0,
         }
     }
@@ -223,7 +239,7 @@ pub(crate) struct Inbound<'a> {
     me: NodeId,
     /// Point-to-point positions still to deliver.
     one: &'a [u32],
-    /// Broadcast positions still to deliver.
+    /// Broadcast and scatter positions still to deliver.
     all: &'a [u32],
     /// Segment of the last position read (positions only grow).
     segment: usize,
@@ -273,10 +289,11 @@ impl Iterator for Inbound<'_> {
 /// A reused inbox buffer that receivers fill one after another.
 ///
 /// Consecutive receivers of a round mostly get the same records — every
-/// broadcast but their own — so [`Arena::refill`] keeps each envelope
-/// whose record is unchanged at its index and only rewrites its
-/// destination: a payload handle is cloned, and later released, once per
-/// change between receivers rather than once per receiver.
+/// broadcast and scatter but their own — so [`Arena::refill`] keeps each
+/// envelope whose record is unchanged at its index and only rewrites its
+/// destination, and for a scatter its window in place: a payload handle
+/// is cloned, and later released, once per change between receivers
+/// rather than once per receiver.
 #[derive(Debug, Default)]
 pub(crate) struct Arena {
     /// The current receiver's inbox.
@@ -307,7 +324,11 @@ impl Arena {
         while let Some((pos, record)) = records.next_record() {
             // `sources` covers a prefix of `inbox`, at least `0..k`.
             if self.sources.get(k) == Some(&pos) {
-                self.inbox[k].to = me;
+                let slot = &mut self.inbox[k];
+                slot.to = me;
+                if let Some(window) = record.window(me) {
+                    slot.payload.restride(&record.payload, window);
+                }
             } else {
                 let envelope = record.envelope(me);
                 match self.inbox.get_mut(k) {
@@ -358,6 +379,84 @@ mod tests {
         assert_eq!(stats.messages_total, 3 + 3 + 3);
         assert_eq!(stats.dropped_invalid, 2 + 1);
         assert_eq!(stats.sent_by, [0, 9, 0, 0]);
+    }
+
+    /// One 2-byte window per peer of `n` from `from`: `[from, rank]`.
+    fn windows(n: usize, from: NodeId) -> Vec<u8> {
+        let peers = NodeId::all(n).filter(|&peer| peer != from);
+        peers
+            .enumerate()
+            .flat_map(|(rank, _)| [from.0 as u8, rank as u8])
+            .collect()
+    }
+
+    #[test]
+    fn a_whole_system_scatter_is_one_record_and_each_receiver_gets_its_window() {
+        let n = 5;
+        let from = NodeId(2);
+        let (recs, stats) = records(n, from, |out| out.scatter(n, from, windows(n, from), 2));
+        assert_eq!(recs.len(), 1);
+        assert_eq!(recs[0].to, Record::SCATTER);
+        assert_eq!(stats.messages_total, n - 1);
+        assert_eq!(stats.bytes_total, (n - 1) * Envelope::wire_len_with(2));
+        assert_eq!(stats.dropped_invalid, 0);
+        let segments = [recs];
+        let delivery = Delivery::new(&segments, n);
+        assert_eq!(delivery.messages(), n - 1);
+        for (rank, me) in NodeId::all(n).filter(|&me| me != from).enumerate() {
+            let inbox: Vec<Envelope> = delivery.inbound(me).collect();
+            assert_eq!(inbox.len(), 1, "node {me}");
+            assert_eq!(inbox[0].payload, [2, rank as u8], "node {me}");
+            assert!(inbox[0].payload.shares_buffer_with(&segments[0][0].payload));
+        }
+        assert_eq!(delivery.inbound(from).count(), 0);
+    }
+
+    #[test]
+    fn a_scatter_over_another_n_expands_per_destination() {
+        // Over 6 ids in a 4-node system: ids 4 and 5 are dropped.
+        let (recs, stats) = records(4, NodeId(1), |out| {
+            out.scatter(6, NodeId(1), windows(6, NodeId(1)), 2);
+        });
+        let sent: Vec<(u16, Vec<u8>)> = recs.iter().map(|r| (r.to.0, r.payload.to_vec())).collect();
+        assert_eq!(sent, [(0, vec![1, 0]), (2, vec![1, 1]), (3, vec![1, 2])]);
+        assert_eq!(stats.messages_total, 3);
+        assert_eq!(stats.dropped_invalid, 2);
+        // Over 3 ids in a 4-node system: two messages, nothing dropped.
+        let (recs, stats) = records(4, NodeId(0), |out| {
+            out.scatter(3, NodeId(0), windows(3, NodeId(0)), 2);
+        });
+        let dests: Vec<u16> = recs.iter().map(|r| r.to.0).collect();
+        assert_eq!(dests, [1, 2]);
+        assert_eq!((stats.messages_total, stats.dropped_invalid), (2, 0));
+    }
+
+    #[test]
+    fn refilling_the_arena_rewindows_scatters_in_place() {
+        let n = 6;
+        let mut segment = Vec::new();
+        for from in NodeId::all(n) {
+            let (recs, _) = records(n, from, |out| {
+                out.scatter(n, from, windows(n, from), 2);
+                out.broadcast(n, from, vec![from.0 as u8]);
+            });
+            segment.extend(recs);
+        }
+        let segments = [segment];
+        let delivery = Delivery::new(&segments, n);
+        let mut arena = Arena::default();
+        for me in NodeId::all(n) {
+            arena.refill(&delivery, me);
+            let expected: Vec<Envelope> = delivery.inbound(me).collect();
+            assert_eq!(arena.inbox, expected, "node {me}");
+            for (env, want) in arena.inbox.iter().zip(&expected) {
+                assert_eq!(env.payload.ident(), want.payload.ident(), "node {me}");
+            }
+        }
+        // One handle per record in the records, one per envelope of the
+        // last receiver: the refills moved windows, they kept no clones.
+        let scatter = &segments[0][0].payload;
+        assert_eq!(scatter.ref_count(), 1 + 1);
     }
 
     #[test]

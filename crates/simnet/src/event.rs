@@ -13,8 +13,8 @@
 //!   case — synchronous and fixed delays are whole rounds) park in a flat
 //!   ring of per-boundary buckets, which preserves send order for free;
 //!   only out-of-band arrivals (jitter, per-message overrides) pay for a
-//!   binary heap. Broadcasts with a uniform round-aligned delay stay
-//!   *compressed*: one record stands for `n − 1` messages. A matured
+//!   binary heap. Broadcasts and scatters with a uniform round-aligned
+//!   delay stay *compressed*: one record stands for `n − 1` messages. A matured
 //!   bucket is indexed by destination once, and each receiver's
 //!   envelopes are materialized into a reused arena just before it runs
 //!   — the delivery path [`SyncNetwork`](crate::SyncNetwork) uses too
@@ -628,6 +628,9 @@ pub struct EventNetwork {
     /// End-of-round virtual-tick marks, one per executed round. `None`
     /// when observability is off.
     round_marks: Option<Vec<u64>>,
+    /// End-of-round wall-clock marks (µs since `enable_round_marks`) and
+    /// their epoch, recorded beside `round_marks`.
+    wall_marks: Option<(std::time::Instant, Vec<u64>)>,
     /// Peak number of deliveries in flight seen at any round boundary
     /// (only tracked while round marks are enabled).
     max_queue_depth: usize,
@@ -639,7 +642,7 @@ impl EventNetwork {
     /// # Panics
     ///
     /// Panics if `nodes[i].id() != NodeId(i)` — ids must match positions so
-    /// the simulator can stamp senders (N2) — or on more than 65 535 nodes.
+    /// the simulator can stamp senders (N2) — or on more than 65 534 nodes.
     pub fn new(nodes: Vec<Box<dyn Node>>) -> Self {
         delivery::check_nodes(&nodes);
         let n = nodes.len();
@@ -665,6 +668,7 @@ impl EventNetwork {
             reference_scheduler: false,
             sched: SchedCounters::default(),
             round_marks: None,
+            wall_marks: None,
             max_queue_depth: 0,
         }
     }
@@ -674,15 +678,25 @@ impl EventNetwork {
     /// latency model, and fault plan they are byte-identical across runs
     /// and machines (the same determinism contract as the event queue
     /// itself). Also starts tracking the peak number of deliveries in
-    /// flight observed at round boundaries.
+    /// flight observed at round boundaries, and records wall-clock marks
+    /// beside the virtual ones ([`EventNetwork::wall_marks`]).
     pub fn enable_round_marks(&mut self) {
         self.round_marks = Some(Vec::new());
+        self.wall_marks = Some((std::time::Instant::now(), Vec::new()));
     }
 
     /// End-of-round marks recorded so far (virtual ticks), or `None` when
     /// observability is off.
     pub fn round_marks(&self) -> Option<&[u64]> {
         self.round_marks.as_deref()
+    }
+
+    /// End-of-round wall-clock marks recorded so far, in µs since
+    /// [`EventNetwork::enable_round_marks`], or `None` when observability
+    /// is off. Unlike the virtual-tick marks they are *not*
+    /// deterministic and must never feed an equivalence surface.
+    pub fn wall_marks(&self) -> Option<&[u64]> {
+        self.wall_marks.as_ref().map(|(_, marks)| marks.as_slice())
     }
 
     /// Peak deliveries-in-flight observed at round boundaries, or `None`
@@ -888,6 +902,9 @@ impl EventNetwork {
             marks.push(u64::from(self.round) * TICKS_PER_ROUND);
             self.max_queue_depth = self.max_queue_depth.max(self.in_flight as usize);
         }
+        if let Some((epoch, marks)) = self.wall_marks.as_mut() {
+            marks.push(u64::try_from(epoch.elapsed().as_micros()).unwrap_or(u64::MAX));
+        }
     }
 
     /// Assemble node `i`'s inbox into the arena, run its round, and
@@ -930,12 +947,12 @@ impl EventNetwork {
         self.dispatch_outbox(me, round, out, sent_this_round);
     }
 
-    /// Schedule a node's queued sends. A broadcast over the whole system
-    /// from its sender rides the compressed fast path — one ring record
-    /// and one batched statistics update for `n − 1` logical messages —
-    /// whenever nothing per-message-observable is active; everything else
-    /// expands through [`EventNetwork::send_one`] in exactly the legacy
-    /// per-message order.
+    /// Schedule a node's queued sends. A broadcast or scatter over the
+    /// whole system from its sender rides the compressed fast path — one
+    /// ring record and one batched statistics update for `n − 1` logical
+    /// messages — whenever nothing per-message-observable is active;
+    /// everything else expands through [`EventNetwork::send_one`] in
+    /// exactly the per-message order.
     fn dispatch_outbox(
         &mut self,
         from: NodeId,
@@ -962,53 +979,49 @@ impl EventNetwork {
             None
         };
         for op in out.into_ops() {
-            match op {
-                OutOp::Broadcast {
-                    n: bn,
-                    skip,
-                    payload,
-                } if bn == n && skip == from && uniform.is_some() => {
-                    let d = uniform.expect("guarded");
-                    let count = n - 1;
-                    if count == 0 {
-                        continue;
-                    }
-                    self.stats.record_send_n(
-                        from,
-                        round,
-                        Envelope::wire_len_with(payload.len()),
-                        count,
-                    );
-                    self.sent += count as u64;
-                    self.seq += count as u64;
-                    self.in_flight += count as u64;
-                    self.sched.ring_enqueued += count as u64;
-                    self.ring_push(
-                        self.now + d,
-                        Record {
-                            payload,
-                            from,
-                            to: Record::BROADCAST,
-                            round,
-                        },
-                    );
+            match (op, uniform) {
+                (
+                    OutOp::Broadcast {
+                        n: bn,
+                        skip,
+                        payload,
+                    },
+                    Some(delay),
+                ) if bn == n && skip == from => {
+                    self.ring_fan_out(delay, from, round, Record::BROADCAST, payload);
                 }
-                OutOp::Broadcast {
-                    n: bn,
-                    skip,
-                    payload,
-                } => {
-                    for peer in NodeId::all(bn) {
-                        if peer != skip {
-                            self.send_one(from, round, peer, payload.clone(), sent_this_round);
-                        }
-                    }
+                (OutOp::Scatter { n: sn, skip, first }, Some(delay)) if sn == n && skip == from => {
+                    self.ring_fan_out(delay, from, round, Record::SCATTER, first);
                 }
-                OutOp::Send(to, payload) => {
+                (op, _) => op.for_each_message(|to, payload| {
                     self.send_one(from, round, to, payload, sent_this_round);
-                }
+                }),
             }
         }
+    }
+
+    /// Park a broadcast or scatter (`to`) of `n − 1` logical messages as
+    /// one ring record `delay` ticks ahead, counted as those messages.
+    fn ring_fan_out(&mut self, delay: u64, from: NodeId, round: u32, to: NodeId, payload: Payload) {
+        let count = self.nodes.len().saturating_sub(1);
+        if count == 0 {
+            return;
+        }
+        self.stats
+            .record_send_n(from, round, Envelope::wire_len_with(payload.len()), count);
+        self.sent += count as u64;
+        self.seq += count as u64;
+        self.in_flight += count as u64;
+        self.sched.ring_enqueued += count as u64;
+        self.ring_push(
+            self.now + delay,
+            Record {
+                payload,
+                from,
+                to,
+                round,
+            },
+        );
     }
 
     /// Schedule one message exactly as the legacy per-message path did,

@@ -70,6 +70,7 @@ mod payload;
 mod stats;
 pub mod transport;
 
+pub use delivery::MAX_NODES;
 pub use envelope::Envelope;
 pub use event::{
     DelayOverrides, Engine, EventNetwork, LatencyModel, LatencySpec, LinkLatencySpec, SchedCounters,

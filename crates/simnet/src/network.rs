@@ -17,8 +17,8 @@ const PARALLEL_MIN_DELIVERIES: usize = 256;
 /// [`SyncNetwork::set_workers`]): message order within a round is
 /// sender-id order, then send order.
 ///
-/// A round's sends wait as compressed records (a broadcast is one record
-/// for `n − 1` messages) in one segment per worker's id range. The next
+/// A round's sends wait as compressed records (a broadcast or a scatter is
+/// one record for `n − 1` messages) in one segment per worker's id range. The next
 /// round indexes them by destination once and materializes each
 /// receiver's inbox, link faults applied, into a reused arena just before
 /// the receiver runs — the same delivery path as [`crate::EventNetwork`].
@@ -54,7 +54,7 @@ impl SyncNetwork {
     /// # Panics
     ///
     /// Panics if `nodes[i].id() != NodeId(i)` — ids must match positions so
-    /// the simulator can stamp senders (N2) — or on more than 65 535 nodes.
+    /// the simulator can stamp senders (N2) — or on more than 65 534 nodes.
     pub fn new(nodes: Vec<Box<dyn Node>>) -> Self {
         delivery::check_nodes(&nodes);
         let n = nodes.len();
@@ -177,6 +177,12 @@ impl SyncNetwork {
     /// `into_nodes()`.
     pub fn finish(self) -> (Vec<Box<dyn Node>>, NetStats) {
         (self.nodes, self.stats)
+    }
+
+    /// Send records parked for the next round: one per point-to-point
+    /// message and one per broadcast or scatter over the whole system.
+    pub fn parked_records(&self) -> usize {
+        self.sent.iter().map(Vec::len).sum()
     }
 
     /// `true` when every node reports [`Node::is_done`].
@@ -381,7 +387,7 @@ impl core::fmt::Debug for SyncNetwork {
         f.debug_struct("SyncNetwork")
             .field("n", &self.nodes.len())
             .field("round", &self.round)
-            .field("records", &self.sent.iter().map(Vec::len).sum::<usize>())
+            .field("records", &self.parked_records())
             .finish()
     }
 }

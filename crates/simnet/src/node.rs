@@ -3,12 +3,13 @@
 use crate::{Envelope, NodeId, Payload};
 use std::any::Any;
 
-/// One queued send operation. Broadcasts stay *compressed* — one op with a
-/// shared payload handle instead of `n − 1` expanded messages — so a
-/// transport that understands fan-out (both in-process engines) can move
-/// a whole broadcast as a single delivery record. Transports that want the flat per-message view call
+/// One queued send operation. Broadcasts and scatters stay *compressed* —
+/// one op with a shared payload handle instead of `n − 1` expanded
+/// messages — so a transport that understands fan-out (both in-process
+/// engines) can move a whole broadcast or scatter as a single delivery
+/// record. Transports that want the flat per-message view call
 /// [`Outbox::into_messages`], which expands ops in exactly the order the
-/// legacy per-message outbox produced.
+/// per-message sends they stand for would have produced.
 #[derive(Debug, Clone)]
 pub(crate) enum OutOp {
     /// A single message to one destination.
@@ -19,6 +20,34 @@ pub(crate) enum OutOp {
         skip: NodeId,
         payload: Payload,
     },
+    /// For the k-th node of an `n`-node system other than `skip`, the k-th
+    /// window of the shared buffer: `first.stride(k)`.
+    Scatter {
+        n: usize,
+        skip: NodeId,
+        first: Payload,
+    },
+}
+
+impl OutOp {
+    /// Hand each message the op stands for to `f`: a broadcast's or a
+    /// scatter's in ascending peer order, skipping the sender.
+    pub(crate) fn for_each_message(self, mut f: impl FnMut(NodeId, Payload)) {
+        match self {
+            OutOp::Send(to, payload) => f(to, payload),
+            OutOp::Broadcast { n, skip, payload } => {
+                for peer in NodeId::all(n).filter(|&peer| peer != skip) {
+                    f(peer, payload.clone());
+                }
+            }
+            OutOp::Scatter { n, skip, first } => {
+                let peers = NodeId::all(n).filter(|&peer| peer != skip);
+                for (k, peer) in peers.enumerate() {
+                    f(peer, first.stride(k));
+                }
+            }
+        }
+    }
 }
 
 /// Messages queued by a node during one round.
@@ -57,7 +86,34 @@ impl Outbox {
         });
     }
 
-    /// Number of queued messages (broadcasts counted expanded).
+    /// Queue, for the k-th node of an `n`-node system other than `me` (in
+    /// ascending id order), the k-th `len`-byte window of `buf`: the same
+    /// messages as one [`Outbox::send`] per peer of `buf`'s consecutive
+    /// windows, kept as one op over one shared buffer, so an engine parks
+    /// it as one record.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `buf` holds exactly one window per peer.
+    pub fn scatter(&mut self, n: usize, me: NodeId, buf: impl Into<Payload>, len: usize) {
+        let buf = buf.into();
+        let peers = n - usize::from(me.index() < n);
+        assert_eq!(
+            peers.checked_mul(len),
+            Some(buf.len()),
+            "a scatter to {peers} peers of {len}-byte windows needs {peers} × {len} bytes, got {}",
+            buf.len()
+        );
+        self.count += peers;
+        self.ops.push(OutOp::Scatter {
+            n,
+            skip: me,
+            // A scatter to no peer has no window to keep.
+            first: buf.slice(..len.min(buf.len())),
+        });
+    }
+
+    /// Number of queued messages (broadcasts and scatters counted expanded).
     pub fn len(&self) -> usize {
         self.count
     }
@@ -67,22 +123,14 @@ impl Outbox {
         self.count == 0
     }
 
-    /// Drain the queued messages (transport-internal). Broadcast ops expand
-    /// to `(peer, payload)` pairs in ascending peer order, skipping the
-    /// sender — the exact order the per-message outbox used to produce.
+    /// Drain the queued messages (transport-internal). Broadcast and
+    /// scatter ops expand to `(peer, payload)` pairs in ascending peer
+    /// order, skipping the sender — the order of the per-message sends
+    /// they stand for.
     pub fn into_messages(self) -> Vec<(NodeId, Payload)> {
         let mut msgs = Vec::with_capacity(self.count);
         for op in self.ops {
-            match op {
-                OutOp::Send(to, payload) => msgs.push((to, payload)),
-                OutOp::Broadcast { n, skip, payload } => {
-                    for peer in NodeId::all(n) {
-                        if peer != skip {
-                            msgs.push((peer, payload.clone()));
-                        }
-                    }
-                }
-            }
+            op.for_each_message(|to, payload| msgs.push((to, payload)));
         }
         msgs
     }
@@ -159,6 +207,25 @@ mod tests {
         out.broadcast(3, NodeId(9), b"x");
         assert_eq!(out.len(), 3);
         assert_eq!(out.into_messages().len(), 3);
+    }
+
+    #[test]
+    fn scatter_hands_each_peer_its_window() {
+        let mut out = Outbox::new();
+        out.scatter(4, NodeId(1), vec![10, 11, 20, 21, 30, 31], 2);
+        assert_eq!(out.len(), 3);
+        let msgs = out.into_messages();
+        let targets: Vec<u16> = msgs.iter().map(|(to, _)| to.0).collect();
+        assert_eq!(targets, [0, 2, 3]);
+        let windows: Vec<&[u8]> = msgs.iter().map(|(_, p)| p.as_slice()).collect();
+        assert_eq!(windows, [&[10, 11][..], &[20, 21], &[30, 31]]);
+        assert!(msgs[2].1.shares_buffer_with(&msgs[0].1));
+    }
+
+    #[test]
+    #[should_panic(expected = "needs 3 × 2 bytes")]
+    fn a_scatter_needs_one_window_per_peer() {
+        Outbox::new().scatter(4, NodeId(0), vec![0; 5], 2);
     }
 
     #[test]

@@ -84,6 +84,48 @@ impl Payload {
         }
     }
 
+    /// The `k`-th of back-to-back windows as long as this one, counting
+    /// this one as the 0-th, on the same buffer (no copy). A scatter
+    /// ([`crate::Outbox::scatter`]) hands each receiver one such window.
+    ///
+    /// # Panics
+    ///
+    /// Panics if that window runs past the end of the buffer.
+    pub fn stride(&self, k: usize) -> Payload {
+        Payload {
+            buf: Arc::clone(&self.buf),
+            off: self.stride_offset(k),
+            len: self.len,
+        }
+    }
+
+    /// Turn this handle, which shares `first`'s buffer, into
+    /// `first.stride(k)` in place: no reference count changes hands.
+    pub(crate) fn restride(&mut self, first: &Payload, k: usize) {
+        debug_assert!(self.shares_buffer_with(first));
+        self.off = first.stride_offset(k);
+        self.len = first.len;
+    }
+
+    /// Offset of [`Payload::stride`]`(k)`, checked against the buffer.
+    fn stride_offset(&self, k: usize) -> u32 {
+        let end = k
+            .checked_add(1)
+            .and_then(|windows| windows.checked_mul(self.len()))
+            .and_then(|span| span.checked_add(self.off as usize))
+            .filter(|&end| end <= self.buf.len());
+        let Some(end) = end else {
+            panic!(
+                "stride {k} of a {}-byte window at offset {} runs past a {}-byte buffer",
+                self.len,
+                self.off,
+                self.buf.len()
+            );
+        };
+        // At most the buffer's length, which fits a `u32`.
+        (end - self.len()) as u32
+    }
+
     /// Mutable access to the visible bytes, copy-on-write: a uniquely
     /// owned whole-buffer payload is mutated in place, anything shared (or
     /// windowed) is copied first so other handles keep the original bytes.
@@ -297,6 +339,31 @@ mod tests {
     #[should_panic(expected = "out of bounds")]
     fn slice_out_of_bounds_panics() {
         let _ = Payload::from(vec![1, 2]).slice(0..3);
+    }
+
+    #[test]
+    fn strides_walk_back_to_back_windows_within_the_buffer() {
+        let p = Payload::from(vec![0, 1, 2, 3, 4, 5, 6]);
+        let first = p.slice(1..3);
+        assert_eq!(first.stride(0), first);
+        assert_eq!(first.stride(1).as_slice(), &[3, 4]);
+        assert_eq!(first.stride(2).as_slice(), &[5, 6]);
+        assert!(first.stride(2).shares_buffer_with(&p));
+        let mut slot = first.stride(2);
+        slot.restride(&first, 1);
+        assert_eq!(slot.ident(), first.stride(1).ident());
+        // Empty windows stride in place.
+        assert!(p.slice(7..7).stride(usize::MAX - 1).is_empty());
+        for k in [3, usize::MAX] {
+            let past = std::panic::catch_unwind(|| first.stride(k));
+            assert!(past.is_err(), "stride {k} left the buffer");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "runs past")]
+    fn a_stride_past_the_buffer_panics() {
+        let _ = Payload::from(vec![1, 2, 3]).slice(..2).stride(1);
     }
 
     #[test]

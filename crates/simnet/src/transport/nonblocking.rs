@@ -57,8 +57,8 @@ const TAG_MARKER: u8 = 1;
 ///
 /// Derived from the largest message a cluster run sends. Message size
 /// grows with `n` only through signature chains (Dolev–Strong and the
-/// chain FD family): at the largest `n`, 65 535 (node ids are `u16`), a
-/// chain carries at most `n − 1` = 65 534 layers of 2 + 4 + 128 bytes
+/// chain FD family): at the largest `n`, [`crate::MAX_NODES`] = 65 534, a
+/// chain carries at most `n − 1` = 65 533 layers of 2 + 4 + 128 bytes
 /// (assignee, length prefix, an `rsa1024` signature — the widest scheme),
 /// ≈ 8.8 MB, plus its body. The body is the run's value, which reaches
 /// every worker inside one hex-encoded argument string (at most 128 KiB on

@@ -223,17 +223,25 @@ fn cmd_run(invocation: RunInvocation) -> Exit {
         builder.faults.len(),
     );
 
-    let mut start = std::time::Instant::now();
-    let run = if trace_outs.requested() {
+    // Key distribution is reported on its own line, the same whether or
+    // not the run is traced, and the protocol's elapsed time excludes it.
+    let keydist_line = |messages: usize, rounds: u32, elapsed: std::time::Duration| {
+        outln!(
+            "key distribution (setup phase): {messages} messages (3n(n-1) = {}), \
+             {rounds} rounds, {elapsed:.2?}",
+            metrics::keydist_messages(builder.n),
+        );
+    };
+    let (run, elapsed) = if trace_outs.requested() {
         // The traced path measures keydist/run/report phases itself and
         // exports them; the untraced path keeps the zero-overhead Session.
+        let start = std::time::Instant::now();
         let (run, trace) = cluster.run_traced(&spec);
+        let mut keydist = std::time::Duration::ZERO;
         if let Some(p) = &run.phases {
             if let Some(kd_us) = p.keydist_us {
-                outln!(
-                    "key distribution (setup phase): {} rounds, {kd_us} µs",
-                    p.keydist_rounds
-                );
+                keydist = std::time::Duration::from_micros(kd_us);
+                keydist_line(p.keydist_messages, p.keydist_rounds, keydist);
             }
             outln!(
                 "phases ({}): {} rounds traced, verify {} µs, cache {}/{} hit/miss, \
@@ -246,6 +254,7 @@ fn cmd_run(invocation: RunInvocation) -> Exit {
                 p.max_queue_depth,
             );
         }
+        let elapsed = start.elapsed().saturating_sub(keydist);
         let chrome = trace_outs.chrome.as_ref();
         let folded = trace_outs.folded.as_ref();
         if !save(chrome, trace.to_chrome_json(), "run: Chrome trace")
@@ -253,23 +262,18 @@ fn cmd_run(invocation: RunInvocation) -> Exit {
         {
             return Ok(ExitCode::FAILURE);
         }
-        run
+        (run, elapsed)
     } else {
         let mut session = Session::new(cluster);
-        let kd_start = std::time::Instant::now();
         if builder.protocol.needs_keys() {
+            let kd_start = std::time::Instant::now();
             let kd = session.keydist();
-            outln!(
-                "key distribution (setup phase): {} messages (3n(n-1) = {}), {:.2?}",
-                kd.stats.messages_total,
-                metrics::keydist_messages(builder.n),
-                kd_start.elapsed(),
-            );
+            keydist_line(kd.stats.messages_total, kd.stats.rounds, kd_start.elapsed());
         }
-        start = std::time::Instant::now();
-        session.run(&spec)
+        let start = std::time::Instant::now();
+        let run = session.run(&spec);
+        (run, start.elapsed())
     };
-    let elapsed = start.elapsed();
 
     let outcome = classify(&run, builder.network_faulted());
     let expected = builder

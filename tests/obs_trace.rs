@@ -11,6 +11,9 @@
 //!   acceptance envelope — it is exact by construction), and the
 //!   `keydist:round:N` spans tile the `keydist` span the same way; the
 //!   `keydist:sign` and `keydist:verify` spans start with rounds 2 and 3.
+//! * Event-engine `keydist:round:N` spans tile the `keydist` span in
+//!   virtual ticks; key distribution's wall-clock round marks stay on its
+//!   report, on both engines.
 //! * The Chrome trace-event export is valid JSON (parsed by the repo's
 //!   own `wire::Value`) with the expected phase and counter events.
 
@@ -151,13 +154,53 @@ fn sync_keydist_round_spans_tile_the_keydist_span() {
         cursor += round.dur;
     }
     assert_eq!(cursor, keydist.start + keydist.dur);
+}
 
-    // The virtual-tick timeline has no keydist round spans.
-    let (_, event) = cluster(24, Engine::Event).run_traced(&spec(Protocol::ChainFd));
-    assert!(event
+#[test]
+fn event_keydist_has_round_spans_in_ticks_and_wall_marks_on_its_report() {
+    // On the virtual-tick timeline the rounds tile the keydist span one
+    // round boundary apart; the export stays byte-identical.
+    let (_, trace) = cluster(24, Engine::Event).run_traced(&spec(Protocol::ChainFd));
+    let keydist = trace
+        .spans
+        .iter()
+        .find(|s| s.name == "keydist")
+        .expect("keydist span");
+    let rounds: Vec<(&str, u64, u64)> = trace
         .attributed
         .iter()
-        .all(|s| !s.name.starts_with("keydist")));
+        .filter(|s| s.name.starts_with("keydist:"))
+        .map(|s| (s.name.as_str(), s.start, s.dur))
+        .collect();
+    let tick = local_auth_fd::simnet::event::TICKS_PER_ROUND;
+    assert_eq!(
+        rounds,
+        [
+            ("keydist:round:0", 0, tick),
+            ("keydist:round:1", tick, tick),
+            ("keydist:round:2", 2 * tick, tick),
+            ("keydist:round:3", 3 * tick, tick)
+        ]
+    );
+    assert_eq!((keydist.start, keydist.dur), (0, 4 * tick));
+
+    // The key distribution itself carries wall-clock marks, as on the
+    // sync engine: one per round, non-decreasing, only with obs on.
+    for engine in [Engine::Sync, Engine::Event] {
+        let marks = cluster(24, engine)
+            .with_obs()
+            .run_key_distribution()
+            .round_marks
+            .unwrap_or_else(|| panic!("{engine}: observed keydist has marks"));
+        assert_eq!(marks.len(), 4, "{engine}");
+        assert!(
+            marks.windows(2).all(|w| w[0] <= w[1]),
+            "{engine}: {marks:?}"
+        );
+        assert!(marks[3] > 0, "{engine}: 2 208 messages take time");
+        let plain = cluster(24, engine).run_key_distribution();
+        assert!(plain.round_marks.is_none(), "{engine}");
+    }
 }
 
 #[test]

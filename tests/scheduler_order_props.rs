@@ -9,7 +9,9 @@
 //!
 //! A second wall pins the engines to each other: `SyncNetwork` on any
 //! worker count delivers exactly what `EventNetwork` does under
-//! synchronous latency, link faults and rushers included.
+//! synchronous latency, link faults and rushers included. A third pins a
+//! scatter (`Outbox::scatter`, one record for `n − 1` windows) to the
+//! per-message sends it stands for, on both engines.
 
 use local_auth_fd::simnet::event::{SeededJitter, TICKS_PER_ROUND};
 use local_auth_fd::simnet::fault::{FaultPlan, LinkFault};
@@ -242,6 +244,10 @@ enum Mixed {
     Send(NodeId),
     /// A unicast to an id ≥ n, counted as `dropped_invalid`.
     Stray,
+    /// One `len`-byte window per peer of the whole system or, when
+    /// `wide`, of `n + 2` ids (the two past the system are counted as
+    /// `dropped_invalid`).
+    Scatter { wide: bool, len: usize },
 }
 
 /// Replays a per-round script mixing every kind of send and records
@@ -250,6 +256,8 @@ struct Mixer {
     id: NodeId,
     n: usize,
     script: Vec<Vec<Mixed>>,
+    /// Send each scatter as its per-peer messages instead.
+    expand_scatters: bool,
     seen: Vec<(u32, NodeId, Vec<u8>)>,
 }
 
@@ -272,6 +280,25 @@ impl Node for Mixer {
                 Mixed::WideBroadcast => out.broadcast(self.n + 2, self.id, payload),
                 Mixed::Send(to) => out.send(to, payload),
                 Mixed::Stray => out.send(NodeId((self.n + k) as u16), payload),
+                Mixed::Scatter { wide, len } => {
+                    let n = if wide { self.n + 2 } else { self.n };
+                    let peers: Vec<NodeId> = NodeId::all(n).filter(|&p| p != self.id).collect();
+                    // Each peer's window names the sender, round, op and
+                    // the peer's rank, so a wrong window shows.
+                    let buf: Vec<u8> = (0..peers.len())
+                        .flat_map(|rank| {
+                            let head = [self.id.0 as u8, round as u8, k as u8, rank as u8];
+                            (0..len).map(move |j| head.get(j).copied().unwrap_or(0x5c))
+                        })
+                        .collect();
+                    if self.expand_scatters {
+                        for (rank, peer) in peers.into_iter().enumerate() {
+                            out.send(peer, buf[rank * len..(rank + 1) * len].to_vec());
+                        }
+                    } else {
+                        out.scatter(n, self.id, buf, len);
+                    }
+                }
             }
         }
     }
@@ -286,6 +313,7 @@ struct MixedPlan {
     scripts: Vec<Vec<Vec<Mixed>>>,
     faults: FaultPlan,
     rushers: Vec<NodeId>,
+    expand_scatters: bool,
 }
 
 fn mixers(plan: &MixedPlan) -> Vec<Box<dyn Node>> {
@@ -295,6 +323,7 @@ fn mixers(plan: &MixedPlan) -> Vec<Box<dyn Node>> {
                 id,
                 n: plan.n,
                 script: plan.scripts[id.index()].clone(),
+                expand_scatters: plan.expand_scatters,
                 seen: Vec::new(),
             }) as Box<dyn Node>
         })
@@ -312,6 +341,30 @@ fn mixer_seen(nodes: Vec<Box<dyn Node>>) -> Seen {
 /// deliver.
 fn mixed_steps(plan: &MixedPlan) -> usize {
     plan.rounds + 3
+}
+
+/// Draws of `(round, from, to, kind, byte)` as a link-fault plan: drop,
+/// corrupt, duplicate, delay by 1–2 rounds or reorder.
+fn fault_plan(raw: &[(usize, usize, usize, u8, u8)], n: usize, rounds: usize) -> FaultPlan {
+    let mut faults = FaultPlan::new();
+    for (round_pick, from_pick, to_pick, kind, byte) in raw {
+        let fault = match kind {
+            0 => LinkFault::Drop,
+            1 => LinkFault::Corrupt {
+                offset: usize::from(byte % 4),
+                mask: byte | 1,
+            },
+            2 => LinkFault::Duplicate,
+            3 => LinkFault::Delay {
+                rounds: u32::from(byte % 2) + 1,
+            },
+            _ => LinkFault::Reorder,
+        };
+        let from = NodeId((from_pick % n) as u16);
+        let to = NodeId((to_pick % n) as u16);
+        faults = faults.with((round_pick % rounds) as u32, from, to, fault);
+    }
+    faults
 }
 
 fn run_sync(plan: &MixedPlan, workers: usize) -> (Seen, NetStats) {
@@ -382,36 +435,83 @@ proptest! {
             };
             scripts[sender_pick % n][round_pick % rounds].push(op);
         }
-        let mut faults = FaultPlan::new();
-        for (round_pick, from_pick, to_pick, kind, byte) in &faults_raw {
-            let fault = match kind {
-                0 => LinkFault::Drop,
-                1 => LinkFault::Corrupt {
-                    offset: usize::from(byte % 4),
-                    mask: byte | 1,
-                },
-                2 => LinkFault::Duplicate,
-                3 => LinkFault::Delay {
-                    rounds: u32::from(byte % 2) + 1,
-                },
-                _ => LinkFault::Reorder,
-            };
-            let from = NodeId((from_pick % n) as u16);
-            let to = NodeId((to_pick % n) as u16);
-            faults = faults.with((round_pick % rounds) as u32, from, to, fault);
-        }
+        let faults = fault_plan(&faults_raw, n, rounds);
         let plan = MixedPlan {
             n,
             rounds,
             scripts,
             faults,
             rushers: rush_picks.iter().map(|pick| NodeId((pick % n) as u16)).collect(),
+            expand_scatters: false,
         };
 
         let hybrid = run_event(&plan, false);
         prop_assert_eq!(&run_event(&plan, true), &hybrid, "reference scheduler: {plan:?}");
         for workers in [1, 2, 3] {
             prop_assert_eq!(&run_sync(&plan, workers), &hybrid, "{workers} workers: {plan:?}");
+        }
+    }
+
+    /// The scatter wall: a run whose nodes scatter equals the same run
+    /// with each scatter replaced by its per-peer sends — every node's
+    /// `(round, from, payload)` sequence and the whole `NetStats` — on the
+    /// sync engine with one, two and three workers and on the event
+    /// engine's hybrid and reference schedulers, under random link faults
+    /// and up to two rushers. Scatters over the whole system stay one
+    /// record; scatters over `n + 2` ids expand and count the ids past the
+    /// system as `dropped_invalid`; empty windows are scattered too. With
+    /// `dense` every node scatters in round 0, so from n = 17 on the round
+    /// runs on every sync worker.
+    #[test]
+    fn a_scatter_delivers_what_its_expanded_sends_do(
+        n in 2usize..41,
+        rounds in 1usize..4,
+        dense in any::<bool>(),
+        ops_raw in prop::collection::vec(
+            (any::<usize>(), any::<usize>(), 0u8..6, any::<usize>()),
+            0..48,
+        ),
+        faults_raw in prop::collection::vec(
+            (any::<usize>(), any::<usize>(), any::<usize>(), 0u8..5, any::<u8>()),
+            0..24,
+        ),
+        rush_picks in prop::collection::vec(any::<usize>(), 0..3),
+    ) {
+        let mut scripts = vec![vec![Vec::new(); rounds]; n];
+        if dense {
+            for script in &mut scripts {
+                script[0].push(Mixed::Scatter { wide: false, len: 5 });
+            }
+        }
+        for (sender_pick, round_pick, kind, target_pick) in &ops_raw {
+            let op = match kind {
+                0 | 1 => Mixed::Scatter { wide: false, len: 1 + target_pick % 6 },
+                2 => Mixed::Scatter { wide: false, len: 0 },
+                3 => Mixed::Scatter { wide: true, len: 5 },
+                4 => Mixed::Broadcast,
+                _ => Mixed::Send(NodeId((target_pick % n) as u16)),
+            };
+            scripts[sender_pick % n][round_pick % rounds].push(op);
+        }
+        let plan = MixedPlan {
+            n,
+            rounds,
+            scripts,
+            faults: fault_plan(&faults_raw, n, rounds),
+            rushers: rush_picks.iter().map(|pick| NodeId((pick % n) as u16)).collect(),
+            expand_scatters: false,
+        };
+        let expanded = MixedPlan { expand_scatters: true, ..plan.clone() };
+
+        let hybrid = run_event(&plan, false);
+        prop_assert_eq!(&run_event(&expanded, false), &hybrid, "hybrid: {plan:?}");
+        prop_assert_eq!(&run_event(&expanded, true), &hybrid, "expanded, reference: {plan:?}");
+        prop_assert_eq!(&run_event(&plan, true), &hybrid, "reference: {plan:?}");
+        for workers in [1, 2, 3] {
+            prop_assert_eq!(&run_sync(&plan, workers), &hybrid, "{workers} workers: {plan:?}");
+            prop_assert_eq!(
+                &run_sync(&expanded, workers), &hybrid, "expanded, {workers} workers: {plan:?}"
+            );
         }
     }
 }

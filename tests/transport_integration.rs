@@ -215,7 +215,11 @@ fn keydist_then_chain_fd_over_one_mesh(
                         kd.node = wrapper.expect("Drowsy").0;
                     }
                     let store = (&*kd.node as &dyn Any).downcast_ref::<KeyDistNode>();
-                    let store = store.expect("KeyDistNode").store().clone();
+                    let store = store
+                        .expect("KeyDistNode")
+                        .store()
+                        .expect("finished")
+                        .clone();
                     let fd = NonblockingMesh::new(rounds)
                         .with_io_deadline(deadline)
                         .run(chain_fd_node(me, n, t, seed, store, b"v"), &mut mesh)?;
