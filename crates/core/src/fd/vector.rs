@@ -485,6 +485,29 @@ mod tests {
         assert_eq!(VecMsg::decode_exact(&msg.encode_to_vec()).unwrap(), msg);
     }
 
+    /// Known answer for the vector FD wire message: tag `0x70`, the
+    /// instance, then the chain's own encoding (here P3 → P4 → P5).
+    #[test]
+    fn vec_msg_payload_bytes_are_pinned() {
+        let bytes = vec_msg(3, &[(3, 4), (4, 5)]);
+        let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
+        let pinned = [
+            // tag, instance P3
+            "70 0003",
+            // origin P3, body [3], the origin's signature
+            "0003 00000001 03 0000000c 196318b065513c2973b86915",
+            // two layers: assignee P3 under P4's signature, P4 under P5's
+            "00000002",
+            "0003 0000000c a53ed378e8618864ec44883b",
+            "0004 0000000c 4bcfda5a0cb233c1da27e61e",
+        ];
+        assert_eq!(hex, pinned.concat().replace(' ', ""));
+        let msg = VecMsg::decode_exact(&bytes).unwrap();
+        assert_eq!(msg.instance, NodeId(3));
+        assert_eq!(msg.chain.signature_count(), 3);
+        assert_eq!(msg.encode_to_vec(), bytes);
+    }
+
     /// A Byzantine node that sends fixed payloads in fixed rounds and
     /// nothing else.
     struct Scripted {
