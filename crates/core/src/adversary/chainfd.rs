@@ -1,6 +1,6 @@
 //! Byzantine participants in the chain FD protocol (paper Fig. 2).
 
-use crate::chain::ChainMessage;
+use crate::chain::{self, ChainMessage};
 use crate::fd::{ChainFdParams, FdMsg};
 use crate::keys::Keyring;
 use fd_crypto::{SecretKey, SignatureScheme};
@@ -113,6 +113,9 @@ impl ChainFdAdversary {
     }
 
     fn act_as_sender(&mut self, out: &mut Outbox) {
+        // A payload of its own for every send, as separate sends would be.
+        let originate =
+            |v: &[u8]| FdMsg::originate(self.scheme.as_ref(), &self.keyring, v.to_vec()).to_vec();
         match &self.behavior {
             ChainMisbehavior::Silent => {}
             ChainMisbehavior::EquivocateSenderT0 {
@@ -120,30 +123,16 @@ impl ChainFdAdversary {
                 value_b,
                 split,
             } => {
-                let mk = |v: &Vec<u8>| {
-                    ChainMessage::originate(
-                        self.scheme.as_ref(),
-                        &self.keyring.sk,
-                        self.me,
-                        v.clone(),
-                    )
-                    .expect("keyring well-formed")
-                };
-                let (a, b) = (mk(value_a), mk(value_b));
+                let (a, b) = (originate(value_a), originate(value_b));
                 for j in 1..self.params.n {
                     let peer = NodeId(j as u16);
-                    let chain = if peer < *split { a.clone() } else { b.clone() };
-                    out.send(peer, FdMsg { chain }.encode_to_vec());
+                    out.send(peer, if peer < *split { a.clone() } else { b.clone() });
                 }
             }
             _ => {
                 // Other behaviours degenerate to honest origination when
                 // placed at the sender.
-                let v = self.value.clone().unwrap_or_else(|| b"?".to_vec());
-                let chain =
-                    ChainMessage::originate(self.scheme.as_ref(), &self.keyring.sk, self.me, v)
-                        .expect("keyring well-formed");
-                let payload = FdMsg { chain }.encode_to_vec();
+                let payload = originate(self.value.as_deref().unwrap_or(b"?"));
                 if self.params.t == 0 {
                     for j in 1..self.params.n {
                         out.send(NodeId(j as u16), payload.clone());
@@ -156,51 +145,41 @@ impl ChainFdAdversary {
     }
 
     fn act_as_relay(&mut self, env: &Envelope, out: &mut Outbox) {
-        let Ok(msg) = FdMsg::decode_exact(&env.payload) else {
+        if FdMsg::chain_of(&env.payload).is_none() {
             return;
-        };
-        let received = msg.chain;
+        }
+        let (scheme, own) = (self.scheme.as_ref(), &self.keyring.sk);
         let honest_assignee = env.from;
+        // `payload`'s chain extended by a layer naming `assignee`, signed
+        // with `sk` (the chain starts after the tag byte).
+        let extend = |payload: &[u8], sk: &SecretKey, assignee| {
+            chain::relay(payload, 1, scheme, sk, assignee).expect("key well-formed")
+        };
+        let relay = |sk: &SecretKey, assignee| extend(&env.payload, sk, assignee);
+        // The received chain over another body, extended honestly.
+        let tampered = |body: &[u8]| {
+            let mut chain = FdMsg::decode_exact(&env.payload).expect("parsed").chain;
+            chain.body = body.to_vec();
+            extend(&FdMsg { chain }.encode_to_vec(), own, honest_assignee)
+        };
 
-        let extended = match &self.behavior {
+        let payload = match &self.behavior {
             ChainMisbehavior::Silent => return,
-            ChainMisbehavior::TamperBody { new_body } => {
-                let mut tampered = received;
-                tampered.body = new_body.clone();
-                tampered
-                    .extend(self.scheme.as_ref(), &self.keyring.sk, honest_assignee)
-                    .expect("keyring well-formed")
-            }
-            ChainMisbehavior::WrongAssigneeName { claim } => received
-                .extend(self.scheme.as_ref(), &self.keyring.sk, *claim)
-                .expect("keyring well-formed"),
+            ChainMisbehavior::TamperBody { new_body } => tampered(new_body),
+            ChainMisbehavior::WrongAssigneeName { claim } => relay(own, *claim),
             ChainMisbehavior::ForgeOrigin { value } => {
-                let forged = ChainMessage::originate(
-                    self.scheme.as_ref(),
-                    &self.keyring.sk,
-                    self.params.sender,
-                    value.clone(),
-                )
-                .expect("keyring well-formed");
-                // Re-build the expected number of layers by self-signing.
-                let mut chain = forged;
-                for k in 1..=self.me.index() - 1 {
-                    chain = chain
-                        .extend(self.scheme.as_ref(), &self.keyring.sk, NodeId(k as u16 - 1))
+                let forged =
+                    ChainMessage::originate(scheme, own, self.params.sender, value.clone())
                         .expect("keyring well-formed");
-                }
-                chain
-                    .extend(self.scheme.as_ref(), &self.keyring.sk, honest_assignee)
-                    .expect("keyring well-formed")
+                // Re-build the expected number of layers by self-signing.
+                let names = (0..self.me.index() as u16 - 1).map(NodeId);
+                let forged = FdMsg { chain: forged }.encode_to_vec();
+                let names = names.chain([honest_assignee]);
+                names.fold(forged, |chain, name| extend(&chain, own, name))
             }
-            ChainMisbehavior::SignWithKey { sk } => received
-                .extend(self.scheme.as_ref(), sk, honest_assignee)
-                .expect("substitute key well-formed"),
+            ChainMisbehavior::SignWithKey { sk } => relay(sk, honest_assignee),
             ChainMisbehavior::PartialDissemination { skip } => {
-                let extended = received
-                    .extend(self.scheme.as_ref(), &self.keyring.sk, honest_assignee)
-                    .expect("keyring well-formed");
-                let payload = FdMsg { chain: extended }.encode_to_vec();
+                let payload = relay(own, honest_assignee);
                 for target in self.forward_targets() {
                     if !skip.contains(&target) {
                         out.send(target, payload.clone());
@@ -208,24 +187,11 @@ impl ChainFdAdversary {
                 }
                 return;
             }
-            ChainMisbehavior::EquivocateSenderT0 { .. } => {
-                // Only meaningful at the sender; act honestly here.
-                received
-                    .extend(self.scheme.as_ref(), &self.keyring.sk, honest_assignee)
-                    .expect("keyring well-formed")
-            }
+            // Only meaningful at the sender; act honestly here.
+            ChainMisbehavior::EquivocateSenderT0 { .. } => relay(own, honest_assignee),
             ChainMisbehavior::TwoFaced { alt_body } => {
-                let honest = received
-                    .clone()
-                    .extend(self.scheme.as_ref(), &self.keyring.sk, honest_assignee)
-                    .expect("keyring well-formed");
-                let payload = FdMsg { chain: honest }.encode_to_vec();
-                let mut tampered = received;
-                tampered.body = alt_body.clone();
-                let tampered = tampered
-                    .extend(self.scheme.as_ref(), &self.keyring.sk, honest_assignee)
-                    .expect("keyring well-formed");
-                let competing = FdMsg { chain: tampered }.encode_to_vec();
+                let payload = relay(own, honest_assignee);
+                let competing = tampered(alt_body);
                 let designated = self.forward_targets();
                 if designated.len() > 1 {
                     // As P_t, equivocate within the dissemination set:
@@ -257,7 +223,6 @@ impl ChainFdAdversary {
                 return;
             }
         };
-        let payload = FdMsg { chain: extended }.encode_to_vec();
         for target in self.forward_targets() {
             out.send(target, payload.clone());
         }

@@ -37,12 +37,11 @@
 //! trade the paper's reference [7] calls *degradable*: full agreement is
 //! degraded, latency and resilience bookkeeping are not.
 
-use crate::chain::{ChainMessage, ChainMsg};
+use crate::chain::ChainMsg;
 use crate::keys::{screen, Cohorts, Expect, KeyStore, Keyring, VerifyCache};
 use crate::outcome::{DiscoveryReason, Outcome};
 use fd_crypto::SignatureScheme;
-use fd_simnet::codec::Encode;
-use fd_simnet::{Envelope, Node, NodeId, Outbox, Payload};
+use fd_simnet::{Envelope, Node, NodeId, Outbox};
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
@@ -111,8 +110,8 @@ pub struct DegradableNode {
     keyring: Keyring,
     value: Option<Vec<u8>>,
     /// The verified direct value received from the sender, with its
-    /// payload (kept for the echo), if any.
-    direct: Option<(Vec<u8>, Payload)>,
+    /// envelope (kept for the echo), if any.
+    direct: Option<(Vec<u8>, Envelope)>,
     /// Distinct values with valid support, in first-seen order, with the
     /// set of vouching nodes.
     support: Vec<(Vec<u8>, BTreeSet<NodeId>)>,
@@ -225,7 +224,7 @@ impl DegradableNode {
         match self.screen_chain(cohorts, round, env, 1, true) {
             Ok(body) => {
                 self.add_support(body.clone(), self.params.sender);
-                self.direct = Some((body, env.payload.clone()));
+                self.direct = Some((body, env.clone()));
             }
             Err(reason) => {
                 self.discovered.get_or_insert(reason);
@@ -296,10 +295,8 @@ impl Node for DegradableNode {
                 if self.me == self.params.sender {
                     let v = self.value.clone().expect("sender value");
                     self.add_support(v.clone(), self.me);
-                    let chain =
-                        ChainMessage::originate(self.scheme.as_ref(), &self.keyring.sk, self.me, v)
-                            .expect("own keyring well-formed");
-                    out.broadcast(self.params.n, self.me, DgMsg { chain }.encode_to_vec());
+                    let payload = DgMsg::originate(self.scheme.as_ref(), &self.keyring, v);
+                    out.broadcast(self.params.n, self.me, payload);
                 }
             }
             1 => {
@@ -309,16 +306,11 @@ impl Node for DegradableNode {
                     for env in inbox {
                         self.take_direct(cohorts.as_mut(), round, env);
                     }
-                    if let Some((body, payload)) = self.direct.take() {
+                    if let Some((body, direct)) = self.direct.take() {
                         // Count our own echo: it is broadcast to everyone
                         // else but not delivered to ourselves.
                         self.add_support(body, self.me);
-                        let echo = DgMsg::relay(
-                            &payload,
-                            self.scheme.as_ref(),
-                            &self.keyring.sk,
-                            self.params.sender,
-                        );
+                        let echo = DgMsg::relay(&direct, self.scheme.as_ref(), &self.keyring.sk);
                         out.broadcast(self.params.n, self.me, echo);
                     }
                 }
@@ -352,6 +344,8 @@ impl core::fmt::Debug for DegradableNode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chain::ChainMessage;
+    use fd_simnet::codec::Encode;
     use fd_simnet::SyncNetwork;
     use std::any::Any;
 

@@ -15,11 +15,10 @@
 //! `n(n−1)` messages, the quadratic contrast to the FD chain protocol's
 //! `n − 1` (experiment T6).
 
-use crate::chain::{ChainMessage, ChainMsg};
+use crate::chain::ChainMsg;
 use crate::keys::{screen, CohortVerdict, Expect, KeyStore, Keyring, VerifyCache};
 use crate::outcome::{DiscoveryReason, Outcome};
 use fd_crypto::SignatureScheme;
-use fd_simnet::codec::Encode;
 use fd_simnet::{Envelope, Node, NodeId, Outbox};
 use std::sync::Arc;
 
@@ -191,10 +190,8 @@ impl Node for DolevStrongNode {
             if self.me == self.params.sender {
                 let v = self.value.clone().expect("sender value");
                 self.extracted.push(v.clone());
-                let chain =
-                    ChainMessage::originate(self.scheme.as_ref(), &self.keyring.sk, self.me, v)
-                        .expect("own keyring well-formed");
-                out.broadcast(self.params.n, self.me, DsMsg { chain }.encode_to_vec());
+                let payload = DsMsg::originate(self.scheme.as_ref(), &self.keyring, v);
+                out.broadcast(self.params.n, self.me, payload);
             }
             return;
         }
@@ -230,15 +227,9 @@ impl Node for DolevStrongNode {
             };
             self.extracted.push(body.to_vec());
             if round <= self.params.t as u32 {
-                // Relaying needs the actual chain to extend: decoded here
-                // at most once per distinct extracted value per node
+                // At most once per distinct extracted value per node
                 // (≤ 2 per run), never per message.
-                let relayed = DsMsg::relay(
-                    &env.payload,
-                    self.scheme.as_ref(),
-                    &self.keyring.sk,
-                    env.from,
-                );
+                let relayed = DsMsg::relay(env, self.scheme.as_ref(), &self.keyring.sk);
                 out.broadcast(self.params.n, self.me, relayed);
             }
         }
@@ -264,6 +255,8 @@ impl core::fmt::Debug for DolevStrongNode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chain::ChainMessage;
+    use fd_simnet::codec::Encode;
     use fd_simnet::SyncNetwork;
     use std::any::Any;
 

@@ -29,12 +29,11 @@
 //! fallback, which is the regime where any BA protocol pays anyway.
 
 use crate::ba::eig::{EigNode, EigParams, TAG_EIG};
-use crate::chain::{ChainMessage, ChainMsg};
+use crate::chain::ChainMsg;
 use crate::fd::{ChainFdNode, ChainFdParams};
 use crate::keys::{screen, Cohorts, Expect, KeyStore, Keyring, VerifyCache};
 use crate::outcome::Outcome;
 use fd_crypto::SignatureScheme;
-use fd_simnet::codec::Encode;
 use fd_simnet::{Envelope, Node, NodeId, Outbox};
 use std::sync::Arc;
 
@@ -190,14 +189,9 @@ impl FdToBaNode {
             && self.inner_fd.outcome().is_discovered()
             && !self.alarm_relayed
         {
-            let chain = ChainMessage::originate(
-                self.scheme.as_ref(),
-                &self.keyring.sk,
-                self.me,
-                ALARM_BODY.to_vec(),
-            )
-            .expect("own keyring well-formed");
-            out.broadcast(self.params.n, self.me, AlarmMsg { chain }.encode_to_vec());
+            let alarm =
+                AlarmMsg::originate(self.scheme.as_ref(), &self.keyring, ALARM_BODY.to_vec());
+            out.broadcast(self.params.n, self.me, alarm);
             self.alarm_seen = true;
             self.alarm_relayed = true;
         }
@@ -210,12 +204,7 @@ impl FdToBaNode {
                 self.alarm_seen = true;
                 // Relay once, while a relay can still arrive in the window.
                 if !self.alarm_relayed && round <= 2 * self.params.t32() + 2 {
-                    let relayed = AlarmMsg::relay(
-                        &env.payload,
-                        self.scheme.as_ref(),
-                        &self.keyring.sk,
-                        env.from,
-                    );
+                    let relayed = AlarmMsg::relay(env, self.scheme.as_ref(), &self.keyring.sk);
                     out.broadcast(self.params.n, self.me, relayed);
                     self.alarm_relayed = true;
                 }

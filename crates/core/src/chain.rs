@@ -11,13 +11,41 @@
 //! This is what substitutes for the missing global-authentication property
 //! G3: assignments may go wrong under local authentication, but never
 //! silently.
+//!
+//! On the wire a chain is flat: `origin ‖ body ‖ sig_0 ‖ k ‖ a_0 ‖ sig_1 ‖
+//! … ‖ a_{k-1} ‖ sig_k` (names two bytes; byte strings and the count `k`
+//! each behind a big-endian `u32`). [`ChainView`] reads it in place and is
+//! the one parser, document builder, verifier and extender; the owned
+//! [`ChainMessage`] goes through it. The origin's document is the wire
+//! prefix `doc_0 = origin ‖ body ‖ sig_0`, and layer `i` wraps it as
+//! `doc_{i+1} = a_i ‖ doc_i ‖ sig_{i+1}` (both strings length-prefixed),
+//! so one buffer holds every document:
+//!
+//! ```text
+//! a_{k-1} len ‖ … ‖ a_0 len ‖ doc_0 ‖ len sig_1 ‖ … ‖ len sig_k
+//! ```
+//!
+//! `doc_i` starts after the `k − i` heads of the layers outside it and
+//! ends after `sig_i`. The origin signs `"fd-chain-origin-v1" ‖ origin ‖
+//! body` and layer `i`'s signer `"fd-chain-layer-v1" ‖ a_i ‖ doc_i`: a tag
+//! in front of a prefix of `doc_0`, or of `doc_{i+1}` short of its last
+//! signature. The builder writes each tag into the bytes just in front of
+//! that prefix before its signature is checked.
 
-use crate::keys::KeyStore;
+use crate::keys::{KeyStore, Keyring};
 use crate::outcome::DiscoveryReason;
-use fd_crypto::{SecretKey, Signature, SignatureScheme};
-use fd_simnet::codec::{decode_seq, CodecError, Decode, Encode, Reader, Writer};
-use fd_simnet::{NodeId, Payload};
+use fd_crypto::{CryptoError, SecretKey, Signature, SignatureScheme};
+use fd_simnet::codec::{CodecError, Decode, Encode, Reader, Writer};
+use fd_simnet::{Envelope, NodeId, Payload};
 use std::convert::Infallible;
+
+const ORIGIN_TAG: &[u8] = b"fd-chain-origin-v1";
+const LAYER_TAG: &[u8] = b"fd-chain-layer-v1";
+/// A layer's head: its embedded name and the inner document's length.
+const HEAD: usize = 2 + 4;
+/// Spare bytes in front of the outermost document: room for the prefix
+/// one more layer signs, which also covers the origin's tag.
+const ROOM: usize = LAYER_TAG.len() + HEAD;
 
 /// One signature layer: the name of the node the *inner* document is
 /// assigned to, plus the signature of this layer's signer over
@@ -31,23 +59,8 @@ pub struct ChainLayer {
     pub sig: Signature,
 }
 
-impl Encode for ChainLayer {
-    fn encode(&self, w: &mut Writer) {
-        self.inner_assignee.encode(w);
-        w.put_bytes(&self.sig.0);
-    }
-}
-
-impl Decode for ChainLayer {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(ChainLayer {
-            inner_assignee: NodeId::decode(r)?,
-            sig: Signature(r.get_bytes()?.to_vec()),
-        })
-    }
-}
-
-/// A chain-signed message (paper §4).
+/// A chain-signed message (paper §4), owned. Decoding, documents,
+/// verification and extension go through its encoding's [`ChainView`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ChainMessage {
     /// Claimed origin `P_0` (self-attested inside `sig0`).
@@ -58,24 +71,6 @@ pub struct ChainMessage {
     pub sig0: Signature,
     /// Outer layers, innermost first.
     pub layers: Vec<ChainLayer>,
-}
-
-/// Canonical bytes the origin signs.
-fn origin_bytes(origin: NodeId, body: &[u8]) -> Vec<u8> {
-    let mut w = Writer::new();
-    w.put_raw(b"fd-chain-origin-v1");
-    origin.encode(&mut w);
-    w.put_bytes(body);
-    w.into_bytes()
-}
-
-/// Canonical bytes a layer signer signs: `(assignee ‖ inner document)`.
-fn layer_bytes(assignee: NodeId, inner_doc: &[u8]) -> Vec<u8> {
-    let mut w = Writer::new();
-    w.put_raw(b"fd-chain-layer-v1");
-    assignee.encode(&mut w);
-    w.put_bytes(inner_doc);
-    w.into_bytes()
 }
 
 impl ChainMessage {
@@ -90,50 +85,30 @@ impl ChainMessage {
         sk: &SecretKey,
         origin: NodeId,
         body: Vec<u8>,
-    ) -> Result<Self, fd_crypto::CryptoError> {
-        let sig0 = scheme.sign(sk, &origin_bytes(origin, &body))?;
+    ) -> Result<Self, CryptoError> {
+        let mut w = Writer::new();
+        w.put_raw(ORIGIN_TAG);
+        origin.encode(&mut w);
+        w.put_bytes(&body);
         Ok(ChainMessage {
             origin,
+            sig0: scheme.sign(sk, &w.into_bytes())?,
             body,
-            sig0,
             layers: Vec::new(),
         })
+    }
+
+    /// Run `f` on the view of this chain's encoding.
+    fn view<R>(&self, f: impl FnOnce(ChainView<'_>) -> R) -> R {
+        f(ChainView::parse(&self.encode_to_vec()).expect("an encoded chain parses"))
     }
 
     /// The canonical document bytes of the chain with its current layers
     /// (this is what the *next* signer signs, together with an assignee
     /// name).
     pub fn document(&self) -> Vec<u8> {
-        let Ok(doc) = self.document_through(self.layers.len(), |_, _| Ok::<_, Infallible>(()));
-        doc
-    }
-
-    /// The document of the chain cut to its first `k` layers: the origin's
-    /// signed value, wrapped in each of those layers in turn. Before
-    /// wrapping layer `i` around the document, `check(i, document)` sees
-    /// the inner document that layer signs; its first error ends the walk.
-    /// The one place a document is built: [`ChainMessage::document`] wraps
-    /// every layer, [`ChainMessage::verify`] all but the last, whose check
-    /// reads only the document inside it.
-    fn document_through<E>(
-        &self,
-        k: usize,
-        mut check: impl FnMut(usize, &[u8]) -> Result<(), E>,
-    ) -> Result<Vec<u8>, E> {
-        let mut w = Writer::new();
-        self.origin.encode(&mut w);
-        w.put_bytes(&self.body);
-        w.put_bytes(&self.sig0.0);
-        let mut doc = w.into_bytes();
-        for (i, layer) in self.layers[..k].iter().enumerate() {
-            check(i, &doc)?;
-            let mut w = Writer::new();
-            layer.inner_assignee.encode(&mut w);
-            w.put_bytes(&doc);
-            w.put_bytes(&layer.sig.0);
-            doc = w.into_bytes();
-        }
-        Ok(doc)
+        let Ok(docs) = self.view(|chain| chain.documents(|_, _, _| Ok::<_, Infallible>(())));
+        docs[ROOM..].to_vec()
     }
 
     /// Extend the chain: sign the current document together with
@@ -145,33 +120,18 @@ impl ChainMessage {
     ///
     /// Propagates signing errors for malformed secret keys.
     pub fn extend(
-        mut self,
+        self,
         scheme: &dyn SignatureScheme,
         sk: &SecretKey,
         assignee: NodeId,
-    ) -> Result<Self, fd_crypto::CryptoError> {
-        let sig = scheme.sign(sk, &layer_bytes(assignee, &self.document()))?;
-        self.layers.push(ChainLayer {
-            inner_assignee: assignee,
-            sig,
-        });
-        Ok(self)
+    ) -> Result<Self, CryptoError> {
+        let bytes = relay(&self.encode_to_vec(), 0, scheme, sk, assignee)?;
+        Ok(ChainMessage::decode_exact(&bytes).expect("a relayed chain parses"))
     }
 
     /// Number of signatures on the chain (origin + layers).
     pub fn signature_count(&self) -> usize {
         1 + self.layers.len()
-    }
-
-    /// The signer sequence implied by the chain *given* the immediate
-    /// sender: origin, then each layer's signer (layer `k`'s signer is
-    /// named by layer `k+1`; the outermost signer is the immediate sender).
-    pub fn signer_sequence(&self, immediate_sender: NodeId) -> Vec<NodeId> {
-        let named = self.layers.iter().skip(1).map(|layer| layer.inner_assignee);
-        std::iter::once(self.origin)
-            .chain(named)
-            .chain((!self.layers.is_empty()).then_some(immediate_sender))
-            .collect()
     }
 
     /// Verify the chain against a local [`KeyStore`] per the Theorem 4
@@ -185,11 +145,10 @@ impl ChainMessage {
     /// Every predicate evaluation goes through the store's per-run
     /// [`VerifyCache`](crate::keys::VerifyCache) when one is attached, so a
     /// chain that arrives one layer longer than one already checked costs
-    /// one new `scheme.verify`; the document is still rebuilt layer by
-    /// layer. Protocol receivers do not call this directly: they screen
-    /// through `keys::screen`, whose cohort layer judges each shared
-    /// broadcast buffer once and replays the verdict for the other
-    /// receivers.
+    /// one new `scheme.verify`. Protocol receivers do not call this
+    /// directly: they screen through `keys::screen`, whose cohort layer
+    /// judges each shared broadcast buffer once and replays the verdict
+    /// for the other receivers.
     ///
     /// # Errors
     ///
@@ -207,53 +166,7 @@ impl ChainMessage {
         store: &KeyStore,
         immediate_sender: NodeId,
     ) -> Result<NodeId, DiscoveryReason> {
-        self.verify_signers(scheme, store, &self.signer_sequence(immediate_sender))
-    }
-
-    /// [`ChainMessage::verify`] against the chain's already derived
-    /// [`signer_sequence`](ChainMessage::signer_sequence), for a caller
-    /// that needs the signers itself and derives them once.
-    pub(crate) fn verify_signers(
-        &self,
-        scheme: &dyn SignatureScheme,
-        store: &KeyStore,
-        signers: &[NodeId],
-    ) -> Result<NodeId, DiscoveryReason> {
-        let assign = |signer: NodeId, msg: &[u8], sig: &Signature| {
-            if store.accepted(signer).is_none() {
-                Err(DiscoveryReason::UnknownSigner)
-            } else if !store.assigns(scheme, signer, msg, sig) {
-                Err(DiscoveryReason::BadSignature)
-            } else {
-                Ok(())
-            }
-        };
-        // Innermost: the origin's own signature over (origin ‖ body).
-        assign(
-            self.origin,
-            &origin_bytes(self.origin, &self.body),
-            &self.sig0,
-        )?;
-        // Layer `k`, signed by `signers[k + 1]` over its inner document.
-        // Theorem 4: its embedded name must match *our own* assignment of
-        // that document, `signers[k]`.
-        let check = |k: usize, inner: &[u8]| {
-            let layer = &self.layers[k];
-            if layer.inner_assignee != signers[k] {
-                return Err(DiscoveryReason::NameMismatch);
-            }
-            assign(
-                signers[k + 1],
-                &layer_bytes(layer.inner_assignee, inner),
-                &layer.sig,
-            )
-        };
-        let Some(last) = self.layers.len().checked_sub(1) else {
-            return Ok(self.origin);
-        };
-        let inner = self.document_through(last, check)?;
-        check(last, &inner)?;
-        Ok(signers[last + 1])
+        self.view(|chain| chain.verify(scheme, store, &chain.signer_sequence(immediate_sender)))
     }
 }
 
@@ -262,19 +175,204 @@ impl Encode for ChainMessage {
         self.origin.encode(w);
         w.put_bytes(&self.body);
         w.put_bytes(&self.sig0.0);
-        self.layers.as_slice().encode(w);
+        w.put_u32(self.layers.len() as u32);
+        for layer in &self.layers {
+            layer.inner_assignee.encode(w);
+            w.put_bytes(&layer.sig.0);
+        }
     }
 }
 
 impl Decode for ChainMessage {
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        let chain = ChainView::read(r)?;
+        let sig = |bytes: &[u8]| Signature(bytes.to_vec());
+        let layers = chain.layers().map(|(inner_assignee, bytes)| ChainLayer {
+            inner_assignee,
+            sig: sig(bytes),
+        });
         Ok(ChainMessage {
-            origin: NodeId::decode(r)?,
-            body: r.get_bytes()?.to_vec(),
-            sig0: Signature(r.get_bytes()?.to_vec()),
-            layers: decode_seq::<ChainLayer>(r)?,
+            origin: chain.origin,
+            body: chain.body.to_vec(),
+            sig0: sig(chain.sig0),
+            layers: layers.collect(),
         })
     }
+}
+
+/// A chain read in place from its wire bytes (see the module docs).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ChainView<'a> {
+    /// The chain's wire bytes, exactly.
+    bytes: &'a [u8],
+    pub(crate) origin: NodeId,
+    pub(crate) body: &'a [u8],
+    sig0: &'a [u8],
+    /// The number of layers.
+    layers: usize,
+}
+
+impl<'a> ChainView<'a> {
+    /// The one chain parser: read a chain from `r`, checking every length
+    /// and the layer count against the bytes that remain, once and without
+    /// allocating, so walking the layers afterwards cannot fail. Fails with
+    /// [`CodecError::UnexpectedEnd`] or [`CodecError::BadLength`] where the
+    /// bytes end before the chain does.
+    pub fn read(r: &mut Reader<'a>) -> Result<Self, CodecError> {
+        let mut start = r.clone();
+        let origin = NodeId::decode(r)?;
+        let (body, sig0) = (r.get_bytes()?, r.get_bytes()?);
+        let layers = r.get_u32()? as usize;
+        if layers > r.remaining() {
+            return Err(CodecError::BadLength);
+        }
+        for _ in 0..layers {
+            NodeId::decode(r)?;
+            r.get_bytes()?;
+        }
+        Ok(ChainView {
+            bytes: start.get_raw(start.remaining() - r.remaining())?,
+            origin,
+            body,
+            sig0,
+            layers,
+        })
+    }
+
+    /// Parse a chain that is all of `bytes` ([`CodecError::TrailingBytes`]
+    /// if it is not).
+    pub fn parse(bytes: &'a [u8]) -> Result<Self, CodecError> {
+        let mut r = Reader::new(bytes);
+        let chain = ChainView::read(&mut r)?;
+        r.is_empty()
+            .then_some(chain)
+            .ok_or(CodecError::TrailingBytes)
+    }
+
+    /// Number of signatures on the chain (origin + layers).
+    pub fn signature_count(&self) -> usize {
+        1 + self.layers
+    }
+
+    /// The length of `doc_0`: origin, body and the origin's signature.
+    fn doc_0_len(&self) -> usize {
+        2 + 4 + self.body.len() + 4 + self.sig0.len()
+    }
+
+    /// The layers, innermost first: each one's embedded name and
+    /// signature.
+    pub fn layers(&self) -> impl Iterator<Item = (NodeId, &'a [u8])> + 'a {
+        let mut rest = Reader::new(&self.bytes[self.doc_0_len() + 4..]);
+        (0..self.layers).map(move |_| {
+            let name = NodeId::decode(&mut rest).expect("read checked every layer");
+            (name, rest.get_bytes().expect("read checked every layer"))
+        })
+    }
+
+    /// The signer sequence implied by the chain *given* the immediate
+    /// sender: origin, then each layer's signer (layer `k`'s signer is
+    /// named by layer `k+1`; the outermost signer is the immediate sender).
+    pub fn signer_sequence(&self, immediate_sender: NodeId) -> Vec<NodeId> {
+        let named = self.layers().skip(1).map(|(name, _)| name);
+        std::iter::once(self.origin)
+            .chain(named)
+            .chain((self.layers > 0).then_some(immediate_sender))
+            .collect()
+    }
+
+    /// The one document builder: the buffer of the module docs, behind
+    /// [`ROOM`] spare bytes. On the way it hands `check` each signature
+    /// with the bytes it signs, innermost first — the origin's (`name` is
+    /// the origin), then each layer's (`name` is its embedded name) — and
+    /// stops at the first error.
+    fn documents<E>(
+        &self,
+        mut check: impl FnMut(NodeId, &[u8], &[u8]) -> Result<(), E>,
+    ) -> Result<Vec<u8>, E> {
+        // Where the document the next layer wraps starts: `doc_0` first.
+        let mut start = ROOM + HEAD * self.layers;
+        let mut buf = Vec::with_capacity(ROOM + self.bytes.len() + 4 * self.layers);
+        buf.resize(start, 0);
+        buf.extend_from_slice(&self.bytes[..self.doc_0_len()]);
+        let signed = start - ORIGIN_TAG.len();
+        buf[signed..start].copy_from_slice(ORIGIN_TAG);
+        let origin_signed = &buf[signed..start + 2 + 4 + self.body.len()];
+        check(self.origin, origin_signed, self.sig0)?;
+        for (name, sig) in self.layers() {
+            let signed = layer_prefix(&mut buf, start, name);
+            check(name, &buf[signed..], sig)?;
+            start -= HEAD;
+            buf.extend_from_slice(&(sig.len() as u32).to_be_bytes());
+            buf.extend_from_slice(sig);
+        }
+        Ok(buf)
+    }
+
+    /// [`ChainMessage::verify`] against the chain's already derived
+    /// [`signer_sequence`](ChainView::signer_sequence).
+    pub(crate) fn verify(
+        &self,
+        scheme: &dyn SignatureScheme,
+        store: &KeyStore,
+        signers: &[NodeId],
+    ) -> Result<NodeId, DiscoveryReason> {
+        let mut level = 0;
+        self.documents(|name, signed, sig| {
+            // Layer `i` is level `i + 1`, signed by `signers[i + 1]`.
+            // Theorem 4: its embedded name must match *our own*
+            // assignment of the document inside it, `signers[i]`.
+            if level > 0 && name != signers[level - 1] {
+                return Err(DiscoveryReason::NameMismatch);
+            }
+            let signer = signers[level];
+            level += 1;
+            if store.accepted(signer).is_none() {
+                Err(DiscoveryReason::UnknownSigner)
+            } else if !store.assigns(scheme, signer, signed, &Signature(sig.to_vec())) {
+                Err(DiscoveryReason::BadSignature)
+            } else {
+                Ok(())
+            }
+        })?;
+        Ok(signers[self.layers])
+    }
+}
+
+/// Write layer `name`'s tag and head in front of the document that starts
+/// at `start` and ends `buf`; returns where the bytes its signer signs
+/// start.
+fn layer_prefix(buf: &mut [u8], start: usize, name: NodeId) -> usize {
+    let inner = (buf.len() - start) as u32;
+    buf[start - ROOM..start - HEAD].copy_from_slice(LAYER_TAG);
+    buf[start - HEAD..start - 4].copy_from_slice(&name.0.to_be_bytes());
+    buf[start - 4..start].copy_from_slice(&inner.to_be_bytes());
+    start - ROOM
+}
+
+/// The one relay: `payload` with the chain that starts `chain_offset`
+/// bytes in extended by a layer naming `assignee`, signed with `sk` — its
+/// layer count one higher and the layer appended; whatever precedes the
+/// chain is copied as is. Panics unless the rest of `payload` is one
+/// chain: relay only what screening accepted.
+pub(crate) fn relay(
+    payload: &[u8],
+    chain_offset: usize,
+    scheme: &dyn SignatureScheme,
+    sk: &SecretKey,
+    assignee: NodeId,
+) -> Result<Vec<u8>, CryptoError> {
+    let chain = ChainView::parse(&payload[chain_offset..]).expect("a relayed payload parses");
+    let Ok(mut docs) = chain.documents(|_, _, _| Ok::<_, Infallible>(()));
+    let signed = layer_prefix(&mut docs, ROOM, assignee);
+    let sig = scheme.sign(sk, &docs[signed..])?;
+    let mut out = Vec::with_capacity(payload.len() + HEAD + sig.0.len());
+    out.extend_from_slice(payload);
+    let count = chain_offset + chain.doc_0_len();
+    out[count..count + 4].copy_from_slice(&(chain.layers as u32 + 1).to_be_bytes());
+    out.extend_from_slice(&assignee.0.to_be_bytes());
+    out.extend_from_slice(&(sig.0.len() as u32).to_be_bytes());
+    out.extend_from_slice(&sig.0);
+    Ok(out)
 }
 
 /// A wire message that is one tag byte and a chain. Chain FD's
@@ -294,30 +392,30 @@ impl<const TAG: u8> ChainMsg<TAG> {
     pub(crate) const TAG: u8 = TAG;
 
     /// The chain a payload carries, or `None` unless the payload is
-    /// exactly one such message: the decoder a receiver screens with.
-    pub(crate) fn chain_of(payload: &[u8]) -> Option<ChainMessage> {
-        Self::decode_exact(payload).ok().map(|msg| msg.chain)
+    /// exactly one such message: the parser a receiver screens with.
+    pub(crate) fn chain_of(payload: &[u8]) -> Option<ChainView<'_>> {
+        match payload.split_first() {
+            Some((&tag, chain)) if tag == TAG => ChainView::parse(chain).ok(),
+            _ => None,
+        }
     }
 
-    /// Relay an accepted payload: decode its chain, sign it over to
-    /// `assignee` (see [`ChainMessage::extend`]) and encode the longer
-    /// chain under the same tag.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `payload` is not such a message (relay only what
-    /// screening accepted) or `sk` is malformed.
-    pub(crate) fn relay(
-        payload: &[u8],
+    /// A fresh chain of `body`, signed by `ring`'s owner as its origin.
+    pub(crate) fn originate(
         scheme: &dyn SignatureScheme,
-        sk: &SecretKey,
-        assignee: NodeId,
+        ring: &Keyring,
+        body: Vec<u8>,
     ) -> Payload {
-        let chain = Self::chain_of(payload)
-            .expect("accepted payload decodes")
-            .extend(scheme, sk, assignee)
+        let chain = ChainMessage::originate(scheme, &ring.sk, ring.me, body)
             .expect("own keyring is well-formed");
         Self { chain }.encode_to_vec().into()
+    }
+
+    /// The honest [`relay`] of an accepted envelope: its chain, under
+    /// the same tag, extended by a layer naming its immediate sender.
+    pub(crate) fn relay(env: &Envelope, scheme: &dyn SignatureScheme, sk: &SecretKey) -> Payload {
+        let relayed = relay(&env.payload, 1, scheme, sk, env.from);
+        relayed.expect("own keyring is well-formed").into()
     }
 }
 
@@ -385,8 +483,9 @@ mod tests {
         // P0 -> P1 -> P2, received from P2.
         let msg = chain_through(&scheme, &rings, b"v", &[1, 2]);
         assert_eq!(msg.verify(&scheme, &store, NodeId(2)), Ok(NodeId(2)));
+        let bytes = msg.encode_to_vec();
         assert_eq!(
-            msg.signer_sequence(NodeId(2)),
+            ChainView::parse(&bytes).unwrap().signer_sequence(NodeId(2)),
             vec![NodeId(0), NodeId(1), NodeId(2)]
         );
     }
@@ -543,5 +642,103 @@ mod tests {
         pin(DsMsg { chain: chain() }, 0x40, &bytes);
         pin(AlarmMsg { chain: chain() }, 0x60, &bytes);
         pin(DgMsg { chain: chain() }, 0x68, &bytes);
+    }
+
+    /// Extension as it was built before chains were read in place, from
+    /// the public fields alone: wrap `origin ‖ body ‖ sig0` in each layer
+    /// (`assignee ‖ document ‖ sig`, byte strings length-prefixed), then
+    /// sign `"fd-chain-layer-v1" ‖ assignee ‖ document`.
+    fn reference_extend(
+        chain: &ChainMessage,
+        scheme: &SchnorrScheme,
+        sk: &SecretKey,
+        assignee: NodeId,
+    ) -> ChainMessage {
+        let mut w = Writer::new();
+        chain.origin.encode(&mut w);
+        w.put_bytes(&chain.body);
+        w.put_bytes(&chain.sig0.0);
+        let mut doc = w.into_bytes();
+        for layer in &chain.layers {
+            let mut w = Writer::new();
+            layer.inner_assignee.encode(&mut w);
+            w.put_bytes(&doc);
+            w.put_bytes(&layer.sig.0);
+            doc = w.into_bytes();
+        }
+        let mut w = Writer::new();
+        w.put_raw(b"fd-chain-layer-v1");
+        assignee.encode(&mut w);
+        w.put_bytes(&doc);
+        let mut extended = chain.clone();
+        extended.layers.push(ChainLayer {
+            inner_assignee: assignee,
+            sig: scheme.sign(sk, &w.into_bytes()).unwrap(),
+        });
+        extended
+    }
+
+    /// The byte relay of one tag-plus-chain carrier against decode,
+    /// reference extension and encode.
+    fn relay_matches_reference<const TAG: u8>(
+        chain: &ChainMessage,
+        signer: &Keyring,
+        from: NodeId,
+    ) {
+        let (scheme, sk) = (SchnorrScheme::test_tiny(), &signer.sk);
+        let payload = ChainMsg::<TAG> {
+            chain: chain.clone(),
+        }
+        .encode_to_vec();
+        let env = fd_simnet::Envelope {
+            from,
+            to: signer.me,
+            round: 1,
+            payload: payload.clone().into(),
+        };
+        let chain = ChainMsg::<TAG>::decode_exact(&payload).unwrap().chain;
+        let reference = ChainMsg::<TAG> {
+            chain: reference_extend(&chain, &scheme, sk, from),
+        };
+        let relayed = ChainMsg::<TAG>::relay(&env, &scheme, sk);
+        assert_eq!(relayed, reference.encode_to_vec(), "tag {TAG:#04x}");
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(32))]
+
+        /// For every chain carrier the byte relay writes exactly the
+        /// payload that decoding, extending by the reference and encoding
+        /// again writes.
+        #[test]
+        fn byte_relay_matches_decode_extend_encode(
+            body in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..48),
+            hops in proptest::collection::vec(1usize..5, 0..4),
+            signer in 0usize..5,
+            from in 0u16..5,
+        ) {
+            use crate::fd::VecMsg;
+            let (scheme, rings, _) = setup(5);
+            let chain = chain_through(&scheme, &rings, &body, &hops);
+            let (signer, from) = (&rings[signer], NodeId(from));
+            relay_matches_reference::<0x10>(&chain, signer, from);
+            relay_matches_reference::<0x30>(&chain, signer, from);
+            relay_matches_reference::<0x40>(&chain, signer, from);
+            relay_matches_reference::<0x60>(&chain, signer, from);
+            relay_matches_reference::<0x68>(&chain, signer, from);
+            // VecMsg: a three-byte header (tag, instance) before the chain.
+            let instance = NodeId(body.len() as u16);
+            let payload = VecMsg { instance, chain: chain.clone() }.encode_to_vec();
+            let decoded = VecMsg::decode_exact(&payload).unwrap();
+            let reference = VecMsg {
+                instance,
+                chain: reference_extend(&decoded.chain, &scheme, &signer.sk, from),
+            };
+            let relayed = relay(&payload, 3, &scheme, &signer.sk, from).unwrap();
+            proptest::prop_assert_eq!(relayed, reference.encode_to_vec());
+            // The owned form extends through the same relay.
+            let extended = chain.clone().extend(&scheme, &signer.sk, from).unwrap();
+            proptest::prop_assert_eq!(extended, reference_extend(&chain, &scheme, &signer.sk, from));
+        }
     }
 }

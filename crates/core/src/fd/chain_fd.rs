@@ -22,12 +22,11 @@
 //! [`crate::chain`], which is what makes the protocol sound under **local**
 //! authentication.
 
-use crate::chain::{ChainMessage, ChainMsg};
+use crate::chain::ChainMsg;
 use crate::keys::{screen, Expect, KeyStore, Keyring, VerifyCache};
 use crate::outcome::{DiscoveryReason, Outcome};
 use fd_crypto::SignatureScheme;
-use fd_simnet::codec::Encode;
-use fd_simnet::{Envelope, Node, NodeId, Outbox, Payload};
+use fd_simnet::{Envelope, Node, NodeId, Outbox};
 use std::sync::Arc;
 
 /// Wire message of the chain FD protocol: a chain-signed value.
@@ -184,12 +183,7 @@ impl ChainFdNode {
         };
         if let Some(i) = self.params.chain_position(self.me) {
             // Relay: sign (previous assignee ‖ chain) and forward.
-            let payload = FdMsg::relay(
-                &env.payload,
-                self.scheme.as_ref(),
-                &self.keyring.sk,
-                env.from,
-            );
+            let payload = FdMsg::relay(env, self.scheme.as_ref(), &self.keyring.sk);
             if i < self.params.t {
                 out.send(NodeId(i as u16 + 1), payload);
             } else {
@@ -221,10 +215,7 @@ impl Node for ChainFdNode {
         // Sender initiates in round 0.
         if round == 0 && self.me == self.params.sender {
             let v = self.value.clone().expect("sender carries the value");
-            let chain =
-                ChainMessage::originate(self.scheme.as_ref(), &self.keyring.sk, self.me, v.clone())
-                    .expect("own keyring is well-formed");
-            let payload: Payload = FdMsg { chain }.encode_to_vec().into();
+            let payload = FdMsg::originate(self.scheme.as_ref(), &self.keyring, v.clone());
             if self.params.t == 0 {
                 for j in 1..self.params.n {
                     out.send(NodeId(j as u16), payload.clone());
@@ -267,7 +258,9 @@ impl core::fmt::Debug for ChainFdNode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chain::ChainMessage;
     use fd_crypto::SchnorrScheme;
+    use fd_simnet::codec::Encode;
     use fd_simnet::SyncNetwork;
     use std::any::Any;
 

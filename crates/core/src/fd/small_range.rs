@@ -32,12 +32,11 @@
 //! against [`super::ChainFdNode`] as a function of the default-value
 //! probability).
 
-use crate::chain::{ChainMessage, ChainMsg};
+use crate::chain::ChainMsg;
 use crate::keys::{screen, Cohorts, Expect, KeyStore, Keyring, VerifyCache};
 use crate::outcome::{DiscoveryReason, Outcome};
 use fd_crypto::SignatureScheme;
-use fd_simnet::codec::Encode;
-use fd_simnet::{Envelope, Node, NodeId, Outbox, Payload};
+use fd_simnet::{Envelope, Node, NodeId, Outbox};
 use std::sync::Arc;
 
 /// Wire message: a chain-signed value (bare from the sender, one layer
@@ -95,8 +94,8 @@ pub struct SmallRangeFdNode {
     value: Option<Vec<u8>>,
     /// Verified direct value from the sender.
     direct: Option<Vec<u8>>,
-    /// The verified sender payload (kept for witness echoing).
-    received: Option<Payload>,
+    /// The verified sender envelope (kept for witness echoing).
+    received: Option<Envelope>,
     /// Verified witness echo values, indexed by node.
     echoes: Vec<Option<Vec<u8>>>,
     failed: Option<DiscoveryReason>,
@@ -188,7 +187,7 @@ impl SmallRangeFdNode {
                 self.direct = Some(body);
                 if self.params.is_witness(self.me) {
                     // Kept for the echo this witness signs.
-                    self.received = Some(env.payload.clone());
+                    self.received = Some(env.clone());
                 }
             }
             Err(reason) => self.fail(reason),
@@ -264,14 +263,8 @@ impl Node for SmallRangeFdNode {
                 if self.me == self.params.sender {
                     let v = self.value.clone().expect("sender value");
                     if v != self.params.default_value {
-                        let chain = ChainMessage::originate(
-                            self.scheme.as_ref(),
-                            &self.keyring.sk,
-                            self.me,
-                            v,
-                        )
-                        .expect("own keyring is well-formed");
-                        out.broadcast(self.params.n, self.me, SrMsg { chain }.encode_to_vec());
+                        let payload = SrMsg::originate(self.scheme.as_ref(), &self.keyring, v);
+                        out.broadcast(self.params.n, self.me, payload);
                     }
                 }
             }
@@ -288,12 +281,7 @@ impl Node for SmallRangeFdNode {
                             .received
                             .as_ref()
                             .expect("direct implies stored payload");
-                        let echo = SrMsg::relay(
-                            received,
-                            self.scheme.as_ref(),
-                            &self.keyring.sk,
-                            self.params.sender,
-                        );
+                        let echo = SrMsg::relay(received, self.scheme.as_ref(), &self.keyring.sk);
                         out.broadcast(self.params.n, self.me, echo);
                         self.echoes[self.me.index()] = Some(v);
                     }
@@ -334,7 +322,9 @@ impl core::fmt::Debug for SmallRangeFdNode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chain::ChainMessage;
     use fd_crypto::SchnorrScheme;
+    use fd_simnet::codec::Encode;
     use fd_simnet::SyncNetwork;
     use std::any::Any;
 

@@ -19,7 +19,7 @@
 //! relabeled paper-Fig. 2 run); a malformed or unattributable message is
 //! a node-level discovery, exactly as in the paper's single-instance case.
 
-use crate::chain::ChainMessage;
+use crate::chain::{relay, ChainMessage, ChainView};
 use crate::keys::{screen, Cohorts, Expect, KeyStore, Keyring, VerifyCache};
 use crate::outcome::{DiscoveryReason, Outcome};
 use fd_crypto::SignatureScheme;
@@ -27,8 +27,8 @@ use fd_simnet::codec::{CodecError, Decode, Encode, Reader, Writer};
 use fd_simnet::{Envelope, Node, NodeId, Outbox, Payload};
 use std::sync::Arc;
 
-/// Wire message: a chain tagged with its instance (the sender whose value
-/// it carries).
+/// Wire message: an instance header (tag and the sender whose value it
+/// carries) in front of the chain.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct VecMsg {
     /// The instance = the designated sender of this chain.
@@ -38,6 +38,8 @@ pub struct VecMsg {
 }
 
 const TAG_VEC: u8 = 0x70;
+/// The header's length: the tag and the instance.
+const HEADER: usize = 3;
 
 impl Encode for VecMsg {
     fn encode(&self, w: &mut Writer) {
@@ -60,13 +62,14 @@ impl Decode for VecMsg {
 }
 
 impl VecMsg {
-    /// The instance a payload names, read from its header alone; `None`
-    /// when even the header does not decode (so neither does the
-    /// message).
-    fn peek_instance(payload: &[u8]) -> Option<NodeId> {
-        let mut r = Reader::new(payload);
-        match r.get_u8().ok()? {
-            TAG_VEC => NodeId::decode(&mut r).ok(),
+    /// The instance a payload names and the chain it carries, read in
+    /// place; `None` unless the payload is exactly one such message.
+    fn view(payload: &[u8]) -> Option<(NodeId, ChainView<'_>)> {
+        match payload {
+            [TAG_VEC, hi, lo, chain @ ..] => Some((
+                NodeId(u16::from_be_bytes([*hi, *lo])),
+                ChainView::parse(chain).ok()?,
+            )),
             _ => None,
         }
     }
@@ -173,7 +176,7 @@ impl VectorFdNode {
         self.node_discovery.get_or_insert(reason);
     }
 
-    /// Screen one chain of `instance`. Whether the payload decodes is
+    /// Screen one chain of `instance`. Whether the payload parses is
     /// settled before the instance's schedule is consulted (a malformed
     /// payload is a node-level discovery); the schedule before the chain's
     /// structure; the structure — origin `instance`, `round` signatures
@@ -187,8 +190,8 @@ impl VectorFdNode {
         env: &Envelope,
         out: &mut Outbox,
     ) {
-        let instance = match VecMsg::peek_instance(&env.payload) {
-            Some(instance) if instance.index() < self.params.n => instance,
+        let instance = match VecMsg::view(&env.payload) {
+            Some((instance, _)) if instance.index() < self.params.n => instance,
             _ => return self.discover_node(DiscoveryReason::Malformed),
         };
         let my_pos = self.params.position_of(instance, self.me);
@@ -205,13 +208,10 @@ impl VectorFdNode {
             None
         };
         if expected != Some((round, env.from)) || self.outcomes[instance.index()].is_terminal() {
-            if VecMsg::decode_exact(&env.payload).is_err() {
-                return self.discover_node(DiscoveryReason::Malformed);
-            }
             return self.discover_instance(instance, DiscoveryReason::UnexpectedMessage { round });
         }
         let expect = Expect {
-            decode: |p: &[u8]| VecMsg::decode_exact(p).ok().map(|m| m.chain),
+            decode: |p| VecMsg::view(p).map(|(_, chain)| chain),
             origin: Some(instance),
             count: round as usize..=round as usize,
         };
@@ -235,24 +235,12 @@ impl VectorFdNode {
         );
         let v = match read {
             Ok(v) => v,
-            Err(DiscoveryReason::Malformed) => {
-                return self.discover_node(DiscoveryReason::Malformed)
-            }
             Err(reason) => return self.discover_instance(instance, reason),
         };
         if (1..=self.params.t).contains(&my_pos) {
-            let chain = VecMsg::decode_exact(&env.payload)
-                .expect("accepted payload decodes")
-                .chain;
-            let extended = chain
-                .extend(self.scheme.as_ref(), &self.keyring.sk, env.from)
-                .expect("own keyring well-formed");
-            let payload: Payload = VecMsg {
-                instance,
-                chain: extended,
-            }
-            .encode_to_vec()
-            .into();
+            let sk = &self.keyring.sk;
+            let relayed = relay(&env.payload, HEADER, self.scheme.as_ref(), sk, env.from);
+            let payload = Payload::from(relayed.expect("own keyring well-formed"));
             if my_pos < self.params.t {
                 out.send(self.params.node_at(instance, my_pos + 1), payload);
             } else {
@@ -279,19 +267,11 @@ impl Node for VectorFdNode {
         }
         // Round 0: originate my own instance.
         if round == 0 {
-            let chain = ChainMessage::originate(
-                self.scheme.as_ref(),
-                &self.keyring.sk,
-                self.me,
-                self.value.clone(),
-            )
-            .expect("own keyring well-formed");
-            let payload: Payload = VecMsg {
-                instance: self.me,
-                chain,
-            }
-            .encode_to_vec()
-            .into();
+            let (scheme, instance) = (self.scheme.as_ref(), self.me);
+            let chain =
+                ChainMessage::originate(scheme, &self.keyring.sk, instance, self.value.clone())
+                    .expect("own keyring well-formed");
+            let payload = Payload::from(VecMsg { instance, chain }.encode_to_vec());
             if self.params.t == 0 {
                 for pos in 1..self.params.n {
                     out.send(self.params.node_at(self.me, pos), payload.clone());

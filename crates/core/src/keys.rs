@@ -49,7 +49,7 @@
 //! [`VerifyCache::without_cohorts`]) a chain is judged again, and the
 //! signature layer answers each of its signatures.
 
-use crate::chain::ChainMessage;
+use crate::chain::ChainView;
 use crate::outcome::DiscoveryReason;
 use fd_crypto::{PublicKey, SecretKey, Signature, SignatureScheme};
 use fd_simnet::{Envelope, NodeId, Payload};
@@ -389,15 +389,15 @@ impl CohortVerdict {
     /// Judge one cohort member: structural screening, then cryptographic
     /// verification through the store (and its signature cache).
     ///
-    /// `chain` is `None` when the payload failed to decode — the caller
-    /// decodes (once per cohort, on the miss path) so this module never
+    /// `chain` is `None` when the payload failed to parse — the caller
+    /// parses (once per cohort, on the miss path) so this module never
     /// learns the wire framing. `origin` is the node the chain must
     /// start at (`None`: any node may originate) and `count` the
     /// signature counts a chain judged at this key may carry.
     pub fn judge(
         scheme: &dyn SignatureScheme,
         store: &KeyStore,
-        chain: Option<&ChainMessage>,
+        chain: Option<ChainView<'_>>,
         from: NodeId,
         origin: Option<NodeId>,
         count: RangeInclusive<usize>,
@@ -416,8 +416,8 @@ impl CohortVerdict {
         if repeated {
             return CohortVerdict::Duplicate { signers };
         }
-        let body = Arc::from(chain.body.as_slice());
-        match chain.verify_signers(scheme, store, &signers) {
+        let body = Arc::from(chain.body);
+        match chain.verify(scheme, store, &signers) {
             Ok(_) => CohortVerdict::Accept { signers, body },
             Err(reason) => CohortVerdict::Discovered {
                 signers,
@@ -478,14 +478,15 @@ impl CohortVerdict {
 }
 
 /// What a receiver expects of one chain envelope: its protocol's
-/// decoder (the wire message's chain, or `None` when the payload does
-/// not decode; [`ChainMsg::chain_of`](crate::chain::ChainMsg::chain_of)
-/// for the tag-plus-chain messages), the chain's origin (`None`: any node) and the signature
-/// counts it takes. All three must be functions of the cohort key — the
+/// parser (the wire message's chain, read in place, or `None` when the
+/// payload is not one such message;
+/// [`ChainMsg::chain_of`](crate::chain::ChainMsg::chain_of) for the
+/// tag-plus-chain messages), the chain's origin (`None`: any node) and
+/// the signature counts it takes. All three must be functions of the cohort key — the
 /// payload bytes, the sender and the round — so that every receiver
 /// sharing a key would judge alike.
 pub(crate) struct Expect {
-    pub(crate) decode: fn(&[u8]) -> Option<ChainMessage>,
+    pub(crate) decode: fn(&[u8]) -> Option<ChainView<'_>>,
     pub(crate) origin: Option<NodeId>,
     pub(crate) count: RangeInclusive<usize>,
 }
@@ -515,14 +516,7 @@ pub(crate) fn screen<R>(
         return visit(verdict);
     }
     let chain = (expect.decode)(&env.payload);
-    let verdict = CohortVerdict::judge(
-        scheme,
-        store,
-        chain.as_ref(),
-        env.from,
-        expect.origin,
-        expect.count,
-    );
+    let verdict = CohortVerdict::judge(scheme, store, chain, env.from, expect.origin, expect.count);
     let seen = visit(&verdict);
     if let Some(cohorts) = cohorts {
         cohorts.put(key, &env.payload, store, verdict);
@@ -868,8 +862,9 @@ impl KeyStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chain::ChainMessage;
     use fd_crypto::SchnorrScheme;
-    use fd_simnet::codec::{Decode, Encode};
+    use fd_simnet::codec::Encode;
 
     #[test]
     fn keyring_generation_is_deterministic_and_distinct() {
@@ -1096,10 +1091,11 @@ mod tests {
         from: u16,
         count: usize,
     ) -> CohortVerdict {
+        let bytes = chain.map(Encode::encode_to_vec);
         CohortVerdict::judge(
             scheme,
             store,
-            chain,
+            bytes.as_deref().map(|b| ChainView::parse(b).unwrap()),
             NodeId(from),
             Some(NodeId(0)),
             count..=count,
@@ -1144,7 +1140,7 @@ mod tests {
             CohortVerdict::judge(
                 &scheme,
                 &store,
-                Some(&chain),
+                ChainView::parse(&chain.encode_to_vec()).ok(),
                 NodeId(1),
                 Some(NodeId(3)),
                 2..=2
@@ -1414,9 +1410,9 @@ mod tests {
             payload,
         };
         thread_local!(static DECODED: std::cell::Cell<usize> = const { std::cell::Cell::new(0) });
-        fn decode(p: &[u8]) -> Option<ChainMessage> {
+        fn decode(p: &[u8]) -> Option<ChainView<'_>> {
             DECODED.with(|d| d.set(d.get() + 1));
-            ChainMessage::decode_exact(p).ok()
+            ChainView::parse(p).ok()
         }
         let expect = || Expect {
             decode,

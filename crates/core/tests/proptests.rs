@@ -3,10 +3,10 @@
 //! store divergence — verification must accept exactly the honest chains
 //! and flag everything else.
 
-use fd_core::chain::ChainMessage;
+use fd_core::chain::{ChainLayer, ChainMessage, ChainView};
 use fd_core::keys::{KeyStore, Keyring};
-use fd_crypto::{SchnorrScheme, SignatureScheme};
-use fd_simnet::codec::{Decode, Encode};
+use fd_crypto::{SchnorrScheme, Signature, SignatureScheme};
+use fd_simnet::codec::{Decode, Encode, Reader};
 use fd_simnet::NodeId;
 use proptest::prelude::*;
 
@@ -41,6 +41,74 @@ fn honest_chain(body: &[u8], hops: &[usize]) -> (ChainMessage, NodeId) {
 
 fn hop_strategy() -> impl Strategy<Value = Vec<usize>> {
     prop::collection::vec(1usize..N, 0..4)
+}
+
+/// A chain decoder written apart from the crate's, from the codec's
+/// primitives: origin, body, origin signature, then a counted list of
+/// (assignee, signature) layers, and nothing after.
+fn reference_decode(bytes: &[u8]) -> Option<ChainMessage> {
+    let mut r = Reader::new(bytes);
+    let origin = NodeId::decode(&mut r).ok()?;
+    let body = r.get_bytes().ok()?.to_vec();
+    let sig0 = Signature(r.get_bytes().ok()?.to_vec());
+    let count = r.get_u32().ok()?;
+    let mut layers = Vec::new();
+    for _ in 0..count {
+        let inner_assignee = NodeId::decode(&mut r).ok()?;
+        let sig = Signature(r.get_bytes().ok()?.to_vec());
+        layers.push(ChainLayer {
+            inner_assignee,
+            sig,
+        });
+    }
+    r.is_empty().then_some(ChainMessage {
+        origin,
+        body,
+        sig0,
+        layers,
+    })
+}
+
+/// `ChainView` accepts exactly what `ChainMessage::decode_exact` and the
+/// reference decoder accept, and the owned decode is the reference's.
+fn parsers_agree(bytes: &[u8]) -> Result<(), TestCaseError> {
+    let view = ChainView::parse(bytes);
+    let owned = ChainMessage::decode_exact(bytes);
+    prop_assert_eq!(view.is_ok(), owned.is_ok());
+    prop_assert_eq!(owned.ok(), reference_decode(bytes));
+    if let Ok(view) = view {
+        prop_assert_eq!(view.signature_count(), 1 + view.layers().count());
+    }
+    Ok(())
+}
+
+/// A layer count far past the bytes that follow is refused before
+/// anything is sized from it (a `u32::MAX`-layer `Vec` would abort the
+/// test), and so is a count the bytes could hold whose layers are not
+/// there.
+#[test]
+fn a_layer_count_past_the_bytes_is_refused() {
+    use fd_simnet::codec::CodecError;
+    let mut bytes = honest_chain(b"v", &[]).0.encode_to_vec();
+    let count = bytes.len() - 4;
+    bytes[count..].copy_from_slice(&u32::MAX.to_be_bytes());
+    bytes.extend_from_slice(&[0; 16]);
+    assert_eq!(ChainView::parse(&bytes), Err(CodecError::BadLength));
+    assert_eq!(
+        ChainMessage::decode_exact(&bytes),
+        Err(CodecError::BadLength)
+    );
+    // 16 bytes hold two empty layers and part of a third.
+    bytes[count..count + 4].copy_from_slice(&16u32.to_be_bytes());
+    assert_eq!(ChainView::parse(&bytes), Err(CodecError::UnexpectedEnd));
+    assert_eq!(
+        ChainMessage::decode_exact(&bytes),
+        Err(CodecError::UnexpectedEnd)
+    );
+    bytes[count..count + 4].copy_from_slice(&2u32.to_be_bytes());
+    assert_eq!(ChainView::parse(&bytes), Err(CodecError::TrailingBytes));
+    bytes.truncate(bytes.len() - 4);
+    assert_eq!(ChainView::parse(&bytes).unwrap().signature_count(), 3);
 }
 
 proptest! {
@@ -166,6 +234,7 @@ proptest! {
     #[test]
     fn decoders_never_panic_on_garbage(bytes in prop::collection::vec(any::<u8>(), 0..256)) {
         let _ = ChainMessage::decode_exact(&bytes);
+        let _ = ChainView::parse(&bytes).map(|v| (v.layers().count(), v.signer_sequence(NodeId(0))));
         let _ = fd_core::fd::FdMsg::decode_exact(&bytes);
         let _ = fd_core::fd::NaMsg::decode_exact(&bytes);
         let _ = fd_core::fd::SrMsg::decode_exact(&bytes);
@@ -198,5 +267,27 @@ proptest! {
                 );
             }
         }
+    }
+
+    /// The view and the owned decoder accept the same bytes: on garbage,
+    /// on every truncation of an honest chain, and on the single-byte
+    /// mutations of `single_byte_mutations_never_verify`.
+    #[test]
+    fn chain_view_accepts_exactly_what_decode_exact_accepts(
+        garbage in prop::collection::vec(any::<u8>(), 0..96),
+        hops in prop::collection::vec(1usize..N, 0..3),
+        body in prop::collection::vec(any::<u8>(), 0..16),
+        byte_index in any::<prop::sample::Index>(),
+        mask in 1u8..=255,
+    ) {
+        parsers_agree(&garbage)?;
+        let (msg, _) = honest_chain(&body, &hops);
+        let bytes = msg.encode_to_vec();
+        for len in 0..=bytes.len() {
+            parsers_agree(&bytes[..len])?;
+        }
+        let mut mutated = bytes.clone();
+        mutated[byte_index.index(bytes.len())] ^= mask;
+        parsers_agree(&mutated)?;
     }
 }
