@@ -328,7 +328,7 @@ impl<'a> ChainView<'a> {
             level += 1;
             if store.accepted(signer).is_none() {
                 Err(DiscoveryReason::UnknownSigner)
-            } else if !store.assigns(scheme, signer, signed, &Signature(sig.to_vec())) {
+            } else if !store.assigns(scheme, signer, signed, sig) {
                 Err(DiscoveryReason::BadSignature)
             } else {
                 Ok(())

@@ -689,7 +689,8 @@ fn run_worker_inner(
     let mut protocol = NonblockingMesh::new(rounds).with_io_deadline(cfg.io_deadline);
     if cluster.latency.normalize() != LatencySpec::Synchronous && !cfg.round_wall.is_zero() {
         protocol = protocol.with_delay_shim(DelayShim {
-            model: cluster.latency.build(cluster.seed),
+            latency: cluster.latency,
+            seed: cluster.seed,
             round_wall: cfg.round_wall,
         });
     }

@@ -530,8 +530,8 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 
 /// The signature memo's key: the scheme's name, `pk`, `msg` and `sig`,
 /// each prefixed with its length.
-fn sig_key(scheme: &dyn SignatureScheme, pk: &PublicKey, msg: &[u8], sig: &Signature) -> Vec<u8> {
-    let (pk, sig) = (pk.as_bytes(), &sig.0[..]);
+fn sig_key(scheme: &dyn SignatureScheme, pk: &PublicKey, msg: &[u8], sig: &[u8]) -> Vec<u8> {
+    let pk = pk.as_bytes();
     // Room for the four length prefixes and a name of up to 32 bytes.
     let mut key = Vec::with_capacity(64 + pk.len() + msg.len() + sig.len());
     key.extend_from_slice(&[0; 8]);
@@ -551,19 +551,22 @@ impl VerifyCache {
         VerifyCache::default()
     }
 
-    /// Evaluate `scheme.verify(pk, msg, sig)` through the cache.
+    /// Evaluate `scheme.verify(pk, msg, sig)` through the cache. The
+    /// signature is borrowed: its bytes are copied into a [`Signature`]
+    /// only when the memo misses.
     pub fn verify_sig(
         &self,
         scheme: &dyn SignatureScheme,
         pk: &PublicKey,
         msg: &[u8],
-        sig: &Signature,
+        sig: &[u8],
     ) -> bool {
         let key = sig_key(scheme, pk, msg, sig);
         if let Some(&cached) = lock(&self.sigs).get(&key) {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return cached;
         }
+        let sig = &Signature(sig.to_vec());
         let result = match &self.verify_ns {
             None => scheme.verify(pk, msg, sig),
             Some(acc) => {
@@ -830,12 +833,12 @@ impl KeyStore {
         scheme: &dyn SignatureScheme,
         node: NodeId,
         msg: &[u8],
-        sig: &Signature,
+        sig: &[u8],
     ) -> bool {
         match self.accepted(node) {
             Some(pk) => match &self.cache {
                 Some(cache) => cache.verify_sig(scheme, pk, msg, sig),
-                None => scheme.verify(pk, msg, sig),
+                None => scheme.verify(pk, msg, &Signature(sig.to_vec())),
             },
             None => false,
         }
@@ -855,7 +858,7 @@ impl KeyStore {
     ) -> Option<NodeId> {
         (0..self.accepted.len())
             .map(|i| NodeId(i as u16))
-            .find(|&node| self.assigns(scheme, node, msg, sig))
+            .find(|&node| self.assigns(scheme, node, msg, &sig.0))
     }
 }
 
@@ -886,11 +889,11 @@ mod tests {
 
         let mut store = KeyStore::new(3, NodeId(0));
         // Not accepted yet: no assignment.
-        assert!(!store.assigns(&scheme, NodeId(1), b"m", &sig));
+        assert!(!store.assigns(&scheme, NodeId(1), b"m", &sig.0));
         store.accept(NodeId(1), ring.pk.clone());
-        assert!(store.assigns(&scheme, NodeId(1), b"m", &sig));
+        assert!(store.assigns(&scheme, NodeId(1), b"m", &sig.0));
         // Wrong node: no assignment.
-        assert!(!store.assigns(&scheme, NodeId(2), b"m", &sig));
+        assert!(!store.assigns(&scheme, NodeId(2), b"m", &sig.0));
         assert_eq!(store.accepted_count(), 1);
     }
 
@@ -1015,14 +1018,14 @@ mod tests {
         let mut store = KeyStore::new(2, NodeId(1)).with_cache(cache.clone());
         store.accept(NodeId(0), ring.pk.clone());
 
-        assert!(store.assigns(&scheme, NodeId(0), b"m", &sig));
+        assert!(store.assigns(&scheme, NodeId(0), b"m", &sig.0));
         assert_eq!((cache.hits(), cache.misses()), (0, 1));
         // Identical query: served from the cache, same answer.
-        assert!(store.assigns(&scheme, NodeId(0), b"m", &sig));
+        assert!(store.assigns(&scheme, NodeId(0), b"m", &sig.0));
         assert_eq!((cache.hits(), cache.misses()), (1, 1));
         // A different message is a different entry — and still false.
-        assert!(!store.assigns(&scheme, NodeId(0), b"n", &sig));
-        assert!(!store.assigns(&scheme, NodeId(0), b"n", &sig));
+        assert!(!store.assigns(&scheme, NodeId(0), b"n", &sig.0));
+        assert!(!store.assigns(&scheme, NodeId(0), b"n", &sig.0));
         assert_eq!((cache.hits(), cache.misses()), (2, 2));
     }
 
@@ -1449,8 +1452,8 @@ mod tests {
         let mut store_b = KeyStore::new(2, NodeId(0)).with_cache(cache.clone());
         store_b.accept(NodeId(1), pk_b);
         for _ in 0..2 {
-            assert!(store_a.assigns(&scheme, NodeId(1), b"m", &sig));
-            assert!(!store_b.assigns(&scheme, NodeId(1), b"m", &sig));
+            assert!(store_a.assigns(&scheme, NodeId(1), b"m", &sig.0));
+            assert!(!store_b.assigns(&scheme, NodeId(1), b"m", &sig.0));
         }
         assert_eq!((cache.hits(), cache.misses()), (2, 2));
     }

@@ -169,7 +169,9 @@ pub fn check_g2(
     msg: &[u8],
     sig: &Signature,
 ) -> bool {
-    stores.iter().all(|s| s.assigns(scheme, signer, msg, sig))
+    stores
+        .iter()
+        .all(|s| s.assigns(scheme, signer, msg, &sig.0))
 }
 
 /// G1 for one store: if the store assigns `(msg, sig)` to `claimed` and
@@ -184,7 +186,7 @@ pub fn check_g1(
     really_signed: bool,
 ) -> bool {
     // G1 is conditional: assignment to a correct node implies authorship.
-    !store.assigns(scheme, claimed, msg, sig) || really_signed
+    !store.assigns(scheme, claimed, msg, &sig.0) || really_signed
 }
 
 #[cfg(test)]

@@ -78,7 +78,7 @@ pub struct Cluster {
     pub seed: u64,
     /// Which engine executes the runs (default: [`Engine::Sync`]).
     pub engine: Engine,
-    /// Latency model for event-engine runs (default: synchronous).
+    /// Latency for event-engine runs (default: synchronous).
     pub latency: LatencySpec,
     /// Per-link latency overrides for event-engine runs (default: none).
     pub link_latency: Vec<LinkLatencySpec>,
@@ -243,7 +243,7 @@ impl Cluster {
         self
     }
 
-    /// Select the latency model (only meaningful with [`Engine::Event`]).
+    /// Select the latency (only meaningful with [`Engine::Event`]).
     /// Specs byte-equivalent to synchrony are normalized onto
     /// [`LatencySpec::Synchronous`].
     pub fn with_latency(mut self, latency: LatencySpec) -> Self {
@@ -251,7 +251,7 @@ impl Cluster {
         self
     }
 
-    /// Install per-link latency overrides on top of the base latency model
+    /// Install per-link latency overrides on top of the base latency
     /// (only meaningful with [`Engine::Event`]).
     pub fn with_link_latency(mut self, link_latency: Vec<LinkLatencySpec>) -> Self {
         self.link_latency = link_latency;
@@ -337,7 +337,7 @@ impl Cluster {
                 }
             }
             Engine::Event => {
-                // The slowest of the base model and any per-link override
+                // The slowest of the base latency and any per-link override
                 // bounds how far a message can stretch.
                 let budget = self
                     .link_latency
@@ -345,11 +345,7 @@ impl Cluster {
                     .map(|link| link.spec.round_budget(base_rounds))
                     .fold(self.latency.round_budget(base_rounds), u32::max);
                 let mut net = EventNetwork::new(nodes);
-                net.set_latency(LinkLatencySpec::build_model(
-                    self.latency,
-                    &self.link_latency,
-                    self.seed,
-                ));
+                net.set_latency(self.latency, &self.link_latency, self.seed);
                 if let Some(schedule) = schedule {
                     net.set_delay_overrides(Arc::clone(schedule));
                 }

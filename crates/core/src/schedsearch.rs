@@ -485,12 +485,6 @@ fn mix(a: u64, b: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Draw a delay uniformly within the spec's envelope for `round`.
-fn draw_delay(latency: LatencySpec, round: u32, rand: u64) -> u64 {
-    let (lo, hi) = latency.tick_bounds(round);
-    lo + rand % (hi - lo + 1)
-}
-
 /// Score one executed run. Schedule-search runs are always classified as
 /// timing-faulted (`network_faulted = true` in [`classify`]): the
 /// adversarial scheduler violates N1 by construction, so FD→BA fallback
@@ -682,7 +676,7 @@ pub fn run_search_parallel(config: &SearchConfig, threads: usize) -> Result<Sear
                     .enumerate()
                     .map(|(k, &(round, _))| {
                         let rand = mix(eseed, k as u64);
-                        (k as u64, draw_delay(config.spec.latency, round, rand))
+                        (k as u64, config.spec.latency.draw(round, rand))
                     })
                     .collect();
                 execute_admissible(config, &keydist, Some(overrides))
@@ -718,7 +712,7 @@ pub fn run_search_parallel(config: &SearchConfig, threads: usize) -> Result<Sear
                 }
                 let index = (mix(eseed, 0) % current.delay_log.len() as u64) as usize;
                 let round = current.delay_log[index].0;
-                let ticks = draw_delay(config.spec.latency, round, mix(eseed, 1));
+                let ticks = config.spec.latency.draw(round, mix(eseed, 1));
                 let mut proposal = overrides.clone();
                 proposal.insert(index as u64, ticks);
                 let result = execute_admissible(config, &keydist, Some(proposal.clone()));

@@ -102,7 +102,7 @@ fn signature_memo_hits_only_on_identical_bytes() {
     let cache = VerifyCache::new();
     let query = |scheme: &AlwaysValid, pk: &[u8], msg: &[u8], sig: &[u8]| {
         let pk = PublicKey::new(pk.to_vec());
-        assert!(cache.verify_sig(scheme, &pk, msg, &Signature(sig.to_vec())));
+        assert!(cache.verify_sig(scheme, &pk, msg, sig));
     };
     query(&a, b"ab", b"c", b"s");
     query(&a, b"ab", b"c", b"s");

@@ -19,21 +19,22 @@
 //!   envelopes are materialized into a reused arena just before it runs
 //!   — the delivery path [`SyncNetwork`](crate::SyncNetwork) uses too
 //!   (see [`SchedCounters`]);
-//! * a pluggable [`LatencyModel`] decides each message's flight time in
-//!   virtual ticks ([`TICKS_PER_ROUND`] per round), with optional
-//!   per-link overrides ([`PerLink`]);
+//! * a [`LatencySpec`] decides each message's flight time in virtual
+//!   ticks ([`TICKS_PER_ROUND`] per round), drawn from a seed inside the
+//!   envelope [`LatencySpec::tick_bounds`] gives for the send round, with
+//!   optional directed per-link overrides ([`LinkLatencySpec`]);
 //! * round boundaries are derived from timeouts instead of lockstep: node
 //!   automata still see `on_round(r, …)`, but round `r` fires when virtual
 //!   time reaches `r · TICKS_PER_ROUND`, and a message is in round `r`'s
 //!   inbox iff its delivery time is at or before that boundary. Existing
 //!   protocols run unmodified.
 //!
-//! Under [`Synchronous`] latency the event engine reproduces the
+//! Under [`LatencySpec::Synchronous`] the event engine reproduces the
 //! synchronous engine *exactly* — same inbox contents and order, same
 //! statistics, same outcomes (see the cross-validation tests). Under
-//! [`SeededJitter`] / [`PartialSynchrony`] messages may arrive rounds
-//! late, which the paper's protocols surface as *discovered* timing
-//! failures, never as silent disagreement.
+//! [`LatencySpec::Jitter`] / [`LatencySpec::PartialSynchrony`] messages
+//! may arrive rounds late, which the paper's protocols surface as
+//! *discovered* timing failures, never as silent disagreement.
 
 use crate::delivery::{self, Arena, Delivery, Record};
 use crate::fault::{self, FaultPlan, LinkFault};
@@ -43,7 +44,7 @@ use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::sync::Arc;
 
-/// Virtual ticks per protocol round. Latency models express flight times
+/// Virtual ticks per protocol round. Latency specs express flight times
 /// in ticks, so sub-round jitter is expressible while round boundaries
 /// stay exact multiples.
 pub const TICKS_PER_ROUND: u64 = 1024;
@@ -89,10 +90,10 @@ impl core::fmt::Display for Engine {
     }
 }
 
-/// Declarative latency configuration: a copyable description of a
-/// [`LatencyModel`] that sweeps and CLIs can carry around and that
-/// [`LatencySpec::build`] turns into the model itself (seeding any
-/// randomness deterministically).
+/// Message timing: each spec's [`tick_bounds`](LatencySpec::tick_bounds)
+/// envelope bounds every flight time, and [`delay`](LatencySpec::delay)
+/// draws one inside it from a seed. The event engine, the cluster delay
+/// shim and the scheduler search all time messages through this one rule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum LatencySpec {
     /// Every message takes exactly one round — the paper's N1 model.
@@ -133,18 +134,6 @@ impl LatencySpec {
         }
     }
 
-    /// Instantiate the model; `seed` feeds any randomness.
-    pub fn build(self, seed: u64) -> Box<dyn LatencyModel> {
-        match self {
-            LatencySpec::Synchronous => Box::new(Synchronous),
-            LatencySpec::Fixed { rounds } => Box::new(FixedDelay { rounds }),
-            LatencySpec::Jitter { extra } => Box::new(SeededJitter { seed, extra }),
-            LatencySpec::PartialSynchrony { gst, extra } => {
-                Box::new(PartialSynchrony { gst, extra, seed })
-            }
-        }
-    }
-
     /// How many automaton rounds a protocol needing `base` rounds under
     /// synchrony may need under this latency (every hop can stretch, plus
     /// slack for the final deliveries to drain).
@@ -170,27 +159,43 @@ impl LatencySpec {
     /// post-GST partial synchrony) have `min == max` — there is no schedule
     /// freedom to search over.
     pub fn tick_bounds(self, round: u32) -> (u64, u64) {
+        let t = TICKS_PER_ROUND;
         match self {
-            LatencySpec::Synchronous => (TICKS_PER_ROUND, TICKS_PER_ROUND),
+            LatencySpec::Synchronous => (t, t),
+            LatencySpec::PartialSynchrony { gst, .. } if round >= gst => (t, t),
             LatencySpec::Fixed { rounds } => {
-                let d = u64::from(rounds.max(1)) * TICKS_PER_ROUND;
+                let d = u64::from(rounds.max(1)) * t;
                 (d, d)
             }
-            LatencySpec::Jitter { extra } => (
-                TICKS_PER_ROUND,
-                u64::from(extra.saturating_add(1)) * TICKS_PER_ROUND,
-            ),
-            LatencySpec::PartialSynchrony { gst, extra } => {
-                if round >= gst {
-                    (TICKS_PER_ROUND, TICKS_PER_ROUND)
-                } else {
-                    (
-                        TICKS_PER_ROUND,
-                        u64::from(extra.saturating_add(1)) * TICKS_PER_ROUND,
-                    )
-                }
+            LatencySpec::Jitter { extra } | LatencySpec::PartialSynchrony { extra, .. } => {
+                (t, u64::from(extra.saturating_add(1)) * t)
             }
         }
+    }
+
+    /// Flight time in virtual ticks for a message sent from `from` to `to`
+    /// in `round`: the envelope's one value when it has one, else a draw
+    /// inside it from `(seed, from, to, round)`. The same inputs always
+    /// give the same delay, so a run is replayable from its seed.
+    pub fn delay(self, seed: u64, from: NodeId, to: NodeId, round: u32) -> u64 {
+        self.uniform_delay(round)
+            .unwrap_or_else(|| self.draw(round, mix(seed, from, to, round)))
+    }
+
+    /// The flight time every message sent in `round` gets, when the
+    /// envelope admits only one. This is the event engine's broadcast
+    /// fast-path gate: a uniform, round-aligned delay lets an `n`-way
+    /// broadcast travel as a single compressed delivery record.
+    pub fn uniform_delay(self, round: u32) -> Option<u64> {
+        let (lo, hi) = self.tick_bounds(round);
+        (lo == hi).then_some(lo)
+    }
+
+    /// The delay inside `round`'s envelope that the random word `rand`
+    /// selects, uniformly when `rand` is.
+    pub fn draw(self, round: u32, rand: u64) -> u64 {
+        let (lo, hi) = self.tick_bounds(round);
+        lo + rand % (hi - lo + 1)
     }
 
     /// Whether any round's envelope admits more than one delay — i.e.
@@ -198,10 +203,10 @@ impl LatencySpec {
     /// for [`LatencySpec::Synchronous`] and [`LatencySpec::Fixed`], whose
     /// schedules are fully determined.
     pub fn has_schedule_freedom(self) -> bool {
-        match self.normalize() {
-            LatencySpec::Synchronous | LatencySpec::Fixed { .. } => false,
-            LatencySpec::Jitter { .. } | LatencySpec::PartialSynchrony { .. } => true,
-        }
+        !matches!(
+            self.normalize(),
+            LatencySpec::Synchronous | LatencySpec::Fixed { .. }
+        )
     }
 
     /// Stable machine-readable name (used in reports and CLI flags).
@@ -277,69 +282,6 @@ impl core::fmt::Display for LatencySpec {
     }
 }
 
-/// Decides message flight times for the event engine.
-///
-/// Must be deterministic: the same `(from, to, round)` always yields the
-/// same delay, so a run is replayable from its seed.
-pub trait LatencyModel: Send {
-    /// Short model name for reports.
-    fn name(&self) -> &'static str;
-
-    /// Flight time in virtual ticks for a message sent from `from` to `to`
-    /// in round `round`. Must be ≥ 1; [`TICKS_PER_ROUND`] means "arrives
-    /// exactly at the next round boundary" (the synchronous behaviour).
-    fn delay(&self, from: NodeId, to: NodeId, round: u32) -> u64;
-
-    /// If every destination of a message sent by `from` in `round` gets
-    /// the *same* flight time, that flight time; `None` when delays are
-    /// (or may be) destination-dependent.
-    ///
-    /// This is the event engine's broadcast fast-path gate: a uniform,
-    /// round-aligned delay lets an `n`-way broadcast travel as a single
-    /// compressed delivery record instead of `n − 1` queue entries.
-    /// Returning `None` is always correct (the engine falls back to
-    /// per-message scheduling); returning `Some(d)` when some destination
-    /// would get a different delay is not. The default is conservative.
-    fn uniform_delay(&self, _from: NodeId, _round: u32) -> Option<u64> {
-        None
-    }
-}
-
-/// Exactly one round per hop — the paper's N1 timing.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Synchronous;
-
-impl LatencyModel for Synchronous {
-    fn name(&self) -> &'static str {
-        "sync"
-    }
-    fn delay(&self, _from: NodeId, _to: NodeId, _round: u32) -> u64 {
-        TICKS_PER_ROUND
-    }
-    fn uniform_delay(&self, _from: NodeId, _round: u32) -> Option<u64> {
-        Some(TICKS_PER_ROUND)
-    }
-}
-
-/// A constant flight time of whole rounds.
-#[derive(Debug, Clone, Copy)]
-pub struct FixedDelay {
-    /// Flight time in rounds (≥ 1).
-    pub rounds: u32,
-}
-
-impl LatencyModel for FixedDelay {
-    fn name(&self) -> &'static str {
-        "fixed"
-    }
-    fn delay(&self, _from: NodeId, _to: NodeId, _round: u32) -> u64 {
-        u64::from(self.rounds.max(1)) * TICKS_PER_ROUND
-    }
-    fn uniform_delay(&self, _from: NodeId, _round: u32) -> Option<u64> {
-        Some(u64::from(self.rounds.max(1)) * TICKS_PER_ROUND)
-    }
-}
-
 /// SplitMix-style avalanche over (seed, from, to, round) — deterministic
 /// per-message randomness without any state.
 fn mix(seed: u64, from: NodeId, to: NodeId, round: u32) -> u64 {
@@ -354,109 +296,8 @@ fn mix(seed: u64, from: NodeId, to: NodeId, round: u32) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Seeded per-message jitter, uniform in `[1, 1 + extra]` rounds at tick
-/// granularity.
-#[derive(Debug, Clone, Copy)]
-pub struct SeededJitter {
-    /// Determinism seed.
-    pub seed: u64,
-    /// Maximum extra rounds of flight time.
-    pub extra: u32,
-}
-
-impl LatencyModel for SeededJitter {
-    fn name(&self) -> &'static str {
-        "jitter"
-    }
-    fn delay(&self, from: NodeId, to: NodeId, round: u32) -> u64 {
-        let span = u64::from(self.extra) * TICKS_PER_ROUND;
-        TICKS_PER_ROUND + mix(self.seed, from, to, round) % (span + 1)
-    }
-    fn uniform_delay(&self, _from: NodeId, _round: u32) -> Option<u64> {
-        // `extra = 0` degenerates to synchrony; anything else jitters
-        // per destination.
-        (self.extra == 0).then_some(TICKS_PER_ROUND)
-    }
-}
-
-/// Jitter before the global stabilization round, synchronous after it.
-#[derive(Debug, Clone, Copy)]
-pub struct PartialSynchrony {
-    /// Global stabilization time (round number).
-    pub gst: u32,
-    /// Maximum extra rounds of flight time before `gst`.
-    pub extra: u32,
-    /// Determinism seed.
-    pub seed: u64,
-}
-
-impl LatencyModel for PartialSynchrony {
-    fn name(&self) -> &'static str {
-        "psync"
-    }
-    fn delay(&self, from: NodeId, to: NodeId, round: u32) -> u64 {
-        if round >= self.gst {
-            TICKS_PER_ROUND
-        } else {
-            SeededJitter {
-                seed: self.seed,
-                extra: self.extra,
-            }
-            .delay(from, to, round)
-        }
-    }
-    fn uniform_delay(&self, _from: NodeId, round: u32) -> Option<u64> {
-        (round >= self.gst || self.extra == 0).then_some(TICKS_PER_ROUND)
-    }
-}
-
-/// A base model with per-link overrides — e.g. one slow WAN link in an
-/// otherwise synchronous cluster.
-pub struct PerLink {
-    base: Box<dyn LatencyModel>,
-    overrides: HashMap<(NodeId, NodeId), Box<dyn LatencyModel>>,
-}
-
-impl PerLink {
-    /// Wrap a base model with no overrides yet.
-    pub fn new(base: Box<dyn LatencyModel>) -> Self {
-        PerLink {
-            base,
-            overrides: HashMap::new(),
-        }
-    }
-
-    /// Use `model` for messages from `from` to `to` (directed). Returns
-    /// `self` for chaining.
-    pub fn with_link(mut self, from: NodeId, to: NodeId, model: Box<dyn LatencyModel>) -> Self {
-        self.overrides.insert((from, to), model);
-        self
-    }
-}
-
-impl LatencyModel for PerLink {
-    fn name(&self) -> &'static str {
-        "per-link"
-    }
-    fn delay(&self, from: NodeId, to: NodeId, round: u32) -> u64 {
-        match self.overrides.get(&(from, to)) {
-            Some(model) => model.delay(from, to, round),
-            None => self.base.delay(from, to, round),
-        }
-    }
-    fn uniform_delay(&self, from: NodeId, round: u32) -> Option<u64> {
-        // Any override may give one destination a different delay.
-        if self.overrides.is_empty() {
-            self.base.uniform_delay(from, round)
-        } else {
-            None
-        }
-    }
-}
-
-/// A declarative, copyable per-link latency override — the CLI/sweep
-/// counterpart of [`PerLink`], carried around like [`LatencySpec`] and
-/// turned into a model at build time.
+/// A per-link latency override: messages on the link are timed by `spec`
+/// instead of the base [`LatencySpec`] (see [`EventNetwork::set_latency`]).
 ///
 /// Overrides are *directed*: `0:1:fixed:4` slows messages from `P0` to
 /// `P1` but not the reverse link.
@@ -466,7 +307,7 @@ pub struct LinkLatencySpec {
     pub from: NodeId,
     /// Receiver side of the directed link.
     pub to: NodeId,
-    /// The latency model applied to this link.
+    /// The latency spec applied to this link.
     pub spec: LatencySpec,
 }
 
@@ -502,23 +343,6 @@ impl LinkLatencySpec {
     /// [`parse`]: LinkLatencySpec::parse
     pub fn name(&self) -> String {
         format!("{}:{}:{}", self.from.index(), self.to.index(), self.spec)
-    }
-
-    /// Build a [`PerLink`] model from a base spec plus these overrides.
-    /// `seed` feeds any randomness in the base and the override models.
-    pub fn build_model(
-        base: LatencySpec,
-        overrides: &[LinkLatencySpec],
-        seed: u64,
-    ) -> Box<dyn LatencyModel> {
-        if overrides.is_empty() {
-            return base.build(seed);
-        }
-        let mut model = PerLink::new(base.build(seed));
-        for link in overrides {
-            model = model.with_link(link.from, link.to, link.spec.build(seed));
-        }
-        Box::new(model)
     }
 }
 
@@ -573,10 +397,10 @@ pub struct SchedCounters {
 /// Discrete-event network simulator.
 ///
 /// Drives the same [`Node`] automata as [`crate::SyncNetwork`], but message
-/// delivery times come from a [`LatencyModel`] over virtual time instead of
+/// delivery times come from a [`LatencySpec`] over virtual time instead of
 /// lockstep rounds. Determinism: the event queue is ordered by
 /// `(deliver_at, seq)` where `seq` is the global send counter, so for a
-/// fixed seed, latency model, and fault plan the execution — inbox
+/// fixed seed, latency, and fault plan the execution — inbox
 /// contents, inbox order, statistics — is byte-identical across runs.
 pub struct EventNetwork {
     nodes: Vec<Box<dyn Node>>,
@@ -608,7 +432,11 @@ pub struct EventNetwork {
     round: u32,
     stats: NetStats,
     faults: FaultPlan,
-    latency: Box<dyn LatencyModel>,
+    /// The base latency, its per-link overrides and the seed of their
+    /// draws; see [`EventNetwork::set_latency`].
+    latency: LatencySpec,
+    links: Vec<LinkLatencySpec>,
+    seed: u64,
     rushing: Vec<NodeId>,
     /// Per-message flight-time overrides keyed by *send index* (the k-th
     /// message handed to the transport, counting from 0). See
@@ -660,7 +488,9 @@ impl EventNetwork {
             round: 0,
             stats: NetStats::new(n),
             faults: FaultPlan::new(),
-            latency: Box::new(Synchronous),
+            latency: LatencySpec::Synchronous,
+            links: Vec::new(),
+            seed: 0,
             rushing: Vec::new(),
             delay_overrides: Arc::new(HashMap::new()),
             delay_log: None,
@@ -675,7 +505,7 @@ impl EventNetwork {
 
     /// Enable end-of-round timestamping. Marks are *virtual ticks* — the
     /// round-boundary time after each executed round — so for a fixed seed,
-    /// latency model, and fault plan they are byte-identical across runs
+    /// latency, and fault plan they are byte-identical across runs
     /// and machines (the same determinism contract as the event queue
     /// itself). Also starts tracking the peak number of deliveries in
     /// flight observed at round boundaries, and records wall-clock marks
@@ -705,9 +535,26 @@ impl EventNetwork {
         self.round_marks.as_ref().map(|_| self.max_queue_depth)
     }
 
-    /// Install a latency model (default: [`Synchronous`]).
-    pub fn set_latency(&mut self, model: Box<dyn LatencyModel>) {
-        self.latency = model;
+    /// Time messages by `spec`, except on the directed links that `links`
+    /// override (the last override naming a link wins), drawing every
+    /// delay from `seed` (default: [`LatencySpec::Synchronous`], no
+    /// overrides). Any override turns the compressed-broadcast fast path
+    /// off, since one destination may get a different delay.
+    pub fn set_latency(&mut self, spec: LatencySpec, links: &[LinkLatencySpec], seed: u64) {
+        self.latency = spec;
+        self.links = links.to_vec();
+        self.seed = seed;
+    }
+
+    /// The flight time of a message sent from `from` to `to` in `round`
+    /// before any override or fault.
+    fn link_delay(&self, from: NodeId, to: NodeId, round: u32) -> u64 {
+        self.links
+            .iter()
+            .rev()
+            .find(|link| link.from == from && link.to == to)
+            .map_or(self.latency, |link| link.spec)
+            .delay(self.seed, from, to, round)
     }
 
     /// Install per-message flight-time overrides, keyed by send index (the
@@ -715,10 +562,10 @@ impl EventNetwork {
     /// virtual ticks.
     ///
     /// This is the adversarial scheduler's hook: an override *replaces* the
-    /// latency model's delay for exactly that message (still clamped to
-    /// ≥ 1 tick; [`LinkFault::Delay`] faults are added on top afterwards,
-    /// exactly as for model-chosen delays). Because execution is a pure
-    /// function of the node automata, the latency model, the fault plan,
+    /// drawn delay for exactly that message (still clamped to ≥ 1 tick;
+    /// [`LinkFault::Delay`] faults are added on top afterwards, exactly as
+    /// for drawn delays). Because execution is a pure function of the node
+    /// automata, the latency, the fault plan,
     /// and these overrides, re-installing the same override map replays a
     /// schedule byte-for-byte — the replay contract behind
     /// `fd_core::schedsearch`'s schedule certificates.
@@ -970,9 +817,9 @@ impl EventNetwork {
             && self.delay_log.is_none()
             && self.delay_overrides.is_empty()
             && self.rushing.is_empty();
-        let uniform = if fast_eligible {
+        let uniform = if fast_eligible && self.links.is_empty() {
             self.latency
-                .uniform_delay(from, round)
+                .uniform_delay(round)
                 .map(|d| d.max(1))
                 .filter(|d| d.is_multiple_of(TICKS_PER_ROUND))
         } else {
@@ -1051,7 +898,7 @@ impl EventNetwork {
             .delay_overrides
             .get(&self.sent)
             .copied()
-            .unwrap_or_else(|| self.latency.delay(from, to, round))
+            .unwrap_or_else(|| self.link_delay(from, to, round))
             .max(1);
         if let Some(log) = self.delay_log.as_mut() {
             log.push((round, delay));
@@ -1113,7 +960,8 @@ impl core::fmt::Debug for EventNetwork {
             .field("round", &self.round)
             .field("now", &self.now)
             .field("in_flight", &self.in_flight)
-            .field("latency", &self.latency.name())
+            .field("latency", &self.latency)
+            .field("links", &self.links)
             .finish()
     }
 }
@@ -1200,7 +1048,7 @@ mod tests {
     fn runs_are_deterministic_across_repeats() {
         let run = |seed| {
             let mut net = EventNetwork::new(echo_nodes(6));
-            net.set_latency(Box::new(SeededJitter { seed, extra: 2 }));
+            net.set_latency(LatencySpec::Jitter { extra: 2 }, &[], seed);
             net.run_until_done(12);
             let stats = net.stats().clone();
             (stats, seen(net))
@@ -1215,7 +1063,7 @@ mod tests {
     #[test]
     fn jitter_spreads_arrivals_across_rounds() {
         let mut net = EventNetwork::new(echo_nodes(6));
-        net.set_latency(Box::new(SeededJitter { seed: 3, extra: 2 }));
+        net.set_latency(LatencySpec::Jitter { extra: 2 }, &[], 3);
         net.run_until_done(12);
         let all: Vec<u32> = seen(net)
             .into_iter()
@@ -1232,7 +1080,7 @@ mod tests {
     #[test]
     fn fixed_delay_shifts_every_arrival() {
         let mut net = EventNetwork::new(echo_nodes(4));
-        net.set_latency(Box::new(FixedDelay { rounds: 3 }));
+        net.set_latency(LatencySpec::Fixed { rounds: 3 }, &[], 0);
         net.run_until_done(10);
         for node in seen(net) {
             assert!(node.iter().all(|&(round, _, _)| round == 3));
@@ -1270,11 +1118,7 @@ mod tests {
             })
             .collect();
         let mut net = EventNetwork::new(nodes);
-        net.set_latency(Box::new(PartialSynchrony {
-            gst: 5,
-            extra: 3,
-            seed: 11,
-        }));
+        net.set_latency(LatencySpec::PartialSynchrony { gst: 5, extra: 3 }, &[], 11);
         for _ in 0..8 {
             net.step();
         }
@@ -1292,11 +1136,12 @@ mod tests {
     #[test]
     fn per_link_override_slows_one_link() {
         let mut net = EventNetwork::new(echo_nodes(3));
-        net.set_latency(Box::new(PerLink::new(Box::new(Synchronous)).with_link(
-            NodeId(0),
-            NodeId(1),
-            Box::new(FixedDelay { rounds: 4 }),
-        )));
+        let slow = LinkLatencySpec {
+            from: NodeId(0),
+            to: NodeId(1),
+            spec: LatencySpec::Fixed { rounds: 4 },
+        };
+        net.set_latency(LatencySpec::Synchronous, &[slow], 0);
         net.run_until_done(10);
         let all = seen(net);
         // P1 got P2's message in round 1 and P0's only in round 4.
@@ -1503,7 +1348,7 @@ mod tests {
     fn replaying_a_delay_log_reproduces_the_run_exactly() {
         let run = |overrides: HashMap<u64, u64>| {
             let mut net = EventNetwork::new(echo_nodes(6));
-            net.set_latency(Box::new(SeededJitter { seed: 5, extra: 2 }));
+            net.set_latency(LatencySpec::Jitter { extra: 2 }, &[], 5);
             net.set_delay_overrides(Arc::new(overrides));
             net.enable_delay_log();
             net.run_until_done(15);
@@ -1513,7 +1358,7 @@ mod tests {
         };
         let (stats, log, observed) = run(HashMap::new());
         // Replay the recorded schedule through the override hook on a
-        // fresh network with a *different* base model: identical run.
+        // fresh network with a *different* base latency: identical run.
         let schedule: HashMap<u64, u64> = log
             .iter()
             .enumerate()
@@ -1541,11 +1386,7 @@ mod tests {
         assert!(LinkLatencySpec::parse("x:1:sync").is_err());
 
         let mut net = EventNetwork::new(echo_nodes(3));
-        net.set_latency(LinkLatencySpec::build_model(
-            LatencySpec::Synchronous,
-            &[link],
-            1,
-        ));
+        net.set_latency(LatencySpec::Synchronous, &[link], 1);
         net.run_until_done(10);
         let all = seen(net);
         let at_p1: Vec<(u32, NodeId)> = all[1].iter().map(|&(r, f, _)| (r, f)).collect();
@@ -1564,20 +1405,56 @@ mod tests {
         let ps = LatencySpec::PartialSynchrony { gst: 4, extra: 1 };
         assert_eq!(ps.tick_bounds(3), (t, 2 * t));
         assert_eq!(ps.tick_bounds(4), (t, t));
-        // Every model-chosen delay lies within the advertised bounds.
+        // Every drawn delay lies within the advertised bounds.
         for spec in [
             LatencySpec::Jitter { extra: 2 },
             LatencySpec::PartialSynchrony { gst: 2, extra: 3 },
         ] {
-            let model = spec.build(11);
             for round in 0..6u32 {
                 let (lo, hi) = spec.tick_bounds(round);
                 for (a, b) in [(0u16, 1u16), (1, 2), (3, 0)] {
-                    let d = model.delay(NodeId(a), NodeId(b), round);
+                    let d = spec.delay(11, NodeId(a), NodeId(b), round);
                     assert!((lo..=hi).contains(&d), "{spec:?} round {round}: {d}");
                 }
             }
         }
+    }
+
+    #[test]
+    fn latency_draws_match_known_answers() {
+        // Values the engine has always drawn for these inputs: a change
+        // here changes every jittered run, certificate and report.
+        let (p0, p1, p2, p3, p4) = (NodeId(0), NodeId(1), NodeId(2), NodeId(3), NodeId(4));
+        let jitter = LatencySpec::Jitter { extra: 2 };
+        assert_eq!(jitter.delay(5, p0, p1, 0), 2352);
+        assert_eq!(jitter.delay(5, p3, p0, 2), 2428);
+        assert_eq!(jitter.delay(5, p1, p2, 7), 1946);
+        assert_eq!(jitter.uniform_delay(0), None);
+        let psync = LatencySpec::PartialSynchrony { gst: 2, extra: 3 };
+        assert_eq!(psync.delay(11, p0, p1, 0), 1751);
+        assert_eq!(psync.delay(11, p0, p1, 1), 2514);
+        assert_eq!(psync.delay(11, p0, p1, 2), 1024);
+        assert_eq!(psync.delay(11, p4, p2, 1), 1193);
+        assert_eq!(psync.uniform_delay(1), None);
+        assert_eq!(psync.uniform_delay(2), Some(TICKS_PER_ROUND));
+        assert_eq!(
+            LatencySpec::Fixed { rounds: 0 }.uniform_delay(3),
+            Some(TICKS_PER_ROUND)
+        );
+
+        // `sync` base, `0:1:jitter:2` override, seed 9, round 3: the
+        // override draws on its link, the base times the reverse link.
+        let mut net = EventNetwork::new(echo_nodes(3));
+        let link = LinkLatencySpec::parse("0:1:jitter:2").unwrap();
+        net.set_latency(LatencySpec::Synchronous, &[link], 9);
+        assert_eq!(net.link_delay(p0, p1, 3), 2855);
+        assert_eq!(net.link_delay(p1, p0, 3), TICKS_PER_ROUND);
+        // The last override naming a link wins.
+        let first = LinkLatencySpec::parse("0:1:fixed:4").unwrap();
+        net.set_latency(LatencySpec::Synchronous, &[first, link], 9);
+        assert_eq!(net.link_delay(p0, p1, 3), 2855);
+        net.set_latency(LatencySpec::Synchronous, &[link, first], 9);
+        assert_eq!(net.link_delay(p0, p1, 3), 4 * TICKS_PER_ROUND);
     }
 
     #[test]
@@ -1586,17 +1463,13 @@ mod tests {
         // ring+heap hybrid, one forced entirely through the heap. The
         // total delivery order (per node, per round, per sender) and the
         // statistics must be identical.
-        let model = |k: usize| -> Box<dyn LatencyModel> {
+        let latency = |k: usize| -> (LatencySpec, u64) {
             match k {
-                0 => Box::new(Synchronous),
-                1 => Box::new(FixedDelay { rounds: 2 }),
-                2 => Box::new(SeededJitter { seed: 7, extra: 2 }),
-                3 => Box::new(PartialSynchrony {
-                    gst: 2,
-                    extra: 3,
-                    seed: 13,
-                }),
-                _ => Box::new(Synchronous),
+                0 => (LatencySpec::Synchronous, 0),
+                1 => (LatencySpec::Fixed { rounds: 2 }, 0),
+                2 => (LatencySpec::Jitter { extra: 2 }, 7),
+                3 => (LatencySpec::PartialSynchrony { gst: 2, extra: 3 }, 13),
+                _ => (LatencySpec::Synchronous, 0),
             }
         };
         let faulty = FaultPlan::new()
@@ -1612,7 +1485,8 @@ mod tests {
             let run = |reference: bool| {
                 let mut net = EventNetwork::new(echo_nodes(6));
                 net.set_reference_scheduler(reference);
-                net.set_latency(model(k));
+                let (spec, seed) = latency(k);
+                net.set_latency(spec, &[], seed);
                 net.set_fault_plan(plan.clone());
                 net.run_until_done(20);
                 (net.stats().clone(), net.sched_counters(), seen(net))
@@ -1644,7 +1518,7 @@ mod tests {
 
         // Jitter: unaligned delays fall back to the heap.
         let mut net = EventNetwork::new(echo_nodes(4));
-        net.set_latency(Box::new(SeededJitter { seed: 3, extra: 2 }));
+        net.set_latency(LatencySpec::Jitter { extra: 2 }, &[], 3);
         net.run_until_done(12);
         let sched = net.sched_counters();
         assert_eq!(sched.ring_enqueued + sched.heap_enqueued, 12);

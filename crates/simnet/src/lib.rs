@@ -19,9 +19,9 @@
 //!
 //! Protocols are implemented as [`Node`] automata and run unchanged on
 //! [`SyncNetwork`] (deterministic, used for all experiment tables), the
-//! [`EventNetwork`] discrete-event simulator (virtual time, pluggable
-//! [`event::LatencyModel`]s, per-link overrides via [`LinkLatencySpec`],
-//! timing faults, and the per-message delay-override hook behind the
+//! [`EventNetwork`] discrete-event simulator (virtual time, delays drawn
+//! inside a [`LatencySpec`]'s envelope, per-link overrides via
+//! [`LinkLatencySpec`], timing faults, and the per-message delay-override hook behind the
 //! adversarial scheduler search's replayable certificates), and the
 //! [`transport::nonblocking`] TCP mesh (in process as
 //! [`transport::NbCluster`], across processes under `lafd cluster`).
@@ -73,7 +73,7 @@ pub mod transport;
 pub use delivery::MAX_NODES;
 pub use envelope::Envelope;
 pub use event::{
-    DelayOverrides, Engine, EventNetwork, LatencyModel, LatencySpec, LinkLatencySpec, SchedCounters,
+    DelayOverrides, Engine, EventNetwork, LatencySpec, LinkLatencySpec, SchedCounters,
 };
 pub use id::NodeId;
 pub use network::SyncNetwork;

@@ -69,10 +69,10 @@ impl NetStats {
         }
     }
 
-    /// Add the counts of sends another engine worker recorded over the
-    /// same rounds (per-round and per-node counts add up elementwise;
-    /// `rounds` is left alone).
-    pub(crate) fn merge(&mut self, other: &NetStats) {
+    /// Add the counts of sends another engine worker or mesh node
+    /// recorded over the same rounds (per-round and per-node counts add up
+    /// elementwise; `rounds` is left alone).
+    pub fn merge(&mut self, other: &NetStats) {
         self.messages_total += other.messages_total;
         self.bytes_total += other.bytes_total;
         self.dropped_invalid += other.dropped_invalid;

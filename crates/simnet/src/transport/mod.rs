@@ -7,7 +7,7 @@
 //! * [`nonblocking`] — a full TCP mesh per node driven by a
 //!   single-threaded readiness loop over nonblocking `TcpStream`s, with
 //!   per-peer framed buffers, simulator-matching early termination, and an
-//!   optional [`crate::LatencyModel`] wall-clock delay shim. The
+//!   optional wall-clock delay shim timed by a [`crate::LatencySpec`]. The
 //!   multi-process `lafd cluster` workers run on
 //!   [`MeshPeers`]/[`NonblockingMesh`] directly; [`NbCluster`] is the
 //!   in-process harness (one thread per node) behind the cross-validation

@@ -21,11 +21,11 @@
 //! outcomes byte for byte. Messages a node addresses to *itself* are
 //! delivered locally (the simulator delivers them too).
 //!
-//! **Delay shim.** An optional [`DelayShim`] reuses the event engine's
-//! [`LatencyModel`]: outgoing frames are held in the write queue until
-//! `round_wall · delay_ticks / TICKS_PER_ROUND` of wall time has passed
-//! since the round started, so jitter/partial-synchrony models pace real
-//! sockets. Because a round marker is queued *behind* the frames of its
+//! **Delay shim.** An optional [`DelayShim`] draws each frame's delay
+//! from a [`LatencySpec`] exactly as the event engine does: outgoing frames
+//! are held in the write queue until `round_wall · delay_ticks /
+//! TICKS_PER_ROUND` of wall time has passed since the round started, so
+//! jitter and partial synchrony pace real sockets. Because a round marker is queued *behind* the frames of its
 //! round (FIFO per peer), marker gating still delivers every message into
 //! the next round's inbox: the shim stretches wall time and socket-level
 //! interleavings, never the protocol-visible round structure — counters
@@ -41,7 +41,7 @@
 use super::chaos::{transient, with_retry, ChaosInjector, ChaosPhase, RetryCtx};
 use super::{ClusterReport, TransportError};
 use crate::event::TICKS_PER_ROUND;
-use crate::{Envelope, LatencyModel, NetStats, Node, NodeId, Outbox};
+use crate::{Envelope, LatencySpec, NetStats, Node, NodeId, Outbox};
 use std::collections::{HashMap, VecDeque};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -73,14 +73,17 @@ pub const MAX_FRAME_LEN: usize = 64 << 20;
 /// How long an idle readiness sweep parks before the next sweep.
 const IDLE_NAP: Duration = Duration::from_micros(200);
 
-/// Wall-clock pacing of outgoing frames by a virtual-latency model: a
-/// frame sent in round `r` from `from` to `to` leaves the write queue
-/// `round_wall · model.delay(from, to, r) / TICKS_PER_ROUND` after the
-/// round started. The synchronous model paces every link by exactly
-/// `round_wall`; jitter/psync models spread links apart.
+/// Wall-clock pacing of outgoing frames by a virtual latency: a frame sent
+/// in round `r` from `from` to `to` leaves the write queue `round_wall ·
+/// latency.delay(seed, from, to, r) / TICKS_PER_ROUND` after the round
+/// started. Synchrony paces every link by exactly `round_wall`; jitter and
+/// partial synchrony spread links apart.
+#[derive(Debug, Clone, Copy)]
 pub struct DelayShim {
-    /// The virtual latency model deciding per-link flight ticks.
-    pub model: Box<dyn LatencyModel>,
+    /// The latency whose delays pace the frames.
+    pub latency: LatencySpec,
+    /// The seed of the delay draws.
+    pub seed: u64,
     /// Wall-clock duration of one virtual round ([`TICKS_PER_ROUND`]
     /// ticks).
     pub round_wall: Duration,
@@ -89,18 +92,9 @@ pub struct DelayShim {
 impl DelayShim {
     /// Wall-clock hold time for a frame.
     fn hold(&self, from: NodeId, to: NodeId, round: u32) -> Duration {
-        let ticks = self.model.delay(from, to, round).max(1);
+        let ticks = self.latency.delay(self.seed, from, to, round).max(1);
         let nanos = self.round_wall.as_nanos() * u128::from(ticks) / u128::from(TICKS_PER_ROUND);
         Duration::from_nanos(u64::try_from(nanos).unwrap_or(u64::MAX))
-    }
-}
-
-impl core::fmt::Debug for DelayShim {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        f.debug_struct("DelayShim")
-            .field("model", &self.model.name())
-            .field("round_wall", &self.round_wall)
-            .finish()
     }
 }
 
@@ -526,7 +520,7 @@ pub struct MeshRun {
 /// The single-threaded readiness-loop executor for one phase of one node
 /// of a mesh.
 ///
-/// Construct per phase (the [`DelayShim`] is consumed by the run), then
+/// Construct per phase, then
 /// [`run`](NonblockingMesh::run) the node over an established
 /// [`MeshPeers`]. The run leaves the connections open: the next phase
 /// runs over the same mesh, and [`MeshPeers::close`] ends it.
@@ -812,7 +806,7 @@ fn parse_frames(
 pub struct NbCluster {
     rounds_limit: u32,
     io_deadline: Duration,
-    shim: Option<(crate::LatencySpec, u64, Duration)>,
+    shim: Option<DelayShim>,
 }
 
 impl NbCluster {
@@ -837,15 +831,10 @@ impl NbCluster {
         self
     }
 
-    /// Install a delay shim built from `spec` (seeded) on every node.
+    /// Install a wall-clock delay shim on every node's outgoing frames.
     #[must_use]
-    pub fn with_delay_shim(
-        mut self,
-        spec: crate::LatencySpec,
-        seed: u64,
-        round_wall: Duration,
-    ) -> Self {
-        self.shim = Some((spec, seed, round_wall));
+    pub fn with_delay_shim(mut self, shim: DelayShim) -> Self {
+        self.shim = Some(shim);
         self
     }
 
@@ -873,10 +862,7 @@ impl NbCluster {
             let addrs = std::sync::Arc::clone(&addrs);
             let mesh = NonblockingMesh::new(self.rounds_limit).with_io_deadline(self.io_deadline);
             let mesh = match self.shim {
-                Some((spec, seed, round_wall)) => mesh.with_delay_shim(DelayShim {
-                    model: spec.build(seed),
-                    round_wall,
-                }),
+                Some(shim) => mesh.with_delay_shim(shim),
                 None => mesh,
             };
             handles.push(std::thread::spawn(
@@ -930,20 +916,12 @@ impl ClusterReport {
             }
         }
 
+        // A run's `sent_by` holds only its own node's sends, so merging
+        // fills each node's slot with exactly its count.
         let mut stats = NetStats::new(n);
         stats.rounds = rounds;
         for run in &runs {
-            let id = run.node.id();
-            for (r, count) in run.stats.per_round.iter().enumerate() {
-                if stats.per_round.len() <= r {
-                    stats.per_round.resize(r + 1, 0);
-                }
-                stats.per_round[r] += count;
-            }
-            stats.messages_total += run.stats.messages_total;
-            stats.bytes_total += run.stats.bytes_total;
-            stats.dropped_invalid += run.stats.dropped_invalid;
-            stats.sent_by[id.index()] = run.stats.messages_total;
+            stats.merge(&run.stats);
         }
 
         runs.sort_by_key(|run| run.node.id());
@@ -959,7 +937,7 @@ impl ClusterReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{LatencySpec, SyncNetwork};
+    use crate::SyncNetwork;
     use std::any::Any;
 
     /// Deterministic chatterbox: broadcasts in rounds `0..until` (node 0
@@ -1065,11 +1043,11 @@ mod tests {
             .run(Chatter::set(n, until));
         let shimmed = NbCluster::new(limit)
             .with_io_deadline(Duration::from_secs(20))
-            .with_delay_shim(
-                LatencySpec::Jitter { extra: 2 },
-                7,
-                Duration::from_millis(2),
-            )
+            .with_delay_shim(DelayShim {
+                latency: LatencySpec::Jitter { extra: 2 },
+                seed: 7,
+                round_wall: Duration::from_millis(2),
+            })
             .run(Chatter::set(n, until));
         assert!(plain.ok().is_ok() && shimmed.ok().is_ok());
         assert_eq!(plain.stats, shimmed.stats);

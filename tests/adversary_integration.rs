@@ -476,7 +476,7 @@ fn shared_key_clique_runs_fd_without_discovery_g1_caveat() {
     let sig = scheme_ref.sign(&shared_sk, b"probe").unwrap();
     for holder in [NodeId(0), NodeId(3), NodeId(5)] {
         let store = kd.store(holder);
-        assert!(store.assigns(scheme_ref.as_ref(), NodeId(1), b"probe", &sig));
-        assert!(store.assigns(scheme_ref.as_ref(), NodeId(2), b"probe", &sig));
+        assert!(store.assigns(scheme_ref.as_ref(), NodeId(1), b"probe", &sig.0));
+        assert!(store.assigns(scheme_ref.as_ref(), NodeId(2), b"probe", &sig.0));
     }
 }

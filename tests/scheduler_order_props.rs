@@ -13,10 +13,10 @@
 //! scatter (`Outbox::scatter`, one record for `n − 1` windows) to the
 //! per-message sends it stands for, on both engines.
 
-use local_auth_fd::simnet::event::{SeededJitter, TICKS_PER_ROUND};
+use local_auth_fd::simnet::event::TICKS_PER_ROUND;
 use local_auth_fd::simnet::fault::{FaultPlan, LinkFault};
 use local_auth_fd::simnet::{
-    Envelope, EventNetwork, NetStats, Node, NodeId, Outbox, SchedCounters, SyncNetwork,
+    Envelope, EventNetwork, LatencySpec, NetStats, Node, NodeId, Outbox, SchedCounters, SyncNetwork,
 };
 use proptest::prelude::*;
 use std::any::Any;
@@ -98,10 +98,7 @@ fn run_plan(plan: &Plan, reference: bool) -> (Seen, NetStats, SchedCounters) {
         })
         .collect();
     let mut net = EventNetwork::new(nodes);
-    net.set_latency(Box::new(SeededJitter {
-        seed: plan.seed,
-        extra: plan.extra,
-    }));
+    net.set_latency(LatencySpec::Jitter { extra: plan.extra }, &[], plan.seed);
     if !plan.overrides.is_empty() {
         net.set_delay_overrides(Arc::new(plan.overrides.clone()));
     }
